@@ -72,8 +72,10 @@ pub(crate) struct Site {
     /// Channel key `(sender, receiver, tag)`.
     pub(crate) key: (u16, u16, u16),
     /// Payload elements: `len` for send/recv, `block_len * blocks` for
-    /// `recv2d` (the length the runtime's payload check compares).
-    pub(crate) elems: u32,
+    /// `recv2d` (the length the runtime's payload check compares) — in
+    /// `u64`, because that product can exceed `u32` (and a wrapped one
+    /// would "match" a send it cannot).
+    pub(crate) elems: u64,
 }
 
 pub(crate) fn site_of(core: u16, pc: u32, instr: &Instruction) -> Option<Site> {
@@ -82,13 +84,13 @@ pub(crate) fn site_of(core: u16, pc: u32, instr: &Instruction) -> Option<Site> {
             pc,
             is_send: true,
             key: (core, peer.0, *tag),
-            elems: *len,
+            elems: *len as u64,
         }),
         Instruction::Recv { peer, len, tag, .. } => Some(Site {
             pc,
             is_send: false,
             key: (peer.0, core, *tag),
-            elems: *len,
+            elems: *len as u64,
         }),
         Instruction::Recv2d {
             peer,
@@ -100,7 +102,7 @@ pub(crate) fn site_of(core: u16, pc: u32, instr: &Instruction) -> Option<Site> {
             pc,
             is_send: false,
             key: (peer.0, core, *tag),
-            elems: block_len * blocks,
+            elems: *block_len as u64 * *blocks as u64,
         }),
         _ => None,
     }
@@ -268,7 +270,8 @@ pub fn check(
                     receiver: key.1,
                     recv_pc: r.pc,
                     tag: key.2,
-                    elems: s.elems,
+                    // Equal on both sides, and a send's length is a `u32`.
+                    elems: s.elems as u32,
                 });
             }
         }
@@ -647,6 +650,32 @@ mod tests {
         assert_eq!(diags, vec![]);
         assert!(map.complete);
         assert_eq!(map.pairs[0].elems, 24);
+    }
+
+    #[test]
+    fn recv2d_len_product_does_not_wrap() {
+        // Regression: 65536 * 65536 wrapped to 0 in `u32` and paired with
+        // an empty send as `complete`.
+        let p = program(vec![
+            vec![send(1, 0, 5), Instruction::Halt],
+            vec![
+                Instruction::Recv2d {
+                    peer: CoreId(0),
+                    dst: addr(),
+                    block_len: 65536,
+                    blocks: 65536,
+                    dst_stride: 0,
+                    tag: 5,
+                },
+                Instruction::Halt,
+            ],
+        ]);
+        let (diags, map) = run(&p);
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].kind, DiagKind::PayloadMismatch);
+        assert!(diags[0].to_string().contains("expects 4294967296 elements"));
+        assert!(map.pairs.is_empty());
+        assert!(!map.complete);
     }
 
     #[test]

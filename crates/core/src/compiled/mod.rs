@@ -1,6 +1,6 @@
 //! The compiled scheduler: a Placer-style fast path for static regions.
 //!
-//! Event-driven simulation pays a full hazard scan, cost lookup, and
+//! Event-driven simulation pays hazard bookkeeping, a cost lookup, and a
 //! scheduling decision per event, even though most of a compiled
 //! network's per-core trace is straight-line code whose timing is fully
 //! determined at the first visit. This module splits each core's program

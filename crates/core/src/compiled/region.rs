@@ -25,7 +25,7 @@
 //! by replaying the push log through a min-heap.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use pimsim_event::{Kernel, RunResult, SimTime, World};
@@ -114,7 +114,7 @@ pub(crate) struct CoreSnap {
     pub(crate) next_dispatch: SimTime,
     pub(crate) advance_pending: bool,
     pub(crate) vector_busy: bool,
-    pub(crate) busy_xbars: Vec<u32>,
+    pub(crate) busy_xbars: Vec<u64>,
     pub(crate) seq_next: u64,
     pub(crate) rob: Vec<EntrySnap>,
 }
@@ -128,13 +128,12 @@ fn snapshot(core: &Core) -> CoreSnap {
         advance_pending: core.advance_pending,
         vector_busy: core.vector_busy,
         busy_xbars: core.busy_xbars.clone(),
-        seq_next: core.seq_next,
+        seq_next: core.seq_next(),
         rob: core
-            .rob
-            .iter()
+            .in_flight()
             .map(|e| EntrySnap {
                 rel_seq: e.seq,
-                res: e.res.clone(),
+                res: e.res,
                 class: e.class,
                 tag: e.tag,
                 state: e.state,
@@ -281,38 +280,33 @@ pub(crate) fn compile_region(
             ..g.clone()
         })
         .collect();
-    let scratch_core = Core {
-        pc: 0,
-        regs: real.regs,
-        halted: false,
-        rob: VecDeque::new(),
-        rob_size: real.rob_size,
-        // Region entry requires next_dispatch <= now, and dispatch times
-        // clamp to max(next_dispatch, now): relative to entry both are
-        // exactly zero.
-        next_dispatch: SimTime::ZERO,
-        advance_pending: false,
-        vector_busy: false,
-        busy_xbars: Vec::new(),
-        seq_next: 0,
-        instrs: real.instrs[pc..end].to_vec(),
+    let tags = (pc..end)
+        .map(|i| real.tags.get(i).copied().unwrap_or(0))
+        .collect();
+    // Region entry requires next_dispatch <= now, and dispatch times clamp
+    // to max(next_dispatch, now): relative to entry both are exactly zero.
+    let mut scratch_core = Core::new(
+        real.instrs[pc..end].to_vec(),
         groups,
-        tags: (pc..end)
-            .map(|i| real.tags.get(i).copied().unwrap_or(0))
-            .collect(),
-        mem: Memory::default(),
-        stats: CoreStats::default(),
-    };
+        tags,
+        Memory::default(),
+        real.rob_size,
+        SimTime::ZERO,
+    );
+    scratch_core.regs = real.regs;
     let mut telemetry = Telemetry::new(false);
     telemetry.recorder = Some(Vec::new());
+    let mut cores = vec![scratch_core];
+    // A window holds no transfer, so the scratch fabric has no channel.
+    let fabric = TransferFabric::for_cores(&mut cores, machine.cfg.noc.virtual_channels);
     let scratch = Machine {
         cfg: machine.cfg,
         timing: machine.timing,
-        cores: vec![scratch_core],
+        cores,
         noc: Noc::for_arch(machine.cfg),
         costs: NocCosts::new(machine.cfg),
         gmem: Memory::default(),
-        fabric: TransferFabric::new(machine.cfg.noc.virtual_channels),
+        fabric,
         functional: false,
         dispatch_interval: machine.dispatch_interval,
         telemetry,

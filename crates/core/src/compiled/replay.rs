@@ -18,7 +18,7 @@ use pimsim_event::{SimTime, World};
 
 use super::region::{compile_region, window_end, CoreSnap, PassKind, Region, RegionKey, SlotKind};
 use super::RegionMemo;
-use crate::machine::rob::{Core, State};
+use crate::machine::rob::{Core, NO_CHANNEL};
 use crate::machine::{Ctx, Delta, Machine, MachineEvent, SimError};
 use crate::stats::ScheduleStats;
 
@@ -59,8 +59,10 @@ fn real_event(core: usize, ev: PassKind, base_seq: u64) -> MachineEvent {
 }
 
 /// Writes a scratch-relative core snapshot onto the live core, rebasing
-/// pc, times, and sequence numbers. Hazard metadata is re-derived through
-/// [`Core::entry_for`] — the same path live dispatch uses.
+/// pc, times, and sequence numbers. The ROB is rebuilt entry by entry
+/// through [`Core::restore`] — the transitions live execution uses — so
+/// hazard metadata, blocker counts and the ready set are re-derived, not
+/// copied.
 fn materialize(core: &mut Core, snap: &CoreSnap, t0: SimTime, base_seq: u64, entry_pc: u32) {
     core.pc = entry_pc + snap.pc;
     core.regs = snap.regs;
@@ -68,18 +70,13 @@ fn materialize(core: &mut Core, snap: &CoreSnap, t0: SimTime, base_seq: u64, ent
     core.next_dispatch = t0 + snap.next_dispatch;
     core.advance_pending = snap.advance_pending;
     core.vector_busy = snap.vector_busy;
-    core.busy_xbars = snap.busy_xbars.clone();
-    core.seq_next = base_seq + snap.seq_next;
-    core.rob.clear();
+    core.busy_xbars.clone_from(&snap.busy_xbars);
+    core.reset_rob(base_seq + snap.seq_next - snap.rob.len() as u64);
     for e in &snap.rob {
-        let mut entry = core.entry_for(e.tag, e.class, e.res.clone(), None, base_seq + e.rel_seq);
-        entry.state = e.state;
-        // Live dispatch leaves Waiting entries at time zero until issue.
-        entry.issue_at = match e.state {
-            State::Waiting => SimTime::ZERO,
-            State::Executing | State::Done => t0 + e.issue_at,
-        };
-        core.rob.push_back(entry);
+        // A window holds no transfer, so no entry has a channel.
+        let issue_at = t0 + e.issue_at;
+        let seq = core.restore(e.tag, e.class, e.res, NO_CHANNEL, e.state, issue_at);
+        debug_assert_eq!(seq, base_seq + e.rel_seq);
     }
 }
 
@@ -125,7 +122,7 @@ impl<'a> HybridWorld<'a> {
         }
         let c = &self.machine.cores[core];
         debug_assert!(
-            c.busy_xbars.is_empty() && !c.vector_busy,
+            c.busy_xbars.iter().all(|w| *w == 0) && !c.vector_busy,
             "empty ROB, idle units"
         );
         let pc = c.pc as usize;
@@ -159,7 +156,7 @@ impl<'a> HybridWorld<'a> {
             region,
             cursor: 0,
             t0: now,
-            base_seq: c.seq_next,
+            base_seq: c.seq_next(),
             entry_pc: c.pc,
         });
         self.replay_slot(core, ctx);

@@ -25,7 +25,7 @@ impl Machine<'_> {
             let now = ctx.now();
             {
                 let core = &mut self.cores[c];
-                if core.rob.len() >= core.rob_size {
+                if core.rob_is_full() {
                     return; // a completion will re-trigger us
                 }
                 if core.next_dispatch > now {
@@ -85,7 +85,8 @@ impl Machine<'_> {
         }
         let text = self.telemetry.trace_live().then(|| instr.to_string());
         let core = &mut self.cores[c];
-        core.admit(tag, class, res, text);
+        let chan = core.chans[core.pc as usize];
+        core.admit(tag, class, res, chan, text);
         core.pc += 1;
     }
 

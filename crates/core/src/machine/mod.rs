@@ -4,8 +4,8 @@
 //! each stage owns one concern and one module:
 //!
 //! * [`frontend`] — fetch/decode/dispatch pacing and scalar execution,
-//! * [`rob`] — per-core re-order buffer: in-flight entries, hazard scan,
-//!   in-order retirement,
+//! * [`rob`] — per-core re-order buffer: in-flight entries, admit-time
+//!   hazard resolution, the ready set, in-order retirement,
 //! * [`units`] — matrix/vector execution units: issue, occupancy,
 //!   completion,
 //! * [`transfer`] — the rendezvous transfer fabric: flow-controlled
@@ -45,7 +45,7 @@ pub use run::Simulator;
 pub use timing::{DefaultTiming, TimingModel};
 
 use rob::Core;
-use transfer::{ChannelKey, Pending, TransferFabric};
+use transfer::{Pending, TransferFabric};
 
 /// Which run-wide energy accumulator a recorded delta targets. The
 /// transfer accumulator is absent on purpose: transfers delimit compiled
@@ -172,7 +172,7 @@ impl Telemetry {
     /// live core when the real run does).
     pub(crate) fn log_payload(&mut self, res: &Resolved) {
         if let Some(log) = &mut self.recorder {
-            log.push(Delta::Payload(res.clone()));
+            log.push(Delta::Payload(*res));
         }
     }
 
@@ -228,9 +228,9 @@ pub(crate) enum MachineEvent {
     Advance { core: usize },
     /// The execution-unit occupancy of ROB entry `seq` on `core` ends.
     Complete { core: usize, seq: u64 },
-    /// A message's tail flit arrives at the receiving end of `key` (the
-    /// payload length travels inside `send`).
-    Deposit { key: ChannelKey, send: Pending },
+    /// A message's tail flit arrives at the receiving end of channel
+    /// `chan` (the payload length travels inside `send`).
+    Deposit { chan: u32, send: Pending },
     /// A pre-placed schedule slot for `core` fires (compiled engine
     /// only). The event engine treats one reaching it as an invariant
     /// break, never a no-op.
@@ -287,7 +287,7 @@ impl Machine<'_> {
         self.error.is_none()
             && !core.halted
             && !core.advance_pending
-            && core.rob.is_empty()
+            && core.rob_is_empty()
             && core.next_dispatch <= now
     }
 }
@@ -302,7 +302,7 @@ impl World for Machine<'_> {
                 self.try_advance(core, ctx);
             }
             MachineEvent::Complete { core, seq } => self.complete(core, seq, ctx),
-            MachineEvent::Deposit { key, send } => self.deposit(key, send, ctx),
+            MachineEvent::Deposit { chan, send } => self.deposit(chan, send, ctx),
             MachineEvent::Slot { core } => {
                 // A schedule slot with no replay state behind it is a stale
                 // schedule — silently ignoring it would desynchronize the

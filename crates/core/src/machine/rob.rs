@@ -1,10 +1,31 @@
-//! Per-core re-order buffer: in-flight entries, the hazard/availability
-//! scan that picks the next issuable instruction, and in-order retirement.
+//! Per-core re-order buffer, kept as an incremental scoreboard.
+//!
+//! Every hazard is resolved **once**, when an entry is admitted: the new
+//! entry is compared against each older entry that is not yet `Done`
+//! (RAW/WAW/WAR local-memory ranges, global-memory interval, same-channel
+//! FIFO order). Each conflict becomes one blocker→dependent edge; the new
+//! entry remembers how many blockers are outstanding. [`Core::mark_done`]
+//! — the only place an entry turns `Done` — walks the finished entry's
+//! dependents, and whichever of them just lost its last blocker joins the
+//! age-ordered *ready set*. [`Core::next_issuable`] then only has to walk
+//! the ready set checking unit availability.
+//!
+//! This issues exactly what a full age-ordered rescan would: the conflict
+//! relation of a pair is fixed at admit (addresses, channel and class
+//! never change) and `Done` is monotone, so "no outstanding blocker" and
+//! "no hazard against any older not-`Done` entry" are the same set at
+//! every instant. The rescan survives as the `#[cfg(test)]` oracle the
+//! differential test below holds the scoreboard to.
+//!
+//! In-flight entries are fixed-size and heap-free (the trace text is the
+//! one exception, and `None` unless tracing); edges live in a per-core
+//! pool that grows to the peak conflict count and is then recycled, so
+//! the steady state allocates nothing and no ROB size is special.
 
 use std::collections::VecDeque;
 
 use pimsim_event::SimTime;
-use pimsim_isa::{GroupConfig, InstrClass, Instruction};
+use pimsim_isa::{GroupConfig, GroupId, InstrClass, Instruction};
 
 use crate::exec::Memory;
 use crate::resolve::{Range, Resolved};
@@ -18,6 +39,22 @@ pub(crate) enum State {
     Done,
 }
 
+/// "No transfer channel": the [`InFlight::chan`] of everything but
+/// `SEND`/`RECV`, and the filler of [`Core::chans`].
+pub(crate) const NO_CHANNEL: u32 = u32::MAX;
+
+/// End of an edge list / empty free list.
+const NIL: u32 = u32::MAX;
+
+/// One blocker→dependent edge in the per-core pool.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    /// Sequence number of the younger, blocked entry.
+    dependent: u64,
+    /// Next edge of the same blocker (or next free slot), `NIL`-terminated.
+    next: u32,
+}
+
 /// One instruction in flight between dispatch and retirement.
 #[derive(Debug)]
 pub(crate) struct InFlight {
@@ -29,12 +66,31 @@ pub(crate) struct InFlight {
     pub(crate) issue_at: SimTime,
     /// Rendered assembly, kept only while the trace wants entries.
     pub(crate) text: Option<String>,
-    pub(crate) reads: Vec<Range>,
-    pub(crate) writes: Vec<Range>,
+    /// Dense index of the `(sender, receiver, tag)` channel a `SEND` or
+    /// `RECV` uses ([`NO_CHANNEL`] otherwise).
+    pub(crate) chan: u32,
+    reads: [Range; 2],
+    write: Range,
     /// Global-memory interval `[start, end)` touched, with `true` = write.
-    pub(crate) gmem: Option<(u64, u64, bool)>,
-    /// Crossbars this MVM occupies (empty otherwise).
-    pub(crate) xbars: Vec<u32>,
+    gmem: Option<(u64, u64, bool)>,
+    /// Older conflicting entries that are not `Done` yet.
+    blockers: u32,
+    /// Head of this entry's list of blocked younger entries.
+    dependents: u32,
+}
+
+impl InFlight {
+    /// Must `self` wait until the older entry `older` is `Done`?
+    fn must_follow(&self, older: &InFlight) -> bool {
+        let raw = self.reads.iter().any(|r| r.overlaps(&older.write));
+        let waw = self.write.overlaps(&older.write);
+        let war = older.reads.iter().any(|r| self.write.overlaps(r));
+        // Transfers may overtake each other *across* channels, but each
+        // (src, dst, tag) channel stays FIFO so messages match in program
+        // order.
+        let fifo = self.chan != NO_CHANNEL && self.chan == older.chan;
+        raw || waw || war || fifo || gmem_conflict(&self.gmem, &older.gmem)
+    }
 }
 
 /// Do two optional global accesses conflict (overlap with a write)?
@@ -45,6 +101,15 @@ fn gmem_conflict(a: &Option<(u64, u64, bool)>, b: &Option<(u64, u64, bool)>) -> 
     }
 }
 
+/// What the issue logic needs to know about the entry it just started.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Issued {
+    pub(crate) class: InstrClass,
+    pub(crate) res: Resolved,
+    pub(crate) tag: u16,
+    pub(crate) chan: u32,
+}
+
 /// One simulated core: frontend state, register file, ROB, execution-unit
 /// occupancy, program and local memory.
 #[derive(Debug)]
@@ -52,55 +117,136 @@ pub(crate) struct Core {
     pub(crate) pc: u32,
     pub(crate) regs: [i32; 32],
     pub(crate) halted: bool,
-    pub(crate) rob: VecDeque<InFlight>,
     pub(crate) rob_size: usize,
     pub(crate) next_dispatch: SimTime,
     pub(crate) advance_pending: bool,
     pub(crate) vector_busy: bool,
-    pub(crate) busy_xbars: Vec<u32>,
-    pub(crate) seq_next: u64,
+    /// One bit per crossbar: set while an executing `MVM` occupies it.
+    pub(crate) busy_xbars: Vec<u64>,
     pub(crate) instrs: Vec<Instruction>,
     pub(crate) groups: Vec<GroupConfig>,
     pub(crate) tags: Vec<u16>,
+    /// Channel index of each instruction (parallel to `instrs`), filled in
+    /// by [`TransferFabric::for_cores`](super::transfer::TransferFabric::for_cores).
+    pub(crate) chans: Vec<u32>,
     pub(crate) mem: Memory,
     pub(crate) stats: CoreStats,
+    // The scoreboard proper. Private: `rob` holds consecutive sequence
+    // numbers ending at `seq_next - 1`, `ready` is exactly the `Waiting`
+    // entries with no blocker, in age order, and every edge hangs off a
+    // not-`Done` entry — conditions only this module's methods keep.
+    rob: VecDeque<InFlight>,
+    seq_next: u64,
+    ready: Vec<u64>,
+    edges: Vec<Edge>,
+    free_edge: u32,
 }
 
 impl Core {
-    /// The ROB entry with sequence number `seq`, if still in flight.
-    pub(crate) fn find(&mut self, seq: u64) -> Option<&mut InFlight> {
-        self.rob.iter_mut().find(|e| e.seq == seq)
+    /// A core at reset: program loaded, ROB empty, units idle, first
+    /// dispatch possible at `next_dispatch`.
+    pub(crate) fn new(
+        instrs: Vec<Instruction>,
+        groups: Vec<GroupConfig>,
+        tags: Vec<u16>,
+        mem: Memory,
+        rob_size: usize,
+        next_dispatch: SimTime,
+    ) -> Core {
+        let xbars = groups
+            .iter()
+            .flat_map(|g| &g.xbar_ids)
+            .max()
+            .map_or(0, |&x| x as usize + 1);
+        Core {
+            pc: 0,
+            regs: [0; 32],
+            halted: instrs.is_empty(),
+            rob_size,
+            next_dispatch,
+            advance_pending: false,
+            vector_busy: false,
+            busy_xbars: vec![0; xbars.div_ceil(64)],
+            chans: vec![NO_CHANNEL; instrs.len()],
+            instrs,
+            groups,
+            tags,
+            mem,
+            stats: CoreStats::default(),
+            rob: VecDeque::new(),
+            seq_next: 0,
+            ready: Vec::new(),
+            edges: Vec::new(),
+            free_edge: NIL,
+        }
     }
 
-    /// Builds the in-flight entry for a memory-class instruction with
-    /// sequence number `seq` — hazard ranges, global-memory interval,
-    /// crossbar occupancy — in the `Waiting` state. Shared between live
-    /// dispatch ([`Core::admit`]) and the compiled engine's boundary
-    /// materialization, so both derive identical hazard metadata.
-    pub(crate) fn entry_for(
-        &self,
+    /// The sequence number the next admitted entry will get.
+    pub(crate) fn seq_next(&self) -> u64 {
+        self.seq_next
+    }
+
+    /// The entries in flight, oldest first.
+    pub(crate) fn in_flight(&self) -> impl Iterator<Item = &InFlight> {
+        self.rob.iter()
+    }
+
+    pub(crate) fn rob_is_empty(&self) -> bool {
+        self.rob.is_empty()
+    }
+
+    /// `true` when dispatch must wait for a retirement.
+    pub(crate) fn rob_is_full(&self) -> bool {
+        self.rob.len() >= self.rob_size
+    }
+
+    /// Sequence number of the ROB head (of the next admit, when empty).
+    fn head_seq(&self) -> u64 {
+        self.seq_next - self.rob.len() as u64
+    }
+
+    /// The ROB entry with sequence number `seq`, if still in flight.
+    pub(crate) fn find(&mut self, seq: u64) -> Option<&mut InFlight> {
+        let idx = seq.checked_sub(self.head_seq())?;
+        self.rob.get_mut(idx as usize)
+    }
+
+    /// Empties the ROB and restarts sequence numbering at `seq_next` (the
+    /// compiled engine rebuilds a core from a snapshot this way).
+    pub(crate) fn reset_rob(&mut self, seq_next: u64) {
+        self.rob.clear();
+        self.ready.clear();
+        self.edges.clear();
+        self.free_edge = NIL;
+        self.seq_next = seq_next;
+    }
+
+    /// Appends a freshly dispatched memory-class instruction to the ROB in
+    /// the `Waiting` state and resolves its hazards against every older
+    /// entry still in progress. Returns its sequence number.
+    pub(crate) fn admit(
+        &mut self,
         tag: u16,
         class: InstrClass,
         res: Resolved,
+        chan: u32,
         text: Option<String>,
-        seq: u64,
-    ) -> InFlight {
-        let (mvm_out, xbars) = match &res {
-            Resolved::Mvm { group, .. } => {
-                let g = &self.groups[group.as_usize()];
-                (g.output_len, g.xbar_ids.clone())
-            }
-            _ => (0, Vec::new()),
+    ) -> u64 {
+        let seq = self.seq_next;
+        self.seq_next += 1;
+        let mvm_out = match res {
+            Resolved::Mvm { group, .. } => self.groups[group.as_usize()].output_len,
+            _ => 0,
         };
-        let gmem = match &res {
-            Resolved::GLoad { gaddr, len, .. } => Some((*gaddr, gaddr + *len as u64, false)),
-            Resolved::GStore { gaddr, len, .. } => Some((*gaddr, gaddr + *len as u64, true)),
+        let gmem = match res {
+            Resolved::GLoad { gaddr, len, .. } => Some((gaddr, gaddr + len as u64, false)),
+            Resolved::GStore { gaddr, len, .. } => Some((gaddr, gaddr + len as u64, true)),
             _ => None,
         };
-        InFlight {
+        let mut entry = InFlight {
             seq,
             reads: res.reads(),
-            writes: res.writes(mvm_out),
+            write: res.write(mvm_out),
             gmem,
             res,
             class,
@@ -108,93 +254,104 @@ impl Core {
             state: State::Waiting,
             issue_at: SimTime::ZERO,
             text,
-            xbars,
+            chan,
+            blockers: 0,
+            dependents: NIL,
+        };
+        for older in self.rob.iter_mut() {
+            if older.state != State::Done && entry.must_follow(older) {
+                let edge = Edge {
+                    dependent: seq,
+                    next: older.dependents,
+                };
+                older.dependents = if self.free_edge == NIL {
+                    self.edges.push(edge);
+                    (self.edges.len() - 1) as u32
+                } else {
+                    let slot = self.free_edge;
+                    self.free_edge = self.edges[slot as usize].next;
+                    self.edges[slot as usize] = edge;
+                    slot
+                };
+                entry.blockers += 1;
+            }
         }
-    }
-
-    /// Builds the in-flight entry for a freshly dispatched memory-class
-    /// instruction and appends it to the ROB.
-    pub(crate) fn admit(
-        &mut self,
-        tag: u16,
-        class: InstrClass,
-        res: Resolved,
-        text: Option<String>,
-    ) {
-        let seq = self.seq_next;
-        self.seq_next += 1;
-        let entry = self.entry_for(tag, class, res, text, seq);
+        if entry.blockers == 0 {
+            // The youngest entry: appending keeps the ready set in age order.
+            self.ready.push(seq);
+        }
         self.rob.push_back(entry);
+        seq
     }
 
-    /// The flow-control channel of a transfer, if any: `(src, dst, tag)`.
-    pub(crate) fn channel_key(c: u16, res: &Resolved) -> Option<(u16, u16, u16)> {
-        match res {
-            Resolved::Send { peer, tag, .. } => Some((c, *peer, *tag)),
-            Resolved::Recv { peer, tag, .. } => Some((*peer, c, *tag)),
-            _ => None,
-        }
-    }
-
-    /// Scans the ROB in age order for the oldest `Waiting` entry that has
-    /// no hazard against older in-flight instructions and whose execution
-    /// unit is available. `core_id` is this core's mesh id (for channel
-    /// FIFO checks); `structure_hazard` gates the paper's same-crossbar
+    /// The oldest hazard-free `Waiting` entry whose execution unit is
+    /// available. `structure_hazard` gates the paper's same-crossbar
     /// serialization rule.
-    pub(crate) fn next_issuable(&self, core_id: u16, structure_hazard: bool) -> Option<u64> {
-        'scan: for (i, e) in self.rob.iter().enumerate() {
-            if e.state != State::Waiting {
-                continue;
-            }
-            // Hazards against older in-flight instructions.
-            for older in self.rob.iter().take(i) {
-                if older.state == State::Done {
-                    continue;
-                }
-                let raw = e
-                    .reads
-                    .iter()
-                    .any(|r| older.writes.iter().any(|w| r.overlaps(w)));
-                let waw = e
-                    .writes
-                    .iter()
-                    .any(|r| older.writes.iter().any(|w| r.overlaps(w)));
-                let war = e
-                    .writes
-                    .iter()
-                    .any(|r| older.reads.iter().any(|w| r.overlaps(w)));
-                if raw || waw || war || gmem_conflict(&e.gmem, &older.gmem) {
-                    continue 'scan;
-                }
-                // Transfers may overtake each other *across* channels, but
-                // each (src, dst, tag) channel stays FIFO so messages
-                // match in program order.
-                if e.class == InstrClass::Transfer && older.class == InstrClass::Transfer {
-                    let ek = Self::channel_key(core_id, &e.res);
-                    let ok = Self::channel_key(core_id, &older.res);
-                    if ek.is_some() && ek == ok {
-                        continue 'scan;
-                    }
-                }
-            }
-            // Structural availability.
-            let ok = match e.class {
-                InstrClass::Vector => !self.vector_busy,
-                // The transfer unit pipelines: waits cost time but do not
-                // block unrelated channels.
-                InstrClass::Transfer => true,
-                InstrClass::Matrix => {
-                    // The paper's structure hazard: same crossbar ⇒ wait
-                    // (an ablation flag can disable the rule).
-                    !structure_hazard || e.xbars.iter().all(|x| !self.busy_xbars.contains(x))
-                }
-                InstrClass::Scalar => unreachable!("scalar instructions never enter the ROB"),
-            };
-            if ok {
-                return Some(e.seq);
+    pub(crate) fn next_issuable(&self, structure_hazard: bool) -> Option<u64> {
+        let head = self.head_seq();
+        self.ready.iter().copied().find(|&seq| {
+            let e = &self.rob[(seq - head) as usize];
+            self.unit_available(e, structure_hazard)
+        })
+    }
+
+    /// Structural availability of `e`'s execution unit.
+    fn unit_available(&self, e: &InFlight, structure_hazard: bool) -> bool {
+        match e.class {
+            InstrClass::Vector => !self.vector_busy,
+            // The transfer unit pipelines: waits cost time but do not
+            // block unrelated channels.
+            InstrClass::Transfer => true,
+            // The paper's structure hazard: same crossbar ⇒ wait (an
+            // ablation flag can disable the rule).
+            InstrClass::Matrix => match e.res {
+                Resolved::Mvm { group, .. } => !structure_hazard || self.xbars_free(group),
+                other => unreachable!("matrix class mismatch: {other:?}"),
+            },
+            InstrClass::Scalar => unreachable!("scalar instructions never enter the ROB"),
+        }
+    }
+
+    /// Moves the ready entry `seq` to `Executing`, issued at `now`.
+    pub(crate) fn begin(&mut self, seq: u64, now: SimTime) -> Issued {
+        let pos = self.ready.binary_search(&seq);
+        self.ready.remove(pos.expect("only ready entries issue"));
+        let e = self.find(seq).expect("ready entries are in flight");
+        e.state = State::Executing;
+        e.issue_at = now;
+        Issued {
+            class: e.class,
+            res: e.res,
+            tag: e.tag,
+            chan: e.chan,
+        }
+    }
+
+    /// Marks the executing entry `seq` `Done` — the single funnel for that
+    /// transition — and moves every dependent that just lost its last
+    /// blocker to the ready set. Returns the entry, or `None` if no such
+    /// entry is in flight (an invariant break the caller reports).
+    pub(crate) fn mark_done(&mut self, seq: u64) -> Option<&mut InFlight> {
+        let head = self.head_seq();
+        let idx = seq.checked_sub(head)? as usize;
+        let e = self.rob.get_mut(idx)?;
+        debug_assert_eq!(e.state, State::Executing, "only issued entries finish");
+        e.state = State::Done;
+        let mut edge = std::mem::replace(&mut e.dependents, NIL);
+        while edge != NIL {
+            let Edge { dependent, next } = self.edges[edge as usize];
+            self.edges[edge as usize].next = self.free_edge;
+            self.free_edge = edge;
+            edge = next;
+            // Dependents are younger, and retirement is in order: still here.
+            let d = &mut self.rob[(dependent - head) as usize];
+            d.blockers -= 1;
+            if d.blockers == 0 {
+                let at = self.ready.partition_point(|&s| s < dependent);
+                self.ready.insert(at, dependent);
             }
         }
-        None
+        self.rob.get_mut(idx)
     }
 
     /// Pops retired (`Done`) entries from the ROB head, in order.
@@ -203,11 +360,115 @@ impl Core {
             self.rob.pop_front();
         }
     }
+
+    /// Re-creates an entry that had already reached `state` (issued at
+    /// `issue_at`, if it had issued) by walking it through the live
+    /// transitions, so blocker counts and the ready set are re-derived.
+    /// An entry that had issued had no unfinished older conflict then, and
+    /// — restoring oldest first — has none now: it is ready again.
+    pub(crate) fn restore(
+        &mut self,
+        tag: u16,
+        class: InstrClass,
+        res: Resolved,
+        chan: u32,
+        state: State,
+        issue_at: SimTime,
+    ) -> u64 {
+        let seq = self.admit(tag, class, res, chan, None);
+        // Waiting entries keep issue time zero, as live dispatch leaves it.
+        if state != State::Waiting {
+            self.begin(seq, issue_at);
+        }
+        if state == State::Done {
+            self.mark_done(seq);
+        }
+        seq
+    }
+
+    /// `true` if no crossbar of `group` is occupied.
+    fn xbars_free(&self, group: GroupId) -> bool {
+        self.groups[group.as_usize()]
+            .xbar_ids
+            .iter()
+            .all(|&x| self.busy_xbars[x as usize / 64] & xbar_bit(x) == 0)
+    }
+
+    /// Occupies every crossbar of `group` (an `MVM` started).
+    pub(crate) fn book_xbars(&mut self, group: GroupId) {
+        for &x in &self.groups[group.as_usize()].xbar_ids {
+            self.busy_xbars[x as usize / 64] |= xbar_bit(x);
+        }
+    }
+
+    /// Frees every crossbar of `group` (an `MVM` finished).
+    pub(crate) fn release_xbars(&mut self, group: GroupId) {
+        for &x in &self.groups[group.as_usize()].xbar_ids {
+            self.busy_xbars[x as usize / 64] &= !xbar_bit(x);
+        }
+    }
+}
+
+/// Crossbar `x`'s bit within its [`Core::busy_xbars`] word.
+fn xbar_bit(x: u32) -> u64 {
+    1 << (x % 64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pimsim_isa::{VBinOp, VUnOp};
+
+    impl Core {
+        /// The pre-scoreboard issue logic, kept as the reference: rescan the
+        /// whole ROB in age order and re-derive every pairwise hazard from
+        /// the resolved operands alone (nothing the scoreboard stores).
+        /// `core_id` names this core in channel keys.
+        fn scan_oracle(&self, core_id: u16, structure_hazard: bool) -> Option<u64> {
+            let ranges = |e: &InFlight| {
+                let out = match e.res {
+                    Resolved::Mvm { group, .. } => self.groups[group.as_usize()].output_len,
+                    _ => 0,
+                };
+                (e.res.reads(), e.res.write(out))
+            };
+            let gmem = |e: &InFlight| match e.res {
+                Resolved::GLoad { gaddr, len, .. } => Some((gaddr, gaddr + len as u64, false)),
+                Resolved::GStore { gaddr, len, .. } => Some((gaddr, gaddr + len as u64, true)),
+                _ => None,
+            };
+            let channel = |e: &InFlight| match e.res {
+                Resolved::Send { peer, tag, .. } => Some((core_id, peer, tag)),
+                Resolved::Recv { peer, tag, .. } => Some((peer, core_id, tag)),
+                _ => None,
+            };
+            'scan: for (i, e) in self.rob.iter().enumerate() {
+                if e.state != State::Waiting {
+                    continue;
+                }
+                let (reads, write) = ranges(e);
+                for older in self.rob.iter().take(i) {
+                    if older.state == State::Done {
+                        continue;
+                    }
+                    let (o_reads, o_write) = ranges(older);
+                    let raw = reads.iter().any(|r| r.overlaps(&o_write));
+                    let waw = write.overlaps(&o_write);
+                    let war = o_reads.iter().any(|r| write.overlaps(r));
+                    if raw || waw || war || gmem_conflict(&gmem(e), &gmem(older)) {
+                        continue 'scan;
+                    }
+                    if channel(e).is_some() && channel(e) == channel(older) {
+                        continue 'scan;
+                    }
+                }
+                if self.unit_available(e, structure_hazard) {
+                    return Some(e.seq);
+                }
+            }
+            None
+        }
+    }
 
     #[test]
     fn gmem_conflicts_require_a_write_and_overlap() {
@@ -224,151 +485,302 @@ mod tests {
         assert!(!gmem_conflict(&None, &write));
     }
 
-    fn entry(seq: u64, class: InstrClass, res: Resolved) -> InFlight {
-        InFlight {
-            seq,
-            reads: res.reads(),
-            writes: res.writes(0),
-            gmem: None,
-            res,
-            class,
-            tag: 0,
-            state: State::Waiting,
-            issue_at: SimTime::ZERO,
-            text: None,
-            xbars: Vec::new(),
+    /// Crossbar groups with overlapping sets: 0∩1 = {1}, 1∩2 = {2}, 0∩2 = ∅;
+    /// group 3 sits past the first bitset word.
+    fn test_groups() -> Vec<GroupConfig> {
+        [vec![0, 1], vec![1, 2], vec![2, 3], vec![70]]
+            .into_iter()
+            .enumerate()
+            .map(|(i, xbar_ids)| GroupConfig::new(GroupId(i as u16), 4, 8, xbar_ids))
+            .collect()
+    }
+
+    fn test_core(rob_size: usize) -> Core {
+        Core::new(
+            Vec::new(),
+            test_groups(),
+            Vec::new(),
+            Memory::default(),
+            rob_size,
+            SimTime::ZERO,
+        )
+    }
+
+    fn vfill(dst: u32) -> Resolved {
+        Resolved::VFill {
+            dst,
+            value: 0,
+            len: 8,
         }
     }
 
-    fn test_core() -> Core {
-        Core {
-            pc: 0,
-            regs: [0; 32],
-            halted: false,
-            rob: VecDeque::new(),
-            rob_size: 8,
-            next_dispatch: SimTime::ZERO,
-            advance_pending: false,
-            vector_busy: false,
-            busy_xbars: Vec::new(),
-            seq_next: 0,
-            instrs: Vec::new(),
-            groups: Vec::new(),
-            tags: Vec::new(),
-            mem: Memory::default(),
-            stats: CoreStats::default(),
+    fn send(chan_tag: u16, src: u32) -> Resolved {
+        Resolved::Send {
+            peer: 1,
+            src,
+            len: 4,
+            tag: chan_tag,
         }
     }
 
     #[test]
     fn raw_hazard_blocks_younger_entry() {
-        let mut core = test_core();
-        core.rob.push_back(entry(
-            0,
-            InstrClass::Vector,
-            Resolved::VFill {
-                dst: 0,
-                value: 1,
-                len: 8,
-            },
-        ));
-        core.rob.push_back(entry(
-            1,
-            InstrClass::Vector,
-            Resolved::VUn {
-                op: pimsim_isa::VUnOp::Relu,
-                dst: 100,
-                src: 4,
-                len: 8,
-            },
-        ));
+        let mut core = test_core(8);
+        core.admit(0, InstrClass::Vector, vfill(0), NO_CHANNEL, None);
+        let relu = Resolved::VUn {
+            op: VUnOp::Relu,
+            dst: 100,
+            src: 4,
+            len: 8,
+        };
+        core.admit(0, InstrClass::Vector, relu, NO_CHANNEL, None);
         // Entry 0 issuable first; entry 1 reads what 0 writes.
-        assert_eq!(core.next_issuable(0, true), Some(0));
-        core.rob[0].state = State::Executing;
+        assert_eq!(core.next_issuable(true), Some(0));
+        core.begin(0, SimTime::ZERO);
         core.vector_busy = true;
-        assert_eq!(core.next_issuable(0, true), None);
+        assert_eq!(core.next_issuable(true), None);
         // Once 0 is done, 1 becomes issuable.
-        core.rob[0].state = State::Done;
+        core.mark_done(0);
         core.vector_busy = false;
-        assert_eq!(core.next_issuable(0, true), Some(1));
+        assert_eq!(core.next_issuable(true), Some(1));
     }
 
     #[test]
     fn same_channel_transfers_stay_fifo() {
-        let mut core = test_core();
-        let send = |seq| {
-            entry(
-                seq,
-                InstrClass::Transfer,
-                Resolved::Send {
-                    peer: 1,
-                    src: 0,
-                    len: 4,
-                    tag: 7,
-                },
-            )
-        };
-        let mut older = send(0);
-        older.state = State::Executing;
-        core.rob.push_back(older);
-        core.rob.push_back(send(1));
+        let mut core = test_core(8);
+        core.admit(0, InstrClass::Transfer, send(7, 0), 0, None);
+        core.begin(0, SimTime::ZERO);
+        core.admit(0, InstrClass::Transfer, send(7, 0), 0, None);
         // Same (src, dst, tag) channel: the younger send must wait...
-        assert_eq!(core.next_issuable(0, true), None);
+        assert_eq!(core.next_issuable(true), None);
         // ...but a different tag may overtake.
-        core.rob.push_back(entry(
-            2,
-            InstrClass::Transfer,
-            Resolved::Send {
-                peer: 1,
-                src: 100,
-                len: 4,
-                tag: 8,
-            },
-        ));
-        assert_eq!(core.next_issuable(0, true), Some(2));
+        core.admit(0, InstrClass::Transfer, send(8, 100), 1, None);
+        assert_eq!(core.next_issuable(true), Some(2));
     }
 
     #[test]
     fn structure_hazard_flag_gates_crossbar_conflicts() {
-        let mut core = test_core();
-        core.busy_xbars = vec![3];
-        let mut e = entry(
-            0,
-            InstrClass::Matrix,
-            Resolved::Mvm {
-                group: pimsim_isa::GroupId(0),
-                dst: 0,
-                src: 100,
-                len: 4,
-            },
-        );
-        e.xbars = vec![3];
-        core.rob.push_back(e);
-        assert_eq!(core.next_issuable(0, true), None, "hazard enforced");
-        assert_eq!(core.next_issuable(0, false), Some(0), "ablation disables");
+        let mut core = test_core(8);
+        core.book_xbars(GroupId(1));
+        let mvm = |group| Resolved::Mvm {
+            group: GroupId(group),
+            dst: 0,
+            src: 100,
+            len: 4,
+        };
+        core.admit(0, InstrClass::Matrix, mvm(0), NO_CHANNEL, None);
+        assert_eq!(core.next_issuable(true), None, "hazard enforced");
+        assert_eq!(core.next_issuable(false), Some(0), "ablation disables");
+        core.release_xbars(GroupId(1));
+        assert_eq!(core.next_issuable(true), Some(0), "freed crossbars issue");
+        core.book_xbars(GroupId(3));
+        assert_eq!(core.next_issuable(true), Some(0), "disjoint set");
     }
 
     #[test]
     fn retire_pops_done_prefix_only() {
-        let mut core = test_core();
+        let mut core = test_core(8);
         for seq in 0..3 {
-            core.rob.push_back(entry(
-                seq,
-                InstrClass::Vector,
-                Resolved::VFill {
-                    dst: seq as u32 * 100,
-                    value: 0,
-                    len: 1,
-                },
-            ));
+            core.admit(0, InstrClass::Vector, vfill(seq * 100), NO_CHANNEL, None);
+            core.begin(seq as u64, SimTime::ZERO);
         }
-        core.rob[0].state = State::Done;
-        core.rob[2].state = State::Done;
+        core.mark_done(0);
+        core.mark_done(2);
         core.retire();
         // Entry 1 still in flight: 2 must stay queued behind it.
-        assert_eq!(core.rob.len(), 2);
-        assert_eq!(core.rob[0].seq, 1);
+        assert_eq!(core.in_flight().count(), 2);
+        assert_eq!(core.in_flight().next().map(|e| e.seq), Some(1));
         assert!(core.find(0).is_none());
         assert!(core.find(2).is_some());
+        assert!(core.find(3).is_none());
+    }
+
+    /// xorshift64*: the differential test's only source of randomness.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// This core's id in the differential test's channel keys.
+    const CORE_ID: u16 = 2;
+
+    /// A random memory-class instruction over a deliberately tiny address
+    /// space (so all four hazard kinds are common), with its class and the
+    /// dense channel index a fabric would have interned for it.
+    fn random_instr(rng: &mut Rng) -> (InstrClass, Resolved, u32) {
+        // Six 8-element slots, plus offsets that straddle two of them.
+        let mut addr = || (rng.below(6) * 8 + rng.below(2) * 4) as u32;
+        let (a, b, dst) = (addr(), addr(), addr());
+        let len = 1 + rng.below(12) as u32;
+        // Overlapping and disjoint global intervals, reads and writes.
+        let gaddr = rng.below(4) * 6;
+        // Two peers × two tags; sends and receives are distinct channels.
+        let (peer, tag) = (rng.below(2) as u16, rng.below(2) as u16);
+        match rng.below(10) {
+            0 | 1 => (
+                InstrClass::Matrix,
+                Resolved::Mvm {
+                    group: GroupId(rng.below(4) as u16),
+                    dst,
+                    src: a,
+                    len: 4,
+                },
+                NO_CHANNEL,
+            ),
+            2 => (
+                InstrClass::Vector,
+                Resolved::VBin {
+                    op: VBinOp::Add,
+                    dst,
+                    a,
+                    b,
+                    len,
+                },
+                NO_CHANNEL,
+            ),
+            3 => (
+                InstrClass::Vector,
+                Resolved::VFill { dst, value: 1, len },
+                NO_CHANNEL,
+            ),
+            4 => (
+                InstrClass::Vector,
+                Resolved::VCopy2d {
+                    dst,
+                    src: a,
+                    block_len: 2,
+                    blocks: 1 + rng.below(3) as u32,
+                    src_stride: 4,
+                    dst_stride: -4,
+                },
+                NO_CHANNEL,
+            ),
+            5 => (
+                InstrClass::Transfer,
+                Resolved::GLoad { dst, gaddr, len },
+                NO_CHANNEL,
+            ),
+            6 => (
+                InstrClass::Transfer,
+                Resolved::GStore { gaddr, src: a, len },
+                NO_CHANNEL,
+            ),
+            7 | 8 => (
+                InstrClass::Transfer,
+                Resolved::Send {
+                    peer,
+                    src: a,
+                    len,
+                    tag,
+                },
+                (peer * 2 + tag) as u32,
+            ),
+            _ => (
+                InstrClass::Transfer,
+                Resolved::Recv {
+                    peer,
+                    dst,
+                    block_len: len,
+                    blocks: 1,
+                    dst_stride: len as i32,
+                    tag,
+                },
+                4 + (peer * 2 + tag) as u32,
+            ),
+        }
+    }
+
+    /// Books or releases the unit of an entry the way `units.rs` does.
+    fn set_unit(core: &mut Core, class: InstrClass, res: Resolved, busy: bool) {
+        match (class, res) {
+            (InstrClass::Vector, _) => core.vector_busy = busy,
+            (InstrClass::Matrix, Resolved::Mvm { group, .. }) if busy => core.book_xbars(group),
+            (InstrClass::Matrix, Resolved::Mvm { group, .. }) => core.release_xbars(group),
+            _ => {}
+        }
+    }
+
+    /// Rebuilds the ROB from a copy of itself, as the compiled engine's
+    /// `materialize` does from a snapshot.
+    fn rebuild(core: &mut Core) {
+        let snap: Vec<_> = core
+            .in_flight()
+            .map(|e| (e.tag, e.class, e.res, e.chan, e.state, e.issue_at))
+            .collect();
+        core.reset_rob(core.seq_next() - snap.len() as u64);
+        for (tag, class, res, chan, state, issue_at) in snap {
+            core.restore(tag, class, res, chan, state, issue_at);
+        }
+    }
+
+    /// Random ROB traffic: after every step the scoreboard must pick what
+    /// the rescan picks, so the two issue sequences are equal step for
+    /// step. Returns how many entries issued.
+    fn differential_run(rob_size: usize, structure_hazard: bool, seed: u64) -> usize {
+        let mut rng = Rng(seed | 1);
+        let mut core = test_core(rob_size);
+        let mut executing: Vec<u64> = Vec::new();
+        let mut issued = 0;
+        for step in 0..4_000 {
+            match rng.below(8) {
+                // Dispatch (a little more often than completion, so deep
+                // ROBs do fill).
+                0..=3 if !core.rob_is_full() => {
+                    let (class, res, chan) = random_instr(&mut rng);
+                    core.admit(0, class, res, chan, None);
+                }
+                // Out-of-order completion of a random executing entry.
+                4..=6 if !executing.is_empty() => {
+                    let seq = executing.swap_remove(rng.below(executing.len() as u64) as usize);
+                    let e = core
+                        .mark_done(seq)
+                        .expect("executing entries are in flight");
+                    let (class, res) = (e.class, e.res);
+                    set_unit(&mut core, class, res, false);
+                    core.retire();
+                }
+                7 if step % 5 == 0 => rebuild(&mut core),
+                _ => {}
+            }
+            // Issue everything that can start now, as `try_issue` does.
+            loop {
+                let pick = core.next_issuable(structure_hazard);
+                assert_eq!(
+                    pick,
+                    core.scan_oracle(CORE_ID, structure_hazard),
+                    "rob={rob_size} hazard={structure_hazard} seed={seed} step={step}"
+                );
+                let Some(seq) = pick else { break };
+                let started = core.begin(seq, SimTime::ZERO);
+                set_unit(&mut core, started.class, started.res, true);
+                executing.push(seq);
+                issued += 1;
+            }
+        }
+        issued
+    }
+
+    #[test]
+    fn scoreboard_issues_exactly_what_the_rescan_would() {
+        for rob_size in [1, 2, 8, 64, 65, 300] {
+            // The rescan is quadratic in occupancy: fewer seeds where deep.
+            let seeds = if rob_size <= 8 { 6 } else { 2 };
+            for structure_hazard in [true, false] {
+                for seed in 1..=seeds {
+                    let issued = differential_run(rob_size, structure_hazard, seed);
+                    assert!(issued > 200, "rob={rob_size}: only {issued} issues");
+                }
+            }
+        }
     }
 }

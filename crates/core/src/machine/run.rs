@@ -1,8 +1,6 @@
 //! The run loop: world construction, the event loop, deadlock detection,
 //! and report assembly.
 
-use std::collections::VecDeque;
-
 use pimsim_arch::model::CostModel;
 use pimsim_arch::ArchConfig;
 use pimsim_event::{RunResult, SimTime};
@@ -15,7 +13,7 @@ use super::transfer::TransferFabric;
 use super::{error::SimError, Machine, Telemetry};
 use crate::exec::Memory;
 use crate::noc::{Noc, NocCosts};
-use crate::stats::{CoreStats, SimReport};
+use crate::stats::SimReport;
 
 /// Runs compiled [`Program`]s on a configured chip.
 ///
@@ -176,7 +174,8 @@ impl<'a> Simulator<'a> {
     }
 
     /// Assembles the machine: one core per mesh slot with its program
-    /// slice, the NoC, global memory, and an empty transfer fabric.
+    /// slice, the NoC, global memory, and the transfer fabric with the
+    /// program's channels interned.
     pub(crate) fn build_machine(&self, program: &Program, functional: bool) -> Machine<'a> {
         let dispatch_interval = self.timing.dispatch_interval(self.arch);
         let decode_offset = self.timing.decode_offset(self.arch);
@@ -191,23 +190,14 @@ impl<'a> Simulator<'a> {
                     mem.write(*start, values);
                 }
             }
-            cores.push(Core {
-                pc: 0,
-                regs: [0; 32],
-                halted: cp.instrs.is_empty(),
-                rob: VecDeque::new(),
-                rob_size: self.arch.resources.rob_size as usize,
-                next_dispatch: decode_offset,
-                advance_pending: false,
-                vector_busy: false,
-                busy_xbars: Vec::new(),
-                seq_next: 0,
-                instrs: cp.instrs,
-                groups: cp.groups,
-                tags: cp.instr_tags,
+            cores.push(Core::new(
+                cp.instrs,
+                cp.groups,
+                cp.instr_tags,
                 mem,
-                stats: CoreStats::default(),
-            });
+                self.arch.resources.rob_size as usize,
+                decode_offset,
+            ));
         }
         let mut gmem = Memory::default();
         if functional {
@@ -218,6 +208,7 @@ impl<'a> Simulator<'a> {
             }
         }
 
+        let fabric = TransferFabric::for_cores(&mut cores, self.arch.noc.virtual_channels);
         Machine {
             cfg: self.arch,
             timing: self.timing,
@@ -225,7 +216,7 @@ impl<'a> Simulator<'a> {
             costs: NocCosts::new(self.arch),
             gmem,
             cores,
-            fabric: TransferFabric::new(self.arch.noc.virtual_channels),
+            fabric,
             functional,
             dispatch_interval,
             telemetry: Telemetry::new(self.arch.sim.trace),
@@ -244,11 +235,10 @@ impl<'a> Simulator<'a> {
             .cores
             .iter()
             .enumerate()
-            .filter(|(_, core)| !core.halted || !core.rob.is_empty())
+            .filter(|(_, core)| !core.halted || !core.rob_is_empty())
             .map(|(i, core)| {
                 let rob: Vec<String> = core
-                    .rob
-                    .iter()
+                    .in_flight()
                     .map(|e| format!("{:?}/{:?}/{:?}", e.class, e.state, e.res))
                     .collect();
                 format!(

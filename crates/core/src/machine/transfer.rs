@@ -20,12 +20,21 @@
 //! constants; the [`TimingModel`](super::TimingModel) seam covers the
 //! execution units only. A [`Pending`] carries its `(tag, len)` from
 //! issue time, so launching or kicking a transfer never rescans the ROB.
+//!
+//! Channels are a dense table: `SEND`/`RECV` name their peer and tag as
+//! immediates, so the program's whole `(sender, receiver, tag)` set is
+//! known when the machine is built. [`TransferFabric::for_cores`] interns
+//! it once and stamps each transfer instruction with its channel index;
+//! ROB entries, [`Pending`] sides and deposit events carry that index, and
+//! the hot path never looks a key up.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use pimsim_event::SimTime;
+use pimsim_isa::Instruction;
 
 use super::error::SimError;
+use super::rob::{Core, Issued};
 use super::{Ctx, Machine, MachineEvent};
 use crate::resolve::Resolved;
 
@@ -42,7 +51,10 @@ pub(crate) struct Pending {
     pub(crate) core: u16,
     pub(crate) seq: u64,
     pub(crate) tag: u16,
-    pub(crate) len: u32,
+    /// Payload elements. Wider than a `SEND`'s `u32` length because a
+    /// strided `RECV` expects `block_len * blocks`, which can exceed it
+    /// (and then matches no send).
+    pub(crate) len: u64,
     pub(crate) vc: u32,
 }
 
@@ -60,6 +72,7 @@ pub(crate) struct ArrivedMsg {
 /// configured virtual channels.
 #[derive(Debug)]
 pub(crate) struct Channel {
+    key: ChannelKey,
     /// Messages delivered but not yet consumed by a `RECV`, in arrival
     /// order (the receive order is the channel's, not a VC's).
     pub(crate) arrived: VecDeque<ArrivedMsg>,
@@ -79,8 +92,9 @@ pub(crate) struct Channel {
 }
 
 impl Channel {
-    fn new(vcs: u32) -> Channel {
+    fn new(key: ChannelKey, vcs: u32) -> Channel {
         Channel {
+            key,
             arrived: VecDeque::new(),
             in_flight: 0,
             vc_used: vec![0; vcs as usize],
@@ -106,30 +120,59 @@ impl Channel {
     }
 }
 
-/// All rendezvous channels of the chip.
+/// All rendezvous channels of the chip, indexed by the channel index the
+/// ROB entries carry.
 #[derive(Debug)]
 pub(crate) struct TransferFabric {
-    channels: HashMap<ChannelKey, Channel>,
-    /// Virtual channels per rendezvous channel (`noc.virtual_channels`).
-    vcs: u32,
+    channels: Vec<Channel>,
 }
 
 impl TransferFabric {
-    /// An empty fabric whose channels carry `vcs` virtual channels each.
-    pub(crate) fn new(vcs: u32) -> TransferFabric {
+    /// Interns every `(sender, receiver, tag)` channel the cores' programs
+    /// name, in key order, with `vcs` virtual channels each, and records
+    /// each transfer instruction's channel index in [`Core::chans`].
+    pub(crate) fn for_cores(cores: &mut [Core], vcs: u32) -> TransferFabric {
         debug_assert!(vcs > 0, "validated: at least one virtual channel");
-        TransferFabric {
-            channels: HashMap::new(),
-            vcs,
+        let key_of = |c: usize, instr: &Instruction| match instr {
+            Instruction::Send { peer, tag, .. } => Some((c as u16, peer.0, *tag)),
+            Instruction::Recv { peer, tag, .. } | Instruction::Recv2d { peer, tag, .. } => {
+                Some((peer.0, c as u16, *tag))
+            }
+            _ => None,
+        };
+        let mut keys: Vec<ChannelKey> = cores
+            .iter()
+            .enumerate()
+            .flat_map(|(c, core)| core.instrs.iter().filter_map(move |i| key_of(c, i)))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        for (c, core) in cores.iter_mut().enumerate() {
+            for (instr, chan) in core.instrs.iter().zip(&mut core.chans) {
+                if let Some(key) = key_of(c, instr) {
+                    let at = keys.binary_search(&key).expect("collected above");
+                    *chan = at as u32;
+                }
+            }
         }
+        let channels = keys.into_iter().map(|k| Channel::new(k, vcs)).collect();
+        TransferFabric { channels }
     }
 
-    /// The channel for `key`, created empty on first touch.
-    pub(crate) fn channel(&mut self, key: ChannelKey) -> &mut Channel {
-        let vcs = self.vcs;
-        self.channels
-            .entry(key)
-            .or_insert_with(|| Channel::new(vcs))
+    /// The channel with index `chan`.
+    pub(crate) fn channel(&mut self, chan: u32) -> &mut Channel {
+        &mut self.channels[chan as usize]
+    }
+
+    /// The `(sender, receiver, tag)` of channel `chan`.
+    fn key(&self, chan: u32) -> ChannelKey {
+        self.channels[chan as usize].key
+    }
+
+    /// `ch(s->d,tagT)`: how error details name the channel `chan`.
+    fn name(&self, chan: u32) -> String {
+        let (s, d, t) = self.key(chan);
+        format!("ch({s}->{d},tag{t})")
     }
 
     /// Names every channel with a transfer that can no longer match —
@@ -138,8 +181,9 @@ impl TransferFabric {
         let mut out: Vec<String> = self
             .channels
             .iter()
-            .filter(|(_, ch)| ch.is_active())
-            .map(|((s, d, t), ch)| {
+            .filter(|ch| ch.is_active())
+            .map(|ch| {
+                let (s, d, t) = ch.key;
                 let mut what = Vec::new();
                 let undelivered = ch.arrived.len() as u32 + ch.in_flight;
                 if undelivered > 0 {
@@ -167,8 +211,9 @@ impl TransferFabric {
         let mut chans: Vec<String> = self
             .channels
             .iter()
-            .filter(|(_, ch)| ch.is_active())
-            .map(|((s, d, t), ch)| {
+            .filter(|ch| ch.is_active())
+            .map(|ch| {
+                let (s, d, t) = ch.key;
                 format!(
                     "ch({s}->{d},tag{t}): inflight={} arrived={} waitsend={} parkedrecv={} vc_used={:?}",
                     ch.in_flight,
@@ -185,42 +230,36 @@ impl TransferFabric {
 }
 
 impl Machine<'_> {
-    /// Starts an issued transfer-class instruction. `tag` is the entry's
-    /// node tag, captured by the issue logic so the transfer path never
-    /// rescans the ROB for it.
+    /// Starts an issued transfer-class instruction. `issued` carries the
+    /// entry's node tag and channel index, captured by the issue logic so
+    /// the transfer path never rescans the ROB for them.
     pub(crate) fn start_transfer(
         &mut self,
         c: usize,
         seq: u64,
-        tag: u16,
-        res: Resolved,
+        issued: Issued,
         now: SimTime,
         ctx: &mut Ctx,
     ) {
+        let Issued { res, tag, chan, .. } = issued;
         match res {
-            Resolved::Send {
-                peer,
-                len,
-                tag: chan_tag,
-                ..
-            } => {
+            Resolved::Send { len, .. } => {
                 let credits = self.cfg.noc.channel_credits;
-                let key = (c as u16, peer, chan_tag);
-                let chan = self.fabric.channel(key);
+                let channel = self.fabric.channel(chan);
                 // The VC assignment is fixed here, at issue time, by the
                 // round-robin cursor — a send keeps its VC while waiting.
-                let vc = chan.assign_vc();
+                let vc = channel.assign_vc();
                 let pending = Pending {
                     core: c as u16,
                     seq,
                     tag,
-                    len,
+                    len: len as u64,
                     vc,
                 };
-                if chan.vc_used[vc as usize] >= credits {
-                    chan.waiting_sends.push_back(pending);
-                } else if self.charge_credit(key, vc, ctx) {
-                    self.launch_send(key, pending, now, ctx);
+                if channel.vc_used[vc as usize] >= credits {
+                    channel.waiting_sends.push_back(pending);
+                } else if self.charge_credit(chan, vc, ctx) {
+                    self.launch_send(chan, pending, now, ctx);
                 }
             }
             Resolved::Recv {
@@ -230,11 +269,12 @@ impl Machine<'_> {
                 tag: chan_tag,
                 ..
             } => {
-                let key = (peer, c as u16, chan_tag);
-                let recv_len = block_len * blocks;
-                let chan = self.fabric.channel(key);
-                if let Some(msg) = chan.arrived.pop_front() {
-                    if msg.len != recv_len {
+                // In u64: a u32 product can wrap (65536 * 65536 = 0) and
+                // then "match" a send of the wrapped length.
+                let recv_len = block_len as u64 * blocks as u64;
+                let channel = self.fabric.channel(chan);
+                if let Some(msg) = channel.arrived.pop_front() {
+                    if msg.len as u64 != recv_len {
                         let detail = format!(
                             "send core{peer} len {} vs recv core{c} len {recv_len} (tag {chan_tag})",
                             msg.len
@@ -249,16 +289,16 @@ impl Machine<'_> {
                     }
                     // The consumed message's VC credit freed: launch that
                     // VC's oldest waiting send, if any.
-                    if !self.release_credit(key, vc, ctx) {
+                    if !self.release_credit(chan, vc, ctx) {
                         return;
                     }
-                    self.kick_channel(key, vc, now, ctx);
+                    self.kick_channel(chan, vc, now, ctx);
                 } else {
                     debug_assert!(
-                        chan.parked_recv.is_none(),
+                        channel.parked_recv.is_none(),
                         "transfer unit is single-occupancy"
                     );
-                    chan.parked_recv = Some(Pending {
+                    channel.parked_recv = Some(Pending {
                         core: c as u16,
                         seq,
                         tag,
@@ -285,22 +325,25 @@ impl Machine<'_> {
 
     /// Puts a send on the wire; it deposits into the receiver's queue at
     /// the tail-flit arrival time.
-    fn launch_send(&mut self, key: ChannelKey, send: Pending, now: SimTime, ctx: &mut Ctx) {
-        let e_txn = self.costs.message_energy(key.0, key.1, send.len);
-        let end = self.noc.message(key.0, key.1, send.len, now, &self.costs);
+    fn launch_send(&mut self, chan: u32, send: Pending, now: SimTime, ctx: &mut Ctx) {
+        let (from, to, _) = self.fabric.key(chan);
+        // A send's length came from a `u32` operand.
+        let len = send.len as u32;
+        let e_txn = self.costs.message_energy(from, to, len);
+        let end = self.noc.message(from, to, len, now, &self.costs);
         self.telemetry.energy.transfer += e_txn;
         self.telemetry.node(send.tag).energy += e_txn;
-        ctx.schedule_at(end, MachineEvent::Deposit { key, send });
+        ctx.schedule_at(end, MachineEvent::Deposit { chan, send });
     }
 
     /// Tail flit arrived at the receiver: the send completes
     /// ("synchronized"), and either a parked `RECV` consumes the message
     /// immediately or it waits in the credit queue.
-    pub(crate) fn deposit(&mut self, key: ChannelKey, send: Pending, ctx: &mut Ctx) {
+    pub(crate) fn deposit(&mut self, chan: u32, send: Pending, ctx: &mut Ctx) {
         if self.error.is_some() {
             return;
         }
-        let len = send.len;
+        let len = send.len as u32;
         // Capture the payload while the sender's buffer is still hazard-protected.
         let data = if self.functional {
             let src = match self.cores[send.core as usize].find(send.seq) {
@@ -314,8 +357,10 @@ impl Machine<'_> {
                 // as an unexplainable deadlock.
                 None => {
                     let detail = format!(
-                        "deposit on ch({}->{},tag{}) found no ROB entry for sender core{} seq {}",
-                        key.0, key.1, key.2, send.core, send.seq
+                        "deposit on {} found no ROB entry for sender core{} seq {}",
+                        self.fabric.name(chan),
+                        send.core,
+                        send.seq
                     );
                     self.fail(SimError::Internal { detail }, ctx);
                     return;
@@ -330,77 +375,73 @@ impl Machine<'_> {
         if self.error.is_some() {
             return;
         }
-        let chan = self.fabric.channel(key);
-        if chan.in_flight == 0 {
+        let channel = self.fabric.channel(chan);
+        if channel.in_flight == 0 {
             let detail = format!(
-                "deposit on ch({}->{},tag{}) with no message in flight",
-                key.0, key.1, key.2
+                "deposit on {} with no message in flight",
+                self.fabric.name(chan)
             );
             self.fail(SimError::Internal { detail }, ctx);
             return;
         }
-        chan.in_flight -= 1;
-        if let Some(recv) = chan.parked_recv.take() {
-            if recv.len != len {
+        channel.in_flight -= 1;
+        let vc = send.vc;
+        let msg = ArrivedMsg { len, vc, data };
+        if let Some(recv) = channel.parked_recv.take() {
+            if recv.len != send.len {
+                let (from, to, tag) = self.fabric.key(chan);
                 let detail = format!(
-                    "send core{} len {len} vs recv core{} len {} (tag {})",
-                    key.0, key.1, recv.len, key.2
+                    "send core{from} len {len} vs recv core{to} len {} (tag {tag})",
+                    recv.len
                 );
                 self.fail(SimError::TagMismatch { detail }, ctx);
                 return;
             }
-            let vc = send.vc;
-            let msg = ArrivedMsg { len, vc, data };
             self.finish_recv(recv.core as usize, recv.seq, msg, ctx);
             if self.error.is_some() {
                 return;
             }
             // Consumed on arrival: the send's VC credit frees immediately.
-            if !self.release_credit(key, vc, ctx) {
+            if !self.release_credit(chan, vc, ctx) {
                 return;
             }
-            self.kick_channel(key, vc, ctx.now(), ctx);
+            self.kick_channel(chan, vc, ctx.now(), ctx);
         } else {
-            self.fabric.channel(key).arrived.push_back(ArrivedMsg {
-                len,
-                vc: send.vc,
-                data,
-            });
+            channel.arrived.push_back(msg);
         }
     }
 
-    /// Takes one credit on `key`'s virtual channel `vc` for a launching
-    /// send. Exceeding the configured pool is a conservation break:
-    /// reported as [`SimError::Internal`] (returning `false`) rather than
-    /// silently over-subscribing the receiver's buffer.
-    fn charge_credit(&mut self, key: ChannelKey, vc: u32, ctx: &mut Ctx) -> bool {
+    /// Takes one credit on channel `chan`'s virtual channel `vc` for a
+    /// launching send. Exceeding the configured pool is a conservation
+    /// break: reported as [`SimError::Internal`] (returning `false`) rather
+    /// than silently over-subscribing the receiver's buffer.
+    fn charge_credit(&mut self, chan: u32, vc: u32, ctx: &mut Ctx) -> bool {
         let credits = self.cfg.noc.channel_credits;
-        let chan = self.fabric.channel(key);
-        let used = &mut chan.vc_used[vc as usize];
-        if *used >= credits {
+        let channel = self.fabric.channel(chan);
+        let used = channel.vc_used[vc as usize];
+        if used >= credits {
             let detail = format!(
-                "credit overflow on ch({}->{},tag{}) vc{vc}: {} of {credits} already in use",
-                key.0, key.1, key.2, *used
+                "credit overflow on {} vc{vc}: {used} of {credits} already in use",
+                self.fabric.name(chan)
             );
             self.fail(SimError::Internal { detail }, ctx);
             return false;
         }
-        *used += 1;
-        chan.in_flight += 1;
+        channel.vc_used[vc as usize] += 1;
+        channel.in_flight += 1;
         true
     }
 
-    /// Releases the credit a consumed message held on `key`'s virtual
-    /// channel `vc`. Underflow is a conservation break: reported as
-    /// [`SimError::Internal`] (returning `false`) instead of wrapping into
-    /// a phantom credit pool.
-    fn release_credit(&mut self, key: ChannelKey, vc: u32, ctx: &mut Ctx) -> bool {
-        let chan = self.fabric.channel(key);
-        let used = &mut chan.vc_used[vc as usize];
+    /// Releases the credit a consumed message held on channel `chan`'s
+    /// virtual channel `vc`. Underflow is a conservation break: reported
+    /// as [`SimError::Internal`] (returning `false`) instead of wrapping
+    /// into a phantom credit pool.
+    fn release_credit(&mut self, chan: u32, vc: u32, ctx: &mut Ctx) -> bool {
+        let used = &mut self.fabric.channel(chan).vc_used[vc as usize];
         if *used == 0 {
             let detail = format!(
-                "credit release on ch({}->{},tag{}) vc{vc} with no credit in use",
-                key.0, key.1, key.2
+                "credit release on {} vc{vc} with no credit in use",
+                self.fabric.name(chan)
             );
             self.fail(SimError::Internal { detail }, ctx);
             return false;
@@ -411,23 +452,21 @@ impl Machine<'_> {
 
     /// A credit became free on `vc`: launch that VC's oldest waiting
     /// send, if any.
-    fn kick_channel(&mut self, key: ChannelKey, vc: u32, now: SimTime, ctx: &mut Ctx) {
+    fn kick_channel(&mut self, chan: u32, vc: u32, now: SimTime, ctx: &mut Ctx) {
         let credits = self.cfg.noc.channel_credits;
-        let launch = {
-            let chan = self.fabric.channel(key);
-            if chan.vc_used[vc as usize] >= credits {
-                None
-            } else {
-                chan.waiting_sends
-                    .iter()
-                    .position(|p| p.vc == vc)
-                    .and_then(|i| chan.waiting_sends.remove(i))
-            }
+        let channel = self.fabric.channel(chan);
+        if channel.vc_used[vc as usize] >= credits {
+            return;
+        }
+        let Some(i) = channel.waiting_sends.iter().position(|p| p.vc == vc) else {
+            return;
         };
-        if let Some(send) = launch {
-            if self.charge_credit(key, send.vc, ctx) {
-                self.launch_send(key, send, now, ctx);
-            }
+        let send = channel
+            .waiting_sends
+            .remove(i)
+            .expect("position is in range");
+        if self.charge_credit(chan, send.vc, ctx) {
+            self.launch_send(chan, send, now, ctx);
         }
     }
 
@@ -483,7 +522,7 @@ impl Machine<'_> {
         let now = ctx.now();
         self.finish_time = self.finish_time.max(now);
         let (tag, span, text) = {
-            let Some(e) = self.cores[c].find(seq) else {
+            let Some(e) = self.cores[c].mark_done(seq) else {
                 // A completion whose ROB entry vanished is an invariant
                 // break; report it instead of quietly dropping the
                 // retirement (which would wedge the core).
@@ -492,7 +531,6 @@ impl Machine<'_> {
                 self.fail(SimError::Internal { detail }, ctx);
                 return;
             };
-            e.state = super::rob::State::Done;
             (e.tag, now.saturating_sub(e.issue_at), e.text.take())
         };
         if let Some(t) = text {

@@ -1,9 +1,9 @@
 //! The matrix and vector execution units: issue selection, unit
 //! occupancy, timed completion, and functional payload execution.
 //!
-//! Issue repeatedly asks the ROB for the oldest hazard-free entry whose
-//! unit is free ([`super::rob::Core::next_issuable`]), marks it
-//! `Executing`, and books the unit: the vector unit is single-occupancy,
+//! Issue repeatedly asks the ROB for the oldest ready entry whose unit is
+//! free ([`super::rob::Core::next_issuable`]), marks it `Executing`, and
+//! books the unit: the vector unit is single-occupancy,
 //! the matrix unit accepts any number of concurrent `MVM`s with disjoint
 //! crossbar sets, and transfers are handed to [`super::transfer`]. Costs
 //! come from the [`TimingModel`](super::TimingModel) seam — never
@@ -13,7 +13,7 @@
 use pimsim_event::SimTime;
 use pimsim_isa::{InstrClass, VectorShape};
 
-use super::rob::State;
+use super::rob::Issued;
 use super::{Ctx, EnergyField, Machine, MachineEvent, NodeTimeField};
 use crate::exec::execute_local;
 use crate::machine::error::SimError;
@@ -48,7 +48,7 @@ impl Machine<'_> {
         }
         let now = ctx.now();
         loop {
-            let candidate = self.cores[c].next_issuable(c as u16, self.cfg.sim.structure_hazard);
+            let candidate = self.cores[c].next_issuable(self.cfg.sim.structure_hazard);
             let Some(seq) = candidate else { return };
             self.start(c, seq, now, ctx);
         }
@@ -56,13 +56,9 @@ impl Machine<'_> {
 
     /// Moves entry `seq` to `Executing` and books its execution unit.
     fn start(&mut self, c: usize, seq: u64, now: SimTime, ctx: &mut Ctx) {
-        let (class, res, tag) = {
-            let e = self.cores[c].find(seq).expect("entry exists");
-            e.state = State::Executing;
-            e.issue_at = now;
-            (e.class, e.res.clone(), e.tag)
-        };
-        match class {
+        let issued = self.cores[c].begin(seq, now);
+        let Issued { res, tag, .. } = issued;
+        match issued.class {
             InstrClass::Vector => {
                 let shape = vector_shape(&res);
                 let cost = self
@@ -75,7 +71,7 @@ impl Machine<'_> {
                 ctx.schedule_at(end, MachineEvent::Complete { core: c, seq });
             }
             InstrClass::Matrix => {
-                let Resolved::Mvm { group, .. } = &res else {
+                let Resolved::Mvm { group, .. } = res else {
                     unreachable!("matrix class mismatch")
                 };
                 let (inp, outp, nx) = {
@@ -83,18 +79,14 @@ impl Machine<'_> {
                     (g.input_len, g.output_len, g.xbar_ids.len() as u32)
                 };
                 let cost = self.timing.matrix_cost(self.cfg, inp, outp, nx);
-                let xbars = self.cores[c]
-                    .find(seq)
-                    .map(|e| e.xbars.clone())
-                    .unwrap_or_default();
-                self.cores[c].busy_xbars.extend(xbars);
+                self.cores[c].book_xbars(group);
                 self.telemetry.add_energy(EnergyField::Matrix, cost.energy);
                 self.telemetry.add_node_energy(tag, cost.energy);
                 let end = now + cost.time;
                 ctx.schedule_at(end, MachineEvent::Complete { core: c, seq });
             }
             InstrClass::Transfer => {
-                self.start_transfer(c, seq, tag, res, now, ctx);
+                self.start_transfer(c, seq, issued, now, ctx);
             }
             InstrClass::Scalar => unreachable!(),
         }
@@ -109,7 +101,7 @@ impl Machine<'_> {
         let now = ctx.now();
         self.finish_time = self.finish_time.max(now);
         let (class, res, tag, span, text) = {
-            let Some(e) = self.cores[c].find(seq) else {
+            let Some(e) = self.cores[c].mark_done(seq) else {
                 // A completion whose ROB entry vanished is an invariant
                 // break (entries leave the ROB only through in-order
                 // retirement after completing); silently dropping it used
@@ -118,10 +110,9 @@ impl Machine<'_> {
                 self.fail(SimError::Internal { detail }, ctx);
                 return;
             };
-            e.state = State::Done;
             (
                 e.class,
-                e.res.clone(),
+                e.res,
                 e.tag,
                 now.saturating_sub(e.issue_at),
                 e.text.take(),
@@ -139,11 +130,10 @@ impl Machine<'_> {
                 self.functional_payload(c, &res);
             }
             InstrClass::Matrix => {
-                let xbars = self.cores[c]
-                    .find(seq)
-                    .map(|e| e.xbars.clone())
-                    .unwrap_or_default();
-                self.cores[c].busy_xbars.retain(|x| !xbars.contains(x));
+                let Resolved::Mvm { group, .. } = res else {
+                    unreachable!("matrix class mismatch")
+                };
+                self.cores[c].release_xbars(group);
                 self.cores[c].stats.matrix_busy += span;
                 self.telemetry
                     .add_node_time(tag, NodeTimeField::Matrix, span);

@@ -45,7 +45,7 @@ impl Range {
 
 /// A memory-class instruction with every operand resolved to an absolute
 /// element address at dispatch time.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Resolved {
     Mvm {
         group: GroupId,
@@ -123,24 +123,24 @@ pub enum Resolved {
 }
 
 impl Resolved {
-    /// Local-memory ranges read by this instruction.
-    pub fn reads(&self) -> Vec<Range> {
+    /// Local-memory ranges read by this instruction. No instruction reads
+    /// more than two; unused slots are empty ranges, which overlap nothing.
+    pub fn reads(&self) -> [Range; 2] {
+        const NONE: Range = Range { start: 0, end: 0 };
         match self {
-            Resolved::Mvm { src, len, .. } => vec![Range::new(*src, *len)],
-            Resolved::VBin { a, b, len, .. } => {
-                vec![Range::new(*a, *len), Range::new(*b, *len)]
-            }
-            Resolved::VImm { src, len, .. } | Resolved::VUn { src, len, .. } => {
-                vec![Range::new(*src, *len)]
-            }
-            Resolved::VFill { .. } => vec![],
+            Resolved::VBin { a, b, len, .. } => [Range::new(*a, *len), Range::new(*b, *len)],
+            Resolved::Mvm { src, len, .. }
+            | Resolved::VImm { src, len, .. }
+            | Resolved::VUn { src, len, .. }
+            | Resolved::Send { src, len, .. }
+            | Resolved::GStore { src, len, .. } => [Range::new(*src, *len), NONE],
             Resolved::VCopy2d {
                 src,
                 block_len,
                 blocks,
                 src_stride,
                 ..
-            } => vec![Range::strided(*src, *block_len, *blocks, *src_stride)],
+            } => [Range::strided(*src, *block_len, *blocks, *src_stride), NONE],
             Resolved::VPool {
                 src,
                 channels,
@@ -148,46 +148,41 @@ impl Resolved {
                 win_h,
                 row_stride,
                 ..
-            } => vec![Range::strided(
-                *src,
-                win_w * channels,
-                (*win_h).max(1),
-                *row_stride,
-            )],
-            Resolved::Send { src, len, .. } => vec![Range::new(*src, *len)],
-            Resolved::Recv { .. } => vec![],
-            Resolved::GLoad { .. } => vec![],
-            Resolved::GStore { src, len, .. } => vec![Range::new(*src, *len)],
+            } => [
+                Range::strided(*src, win_w * channels, (*win_h).max(1), *row_stride),
+                NONE,
+            ],
+            Resolved::VFill { .. } | Resolved::Recv { .. } | Resolved::GLoad { .. } => [NONE, NONE],
         }
     }
 
-    /// Local-memory ranges written by this instruction. For `MVM` the
-    /// output length is supplied by the caller (from the group table).
-    pub fn writes(&self, mvm_out_len: u32) -> Vec<Range> {
+    /// The local-memory range written by this instruction (empty for
+    /// `SEND`/`GSTORE`). For `MVM` the output length is supplied by the
+    /// caller (from the group table).
+    pub fn write(&self, mvm_out_len: u32) -> Range {
         match self {
-            Resolved::Mvm { dst, .. } => vec![Range::new(*dst, mvm_out_len)],
+            Resolved::Mvm { dst, .. } => Range::new(*dst, mvm_out_len),
             Resolved::VBin { dst, len, .. }
             | Resolved::VImm { dst, len, .. }
             | Resolved::VUn { dst, len, .. }
-            | Resolved::VFill { dst, len, .. } => vec![Range::new(*dst, *len)],
+            | Resolved::VFill { dst, len, .. }
+            | Resolved::GLoad { dst, len, .. } => Range::new(*dst, *len),
             Resolved::VCopy2d {
                 dst,
                 block_len,
                 blocks,
                 dst_stride,
                 ..
-            } => vec![Range::strided(*dst, *block_len, *blocks, *dst_stride)],
-            Resolved::VPool { dst, channels, .. } => vec![Range::new(*dst, *channels)],
-            Resolved::Send { .. } => vec![],
-            Resolved::Recv {
+            }
+            | Resolved::Recv {
                 dst,
                 block_len,
                 blocks,
                 dst_stride,
                 ..
-            } => vec![Range::strided(*dst, *block_len, *blocks, *dst_stride)],
-            Resolved::GLoad { dst, len, .. } => vec![Range::new(*dst, *len)],
-            Resolved::GStore { .. } => vec![],
+            } => Range::strided(*dst, *block_len, *blocks, *dst_stride),
+            Resolved::VPool { dst, channels, .. } => Range::new(*dst, *channels),
+            Resolved::Send { .. } | Resolved::GStore { .. } => Range::new(0, 0),
         }
     }
 }
@@ -429,13 +424,15 @@ mod tests {
         )
         .unwrap();
         let r = resolve(&i, &regs).unwrap();
+        let [read, unused] = r.reads();
         assert_eq!(
-            r.reads(),
-            vec![Range {
+            read,
+            Range {
                 start: 1000,
                 end: 1036
-            }]
+            }
         );
-        assert_eq!(r.writes(0), vec![Range { start: 0, end: 20 }]);
+        assert!(!unused.overlaps(&read), "unused read slot is empty");
+        assert_eq!(r.write(0), Range { start: 0, end: 20 });
     }
 }

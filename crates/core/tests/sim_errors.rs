@@ -166,6 +166,34 @@ fn length_mismatch_with_queued_message_fails() {
     assert!(matches!(err, SimError::TagMismatch { .. }), "got {err:?}");
 }
 
+#[test]
+fn recv2d_length_product_does_not_wrap_into_a_match() {
+    // Regression: `block_len * blocks` was a `u32` product, so 65536 x
+    // 65536 wrapped to 0 and "matched" an empty send; the run reported
+    // success. The receiver asks for 2^32 elements no send can carry.
+    let arch = ArchConfig::small_test();
+    for recv_first in [true, false] {
+        // Either side may arrive first: both comparison sites must agree.
+        let delay = if recv_first {
+            ""
+        } else {
+            "nop\nnop\nnop\nnop\nnop\nnop\nnop\nnop\n"
+        };
+        let text = format!(
+            ".core 0\nsend core1, [r0+0], 0, tag=1\nhalt\n.core 1\n{delay}\
+             recv2d core0, [r0+0], block=65536, blocks=65536, dstride=0, tag=1\nhalt\n"
+        );
+        let err = run(&arch, &text).expect_err("a 2^32-element recv matches no send");
+        let SimError::TagMismatch { detail } = &err else {
+            panic!("expected TagMismatch, got {err:?}");
+        };
+        assert!(
+            detail.contains("len 4294967296"),
+            "unwrapped length: {detail}"
+        );
+    }
+}
+
 // ---------------------------------------------------------- MemoryFault --
 
 #[test]

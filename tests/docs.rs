@@ -1,10 +1,10 @@
 //! The docs/ book stays coherent: every chapter the summary lists
-//! exists, every chapter on disk is listed, relative links resolve, and
-//! the README points into the book. This is the CI `docs` job's
+//! exists, every chapter on disk is listed, relative links resolve, cited
+//! file paths exist, and the README points into the book. This is the CI `docs` job's
 //! link-check (there is no mdBook binary in the offline environment).
 
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 fn docs_dir() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/docs"))
@@ -90,6 +90,84 @@ fn every_relative_link_in_the_book_resolves() {
             );
         }
     }
+}
+
+/// Every back-ticked inline code span of `text`, outside fenced blocks.
+fn code_spans(text: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut fenced = false;
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            // Odd pieces of a split on '`' are the spans.
+            out.extend(line.split('`').skip(1).step_by(2));
+        }
+    }
+    out
+}
+
+/// Where a code span that names a file must be found, if it names one: a
+/// `.json`, `.rs` or `.md` file name with no spaces or placeholders. With
+/// a `/` it is a repo-relative path. A bare `.json`/`.md` name is a file at
+/// the repository root or a sibling chapter. A bare `.rs` name is a module
+/// of the crate under discussion, which this check cannot place: `None`.
+fn cited_file(span: &str) -> Option<Vec<PathBuf>> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let ext = [".json", ".rs", ".md"]
+        .into_iter()
+        .find(|e| span.ends_with(e))?;
+    let plain = span
+        .chars()
+        .all(|c| c.is_ascii_alphanumeric() || "/._-".contains(c));
+    if !plain || span.starts_with(['/', '.']) {
+        return None;
+    }
+    if span.contains('/') {
+        Some(vec![root.join(span)])
+    } else if ext == ".rs" {
+        None
+    } else {
+        Some(vec![root.join(span), docs_dir().join(span)])
+    }
+}
+
+#[test]
+fn code_spans_and_cited_files_are_recognised() {
+    let text = "see `a/b.rs` and `c.json`\n```\n`fenced/x.rs`\n```\n`docs/<x>.md` `.json` `e.rs`";
+    let spans = code_spans(text);
+    assert_eq!(spans, ["a/b.rs", "c.json", "docs/<x>.md", ".json", "e.rs"]);
+    let cited: Vec<&str> = spans
+        .into_iter()
+        .filter(|s| cited_file(s).is_some())
+        .collect();
+    assert_eq!(cited, ["a/b.rs", "c.json"]);
+}
+
+#[test]
+fn every_file_the_book_cites_exists() {
+    // A citation like `tests/BENCH_PR3.json` for a file that lives at the
+    // repository root used to pass the link check: it is not a link.
+    let mut cited = 0;
+    for entry in std::fs::read_dir(docs_dir()).expect("docs/ exists") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_none_or(|e| e != "md") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("chapter is readable");
+        for span in code_spans(&text) {
+            let Some(candidates) = cited_file(span) else {
+                continue;
+            };
+            cited += 1;
+            assert!(
+                candidates.iter().any(|c| c.is_file()),
+                "{}: cites `{span}`, which does not exist in the repository",
+                path.display()
+            );
+        }
+    }
+    assert!(cited >= 5, "the book cites files; found only {cited}");
 }
 
 #[test]
