@@ -32,8 +32,6 @@
 //! [`dispatch_interval`], [`decode_offset`]) are public so the simulator
 //! crate can pin them against its own `Noc`/`DefaultTiming` arithmetic.
 
-use std::collections::VecDeque;
-
 use pimsim_arch::model::CostModel;
 use pimsim_arch::ArchConfig;
 use pimsim_event::SimTime;
@@ -206,7 +204,7 @@ impl BoundsReport {
 /// [`ArchConfig`]. Programs the checker rejects with errors yield a
 /// trivial (zero) bound with `bound_source = "unanalyzable"`.
 pub fn bounds(program: &Program, arch: &ArchConfig) -> BoundsReport {
-    let analysis = crate::analyze(program, arch);
+    let (analysis, cfgs) = crate::analyze_with_cfgs(program, arch);
     if analysis.has_errors() {
         return BoundsReport {
             schema_version: crate::SCHEMA_VERSION,
@@ -223,15 +221,54 @@ pub fn bounds(program: &Program, arch: &ArchConfig) -> BoundsReport {
             diagnostics: analysis.diagnostics,
         };
     }
-
-    let model = CostModel::new(arch);
-    let cfgs: Vec<Cfg> = program
-        .cores
-        .iter()
-        .map(|c| Cfg::build(&c.instrs))
-        .collect();
     let dag = Dag::build(program, &cfgs, &analysis.rendezvous);
-    let occ = occupancy(program, &cfgs, arch.noc.virtual_channels);
+    price(program, arch, analysis, &cfgs, &dag)
+}
+
+/// The critical-path tie-break, stated on the machine's full pairwise
+/// hazard relation rather than on the edges the DAG happens to store: of
+/// the older same-core nodes `i` [must follow](crate::dag::DagNode::must_follow)
+/// that complete exactly at `i`'s start, the one with the lowest index.
+///
+/// Any such node reaches `i` through stored edges, and completion times
+/// never decrease along a path, so every node on that path completes at
+/// `at` too: walking stored edges backwards through nodes completing at
+/// `at` visits all candidates. `seen` marks visited nodes with `i + 1`.
+fn determining_pred(
+    dag: &Dag,
+    completion: &[SimTime],
+    i: usize,
+    at: SimTime,
+    seen: &mut [u32],
+) -> usize {
+    let mark = i as u32 + 1;
+    let mut best = None;
+    let mut stack = vec![i];
+    while let Some(x) = stack.pop() {
+        for &p in dag.preds(x) {
+            let p = p as usize;
+            if completion[p] == at && seen[p] != mark {
+                seen[p] = mark;
+                stack.push(p);
+                if dag.nodes[i].must_follow(&dag.nodes[p]) {
+                    best = Some(best.map_or(p, |b: usize| b.min(p)));
+                }
+            }
+        }
+    }
+    best.expect("a hazard-bound start is some predecessor's completion")
+}
+
+/// Prices `dag` and assembles the report for an error-free `analysis`.
+pub(crate) fn price(
+    program: &Program,
+    arch: &ArchConfig,
+    analysis: crate::Analysis,
+    cfgs: &[Cfg],
+    dag: &Dag,
+) -> BoundsReport {
+    let model = CostModel::new(arch);
+    let occ = occupancy(program, cfgs, arch.noc.virtual_channels);
 
     let n = dag.nodes.len();
     let interval = dispatch_interval(&model);
@@ -247,62 +284,21 @@ pub fn bounds(program: &Program, arch: &ArchConfig) -> BoundsReport {
         .map(|nd| decode + interval * nd.dispatch_index as u64)
         .collect();
 
-    // Topological order (Kahn). The graph can only be cyclic when a
-    // non-linear core kept the rendezvous deadlock check from running;
-    // such programs wedge at runtime, so falling back to the pacing
-    // terms below stays sound.
-    let mut indeg = vec![0usize; n];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, nd) in dag.nodes.iter().enumerate() {
-        for &p in &nd.preds {
-            succs[p].push(i);
-            indeg[i] += 1;
-        }
-        if let Some(s) = nd.paired_send {
-            succs[s].push(i);
-            indeg[i] += 1;
-        }
-    }
-    let mut queue: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut topo = Vec::with_capacity(n);
-    while let Some(i) = queue.pop_front() {
-        topo.push(i);
-        for &s in &succs[i] {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                queue.push_back(s);
-            }
-        }
-    }
-    let acyclic = topo.len() == n;
-
     // Longest-path schedule: earliest possible issue and completion per
-    // node under the enforced constraints only.
+    // node under the enforced constraints only. A cyclic graph (see
+    // `Dag::topological_order`) falls back to the pacing terms below,
+    // which stays sound.
+    let topo = dag.topological_order();
+    let acyclic = topo.is_some();
     let mut start = vec![SimTime::ZERO; n];
     let mut completion = vec![SimTime::ZERO; n];
-    let mut best_pred: Vec<Option<usize>> = vec![None; n];
-    if acyclic {
-        for &i in &topo {
-            let nd = &dag.nodes[i];
-            let mut s = dispatch_lb[i];
-            let mut det = None;
-            for &p in &nd.preds {
-                if completion[p] > s {
-                    s = completion[p];
-                    det = Some(p);
-                }
-            }
-            start[i] = s;
-            let mut comp = s + service[i];
-            if let Some(sp) = nd.paired_send {
-                if completion[sp] > comp {
-                    comp = completion[sp];
-                    det = Some(sp);
-                }
-            }
-            completion[i] = comp;
-            best_pred[i] = det;
-        }
+    for i in topo.into_iter().flatten() {
+        let i = i as usize;
+        let preds = dag.preds(i).iter();
+        let s = preds.fold(dispatch_lb[i], |s, &p| s.max(completion[p as usize]));
+        start[i] = s;
+        let sent = dag.nodes[i].paired_send.map(|sp| completion[sp as usize]);
+        completion[i] = (s + service[i]).max(sent.unwrap_or(SimTime::ZERO));
     }
 
     // Per-core terms and the global bound.
@@ -322,7 +318,7 @@ pub fn bounds(program: &Program, arch: &ArchConfig) -> BoundsReport {
         let mut node_max = SimTime::ZERO;
         let mut vec_sum = SimTime::ZERO;
         let mut first_vec: Option<usize> = None;
-        for &i in &ct.nodes {
+        for i in ct.nodes.clone() {
             busy += service[i];
             if acyclic {
                 node_max = node_max.max(completion[i]);
@@ -375,11 +371,22 @@ pub fn bounds(program: &Program, arch: &ArchConfig) -> BoundsReport {
         let sink = (0..n)
             .find(|&i| completion[i] == latency)
             .expect("crit_max came from a node");
-        let mut chain = Vec::new();
-        let mut cur = Some(sink);
-        while let Some(i) = cur {
-            chain.push(i);
-            cur = best_pred[i];
+        // A hop is determined by its matched send when the delivery
+        // outlasts its own service, else by a hazard predecessor when one
+        // held its issue past the dispatch time, else by nothing.
+        let mut seen = vec![0u32; n];
+        let mut chain = vec![sink];
+        loop {
+            let i = *chain.last().expect("chain starts at the sink");
+            let sent = dag.nodes[i].paired_send.map(|sp| sp as usize);
+            let det = match sent {
+                Some(sp) if completion[sp] > start[i] + service[i] => sp,
+                _ if start[i] > dispatch_lb[i] => {
+                    determining_pred(dag, &completion, i, start[i], &mut seen)
+                }
+                _ => break,
+            };
+            chain.push(det);
         }
         chain.reverse();
         critical_path_len = chain.len() as u32;

@@ -128,7 +128,22 @@ impl Analysis {
 /// [`DiagKind::InvalidProgram`] error and nothing else runs (the deeper
 /// passes assume in-range branch targets and peers).
 pub fn analyze(program: &Program, arch: &ArchConfig) -> Analysis {
+    analyze_with_cfgs(program, arch).0
+}
+
+/// [`analyze`], also handing back the per-core CFGs it built so the
+/// bounds pass does not build them again. The CFGs are complete whenever
+/// the analysis has no errors (they are empty when validation failed).
+pub(crate) fn analyze_with_cfgs(program: &Program, arch: &ArchConfig) -> (Analysis, Vec<Cfg>) {
     let mut diagnostics = Vec::new();
+    let rejected = |diagnostics| {
+        let analysis = Analysis {
+            schema_version: SCHEMA_VERSION,
+            diagnostics,
+            rendezvous: RendezvousMap::default(),
+        };
+        (analysis, Vec::new())
+    };
 
     if let Err(e) = arch.validate() {
         diagnostics.push(Diagnostic::core_level(
@@ -136,11 +151,7 @@ pub fn analyze(program: &Program, arch: &ArchConfig) -> Analysis {
             0,
             format!("architecture configuration invalid: {e}"),
         ));
-        return Analysis {
-            schema_version: SCHEMA_VERSION,
-            diagnostics,
-            rendezvous: RendezvousMap::default(),
-        };
+        return rejected(diagnostics);
     }
 
     let limits = ProgramLimits {
@@ -167,11 +178,7 @@ pub fn analyze(program: &Program, arch: &ArchConfig) -> Analysis {
             other => Diagnostic::core_level(DiagKind::InvalidProgram, 0, other.to_string()),
         };
         diagnostics.push(diag);
-        return Analysis {
-            schema_version: SCHEMA_VERSION,
-            diagnostics,
-            rendezvous: RendezvousMap::default(),
-        };
+        return rejected(diagnostics);
     }
 
     let mem = MemLimits {
@@ -223,11 +230,12 @@ pub fn analyze(program: &Program, arch: &ArchConfig) -> Analysis {
     diagnostics.extend(rdiags);
 
     diagnostics.sort_by_key(|d| d.sort_key());
-    Analysis {
+    let analysis = Analysis {
         schema_version: SCHEMA_VERSION,
         diagnostics,
         rendezvous,
-    }
+    };
+    (analysis, cfgs)
 }
 
 #[cfg(test)]

@@ -160,7 +160,7 @@ pub fn execute_local(r: &Resolved, mem: &mut Memory, groups: &[GroupConfig]) {
                     for wx in 0..*win_w {
                         let a = *src as i64
                             + wy as i64 * *row_stride as i64
-                            + (wx * *channels) as i64
+                            + wx as i64 * *channels as i64
                             + c as i64;
                         let v = mem.get(a.max(0) as u64);
                         m = m.max(v);

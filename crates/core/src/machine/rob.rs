@@ -25,10 +25,10 @@
 use std::collections::VecDeque;
 
 use pimsim_event::SimTime;
-use pimsim_isa::{GroupConfig, GroupId, InstrClass, Instruction};
+use pimsim_isa::{GroupConfig, GroupId, InstrClass, Instruction, Range};
 
 use crate::exec::Memory;
-use crate::resolve::{Range, Resolved};
+use crate::resolve::Resolved;
 use crate::stats::CoreStats;
 
 /// Lifecycle of one ROB entry.

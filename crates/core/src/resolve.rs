@@ -1,47 +1,7 @@
 //! Operand resolution: ISA instructions → absolute addresses + hazard
 //! ranges, using the dispatching core's register file.
 
-use pimsim_isa::{Addr, GroupId, Instruction, PoolOp, VBinOp, VImmOp, VUnOp};
-
-/// A half-open local-memory interval `[start, end)` used for hazard checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Range {
-    pub start: u32,
-    pub end: u32,
-}
-
-impl Range {
-    pub fn new(start: u32, len: u32) -> Range {
-        Range {
-            start,
-            end: start.saturating_add(len),
-        }
-    }
-
-    pub fn overlaps(&self, other: &Range) -> bool {
-        // Empty intervals intersect nothing.
-        self.start < self.end
-            && other.start < other.end
-            && self.start < other.end
-            && other.start < self.end
-    }
-
-    /// Conservative span of a strided 2-D access.
-    ///
-    /// Intermediate math runs in `i64` and both bounds clamp into the
-    /// `u32` address space: a span reaching past `u32::MAX` saturates
-    /// (stays conservative) instead of wrapping into an inverted — hence
-    /// empty, hazard-invisible — interval.
-    pub fn strided(base: u32, block_len: u32, blocks: u32, stride: i32) -> Range {
-        if blocks == 0 || block_len == 0 {
-            return Range::new(base, 0);
-        }
-        let last = base as i64 + (blocks as i64 - 1) * stride as i64;
-        let lo = (base as i64).min(last).clamp(0, u32::MAX as i64) as u32;
-        let hi = ((base as i64).max(last) + block_len as i64).clamp(0, u32::MAX as i64) as u32;
-        Range { start: lo, end: hi }
-    }
-}
+use pimsim_isa::{Addr, GroupId, Instruction, PoolOp, Range, VBinOp, VImmOp, VUnOp};
 
 /// A memory-class instruction with every operand resolved to an absolute
 /// element address at dispatch time.
@@ -126,7 +86,7 @@ impl Resolved {
     /// Local-memory ranges read by this instruction. No instruction reads
     /// more than two; unused slots are empty ranges, which overlap nothing.
     pub fn reads(&self) -> [Range; 2] {
-        const NONE: Range = Range { start: 0, end: 0 };
+        const NONE: Range = Range::EMPTY;
         match self {
             Resolved::VBin { a, b, len, .. } => [Range::new(*a, *len), Range::new(*b, *len)],
             Resolved::Mvm { src, len, .. }
@@ -149,7 +109,7 @@ impl Resolved {
                 row_stride,
                 ..
             } => [
-                Range::strided(*src, win_w * channels, (*win_h).max(1), *row_stride),
+                Range::pool_window(*src, *channels, *win_w, *win_h, *row_stride),
                 NONE,
             ],
             Resolved::VFill { .. } | Resolved::Recv { .. } | Resolved::GLoad { .. } => [NONE, NONE],
@@ -336,37 +296,6 @@ mod tests {
         let mut regs = [0i32; 32];
         regs[1] = r1;
         regs
-    }
-
-    #[test]
-    fn range_overlap() {
-        let a = Range::new(0, 10);
-        let b = Range::new(9, 1);
-        let c = Range::new(10, 5);
-        assert!(a.overlaps(&b));
-        assert!(!a.overlaps(&c));
-        assert!(!Range::new(5, 0).overlaps(&a), "empty range never overlaps");
-    }
-
-    #[test]
-    fn strided_range_spans_both_directions() {
-        let r = Range::strided(100, 4, 3, 10);
-        assert_eq!((r.start, r.end), (100, 124));
-        let r = Range::strided(100, 4, 3, -10);
-        assert_eq!((r.start, r.end), (80, 104));
-    }
-
-    #[test]
-    fn strided_range_saturates_at_the_address_space_edge() {
-        // Regression: a span reaching past u32::MAX used to wrap into an
-        // inverted (empty) interval that no hazard check could see.
-        let r = Range::strided(u32::MAX - 10, 8, 4, 16);
-        assert_eq!(r.start, u32::MAX - 10);
-        assert_eq!(r.end, u32::MAX, "end saturates instead of wrapping");
-        assert!(r.overlaps(&Range::new(u32::MAX - 1, 1)));
-        // Large negative strides clamp the low bound at zero.
-        let r = Range::strided(10, 4, u32::MAX, i32::MIN);
-        assert_eq!(r.start, 0);
     }
 
     #[test]

@@ -72,6 +72,36 @@ fn raw_hazard_orders_vector_ops() {
 }
 
 #[test]
+fn oversized_pool_window_still_orders_against_its_input() {
+    // Regression: the pool's read footprint multiplied `win_w * channels`
+    // in `u32`; 65536 * 65536 wrapped to an empty — hazard-invisible —
+    // range (and panicked on overflow in a debug build), so the load that
+    // overwrites the pool's input finished long before the pool did.
+    let mut cfg = arch().with_functional(false);
+    cfg.sim.trace = true;
+    cfg.sim.max_cycles = 1 << 40; // the pool alone takes ~2^29 cycles
+    let report = run(
+        &cfg,
+        r#"
+        .core 0
+        vpool.max [r0+100], [r0+0], ch=65536, win=65536x1, rstride=8
+        gload [r0+0], g[r0+0], 8
+        halt
+    "#,
+    );
+    let done = |op: &str| {
+        let entry = report.trace.iter().find(|t| t.instr.starts_with(op));
+        entry.unwrap_or_else(|| panic!("{op} retired")).time
+    };
+    assert!(
+        done("gload") > done("vpool"),
+        "WAR: the load must wait for the pool ({} vs {})",
+        done("gload"),
+        done("vpool")
+    );
+}
+
+#[test]
 fn scalar_loop_executes() {
     // Increment a memory cell 10 times via a scalar-controlled loop.
     let report = run(

@@ -59,6 +59,7 @@ mod error;
 mod group;
 mod instr;
 mod program;
+mod range;
 mod reg;
 
 pub use cost::VectorShape;
@@ -71,6 +72,7 @@ pub use instr::{
     VImmOp, VUnOp,
 };
 pub use program::{CoreProgram, Program, ProgramLimits, ProgramMeta};
+pub use range::Range;
 pub use reg::Reg;
 
 /// Result alias for fallible ISA operations.

@@ -6,10 +6,16 @@
 //! either engine. A violation means either the analyzer invented a
 //! constraint the machine does not enforce, or the simulator's cost
 //! model drifted below the shared pricing tables — both are bugs worth
-//! failing loudly on. CI runs the full 11-network zoo through the
-//! `pimsim bound` CLI; this in-tree subset keeps the gate in `cargo
-//! test` at debug-build-friendly sizes.
+//! failing loudly on. Every zoo network runs here under both mappings
+//! and both engines, at the resolutions the CLI defaults to (CI repeats
+//! the sweep through the `pimsim bound` binary).
+//!
+//! The second half pins the *size* of the dependence DAG: the bounds
+//! pass stays cheap only while the graph stores a covering set of the
+//! hazards rather than every conflicting pair.
 
+use pimsim::analyze::dag::Dag;
+use pimsim::analyze::Cfg;
 use pimsim::nn::zoo;
 use pimsim::prelude::*;
 use pimsim::sim::EngineKind;
@@ -64,25 +70,12 @@ fn tiny_cnn_bound_is_sound() {
 }
 
 #[test]
-fn lenet_bound_is_sound() {
-    assert_sound(&zoo::lenet(32), &ArchConfig::paper_default());
-}
-
-#[test]
-fn vgg8_bound_is_sound() {
-    // One policy/engine combination: the full cross product on a net
-    // this size belongs to the release-mode CI gate, not debug `cargo
-    // test`.
+fn every_zoo_network_bound_is_sound() {
     let arch = ArchConfig::paper_default();
-    let compiled = Compiler::new(&arch)
-        .mapping(MappingPolicy::PerformanceFirst)
-        .functional(false)
-        .compile(&zoo::vgg8(32))
-        .unwrap();
-    let report = bounds(&compiled.program, &arch);
-    assert!(report.complete, "{:?}", report.diagnostics);
-    let sim = Simulator::new(&arch).run(&compiled.program).unwrap();
-    assert!(report.latency_lb_ps <= sim.latency.as_ps());
+    for &name in zoo::NAMES {
+        let size = if name.starts_with("vgg") { 32 } else { 64 };
+        assert_sound(&zoo::by_name(name, size).unwrap(), &arch);
+    }
 }
 
 #[test]
@@ -96,4 +89,55 @@ fn bound_is_sound_across_arch_knobs() {
         .with_virtual_channels(2);
     arch.noc.channel_credits = 1;
     assert_sound(&net, &arch);
+}
+
+/// Stored same-core edges and nodes of `program`'s dependence DAG.
+fn dag_size(program: &Program, arch: &ArchConfig) -> (usize, usize) {
+    let analysis = analyze(program, arch);
+    assert!(!analysis.has_errors(), "{:?}", analysis.diagnostics);
+    let cfgs: Vec<Cfg> = program
+        .cores
+        .iter()
+        .map(|c| Cfg::build(&c.instrs))
+        .collect();
+    let dag = Dag::build(program, &cfgs, &analysis.rendezvous);
+    (dag.edges.len(), dag.nodes.len())
+}
+
+#[test]
+fn dag_edge_count_stays_linear_in_nodes() {
+    // A complexity pin, not a timing test: all-pairs hazard edges are
+    // quadratic on exactly these shapes (lenet@32 had ~100 edges per
+    // node), so a change that quietly stores them again fails here.
+    let compiled = |net: &Network, arch: &ArchConfig| {
+        let compiled = Compiler::new(arch).functional(false).compile(net);
+        compiled.unwrap().program
+    };
+    let paper = ArchConfig::paper_default();
+    let small = ArchConfig::small_test();
+    // The shape that made lenet quadratic: one buffer, received, used
+    // and overwritten 500 times over, fully unrolled.
+    let mut unrolled = String::from(".core 0\n");
+    for _ in 0..500 {
+        unrolled.push_str(
+            "gload [r0+0], g[r0+0], 64\n\
+             vrelu [r0+64], [r0+0], 64\n\
+             vadd [r0+128], [r0+128], [r0+64], 64\n\
+             gstore g[r0+64], [r0+128], 64\n",
+        );
+    }
+    unrolled.push_str("halt\n");
+    let unrolled = pimsim::isa::asm::assemble(&unrolled).unwrap();
+    for (what, program, arch) in [
+        ("lenet@32", compiled(&zoo::lenet(32), &paper), &paper),
+        ("tiny_cnn", compiled(&zoo::tiny_cnn(), &small), &small),
+        ("unrolled loop", unrolled, &small),
+    ] {
+        let (edges, nodes) = dag_size(&program, arch);
+        assert!(nodes >= 100, "{what}: only {nodes} nodes");
+        assert!(
+            edges <= 8 * nodes,
+            "{what}: {edges} edges for {nodes} nodes"
+        );
+    }
 }
