@@ -22,6 +22,7 @@
 //! pimsim config   [--out arch.json]
 //! ```
 
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 use pimsim_arch::ArchConfig;
@@ -135,6 +136,30 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// The one way bulk output (programs, assembly, JSON reports) leaves the
+/// process: `f` writes through a buffered writer onto the file at `path`,
+/// or onto locked stdout without one. A reader that closed stdout early
+/// (`pimsim disasm prog.json | head -1`) ends the process quietly.
+fn emit(
+    path: Option<&str>,
+    f: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> Result<(), String> {
+    let write = |sink: &mut dyn Write| {
+        f(sink)?;
+        sink.flush()
+    };
+    match path {
+        Some(path) => {
+            let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
+            write(&mut BufWriter::new(file)).map_err(|e| format!("{path}: {e}"))
+        }
+        None => match write(&mut BufWriter::new(io::stdout().lock())) {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+            result => result.map_err(|e| format!("stdout: {e}")),
+        },
     }
 }
 
@@ -565,15 +590,19 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
         compiled.placement.cores_used
     );
     if let Some(path) = args.get("out") {
-        std::fs::write(path, compiled.program.to_json()).map_err(|e| e.to_string())?;
+        emit(Some(path), |w| compiled.program.write_json(w))?;
         eprintln!("wrote {path}");
     }
     if let Some(path) = args.get("asm") {
-        std::fs::write(path, asm::disassemble(&compiled.program)).map_err(|e| e.to_string())?;
+        emit(Some(path), |w| {
+            w.write_all(asm::disassemble(&compiled.program).as_bytes())
+        })?;
         eprintln!("wrote {path}");
     }
     if args.get("out").is_none() && args.get("asm").is_none() {
-        print!("{}", asm::disassemble(&compiled.program));
+        emit(None, |w| {
+            w.write_all(asm::disassemble(&compiled.program).as_bytes())
+        })?;
     }
     Ok(())
 }
@@ -635,7 +664,7 @@ fn cmd_check(args: &Args) -> Result<(), String> {
 
     let analysis = pimsim_analyze::analyze(&program, &arch);
     if format == "json" {
-        println!("{}", analysis.to_json());
+        emit(None, |w| writeln!(w, "{}", analysis.to_json()))?;
     } else {
         for d in &analysis.diagnostics {
             println!("{d}");
@@ -671,7 +700,7 @@ fn cmd_bound(args: &Args) -> Result<(), String> {
 
     let report = pimsim_analyze::bounds(&program, &arch);
     if format == "json" {
-        println!("{}", report.to_json());
+        emit(None, |w| writeln!(w, "{}", report.to_json()))?;
     } else {
         for d in &report.diagnostics {
             println!("{d}");
@@ -759,12 +788,9 @@ fn cmd_asm(args: &Args) -> Result<(), String> {
         .ok_or("usage: pimsim asm <file.s> [--out prog.json]")?;
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let program = asm::assemble(&text).map_err(|e| e.to_string())?;
-    match args.get("out") {
-        Some(out) => {
-            std::fs::write(out, program.to_json()).map_err(|e| e.to_string())?;
-            eprintln!("wrote {out}");
-        }
-        None => print!("{}", program.to_json()),
+    emit(args.get("out"), |w| program.write_json(w))?;
+    if let Some(out) = args.get("out") {
+        eprintln!("wrote {out}");
     }
     Ok(())
 }
@@ -776,8 +802,7 @@ fn cmd_disasm(args: &Args) -> Result<(), String> {
         .ok_or("usage: pimsim disasm <prog.json>")?;
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let program = Program::from_json(&text).map_err(|e| e.to_string())?;
-    print!("{}", asm::disassemble(&program));
-    Ok(())
+    emit(None, |w| w.write_all(asm::disassemble(&program).as_bytes()))
 }
 
 fn parse_on_off(v: &str) -> Result<bool, String> {
@@ -874,11 +899,11 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let wall = start.elapsed();
     let json = results_to_json(&rows);
     if let Some(path) = args.get("out") {
-        std::fs::write(path, &json).map_err(|e| e.to_string())?;
+        emit(Some(path), |w| w.write_all(json.as_bytes()))?;
         eprintln!("wrote {path}");
     }
     if args.flag("json") {
-        println!("{json}");
+        emit(None, |w| writeln!(w, "{json}"))?;
     } else if args.get("out").is_none() {
         println!(
             "{:<48} {:>13} {:>12} {:>9}",
@@ -982,11 +1007,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     })?;
     let json = report.to_json();
     if let Some(path) = args.get("out") {
-        std::fs::write(path, &json).map_err(|e| e.to_string())?;
+        emit(Some(path), |w| w.write_all(json.as_bytes()))?;
         eprintln!("wrote {path}");
     }
     if args.flag("json") {
-        println!("{json}");
+        emit(None, |w| writeln!(w, "{json}"))?;
     } else if args.get("out").is_none() {
         print!("{}", report.render_text());
     }
@@ -1014,7 +1039,7 @@ fn cmd_config(args: &Args) -> Result<(), String> {
             cfg.to_file(path).map_err(|e| e.to_string())?;
             eprintln!("wrote {path}");
         }
-        None => println!("{}", cfg.to_json()),
+        None => emit(None, |w| writeln!(w, "{}", cfg.to_json()))?,
     }
     Ok(())
 }
@@ -1213,6 +1238,35 @@ mod tests {
             "--deny-warnings",
         ]))
         .unwrap();
+    }
+
+    #[test]
+    fn program_file_errors_name_line_and_column() {
+        let dir = std::env::temp_dir().join("pimsim-cli-json-error-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        // Ten lines; the string where `offset` wants a number is on line 6.
+        let text = "{\n  \"cores\": [{\n    \"instrs\": [\n      {\"VFill\": {\n        \
+                    \"dst\": {\"base\": 0,\n                \"offset\": \"sixteen\"},\n        \
+                    \"value\": 3, \"len\": 16}}],\n    \
+                    \"groups\": [], \"local_init\": [], \"labels\": {}}],\n  \
+                    \"meta\": {\"name\": \"t\", \"mapping\": \"m\", \"notes\": \"\"}\n}\n";
+        assert_eq!(text.lines().count(), 10);
+        let bad = dir.join("bad.json");
+        std::fs::write(&bad, text).unwrap();
+        let err = dispatch(&argv(&["check", bad.to_str().unwrap()])).unwrap_err();
+        assert!(
+            err.contains("expected i32, found string at line 6 column 27"),
+            "{err}"
+        );
+        // With the number in place the same file loads and checks.
+        let good = dir.join("good.json");
+        std::fs::write(&good, text.replace("\"sixteen\"", "16")).unwrap();
+        dispatch(&argv(&["check", good.to_str().unwrap()])).unwrap();
+        // Nesting no program has is a located error, not a stack overflow.
+        let deep = dir.join("deep.json");
+        std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+        let err = dispatch(&argv(&["check", deep.to_str().unwrap()])).unwrap_err();
+        assert!(err.contains("at line 1 column 1"), "{err}");
     }
 
     #[test]

@@ -123,6 +123,16 @@ impl Program {
         serde_json::to_string_pretty(self).expect("program serialization cannot fail")
     }
 
+    /// Streams the bytes of [`Program::to_json`] into `writer` in chunks,
+    /// without holding the whole text.
+    ///
+    /// # Errors
+    ///
+    /// Returns the writer's first error.
+    pub fn write_json(&self, writer: impl std::io::Write) -> std::io::Result<()> {
+        serde_json::to_writer_pretty(writer, self)
+    }
+
     /// Deserializes from JSON.
     ///
     /// # Errors

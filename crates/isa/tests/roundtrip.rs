@@ -1,5 +1,5 @@
-//! Property tests: every instruction survives binary encode/decode and
-//! assembly print/parse round-trips.
+//! Property tests: every instruction survives binary encode/decode,
+//! assembly print/parse and JSON text round-trips.
 
 use pimsim_isa::asm;
 use pimsim_isa::{
@@ -7,6 +7,7 @@ use pimsim_isa::{
     VBinOp, VImmOp, VUnOp,
 };
 use proptest::prelude::*;
+use serde::{Deserialize, Map, Serialize, Value};
 
 fn reg_strategy() -> impl Strategy<Value = Reg> {
     (0u8..32).prop_map(|i| Reg::new(i).unwrap())
@@ -198,8 +199,61 @@ fn instruction_strategy() -> impl Strategy<Value = Instruction> {
     ]
 }
 
+/// Rewrites every struct object below an instruction's `{"Variant": ..}`
+/// wrapper: members in an order drawn from `seed`, with members no field
+/// list knows in between.
+fn scramble(v: &Value, seed: &mut u64, wrapper: bool) -> Value {
+    let next = |seed: &mut u64| {
+        *seed ^= *seed << 13;
+        *seed ^= *seed >> 7;
+        *seed ^= *seed << 17;
+        *seed
+    };
+    match v {
+        Value::Object(map) => {
+            let mut members: Vec<(String, Value)> = map
+                .iter()
+                .map(|(k, v)| (k.clone(), scramble(v, seed, false)))
+                .collect();
+            if !wrapper {
+                members.push(("zz_unknown".to_string(), serde_json::json!(null)));
+                members.push((
+                    "\u{e9}tranger \"q\"".to_string(),
+                    serde_json::json!({"deep": [1, {"x": [[], {}]}, "s\n"], "f": (-2.5)}),
+                ));
+                for i in (1..members.len()).rev() {
+                    members.swap(i, next(seed) as usize % (i + 1));
+                }
+            }
+            Value::Object(members.into_iter().collect::<Map>())
+        }
+        other => other.clone(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// JSON text is lossless, whatever order the members come in and
+    /// whatever unknown members sit between them, through both sources.
+    #[test]
+    fn json_text_roundtrip(instr in instruction_strategy(), seed in 1u64..u64::MAX) {
+        let back: Instruction = serde_json::from_str(&serde_json::to_string(&instr).unwrap())
+            .expect("compact text parses");
+        prop_assert_eq!(&back, &instr);
+        let mut seed = seed;
+        let scrambled = scramble(&instr.to_value(), &mut seed, true);
+        for text in [
+            serde_json::to_string_pretty(&scrambled).unwrap(),
+            serde_json::to_string(&scrambled).unwrap(),
+        ] {
+            let back: Instruction = serde_json::from_str(&text)
+                .unwrap_or_else(|e| panic!("parse of {text} failed: {e}"));
+            prop_assert_eq!(&back, &instr);
+        }
+        let back = Instruction::from_value(&scrambled).expect("value source");
+        prop_assert_eq!(&back, &instr);
+    }
 
     /// Binary encoding is lossless.
     #[test]

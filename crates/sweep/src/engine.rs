@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use serde::{Map, Number, Serialize, Value};
+use serde::{Serialize, Sink};
 
 use pimsim_arch::Energy;
 use pimsim_baseline::BaselineSimulator;
@@ -96,41 +96,29 @@ impl SweepRow {
 }
 
 impl Serialize for SweepRow {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert("index", Value::Number(Number::from_u64(self.index as u64)));
-        map.insert("scenario", self.scenario.to_value());
-        map.insert(
-            "latency_ps",
-            Value::Number(Number::from_u64(self.latency_ps)),
-        );
-        map.insert(
-            "latency_ns",
-            Value::Number(Number::from_f64(self.latency_ps as f64 / 1e3)),
-        );
-        map.insert(
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.begin_map();
+        sink.field("index", &self.index);
+        sink.field("scenario", &self.scenario);
+        sink.field("latency_ps", &self.latency_ps);
+        sink.field("latency_ns", &(self.latency_ps as f64 / 1e3));
+        sink.field(
             "latency_per_image_ns",
-            Value::Number(Number::from_f64(self.latency_per_image_ps as f64 / 1e3)),
+            &(self.latency_per_image_ps as f64 / 1e3),
         );
-        map.insert("energy_pj", Value::Number(Number::from_f64(self.energy_pj)));
-        map.insert("power_w", Value::Number(Number::from_f64(self.power_w)));
-        map.insert(
-            "instructions",
-            Value::Number(Number::from_u64(self.instructions)),
-        );
-        map.insert("events", Value::Number(Number::from_u64(self.events)));
-        map.insert(
-            "cores_used",
-            Value::Number(Number::from_u64(self.cores_used as u64)),
-        );
-        map.insert("node_names", self.node_names.to_value());
-        map.insert("comm_ratios", self.comm_ratios.to_value());
+        sink.field("energy_pj", &self.energy_pj);
+        sink.field("power_w", &self.power_w);
+        sink.field("instructions", &self.instructions);
+        sink.field("events", &self.events);
+        sink.field("cores_used", &self.cores_used);
+        sink.field("node_names", &self.node_names);
+        sink.field("comm_ratios", &self.comm_ratios);
         // Present only on serving rows, so one-shot campaign output stays
         // byte-identical with pre-serving releases.
         if let Some(serve) = &self.serve {
-            map.insert("serve", serve.to_value());
+            sink.field("serve", serve);
         }
-        Value::Object(map)
+        sink.end_map();
     }
 }
 
@@ -346,13 +334,18 @@ pub fn run_scenarios(
 /// The rendering is fully determined by the rows, so equal campaigns
 /// produce byte-identical text whatever thread count computed them.
 pub fn results_to_json(rows: &[SweepRow]) -> String {
-    let mut map = Map::new();
-    map.insert("points", Value::Number(Number::from_u64(rows.len() as u64)));
-    map.insert(
-        "rows",
-        Value::Array(rows.iter().map(Serialize::to_value).collect()),
-    );
-    serde_json::to_string_pretty(&Value::Object(map)).expect("row serialization cannot fail")
+    struct Results<'a>(&'a [SweepRow]);
+
+    impl Serialize for Results<'_> {
+        fn serialize<S: Sink>(&self, sink: &mut S) {
+            sink.begin_map();
+            sink.field("points", &self.0.len());
+            sink.field("rows", self.0);
+            sink.end_map();
+        }
+    }
+
+    serde_json::to_string_pretty(&Results(rows)).expect("row serialization cannot fail")
 }
 
 #[cfg(test)]

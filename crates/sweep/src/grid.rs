@@ -3,7 +3,7 @@
 use std::fmt;
 use std::path::Path;
 
-use serde::{Deserialize, Map, Number, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink};
 
 use pimsim_arch::{ArchConfig, RoutingPolicy};
 use pimsim_compiler::MappingPolicy;
@@ -248,75 +248,48 @@ impl Scenario {
 // so campaign outputs stay readable; the grid's `base` is the place a
 // custom full configuration lives.
 impl Serialize for Scenario {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert("network", Value::String(self.network.clone()));
-        map.insert(
-            "resolution",
-            Value::Number(Number::from_u64(self.resolution as u64)),
-        );
-        map.insert("mapping", Value::String(self.mapping.to_string()));
-        map.insert("batch", Value::Number(Number::from_u64(self.batch as u64)));
-        map.insert("simulator", Value::String(self.simulator.to_string()));
-        map.insert("label", Value::String(self.label.clone()));
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.begin_map();
+        sink.field("network", &self.network);
+        sink.field("resolution", &self.resolution);
+        sink.field("mapping", &self.mapping.to_string());
+        sink.field("batch", &self.batch);
+        sink.field("simulator", &self.simulator.to_string());
+        sink.field("label", &self.label);
         let r = &self.arch.resources;
-        map.insert(
-            "rob_size",
-            Value::Number(Number::from_u64(r.rob_size as u64)),
-        );
-        map.insert(
-            "adcs_per_xbar",
-            Value::Number(Number::from_u64(r.adcs_per_xbar as u64)),
-        );
-        map.insert(
-            "vector_lanes",
-            Value::Number(Number::from_u64(r.vector_lanes as u64)),
-        );
-        map.insert(
-            "flit_bytes",
-            Value::Number(Number::from_u64(self.arch.noc.flit_bytes as u64)),
-        );
+        sink.field("rob_size", &r.rob_size);
+        sink.field("adcs_per_xbar", &r.adcs_per_xbar);
+        sink.field("vector_lanes", &r.vector_lanes);
+        sink.field("flit_bytes", &self.arch.noc.flit_bytes);
         // The router-model knobs are serialized only when swept away from
         // their paper defaults, so campaign outputs from before the knobs
         // existed stay byte-identical.
         if self.arch.noc.routing != RoutingPolicy::default() {
-            map.insert("routing", Value::String(self.arch.noc.routing.to_string()));
+            sink.field("routing", &self.arch.noc.routing.to_string());
         }
         if self.arch.noc.virtual_channels != 1 {
-            map.insert(
-                "virtual_channels",
-                Value::Number(Number::from_u64(self.arch.noc.virtual_channels as u64)),
-            );
+            sink.field("virtual_channels", &self.arch.noc.virtual_channels);
         }
         if self.arch.noc.router_pipeline_depth != 1 {
-            map.insert(
+            sink.field(
                 "router_pipeline_depth",
-                Value::Number(Number::from_u64(self.arch.noc.router_pipeline_depth as u64)),
+                &self.arch.noc.router_pipeline_depth,
             );
         }
         if self.engine != EngineKind::default() {
-            map.insert("engine", Value::String(self.engine.to_string()));
+            sink.field("engine", &self.engine.to_string());
         }
         // Serving coordinates appear only on serving points, so one-shot
         // campaign output from before the serving layer existed stays
         // byte-identical.
         if let Some(sp) = &self.serve {
-            map.insert(
-                "arrival_rate_rps",
-                Value::Number(Number::from_f64(sp.rate_rps)),
-            );
-            map.insert("batch_policy", Value::String(sp.policy.to_string()));
-            map.insert(
-                "serve_duration_ns",
-                Value::Number(Number::from_f64(sp.duration.as_ns_f64())),
-            );
-            map.insert("serve_seed", Value::Number(Number::from_u64(sp.seed)));
+            sink.field("arrival_rate_rps", &sp.rate_rps);
+            sink.field("batch_policy", &sp.policy.to_string());
+            sink.field("serve_duration_ns", &sp.duration.as_ns_f64());
+            sink.field("serve_seed", &sp.seed);
         }
-        map.insert(
-            "structure_hazard",
-            Value::Bool(self.arch.sim.structure_hazard),
-        );
-        Value::Object(map)
+        sink.field("structure_hazard", &self.arch.sim.structure_hazard);
+        sink.end_map();
     }
 }
 
@@ -748,6 +721,7 @@ fn non_empty<T: Copy>(axis: &[T], default: T) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{Number, Value};
 
     #[test]
     fn expansion_counts_and_order() {
