@@ -1356,6 +1356,31 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("--duration"), "{err}");
+        // A timeout past 64-bit picoseconds, a rate past the request
+        // budget and a square wave of empty windows all used to exit 0
+        // with wrapped or truncated numbers.
+        let serve = |extra: &[&str]| {
+            let mut line = vec!["serve", "--networks", "tiny_mlp"];
+            line.extend_from_slice(extra);
+            dispatch(&argv(&line)).unwrap_err()
+        };
+        let err = serve(&["--duration", "1ms", "--batch", "4/18446745s"]);
+        assert!(err.contains("does not fit 64-bit picoseconds"), "{err}");
+        let err = serve(&["--rate", "1e300"]);
+        assert!(err.contains("workload exceeds 4000000 requests"), "{err}");
+        let err = serve(&[
+            "--arrivals",
+            "bursty",
+            "--burst-on",
+            "1ns",
+            "--burst-off",
+            "1ns",
+            "--duration",
+            "10s",
+            "--rate",
+            "1",
+        ]);
+        assert!(err.contains("workload exceeds 4000000 requests"), "{err}");
         // `run`'s flags don't leak into `serve`.
         let err = dispatch(&argv(&["serve", "--networks", "tiny_mlp", "--baseline"])).unwrap_err();
         assert!(err.contains("unknown option --baseline"), "{err}");

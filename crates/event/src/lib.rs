@@ -15,7 +15,9 @@
 //!   in the queue, so the hot path never boxes,
 //! * a boxed-closure compatibility shim ([`closure::ClosureKernel`]) for
 //!   callers that prefer scheduling closures over declaring an event type,
-//! * a [`Clock`] helper for cycle/time conversion, and
+//! * a [`Clock`] helper for cycle/time conversion,
+//! * [`par_map_indexed`], the thread-count-independent worker pool the
+//!   host-side fan-outs (sweep campaigns, serve warm-up) share, and
 //! * kernel statistics for debugging and benchmarking.
 //!
 //! # Example
@@ -55,8 +57,10 @@
 mod clock;
 pub mod closure;
 mod kernel;
+mod par;
 mod time;
 
 pub use clock::Clock;
 pub use kernel::{EventCtx, Kernel, KernelStats, RunResult, World};
+pub use par::par_map_indexed;
 pub use time::SimTime;

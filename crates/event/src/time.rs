@@ -93,6 +93,12 @@ impl SimTime {
         self.0.checked_add(rhs.0).map(SimTime)
     }
 
+    /// Saturating addition (clamps at [`SimTime::MAX`]): for deadlines,
+    /// where "never" is the right reading of an overflowing sum.
+    pub fn saturating_add(self, rhs: SimTime) -> SimTime {
+        SimTime(self.0.saturating_add(rhs.0))
+    }
+
     /// Saturating subtraction (clamps at zero).
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
@@ -221,6 +227,8 @@ mod tests {
         assert_eq!((a * 3).as_ps(), 30_000);
         assert_eq!((a / 2).as_ps(), 5_000);
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
+        assert_eq!(a.saturating_add(b), a + b);
+        assert_eq!(SimTime::MAX.saturating_add(b), SimTime::MAX);
         assert_eq!(SimTime::MAX.checked_add(SimTime::from_ps(1)), None);
     }
 

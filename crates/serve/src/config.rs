@@ -133,7 +133,8 @@ impl std::str::FromStr for BatchPolicy {
             return Err(bad());
         }
         let timeout = match timeout {
-            Some(t) => parse_duration(t).map_err(|_| bad())?,
+            Some(t) => parse_duration(t)
+                .map_err(|e| ServeError::Config(format!("batch policy `{s}`: {e}")))?,
             None => BatchPolicy::DEFAULT_TIMEOUT,
         };
         Ok(BatchPolicy { max_size, timeout })
@@ -148,7 +149,8 @@ impl std::str::FromStr for BatchPolicy {
 /// # Errors
 ///
 /// Returns a message naming the accepted units when the text does not
-/// parse.
+/// parse, or the limit when the value does not fit [`SimTime`]'s `u64`
+/// picoseconds (about 18 446 744 s).
 pub fn parse_duration(text: &str) -> Result<SimTime, String> {
     let (scale_ps, digits) = if let Some(d) = text.strip_suffix("ns") {
         (1e3, d)
@@ -170,7 +172,14 @@ pub fn parse_duration(text: &str) -> Result<SimTime, String> {
     if !value.is_finite() || value < 0.0 {
         return Err(format!("duration `{text}` must be finite and non-negative"));
     }
-    Ok(SimTime::from_ps((value * scale_ps).round() as u64))
+    let ps = (value * scale_ps).round();
+    // `u64::MAX as f64` rounds up to 2^64, the first value that does not fit.
+    if ps >= u64::MAX as f64 {
+        return Err(format!(
+            "duration `{text}` does not fit 64-bit picoseconds (at most 18446744s)"
+        ));
+    }
+    Ok(SimTime::from_ps(ps as u64))
 }
 
 /// Renders a [`SimTime`] in the same `Nunit` syntax [`parse_duration`]
@@ -265,9 +274,10 @@ impl ServeConfig {
     /// # Errors
     ///
     /// Returns [`ServeError::Config`] on an empty network list, a
-    /// non-positive rate or duration, zero instances or batch size, or a
-    /// degenerate bursty window; architecture validation failures
-    /// surface as [`ServeError::Arch`].
+    /// non-positive rate or duration, zero instances or batch size, a
+    /// degenerate bursty window, or a `duration + timeout` /
+    /// `burst_on + burst_off` sum past the end of simulated time;
+    /// architecture validation failures surface as [`ServeError::Arch`].
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.networks.is_empty() {
             return Err(ServeError::Config("no networks to serve".to_string()));
@@ -289,10 +299,25 @@ impl ServeConfig {
         if self.batch.max_size == 0 {
             return Err(ServeError::Config("batch size must be ≥ 1".to_string()));
         }
-        if self.arrivals == ArrivalProcess::Bursty && self.burst_on.is_zero() {
-            return Err(ServeError::Config(
-                "bursty arrivals need a non-zero on-window".to_string(),
-            ));
+        // Every batch deadline is an arrival (< duration) plus the timeout.
+        if self.duration.checked_add(self.batch.timeout).is_none() {
+            return Err(ServeError::Config(format!(
+                "duration {} + batch timeout {} overflows simulated time",
+                self.duration, self.batch.timeout
+            )));
+        }
+        if self.arrivals == ArrivalProcess::Bursty {
+            if self.burst_on.is_zero() {
+                return Err(ServeError::Config(
+                    "bursty arrivals need a non-zero on-window".to_string(),
+                ));
+            }
+            if self.burst_on.checked_add(self.burst_off).is_none() {
+                return Err(ServeError::Config(format!(
+                    "burst windows {} + {} overflow simulated time",
+                    self.burst_on, self.burst_off
+                )));
+            }
         }
         self.arch
             .validate()
@@ -359,6 +384,26 @@ mod tests {
         }
     }
 
+    /// Regression: values past `u64` picoseconds used to saturate silently
+    /// (`1e30s` became 18 446 744 s, and `4/18446745s` a timeout whose
+    /// deadlines wrapped).
+    #[test]
+    fn durations_that_do_not_fit_are_rejected() {
+        assert_eq!(
+            parse_duration("18446744s").unwrap(),
+            SimTime::from_ps(18_446_744_000_000_000_000)
+        );
+        for bad in ["18446745s", "1e30s", "18446744073709552ns", "1e300ms"] {
+            let err = parse_duration(bad).unwrap_err();
+            assert!(err.contains("does not fit"), "`{bad}`: {err}");
+        }
+        let err = "4/18446745s".parse::<BatchPolicy>().unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Config(m) if m.contains("does not fit")),
+            "{err}"
+        );
+    }
+
     #[test]
     fn durations_format_with_the_largest_exact_unit() {
         assert_eq!(format_duration(SimTime::from_ms(10)), "10ms");
@@ -397,9 +442,19 @@ mod tests {
         c = ServeConfig::new(nets.clone());
         c.batch.max_size = 0;
         assert!(c.validate().is_err());
-        c = ServeConfig::new(nets);
+        c = ServeConfig::new(nets.clone());
         c.arrivals = ArrivalProcess::Bursty;
         c.burst_on = SimTime::ZERO;
         assert!(c.validate().is_err());
+        // Sums past the end of simulated time (they used to wrap).
+        c = ServeConfig::new(nets.clone());
+        c.batch.timeout = SimTime::MAX;
+        assert!(c.validate().unwrap_err().to_string().contains("overflows"));
+        c = ServeConfig::new(nets);
+        c.arrivals = ArrivalProcess::Bursty;
+        c.burst_off = SimTime::MAX;
+        assert!(c.validate().unwrap_err().to_string().contains("overflow"));
+        c.arrivals = ArrivalProcess::Poisson;
+        assert!(c.validate().is_ok(), "unused burst windows are not judged");
     }
 }

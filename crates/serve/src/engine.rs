@@ -1,10 +1,14 @@
 //! The queueing/batching front-end and dispatcher.
 //!
-//! A single-threaded virtual-time simulation: arrivals, batch-timeout
-//! wake-ups, and instance completions pop off one event heap ordered by
-//! `(time, sequence number)`, so the outcome is a pure function of the
-//! request stream and the service model — no wall-clock, no threads, no
-//! nondeterminism.
+//! A single-threaded virtual-time replay that holds only what is
+//! *pending*: the next request is peeked off the lazy [`ArrivalStream`],
+//! and batch-timeout wake-ups and instance completions wait in a small
+//! heap ordered by `(time, push order)` — at most one `Free` per instance
+//! plus the `Flush`es of one timeout window. Each step takes the earlier
+//! of the two; on a time tie the arrival goes first, which is the order a
+//! single heap holding every arrival up front would pop them in. The
+//! outcome is a pure function of the request stream and the service model
+//! — no wall-clock, no threads, no nondeterminism.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -13,11 +17,14 @@ use pimsim_event::SimTime;
 
 use crate::config::ServeConfig;
 use crate::service::ServiceModel;
-use crate::workload::Request;
+use crate::workload::ArrivalStream;
+use crate::ServeError;
 
 /// What the queueing simulation hands to the report builder.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SimOutcome {
+    /// Requests that arrived, per network.
+    pub generated: Vec<u64>,
     /// Requests completed, per network.
     pub finished: Vec<u64>,
     /// Requests dropped at the full queue, per network.
@@ -39,21 +46,16 @@ pub(crate) struct SimOutcome {
     pub depth_samples: Vec<(SimTime, u64)>,
     /// The deepest the queue ever got.
     pub max_depth: u64,
+    /// The most wake-ups that were ever pending at once.
+    #[cfg(test)]
+    pub pending_peak: usize,
 }
 
-/// Heap entry: `seq` is unique per event, so ordering is total and the
-/// pop order never depends on how ties would compare `kind`s.
+/// A pending wake-up. Neither kind carries a payload: ripeness is
+/// recomputed from queue state after every event, so a stale `Flush` is
+/// harmless.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct Ev {
-    time: SimTime,
-    seq: u64,
-    kind: EvKind,
-}
-
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum EvKind {
-    /// A request (by index into the stream) reaches the front-end.
-    Arrival(usize),
+enum Wake {
     /// A batch-timeout wake-up for a queue head; stale once that head
     /// has been dispatched.
     Flush,
@@ -61,34 +63,38 @@ enum EvKind {
     Free,
 }
 
-/// Plays `requests` through the bounded queueing front-end and the
-/// batching dispatcher, using `model` for per-batch service times.
+/// Plays `stream` through the bounded queueing front-end and the batching
+/// dispatcher, using `model` for per-batch service times.
+///
+/// # Errors
+///
+/// Passes on the stream's step-budget error, and reports a completion time
+/// past the end of simulated time.
 pub(crate) fn simulate(
     config: &ServeConfig,
-    requests: &[Request],
+    stream: &mut ArrivalStream,
     model: &ServiceModel,
-) -> SimOutcome {
+) -> Result<SimOutcome, ServeError> {
     let nets = config.networks.len();
     let timeout = config.batch.timeout;
     let batch_max = config.batch.max_size;
 
-    let mut heap: BinaryHeap<Reverse<Ev>> = BinaryHeap::with_capacity(requests.len() * 2);
+    // `seq` is unique per wake-up, so ordering is total, equal times pop
+    // in push order, and the `Wake`s themselves are never compared.
+    let mut pending: BinaryHeap<Reverse<(SimTime, u64, Wake)>> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut push = |heap: &mut BinaryHeap<Reverse<Ev>>, time: SimTime, kind: EvKind| {
-        heap.push(Reverse(Ev { time, seq, kind }));
+    let mut push = |pending: &mut BinaryHeap<_>, time: SimTime, wake: Wake| {
+        pending.push(Reverse((time, seq, wake)));
         seq += 1;
     };
-    for (i, r) in requests.iter().enumerate() {
-        push(&mut heap, r.arrival, EvKind::Arrival(i));
-    }
 
-    // Per-network FIFO of admitted requests: (request id, arrival time).
-    let mut queues: Vec<VecDeque<(u64, SimTime)>> = vec![VecDeque::new(); nets];
+    // Per-network FIFO of admitted requests' arrival times.
+    let mut queues: Vec<VecDeque<SimTime>> = vec![VecDeque::new(); nets];
     let mut queued_total = 0u64;
     let mut free = config.instances;
-    let mut arrivals_left = requests.len();
 
     let mut out = SimOutcome {
+        generated: vec![0; nets],
         finished: vec![0; nets],
         dropped: vec![0; nets],
         in_queue: vec![0; nets],
@@ -98,45 +104,52 @@ pub(crate) fn simulate(
         makespan: config.duration,
         depth_samples: Vec::new(),
         max_depth: 0,
+        #[cfg(test)]
+        pending_peak: 0,
     };
 
-    while let Some(Reverse(ev)) = heap.pop() {
-        let now = ev.time;
-        match ev.kind {
-            EvKind::Arrival(i) => {
-                arrivals_left -= 1;
-                let r = &requests[i];
+    loop {
+        let wake_at = pending.peek().map(|Reverse((time, ..))| *time);
+        let now = match (stream.peek(), wake_at) {
+            (Some((arrival, net)), wake_at) if wake_at.is_none_or(|t| arrival <= t) => {
+                stream.next().expect("peeked")?;
+                out.generated[net] += 1;
                 if queued_total >= config.queue_cap {
-                    out.dropped[r.net] += 1;
+                    out.dropped[net] += 1;
                 } else {
-                    queues[r.net].push_back((r.id, r.arrival));
+                    queues[net].push_back(arrival);
                     queued_total += 1;
-                    if queues[r.net].len() == 1 {
+                    if queues[net].len() == 1 {
                         // This request is its queue's head: wake the
                         // dispatcher when its patience runs out.
-                        push(&mut heap, now + timeout, EvKind::Flush);
+                        push(&mut pending, arrival.saturating_add(timeout), Wake::Flush);
                     }
                 }
+                arrival
             }
-            // Flush and Free carry no payload: ripeness is recomputed
-            // from queue state below, so stale wake-ups are harmless.
-            EvKind::Flush => {}
-            EvKind::Free => free += 1,
-        }
+            (None, None) => break,
+            _ => {
+                let Reverse((time, _, wake)) = pending.pop().expect("peeked");
+                if wake == Wake::Free {
+                    free += 1;
+                }
+                time
+            }
+        };
 
         // Dispatch as long as instances are free and some queue is ripe.
         // In drain mode every non-empty queue is ripe once arrivals end;
         // without drain, dispatching stops at the horizon.
-        let drain_active = config.drain && arrivals_left == 0;
+        let drain_active = config.drain && stream.peek().is_none();
         let horizon_closed = !config.drain && now >= config.duration;
         while free > 0 && !horizon_closed {
             let mut best: Option<(SimTime, usize)> = None;
             for (net, queue) in queues.iter().enumerate() {
-                let Some(&(_, head_arrival)) = queue.front() else {
+                let Some(&head_arrival) = queue.front() else {
                     continue;
                 };
                 let ripe = queue.len() as u32 >= batch_max
-                    || now >= head_arrival + timeout
+                    || now >= head_arrival.saturating_add(timeout)
                     || drain_active;
                 if ripe && best.is_none_or(|(t, _)| head_arrival < t) {
                     best = Some((head_arrival, net));
@@ -145,25 +158,33 @@ pub(crate) fn simulate(
             let Some((_, net)) = best else { break };
             let k = (queues[net].len() as u32).min(batch_max);
             let point = model.get(net, k);
-            let completion = now + point.latency;
-            for _ in 0..k {
-                let (_, arrival) = queues[net].pop_front().expect("batch under-filled");
+            let completion = now.checked_add(point.latency).ok_or_else(|| {
+                ServeError::Sim(format!(
+                    "a batch dispatched at {now} completes past SimTime::MAX"
+                ))
+            })?;
+            for arrival in queues[net].drain(..k as usize) {
                 out.latencies_ps[net].push((completion - arrival).as_ps());
-                out.finished[net] += 1;
-                queued_total -= 1;
             }
+            out.finished[net] += u64::from(k);
+            queued_total -= u64::from(k);
             out.batches[net] += 1;
             out.energy_pj += point.energy_pj;
             out.makespan = out.makespan.max(completion);
             free -= 1;
-            push(&mut heap, completion, EvKind::Free);
-            if let Some(&(_, head_arrival)) = queues[net].front() {
+            push(&mut pending, completion, Wake::Free);
+            if let Some(&head_arrival) = queues[net].front() {
                 // The new head inherits no wake-up; give it one (clamped
                 // to now when its patience already ran out).
-                push(&mut heap, (head_arrival + timeout).max(now), EvKind::Flush);
+                let deadline = head_arrival.saturating_add(timeout).max(now);
+                push(&mut pending, deadline, Wake::Flush);
             }
         }
 
+        #[cfg(test)]
+        {
+            out.pending_peak = out.pending_peak.max(pending.len());
+        }
         out.max_depth = out.max_depth.max(queued_total);
         match out.depth_samples.last_mut() {
             Some(last) if last.0 == now => last.1 = queued_total,
@@ -174,14 +195,14 @@ pub(crate) fn simulate(
     for (net, queue) in queues.iter().enumerate() {
         out.in_queue[net] = queue.len() as u64;
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ArrivalProcess;
     use crate::config::BatchPolicy;
-    use crate::workload::generate_requests;
     use pimsim_arch::ArchConfig;
 
     fn tiny_config() -> ServeConfig {
@@ -199,15 +220,14 @@ mod tests {
         c
     }
 
-    fn run(c: &ServeConfig) -> (Vec<Request>, SimOutcome) {
+    fn run(c: &ServeConfig) -> SimOutcome {
         let model = ServiceModel::warm(c, 2).unwrap();
-        let requests = generate_requests(c).unwrap();
-        let outcome = simulate(c, &requests, &model);
-        (requests, outcome)
+        simulate(c, &mut ArrivalStream::new(c).unwrap(), &model).unwrap()
     }
 
-    fn totals(outcome: &SimOutcome) -> (u64, u64, u64) {
+    fn totals(outcome: &SimOutcome) -> (u64, u64, u64, u64) {
         (
+            outcome.generated.iter().sum(),
             outcome.finished.iter().sum(),
             outcome.dropped.iter().sum(),
             outcome.in_queue.iter().sum(),
@@ -217,9 +237,9 @@ mod tests {
     #[test]
     fn every_request_is_accounted_for() {
         let c = tiny_config();
-        let (requests, outcome) = run(&c);
-        let (finished, dropped, in_queue) = totals(&outcome);
-        assert_eq!(finished + dropped + in_queue, requests.len() as u64);
+        let outcome = run(&c);
+        let (generated, finished, dropped, in_queue) = totals(&outcome);
+        assert_eq!(finished + dropped + in_queue, generated);
         assert_eq!(in_queue, 0, "drain mode must empty the queues");
         assert!(finished > 0);
         assert!(outcome.makespan >= c.duration);
@@ -234,9 +254,9 @@ mod tests {
         // horizon.
         c.rate_rps = 2_000_000.0;
         c.queue_cap = 1_000_000;
-        let (requests, outcome) = run(&c);
-        let (finished, dropped, in_queue) = totals(&outcome);
-        assert_eq!(finished + dropped + in_queue, requests.len() as u64);
+        let outcome = run(&c);
+        let (generated, finished, dropped, in_queue) = totals(&outcome);
+        assert_eq!(finished + dropped + in_queue, generated);
         assert!(
             in_queue > 0,
             "an overloaded no-drain run should strand requests"
@@ -249,9 +269,9 @@ mod tests {
         let mut c = tiny_config();
         c.queue_cap = 1;
         c.rate_rps = 2_000_000.0;
-        let (requests, outcome) = run(&c);
-        let (finished, dropped, in_queue) = totals(&outcome);
-        assert_eq!(finished + dropped + in_queue, requests.len() as u64);
+        let outcome = run(&c);
+        let (generated, finished, dropped, in_queue) = totals(&outcome);
+        assert_eq!(finished + dropped + in_queue, generated);
         assert!(dropped > 0, "cap 1 under overload must drop");
         assert!(outcome.max_depth <= 1);
     }
@@ -259,7 +279,7 @@ mod tests {
     #[test]
     fn batches_respect_the_size_cap_and_count_requests() {
         let c = tiny_config();
-        let (_, outcome) = run(&c);
+        let outcome = run(&c);
         for net in 0..2 {
             assert!(outcome.batches[net] * 2 >= outcome.finished[net]);
             assert!(outcome.batches[net] <= outcome.finished[net]);
@@ -278,8 +298,8 @@ mod tests {
         let c1 = tiny_config();
         let mut c4 = tiny_config();
         c4.instances = 4;
-        let (_, one) = run(&c1);
-        let (_, four) = run(&c4);
+        let one = run(&c1);
+        let four = run(&c4);
         let worst = |o: &SimOutcome| o.latencies_ps.iter().flatten().copied().max().unwrap_or(0);
         assert!(worst(&four) <= worst(&one));
         assert!(four.makespan <= one.makespan);
@@ -288,8 +308,60 @@ mod tests {
     #[test]
     fn outcome_reproduces_exactly() {
         let c = tiny_config();
-        let (_, a) = run(&c);
-        let (_, b) = run(&c);
-        assert_eq!(a, b);
+        assert_eq!(run(&c), run(&c));
+    }
+
+    /// The four shapes of the `serve-replay` benchmark workload at its
+    /// self-test size (3 750 requests each): what waits in the pending
+    /// heap is a `Free` per busy instance plus the `Flush`es of one
+    /// timeout window, never a function of the horizon.
+    #[test]
+    fn the_pending_set_stays_small_on_benchmark_shaped_runs() {
+        let shape = |names: &[&str], rate: f64| {
+            let mut c = ServeConfig::new(names.iter().map(|n| (n.to_string(), 64)).collect());
+            c.seed = 1;
+            c.rate_rps = rate;
+            c.duration = SimTime::from_ps((3_750.0 / rate * 1e12) as u64);
+            c
+        };
+        let clean = shape(&["tiny_mlp"], 100_000.0);
+        let mut overload = shape(&["tiny_cnn"], 100_000.0);
+        overload.drain = false;
+        let mut fixed = shape(&["tiny_mlp", "tiny_cnn"], 40_000.0);
+        fixed.arrivals = ArrivalProcess::Fixed;
+        fixed.instances = 4;
+        let mut bursty = shape(&["tiny_mlp"], 100_000.0);
+        bursty.arrivals = ArrivalProcess::Bursty;
+        bursty.batch = "8/100us".parse().unwrap();
+        for c in [clean, overload, fixed, bursty] {
+            let outcome = run(&c);
+            let events = outcome.depth_samples.len();
+            assert!(
+                events > 3_000,
+                "{events} events is not a benchmark-sized run"
+            );
+            assert!(
+                outcome.pending_peak <= c.instances as usize + 64,
+                "{} arrivals: {} wake-ups pending at once",
+                c.arrivals,
+                outcome.pending_peak
+            );
+        }
+    }
+
+    /// Regression: `head_arrival + timeout` used to wrap in release builds,
+    /// making every queue "ripe" at once; a timeout past the end of time
+    /// now reads as "never", so batches fill instead.
+    #[test]
+    fn a_timeout_past_the_end_of_time_never_fires() {
+        let mut c = tiny_config();
+        c.batch.timeout = SimTime::MAX;
+        let outcome = run(&c);
+        let (generated, finished, dropped, in_queue) = totals(&outcome);
+        assert_eq!((finished + dropped, in_queue), (generated, 0));
+        // Only the drain at the end may dispatch an under-filled batch.
+        for net in 0..2 {
+            assert!(outcome.batches[net] <= outcome.finished[net] / 2 + 1);
+        }
     }
 }

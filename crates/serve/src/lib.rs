@@ -43,6 +43,8 @@
 
 mod config;
 mod engine;
+#[cfg(test)]
+mod oracle;
 mod report;
 mod service;
 mod workload;
@@ -62,7 +64,8 @@ pub enum ServeError {
     Config(String),
     /// An arrival-process name that is not `poisson`/`fixed`/`bursty`.
     UnknownArrivals(String),
-    /// A batch policy that is not `N` or `N/Tunit`.
+    /// A batch policy that is not `N` or `N/Tunit` (a `T` that is not a
+    /// duration is a [`ServeError::Config`] saying why).
     BadBatchPolicy(String),
     /// A network name the zoo does not know.
     UnknownNetwork(String),
@@ -99,7 +102,7 @@ impl fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// Runs one full serving simulation: warms the service model on `threads`
-/// worker threads, generates the request stream, plays it through the
+/// worker threads, plays the lazily generated request stream through the
 /// queueing front-end, and assembles the report.
 ///
 /// `threads` only controls how the per-`(network, batch)` service cache is
@@ -112,7 +115,7 @@ impl std::error::Error for ServeError {}
 pub fn serve(config: &ServeConfig, threads: usize) -> Result<ServeReport, ServeError> {
     config.validate()?;
     let model = ServiceModel::warm(config, threads)?;
-    let requests = generate_requests(config)?;
-    let outcome = engine::simulate(config, &requests, &model);
-    Ok(ServeReport::assemble(config, &requests, &model, outcome))
+    let mut stream = workload::ArrivalStream::new(config)?;
+    let outcome = engine::simulate(config, &mut stream, &model)?;
+    Ok(ServeReport::assemble(config, &model, outcome))
 }

@@ -7,7 +7,6 @@ use pimsim_event::SimTime;
 use crate::config::ServeConfig;
 use crate::engine::SimOutcome;
 use crate::service::ServiceModel;
-use crate::workload::Request;
 
 /// One `(time, depth)` point of the queue-depth-over-time trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -104,14 +103,27 @@ pub struct ServeReport {
     pub per_network: Vec<NetworkServeStats>,
 }
 
-/// Nearest-rank percentile (`q` in `[0, 1]`) of an ascending-sorted
-/// latency list, in nanoseconds; 0 for an empty list.
-fn percentile_ns(sorted_ps: &[u64], q: f64) -> f64 {
-    if sorted_ps.is_empty() {
-        return 0.0;
+/// 0-based index of the nearest-rank percentile `q` (in `[0, 1]`) in an
+/// ascending list of `len > 0` entries.
+fn rank(len: usize, q: f64) -> usize {
+    ((q * len as f64).ceil() as usize).clamp(1, len) - 1
+}
+
+/// `[p50, p95, p99, max]` of a latency list, nanoseconds; zeros for an
+/// empty list. Reorders `ps` instead of sorting it: each percentile is one
+/// selection, the later ones inside the prefix the earlier one left.
+fn tail_ns(ps: &mut [u64]) -> [f64; 4] {
+    let Some(&max) = ps.iter().max() else {
+        return [0.0; 4];
+    };
+    let mut out = [0.0, 0.0, 0.0, max as f64 / 1e3];
+    let mut below = ps.len();
+    for (slot, q) in [(2, 0.99), (1, 0.95), (0, 0.50)] {
+        let i = rank(ps.len(), q);
+        out[slot] = *ps[..below].select_nth_unstable(i).1 as f64 / 1e3;
+        below = i + 1;
     }
-    let rank = (q * sorted_ps.len() as f64).ceil() as usize;
-    sorted_ps[rank.clamp(1, sorted_ps.len()) - 1] as f64 / 1e3
+    out
 }
 
 /// Keeps at most `cap` evenly spaced samples (always retaining the last).
@@ -141,25 +153,24 @@ impl ServeReport {
     /// Builds the report from a finished queueing simulation.
     pub(crate) fn assemble(
         config: &ServeConfig,
-        requests: &[Request],
         model: &ServiceModel,
-        outcome: SimOutcome,
+        mut outcome: SimOutcome,
     ) -> ServeReport {
         let mut per_network = Vec::with_capacity(config.networks.len());
         for (net, (name, resolution)) in config.networks.iter().enumerate() {
-            let generated = requests.iter().filter(|r| r.net == net).count() as u64;
-            let mut sorted = outcome.latencies_ps[net].clone();
-            sorted.sort_unstable();
-            let mean_ns = if sorted.is_empty() {
+            let latencies = &mut outcome.latencies_ps[net];
+            let mean_ns = if latencies.is_empty() {
                 0.0
             } else {
-                sorted.iter().sum::<u64>() as f64 / sorted.len() as f64 / 1e3
+                let sum: u128 = latencies.iter().map(|&l| u128::from(l)).sum();
+                sum as f64 / latencies.len() as f64 / 1e3
             };
+            let [p50, p95, p99, max] = tail_ns(latencies);
             let batches = outcome.batches[net];
             per_network.push(NetworkServeStats {
                 network: name.clone(),
                 resolution: *resolution,
-                generated,
+                generated: outcome.generated[net],
                 finished: outcome.finished[net],
                 dropped: outcome.dropped[net],
                 in_queue: outcome.in_queue[net],
@@ -170,11 +181,11 @@ impl ServeReport {
                     outcome.finished[net] as f64 / batches as f64
                 },
                 service_latency_ns: model.get(net, 1).latency.as_ns_f64(),
-                p50_latency_ns: percentile_ns(&sorted, 0.50),
-                p95_latency_ns: percentile_ns(&sorted, 0.95),
-                p99_latency_ns: percentile_ns(&sorted, 0.99),
+                p50_latency_ns: p50,
+                p95_latency_ns: p95,
+                p99_latency_ns: p99,
                 mean_latency_ns: mean_ns,
-                max_latency_ns: sorted.last().map_or(0.0, |&ps| ps as f64 / 1e3),
+                max_latency_ns: max,
             });
         }
         let finished: u64 = outcome.finished.iter().sum();
@@ -190,7 +201,7 @@ impl ServeReport {
             drain: config.drain,
             mapping: config.mapping.to_string(),
             engine: config.engine.name().to_string(),
-            generated: requests.len() as u64,
+            generated: outcome.generated.iter().sum(),
             finished,
             dropped: outcome.dropped.iter().sum(),
             in_queue: outcome.in_queue.iter().sum(),
@@ -269,13 +280,30 @@ mod tests {
 
     #[test]
     fn nearest_rank_percentiles() {
-        let sorted: Vec<u64> = (1..=100).map(|i| i * 1_000).collect();
-        assert_eq!(percentile_ns(&sorted, 0.50), 50.0);
-        assert_eq!(percentile_ns(&sorted, 0.95), 95.0);
-        assert_eq!(percentile_ns(&sorted, 0.99), 99.0);
-        assert_eq!(percentile_ns(&sorted, 1.0), 100.0);
-        assert_eq!(percentile_ns(&[5_000], 0.99), 5.0);
-        assert_eq!(percentile_ns(&[], 0.5), 0.0);
+        let mut ps: Vec<u64> = (1..=100).map(|i| i * 1_000).collect();
+        assert_eq!(rank(100, 1.0), 99);
+        // Any input order gives the sorted list's nearest ranks.
+        ps.reverse();
+        assert_eq!(tail_ns(&mut ps), [50.0, 95.0, 99.0, 100.0]);
+        ps.rotate_left(37);
+        assert_eq!(tail_ns(&mut ps), [50.0, 95.0, 99.0, 100.0]);
+        assert_eq!(tail_ns(&mut [5_000]), [5.0; 4]);
+        assert_eq!(tail_ns(&mut [7_000, 3_000]), [3.0, 7.0, 7.0, 7.0]);
+        assert_eq!(tail_ns(&mut []), [0.0; 4]);
+    }
+
+    proptest::proptest! {
+        /// Selection agrees with indexing a fully sorted copy, ties and all.
+        #[test]
+        fn selection_matches_a_full_sort(
+            mut ps in proptest::collection::vec(0u64..50, 0..300),
+        ) {
+            let mut sorted = ps.clone();
+            sorted.sort_unstable();
+            let at = |q| sorted.get(rank(sorted.len().max(1), q)).map_or(0.0, |&l| l as f64 / 1e3);
+            let expect = [at(0.50), at(0.95), at(0.99), at(1.0)];
+            proptest::prop_assert_eq!(tail_ns(&mut ps), expect);
+        }
     }
 
     #[test]

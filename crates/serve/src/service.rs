@@ -8,12 +8,9 @@
 //! result lands in its own slot, so the model (and everything derived from
 //! it) is independent of the worker-thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use pimsim_compiler::Compiler;
 use pimsim_core::Simulator;
-use pimsim_event::SimTime;
+use pimsim_event::{par_map_indexed, SimTime};
 use pimsim_nn::zoo;
 
 use crate::config::ServeConfig;
@@ -45,9 +42,9 @@ impl ServiceModel {
     /// Compiles and simulates every `(network, batch size 1..=max)` pair
     /// on a pool of `threads` worker threads and returns the cache.
     ///
-    /// Results land in per-key slots (the same pattern as the sweep worker
-    /// pool), so the model is identical whatever `threads` is; on failure
-    /// the error of the smallest-indexed key is returned, deterministically.
+    /// Results land in per-key slots ([`par_map_indexed`], the pool the
+    /// sweep shares), so the model is identical whatever `threads` is; on
+    /// failure the error of the smallest-indexed key is returned.
     ///
     /// # Errors
     ///
@@ -57,41 +54,10 @@ impl ServiceModel {
     pub fn warm(config: &ServeConfig, threads: usize) -> Result<ServiceModel, ServeError> {
         let batch_max = config.batch.max_size;
         let n = config.networks.len() * batch_max as usize;
-        let cursor = AtomicUsize::new(0);
-        let first_failed = AtomicUsize::new(usize::MAX);
-        let slots: Vec<Mutex<Option<Result<ServicePoint, ServeError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let workers = threads.clamp(1, n);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    if i > first_failed.load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    let net = i / batch_max as usize;
-                    let k = (i % batch_max as usize) as u32 + 1;
-                    let outcome = measure(config, net, k);
-                    if outcome.is_err() {
-                        first_failed.fetch_min(i, Ordering::Relaxed);
-                    }
-                    *slots[i].lock().expect("service slot poisoned") = Some(outcome);
-                });
-            }
-        });
-
-        let mut points = Vec::with_capacity(n);
-        for slot in slots {
-            match slot.into_inner().expect("service slot poisoned") {
-                Some(Ok(point)) => points.push(point),
-                Some(Err(e)) => return Err(e),
-                None => unreachable!("skipped slot below the first failure"),
-            }
-        }
+        let points = par_map_indexed(n, threads, |i| {
+            let k = (i % batch_max as usize) as u32 + 1;
+            measure(config, i / batch_max as usize, k)
+        })?;
         Ok(ServiceModel { points, batch_max })
     }
 

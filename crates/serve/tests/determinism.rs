@@ -70,6 +70,57 @@ proptest! {
     }
 }
 
+/// The corners of the serving plane (rate far past capacity, a queue that
+/// holds nothing or one request, no batching patience, a rate so low that
+/// nothing arrives): the books balance, nothing panics, and every number
+/// in the report is finite.
+#[test]
+fn corner_workloads_keep_the_books() {
+    type Tweak = fn(&mut ServeConfig);
+    let corners: [(&str, Tweak); 6] = [
+        ("rate >> capacity", |c| c.rate_rps = 5e7),
+        ("queue cap 0", |c| c.queue_cap = 0),
+        ("queue cap 1", |c| c.queue_cap = 1),
+        ("zero timeout", |c| c.batch.timeout = SimTime::ZERO),
+        ("nothing arrives", |c| c.rate_rps = 1e-3),
+        ("1/rate overflows", |c| c.rate_rps = 1e-300),
+    ];
+    for (name, tweak) in corners {
+        for arrivals in ArrivalProcess::ALL {
+            for drain in [true, false] {
+                let mut config = small_config();
+                config.arrivals = arrivals;
+                config.drain = drain;
+                config.instances = 2;
+                tweak(&mut config);
+                let ctx = format!("{name}, {arrivals}, drain {drain}");
+                let report = serve(&config, 2).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                for net in &report.per_network {
+                    assert_eq!(
+                        net.generated,
+                        net.finished + net.dropped + net.in_queue,
+                        "{ctx}"
+                    );
+                }
+                assert!(report.max_queue_depth <= config.queue_cap, "{ctx}");
+                match name {
+                    "rate >> capacity" => assert!(report.dropped > report.finished, "{ctx}"),
+                    "queue cap 0" => assert_eq!(report.dropped, report.generated, "{ctx}"),
+                    "nothing arrives" | "1/rate overflows" => {
+                        assert!(report.generated <= 1, "{ctx}: {}", report.generated)
+                    }
+                    _ => assert!(report.finished > 0, "{ctx}"),
+                }
+                let json = report.to_json();
+                assert!(
+                    !json.contains("NaN") && !json.contains("inf"),
+                    "{ctx}: {json}"
+                );
+            }
+        }
+    }
+}
+
 /// A pinned regression for the tail-latency pipeline on a small zoo
 /// network: seeds, rates and policies are fixed, so these exact numbers
 /// must reproduce forever. If an intentional change to the arrival

@@ -1,16 +1,13 @@
 //! The worker pool that fans a campaign out across OS threads and the
 //! result rows it collects.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use serde::{Serialize, Sink};
 
 use pimsim_arch::Energy;
 use pimsim_baseline::BaselineSimulator;
 use pimsim_compiler::Compiler;
 use pimsim_core::Simulator;
-use pimsim_event::SimTime;
+use pimsim_event::{par_map_indexed, SimTime};
 use pimsim_nn::zoo;
 
 use crate::grid::{Scenario, SimulatorKind, SweepGrid};
@@ -268,21 +265,16 @@ pub fn run_grid(grid: &SweepGrid, threads: usize) -> Result<Vec<SweepRow>, Sweep
     run_scenarios(grid.scenarios()?, threads)
 }
 
-/// Runs an explicit scenario list on a pool of `threads` OS threads.
-///
-/// Workers pull scenarios off a shared cursor, so the pool load-balances
-/// regardless of per-scenario cost; each result lands in its scenario's
-/// slot, so the returned rows are ordered by scenario index and the
-/// campaign output is independent of thread interleaving.
+/// Runs an explicit scenario list on a pool of `threads` OS threads
+/// ([`par_map_indexed`]): the returned rows are ordered by scenario index
+/// and the campaign output is independent of thread interleaving.
 ///
 /// # Errors
 ///
 /// Returns [`SweepError::EmptyGrid`] for an empty list; otherwise the
-/// error of the failing scenario with the smallest index, if any. On a
-/// failure the pool cancels scenarios *above* the failed index (so a big
-/// campaign reports its error promptly instead of first finishing
-/// everything) while still running everything below it — which is what
-/// keeps the smallest-failing-index guarantee deterministic.
+/// error of the failing scenario with the smallest index, if any —
+/// scenarios above a failure are cancelled, everything below it still
+/// runs.
 pub fn run_scenarios(
     scenarios: Vec<Scenario>,
     threads: usize,
@@ -290,43 +282,7 @@ pub fn run_scenarios(
     if scenarios.is_empty() {
         return Err(SweepError::EmptyGrid);
     }
-    let n = scenarios.len();
-    let workers = threads.clamp(1, n);
-    let cursor = AtomicUsize::new(0);
-    let first_failed = AtomicUsize::new(usize::MAX);
-    let slots: Vec<Mutex<Option<Result<SweepRow, SweepError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                if i > first_failed.load(Ordering::Relaxed) {
-                    continue;
-                }
-                let outcome = scenarios[i].execute(i);
-                if outcome.is_err() {
-                    first_failed.fetch_min(i, Ordering::Relaxed);
-                }
-                *slots[i].lock().expect("sweep slot poisoned") = Some(outcome);
-            });
-        }
-    });
-
-    let mut rows = Vec::with_capacity(n);
-    for slot in slots {
-        match slot.into_inner().expect("sweep slot poisoned") {
-            Some(Ok(row)) => rows.push(row),
-            Some(Err(e)) => return Err(e),
-            // Only scenarios above an already-reported failure are
-            // skipped, and the failing slot is reached first.
-            None => unreachable!("skipped slot below the first failure"),
-        }
-    }
-    Ok(rows)
+    par_map_indexed(scenarios.len(), threads, |i| scenarios[i].execute(i))
 }
 
 /// Renders campaign results as pretty JSON: `{"points": N, "rows": [...]}`.
