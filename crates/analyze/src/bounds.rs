@@ -200,7 +200,7 @@ impl BoundsReport {
 ///
 /// Soundness contract: for every program the simulator runs to
 /// completion, `latency_lb_ps` never exceeds the simulated latency (in
-/// picoseconds) under any engine, mapping, or routing policy of the same
+/// picoseconds) under any mapping or routing policy of the same
 /// [`ArchConfig`]. Programs the checker rejects with errors yield a
 /// trivial (zero) bound with `bound_source = "unanalyzable"`.
 pub fn bounds(program: &Program, arch: &ArchConfig) -> BoundsReport {

@@ -47,9 +47,9 @@ pub struct RendezvousPair {
 /// The analyzer's public rendezvous artifact: every provably-matched
 /// send/recv pair, and whether the matching is *complete* — all transfer
 /// sites paired, every core's order statically known, and the abstract
-/// execution drained. A complete map is what lets a compiled engine fuse
-/// regions across transfer boundaries; an incomplete map is still useful
-/// as a partial cross-reference.
+/// execution drained. A complete map pairs every transfer statically (the
+/// bounds pass prices rendezvous edges from it); an incomplete map is
+/// still useful as a partial cross-reference.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RendezvousMap {
     /// Matched pairs, sorted by `(sender, send_pc)`.

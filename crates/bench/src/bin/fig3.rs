@@ -4,9 +4,6 @@
 //! ```sh
 //! cargo run -p pimsim-bench --release --bin fig3
 //! ```
-//!
-//! Set `PIMSIM_ENGINE=compiled` to drive the sweep with the compiled
-//! run-loop engine; the printed figure is byte-identical either way.
 
 use pimsim_arch::ArchConfig;
 use pimsim_bench::{header, row, BATCH, FIG34_NETWORKS, FIG34_RESOLUTION};
@@ -22,7 +19,6 @@ fn main() {
         "utilization-first".to_string(),
         "performance-first".to_string(),
     ];
-    grid.engines = pimsim_bench::engine_axis();
     let rows = run_grid(&grid, default_threads()).expect("fig3 sweep");
     let find = |name: &str, policy: MappingPolicy| -> &SweepRow {
         rows.iter()

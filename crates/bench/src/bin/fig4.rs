@@ -3,9 +3,6 @@
 //! ```sh
 //! cargo run -p pimsim-bench --release --bin fig4
 //! ```
-//!
-//! Set `PIMSIM_ENGINE=compiled` to drive the sweep with the compiled
-//! run-loop engine; the printed figure is byte-identical either way.
 
 use pimsim_bench::{header, row, BATCH, FIG34_NETWORKS, FIG34_RESOLUTION};
 use pimsim_sweep::{default_threads, run_grid, SweepGrid};
@@ -17,7 +14,6 @@ fn main() {
     grid.resolutions = vec![FIG34_RESOLUTION];
     grid.batches = vec![BATCH];
     grid.rob_sizes = ROBS.to_vec();
-    grid.engines = pimsim_bench::engine_axis();
     let rows = run_grid(&grid, default_threads()).expect("fig4 sweep");
 
     println!("# Fig. 4 — latency vs ROB size (performance-first, batch {BATCH})");

@@ -4,9 +4,6 @@
 //! ```sh
 //! cargo run -p pimsim-bench --release --bin fig5
 //! ```
-//!
-//! Set `PIMSIM_ENGINE=compiled` to drive the sweep with the compiled
-//! run-loop engine; the printed figure is byte-identical either way.
 
 use pimsim_arch::ArchConfig;
 use pimsim_bench::{header, row, FIG5_NETWORKS, FIG5_RESOLUTION};
@@ -17,7 +14,6 @@ fn main() {
     grid.base = Some(ArchConfig::paper_default().with_rob(16));
     grid.resolutions = vec![FIG5_RESOLUTION];
     grid.simulators = vec!["baseline".to_string(), "cycle".to_string()];
-    grid.engines = pimsim_bench::engine_axis();
     let rows = run_grid(&grid, default_threads()).expect("fig5 sweep");
     let find = |name: &str, sim: SimulatorKind| -> &SweepRow {
         rows.iter()

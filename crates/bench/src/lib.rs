@@ -10,9 +10,8 @@
 //! The binaries declare their grids as `pimsim_sweep::SweepGrid`s and run
 //! on the campaign engine; this crate only carries the shared constants
 //! and table-printing helpers. Run them with
-//! `cargo run -p pimsim-bench --release --bin fig3` etc. Criterion
-//! microbenchmarks (host performance of the simulator itself) live under
-//! `benches/`.
+//! `cargo run -p pimsim-bench --release --bin fig3` etc. Host performance
+//! of the simulator itself is measured by the `benchmark/` harness.
 
 /// The four networks of Fig. 3 / Fig. 4.
 pub const FIG34_NETWORKS: &[&str] = &["alexnet", "googlenet", "resnet18", "squeezenet"];
@@ -29,17 +28,6 @@ pub const FIG5_RESOLUTION: u32 = 32;
 /// Back-to-back inferences for the pipelined Fig. 3/4 runs.
 pub const BATCH: u32 = 4;
 
-/// The sweep-grid engine axis selected by the `PIMSIM_ENGINE` environment
-/// variable (`event` / `compiled`): empty — the default engine — when the
-/// variable is unset. Both engines are byte-identical on every figure, so
-/// this exists to *prove* that (CI regenerates the figures under each),
-/// not to change any number.
-pub fn engine_axis() -> Vec<String> {
-    std::env::var("PIMSIM_ENGINE")
-        .map(|e| vec![e])
-        .unwrap_or_default()
-}
-
 /// Prints a markdown-style table row.
 pub fn row(cells: &[String]) {
     println!("| {} |", cells.join(" | "));
@@ -54,445 +42,6 @@ pub fn header(cells: &[&str]) {
     );
 }
 
-/// Shared event-kernel workloads, used by both the `kernel` criterion
-/// bench and the `perf_baseline` trajectory harness so the two always
-/// measure the same scenario (a drift between them would silently
-/// invalidate cross-PR events/sec comparisons).
-pub mod kernel_workload {
-    use pimsim_event::closure::{ClosureCtx, ClosureKernel};
-    use pimsim_event::{EventCtx, Kernel, SimTime, World};
-
-    /// Events per chained-run sample (each event schedules the next).
-    pub const CHAIN_EVENTS: u64 = 100_000;
-    /// Independent one-shot events per heap-pressure sample.
-    pub const HEAP_EVENTS: u64 = 10_000;
-
-    /// Typed world: one chained event hopping `left` more times.
-    pub struct Chain(u64);
-
-    impl World for Chain {
-        type Event = u64;
-        fn handle(&mut self, left: u64, ctx: &mut EventCtx<u64>) {
-            self.0 += 1;
-            if left > 0 {
-                ctx.schedule_in(SimTime::from_ps(10), left - 1);
-            }
-        }
-    }
-
-    /// Typed world: counts independent one-shot ticks.
-    pub struct Count(u64);
-
-    impl World for Count {
-        type Event = ();
-        fn handle(&mut self, _: (), _: &mut EventCtx<()>) {
-            self.0 += 1;
-        }
-    }
-
-    /// Runs the chained scenario on the typed kernel.
-    pub fn chain_typed() {
-        let mut k = Kernel::new(Chain(0));
-        k.schedule_at(SimTime::ZERO, CHAIN_EVENTS - 1);
-        k.run();
-        assert_eq!(k.world().0, CHAIN_EVENTS);
-    }
-
-    /// The identical chained scenario through the boxed-closure shim.
-    pub fn chain_closure() {
-        let mut k = ClosureKernel::new(0u64);
-        fn step(left: u64, w: &mut u64, ctx: &mut ClosureCtx<u64>) {
-            *w += 1;
-            if left > 0 {
-                ctx.schedule_fn_in(SimTime::from_ps(10), move |w, ctx| step(left - 1, w, ctx));
-            }
-        }
-        k.schedule_at(SimTime::ZERO, move |w, ctx| step(CHAIN_EVENTS - 1, w, ctx));
-        k.run();
-        assert_eq!(*k.state(), CHAIN_EVENTS);
-    }
-
-    /// Scatters independent events across the heap on the typed kernel.
-    pub fn heap_pressure_typed() {
-        let mut k = Kernel::new(Count(0));
-        for i in 0..HEAP_EVENTS {
-            k.schedule_at(SimTime::from_ps((i * 7919) % 100_000), ());
-        }
-        k.run();
-        assert_eq!(k.world().0, HEAP_EVENTS);
-    }
-
-    /// The identical heap-pressure scenario through the closure shim.
-    pub fn heap_pressure_closure() {
-        let mut k = ClosureKernel::new(0u64);
-        for i in 0..HEAP_EVENTS {
-            k.schedule_at(SimTime::from_ps((i * 7919) % 100_000), |w, _| *w += 1);
-        }
-        k.run();
-        assert_eq!(*k.state(), HEAP_EVENTS);
-    }
-}
-
-/// Shared NoC-fabric workloads, used by the `noc` criterion bench, the
-/// `perf_baseline` trajectory harness, and the fabric-equivalence tests.
-///
-/// [`fabric_workload::HashMapNoc`] preserves the pre-PR4 fabric
-/// representation — a route `Vec` per message and a
-/// `HashMap<(u16, u16), SimTime>` probe per link — priced by the same
-/// [`pimsim_core::NocCosts`] constants as the dense fabric, so
-/// the two implementations must agree picosecond-for-picosecond on every
-/// message (the equivalence tests assert exactly that) and any measured
-/// gap is pure representation cost.
-pub mod fabric_workload {
-    use std::collections::HashMap;
-
-    use pimsim_arch::ArchConfig;
-    use pimsim_core::{Noc, NocCosts};
-    use pimsim_event::SimTime;
-
-    /// Messages per synthetic-traffic sample.
-    pub const FABRIC_MESSAGES: usize = 50_000;
-    /// Mesh edge of the synthetic-traffic sample (the paper chip's 8×8).
-    pub const MESH: u16 = 8;
-
-    /// The pre-PR4 reference fabric: per-message route allocation and
-    /// hash-probed link occupancy, XY order only.
-    #[derive(Debug, Clone, Default)]
-    pub struct HashMapNoc {
-        cols: u16,
-        link_free: HashMap<(u16, u16), SimTime>,
-        mem_free: SimTime,
-    }
-
-    impl HashMapNoc {
-        /// Builds the reference fabric for a `rows` × `cols` mesh.
-        pub fn new(_rows: u16, cols: u16) -> HashMapNoc {
-            HashMapNoc {
-                cols,
-                link_free: HashMap::new(),
-                mem_free: SimTime::ZERO,
-            }
-        }
-
-        /// The XY route as an allocated link list (the old representation).
-        pub fn route(&self, from: u16, to: u16) -> Vec<(u16, u16)> {
-            let mut links = Vec::new();
-            if from == to {
-                return links;
-            }
-            let (_, fc) = (from / self.cols, from % self.cols);
-            let (tr, tc) = (to / self.cols, to % self.cols);
-            let mut cur = from;
-            let mut c = fc;
-            while c != tc {
-                let next_c = if tc > c { c + 1 } else { c - 1 };
-                let next = (cur / self.cols) * self.cols + next_c;
-                links.push((cur, next));
-                cur = next;
-                c = next_c;
-            }
-            let mut r = cur / self.cols;
-            while r != tr {
-                let next_r = if tr > r { r + 1 } else { r - 1 };
-                let next = next_r * self.cols + tc;
-                links.push((cur, next));
-                cur = next;
-                r = next_r;
-            }
-            links
-        }
-
-        fn traverse(
-            &mut self,
-            links: &[(u16, u16)],
-            start: SimTime,
-            flits: u64,
-            costs: &NocCosts,
-        ) -> SimTime {
-            let hop = costs.hop();
-            let ser = costs.serialization(flits);
-            let mut head = start;
-            let mut tail = start;
-            for link in links {
-                let free = self.link_free.get(link).copied().unwrap_or(SimTime::ZERO);
-                head = head.max(free) + hop;
-                tail = head + ser;
-                self.link_free.insert(*link, tail);
-            }
-            if links.is_empty() {
-                tail = start;
-            }
-            tail
-        }
-
-        /// Sends a core-to-core message; returns its delivery time.
-        pub fn message(
-            &mut self,
-            from: u16,
-            to: u16,
-            elems: u32,
-            start: SimTime,
-            costs: &NocCosts,
-        ) -> SimTime {
-            if from == to {
-                return start + costs.local_copy(elems).time;
-            }
-            let flits = costs.flits_for_elems(elems);
-            let links = self.route(from, to);
-            self.traverse(&links, start, flits, costs)
-        }
-
-        /// A global-memory access from `core`; returns the completion time.
-        pub fn memory_access(
-            &mut self,
-            core: u16,
-            elems: u32,
-            start: SimTime,
-            costs: &NocCosts,
-        ) -> SimTime {
-            let flits = costs.flits_for_elems(elems);
-            let mut links = self.route(core, 0);
-            links.push((0, pimsim_core::MEM_NODE));
-            let arrived = self.traverse(&links, start, flits, costs);
-            let service_start = arrived.max(self.mem_free);
-            let done = service_start + costs.global_mem(elems).time;
-            self.mem_free = done;
-            done
-        }
-
-        /// The occupancy (`free_at`) of the directed link `from -> to`.
-        pub fn link_free(&self, from: u16, to: u16) -> SimTime {
-            self.link_free
-                .get(&(from, to))
-                .copied()
-                .unwrap_or(SimTime::ZERO)
-        }
-    }
-
-    /// One synthetic message: `(from, to, elems, start)`. Every 7th
-    /// message is a global-memory access instead (`to` ignored).
-    pub type Msg = (u16, u16, u32, SimTime);
-
-    /// Deterministic pseudo-random traffic over a `MESH`×`MESH` mesh.
-    pub fn traffic(n: usize) -> Vec<Msg> {
-        let routers = MESH as u64 * MESH as u64;
-        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 11
-        };
-        (0..n)
-            .map(|i| {
-                let from = (next() % routers) as u16;
-                let to = (next() % routers) as u16;
-                let elems = (next() % 1024) as u32 + 1;
-                (from, to, elems, SimTime::from_ns(i as u64))
-            })
-            .collect()
-    }
-
-    /// The operations the shared driver needs from either fabric, so
-    /// `drive_dense` and `drive_hashmap` run the *same* loop (message /
-    /// memory-access mix included) and cannot drift apart.
-    trait Fabric {
-        fn message(
-            &mut self,
-            from: u16,
-            to: u16,
-            elems: u32,
-            start: SimTime,
-            costs: &NocCosts,
-        ) -> SimTime;
-        fn memory_access(
-            &mut self,
-            core: u16,
-            elems: u32,
-            start: SimTime,
-            costs: &NocCosts,
-        ) -> SimTime;
-    }
-
-    impl Fabric for Noc {
-        fn message(
-            &mut self,
-            from: u16,
-            to: u16,
-            elems: u32,
-            start: SimTime,
-            costs: &NocCosts,
-        ) -> SimTime {
-            Noc::message(self, from, to, elems, start, costs)
-        }
-        fn memory_access(
-            &mut self,
-            core: u16,
-            elems: u32,
-            start: SimTime,
-            costs: &NocCosts,
-        ) -> SimTime {
-            Noc::memory_access(self, core, elems, start, costs)
-        }
-    }
-
-    impl Fabric for HashMapNoc {
-        fn message(
-            &mut self,
-            from: u16,
-            to: u16,
-            elems: u32,
-            start: SimTime,
-            costs: &NocCosts,
-        ) -> SimTime {
-            HashMapNoc::message(self, from, to, elems, start, costs)
-        }
-        fn memory_access(
-            &mut self,
-            core: u16,
-            elems: u32,
-            start: SimTime,
-            costs: &NocCosts,
-        ) -> SimTime {
-            HashMapNoc::memory_access(self, core, elems, start, costs)
-        }
-    }
-
-    /// Drives `msgs` through `fabric`; returns the summed completion
-    /// times (a checksum both implementations must reproduce). Every 7th
-    /// message becomes a global-memory access.
-    fn drive(fabric: &mut impl Fabric, msgs: &[Msg]) -> u64 {
-        let cfg = ArchConfig::paper_default();
-        let costs = NocCosts::new(&cfg);
-        let mut sum = 0u64;
-        for (i, &(from, to, elems, start)) in msgs.iter().enumerate() {
-            let done = if i % 7 == 6 {
-                fabric.memory_access(from, elems, start, &costs)
-            } else {
-                fabric.message(from, to, elems, start, &costs)
-            };
-            sum = sum.wrapping_add(done.as_ps());
-        }
-        sum
-    }
-
-    /// Drives `msgs` through the dense fabric.
-    pub fn drive_dense(msgs: &[Msg]) -> u64 {
-        drive(&mut Noc::new(MESH, MESH), msgs)
-    }
-
-    /// Drives `msgs` through the pre-PR4 HashMap reference fabric.
-    pub fn drive_hashmap(msgs: &[Msg]) -> u64 {
-        drive(&mut HashMapNoc::new(MESH, MESH), msgs)
-    }
-}
-
-/// The transfer-saturated end-to-end workload: every core of the paper
-/// chip streams rounds of fixed-size messages to a far peer (a 27-step
-/// rotation of the 64-core mesh, a single permutation cycle), so the run
-/// is dominated by mesh contention and rendezvous bookkeeping — exactly
-/// the per-event work the dense fabric attacks. Used by `perf_baseline`
-/// and the `noc` criterion bench.
-pub mod transfer_workload {
-    use pimsim_arch::{ArchConfig, RoutingPolicy};
-    use pimsim_core::{SimReport, Simulator};
-    use pimsim_isa::{asm, Program};
-
-    /// Cores of the workload chip (the paper's 8×8 mesh).
-    pub const CORES: u16 = 64;
-    /// Send/recv rounds per core.
-    pub const ROUNDS: u32 = 24;
-    /// Elements per message.
-    pub const LEN: u32 = 256;
-    /// The peer rotation (coprime with [`CORES`], so the traffic forms
-    /// one long cycle crisscrossing the whole mesh).
-    pub const ROTATION: u16 = 27;
-
-    /// Total messages one run injects.
-    pub const MESSAGES: u64 = CORES as u64 * ROUNDS as u64;
-
-    /// Builds the rotation-traffic program.
-    pub fn program() -> Program {
-        let mut text = String::new();
-        for c in 0..CORES {
-            let dst = (c + ROTATION) % CORES;
-            let src = (c + CORES - ROTATION) % CORES;
-            text.push_str(&format!(".core {c}\n"));
-            for _ in 0..ROUNDS {
-                text.push_str(&format!("send core{dst}, [r0+0], {LEN}, tag=1\n"));
-                text.push_str(&format!("recv core{src}, [r0+2048], {LEN}, tag=1\n"));
-            }
-            text.push_str("halt\n");
-        }
-        asm::assemble(&text).expect("transfer workload assembles")
-    }
-
-    /// Runs the workload under `routing` on the paper chip (timing only).
-    pub fn run(routing: RoutingPolicy) -> SimReport {
-        let arch = ArchConfig::paper_default().with_routing(routing);
-        Simulator::new(&arch)
-            .run(&program())
-            .expect("transfer workload simulates")
-    }
-}
-
-/// The hotspot-traffic workload: matrix-transpose exchange on the paper
-/// chip — every off-diagonal core `(r, c)` streams rounds of messages to
-/// its mesh transpose `(c, r)`. Transpose is the canonical adversarial
-/// pattern for dimension-order routing: under XY, every flow out of row
-/// `r` funnels through the row-`r` links around the diagonal core
-/// `(r, r)` and then down column `r`, so a handful of links near the
-/// diagonal carry almost all of the traffic. A congestion-aware policy
-/// can step off the hot row early and spread the same minimal-length
-/// routes over the idle center links — this is the workload where
-/// `adaptive` measurably beats `xy` (pinned by a test, recorded in
-/// `BENCH_PR5.json`). Used by `perf_baseline` and the `noc` criterion
-/// bench.
-pub mod hotspot_workload {
-    use pimsim_arch::{ArchConfig, RoutingPolicy};
-    use pimsim_core::{SimReport, Simulator};
-    use pimsim_isa::{asm, Program};
-
-    /// Mesh edge of the workload chip (the paper's 8×8).
-    pub const MESH: u16 = 8;
-    /// Send/recv rounds per off-diagonal core.
-    pub const ROUNDS: u32 = 16;
-    /// Elements per message.
-    pub const LEN: u32 = 512;
-
-    /// Total messages one run injects (diagonal cores sit idle).
-    pub const MESSAGES: u64 = (MESH as u64 * MESH as u64 - MESH as u64) * ROUNDS as u64;
-
-    /// Builds the transpose-traffic program.
-    pub fn program() -> Program {
-        let mut text = String::new();
-        for r in 0..MESH {
-            for c in 0..MESH {
-                if r == c {
-                    continue; // a core's transpose is itself: nothing to move
-                }
-                let id = r * MESH + c;
-                let peer = c * MESH + r;
-                text.push_str(&format!(".core {id}\n"));
-                for _ in 0..ROUNDS {
-                    text.push_str(&format!("send core{peer}, [r0+0], {LEN}, tag=1\n"));
-                    text.push_str(&format!("recv core{peer}, [r0+4096], {LEN}, tag=1\n"));
-                }
-                text.push_str("halt\n");
-            }
-        }
-        asm::assemble(&text).expect("hotspot workload assembles")
-    }
-
-    /// Runs the workload under `routing` on the paper chip (timing only).
-    pub fn run(routing: RoutingPolicy) -> SimReport {
-        let arch = ArchConfig::paper_default().with_routing(routing);
-        Simulator::new(&arch)
-            .run(&program())
-            .expect("hotspot workload simulates")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,63 +50,12 @@ mod tests {
     use pimsim_sweep::{run_grid, SweepGrid};
 
     #[test]
-    fn kernel_workloads_run_on_both_paths() {
-        kernel_workload::chain_typed();
-        kernel_workload::chain_closure();
-        kernel_workload::heap_pressure_typed();
-        kernel_workload::heap_pressure_closure();
-    }
-
-    #[test]
     fn harness_grid_runs_on_the_engine() {
         let mut grid = SweepGrid::over_networks(["tiny_mlp"]);
         grid.base = Some(ArchConfig::small_test());
         let rows = run_grid(&grid, 1).expect("harness grid");
         assert_eq!(rows.len(), 1);
         assert!(rows[0].latency_ps > 0);
-    }
-
-    #[test]
-    fn fabric_workload_checksums_agree() {
-        // The dense fabric and the HashMap reference must price identical
-        // traffic identically (the `noc` bench's speedup is then pure
-        // representation cost, not a behaviour change).
-        let msgs = fabric_workload::traffic(2_000);
-        assert_eq!(
-            fabric_workload::drive_dense(&msgs),
-            fabric_workload::drive_hashmap(&msgs)
-        );
-    }
-
-    #[test]
-    fn transfer_workload_runs_and_saturates_transfers() {
-        let report = transfer_workload::run(pimsim_arch::RoutingPolicy::Xy);
-        // Every injected message is two transfer-class instructions.
-        assert_eq!(report.class_counts[2], transfer_workload::MESSAGES * 2);
-        assert!(report.latency.as_ns_f64() > 0.0);
-    }
-
-    #[test]
-    fn hotspot_workload_adaptive_beats_xy_deterministically() {
-        use pimsim_arch::RoutingPolicy;
-        let xy = hotspot_workload::run(RoutingPolicy::Xy);
-        let adaptive = hotspot_workload::run(RoutingPolicy::Adaptive);
-        // Every injected message is two transfer-class instructions.
-        assert_eq!(xy.class_counts[2], hotspot_workload::MESSAGES * 2);
-        // The point of the workload: on transpose traffic, stepping off
-        // the congested diagonal links beats dimension-order routing.
-        assert!(
-            adaptive.latency < xy.latency,
-            "adaptive ({}) must beat xy ({}) on transpose hotspot traffic",
-            adaptive.latency,
-            xy.latency
-        );
-        // And both policies stay byte-reproducible.
-        assert_eq!(xy.latency, hotspot_workload::run(RoutingPolicy::Xy).latency);
-        assert_eq!(
-            adaptive.latency,
-            hotspot_workload::run(RoutingPolicy::Adaptive).latency
-        );
     }
 
     #[test]

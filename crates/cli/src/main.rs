@@ -28,7 +28,7 @@ use std::process::ExitCode;
 use pimsim_arch::ArchConfig;
 use pimsim_baseline::BaselineSimulator;
 use pimsim_compiler::{Compiler, MappingPolicy};
-use pimsim_core::{EngineKind, Simulator};
+use pimsim_core::Simulator;
 use pimsim_isa::{asm, Program};
 use pimsim_nn::{zoo, Network};
 use pimsim_sweep::{results_to_json, run_scenarios, SweepGrid};
@@ -77,11 +77,6 @@ common options (in parentheses: the commands that accept each):
                       (run/compile/check/bound)
   --format FMT        report format: text (default) | json (check/bound)
   --deny-warnings     exit nonzero on warnings, not just errors (check)
-  --engine KIND       run-loop engine: event (default, reference) |
-                      compiled (pre-placed schedules, identical output)
-                      (run)
-  --schedule          include the engine's schedule counters in the
-                      report (run)
   --functional        run functionally, data + timing (run/compile)
   --trace             print the first instruction completions (run/compile)
   --json              machine-readable report (run/sweep)
@@ -103,7 +98,6 @@ left empty inherits a single value from the base architecture):
   --router-depths N,M router pipeline depths
   --hazards on,off    structure-hazard settings (ablation)
   --simulators S,T    cycle | baseline
-  --engines A,B       run-loop engines (event | compiled)
   --arrival-rates R,S open-loop serving rates (req/s); fans each hardware
                       point out across traffic intensities
   --batch-policies P,Q serving batch policies, `N` or `N/T` (e.g. 4/50us)
@@ -112,7 +106,7 @@ left empty inherits a single value from the base architecture):
   --threads N         worker threads (default: available cores; sweep/serve)
 
 serve options (open-loop serving; also honors --config, --mapping, --rob,
---routing, --vcs, --router-depth and --engine like `run`):
+--routing, --vcs and --router-depth like `run`):
   --networks A,B      zoo networks to serve, `name` or `name/RES` (required)
   --rate R            aggregate offered load, requests/second (default 50000)
   --arrivals KIND     arrival process: poisson (default) | fixed | bursty
@@ -188,16 +182,8 @@ const COMMANDS: &[CommandSpec] = &[
                 "routing",
                 "vcs",
                 "router-depth",
-                "engine",
             ],
-            flags: &[
-                "baseline",
-                "functional",
-                "trace",
-                "json",
-                "schedule",
-                "help",
-            ],
+            flags: &["baseline", "functional", "trace", "json", "help"],
             max_positionals: 0,
         },
         run: cmd_run,
@@ -301,7 +287,6 @@ const COMMANDS: &[CommandSpec] = &[
                 "router-depths",
                 "hazards",
                 "simulators",
-                "engines",
                 "arrival-rates",
                 "batch-policies",
                 "serve-duration",
@@ -323,7 +308,6 @@ const COMMANDS: &[CommandSpec] = &[
                 "routing",
                 "vcs",
                 "router-depth",
-                "engine",
                 "rate",
                 "arrivals",
                 "duration",
@@ -427,35 +411,10 @@ fn mapping_policy(args: &Args) -> Result<MappingPolicy, String> {
         .map_err(|e| e.to_string())
 }
 
-fn engine_kind(args: &Args) -> Result<EngineKind, String> {
-    let Some(v) = args.get("engine") else {
-        return Ok(EngineKind::default());
-    };
-    pimsim_sweep::parse_engine(v).map_err(|e| {
-        let names = EngineKind::ALL.map(EngineKind::name);
-        match args::closest(v, names) {
-            Some(s) => format!("{e} — did you mean `{s}`?"),
-            None => e.to_string(),
-        }
-    })
-}
-
 fn cmd_run(args: &Args) -> Result<(), String> {
     let arch = load_arch(args)?;
     let net = load_network(args)?;
-    let engine = engine_kind(args)?;
     if args.flag("baseline") {
-        if args.get("engine").is_some() {
-            return Err(
-                "--engine selects the cycle-accurate run loop; it does not apply to --baseline"
-                    .to_string(),
-            );
-        }
-        if args.flag("schedule") {
-            return Err(
-                "--schedule reports run-loop counters; it does not apply to --baseline".to_string(),
-            );
-        }
         let report = BaselineSimulator::new(&arch)
             .run(&net)
             .map_err(|e| e.to_string())?;
@@ -485,28 +444,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         .compile(&net)
         .map_err(|e| e.to_string())?;
     let report = Simulator::new(&arch)
-        .with_engine(engine.engine())
         .run(&compiled.program)
         .map_err(|e| e.to_string())?;
     let per_image = report.latency / batch as u64;
-    // Opt-in so default JSON output stays byte-identical across engines
-    // (and with pre-engine releases).
-    let schedule = if args.flag("schedule") {
-        let s = &report.schedule;
-        format!(
-            ",\"engine\":\"{engine}\",\"schedule\":{{\"events_dispatched\":{},\"events_placed\":{},\"regions_compiled\":{},\"regions_reused\":{},\"regions_fallback\":{}}}",
-            s.events_dispatched,
-            s.events_placed,
-            s.regions_compiled,
-            s.regions_reused,
-            s.regions_fallback
-        )
-    } else {
-        String::new()
-    };
     if args.flag("json") {
         println!(
-            "{{\"simulator\":\"cycle-accurate\",\"network\":\"{}\",\"mapping\":\"{}\",\"batch\":{},\"latency_ns\":{},\"latency_per_image_ns\":{},\"energy_pj\":{},\"power_w\":{},\"instructions\":{},\"events\":{}{schedule}}}",
+            "{{\"simulator\":\"cycle-accurate\",\"network\":\"{}\",\"mapping\":\"{}\",\"batch\":{},\"latency_ns\":{},\"latency_per_image_ns\":{},\"energy_pj\":{},\"power_w\":{},\"instructions\":{},\"events\":{}}}",
             net.name,
             policy,
             batch,
@@ -541,18 +484,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             report.class_counts[3]
         );
         println!("  kernel events  : {}", report.events);
-        if args.flag("schedule") {
-            let s = &report.schedule;
-            println!("  engine         : {engine}");
-            println!(
-                "    dispatched {} / placed {} / regions: {} compiled, {} reused, {} fallback",
-                s.events_dispatched,
-                s.events_placed,
-                s.regions_compiled,
-                s.regions_reused,
-                s.regions_fallback
-            );
-        }
         println!("  cores w/ work  : {}", compiled.placement.cores_used);
         if arch.sim.functional {
             let out = report.read_global(compiled.output.gaddr, compiled.output.elems.min(8));
@@ -860,9 +791,6 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     if let Some(v) = args.get_csv("simulators") {
         grid.simulators = v;
     }
-    if let Some(v) = args.get_csv("engines") {
-        grid.engines = v;
-    }
     if let Some(v) = args.get_f64_csv("arrival-rates")? {
         grid.arrival_rates = v;
     }
@@ -950,7 +878,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let mut config = pimsim_serve::ServeConfig::new(networks);
     config.arch = load_arch(args)?;
     config.mapping = mapping_policy(args)?;
-    config.engine = engine_kind(args)?;
     if let Some(rate) = args.get_f64("rate")? {
         config.rate_rps = rate;
     }
@@ -1070,71 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_values_are_validated_with_suggestions() {
-        // An unknown engine is rejected with the valid set...
-        let err =
-            dispatch(&argv(&["run", "--network", "tiny_mlp", "--engine", "jit"])).unwrap_err();
-        assert!(err.contains("unknown engine `jit`"), "{err}");
-        assert!(err.contains("want event or compiled"), "{err}");
-        assert!(!err.contains("did you mean"), "{err}");
-        // ...and a near-miss also gets a did-you-mean hint.
-        let err = dispatch(&argv(&[
-            "run",
-            "--network",
-            "tiny_mlp",
-            "--engine",
-            "compield",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("did you mean `compiled`?"), "{err}");
-        let err =
-            dispatch(&argv(&["run", "--network", "tiny_mlp", "--engine", "even"])).unwrap_err();
-        assert!(err.contains("did you mean `event`?"), "{err}");
-    }
-
-    #[test]
-    fn engine_option_duplicates_and_typos_are_rejected() {
-        let err = dispatch(&argv(&[
-            "run",
-            "--network",
-            "tiny_mlp",
-            "--engine",
-            "event",
-            "--engine",
-            "compiled",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--engine given more than once"), "{err}");
-        let err =
-            dispatch(&argv(&["run", "--network", "tiny_mlp", "--engin", "event"])).unwrap_err();
-        assert!(err.contains("unknown option --engin"), "{err}");
-        assert!(err.contains("did you mean --engine"), "{err}");
-    }
-
-    #[test]
-    fn engine_and_schedule_do_not_apply_to_the_baseline() {
-        let err = dispatch(&argv(&[
-            "run",
-            "--network",
-            "tiny_mlp",
-            "--baseline",
-            "--engine",
-            "compiled",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("does not apply to --baseline"), "{err}");
-        let err = dispatch(&argv(&[
-            "run",
-            "--network",
-            "tiny_mlp",
-            "--baseline",
-            "--schedule",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("does not apply to --baseline"), "{err}");
-    }
-
-    #[test]
     fn usage_lists_every_command() {
         for spec in COMMANDS {
             assert!(
@@ -1186,15 +1048,8 @@ mod tests {
         assert!(err.contains("unknown format `jsn`"), "{err}");
         assert!(err.contains("did you mean `json`?"), "{err}");
         // Options from other commands are rejected, not ignored.
-        let err = dispatch(&argv(&[
-            "check",
-            "--network",
-            "tiny_mlp",
-            "--engine",
-            "event",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("unknown option --engine"), "{err}");
+        let err = dispatch(&argv(&["check", "--network", "tiny_mlp", "--rate", "5"])).unwrap_err();
+        assert!(err.contains("unknown option --rate"), "{err}");
     }
 
     #[test]
@@ -1254,9 +1109,17 @@ mod tests {
         let bad = dir.join("bad.json");
         std::fs::write(&bad, text).unwrap();
         let err = dispatch(&argv(&["check", bad.to_str().unwrap()])).unwrap_err();
-        assert!(
-            err.contains("expected i32, found string at line 6 column 27"),
-            "{err}"
+        assert_eq!(
+            err,
+            "parse error: expected i32, found string at line 6 column 27"
+        );
+        // The location is printed once, not once per layer.
+        let unknown = dir.join("unknown.json");
+        std::fs::write(&unknown, text.replace("\"VFill\"", "\"Frob\"")).unwrap();
+        let err = dispatch(&argv(&["check", unknown.to_str().unwrap()])).unwrap_err();
+        assert_eq!(
+            err,
+            "parse error: unknown variant `Frob` of Instruction at line 4 column 8"
         );
         // With the number in place the same file loads and checks.
         let good = dir.join("good.json");

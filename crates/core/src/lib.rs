@@ -71,25 +71,18 @@
 //! # }
 //! ```
 
-mod compiled;
 mod exec;
 mod machine;
 mod noc;
 mod resolve;
 mod stats;
 
-pub use compiled::{CompiledEngine, ScheduleCache};
-pub use machine::{
-    DefaultTiming, Engine, EngineInput, EngineKind, EngineOutput, EventEngine, SimError, Simulator,
-    TimingModel,
-};
+pub use machine::{DefaultTiming, SimError, Simulator, TimingModel};
 pub use noc::{
     routing_for, Adaptive, AdaptiveRoute, DimOrder, Noc, NocCosts, Route, Routing, Xy,
     XyYxAlternate, Yx, MEM_NODE, PORTS,
 };
-pub use stats::{
-    CoreStats, EnergyBreakdown, NodeStats, ScheduleStats, SimReport, TraceEntry, TRACE_CAP,
-};
+pub use stats::{CoreStats, EnergyBreakdown, NodeStats, SimReport, TraceEntry, TRACE_CAP};
 
 /// Result alias for fallible simulation.
 pub type Result<T> = std::result::Result<T, SimError>;

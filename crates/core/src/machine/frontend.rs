@@ -10,7 +10,7 @@
 
 use pimsim_isa::{BranchCond, InstrClass, Instruction, SBinOp, SImmOp};
 
-use super::{Ctx, EnergyField, Machine, MachineEvent};
+use super::{Ctx, Machine, MachineEvent};
 use crate::resolve::{resolve, Resolved};
 
 impl Machine<'_> {
@@ -48,16 +48,14 @@ impl Machine<'_> {
             self.cores[c].stats.dispatched += 1;
             self.telemetry.count_dispatch(tag);
             let frontend_energy = self.timing.frontend_energy(self.cfg);
-            self.telemetry
-                .add_energy(EnergyField::Frontend, frontend_energy);
+            self.telemetry.energy.frontend += frontend_energy;
 
             match resolve(&instr, &self.cores[c].regs) {
                 None => {
                     // Scalar class: execute at dispatch.
-                    self.telemetry.count_class(3);
+                    self.telemetry.class_counts[3] += 1;
                     let scalar_energy = self.timing.scalar_cost(self.cfg).energy;
-                    self.telemetry
-                        .add_energy(EnergyField::Scalar, scalar_energy);
+                    self.telemetry.energy.scalar += scalar_energy;
                     if self.telemetry.trace_live() {
                         self.telemetry
                             .record_trace(dispatch_at, c as u16, instr.to_string());
@@ -77,12 +75,13 @@ impl Machine<'_> {
     /// advances the program counter past it.
     fn enter_rob(&mut self, c: usize, tag: u16, instr: &Instruction, res: Resolved) {
         let class = instr.class();
-        match class {
-            InstrClass::Matrix => self.telemetry.count_class(0),
-            InstrClass::Vector => self.telemetry.count_class(1),
-            InstrClass::Transfer => self.telemetry.count_class(2),
+        let slot = match class {
+            InstrClass::Matrix => 0,
+            InstrClass::Vector => 1,
+            InstrClass::Transfer => 2,
             InstrClass::Scalar => unreachable!("resolved scalar"),
-        }
+        };
+        self.telemetry.class_counts[slot] += 1;
         let text = self.telemetry.trace_live().then(|| instr.to_string());
         let core = &mut self.cores[c];
         let chan = core.chans[core.pc as usize];

@@ -22,7 +22,6 @@
 //! three [`MachineEvent`]s, so the timing behaviour of a run is exactly
 //! the event schedule those variants produce.
 
-pub(crate) mod engine;
 pub(crate) mod error;
 pub(crate) mod frontend;
 pub(crate) mod rob;
@@ -31,61 +30,19 @@ pub(crate) mod timing;
 pub(crate) mod transfer;
 pub(crate) mod units;
 
-use pimsim_arch::{ArchConfig, Energy};
+use pimsim_arch::ArchConfig;
 use pimsim_event::{EventCtx, SimTime, World};
 
 use crate::exec::Memory;
 use crate::noc::{Noc, NocCosts};
-use crate::resolve::Resolved;
 use crate::stats::{EnergyBreakdown, NodeStats, TraceEntry, TRACE_CAP};
 
-pub use engine::{Engine, EngineInput, EngineKind, EngineOutput, EventEngine};
 pub use error::SimError;
 pub use run::Simulator;
 pub use timing::{DefaultTiming, TimingModel};
 
 use rob::Core;
 use transfer::{Pending, TransferFabric};
-
-/// Which run-wide energy accumulator a recorded delta targets. The
-/// transfer accumulator is absent on purpose: transfers delimit compiled
-/// regions, so the recording pass can never observe one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EnergyField {
-    Frontend,
-    Scalar,
-    Vector,
-    Matrix,
-}
-
-/// Which per-node time accumulator a recorded delta targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum NodeTimeField {
-    Matrix,
-    Vector,
-}
-
-/// One telemetry mutation, recorded in execution order by the compiled
-/// engine's placement pass and re-applied verbatim at replay. Energy is
-/// `f64`-backed, so byte-identical replay requires the *original addends
-/// in their original order* — never a before/after difference, which
-/// rounds differently.
-#[derive(Debug, Clone)]
-pub(crate) enum Delta {
-    /// `telemetry.energy.<field> += v`.
-    Energy(EnergyField, Energy),
-    /// `telemetry.node(tag).energy += v`.
-    NodeEnergy(u16, Energy),
-    /// `telemetry.node(tag).<field>_time += v`.
-    NodeTime(u16, NodeTimeField, SimTime),
-    /// One dispatched instruction attributed to `tag`.
-    Dispatch(u16),
-    /// `telemetry.class_counts[i] += 1`.
-    Class(usize),
-    /// A completed functional payload (applied to the replaying core's
-    /// local memory only when the run is functional).
-    Payload(Resolved),
-}
 
 /// Run-wide counters and the optional instruction trace, collected by
 /// every pipeline stage and folded into the final `SimReport`.
@@ -99,9 +56,6 @@ pub(crate) struct Telemetry {
     pub(crate) per_node: Vec<NodeStats>,
     pub(crate) trace_on: bool,
     pub(crate) trace: Vec<TraceEntry>,
-    /// Ordered mutation log, present only while the compiled engine's
-    /// placement pass records a region on a scratch machine.
-    pub(crate) recorder: Option<Vec<Delta>>,
 }
 
 impl Telemetry {
@@ -113,87 +67,13 @@ impl Telemetry {
             per_node: Vec::new(),
             trace_on,
             trace: Vec::new(),
-            recorder: None,
         }
     }
 
-    /// `telemetry.energy.<field> += v`, logged when recording.
-    pub(crate) fn add_energy(&mut self, field: EnergyField, v: Energy) {
-        match field {
-            EnergyField::Frontend => self.energy.frontend += v,
-            EnergyField::Scalar => self.energy.scalar += v,
-            EnergyField::Vector => self.energy.vector += v,
-            EnergyField::Matrix => self.energy.matrix += v,
-        }
-        if let Some(log) = &mut self.recorder {
-            log.push(Delta::Energy(field, v));
-        }
-    }
-
-    /// `node(tag).energy += v`, logged when recording.
-    pub(crate) fn add_node_energy(&mut self, tag: u16, v: Energy) {
-        self.node(tag).energy += v;
-        if let Some(log) = &mut self.recorder {
-            log.push(Delta::NodeEnergy(tag, v));
-        }
-    }
-
-    /// `node(tag).<field>_time += v`, logged when recording.
-    pub(crate) fn add_node_time(&mut self, tag: u16, field: NodeTimeField, v: SimTime) {
-        match field {
-            NodeTimeField::Matrix => self.node(tag).matrix_time += v,
-            NodeTimeField::Vector => self.node(tag).vector_time += v,
-        }
-        if let Some(log) = &mut self.recorder {
-            log.push(Delta::NodeTime(tag, field, v));
-        }
-    }
-
-    /// Counts one dispatched instruction against `tag`, logged when
-    /// recording.
+    /// Counts one dispatched instruction against `tag`.
     pub(crate) fn count_dispatch(&mut self, tag: u16) {
         self.instructions += 1;
         self.node(tag).instructions += 1;
-        if let Some(log) = &mut self.recorder {
-            log.push(Delta::Dispatch(tag));
-        }
-    }
-
-    /// `class_counts[i] += 1`, logged when recording.
-    pub(crate) fn count_class(&mut self, i: usize) {
-        self.class_counts[i] += 1;
-        if let Some(log) = &mut self.recorder {
-            log.push(Delta::Class(i));
-        }
-    }
-
-    /// Logs a completed functional payload while recording (the scratch
-    /// machine never runs functionally; replay applies the payload to the
-    /// live core when the real run does).
-    pub(crate) fn log_payload(&mut self, res: &Resolved) {
-        if let Some(log) = &mut self.recorder {
-            log.push(Delta::Payload(*res));
-        }
-    }
-
-    /// Drains the mutations recorded since the last call.
-    pub(crate) fn take_recorded(&mut self) -> Vec<Delta> {
-        match &mut self.recorder {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
-    }
-
-    /// Re-applies one recorded mutation to this telemetry sink.
-    pub(crate) fn apply(&mut self, d: &Delta) {
-        match d {
-            Delta::Energy(field, v) => self.add_energy(*field, *v),
-            Delta::NodeEnergy(tag, v) => self.add_node_energy(*tag, *v),
-            Delta::NodeTime(tag, field, v) => self.add_node_time(*tag, *field, *v),
-            Delta::Dispatch(tag) => self.count_dispatch(*tag),
-            Delta::Class(i) => self.count_class(*i),
-            Delta::Payload(_) => unreachable!("payloads are applied by the replay core"),
-        }
     }
 
     /// The stats bucket for node `tag`, growing the table as needed.
@@ -231,10 +111,6 @@ pub(crate) enum MachineEvent {
     /// A message's tail flit arrives at the receiving end of channel
     /// `chan` (the payload length travels inside `send`).
     Deposit { chan: u32, send: Pending },
-    /// A pre-placed schedule slot for `core` fires (compiled engine
-    /// only). The event engine treats one reaching it as an invariant
-    /// break, never a no-op.
-    Slot { core: usize },
 }
 
 /// Scheduling context alias used throughout the machine modules.
@@ -260,14 +136,6 @@ pub(crate) struct Machine<'a> {
     /// Timestamp of the last real activity (the kernel clock advances to
     /// the horizon when the queue drains; latency must not).
     pub(crate) finish_time: SimTime,
-    /// True when a hybrid (compiled-engine) world drives this machine.
-    /// Lets `complete` hand its trailing dispatch back to the driver so a
-    /// compiled region can start right after a completion drains the ROB
-    /// — the re-dispatch site that never surfaces as an `Advance` event.
-    pub(crate) hybrid: bool,
-    /// Core whose post-completion dispatch was deferred to the hybrid
-    /// driver. Only set while `hybrid`; drained before the event returns.
-    pub(crate) deferred_advance: Option<usize>,
 }
 
 impl Machine<'_> {
@@ -277,18 +145,6 @@ impl Machine<'_> {
             self.error = Some(err);
         }
         ctx.stop();
-    }
-
-    /// True when `core` is in the state a compiled region can start from:
-    /// quiescent ROB, dispatch not throttled, and no pacing `Advance`
-    /// outstanding (which would fire mid-replay against stale state).
-    pub(crate) fn entry_ready(&self, c: usize, now: SimTime) -> bool {
-        let core = &self.cores[c];
-        self.error.is_none()
-            && !core.halted
-            && !core.advance_pending
-            && core.rob_is_empty()
-            && core.next_dispatch <= now
     }
 }
 
@@ -303,13 +159,6 @@ impl World for Machine<'_> {
             }
             MachineEvent::Complete { core, seq } => self.complete(core, seq, ctx),
             MachineEvent::Deposit { chan, send } => self.deposit(chan, send, ctx),
-            MachineEvent::Slot { core } => {
-                // A schedule slot with no replay state behind it is a stale
-                // schedule — silently ignoring it would desynchronize the
-                // compiled timeline from the machine.
-                let detail = format!("schedule slot for core{core} reached the event engine");
-                self.fail(SimError::Internal { detail }, ctx);
-            }
         }
     }
 }

@@ -58,7 +58,6 @@ struct Edge {
 /// One instruction in flight between dispatch and retirement.
 #[derive(Debug)]
 pub(crate) struct InFlight {
-    pub(crate) seq: u64,
     pub(crate) res: Resolved,
     pub(crate) class: InstrClass,
     pub(crate) tag: u16,
@@ -181,11 +180,6 @@ impl Core {
         }
     }
 
-    /// The sequence number the next admitted entry will get.
-    pub(crate) fn seq_next(&self) -> u64 {
-        self.seq_next
-    }
-
     /// The entries in flight, oldest first.
     pub(crate) fn in_flight(&self) -> impl Iterator<Item = &InFlight> {
         self.rob.iter()
@@ -211,16 +205,6 @@ impl Core {
         self.rob.get_mut(idx as usize)
     }
 
-    /// Empties the ROB and restarts sequence numbering at `seq_next` (the
-    /// compiled engine rebuilds a core from a snapshot this way).
-    pub(crate) fn reset_rob(&mut self, seq_next: u64) {
-        self.rob.clear();
-        self.ready.clear();
-        self.edges.clear();
-        self.free_edge = NIL;
-        self.seq_next = seq_next;
-    }
-
     /// Appends a freshly dispatched memory-class instruction to the ROB in
     /// the `Waiting` state and resolves its hazards against every older
     /// entry still in progress. Returns its sequence number.
@@ -244,7 +228,6 @@ impl Core {
             _ => None,
         };
         let mut entry = InFlight {
-            seq,
             reads: res.reads(),
             write: res.write(mvm_out),
             gmem,
@@ -361,31 +344,6 @@ impl Core {
         }
     }
 
-    /// Re-creates an entry that had already reached `state` (issued at
-    /// `issue_at`, if it had issued) by walking it through the live
-    /// transitions, so blocker counts and the ready set are re-derived.
-    /// An entry that had issued had no unfinished older conflict then, and
-    /// — restoring oldest first — has none now: it is ready again.
-    pub(crate) fn restore(
-        &mut self,
-        tag: u16,
-        class: InstrClass,
-        res: Resolved,
-        chan: u32,
-        state: State,
-        issue_at: SimTime,
-    ) -> u64 {
-        let seq = self.admit(tag, class, res, chan, None);
-        // Waiting entries keep issue time zero, as live dispatch leaves it.
-        if state != State::Waiting {
-            self.begin(seq, issue_at);
-        }
-        if state == State::Done {
-            self.mark_done(seq);
-        }
-        seq
-    }
-
     /// `true` if no crossbar of `group` is occupied.
     fn xbars_free(&self, group: GroupId) -> bool {
         self.groups[group.as_usize()]
@@ -463,7 +421,7 @@ mod tests {
                     }
                 }
                 if self.unit_available(e, structure_hazard) {
-                    return Some(e.seq);
+                    return Some(self.head_seq() + i as u64);
                 }
             }
             None
@@ -589,8 +547,8 @@ mod tests {
         core.retire();
         // Entry 1 still in flight: 2 must stay queued behind it.
         assert_eq!(core.in_flight().count(), 2);
-        assert_eq!(core.in_flight().next().map(|e| e.seq), Some(1));
         assert!(core.find(0).is_none());
+        assert_eq!(core.find(1).map(|e| e.state), Some(State::Executing));
         assert!(core.find(2).is_some());
         assert!(core.find(3).is_none());
     }
@@ -710,19 +668,6 @@ mod tests {
         }
     }
 
-    /// Rebuilds the ROB from a copy of itself, as the compiled engine's
-    /// `materialize` does from a snapshot.
-    fn rebuild(core: &mut Core) {
-        let snap: Vec<_> = core
-            .in_flight()
-            .map(|e| (e.tag, e.class, e.res, e.chan, e.state, e.issue_at))
-            .collect();
-        core.reset_rob(core.seq_next() - snap.len() as u64);
-        for (tag, class, res, chan, state, issue_at) in snap {
-            core.restore(tag, class, res, chan, state, issue_at);
-        }
-    }
-
     /// Random ROB traffic: after every step the scoreboard must pick what
     /// the rescan picks, so the two issue sequences are equal step for
     /// step. Returns how many entries issued.
@@ -749,7 +694,6 @@ mod tests {
                     set_unit(&mut core, class, res, false);
                     core.retire();
                 }
-                7 if step % 5 == 0 => rebuild(&mut core),
                 _ => {}
             }
             // Issue everything that can start now, as `try_issue` does.

@@ -3,14 +3,13 @@
 
 use pimsim_arch::model::CostModel;
 use pimsim_arch::ArchConfig;
-use pimsim_event::{RunResult, SimTime};
+use pimsim_event::{Kernel, RunResult, SimTime};
 use pimsim_isa::{Program, ProgramLimits};
 
-use super::engine::{Engine, EngineInput, EventEngine};
 use super::rob::Core;
 use super::timing::{DefaultTiming, TimingModel};
 use super::transfer::TransferFabric;
-use super::{error::SimError, Machine, Telemetry};
+use super::{error::SimError, Machine, MachineEvent, Telemetry};
 use crate::exec::Memory;
 use crate::noc::{Noc, NocCosts};
 use crate::stats::SimReport;
@@ -19,35 +18,22 @@ use crate::stats::SimReport;
 ///
 /// See the crate docs for the machine model. Unit latencies and energies
 /// come from a [`TimingModel`] — [`DefaultTiming`] (the paper's shared
-/// cost tables) unless [`Simulator::with_timing`] swaps in another. The
-/// run loop itself sits behind the [`Engine`] seam — [`EventEngine`]
-/// (the live interpreter) unless [`Simulator::with_engine`] swaps in the
-/// compiled scheduler.
+/// cost tables) unless [`Simulator::with_timing`] swaps in another.
 #[derive(Debug, Clone, Copy)]
 pub struct Simulator<'a> {
     arch: &'a ArchConfig,
     timing: &'a dyn TimingModel,
-    engine: &'a dyn Engine,
-    cache: Option<&'a crate::compiled::ScheduleCache>,
-    /// Set by [`Simulator::with_timing`]: custom cost models have no
-    /// comparable identity, so cross-run schedule caches are bypassed to
-    /// keep a cache from replaying schedules recorded under other costs.
-    custom_timing: bool,
     /// Set by [`Simulator::with_preflight`]: run the static analyzer
     /// before the first event and refuse programs with provable defects.
     preflight: bool,
 }
 
 impl<'a> Simulator<'a> {
-    /// Creates a simulator over `arch` with the default timing model and
-    /// the event engine.
+    /// Creates a simulator over `arch` with the default timing model.
     pub fn new(arch: &'a ArchConfig) -> Self {
         Simulator {
             arch,
             timing: &DefaultTiming,
-            engine: &EventEngine,
-            cache: None,
-            custom_timing: false,
             preflight: false,
         }
     }
@@ -66,29 +52,9 @@ impl<'a> Simulator<'a> {
     }
 
     /// Replaces the unit-timing model (the run loop is untouched; only
-    /// cost lookups change). Disables any [`Simulator::with_schedule_cache`]:
-    /// cached region schedules embed the cost model they were recorded
-    /// under.
+    /// cost lookups change).
     pub fn with_timing(mut self, timing: &'a dyn TimingModel) -> Self {
         self.timing = timing;
-        self.custom_timing = true;
-        self
-    }
-
-    /// Replaces the run-loop engine (costs and machine semantics are
-    /// untouched; only how the event stream is driven changes).
-    pub fn with_engine(mut self, engine: &'a dyn Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Shares a compiled-region store across runs, so repeated simulation
-    /// of the same program under the compiled engine pays each region's
-    /// compile cost once instead of once per run. The cache binds to the
-    /// first architecture it sees and is bypassed for any other; engines
-    /// that pre-compute nothing ignore it.
-    pub fn with_schedule_cache(mut self, cache: &'a crate::compiled::ScheduleCache) -> Self {
-        self.cache = Some(cache);
         self
     }
 
@@ -132,13 +98,15 @@ impl<'a> Simulator<'a> {
 
         let clock = CostModel::new(self.arch).core_clock();
         let horizon = clock.cycles_to_time(self.arch.sim.max_cycles);
-        let out = self.engine.drive(EngineInput {
-            machine,
-            horizon,
-            cache: if self.custom_timing { None } else { self.cache },
-        });
-        let (mut machine, result, events, schedule) =
-            (out.machine, out.result, out.events, out.schedule);
+        let mut kernel = Kernel::new(machine);
+        for c in 0..kernel.world().cores.len() {
+            if !kernel.world().cores[c].halted {
+                kernel.schedule_at(SimTime::ZERO, MachineEvent::Advance { core: c });
+            }
+        }
+        let result = kernel.run_until(horizon);
+        let events = kernel.stats().executed;
+        let mut machine = kernel.into_world();
         let now = machine.finish_time;
 
         if let Some(err) = machine.error.take() {
@@ -166,7 +134,6 @@ impl<'a> Simulator<'a> {
             per_core,
             per_node: machine.telemetry.per_node,
             events,
-            schedule,
             trace: machine.telemetry.trace,
             gmem: functional.then_some(machine.gmem),
             locals: functional.then(|| machine.cores.into_iter().map(|c| c.mem).collect()),
@@ -176,7 +143,7 @@ impl<'a> Simulator<'a> {
     /// Assembles the machine: one core per mesh slot with its program
     /// slice, the NoC, global memory, and the transfer fabric with the
     /// program's channels interned.
-    pub(crate) fn build_machine(&self, program: &Program, functional: bool) -> Machine<'a> {
+    fn build_machine(&self, program: &Program, functional: bool) -> Machine<'a> {
         let dispatch_interval = self.timing.dispatch_interval(self.arch);
         let decode_offset = self.timing.decode_offset(self.arch);
 
@@ -222,8 +189,6 @@ impl<'a> Simulator<'a> {
             telemetry: Telemetry::new(self.arch.sim.trace),
             error: None,
             finish_time: SimTime::ZERO,
-            hybrid: false,
-            deferred_advance: None,
         }
     }
 

@@ -14,7 +14,7 @@ use pimsim_event::SimTime;
 use pimsim_isa::{InstrClass, VectorShape};
 
 use super::rob::Issued;
-use super::{Ctx, EnergyField, Machine, MachineEvent, NodeTimeField};
+use super::{Ctx, Machine, MachineEvent};
 use crate::exec::execute_local;
 use crate::machine::error::SimError;
 use crate::resolve::Resolved;
@@ -65,8 +65,8 @@ impl Machine<'_> {
                     .timing
                     .vector_cost(self.cfg, shape.len, shape.reads, shape.writes);
                 self.cores[c].vector_busy = true;
-                self.telemetry.add_energy(EnergyField::Vector, cost.energy);
-                self.telemetry.add_node_energy(tag, cost.energy);
+                self.telemetry.energy.vector += cost.energy;
+                self.telemetry.node(tag).energy += cost.energy;
                 let end = now + cost.time;
                 ctx.schedule_at(end, MachineEvent::Complete { core: c, seq });
             }
@@ -80,8 +80,8 @@ impl Machine<'_> {
                 };
                 let cost = self.timing.matrix_cost(self.cfg, inp, outp, nx);
                 self.cores[c].book_xbars(group);
-                self.telemetry.add_energy(EnergyField::Matrix, cost.energy);
-                self.telemetry.add_node_energy(tag, cost.energy);
+                self.telemetry.energy.matrix += cost.energy;
+                self.telemetry.node(tag).energy += cost.energy;
                 let end = now + cost.time;
                 ctx.schedule_at(end, MachineEvent::Complete { core: c, seq });
             }
@@ -125,9 +125,10 @@ impl Machine<'_> {
             InstrClass::Vector => {
                 self.cores[c].vector_busy = false;
                 self.cores[c].stats.vector_busy += span;
-                self.telemetry
-                    .add_node_time(tag, NodeTimeField::Vector, span);
-                self.functional_payload(c, &res);
+                self.telemetry.node(tag).vector_time += span;
+                if self.functional {
+                    self.execute_functional(c, &res);
+                }
             }
             InstrClass::Matrix => {
                 let Resolved::Mvm { group, .. } = res else {
@@ -135,9 +136,10 @@ impl Machine<'_> {
                 };
                 self.cores[c].release_xbars(group);
                 self.cores[c].stats.matrix_busy += span;
-                self.telemetry
-                    .add_node_time(tag, NodeTimeField::Matrix, span);
-                self.functional_payload(c, &res);
+                self.telemetry.node(tag).matrix_time += span;
+                if self.functional {
+                    self.execute_functional(c, &res);
+                }
             }
             InstrClass::Transfer => {
                 // Only global-memory transfers complete through here.
@@ -164,31 +166,12 @@ impl Machine<'_> {
         }
         self.cores[c].retire();
         self.try_issue(c, ctx);
-        if self.hybrid && self.entry_ready(c, now) {
-            // Dispatch is the last thing this handler does, so handing it
-            // to the hybrid driver is exact: the driver either splices a
-            // compiled region in here or runs the same `try_advance`.
-            self.deferred_advance = Some(c);
-        } else {
-            self.try_advance(c, ctx);
-        }
-    }
-
-    /// Hands a completed vector/matrix payload onward: executed on the
-    /// core's local memory in functional runs, logged for later replay
-    /// while the compiled engine records a region (scratch machines are
-    /// never functional), dropped otherwise.
-    fn functional_payload(&mut self, c: usize, res: &Resolved) {
-        if self.functional {
-            self.execute_functional(c, res);
-        } else {
-            self.telemetry.log_payload(res);
-        }
+        self.try_advance(c, ctx);
     }
 
     /// Runs a vector/matrix payload on the core's local memory with the
     /// golden-model integer semantics.
-    pub(crate) fn execute_functional(&mut self, c: usize, res: &Resolved) {
+    fn execute_functional(&mut self, c: usize, res: &Resolved) {
         let core = &mut self.cores[c];
         // Split borrow: groups are not touched by local data movement.
         let groups = std::mem::take(&mut core.groups);

@@ -430,10 +430,13 @@ impl Noc {
         self.rows as u32 * self.cols as u32
     }
 
-    /// Debug-asserts that `core` addresses a router inside the mesh. Out
-    /// of range ids would otherwise index outside the dense link table.
-    fn check_core(&self, core: u16) {
-        debug_assert!(
+    /// Asserts that `a` and `b` address routers inside the mesh — one
+    /// compare for both ends. Out-of-range ids would otherwise walk
+    /// through ports that do not exist or index past the dense link
+    /// table, so every public entry point checks, in release builds too.
+    fn check_cores(&self, a: u16, b: u16) {
+        let core = a.max(b);
+        assert!(
             (core as u32) < self.routers(),
             "core {core} outside the {}x{} mesh",
             self.rows,
@@ -467,9 +470,12 @@ impl Noc {
 
     /// The minimal route between two routers under `order`, as an
     /// allocation-free iterator of directed links.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either router lies outside the mesh.
     pub fn route(&self, from: u16, to: u16, order: DimOrder) -> Route {
-        self.check_core(from);
-        self.check_core(to);
+        self.check_cores(from, to);
         Route {
             cols: self.cols,
             cur: from,
@@ -490,6 +496,10 @@ impl Noc {
     /// A self-message (`from == to`) never touches the mesh: it is a local
     /// scratchpad copy and costs [`NocCosts::local_copy`], not zero —
     /// same-core rendezvous still has to move the payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either core lies outside the mesh.
     pub fn message(
         &mut self,
         from: u16,
@@ -498,8 +508,8 @@ impl Noc {
         start: SimTime,
         costs: &NocCosts,
     ) -> SimTime {
+        self.check_cores(from, to);
         if from == to {
-            self.check_core(from);
             return start + costs.local_copy(elems).time;
         }
         let flits = costs.flits_for_elems(elems);
@@ -516,6 +526,7 @@ impl Noc {
     /// Walks a packet `from -> to` under the active policy, reserving each
     /// link in turn: a fixed dimension-order [`Route`] for oblivious
     /// policies, a hop-by-hop congestion-guided walk for adaptive ones.
+    /// Both ends are in the mesh: the public callers checked them.
     fn walk(
         &mut self,
         from: u16,
@@ -536,8 +547,12 @@ impl Noc {
                 cur = next;
             }
         } else {
-            let order = self.routing.order(from, to, msg_seq);
-            let route = self.route(from, to, order);
+            let route = Route {
+                cols: self.cols,
+                cur: from,
+                to,
+                order: self.routing.order(from, to, msg_seq),
+            };
             self.walk_route(route, walk, hop, ser);
         }
     }
@@ -599,8 +614,7 @@ impl Noc {
     /// Because a minimal walk never revisits a router, this is exactly the
     /// path [`Noc::message`] reserves when it injects that message.
     pub fn adaptive_route(&self, from: u16, to: u16) -> AdaptiveRoute<'_> {
-        self.check_core(from);
-        self.check_core(to);
+        self.check_cores(from, to);
         AdaptiveRoute {
             noc: self,
             cur: from,
@@ -612,6 +626,10 @@ impl Noc {
     /// A global-memory access from `core`: ride the mesh to corner (0,0),
     /// cross the memory port, queue at the controller, pay DRAM latency +
     /// bandwidth. Returns the completion time.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `core` lies outside the mesh.
     pub fn memory_access(
         &mut self,
         core: u16,
@@ -619,7 +637,7 @@ impl Noc {
         start: SimTime,
         costs: &NocCosts,
     ) -> SimTime {
-        self.check_core(core);
+        self.check_cores(core, core);
         let flits = costs.flits_for_elems(elems);
         let ser = costs.serialization(flits);
         let seq = self.next_msg();

@@ -73,27 +73,6 @@ impl NodeStats {
     }
 }
 
-/// How the run's work was split between the two engines: events the
-/// kernel dispatched through live machine handlers vs events replayed
-/// from a pre-computed (placed) schedule, and how many static regions
-/// were compiled, reused, or declined. The event engine reports all
-/// events as dispatched and every region counter zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScheduleStats {
-    /// Events executed through live machine handlers (including hybrid
-    /// boundary and pass-through events).
-    pub events_dispatched: u64,
-    /// Events replayed from a pre-placed schedule (no handler ran).
-    pub events_placed: u64,
-    /// Static regions compiled by the placer (memo misses).
-    pub regions_compiled: u64,
-    /// Region entries satisfied from the schedule memo (reuse hits).
-    pub regions_reused: u64,
-    /// Region entry points declined (window empty or too dynamic),
-    /// falling back to the event kernel.
-    pub regions_fallback: u64,
-}
-
 /// One entry of the optional instruction trace (`sim.trace = true`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
@@ -122,9 +101,6 @@ pub struct SimReport {
     pub per_node: Vec<NodeStats>,
     /// Discrete events processed by the kernel.
     pub events: u64,
-    /// How the events were produced: dispatched live vs replayed from a
-    /// compiled schedule (all-dispatched under the event engine).
-    pub schedule: ScheduleStats,
     /// Instruction completion trace (only with `sim.trace = true`; capped
     /// at [`TRACE_CAP`] entries).
     pub trace: Vec<TraceEntry>,
@@ -207,7 +183,6 @@ mod tests {
             per_core: vec![],
             per_node: vec![],
             events: 0,
-            schedule: ScheduleStats::default(),
             trace: vec![],
             gmem: None,
             locals: None,

@@ -2,9 +2,7 @@
 //!
 //! Events are plain values of the world's [`World::Event`] type, stored
 //! inline in the priority queue — scheduling allocates nothing per event
-//! (the queue and the pending buffer amortize like any `Vec`). The
-//! boxed-closure style the kernel used to force on every consumer survives
-//! as an opt-in compatibility shim in [`crate::closure`].
+//! (the queue and the pending buffer amortize like any `Vec`).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -134,17 +132,6 @@ impl<E> EventCtx<E> {
     /// Requests that the kernel stop after the current event completes.
     pub fn stop(&mut self) {
         self.stop = true;
-    }
-
-    /// The events the running handler has scheduled so far, in scheduling
-    /// order (the order their sequence numbers will be assigned in).
-    ///
-    /// This is the observation point for engines that record a handler's
-    /// follow-ups — a compiled/replay engine must reproduce exactly this
-    /// list, in this order, to keep the kernel's deterministic (time, seq)
-    /// stream byte-identical.
-    pub fn scheduled(&self) -> &[(SimTime, E)] {
-        &self.buffered
     }
 }
 

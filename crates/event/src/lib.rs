@@ -13,8 +13,6 @@
 //! * **typed, allocation-free events**: the simulated [`World`] declares an
 //!   event enum and a `handle` dispatch function; events are stored inline
 //!   in the queue, so the hot path never boxes,
-//! * a boxed-closure compatibility shim ([`closure::ClosureKernel`]) for
-//!   callers that prefer scheduling closures over declaring an event type,
 //! * a [`Clock`] helper for cycle/time conversion,
 //! * [`par_map_indexed`], the thread-count-independent worker pool the
 //!   host-side fan-outs (sweep campaigns, serve warm-up) share, and
@@ -55,7 +53,6 @@
 //! ```
 
 mod clock;
-pub mod closure;
 mod kernel;
 mod par;
 mod time;

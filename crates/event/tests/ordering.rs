@@ -1,7 +1,6 @@
-//! Property-based tests for kernel determinism and ordering invariants,
-//! exercised through both the typed event path and the closure shim.
+//! Property-based tests for the typed kernel's determinism and ordering
+//! invariants.
 
-use pimsim_event::closure::ClosureKernel;
 use pimsim_event::{EventCtx, Kernel, SimTime, World};
 use proptest::prelude::*;
 
@@ -25,18 +24,6 @@ fn execute(times: &[u64]) -> Vec<(u64, usize)> {
     }
     k.run();
     k.into_world().0
-}
-
-/// The same schedule through the boxed-closure shim.
-fn execute_closures(times: &[u64]) -> Vec<(u64, usize)> {
-    let mut k = ClosureKernel::new(Vec::new());
-    for (i, &t) in times.iter().enumerate() {
-        k.schedule_at(SimTime::from_ps(t), move |w: &mut Vec<(u64, usize)>, _| {
-            w.push((t, i));
-        });
-    }
-    k.run();
-    k.into_state()
 }
 
 /// A world that hops `remaining` more times, `step` picoseconds apart.
@@ -86,12 +73,6 @@ proptest! {
     #[test]
     fn deterministic_replay(times in proptest::collection::vec(0u64..1000, 0..100)) {
         prop_assert_eq!(execute(&times), execute(&times));
-    }
-
-    /// The closure shim preserves the typed kernel's ordering exactly.
-    #[test]
-    fn closure_shim_matches_typed_kernel(times in proptest::collection::vec(0u64..100, 0..100)) {
-        prop_assert_eq!(execute(&times), execute_closures(&times));
     }
 
     /// Chained events (each schedules the next) cover every hop exactly once.

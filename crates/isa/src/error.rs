@@ -22,7 +22,9 @@ pub enum IsaError {
     },
     /// A binary word whose opcode byte is unknown.
     UnknownOpcode(u8),
-    /// Assembly text could not be parsed. `line` is 1-based (0 = unknown).
+    /// Assembly text or a program file could not be parsed. `line` is
+    /// 1-based; 0 when unknown or when `msg` already ends in its location
+    /// (JSON errors carry line and column there).
     Parse {
         /// 1-based source line.
         line: usize,

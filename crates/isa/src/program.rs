@@ -137,10 +137,12 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// Returns [`IsaError::Parse`] on malformed JSON.
+    /// Returns [`IsaError::Parse`] on malformed JSON. Its message ends in
+    /// the error's line and column, so `line` stays 0 and the location is
+    /// printed once.
     pub fn from_json(text: &str) -> Result<Program, IsaError> {
         serde_json::from_str(text).map_err(|e| IsaError::Parse {
-            line: e.line(),
+            line: 0,
             msg: e.to_string(),
         })
     }

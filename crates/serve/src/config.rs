@@ -4,7 +4,6 @@
 use std::fmt;
 
 use pimsim_compiler::MappingPolicy;
-use pimsim_core::EngineKind;
 use pimsim_event::SimTime;
 
 use pimsim_arch::ArchConfig;
@@ -237,9 +236,6 @@ pub struct ServeConfig {
     pub burst_off: SimTime,
     /// Mapping policy the per-instance service model compiles with.
     pub mapping: MappingPolicy,
-    /// Run-loop engine the service model simulates with (the engines are
-    /// byte-identical, so this never changes a reported number).
-    pub engine: EngineKind,
     /// The accelerator instance architecture.
     pub arch: ArchConfig,
 }
@@ -264,7 +260,6 @@ impl ServeConfig {
             burst_on: SimTime::from_us(500),
             burst_off: SimTime::from_us(500),
             mapping: MappingPolicy::PerformanceFirst,
-            engine: EngineKind::default(),
             arch: ArchConfig::paper_default(),
         }
     }

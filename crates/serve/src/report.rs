@@ -76,7 +76,9 @@ pub struct ServeReport {
     pub drain: bool,
     /// Mapping policy of the per-instance service model.
     pub mapping: String,
-    /// Run-loop engine of the per-instance service model.
+    /// Run-loop engine of the per-instance service model: always
+    /// `"event"`, the simulator's one run loop. Kept so report bytes
+    /// stay stable.
     pub engine: String,
     /// Requests generated across all networks.
     pub generated: u64,
@@ -200,7 +202,7 @@ impl ServeReport {
             instances: config.instances,
             drain: config.drain,
             mapping: config.mapping.to_string(),
-            engine: config.engine.name().to_string(),
+            engine: "event".to_string(),
             generated: outcome.generated.iter().sum(),
             finished,
             dropped: outcome.dropped.iter().sum(),

@@ -96,7 +96,6 @@ fn measure(config: &ServeConfig, net: usize, k: u32) -> Result<ServicePoint, Ser
         .compile(&network)
         .map_err(|e| ServeError::Compile(format!("{name} @ batch {k}: {e}")))?;
     let report = Simulator::new(&config.arch)
-        .with_engine(config.engine.engine())
         .run(&compiled.program)
         .map_err(|e| ServeError::Sim(format!("{name} @ batch {k}: {e}")))?;
     Ok(ServicePoint {

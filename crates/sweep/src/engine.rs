@@ -154,7 +154,6 @@ impl Scenario {
                     .compile(&net)
                     .map_err(|e| SweepError::Compile(format!("{}: {e}", self.display_label())))?;
                 let report = Simulator::new(&self.arch)
-                    .with_engine(self.engine.engine())
                     .run(&compiled.program)
                     .map_err(|e| SweepError::Sim(format!("{}: {e}", self.display_label())))?;
                 let comm_ratios = (0..compiled.node_names.len())
@@ -199,7 +198,7 @@ impl Scenario {
 
     /// Evaluates a serving-mode grid point: the open-loop front-end at
     /// this scenario's rate and batch policy, on this scenario's
-    /// architecture/mapping/engine. Single-threaded — the worker pool's
+    /// architecture and mapping. Single-threaded — the worker pool's
     /// parallelism lives at the scenario level, and the serve report is
     /// thread-count-independent anyway.
     fn execute_serve(
@@ -211,7 +210,6 @@ impl Scenario {
             pimsim_serve::ServeConfig::new(vec![(self.network.clone(), self.resolution)]);
         config.arch = self.arch.clone();
         config.mapping = self.mapping;
-        config.engine = self.engine;
         config.rate_rps = sp.rate_rps;
         config.batch = sp.policy;
         config.duration = sp.duration;
@@ -328,28 +326,6 @@ mod tests {
         }
         assert_eq!(rows[0].scenario.network, "tiny_mlp");
         assert_eq!(rows[3].scenario.network, "tiny_cnn");
-    }
-
-    #[test]
-    fn engines_produce_identical_rows() {
-        let base = Scenario::cycle(
-            "tiny_mlp",
-            64,
-            MappingPolicy::PerformanceFirst,
-            1,
-            ArchConfig::small_test(),
-        );
-        let event = base.clone().execute(0).unwrap();
-        let compiled = base
-            .with_engine(pimsim_core::EngineKind::Compiled)
-            .execute(0)
-            .unwrap();
-        assert_eq!(event.latency_ps, compiled.latency_ps);
-        assert_eq!(event.energy_pj.to_bits(), compiled.energy_pj.to_bits());
-        assert_eq!(event.power_w.to_bits(), compiled.power_w.to_bits());
-        assert_eq!(event.events, compiled.events);
-        assert_eq!(event.instructions, compiled.instructions);
-        assert_eq!(event.comm_ratios, compiled.comm_ratios);
     }
 
     #[test]

@@ -7,7 +7,6 @@ use serde::{Deserialize, Serialize, Sink};
 
 use pimsim_arch::{ArchConfig, RoutingPolicy};
 use pimsim_compiler::MappingPolicy;
-use pimsim_core::EngineKind;
 use pimsim_event::SimTime;
 use pimsim_nn::zoo;
 use pimsim_serve::BatchPolicy;
@@ -57,17 +56,6 @@ pub fn parse_mapping(name: &str) -> Result<MappingPolicy, SweepError> {
         "utilization-first" => Ok(MappingPolicy::UtilizationFirst),
         other => Err(SweepError::UnknownMapping(other.to_string())),
     }
-}
-
-/// Parses a run-loop engine name (`event` / `compiled`) as used in
-/// configuration files and on the command line.
-///
-/// # Errors
-///
-/// Returns [`SweepError::UnknownEngine`] for anything else.
-pub fn parse_engine(name: &str) -> Result<EngineKind, SweepError> {
-    name.parse()
-        .map_err(|_| SweepError::UnknownEngine(name.to_string()))
 }
 
 /// Parses a NoC routing-policy name (`xy` / `yx` / `xy-yx` / `adaptive`)
@@ -123,9 +111,6 @@ pub struct Scenario {
     pub batch: u32,
     /// Which simulator evaluates the point.
     pub simulator: SimulatorKind,
-    /// Which run-loop engine drives the cycle-accurate simulator
-    /// (ignored by the behaviour-level baseline).
-    pub engine: EngineKind,
     /// Optional human label (used by campaign front ends); empty means
     /// "derive one from the fields".
     pub label: String,
@@ -150,7 +135,6 @@ impl Scenario {
             mapping,
             batch,
             simulator: SimulatorKind::Cycle,
-            engine: EngineKind::default(),
             label: String::new(),
             serve: None,
             arch,
@@ -166,7 +150,6 @@ impl Scenario {
             mapping: MappingPolicy::PerformanceFirst,
             batch: 1,
             simulator: SimulatorKind::Baseline,
-            engine: EngineKind::default(),
             label: String::new(),
             serve: None,
             arch,
@@ -176,13 +159,6 @@ impl Scenario {
     /// Returns the scenario tagged with a human-readable label.
     pub fn with_label(mut self, label: impl Into<String>) -> Scenario {
         self.label = label.into();
-        self
-    }
-
-    /// Returns the scenario driven by `engine` (cycle simulator only;
-    /// the baseline has no run loop to swap).
-    pub fn with_engine(mut self, engine: EngineKind) -> Scenario {
-        self.engine = engine;
         self
     }
 
@@ -216,14 +192,9 @@ impl Scenario {
         } else {
             format!(" depth={}", self.arch.noc.router_pipeline_depth)
         };
-        let engine = if self.engine == EngineKind::default() {
-            String::new()
-        } else {
-            format!(" engine={}", self.engine)
-        };
         if let Some(sp) = &self.serve {
             return format!(
-                "{}/{} {} serve rate={} batch={} rob={}{routing}{vcs}{depth}{engine}",
+                "{}/{} {} serve rate={} batch={} rob={}{routing}{vcs}{depth}",
                 self.network,
                 self.resolution,
                 self.mapping,
@@ -233,7 +204,7 @@ impl Scenario {
             );
         }
         format!(
-            "{}/{} {} x{} rob={}{routing}{vcs}{depth}{engine} {}",
+            "{}/{} {} x{} rob={}{routing}{vcs}{depth} {}",
             self.network,
             self.resolution,
             self.mapping,
@@ -275,9 +246,6 @@ impl Serialize for Scenario {
                 "router_pipeline_depth",
                 &self.arch.noc.router_pipeline_depth,
             );
-        }
-        if self.engine != EngineKind::default() {
-            sink.field("engine", &self.engine.to_string());
         }
         // Serving coordinates appear only on serving points, so one-shot
         // campaign output from before the serving layer existed stays
@@ -346,11 +314,6 @@ pub struct SweepGrid {
     /// Simulators (`cycle` / `baseline`); empty = cycle.
     #[serde(default)]
     pub simulators: Vec<String>,
-    /// Run-loop engines (`event` / `compiled`); empty = event. The
-    /// behaviour-level baseline has no run loop, so baseline points
-    /// collapse this axis.
-    #[serde(default)]
-    pub engines: Vec<String>,
     /// Open-loop arrival rates (requests/second). Non-empty switches
     /// cycle points into serving mode: each point runs the queueing
     /// front-end at one rate instead of one closed-program simulation.
@@ -430,7 +393,6 @@ impl SweepGrid {
             * axis(self.mappings.len())
             * axis(self.batches.len())
             * axis(self.simulators.len())
-            * axis(self.engines.len())
             * axis(self.rob_sizes.len())
             * axis(self.adcs_per_xbar.len())
             * axis(self.vector_lanes.len())
@@ -502,7 +464,7 @@ impl SweepGrid {
     /// Expands the cartesian product into concrete scenarios, in a fixed
     /// axis order (networks outermost, then resolution, mapping, batch,
     /// simulator, ROB, ADCs, lanes, flit width, routing, virtual
-    /// channels, router depth, hazard, run-loop engine, and — on serving
+    /// channels, router depth, hazard, and — on serving
     /// grids — arrival rate then batch policy innermost).
     ///
     /// A non-empty `arrival_rates` axis turns cycle points into open-loop
@@ -510,7 +472,7 @@ impl SweepGrid {
     /// there, since batch formation is the batch policy's job.
     ///
     /// Baseline-simulator points ignore the mapping, batch, ROB, routing,
-    /// virtual-channel, router-depth, structure-hazard and engine axes (the
+    /// virtual-channel, router-depth and structure-hazard axes (the
     /// behaviour-level model has none of them — its NoC cost is a
     /// hop-count closed form, identical for every minimal routing order
     /// and blind to flow control and router pipelining): one baseline
@@ -546,14 +508,6 @@ impl SweepGrid {
             self.simulators
                 .iter()
                 .map(|s| s.parse())
-                .collect::<Result<Vec<_>, _>>()?
-        };
-        let engines = if self.engines.is_empty() {
-            vec![EngineKind::default()]
-        } else {
-            self.engines
-                .iter()
-                .map(|e| parse_engine(e))
                 .collect::<Result<Vec<_>, _>>()?
         };
         let serve_points = self.serve_points()?;
@@ -652,46 +606,33 @@ impl SweepGrid {
                                                             arch.noc.virtual_channels = vc;
                                                             arch.noc.router_pipeline_depth = depth;
                                                             arch.sim.structure_hazard = hazard;
-                                                            // The baseline has no run loop to
-                                                            // swap, so the engine axis collapses
-                                                            // to one default-engine point; cycle
-                                                            // points fan out per engine
-                                                            // (innermost axis).
-                                                            let point_engines = if baseline {
-                                                                &[EngineKind::Event][..]
-                                                            } else {
-                                                                &engines[..]
+                                                            let template = Scenario {
+                                                                network: network.clone(),
+                                                                resolution,
+                                                                mapping,
+                                                                batch,
+                                                                simulator,
+                                                                label: String::new(),
+                                                                serve: None,
+                                                                arch,
                                                             };
-                                                            for &engine in point_engines {
-                                                                let template = Scenario {
-                                                                    network: network.clone(),
-                                                                    resolution,
-                                                                    mapping,
-                                                                    batch,
-                                                                    simulator,
-                                                                    engine,
-                                                                    label: String::new(),
-                                                                    serve: None,
-                                                                    arch: arch.clone(),
-                                                                };
-                                                                match &serve_points {
-                                                                    // Serving fan-out, rate
-                                                                    // outermost then policy —
-                                                                    // the innermost axes of a
-                                                                    // serving campaign.
-                                                                    Some(points) if !baseline => {
-                                                                        for sp in points {
-                                                                            out.push(
-                                                                                template
-                                                                                    .clone()
-                                                                                    .with_serve(
-                                                                                        sp.clone(),
-                                                                                    ),
-                                                                            );
-                                                                        }
+                                                            match &serve_points {
+                                                                // Serving fan-out, rate
+                                                                // outermost then policy —
+                                                                // the innermost axes of a
+                                                                // serving campaign.
+                                                                Some(points) if !baseline => {
+                                                                    for sp in points {
+                                                                        out.push(
+                                                                            template
+                                                                                .clone()
+                                                                                .with_serve(
+                                                                                    sp.clone(),
+                                                                                ),
+                                                                        );
                                                                     }
-                                                                    _ => out.push(template),
                                                                 }
+                                                                _ => out.push(template),
                                                             }
                                                         }
                                                     }
@@ -881,50 +822,15 @@ mod tests {
     }
 
     #[test]
-    fn engine_axis_expands_and_collapses_for_baseline() {
-        let mut grid = SweepGrid::over_networks(["tiny_mlp"]);
-        grid.base = Some(ArchConfig::small_test());
-        grid.engines = vec!["event".into(), "compiled".into()];
-        grid.simulators = vec!["cycle".into(), "baseline".into()];
-        assert_eq!(grid.points(), 4);
-        let scenarios = grid.scenarios().unwrap();
-        // Cycle: one per engine. Baseline: no run loop to swap, so the
-        // axis collapses to one default-engine point.
-        assert_eq!(scenarios.len(), 3);
-        let cycle: Vec<_> = scenarios
-            .iter()
-            .filter(|s| s.simulator == SimulatorKind::Cycle)
-            .map(|s| s.engine)
-            .collect();
-        assert_eq!(cycle, vec![EngineKind::Event, EngineKind::Compiled]);
-        let baseline: Vec<_> = scenarios
-            .iter()
-            .filter(|s| s.simulator == SimulatorKind::Baseline)
-            .collect();
-        assert_eq!(baseline.len(), 1);
-        assert_eq!(baseline[0].engine, EngineKind::Event);
-        // Labels and serialization surface the engine only when
-        // non-default, so default campaign output stays byte-identical.
-        assert!(!scenarios[0].display_label().contains("engine="));
-        assert!(scenarios[1].display_label().contains(" engine=compiled "));
-        assert_eq!(scenarios[0].to_value().get("engine"), None);
-        assert_eq!(
-            scenarios[1].to_value()["engine"],
-            Value::String("compiled".into())
-        );
-    }
-
-    #[test]
     fn unknown_engine_is_rejected() {
-        let mut grid = SweepGrid::over_networks(["tiny_mlp"]);
-        grid.engines = vec!["jit".into()];
-        let err = grid.scenarios().unwrap_err();
-        assert!(matches!(err, SweepError::UnknownEngine(_)));
-        assert_eq!(
-            err.to_string(),
-            "unknown engine `jit` (want event or compiled)"
-        );
-        assert_eq!(parse_engine("compiled").unwrap(), EngineKind::Compiled);
+        // There is one run loop; a grid still naming an `engines` axis is
+        // refused with the field's location, not silently ignored.
+        let err = SweepGrid::from_json("{\"networks\": [\"vgg8\"],\n \"engines\": [\"event\"]}")
+            .unwrap_err();
+        assert!(matches!(err, SweepError::Config(_)));
+        let text = err.to_string();
+        assert!(text.contains("unknown field `engines`"), "{text}");
+        assert!(text.contains("at line 2 column"), "{text}");
     }
 
     #[test]

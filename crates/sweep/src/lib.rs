@@ -7,9 +7,8 @@
 //! of simulations per campaign. This crate turns such a campaign into a
 //! declarative [`SweepGrid`] — network × resolution × mapping policy ×
 //! batch × architecture knobs (ROB depth, ADCs per crossbar, SIMD lanes,
-//! flit width, routing policy, structure hazard) × simulator kind ×
-//! run-loop engine (event / compiled) — expands its cartesian
-//! product into [`Scenario`]s, fans them out across OS threads, and
+//! flit width, routing policy, structure hazard) × simulator kind —
+//! expands its cartesian product into [`Scenario`]s, fans them out across OS threads, and
 //! collects one [`SweepRow`] per point.
 //!
 //! Grids can also sweep the *serving* plane: `arrival_rates` and
@@ -49,8 +48,8 @@ pub use engine::{
     default_threads, results_to_json, run_grid, run_scenarios, ServeSummary, SweepRow,
 };
 pub use grid::{
-    default_resolution, parse_engine, parse_mapping, parse_routing, Scenario, ServePoint,
-    SimulatorKind, SweepGrid,
+    default_resolution, parse_mapping, parse_routing, Scenario, ServePoint, SimulatorKind,
+    SweepGrid,
 };
 
 use pimsim_arch::ArchError;
@@ -66,8 +65,6 @@ pub enum SweepError {
     UnknownMapping(String),
     /// A simulator name is not recognized.
     UnknownSimulator(String),
-    /// A run-loop engine name is not recognized.
-    UnknownEngine(String),
     /// A NoC routing-policy name is not recognized.
     UnknownRouting(String),
     /// A scenario's architecture configuration failed validation.
@@ -91,9 +88,6 @@ impl std::fmt::Display for SweepError {
             ),
             SweepError::UnknownSimulator(s) => {
                 write!(f, "unknown simulator `{s}` (want cycle or baseline)")
-            }
-            SweepError::UnknownEngine(e) => {
-                write!(f, "unknown engine `{e}` (want event or compiled)")
             }
             SweepError::UnknownRouting(r) => {
                 write!(

@@ -168,15 +168,14 @@ proptest! {
     }
 
     /// Soundness of the static performance bound on random clean
-    /// programs: the bound never exceeds the simulated latency under
-    /// either engine, and `bounds` itself is deterministic.
+    /// programs: the bound never exceeds the simulated latency, and
+    /// `bounds` itself is deterministic.
     #[test]
     fn static_bound_never_exceeds_simulated_latency(
         xfers in proptest::collection::vec(xfer_strategy(), 1..10),
         tweaks in proptest::collection::vec(tweak_strategy(), 0..4),
     ) {
         use pimsim::prelude::bounds;
-        use pimsim::sim::EngineKind;
 
         let arch = ArchConfig::small_test();
         let text = build_program(&xfers, &tweaks);
@@ -196,18 +195,15 @@ proptest! {
             bounds(&program, &arch).to_json(),
             "bound must be deterministic"
         );
-        for kind in EngineKind::ALL {
-            let sim = Simulator::new(&arch)
-                .with_engine(kind.engine())
-                .run(&program)
-                .map_err(|e| TestCaseError::fail(format!(
-                    "clean program failed to run under {kind}: {e}\n{text}"
-                )))?;
-            prop_assert!(
-                report.latency_lb_ps <= sim.latency.as_ps(),
-                "{}: bound {} ps exceeds simulated {} ps\n{}",
-                kind, report.latency_lb_ps, sim.latency.as_ps(), text
-            );
-        }
+        let sim = Simulator::new(&arch)
+            .run(&program)
+            .map_err(|e| TestCaseError::fail(format!(
+                "clean program failed to run: {e}\n{text}"
+            )))?;
+        prop_assert!(
+            report.latency_lb_ps <= sim.latency.as_ps(),
+            "bound {} ps exceeds simulated {} ps\n{}",
+            report.latency_lb_ps, sim.latency.as_ps(), text
+        );
     }
 }

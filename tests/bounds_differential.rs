@@ -2,12 +2,12 @@
 //!
 //! For compiler-produced zoo programs the static analyzer must emit a
 //! latency **lower** bound: `bounds(...).latency_lb_ps` may never exceed
-//! the latency the simulator measures, under either mapping policy and
-//! either engine. A violation means either the analyzer invented a
+//! the latency the simulator measures, under either mapping policy. A
+//! violation means either the analyzer invented a
 //! constraint the machine does not enforce, or the simulator's cost
 //! model drifted below the shared pricing tables — both are bugs worth
-//! failing loudly on. Every zoo network runs here under both mappings
-//! and both engines, at the resolutions the CLI defaults to (CI repeats
+//! failing loudly on. Every zoo network runs here under both mappings,
+//! at the resolutions the CLI defaults to (CI repeats
 //! the sweep through the `pimsim bound` binary).
 //!
 //! The second half pins the *size* of the dependence DAG: the bounds
@@ -18,7 +18,6 @@ use pimsim::analyze::dag::Dag;
 use pimsim::analyze::Cfg;
 use pimsim::nn::zoo;
 use pimsim::prelude::*;
-use pimsim::sim::EngineKind;
 
 /// Asserts bound soundness + determinism for one network on one arch.
 fn assert_sound(net: &Network, arch: &ArchConfig) {
@@ -44,18 +43,13 @@ fn assert_sound(net: &Network, arch: &ArchConfig) {
             bounds(&compiled.program, arch).to_json(),
             "{policy:?}: bound must be deterministic"
         );
-        for kind in EngineKind::ALL {
-            let sim = Simulator::new(arch)
-                .with_engine(kind.engine())
-                .run(&compiled.program)
-                .unwrap();
-            assert!(
-                report.latency_lb_ps <= sim.latency.as_ps(),
-                "{policy:?}/{kind}: static bound {} ps exceeds simulated {} ps",
-                report.latency_lb_ps,
-                sim.latency.as_ps()
-            );
-        }
+        let sim = Simulator::new(arch).run(&compiled.program).unwrap();
+        assert!(
+            report.latency_lb_ps <= sim.latency.as_ps(),
+            "{policy:?}: static bound {} ps exceeds simulated {} ps",
+            report.latency_lb_ps,
+            sim.latency.as_ps()
+        );
     }
 }
 
