@@ -133,10 +133,10 @@ fn main() -> ExitCode {
     }
 }
 
-/// The one way bulk output (programs, assembly, JSON reports) leaves the
-/// process: `f` writes through a buffered writer onto the file at `path`,
-/// or onto locked stdout without one. A reader that closed stdout early
-/// (`pimsim disasm prog.json | head -1`) ends the process quietly.
+/// The one way output (programs, assembly, reports, tables, usage) leaves
+/// the process: `f` writes through a buffered writer onto the file at
+/// `path`, or onto locked stdout without one. A reader that closed stdout
+/// early (`pimsim sweep | head -1`) ends the process quietly.
 fn emit(
     path: Option<&str>,
     f: impl FnOnce(&mut dyn Write) -> io::Result<()>,
@@ -347,12 +347,10 @@ const COMMANDS: &[CommandSpec] = &[
 
 fn dispatch(argv: &[String]) -> Result<(), String> {
     let Some(cmd) = argv.first() else {
-        print!("{USAGE}");
-        return Ok(());
+        return emit(None, |w| w.write_all(USAGE.as_bytes()));
     };
     if matches!(cmd.as_str(), "help" | "--help" | "-h") {
-        print!("{USAGE}");
-        return Ok(());
+        return emit(None, |w| w.write_all(USAGE.as_bytes()));
     }
     let Some(spec) = COMMANDS.iter().find(|s| s.name == cmd.as_str()) else {
         let hint = match args::closest(cmd, COMMANDS.iter().map(|s| s.name)) {
@@ -363,8 +361,7 @@ fn dispatch(argv: &[String]) -> Result<(), String> {
     };
     let args = Args::parse(&argv[1..], &spec.vocab)?;
     if args.flag("help") {
-        print!("{USAGE}");
-        return Ok(());
+        return emit(None, |w| w.write_all(USAGE.as_bytes()));
     }
     (spec.run)(&args)
 }
@@ -418,22 +415,24 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         let report = BaselineSimulator::new(&arch)
             .run(&net)
             .map_err(|e| e.to_string())?;
-        if args.flag("json") {
-            println!(
-                "{{\"simulator\":\"baseline\",\"network\":\"{}\",\"latency_ns\":{},\"energy_pj\":{},\"power_w\":{}}}",
-                net.name,
-                report.latency.as_ns_f64(),
-                report.energy.as_pj(),
-                report.avg_power_w()
-            );
-        } else {
-            println!("baseline (MNSIM2.0-like) on {}:", net.name);
-            println!("  latency : {}", report.latency);
-            println!("  energy  : {}", report.energy);
-            println!("  power   : {:.3} W", report.avg_power_w());
-            println!("  layers  : {}", report.per_layer.len());
-        }
-        return Ok(());
+        return emit(None, |w| {
+            if args.flag("json") {
+                writeln!(
+                    w,
+                    "{{\"simulator\":\"baseline\",\"network\":\"{}\",\"latency_ns\":{},\"energy_pj\":{},\"power_w\":{}}}",
+                    net.name,
+                    report.latency.as_ns_f64(),
+                    report.energy.as_pj(),
+                    report.avg_power_w()
+                )
+            } else {
+                writeln!(w, "baseline (MNSIM2.0-like) on {}:", net.name)?;
+                writeln!(w, "  latency : {}", report.latency)?;
+                writeln!(w, "  energy  : {}", report.energy)?;
+                writeln!(w, "  power   : {:.3} W", report.avg_power_w())?;
+                writeln!(w, "  layers  : {}", report.per_layer.len())
+            }
+        });
     }
 
     let batch = args.get_u32("batch")?.unwrap_or(1);
@@ -448,60 +447,67 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let per_image = report.latency / batch as u64;
     if args.flag("json") {
-        println!(
-            "{{\"simulator\":\"cycle-accurate\",\"network\":\"{}\",\"mapping\":\"{}\",\"batch\":{},\"latency_ns\":{},\"latency_per_image_ns\":{},\"energy_pj\":{},\"power_w\":{},\"instructions\":{},\"events\":{}}}",
-            net.name,
-            policy,
-            batch,
-            report.latency.as_ns_f64(),
-            per_image.as_ns_f64(),
-            report.energy.total().as_pj(),
-            report.avg_power_w(),
-            report.instructions,
-            report.events
-        );
-    } else {
-        println!("{} under {policy} (batch {batch}):", net.name);
-        println!("  latency        : {}", report.latency);
+        return emit(None, |w| {
+            writeln!(
+                w,
+                "{{\"simulator\":\"cycle-accurate\",\"network\":\"{}\",\"mapping\":\"{}\",\"batch\":{},\"latency_ns\":{},\"latency_per_image_ns\":{},\"energy_pj\":{},\"power_w\":{},\"instructions\":{},\"events\":{}}}",
+                net.name,
+                policy,
+                batch,
+                report.latency.as_ns_f64(),
+                per_image.as_ns_f64(),
+                report.energy.total().as_pj(),
+                report.avg_power_w(),
+                report.instructions,
+                report.events
+            )
+        });
+    }
+    emit(None, |w| {
+        writeln!(w, "{} under {policy} (batch {batch}):", net.name)?;
+        writeln!(w, "  latency        : {}", report.latency)?;
         if batch > 1 {
-            println!("  per image      : {per_image}");
+            writeln!(w, "  per image      : {per_image}")?;
         }
-        println!("  energy         : {}", report.energy.total());
-        println!(
+        writeln!(w, "  energy         : {}", report.energy.total())?;
+        writeln!(
+            w,
             "    matrix {} / vector {} / transfer {} / static {}",
             report.energy.matrix,
             report.energy.vector,
             report.energy.transfer,
             report.energy.static_energy
-        );
-        println!("  power          : {:.3} W", report.avg_power_w());
-        println!(
+        )?;
+        writeln!(w, "  power          : {:.3} W", report.avg_power_w())?;
+        writeln!(
+            w,
             "  instructions   : {} (matrix {}, vector {}, transfer {}, scalar {})",
             report.instructions,
             report.class_counts[0],
             report.class_counts[1],
             report.class_counts[2],
             report.class_counts[3]
-        );
-        println!("  kernel events  : {}", report.events);
-        println!("  cores w/ work  : {}", compiled.placement.cores_used);
+        )?;
+        writeln!(w, "  kernel events  : {}", report.events)?;
+        writeln!(w, "  cores w/ work  : {}", compiled.placement.cores_used)?;
         if arch.sim.functional {
             let out = report.read_global(compiled.output.gaddr, compiled.output.elems.min(8));
-            println!("  output head    : {out:?}");
+            writeln!(w, "  output head    : {out:?}")?;
         }
         if arch.sim.trace {
-            println!("  trace (first 20 of {}):", report.trace.len());
+            writeln!(w, "  trace (first 20 of {}):", report.trace.len())?;
             for t in report.trace.iter().take(20) {
-                println!(
+                writeln!(
+                    w,
                     "    {:>12}  core{:<3} {}",
                     format!("{}", t.time),
                     t.core,
                     t.instr
-                );
+                )?;
             }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 fn cmd_compile(args: &Args) -> Result<(), String> {
@@ -597,20 +603,23 @@ fn cmd_check(args: &Args) -> Result<(), String> {
     if format == "json" {
         emit(None, |w| writeln!(w, "{}", analysis.to_json()))?;
     } else {
-        for d in &analysis.diagnostics {
-            println!("{d}");
-        }
-        println!(
-            "{label}: {}; rendezvous: {} pair(s){}",
-            analysis.summary(),
-            analysis.rendezvous.pairs.len(),
-            if analysis.rendezvous.complete {
-                ", complete"
-            } else {
-                " (incomplete: program has data-dependent control flow or \
-                 unmatched transfers)"
+        emit(None, |w| {
+            for d in &analysis.diagnostics {
+                writeln!(w, "{d}")?;
             }
-        );
+            writeln!(
+                w,
+                "{label}: {}; rendezvous: {} pair(s){}",
+                analysis.summary(),
+                analysis.rendezvous.pairs.len(),
+                if analysis.rendezvous.complete {
+                    ", complete"
+                } else {
+                    " (incomplete: program has data-dependent control flow or \
+                     unmatched transfers)"
+                }
+            )
+        })?;
     }
     if analysis.has_errors() {
         return Err(format!("static analysis failed: {}", analysis.summary()));
@@ -633,75 +642,84 @@ fn cmd_bound(args: &Args) -> Result<(), String> {
     if format == "json" {
         emit(None, |w| writeln!(w, "{}", report.to_json()))?;
     } else {
-        for d in &report.diagnostics {
-            println!("{d}");
-        }
-        println!(
-            "{label}: latency lower bound {:.3} ns ({} ps), source: {}{}",
-            report.latency_lb_ns,
-            report.latency_lb_ps,
-            report.bound_source,
-            if report.complete {
-                ""
-            } else {
-                " (incomplete analysis: bound degrades to pacing terms)"
+        emit(None, |w| {
+            for d in &report.diagnostics {
+                writeln!(w, "{d}")?;
             }
-        );
-        if !report.critical_path.is_empty() {
-            let shown = report.critical_path.len() as u32;
-            if shown < report.critical_path_len {
-                println!(
-                    "critical path: {} hops, last {shown} shown:",
-                    report.critical_path_len
-                );
-            } else {
-                println!("critical path ({shown} hops):");
+            writeln!(
+                w,
+                "{label}: latency lower bound {:.3} ns ({} ps), source: {}{}",
+                report.latency_lb_ns,
+                report.latency_lb_ps,
+                report.bound_source,
+                if report.complete {
+                    ""
+                } else {
+                    " (incomplete analysis: bound degrades to pacing terms)"
+                }
+            )?;
+            if !report.critical_path.is_empty() {
+                let shown = report.critical_path.len() as u32;
+                if shown < report.critical_path_len {
+                    writeln!(
+                        w,
+                        "critical path: {} hops, last {shown} shown:",
+                        report.critical_path_len
+                    )?;
+                } else {
+                    writeln!(w, "critical path ({shown} hops):")?;
+                }
+                for h in &report.critical_path {
+                    writeln!(
+                        w,
+                        "  core{} pc{:<5} +{} ps -> {} ps  {}",
+                        h.core, h.pc, h.cost_ps, h.finish_ps, h.instr
+                    )?;
+                }
             }
-            for h in &report.critical_path {
-                println!(
-                    "  core{} pc{:<5} +{} ps -> {} ps  {}",
-                    h.core, h.pc, h.cost_ps, h.finish_ps, h.instr
-                );
+            if !report.cores.is_empty() {
+                writeln!(w, "per-core bounds:")?;
             }
-        }
-        if !report.cores.is_empty() {
-            println!("per-core bounds:");
-        }
-        for c in &report.cores {
-            println!(
-                "  core{}: {} instr, busy >= {} ps, finish >= {} ps, \
-                 utilization >= {:.1}%",
-                c.core,
-                c.instructions,
-                c.busy_lb_ps,
-                c.finish_lb_ps,
-                c.utilization_lb * 100.0
-            );
-        }
-        if !report.channels.is_empty() {
-            println!("channel credit occupancy:");
-            for ch in &report.channels {
-                println!(
-                    "  core{}->core{} tag={}: {} message(s), peak in-flight {}, \
-                     peak/VC {}, min credits {}",
-                    ch.sender,
-                    ch.receiver,
-                    ch.tag,
-                    ch.messages,
-                    ch.peak_in_flight,
-                    ch.peak_per_vc,
-                    ch.min_credits
-                        .map_or_else(|| "-".to_string(), |c| c.to_string())
-                );
+            for c in &report.cores {
+                writeln!(
+                    w,
+                    "  core{}: {} instr, busy >= {} ps, finish >= {} ps, \
+                     utilization >= {:.1}%",
+                    c.core,
+                    c.instructions,
+                    c.busy_lb_ps,
+                    c.finish_lb_ps,
+                    c.utilization_lb * 100.0
+                )?;
             }
-            if let Some(m) = report.min_credits_deadlock_free {
-                println!(
-                    "deadlock-free from {m} credit(s)/VC; no benefit past {} \
-                     (configured: {})",
-                    report.credit_knee, arch.noc.channel_credits
-                );
+            if !report.channels.is_empty() {
+                writeln!(w, "channel credit occupancy:")?;
+                for ch in &report.channels {
+                    writeln!(
+                        w,
+                        "  core{}->core{} tag={}: {} message(s), peak in-flight {}, \
+                         peak/VC {}, min credits {}",
+                        ch.sender,
+                        ch.receiver,
+                        ch.tag,
+                        ch.messages,
+                        ch.peak_in_flight,
+                        ch.peak_per_vc,
+                        ch.min_credits
+                            .map_or_else(|| "-".to_string(), |c| c.to_string())
+                    )?;
+                }
+                if let Some(m) = report.min_credits_deadlock_free {
+                    writeln!(
+                        w,
+                        "deadlock-free from {m} credit(s)/VC; no benefit past {} \
+                         (configured: {})",
+                        report.credit_knee, arch.noc.channel_credits
+                    )?;
+                }
             }
-        }
+            Ok(())
+        })?;
     }
     if report.bound_source == "unanalyzable" {
         return Err(format!(
@@ -833,19 +851,24 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     if args.flag("json") {
         emit(None, |w| writeln!(w, "{json}"))?;
     } else if args.get("out").is_none() {
-        println!(
-            "{:<48} {:>13} {:>12} {:>9}",
-            "scenario", "latency/img", "energy", "power"
-        );
-        for row in &rows {
-            println!(
-                "{:<48} {:>13} {:>9.1} uJ {:>7.3} W",
-                row.scenario.display_label(),
-                format!("{}", row.latency_per_image()),
-                row.energy_pj / 1e6,
-                row.power_w
-            );
-        }
+        emit(None, |w| {
+            writeln!(
+                w,
+                "{:<48} {:>13} {:>12} {:>9}",
+                "scenario", "latency/img", "energy", "power"
+            )?;
+            for row in &rows {
+                writeln!(
+                    w,
+                    "{:<48} {:>13} {:>9.1} uJ {:>7.3} W",
+                    row.scenario.display_label(),
+                    format!("{}", row.latency_per_image()),
+                    row.energy_pj / 1e6,
+                    row.power_w
+                )?;
+            }
+            Ok(())
+        })?;
     }
     eprintln!(
         "sweep: {} point(s) in {:.2}s wall-clock",
@@ -940,23 +963,26 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if args.flag("json") {
         emit(None, |w| writeln!(w, "{json}"))?;
     } else if args.get("out").is_none() {
-        print!("{}", report.render_text());
+        emit(None, |w| w.write_all(report.render_text().as_bytes()))?;
     }
     Ok(())
 }
 
 fn cmd_networks(_args: &Args) -> Result<(), String> {
-    for name in zoo::NAMES {
-        let default = pimsim_sweep::default_resolution(name);
-        if let Some(net) = zoo::by_name(name, default) {
-            println!(
-                "{name:11} {:3} layers, {:5.2} GMACs @ {default}x{default}",
-                net.nodes.len(),
-                net.total_macs() as f64 / 1e9
-            );
+    emit(None, |w| {
+        for name in zoo::NAMES {
+            let default = pimsim_sweep::default_resolution(name);
+            if let Some(net) = zoo::by_name(name, default) {
+                writeln!(
+                    w,
+                    "{name:11} {:3} layers, {:5.2} GMACs @ {default}x{default}",
+                    net.nodes.len(),
+                    net.total_macs() as f64 / 1e9
+                )?;
+            }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 fn cmd_config(args: &Args) -> Result<(), String> {
@@ -1061,29 +1087,33 @@ mod tests {
     }
 
     #[test]
-    fn check_passes_clean_programs_and_fails_broken_ones() {
+    fn check_passes_clean_programs_and_fails_broken_ones() -> Result<(), Box<dyn std::error::Error>>
+    {
         let dir = std::env::temp_dir().join("pimsim-cli-check-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::create_dir_all(&dir)?;
         // A clean pair of cores passes.
         let good = dir.join("good.s");
         std::fs::write(
             &good,
             ".core 0\nli r1, 0\nsend core1, [r1+0], 8, tag=1\nhalt\n\
              .core 1\nrecv core0, [r0+0], 8, tag=1\nhalt\n",
-        )
-        .unwrap();
-        dispatch(&argv(&["check", good.to_str().unwrap()])).unwrap();
+        )?;
+        dispatch(&argv(&["check", &good.to_string_lossy()]))?;
         // An unmatched recv is an error exit.
         let bad = dir.join("bad.s");
-        std::fs::write(&bad, ".core 0\nrecv core1, [r0+0], 8, tag=7\nhalt\n").unwrap();
-        let err = dispatch(&argv(&["check", bad.to_str().unwrap()])).unwrap_err();
+        std::fs::write(&bad, ".core 0\nrecv core1, [r0+0], 8, tag=7\nhalt\n")?;
+        let err = dispatch(&argv(&["check", &bad.to_string_lossy()])).unwrap_err();
         assert!(err.contains("static analysis failed"), "{err}");
         // A warning passes by default but fails under --deny-warnings.
         let warn = dir.join("warn.s");
-        std::fs::write(&warn, ".core 0\nnop\n").unwrap();
-        dispatch(&argv(&["check", warn.to_str().unwrap()])).unwrap();
-        let err =
-            dispatch(&argv(&["check", warn.to_str().unwrap(), "--deny-warnings"])).unwrap_err();
+        std::fs::write(&warn, ".core 0\nnop\n")?;
+        dispatch(&argv(&["check", &warn.to_string_lossy()]))?;
+        let err = dispatch(&argv(&[
+            "check",
+            &warn.to_string_lossy(),
+            "--deny-warnings",
+        ]))
+        .unwrap_err();
         assert!(err.contains("denied by --deny-warnings"), "{err}");
         // A compiled zoo network is analysis-clean under --deny-warnings.
         dispatch(&argv(&[
@@ -1091,8 +1121,8 @@ mod tests {
             "--network",
             "tiny_cnn",
             "--deny-warnings",
-        ]))
-        .unwrap();
+        ]))?;
+        Ok(())
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl Machine<'_> {
                 }
             }
             let pc = self.cores[c].pc as usize;
-            let Some(instr) = self.cores[c].instrs.get(pc).cloned() else {
+            let Some(&instr) = self.cores[c].instrs.get(pc) else {
                 self.cores[c].halted = true;
                 return;
             };
@@ -47,15 +47,13 @@ impl Machine<'_> {
             self.cores[c].next_dispatch = dispatch_at + self.dispatch_interval;
             self.cores[c].stats.dispatched += 1;
             self.telemetry.count_dispatch(tag);
-            let frontend_energy = self.timing.frontend_energy(self.cfg);
-            self.telemetry.energy.frontend += frontend_energy;
+            self.telemetry.energy.frontend += self.frontend_energy;
 
             match resolve(&instr, &self.cores[c].regs) {
                 None => {
                     // Scalar class: execute at dispatch.
                     self.telemetry.class_counts[3] += 1;
-                    let scalar_energy = self.timing.scalar_cost(self.cfg).energy;
-                    self.telemetry.energy.scalar += scalar_energy;
+                    self.telemetry.energy.scalar += self.scalar_energy;
                     if self.telemetry.trace_live() {
                         self.telemetry
                             .record_trace(dispatch_at, c as u16, instr.to_string());

@@ -30,7 +30,7 @@ pub(crate) mod timing;
 pub(crate) mod transfer;
 pub(crate) mod units;
 
-use pimsim_arch::ArchConfig;
+use pimsim_arch::{ArchConfig, Energy};
 use pimsim_event::{EventCtx, SimTime, World};
 
 use crate::exec::Memory;
@@ -122,7 +122,7 @@ pub(crate) type Ctx = EventCtx<MachineEvent>;
 pub(crate) struct Machine<'a> {
     pub(crate) cfg: &'a ArchConfig,
     pub(crate) timing: &'a dyn TimingModel,
-    pub(crate) cores: Vec<Core>,
+    pub(crate) cores: Vec<Core<'a>>,
     pub(crate) noc: Noc,
     /// Per-message cost constants, derived once from `cfg` so the
     /// transfer hot path never rebuilds a cost model.
@@ -131,6 +131,10 @@ pub(crate) struct Machine<'a> {
     pub(crate) fabric: TransferFabric,
     pub(crate) functional: bool,
     pub(crate) dispatch_interval: SimTime,
+    /// Fetch/decode energy of one dispatch, priced once per run.
+    pub(crate) frontend_energy: Energy,
+    /// Energy of one scalar operation, priced once per run.
+    pub(crate) scalar_energy: Energy,
     pub(crate) telemetry: Telemetry,
     pub(crate) error: Option<SimError>,
     /// Timestamp of the last real activity (the kernel clock advances to
@@ -159,6 +163,26 @@ impl World for Machine<'_> {
             }
             MachineEvent::Complete { core, seq } => self.complete(core, seq, ctx),
             MachineEvent::Deposit { chan, send } => self.deposit(chan, send, ctx),
+        }
+    }
+}
+
+/// xorshift64*: the machine's differential tests' only source of
+/// randomness.
+#[cfg(test)]
+pub(crate) mod test_rng {
+    pub(crate) struct Rng(pub(crate) u64);
+
+    impl Rng {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
         }
     }
 }

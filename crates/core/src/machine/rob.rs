@@ -17,6 +17,15 @@
 //! every instant. The rescan survives as the `#[cfg(test)]` oracle the
 //! differential test below holds the scoreboard to.
 //!
+//! Chains cost one edge, not one per pair. Each entry records its
+//! *ancestors*: the older entries certain to be `Done` before it can be,
+//! namely its conflicting entries and, transitively, theirs. Admit scans
+//! from the youngest older entry back and skips every ancestor of an entry
+//! it already conflicts with — the skipped entry turns `Done` before that
+//! one, so an edge from it could never be the last to clear. Back-to-back
+//! receives into one buffer, or sends on one channel, thus each wait on
+//! their predecessor alone, and the ready set moves exactly as before.
+//!
 //! In-flight entries are fixed-size and heap-free (the trace text is the
 //! one exception, and `None` unless tracing); edges live in a per-core
 //! pool that grows to the peak conflict count and is then recycled, so
@@ -72,6 +81,10 @@ pub(crate) struct InFlight {
     write: Range,
     /// Global-memory interval `[start, end)` touched, with `true` = write.
     gmem: Option<(u64, u64, bool)>,
+    /// Ancestors among the 64 entries before this one: bit `k` is the
+    /// entry `k + 1` places older. Farther ancestors are dropped, which
+    /// only costs the scan a test.
+    ancestors: u64,
     /// Older conflicting entries that are not `Done` yet.
     blockers: u32,
     /// Head of this entry's list of blocked younger entries.
@@ -110,9 +123,10 @@ pub(crate) struct Issued {
 }
 
 /// One simulated core: frontend state, register file, ROB, execution-unit
-/// occupancy, program and local memory.
+/// occupancy, local memory, and its slice of the program — borrowed, so a
+/// run never copies the instruction stream or the group table.
 #[derive(Debug)]
-pub(crate) struct Core {
+pub(crate) struct Core<'p> {
     pub(crate) pc: u32,
     pub(crate) regs: [i32; 32],
     pub(crate) halted: bool,
@@ -122,9 +136,9 @@ pub(crate) struct Core {
     pub(crate) vector_busy: bool,
     /// One bit per crossbar: set while an executing `MVM` occupies it.
     pub(crate) busy_xbars: Vec<u64>,
-    pub(crate) instrs: Vec<Instruction>,
-    pub(crate) groups: Vec<GroupConfig>,
-    pub(crate) tags: Vec<u16>,
+    pub(crate) instrs: &'p [Instruction],
+    pub(crate) groups: &'p [GroupConfig],
+    pub(crate) tags: &'p [u16],
     /// Channel index of each instruction (parallel to `instrs`), filled in
     /// by [`TransferFabric::for_cores`](super::transfer::TransferFabric::for_cores).
     pub(crate) chans: Vec<u32>,
@@ -141,17 +155,17 @@ pub(crate) struct Core {
     free_edge: u32,
 }
 
-impl Core {
+impl<'p> Core<'p> {
     /// A core at reset: program loaded, ROB empty, units idle, first
     /// dispatch possible at `next_dispatch`.
     pub(crate) fn new(
-        instrs: Vec<Instruction>,
-        groups: Vec<GroupConfig>,
-        tags: Vec<u16>,
+        instrs: &'p [Instruction],
+        groups: &'p [GroupConfig],
+        tags: &'p [u16],
         mem: Memory,
         rob_size: usize,
         next_dispatch: SimTime,
-    ) -> Core {
+    ) -> Core<'p> {
         let xbars = groups
             .iter()
             .flat_map(|g| &g.xbar_ids)
@@ -238,26 +252,31 @@ impl Core {
             issue_at: SimTime::ZERO,
             text,
             chan,
+            ancestors: 0,
             blockers: 0,
             dependents: NIL,
         };
-        for older in self.rob.iter_mut() {
-            if older.state != State::Done && entry.must_follow(older) {
-                let edge = Edge {
-                    dependent: seq,
-                    next: older.dependents,
-                };
-                older.dependents = if self.free_edge == NIL {
-                    self.edges.push(edge);
-                    (self.edges.len() - 1) as u32
-                } else {
-                    let slot = self.free_edge;
-                    self.free_edge = self.edges[slot as usize].next;
-                    self.edges[slot as usize] = edge;
-                    slot
-                };
-                entry.blockers += 1;
+        for (back, older) in (1u32..).zip(self.rob.iter_mut().rev()) {
+            let bit = 1u64.checked_shl(back - 1).unwrap_or(0);
+            if entry.ancestors & bit != 0 || older.state == State::Done || !entry.must_follow(older)
+            {
+                continue;
             }
+            entry.ancestors |= bit | older.ancestors.checked_shl(back).unwrap_or(0);
+            let edge = Edge {
+                dependent: seq,
+                next: older.dependents,
+            };
+            older.dependents = if self.free_edge == NIL {
+                self.edges.push(edge);
+                (self.edges.len() - 1) as u32
+            } else {
+                let slot = self.free_edge;
+                self.free_edge = self.edges[slot as usize].next;
+                self.edges[slot as usize] = edge;
+                slot
+            };
+            entry.blockers += 1;
         }
         if entry.blockers == 0 {
             // The youngest entry: appending keeps the ready set in age order.
@@ -296,29 +315,34 @@ impl Core {
     }
 
     /// Moves the ready entry `seq` to `Executing`, issued at `now`.
-    pub(crate) fn begin(&mut self, seq: u64, now: SimTime) -> Issued {
-        let pos = self.ready.binary_search(&seq);
-        self.ready.remove(pos.expect("only ready entries issue"));
-        let e = self.find(seq).expect("ready entries are in flight");
+    /// Returns `None` if `seq` is not a ready entry in flight (an
+    /// invariant break the caller reports).
+    pub(crate) fn begin(&mut self, seq: u64, now: SimTime) -> Option<Issued> {
+        let pos = self.ready.binary_search(&seq).ok()?;
+        let e = self.find(seq)?;
         e.state = State::Executing;
         e.issue_at = now;
-        Issued {
+        let issued = Issued {
             class: e.class,
             res: e.res,
             tag: e.tag,
             chan: e.chan,
-        }
+        };
+        self.ready.remove(pos);
+        Some(issued)
     }
 
     /// Marks the executing entry `seq` `Done` — the single funnel for that
     /// transition — and moves every dependent that just lost its last
     /// blocker to the ready set. Returns the entry, or `None` if no such
-    /// entry is in flight (an invariant break the caller reports).
+    /// entry is executing (an invariant break the caller reports).
     pub(crate) fn mark_done(&mut self, seq: u64) -> Option<&mut InFlight> {
         let head = self.head_seq();
         let idx = seq.checked_sub(head)? as usize;
-        let e = self.rob.get_mut(idx)?;
-        debug_assert_eq!(e.state, State::Executing, "only issued entries finish");
+        let e = self
+            .rob
+            .get_mut(idx)
+            .filter(|e| e.state == State::Executing)?;
         e.state = State::Done;
         let mut edge = std::mem::replace(&mut e.dependents, NIL);
         while edge != NIL {
@@ -375,9 +399,10 @@ fn xbar_bit(x: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::test_rng::Rng;
     use pimsim_isa::{VBinOp, VUnOp};
 
-    impl Core {
+    impl Core<'_> {
         /// The pre-scoreboard issue logic, kept as the reference: rescan the
         /// whole ROB in age order and re-derive every pairwise hazard from
         /// the resolved operands alone (nothing the scoreboard stores).
@@ -445,19 +470,22 @@ mod tests {
 
     /// Crossbar groups with overlapping sets: 0∩1 = {1}, 1∩2 = {2}, 0∩2 = ∅;
     /// group 3 sits past the first bitset word.
-    fn test_groups() -> Vec<GroupConfig> {
-        [vec![0, 1], vec![1, 2], vec![2, 3], vec![70]]
-            .into_iter()
-            .enumerate()
-            .map(|(i, xbar_ids)| GroupConfig::new(GroupId(i as u16), 4, 8, xbar_ids))
-            .collect()
+    fn test_groups() -> &'static [GroupConfig] {
+        static GROUPS: std::sync::OnceLock<Vec<GroupConfig>> = std::sync::OnceLock::new();
+        GROUPS.get_or_init(|| {
+            [vec![0, 1], vec![1, 2], vec![2, 3], vec![70]]
+                .into_iter()
+                .enumerate()
+                .map(|(i, xbar_ids)| GroupConfig::new(GroupId(i as u16), 4, 8, xbar_ids))
+                .collect()
+        })
     }
 
-    fn test_core(rob_size: usize) -> Core {
+    fn test_core(rob_size: usize) -> Core<'static> {
         Core::new(
-            Vec::new(),
+            &[],
             test_groups(),
-            Vec::new(),
+            &[],
             Memory::default(),
             rob_size,
             SimTime::ZERO,
@@ -553,22 +581,6 @@ mod tests {
         assert!(core.find(3).is_none());
     }
 
-    /// xorshift64*: the differential test's only source of randomness.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 >> 12;
-            self.0 ^= self.0 << 25;
-            self.0 ^= self.0 >> 27;
-            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
     /// This core's id in the differential test's channel keys.
     const CORE_ID: u16 = 2;
 
@@ -659,7 +671,7 @@ mod tests {
     }
 
     /// Books or releases the unit of an entry the way `units.rs` does.
-    fn set_unit(core: &mut Core, class: InstrClass, res: Resolved, busy: bool) {
+    fn set_unit(core: &mut Core<'_>, class: InstrClass, res: Resolved, busy: bool) {
         match (class, res) {
             (InstrClass::Vector, _) => core.vector_busy = busy,
             (InstrClass::Matrix, Resolved::Mvm { group, .. }) if busy => core.book_xbars(group),
@@ -705,7 +717,9 @@ mod tests {
                     "rob={rob_size} hazard={structure_hazard} seed={seed} step={step}"
                 );
                 let Some(seq) = pick else { break };
-                let started = core.begin(seq, SimTime::ZERO);
+                let started = core
+                    .begin(seq, SimTime::ZERO)
+                    .expect("the scoreboard picks ready entries");
                 set_unit(&mut core, started.class, started.res, true);
                 executing.push(seq);
                 issued += 1;

@@ -1,10 +1,12 @@
 //! The run loop: world construction, the event loop, deadlock detection,
 //! and report assembly.
 
+use std::collections::BTreeMap;
+
 use pimsim_arch::model::CostModel;
 use pimsim_arch::ArchConfig;
 use pimsim_event::{Kernel, RunResult, SimTime};
-use pimsim_isa::{Program, ProgramLimits};
+use pimsim_isa::{CoreProgram, Program, ProgramLimits};
 
 use super::rob::Core;
 use super::timing::{DefaultTiming, TimingModel};
@@ -13,6 +15,15 @@ use super::{error::SimError, Machine, MachineEvent, Telemetry};
 use crate::exec::Memory;
 use crate::noc::{Noc, NocCosts};
 use crate::stats::SimReport;
+
+/// What a mesh slot the program leaves out runs: nothing.
+static IDLE_CORE: CoreProgram = CoreProgram {
+    instrs: Vec::new(),
+    groups: Vec::new(),
+    local_init: Vec::new(),
+    labels: BTreeMap::new(),
+    instr_tags: Vec::new(),
+};
 
 /// Runs compiled [`Program`]s on a configured chip.
 ///
@@ -93,9 +104,13 @@ impl<'a> Simulator<'a> {
             }
         }
 
-        let functional = self.arch.sim.functional;
-        let machine = self.build_machine(program, functional);
+        let machine = self.build_machine(program);
+        self.execute(machine)
+    }
 
+    /// Runs a built machine to quiescence and assembles its report.
+    pub(super) fn execute(&self, machine: Machine<'_>) -> Result<SimReport, SimError> {
+        let functional = machine.functional;
         let clock = CostModel::new(self.arch).core_clock();
         let horizon = clock.cycles_to_time(self.arch.sim.max_cycles);
         let mut kernel = Kernel::new(machine);
@@ -143,14 +158,18 @@ impl<'a> Simulator<'a> {
     /// Assembles the machine: one core per mesh slot with its program
     /// slice, the NoC, global memory, and the transfer fabric with the
     /// program's channels interned.
-    fn build_machine(&self, program: &Program, functional: bool) -> Machine<'a> {
+    pub(super) fn build_machine<'p>(&self, program: &'p Program) -> Machine<'p>
+    where
+        'a: 'p,
+    {
+        let functional = self.arch.sim.functional;
         let dispatch_interval = self.timing.dispatch_interval(self.arch);
         let decode_offset = self.timing.decode_offset(self.arch);
 
         let n_cores = self.arch.resources.cores() as usize;
         let mut cores = Vec::with_capacity(n_cores);
         for cid in 0..n_cores {
-            let cp = program.cores.get(cid).cloned().unwrap_or_default();
+            let cp = program.cores.get(cid).unwrap_or(&IDLE_CORE);
             let mut mem = Memory::default();
             if functional {
                 for (start, values) in &cp.local_init {
@@ -158,9 +177,9 @@ impl<'a> Simulator<'a> {
                 }
             }
             cores.push(Core::new(
-                cp.instrs,
-                cp.groups,
-                cp.instr_tags,
+                &cp.instrs,
+                &cp.groups,
+                &cp.instr_tags,
                 mem,
                 self.arch.resources.rob_size as usize,
                 decode_offset,
@@ -186,6 +205,8 @@ impl<'a> Simulator<'a> {
             fabric,
             functional,
             dispatch_interval,
+            frontend_energy: self.timing.frontend_energy(self.arch),
+            scalar_energy: self.timing.scalar_cost(self.arch).energy,
             telemetry: Telemetry::new(self.arch.sim.trace),
             error: None,
             finish_time: SimTime::ZERO,

@@ -24,11 +24,11 @@
 //! Channels are a dense table: `SEND`/`RECV` name their peer and tag as
 //! immediates, so the program's whole `(sender, receiver, tag)` set is
 //! known when the machine is built. [`TransferFabric::for_cores`] interns
-//! it once and stamps each transfer instruction with its channel index;
-//! ROB entries, [`Pending`] sides and deposit events carry that index, and
-//! the hot path never looks a key up.
+//! it in one pass over the program and stamps each transfer instruction
+//! with its channel index; ROB entries, [`Pending`] sides and deposit
+//! events carry that index, and the hot path never looks a key up.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use pimsim_event::SimTime;
 use pimsim_isa::Instruction;
@@ -127,35 +127,41 @@ pub(crate) struct TransferFabric {
     channels: Vec<Channel>,
 }
 
+/// The channel a transfer instruction on core `core` uses, or `None` for
+/// every other instruction.
+fn channel_key(core: u16, instr: &Instruction) -> Option<ChannelKey> {
+    match *instr {
+        Instruction::Send { peer, tag, .. } => Some((core, peer.0, tag)),
+        Instruction::Recv { peer, tag, .. } | Instruction::Recv2d { peer, tag, .. } => {
+            Some((peer.0, core, tag))
+        }
+        _ => None,
+    }
+}
+
 impl TransferFabric {
     /// Interns every `(sender, receiver, tag)` channel the cores' programs
-    /// name, in key order, with `vcs` virtual channels each, and records
-    /// each transfer instruction's channel index in [`Core::chans`].
-    pub(crate) fn for_cores(cores: &mut [Core], vcs: u32) -> TransferFabric {
+    /// name, in first-seen order, with `vcs` virtual channels each, and
+    /// records each transfer instruction's channel index in
+    /// [`Core::chans`]. Which index a channel gets is never observable:
+    /// every report that lists channels sorts its lines.
+    pub(crate) fn for_cores(cores: &mut [Core<'_>], vcs: u32) -> TransferFabric {
+        // Cannot fire: `Simulator::run` validates the arch before building,
+        // and `ArchConfig::validate` rejects zero virtual channels.
         debug_assert!(vcs > 0, "validated: at least one virtual channel");
-        let key_of = |c: usize, instr: &Instruction| match instr {
-            Instruction::Send { peer, tag, .. } => Some((c as u16, peer.0, *tag)),
-            Instruction::Recv { peer, tag, .. } | Instruction::Recv2d { peer, tag, .. } => {
-                Some((peer.0, c as u16, *tag))
-            }
-            _ => None,
-        };
-        let mut keys: Vec<ChannelKey> = cores
-            .iter()
-            .enumerate()
-            .flat_map(|(c, core)| core.instrs.iter().filter_map(move |i| key_of(c, i)))
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
+        let mut channels = Vec::new();
+        let mut index: HashMap<ChannelKey, u32> = HashMap::new();
         for (c, core) in cores.iter_mut().enumerate() {
             for (instr, chan) in core.instrs.iter().zip(&mut core.chans) {
-                if let Some(key) = key_of(c, instr) {
-                    let at = keys.binary_search(&key).expect("collected above");
-                    *chan = at as u32;
-                }
+                let Some(key) = channel_key(c as u16, instr) else {
+                    continue;
+                };
+                *chan = *index.entry(key).or_insert_with(|| {
+                    channels.push(Channel::new(key, vcs));
+                    (channels.len() - 1) as u32
+                });
             }
         }
-        let channels = keys.into_iter().map(|k| Channel::new(k, vcs)).collect();
         TransferFabric { channels }
     }
 
@@ -293,11 +299,15 @@ impl Machine<'_> {
                         return;
                     }
                     self.kick_channel(chan, vc, now, ctx);
-                } else {
-                    debug_assert!(
-                        channel.parked_recv.is_none(),
-                        "transfer unit is single-occupancy"
+                } else if channel.parked_recv.is_some() {
+                    // The ROB keeps same-channel transfers in program order,
+                    // so a second receive can never be parked beside one.
+                    let detail = format!(
+                        "second receive parked on {} by core{c} seq {seq}",
+                        self.fabric.name(chan)
                     );
+                    self.fail(SimError::Internal { detail }, ctx);
+                } else {
                     channel.parked_recv = Some(Pending {
                         core: c as u16,
                         seq,
@@ -458,13 +468,14 @@ impl Machine<'_> {
         if channel.vc_used[vc as usize] >= credits {
             return;
         }
-        let Some(i) = channel.waiting_sends.iter().position(|p| p.vc == vc) else {
+        let waiting = &mut channel.waiting_sends;
+        let Some(send) = waiting
+            .iter()
+            .position(|p| p.vc == vc)
+            .and_then(|i| waiting.remove(i))
+        else {
             return;
         };
-        let send = channel
-            .waiting_sends
-            .remove(i)
-            .expect("position is in range");
         if self.charge_credit(chan, send.vc, ctx) {
             self.launch_send(chan, send, now, ctx);
         }
@@ -526,8 +537,9 @@ impl Machine<'_> {
                 // A completion whose ROB entry vanished is an invariant
                 // break; report it instead of quietly dropping the
                 // retirement (which would wedge the core).
-                let detail =
-                    format!("transfer completion on core{c} found no ROB entry for seq {seq}");
+                let detail = format!(
+                    "transfer completion on core{c} found no executing ROB entry for seq {seq}"
+                );
                 self.fail(SimError::Internal { detail }, ctx);
                 return;
             };
@@ -541,5 +553,134 @@ impl Machine<'_> {
         self.cores[c].retire();
         self.try_issue(c, ctx);
         self.try_advance(c, ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::fmt::Write as _;
+
+    use pimsim_arch::ArchConfig;
+    use pimsim_isa::{asm, IsaError, Program};
+
+    use super::*;
+    use crate::machine::test_rng::Rng;
+    use crate::Simulator;
+
+    impl TransferFabric {
+        /// The interning [`TransferFabric::for_cores`] replaced, kept as
+        /// the reference: collect every key, sort and dedup them, then
+        /// binary-search each instruction's key.
+        fn for_cores_sorted(cores: &mut [Core<'_>], vcs: u32) -> TransferFabric {
+            let mut keys: Vec<ChannelKey> = cores
+                .iter()
+                .enumerate()
+                .flat_map(|(c, core)| {
+                    core.instrs
+                        .iter()
+                        .filter_map(move |i| channel_key(c as u16, i))
+                })
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            for (c, core) in cores.iter_mut().enumerate() {
+                for (instr, chan) in core.instrs.iter().zip(&mut core.chans) {
+                    if let Some(key) = channel_key(c as u16, instr) {
+                        *chan = keys.binary_search(&key).expect("collected above") as u32;
+                    }
+                }
+            }
+            let channels = keys.into_iter().map(|k| Channel::new(k, vcs)).collect();
+            TransferFabric { channels }
+        }
+    }
+
+    /// Random transfer traffic among `cores` cores: messages on a few tags
+    /// in both directions of each pair (a tag fixes the length), received
+    /// by `recv` or a length-preserving `recv2d`. Some programs shuffle
+    /// each core's list (crossed orders can deadlock) and some drop
+    /// receives (unmatched sends).
+    fn random_program(rng: &mut Rng, cores: u16) -> Result<Program, IsaError> {
+        let (shuffle, drops) = (rng.below(2) == 0, rng.below(3) == 0);
+        let mut text = vec![String::new(); cores as usize];
+        for _ in 0..8 + rng.below(40) {
+            let from = rng.below(cores as u64) as u16;
+            let to = (from + 1 + rng.below(cores as u64 - 1) as u16) % cores;
+            let tag = rng.below(3);
+            let blocks = 1 + tag;
+            let len = 4 * blocks;
+            let _ = writeln!(
+                text[from as usize],
+                "send core{to}, [r0+0], {len}, tag={tag}"
+            );
+            let recv = &mut text[to as usize];
+            match rng.below(8) {
+                0 if drops => {}
+                0..=3 => {
+                    let _ = writeln!(recv, "recv core{from}, [r0+64], {len}, tag={tag}");
+                }
+                _ => {
+                    let _ = writeln!(
+                        recv,
+                        "recv2d core{from}, [r0+64], block=4, blocks={blocks}, dstride=8, tag={tag}"
+                    );
+                }
+            }
+        }
+        let mut program = String::new();
+        for (c, body) in text.iter().enumerate() {
+            let mut lines: Vec<&str> = body.lines().collect();
+            for i in (1..lines.len()).rev().filter(|_| shuffle) {
+                lines.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let _ = write!(program, ".core {c}\n{}\nhalt\n", lines.join("\n"));
+        }
+        asm::assemble(&program)
+    }
+
+    /// Each transfer instruction's channel index, in program order.
+    fn stamped(cores: &[Core<'_>]) -> Vec<u32> {
+        cores
+            .iter()
+            .flat_map(|core| core.instrs.iter().zip(&core.chans))
+            .filter(|(instr, _)| channel_key(0, instr).is_some())
+            .map(|(_, &chan)| chan)
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_interning_matches_the_sorted_reference() -> Result<(), IsaError> {
+        let mut rng = Rng(0x5eed_c4a7);
+        let (mut deadlocks, mut clean) = (0, 0);
+        for case in 0..300 {
+            let vcs = 1 + (case % 2) as u32;
+            let arch = ArchConfig::small_test().with_virtual_channels(vcs);
+            let cores = 2 + rng.below(4) as u16;
+            let program = random_program(&mut rng, cores)?;
+            let sim = Simulator::new(&arch);
+
+            let mut machine = sim.build_machine(&program);
+            let fast = stamped(&machine.cores);
+            let fast_keys: Vec<ChannelKey> =
+                fast.iter().map(|&ch| machine.fabric.key(ch)).collect();
+            machine.fabric = TransferFabric::for_cores_sorted(&mut machine.cores, vcs);
+            let oracle = stamped(&machine.cores);
+            for (i, (&a, &b)) in fast.iter().zip(&oracle).enumerate() {
+                assert_eq!(fast_keys[i], machine.fabric.key(b), "case {case}: site {i}");
+                for (&c, &d) in fast.iter().zip(&oracle) {
+                    assert_eq!(a == c, b == d, "case {case}: grouping differs at site {i}");
+                }
+            }
+
+            // Same run, to the byte, with either numbering.
+            let by_oracle = format!("{:?}", sim.execute(machine));
+            let by_fast = format!("{:?}", sim.run(&program));
+            assert_eq!(by_fast, by_oracle, "case {case}");
+            deadlocks += by_fast.starts_with("Err(Deadlock") as u32;
+            clean += by_fast.starts_with("Ok") as u32;
+        }
+        assert!(deadlocks > 30, "only {deadlocks} of 300 cases deadlocked");
+        assert!(clean > 30, "only {clean} of 300 cases ran clean");
+        Ok(())
     }
 }

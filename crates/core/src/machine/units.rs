@@ -43,11 +43,8 @@ fn vector_shape(res: &Resolved) -> VectorShape {
 impl Machine<'_> {
     /// Issues every ROB entry that can start right now.
     pub(crate) fn try_issue(&mut self, c: usize, ctx: &mut Ctx) {
-        if self.error.is_some() {
-            return;
-        }
         let now = ctx.now();
-        loop {
+        while self.error.is_none() {
             let candidate = self.cores[c].next_issuable(self.cfg.sim.structure_hazard);
             let Some(seq) = candidate else { return };
             self.start(c, seq, now, ctx);
@@ -56,7 +53,11 @@ impl Machine<'_> {
 
     /// Moves entry `seq` to `Executing` and books its execution unit.
     fn start(&mut self, c: usize, seq: u64, now: SimTime, ctx: &mut Ctx) {
-        let issued = self.cores[c].begin(seq, now);
+        let Some(issued) = self.cores[c].begin(seq, now) else {
+            let detail = format!("issue on core{c} found no ready ROB entry for seq {seq}");
+            self.fail(SimError::Internal { detail }, ctx);
+            return;
+        };
         let Issued { res, tag, .. } = issued;
         match issued.class {
             InstrClass::Vector => {
@@ -106,7 +107,9 @@ impl Machine<'_> {
                 // break (entries leave the ROB only through in-order
                 // retirement after completing); silently dropping it used
                 // to leave the unit booked forever.
-                let detail = format!("unit completion on core{c} found no ROB entry for seq {seq}");
+                let detail = format!(
+                    "unit completion on core{c} found no executing ROB entry for seq {seq}"
+                );
                 self.fail(SimError::Internal { detail }, ctx);
                 return;
             };
@@ -173,9 +176,6 @@ impl Machine<'_> {
     /// golden-model integer semantics.
     fn execute_functional(&mut self, c: usize, res: &Resolved) {
         let core = &mut self.cores[c];
-        // Split borrow: groups are not touched by local data movement.
-        let groups = std::mem::take(&mut core.groups);
-        execute_local(res, &mut core.mem, &groups);
-        core.groups = groups;
+        execute_local(res, &mut core.mem, core.groups);
     }
 }

@@ -172,13 +172,93 @@ pub fn routing_for(policy: RoutingPolicy) -> &'static dyn Routing {
     }
 }
 
+/// A router position walking a minimal route toward a destination, as mesh
+/// coordinates that each hop updates in place: a walk divides once per
+/// message, not per hop, and names each link by its outgoing port.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    cols: u16,
+    row: u16,
+    col: u16,
+    to_row: u16,
+    to_col: u16,
+}
+
+impl Cursor {
+    fn new(cols: u16, from: u16, to: u16) -> Cursor {
+        Cursor {
+            cols,
+            row: from / cols,
+            col: from % cols,
+            to_row: to / cols,
+            to_col: to % cols,
+        }
+    }
+
+    /// The router the cursor stands on.
+    fn router(&self) -> u16 {
+        self.row * self.cols + self.col
+    }
+
+    /// The destination router.
+    fn to(&self) -> u16 {
+        self.to_row * self.cols + self.to_col
+    }
+
+    /// The outgoing port of the minimal X step, while the column differs.
+    fn x_port(&self) -> Option<usize> {
+        match self.to_col.cmp(&self.col) {
+            std::cmp::Ordering::Greater => Some(EAST),
+            std::cmp::Ordering::Less => Some(WEST),
+            std::cmp::Ordering::Equal => None,
+        }
+    }
+
+    /// The outgoing port of the minimal Y step, while the row differs.
+    fn y_port(&self) -> Option<usize> {
+        match self.to_row.cmp(&self.row) {
+            std::cmp::Ordering::Greater => Some(SOUTH),
+            std::cmp::Ordering::Less => Some(NORTH),
+            std::cmp::Ordering::Equal => None,
+        }
+    }
+
+    /// The next port under dimension order `order`; `None` on arrival.
+    fn port(&self, order: DimOrder) -> Option<usize> {
+        match order {
+            DimOrder::XFirst => self.x_port().or_else(|| self.y_port()),
+            DimOrder::YFirst => self.y_port().or_else(|| self.x_port()),
+        }
+    }
+
+    /// The dense index of the link out of `port` here.
+    fn link(&self, port: usize) -> usize {
+        self.router() as usize * PORTS + port
+    }
+
+    /// Moves one hop out of mesh port `port`.
+    fn step(&mut self, port: usize) {
+        match port {
+            EAST => self.col += 1,
+            WEST => self.col -= 1,
+            SOUTH => self.row += 1,
+            _ => self.row -= 1,
+        }
+    }
+
+    /// Steps out of `port`, returning the link crossed as `(from, to)`.
+    fn cross(&mut self, port: usize) -> (u16, u16) {
+        let from = self.router();
+        self.step(port);
+        (from, self.router())
+    }
+}
+
 /// An allocation-free walk of one message's minimal route: yields the
 /// directed links `(from_router, to_router)` in traversal order.
 #[derive(Debug, Clone)]
 pub struct Route {
-    cols: u16,
-    cur: u16,
-    to: u16,
+    at: Cursor,
     order: DimOrder,
 }
 
@@ -186,38 +266,8 @@ impl Iterator for Route {
     type Item = (u16, u16);
 
     fn next(&mut self) -> Option<(u16, u16)> {
-        if self.cur == self.to {
-            return None;
-        }
-        let (cr, cc) = (self.cur / self.cols, self.cur % self.cols);
-        let (tr, tc) = (self.to / self.cols, self.to % self.cols);
-        let x_next = || {
-            let next_c = if tc > cc { cc + 1 } else { cc - 1 };
-            cr * self.cols + next_c
-        };
-        let y_next = || {
-            let next_r = if tr > cr { cr + 1 } else { cr - 1 };
-            next_r * self.cols + cc
-        };
-        let next = match self.order {
-            DimOrder::XFirst => {
-                if cc != tc {
-                    x_next()
-                } else {
-                    y_next()
-                }
-            }
-            DimOrder::YFirst => {
-                if cr != tr {
-                    y_next()
-                } else {
-                    x_next()
-                }
-            }
-        };
-        let link = (self.cur, next);
-        self.cur = next;
-        Some(link)
+        let port = self.at.port(self.order)?;
+        Some(self.at.cross(port))
     }
 }
 
@@ -227,8 +277,7 @@ impl Iterator for Route {
 #[derive(Debug, Clone)]
 pub struct AdaptiveRoute<'a> {
     noc: &'a Noc,
-    cur: u16,
-    to: u16,
+    at: Cursor,
     msg_seq: u64,
 }
 
@@ -236,13 +285,8 @@ impl Iterator for AdaptiveRoute<'_> {
     type Item = (u16, u16);
 
     fn next(&mut self) -> Option<(u16, u16)> {
-        if self.cur == self.to {
-            return None;
-        }
-        let next = self.noc.adaptive_step(self.cur, self.to, self.msg_seq);
-        let link = (self.cur, next);
-        self.cur = next;
-        Some(link)
+        let port = self.noc.adaptive_port(&self.at, self.msg_seq)?;
+        Some(self.at.cross(port))
     }
 }
 
@@ -444,26 +488,40 @@ impl Noc {
         );
     }
 
-    /// The dense index of the directed link `from -> to`. The two routers
-    /// are always mesh neighbours (or `to == MEM_NODE`), so the outgoing
-    /// port is recoverable from their difference.
+    /// The dense index of the directed link `from -> to`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `from -> to` joins two mesh neighbours, or is the
+    /// memory port `0 -> MEM_NODE`.
     fn link_index(&self, from: u16, to: u16) -> usize {
-        let port = if to == MEM_NODE {
+        self.check_cores(from, from);
+        let (from32, to32, cols) = (from as u32, to as u32, self.cols as u32);
+        let port = if to == MEM_NODE && from == 0 {
             MEM_PORT
-        } else if to as u32 == from as u32 + 1 {
+        } else if to32 == from32 + 1 && from32 % cols != cols - 1 {
             EAST
-        } else if to as u32 + 1 == from as u32 {
+        } else if to32 + 1 == from32 && from32 % cols != 0 {
             WEST
-        } else if to as u32 == from as u32 + self.cols as u32 {
+        } else if to32 == from32 + cols && to32 < self.routers() {
             SOUTH
-        } else {
-            debug_assert!(to as u32 + self.cols as u32 == from as u32, "not a link");
+        } else if to32 + cols == from32 {
             NORTH
+        } else {
+            panic!(
+                "{from} -> {to} is not a link of the {}x{} mesh",
+                self.rows, self.cols
+            )
         };
         from as usize * PORTS + port
     }
 
     /// The occupancy (`free_at`) of the directed link `from -> to`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `from -> to` joins two mesh neighbours, or is the
+    /// memory port `0 -> MEM_NODE`.
     pub fn link_free(&self, from: u16, to: u16) -> SimTime {
         self.link_free[self.link_index(from, to)]
     }
@@ -477,9 +535,7 @@ impl Noc {
     pub fn route(&self, from: u16, to: u16, order: DimOrder) -> Route {
         self.check_cores(from, to);
         Route {
-            cols: self.cols,
-            cur: from,
-            to,
+            at: Cursor::new(self.cols, from, to),
             order,
         }
     }
@@ -524,9 +580,9 @@ impl Noc {
     }
 
     /// Walks a packet `from -> to` under the active policy, reserving each
-    /// link in turn: a fixed dimension-order [`Route`] for oblivious
-    /// policies, a hop-by-hop congestion-guided walk for adaptive ones.
-    /// Both ends are in the mesh: the public callers checked them.
+    /// link in turn: a fixed dimension order for oblivious policies, a
+    /// hop-by-hop congestion-guided choice for adaptive ones. Both ends
+    /// are in the mesh: the public callers checked them.
     fn walk(
         &mut self,
         from: u16,
@@ -536,75 +592,51 @@ impl Noc {
         hop: SimTime,
         ser: SimTime,
     ) {
-        if self.routing.is_adaptive() {
-            // A minimal walk visits distinct routers, so the links this
-            // message has already reserved are never candidates again:
-            // each step sees exactly the occupancy `adaptive_route` would.
-            let mut cur = from;
-            while cur != to {
-                let next = self.adaptive_step(cur, to, msg_seq);
-                self.reserve(cur, next, walk, hop, ser);
-                cur = next;
-            }
-        } else {
-            let route = Route {
-                cols: self.cols,
-                cur: from,
-                to,
-                order: self.routing.order(from, to, msg_seq),
+        let mut at = Cursor::new(self.cols, from, to);
+        // A minimal walk visits distinct routers, so the links this message
+        // has already reserved are never adaptive candidates again: each
+        // step sees exactly the occupancy `adaptive_route` would.
+        let order = (!self.routing.is_adaptive()).then(|| self.routing.order(from, to, msg_seq));
+        loop {
+            let port = match order {
+                Some(order) => at.port(order),
+                None => self.adaptive_port(&at, msg_seq),
             };
-            self.walk_route(route, walk, hop, ser);
+            let Some(port) = port else { return };
+            self.reserve(at.link(port), walk, hop, ser);
+            at.step(port);
         }
     }
 
-    /// Reserves the directed link `a -> b` for `walk`'s head/tail flits.
-    fn reserve(&mut self, a: u16, b: u16, walk: &mut Walk, hop: SimTime, ser: SimTime) {
-        let idx = self.link_index(a, b);
-        walk.head = walk.head.max(self.link_free[idx]) + hop;
+    /// Reserves the link with dense index `link` for `walk`'s head/tail
+    /// flits.
+    fn reserve(&mut self, link: usize, walk: &mut Walk, hop: SimTime, ser: SimTime) {
+        walk.head = walk.head.max(self.link_free[link]) + hop;
         walk.tail = walk.head + ser;
-        self.link_free[idx] = walk.tail;
+        self.link_free[link] = walk.tail;
     }
 
-    /// Walks a packet along `route`, reserving each link in turn.
-    fn walk_route(&mut self, route: Route, walk: &mut Walk, hop: SimTime, ser: SimTime) {
-        for (a, b) in route {
-            self.reserve(a, b, walk, hop, ser);
-        }
-    }
-
-    /// The router an adaptively routed message at `cur` steps to next on
-    /// its way to `to`: of the (at most two) minimal directions, the one
-    /// whose outgoing link frees earliest; ties fall back to the policy's
-    /// per-message dimension order.
-    fn adaptive_step(&self, cur: u16, to: u16, msg_seq: u64) -> u16 {
-        let (cr, cc) = (cur / self.cols, cur % self.cols);
-        let (tr, tc) = (to / self.cols, to % self.cols);
-        let x_next = (cc != tc).then(|| {
-            let next_c = if tc > cc { cc + 1 } else { cc - 1 };
-            cr * self.cols + next_c
-        });
-        let y_next = (cr != tr).then(|| {
-            let next_r = if tr > cr { cr + 1 } else { cr - 1 };
-            next_r * self.cols + cc
-        });
-        match (x_next, y_next) {
-            (Some(x), None) => x,
-            (None, Some(y)) => y,
+    /// The port an adaptively routed message at `at` leaves by: of the (at
+    /// most two) minimal directions, the one whose outgoing link frees
+    /// earliest; ties fall back to the policy's per-message dimension
+    /// order. `None` on arrival.
+    fn adaptive_port(&self, at: &Cursor, msg_seq: u64) -> Option<usize> {
+        match (at.x_port(), at.y_port()) {
             (Some(x), Some(y)) => {
-                let x_free = self.link_free[self.link_index(cur, x)];
-                let y_free = self.link_free[self.link_index(cur, y)];
-                if x_free < y_free {
+                let x_free = self.link_free[at.link(x)];
+                let y_free = self.link_free[at.link(y)];
+                Some(if x_free < y_free {
                     x
                 } else if y_free < x_free {
                     y
                 } else {
-                    match self.routing.order(cur, to, msg_seq) {
+                    match self.routing.order(at.router(), at.to(), msg_seq) {
                         DimOrder::XFirst => x,
                         DimOrder::YFirst => y,
                     }
-                }
+                })
             }
-            (None, None) => unreachable!("walk loop stops at the destination"),
+            (x, y) => x.or(y),
         }
     }
 
@@ -617,8 +649,7 @@ impl Noc {
         self.check_cores(from, to);
         AdaptiveRoute {
             noc: self,
-            cur: from,
-            to,
+            at: Cursor::new(self.cols, from, to),
             msg_seq: self.msg_seq,
         }
     }
@@ -646,8 +677,8 @@ impl Noc {
             tail: start,
         };
         self.walk(core, 0, seq, &mut walk, costs.router_latency(), ser);
-        // The memory port continues the same head progression.
-        self.reserve(0, MEM_NODE, &mut walk, costs.router_latency(), ser);
+        // The memory port (router 0's) continues the same head progression.
+        self.reserve(MEM_PORT, &mut walk, costs.router_latency(), ser);
         let arrived = walk.tail;
         let service_start = arrived.max(self.mem_free);
         let done = service_start + costs.global_mem(elems).time;

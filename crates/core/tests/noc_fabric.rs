@@ -276,3 +276,112 @@ fn hotspot_workload_adaptive_beats_xy_deterministically() {
     assert_eq!(xy.latency, run(RoutingPolicy::Xy).latency);
     assert_eq!(adaptive.latency, run(RoutingPolicy::Adaptive).latency);
 }
+
+/// Benchmark-shaped traffic on the paper's 8×8 mesh, about 2,000 messages:
+/// 16 rounds of a random single-cycle permutation (every core sends to one
+/// peer and receives from another), then 16 rounds of all-to-one into
+/// core 0. Deterministic: an LCG draws the permutations.
+fn perm_and_all_to_one() -> String {
+    const CORES: usize = 64;
+    const LENGTHS: [u32; 4] = [64, 128, 256, 512];
+    let mut state = 0x2545_f491_u64;
+    let mut below = |n: usize| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as usize % n
+    };
+    let mut cores = vec![String::new(); CORES];
+    for round in 0..16 {
+        let len = LENGTHS[round % 4];
+        // Sattolo: one cycle through every core, so no core maps to itself.
+        let mut to: Vec<usize> = (0..CORES).collect();
+        for i in (1..CORES).rev() {
+            to.swap(i, below(i));
+        }
+        let mut from = vec![0; CORES];
+        for (c, &peer) in to.iter().enumerate() {
+            from[peer] = c;
+        }
+        for c in 0..CORES {
+            cores[c].push_str(&format!("send core{}, [r0+0], {len}, tag=1\n", to[c]));
+            cores[c].push_str(&format!("recv core{}, [r0+2048], {len}, tag=1\n", from[c]));
+        }
+    }
+    for round in 0..16 {
+        let len = LENGTHS[(round + 1) % 4];
+        for c in 1..CORES {
+            cores[c].push_str(&format!("send core0, [r0+0], {len}, tag=2\n"));
+            cores[0].push_str(&format!("recv core{c}, [r0+2048], {len}, tag=2\n"));
+        }
+    }
+    let mut text = String::new();
+    for (c, body) in cores.iter().enumerate() {
+        text.push_str(&format!(".core {c}\n{body}halt\n"));
+    }
+    text
+}
+
+#[test]
+fn mesh_traffic_schedule_is_pinned() {
+    // (latency ps, kernel events, total energy bits) per routing and VC
+    // count: any change to the transfer path that moves one event, one
+    // picosecond or one energy bit shows here, not only in the benchmark's
+    // digests.
+    let pinned: [(RoutingPolicy, u32, (u64, u64, u64)); 8] = [
+        (
+            RoutingPolicy::Xy,
+            1,
+            (31_019_000, 4_683, 4_712_744_497_589_518_336),
+        ),
+        (
+            RoutingPolicy::Xy,
+            2,
+            (31_019_000, 4_682, 4_712_744_497_589_518_336),
+        ),
+        (
+            RoutingPolicy::Yx,
+            1,
+            (31_089_500, 4_644, 4_712_758_501_867_257_857),
+        ),
+        (
+            RoutingPolicy::Yx,
+            2,
+            (31_089_500, 4_644, 4_712_758_501_867_257_857),
+        ),
+        (
+            RoutingPolicy::XyYxAlternate,
+            1,
+            (19_959_000, 4_592, 4_710_329_818_657_325_056),
+        ),
+        (
+            RoutingPolicy::XyYxAlternate,
+            2,
+            (20_183_000, 4_582, 4_710_418_810_379_698_175),
+        ),
+        (
+            RoutingPolicy::Adaptive,
+            1,
+            (18_574_000, 4_517, 4_709_779_579_659_616_255),
+        ),
+        (
+            RoutingPolicy::Adaptive,
+            2,
+            (18_684_000, 4_529, 4_709_823_280_951_853_055),
+        ),
+    ];
+    let program = asm::assemble(&perm_and_all_to_one()).expect("assembles");
+    assert_eq!(program.total_instructions(), 2 * (16 * 64 + 16 * 63) + 64);
+    for (routing, vcs, want) in pinned {
+        let arch = ArchConfig::paper_default()
+            .with_routing(routing)
+            .with_virtual_channels(vcs);
+        let r = Simulator::new(&arch).run(&program).expect("simulates");
+        let got = (
+            r.latency.as_ps(),
+            r.events,
+            r.energy.total().as_pj().to_bits(),
+        );
+        assert_eq!(got, want, "{} / {vcs} VC(s)", routing.name());
+    }
+}

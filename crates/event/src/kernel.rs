@@ -5,7 +5,7 @@
 //! (the queue and the pending buffer amortize like any `Vec`).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
 
 use crate::SimTime;
@@ -56,15 +56,29 @@ pub trait World {
 
 /// A scheduled event, stored inline (no boxing).
 struct Scheduled<E> {
-    time: SimTime,
-    /// Monotone sequence number; breaks ties so same-time events run FIFO.
-    seq: u64,
-    ev: E,
+    /// `!(time << 64 | seq)`: the `(time, seq)` order — `seq` is the
+    /// monotone schedule counter, so same-time events run FIFO — as one
+    /// integer, inverted so the max-heap pops the earliest first.
+    key: u128,
+    /// `None` only for the queue's top while its handler runs.
+    ev: Option<E>,
+}
+
+impl<E> Scheduled<E> {
+    fn new(time: SimTime, seq: u64, ev: E) -> Self {
+        let key = !((u128::from(time.as_ps()) << 64) | u128::from(seq));
+        Scheduled { key, ev: Some(ev) }
+    }
+
+    fn time(&self) -> SimTime {
+        // The high half of `!key` is the timestamp; truncation keeps it.
+        SimTime::from_ps((!self.key >> 64) as u64)
+    }
 }
 
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Scheduled<E> {}
@@ -75,8 +89,7 @@ impl<E> PartialOrd for Scheduled<E> {
 }
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+        self.key.cmp(&other.key)
     }
 }
 
@@ -250,14 +263,14 @@ impl<W: World> Kernel<W> {
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_next_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|e| e.time)
+        self.queue.peek().map(Scheduled::time)
     }
 
     fn push(&mut self, time: SimTime, ev: W::Event) {
         let seq = self.seq;
         self.seq += 1;
         self.stats.scheduled += 1;
-        self.queue.push(Scheduled { time, seq, ev });
+        self.queue.push(Scheduled::new(time, seq, ev));
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
     }
 
@@ -284,24 +297,48 @@ impl<W: World> Kernel<W> {
 
     /// Executes the single earliest pending event. Returns `false` if the
     /// queue was empty (time does not advance), `true` otherwise.
+    // Inlined into the run loops, the handler fuses with the queue work:
+    // about 2 ns of the bare kernel's ~15 ns per event.
+    #[inline]
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
+        let Some(mut top) = self.queue.peek_mut() else {
             return false;
         };
-        debug_assert!(ev.time >= self.now, "heap yielded an event from the past");
-        self.now = ev.time;
+        // Cannot fire: `schedule_at` refuses past times and `schedule_in`'s
+        // `now + delay` panics on overflow in the debug builds that check this.
+        debug_assert!(
+            top.time() >= self.now,
+            "heap yielded an event from the past"
+        );
+        self.now = top.time();
         self.stats.executed += 1;
+        let ev = top
+            .ev
+            .take()
+            .expect("only a running event lacks its payload");
         let mut ctx = EventCtx {
             now: self.now,
             buffered: std::mem::take(&mut self.scratch),
             stop: false,
         };
-        self.world.handle(ev.ev, &mut ctx);
+        self.world.handle(ev, &mut ctx);
         let EventCtx {
             mut buffered, stop, ..
         } = ctx;
-        // Merge in index order so same-time follow-ups stay FIFO.
-        for (t, e) in buffered.drain(..) {
+        // Merge in index order so same-time follow-ups stay FIFO. The first
+        // takes over the finished event's slot: one sift from the top in
+        // place of a pop and a push. Keys are unique, so the queue yields
+        // the same order either way.
+        let mut follow_ups = buffered.drain(..);
+        if let Some((t, e)) = follow_ups.next() {
+            *top = Scheduled::new(t, self.seq, e);
+            self.seq += 1;
+            self.stats.scheduled += 1;
+            drop(top);
+        } else {
+            PeekMut::pop(top);
+        }
+        for (t, e) in follow_ups {
             self.push(t, e);
         }
         self.scratch = buffered;

@@ -410,7 +410,7 @@ impl fmt::Display for InstrClass {
 /// The `Display` impl renders the canonical assembly syntax accepted by
 /// [`crate::asm::parse_instruction`]; `Display` → parse is a lossless
 /// round-trip (property-tested).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Instruction {
     // ------------------------------------------------------ matrix class --
     /// Run crossbar group `group`: read `len` input elements from local
