@@ -2,10 +2,12 @@
 //! with the critical path and per-core utilization that justify it.
 //!
 //! The analyzer prices every node of the cross-core dependence DAG
-//! ([`crate::dag`]) with the *same* cost tables the simulator uses
-//! ([`CostModel`], via the shared [`pimsim_isa::VectorShape`]
-//! classification) and computes a longest-path abstract schedule under
-//! only the constraints the machine provably enforces:
+//! ([`crate::dag`]) with the cost tables the simulator uses ([`CostModel`],
+//! vector work classified by [`pimsim_isa::Resolved::vector_shape`]) and
+//! paces dispatch with the same [`CostModel::dispatch_interval`] and
+//! [`CostModel::decode_offset`] the machine's frontend calls. It computes
+//! a longest-path abstract schedule under only the constraints the
+//! machine provably enforces:
 //!
 //! * the frontend dispatches in order, one instruction per dispatch
 //!   interval, starting at the decode offset;
@@ -28,9 +30,10 @@
 //! whole network zoo, making this pass a standing oracle against both
 //! analyzer unsoundness and simulator cost-model drift.
 //!
-//! The pricing helpers ([`message_min`], [`memory_access_min`],
-//! [`dispatch_interval`], [`decode_offset`]) are public so the simulator
-//! crate can pin them against its own `Noc`/`DefaultTiming` arithmetic.
+//! The transfer minima ([`message_min`], [`memory_access_min`]) are a
+//! closed form of what the simulator's `Noc` walks hop by hop; they are
+//! public so the simulator crate can pin the two against each other on
+//! an idle fabric.
 
 use pimsim_arch::model::CostModel;
 use pimsim_arch::ArchConfig;
@@ -74,21 +77,6 @@ pub fn memory_access_min(model: &CostModel, core: u16, elems: u32) -> SimTime {
     router * hops as u64
         + model.link_serialization(model.flits_for_elems(elems))
         + model.global_mem_cost(elems).time
-}
-
-/// The frontend's minimal time between consecutive dispatches. Identical
-/// arithmetic to the simulator's `DefaultTiming::dispatch_interval`.
-pub fn dispatch_interval(model: &CostModel) -> SimTime {
-    let period = model.core_clock().period().as_ps();
-    SimTime::from_ps(period.div_ceil(model.config().timing.dispatch_width.max(1) as u64))
-}
-
-/// Time before the first dispatch (fetch/decode fill). Identical
-/// arithmetic to the simulator's `DefaultTiming::decode_offset`.
-pub fn decode_offset(model: &CostModel) -> SimTime {
-    model
-        .core_clock()
-        .cycles_to_time(model.config().timing.decode_cycles as u64)
 }
 
 /// Minimal unit-service time of one DAG node.
@@ -271,8 +259,8 @@ pub(crate) fn price(
     let occ = occupancy(program, cfgs, arch.noc.virtual_channels);
 
     let n = dag.nodes.len();
-    let interval = dispatch_interval(&model);
-    let decode = decode_offset(&model);
+    let interval = model.dispatch_interval();
+    let decode = model.decode_offset();
     let service: Vec<SimTime> = dag
         .nodes
         .iter()
@@ -437,7 +425,7 @@ mod tests {
         let a = arch();
         let r = bounds(&p, &a);
         let model = CostModel::new(&a);
-        let expect = decode_offset(&model) + dispatch_interval(&model) * 3;
+        let expect = model.decode_offset() + model.dispatch_interval() * 3;
         assert_eq!(r.bound_source, "frontend-pacing");
         assert_eq!(r.latency_lb_ps, expect.as_ps());
         assert!(r.complete, "{r:?}");
@@ -461,7 +449,7 @@ mod tests {
         let model = CostModel::new(&a);
         let fill = model.vector_cost(64, 0, 1).time;
         let relu = model.vector_cost(64, 1, 1).time;
-        let expect = decode_offset(&model) + fill + relu + relu;
+        let expect = model.decode_offset() + fill + relu + relu;
         assert_eq!(r.bound_source, "critical-path");
         assert_eq!(r.latency_lb_ps, expect.as_ps());
         assert_eq!(r.critical_path_len, 3);
@@ -487,7 +475,7 @@ mod tests {
         let model = CostModel::new(&a);
         let msg = message_min(&model, 0, 1, 64);
         let relu = model.vector_cost(64, 1, 1).time;
-        let expect = decode_offset(&model) + msg + relu;
+        let expect = model.decode_offset() + msg + relu;
         assert_eq!(r.bound_source, "critical-path");
         assert_eq!(r.latency_lb_ps, expect.as_ps());
         // send → recv → vrelu
@@ -563,7 +551,7 @@ mod tests {
         let r = bounds(&p, &a);
         let model = CostModel::new(&a);
         let fill = model.vector_cost(256, 0, 1).time;
-        let expect = decode_offset(&model) + fill * 8;
+        let expect = model.decode_offset() + fill * 8;
         assert_eq!(r.bound_source, "vector-unit-throughput");
         assert_eq!(r.latency_lb_ps, expect.as_ps());
     }

@@ -2,14 +2,13 @@
 //! bounds pass.
 //!
 //! For every core whose execution order is statically determined
-//! ([`Cfg::linear_trace`]), the builder interprets the scalar register
-//! file *exactly* as the machine frontend does (scalars execute at
-//! dispatch, in order), resolves every memory-class operand to the same
-//! absolute addresses the runtime's resolver computes, and derives the
-//! same hazard ranges the ROB checks ([`pimsim_isa::Range`] is shared
-//! with it). Nodes are the ROB-class (matrix/vector/transfer)
-//! instructions; edges are constraints the real machine provably
-//! enforces:
+//! ([`Cfg::linear_trace`]), the builder runs the scalar register file
+//! through the ISA's own semantics ([`Instruction::exec_scalar`], what
+//! the machine frontend calls at dispatch), resolves every memory-class
+//! operand with the runtime's resolver ([`resolve`]), and orders nodes by
+//! the hazard rule the ROB applies ([`Footprint::conflicts`]). Nodes are
+//! the ROB-class (matrix/vector/transfer) instructions; edges are
+//! constraints the real machine provably enforces:
 //!
 //! * **hazard edges** — a younger instruction whose ranges RAW/WAW/WAR
 //!   overlap an older one (or whose global-memory interval conflicts)
@@ -20,11 +19,12 @@
 //!   statically-matched `send`'s message delivery
 //!   ([`crate::RendezvousMap`] supplies the pairing).
 //!
-//! Exactness of the replication is what makes the downstream bound
-//! *sound*: every edge corresponds to an ordering the runtime really
-//! enforces, so the longest path is a true lower bound. Over-approximated
-//! ranges would invent orderings the machine never waits for and could
-//! push the "lower bound" past the simulated latency.
+//! Calling the machine's own definitions rather than a copy of them is
+//! what makes the downstream bound *sound*: every edge corresponds to an
+//! ordering the runtime really enforces, so the longest path is a true
+//! lower bound. Over-approximated ranges would invent orderings the
+//! machine never waits for and could push the "lower bound" past the
+//! simulated latency.
 //!
 //! # A covering set, not every pair
 //!
@@ -51,12 +51,13 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use pimsim_isa::{Instruction, Program, Range, Reg, SBinOp, SImmOp, VectorShape};
+use pimsim_isa::{resolve, Footprint, Instruction, Program, Resolved, VectorShape};
 
 use crate::cfg::Cfg;
 
 /// What a node costs: the inputs its minimal unit-service time is priced
-/// on, classified with the same shared tables the simulator uses.
+/// on, with vector work classified by the ISA ([`Resolved::vector_shape`])
+/// exactly as the simulator's vector unit prices it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceKind {
     /// A vector-unit operation with the shared [`VectorShape`].
@@ -101,15 +102,8 @@ pub struct DagNode {
     pub dispatch_index: u32,
     /// Pricing inputs.
     pub service: ServiceKind,
-    /// Local-memory ranges read (same footprints as the runtime
-    /// resolver). No instruction reads more than two; unused slots are
-    /// [`Range::EMPTY`].
-    pub reads: [Range; 2],
-    /// The local-memory range written ([`Range::EMPTY`] for
-    /// `send`/`gstore`).
-    pub write: Range,
-    /// Global-memory interval `[start, end)` touched, `true` = write.
-    pub gmem: Option<(u64, u64, bool)>,
+    /// The memory it touches, resolved as the runtime resolves it.
+    pub footprint: Footprint,
     /// Flow-control channel `(src, dst, tag)` for `send`/`recv` only.
     pub channel: Option<(u16, u16, u16)>,
     /// This node's span of [`Dag::edges`].
@@ -120,30 +114,16 @@ pub struct DagNode {
 
 impl DagNode {
     /// Must `self` wait for the older same-core node `older` to complete
-    /// before issuing? The machine's pairwise rule, mirroring the ROB's
-    /// `InFlight::must_follow`: RAW/WAW/WAR local-memory overlap,
-    /// global-memory conflict, same-channel transfer FIFO.
+    /// before issuing? The machine's pairwise rule, as the ROB applies
+    /// it: the ISA's memory rule ([`Footprint::conflicts`]) or the same
+    /// transfer channel (FIFO).
     ///
     /// The DAG does not store every pair this holds for (see the module
     /// docs); the predicate itself is what the critical-path tie-break
     /// and the test oracle are stated on.
     pub fn must_follow(&self, older: &DagNode) -> bool {
-        let raw = self.reads.iter().any(|r| r.overlaps(&older.write));
-        let waw = self.write.overlaps(&older.write);
-        let war = older.reads.iter().any(|r| self.write.overlaps(r));
         let fifo = self.channel.is_some() && self.channel == older.channel;
-        raw || waw || war || fifo || gmem_conflict(&self.gmem, &older.gmem)
-    }
-}
-
-/// Do two optional global accesses conflict (overlap with a write)?
-/// Exact mirror of the ROB's check, including its treatment of a
-/// zero-length access: it conflicts with an interval that strictly
-/// contains its address.
-fn gmem_conflict(a: &Option<(u64, u64, bool)>, b: &Option<(u64, u64, bool)>) -> bool {
-    match (a, b) {
-        (Some((s1, e1, w1)), Some((s2, e2, w2))) => (*w1 || *w2) && s1 < e2 && s2 < e1,
-        _ => false,
+        fifo || self.footprint.conflicts(&older.footprint)
     }
 }
 
@@ -312,64 +292,9 @@ impl HazardMap {
     }
 }
 
-/// Executes one scalar instruction against the register file, exactly as
-/// the machine frontend does at dispatch (register effects only; control
-/// flow is already fixed by the linear trace).
-fn exec_scalar(regs: &mut [i32; 32], instr: &Instruction) {
-    let rd_write = |regs: &mut [i32; 32], rd: Reg, v: i32| {
-        if !rd.is_zero() {
-            regs[rd.index() as usize] = v;
-        }
-    };
-    match instr {
-        Instruction::SBin { op, rd, rs1, rs2 } => {
-            let a = regs[rs1.index() as usize];
-            let b = regs[rs2.index() as usize];
-            let v = match op {
-                SBinOp::Add => a.wrapping_add(b),
-                SBinOp::Sub => a.wrapping_sub(b),
-                SBinOp::Mul => a.wrapping_mul(b),
-                SBinOp::And => a & b,
-                SBinOp::Or => a | b,
-                SBinOp::Xor => a ^ b,
-                SBinOp::Slt => (a < b) as i32,
-                SBinOp::Sll => ((a as u32) << (b as u32 & 31)) as i32,
-                SBinOp::Srl => ((a as u32) >> (b as u32 & 31)) as i32,
-            };
-            rd_write(regs, *rd, v);
-        }
-        Instruction::SImm { op, rd, rs1, imm } => {
-            let a = regs[rs1.index() as usize];
-            let v = match op {
-                SImmOp::Add => a.wrapping_add(*imm),
-                SImmOp::Mul => a.wrapping_mul(*imm),
-                SImmOp::Sll => ((a as u32) << (*imm as u32 & 31)) as i32,
-                SImmOp::Srl => ((a as u32) >> (*imm as u32 & 31)) as i32,
-                SImmOp::And => a & *imm,
-                SImmOp::Or => a | *imm,
-                SImmOp::Slt => (a < *imm) as i32,
-            };
-            rd_write(regs, *rd, v);
-        }
-        // Branches are evaluated by the machine but cannot change
-        // register state; the linear trace already encodes the (unique)
-        // outcome.
-        Instruction::Branch { .. }
-        | Instruction::Jump { .. }
-        | Instruction::Halt
-        | Instruction::Nop => {}
-        other => unreachable!("memory-class instruction in exec_scalar: {other}"),
-    }
-}
-
-/// Resolves `addr` against the register file, exactly as the runtime.
-fn abs(addr: pimsim_isa::Addr, regs: &[i32; 32]) -> u32 {
-    let base = regs[addr.base().index() as usize] as i64;
-    (base + addr.offset() as i64).max(0) as u32
-}
-
-/// Builds one node's operand metadata from a memory-class instruction and
-/// the exact register state at its dispatch. Returns `None` for scalars.
+/// Builds one node from a memory-class instruction and the exact register
+/// state at its dispatch: the runtime's [`resolve`] plus the node's
+/// pricing class. Returns `None` for scalars.
 fn node_of(
     program: &Program,
     core: u16,
@@ -378,131 +303,45 @@ fn node_of(
     instr: &Instruction,
     regs: &[i32; 32],
 ) -> Option<DagNode> {
-    use Instruction as I;
-    let mut node = DagNode {
-        core,
-        pc,
-        dispatch_index,
-        service: ServiceKind::Recv, // placeholder, always overwritten
-        reads: [Range::EMPTY; 2],
-        write: Range::EMPTY,
-        gmem: None,
-        channel: None,
-        preds: (0, 0),
-        paired_send: None,
-    };
-    match instr {
-        I::Mvm {
-            group,
-            dst,
-            src,
-            len,
-        } => {
+    let res = resolve(instr, regs)?;
+    let (service, mvm_out, channel) = match res {
+        Resolved::Mvm { group, .. } => {
             let g = &program.cores[core as usize].groups[group.as_usize()];
-            node.service = ServiceKind::Matrix {
+            let service = ServiceKind::Matrix {
                 input_len: g.input_len,
                 output_len: g.output_len,
                 xbar_count: g.xbar_ids.len() as u32,
             };
-            node.reads[0] = Range::new(abs(*src, regs), *len);
-            node.write = Range::new(abs(*dst, regs), g.output_len);
+            (service, g.output_len, None)
         }
-        I::VBin { dst, a, b, len, .. } => {
-            node.service = ServiceKind::Vector(VectorShape::binary(*len));
-            node.reads = [
-                Range::new(abs(*a, regs), *len),
-                Range::new(abs(*b, regs), *len),
-            ];
-            node.write = Range::new(abs(*dst, regs), *len);
-        }
-        I::VImm { dst, src, len, .. } | I::VUn { dst, src, len, .. } => {
-            node.service = ServiceKind::Vector(VectorShape::unary(*len));
-            node.reads[0] = Range::new(abs(*src, regs), *len);
-            node.write = Range::new(abs(*dst, regs), *len);
-        }
-        I::VFill { dst, len, .. } => {
-            node.service = ServiceKind::Vector(VectorShape::fill(*len));
-            node.write = Range::new(abs(*dst, regs), *len);
-        }
-        I::VCopy2d {
-            dst,
-            src,
-            block_len,
-            blocks,
-            src_stride,
-            dst_stride,
-        } => {
-            node.service = ServiceKind::Vector(VectorShape::copy2d(*block_len, *blocks));
-            node.reads[0] = Range::strided(abs(*src, regs), *block_len, *blocks, *src_stride);
-            node.write = Range::strided(abs(*dst, regs), *block_len, *blocks, *dst_stride);
-        }
-        I::VPool {
-            dst,
-            src,
-            channels,
-            win_w,
-            win_h,
-            row_stride,
-            ..
-        } => {
-            node.service = ServiceKind::Vector(VectorShape::pool(*channels, *win_w, *win_h));
-            node.reads[0] =
-                Range::pool_window(abs(*src, regs), *channels, *win_w, *win_h, *row_stride);
-            node.write = Range::new(abs(*dst, regs), *channels);
-        }
-        I::Send {
-            peer,
-            src,
-            len,
-            tag,
-        } => {
-            node.service = ServiceKind::Send {
-                to: peer.0,
-                elems: *len,
+        Resolved::Send { peer, len, tag, .. } => {
+            let service = ServiceKind::Send {
+                to: peer,
+                elems: len,
             };
-            node.reads[0] = Range::new(abs(*src, regs), *len);
-            node.channel = Some((core, peer.0, *tag));
+            (service, 0, Some((core, peer, tag)))
         }
-        I::Recv {
-            peer,
-            dst,
-            len,
-            tag,
-        } => {
-            node.service = ServiceKind::Recv;
-            // A plain recv resolves like a 1-block strided recv.
-            node.write = Range::strided(abs(*dst, regs), *len, 1, *len as i32);
-            node.channel = Some((peer.0, core, *tag));
+        Resolved::Recv { peer, tag, .. } => (ServiceKind::Recv, 0, Some((peer, core, tag))),
+        Resolved::GLoad { len, .. } | Resolved::GStore { len, .. } => {
+            (ServiceKind::GlobalMem { elems: len }, 0, None)
         }
-        I::Recv2d {
-            peer,
-            dst,
-            block_len,
-            blocks,
-            dst_stride,
-            tag,
-        } => {
-            node.service = ServiceKind::Recv;
-            node.write = Range::strided(abs(*dst, regs), *block_len, *blocks, *dst_stride);
-            node.channel = Some((peer.0, core, *tag));
+        _ => {
+            let Some(shape) = res.vector_shape() else {
+                unreachable!("every other memory-class op is a vector op: {res:?}")
+            };
+            (ServiceKind::Vector(shape), 0, None)
         }
-        I::GLoad { dst, gaddr, len } => {
-            node.service = ServiceKind::GlobalMem { elems: *len };
-            node.write = Range::new(abs(*dst, regs), *len);
-            let g = abs(*gaddr, regs) as u64;
-            node.gmem = Some((g, g + *len as u64, false));
-        }
-        I::GStore { gaddr, src, len } => {
-            node.service = ServiceKind::GlobalMem { elems: *len };
-            node.reads[0] = Range::new(abs(*src, regs), *len);
-            let g = abs(*gaddr, regs) as u64;
-            node.gmem = Some((g, g + *len as u64, true));
-        }
-        I::SBin { .. } | I::SImm { .. } | I::Branch { .. } | I::Jump { .. } | I::Halt | I::Nop => {
-            return None
-        }
-    }
-    Some(node)
+    };
+    Some(DagNode {
+        core,
+        pc,
+        dispatch_index,
+        service,
+        footprint: res.footprint(mvm_out),
+        channel,
+        preds: (0, 0),
+        paired_send: None,
+    })
 }
 
 impl Dag {
@@ -542,20 +381,17 @@ impl Dag {
             for (k, &pc) in trace.iter().enumerate() {
                 let instr = &cp.instrs[pc as usize];
                 let Some(mut node) = node_of(program, c as u16, pc, k as u32, instr, &regs) else {
-                    exec_scalar(&mut regs, instr);
+                    // Control flow is already fixed by the linear trace.
+                    instr.exec_scalar(&mut regs, pc);
                     continue;
                 };
                 let id = u32::try_from(nodes.len()).expect("node ids fit u32");
-                for r in node.reads {
+                let Footprint { reads, write, gmem } = node.footprint;
+                for r in reads {
                     local.read(r.start as u64, r.end as u64, id, &mut preds);
                 }
-                local.write(
-                    node.write.start as u64,
-                    node.write.end as u64,
-                    id,
-                    &mut preds,
-                );
-                if let Some((start, end, is_write)) = node.gmem {
+                local.write(write.start as u64, write.end as u64, id, &mut preds);
+                if let Some((start, end, is_write)) = gmem {
                     if is_write {
                         global.write(start, end, id, &mut preds);
                     } else {
@@ -565,7 +401,8 @@ impl Dag {
                     // conflicts with intervals strictly around its
                     // address. Compiled programs have none, so they pay
                     // the pairwise rule instead of complicating the map.
-                    let conflicts = |j: &u32| gmem_conflict(&node.gmem, &nodes[*j as usize].gmem);
+                    let conflicts =
+                        |j: &u32| node.footprint.gmem_conflicts(&nodes[*j as usize].footprint);
                     if start == end {
                         preds.extend((first as u32..id).filter(conflicts));
                         empty_global.push(id);
@@ -680,7 +517,7 @@ mod tests {
     use super::*;
     use pimsim_arch::ArchConfig;
     use pimsim_isa::asm::assemble;
-    use pimsim_isa::{Addr, CoreId};
+    use pimsim_isa::{Addr, CoreId, Range, Reg};
     use proptest::prelude::*;
 
     fn cfgs_of(p: &Program) -> Vec<Cfg> {
@@ -771,8 +608,8 @@ mod tests {
         assert_eq!(d.nodes.len(), 1);
         let n = &d.nodes[0];
         assert_eq!(n.dispatch_index, 1, "li dispatched first");
-        assert_eq!(n.write, Range::new(1024, 8));
-        assert_eq!(n.reads, [Range::new(1000, 8), Range::new(8, 8)]);
+        assert_eq!(n.footprint.write, Range::new(1024, 8));
+        assert_eq!(n.footprint.reads, [Range::new(1000, 8), Range::new(8, 8)]);
         assert_eq!(d.cores[0].dispatches, 3);
     }
 
@@ -920,7 +757,7 @@ mod tests {
              halt\n",
         );
         assert_eq!(
-            d.nodes[1].reads[0],
+            d.nodes[1].footprint.reads[0],
             Range {
                 start: 0,
                 end: u32::MAX

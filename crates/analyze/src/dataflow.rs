@@ -8,10 +8,10 @@
 //! over-approximates the values it can hold at runtime (the entry state
 //! is `[0, 0]` everywhere — the machine powers on with a zeroed register
 //! file), so an access is reported as out of bounds only when *every*
-//! value in the interval faults. Arithmetic mirrors the machine exactly
-//! (`wrapping_*`, shift counts masked to 5 bits) when operands are
-//! single-valued, and widens to the full `i32` range whenever a result
-//! could wrap.
+//! value in the interval faults. Single-valued operands fold through the
+//! ISA's own scalar semantics ([`SBinOp::apply`], [`SImmOp::apply`]);
+//! otherwise the interval arithmetic widens to the full `i32` range
+//! whenever a result could wrap.
 
 use pimsim_isa::{Instruction, Reg, SBinOp, SImmOp};
 
@@ -75,8 +75,8 @@ impl Interval {
 
 type Regs = [Interval; 32];
 
-/// Evaluates one scalar instruction over the interval state, mirroring
-/// `exec_scalar` in the simulator's frontend.
+/// Evaluates one scalar instruction over the interval state: exactly
+/// [`Instruction::exec_scalar`] on single values, a sound hull otherwise.
 fn eval(instr: &Instruction, regs: &mut Regs) {
     let get = |regs: &Regs, r: Reg| regs[r.index() as usize];
     let set = |regs: &mut Regs, r: Reg, v: Interval| {
@@ -90,17 +90,7 @@ fn eval(instr: &Instruction, regs: &mut Regs) {
             let b = get(regs, *rs2);
             let v = match (a.single(), b.single()) {
                 // Both single-valued: fold exactly with machine semantics.
-                (Some(x), Some(y)) => Interval::exact(match op {
-                    SBinOp::Add => x.wrapping_add(y),
-                    SBinOp::Sub => x.wrapping_sub(y),
-                    SBinOp::Mul => x.wrapping_mul(y),
-                    SBinOp::And => x & y,
-                    SBinOp::Or => x | y,
-                    SBinOp::Xor => x ^ y,
-                    SBinOp::Slt => (x < y) as i32,
-                    SBinOp::Sll => ((x as u32) << (y as u32 & 31)) as i32,
-                    SBinOp::Srl => ((x as u32) >> (y as u32 & 31)) as i32,
-                }),
+                (Some(x), Some(y)) => Interval::exact(op.apply(x, y)),
                 _ => match op {
                     SBinOp::Add => Interval::fit(a.lo + b.lo, a.hi + b.hi),
                     SBinOp::Sub => Interval::fit(a.lo - b.hi, a.hi - b.lo),
@@ -120,15 +110,7 @@ fn eval(instr: &Instruction, regs: &mut Regs) {
         Instruction::SImm { op, rd, rs1, imm } => {
             let a = get(regs, *rs1);
             let v = match a.single() {
-                Some(x) => Interval::exact(match op {
-                    SImmOp::Add => x.wrapping_add(*imm),
-                    SImmOp::Mul => x.wrapping_mul(*imm),
-                    SImmOp::Sll => ((x as u32) << (*imm as u32 & 31)) as i32,
-                    SImmOp::Srl => ((x as u32) >> (*imm as u32 & 31)) as i32,
-                    SImmOp::And => x & *imm,
-                    SImmOp::Or => x | *imm,
-                    SImmOp::Slt => (x < *imm) as i32,
-                }),
+                Some(x) => Interval::exact(op.apply(x, *imm)),
                 None => match op {
                     SImmOp::Add => Interval::fit(a.lo + *imm as i64, a.hi + *imm as i64),
                     SImmOp::Mul => {
@@ -885,7 +867,8 @@ mod tests {
     #[test]
     fn wrapping_add_widens_not_misjudges() {
         // r1 = i32::MAX, r1 = r1 + 1 wraps to MIN at runtime; the exact
-        // fold mirrors that, so the access is provably negative.
+        // fold is the runtime's own `SImmOp::apply`, so the access is
+        // provably negative.
         let instrs = vec![
             li(Reg::R1, i32::MAX),
             Instruction::SImm {

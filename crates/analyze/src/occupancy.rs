@@ -1,10 +1,10 @@
 //! Per-channel credit occupancy: how much flow-control head-room each
 //! `(sender, receiver, tag)` channel really needs.
 //!
-//! The pass replays the same zero-latency abstract transfer execution the
-//! rendezvous checker uses, but with *unbounded* credits, and records per
-//! channel the peak number of in-flight messages and the peak per-VC
-//! credit usage. From those peaks it derives:
+//! The pass calls the rendezvous checker's zero-latency abstract transfer
+//! execution (`rendezvous::abstract_exec`), first with *unbounded*
+//! credits, and takes per channel the peak number of in-flight messages
+//! and the peak per-VC credit usage. From those peaks it derives:
 //!
 //! * **`min_credits`** per channel — the smallest per-VC credit limit on
 //!   *that channel alone* (all others unbounded) at which the abstract
@@ -19,13 +19,11 @@
 //! statically known and every site is paired; otherwise the report is
 //! empty and the minima are `None`.
 
-use std::collections::{BTreeMap, VecDeque};
-
 use pimsim_isa::Program;
 use serde::{Deserialize, Serialize};
 
 use crate::cfg::Cfg;
-use crate::rendezvous::{site_of, Site};
+use crate::rendezvous::{abstract_exec, site_of, Site};
 
 /// One channel's occupancy profile under the most-permissive abstract
 /// execution.
@@ -64,81 +62,10 @@ pub struct OccupancyReport {
     pub credit_knee: u32,
 }
 
-/// One abstract run's per-channel observations.
-#[derive(Debug, Default)]
-struct ChannelStats {
-    messages: u32,
-    peak_in_flight: u32,
-    peak_per_vc: u32,
-}
-
-/// Replays the transfer sequences with a per-channel credit limit
-/// (`None` = unbounded). Returns `(drained, stats)`.
-fn exec(
-    seqs: &[Vec<Site>],
-    vcs: u32,
-    limit: impl Fn(&(u16, u16, u16)) -> Option<u32>,
-) -> (bool, BTreeMap<(u16, u16, u16), ChannelStats>) {
-    struct Chan {
-        queue: VecDeque<u32>,
-        vc_used: Vec<u32>,
-        next_vc: u32,
-        stats: ChannelStats,
-    }
-    let mut cursor = vec![0usize; seqs.len()];
-    let mut chans: BTreeMap<(u16, u16, u16), Chan> = BTreeMap::new();
-    // Greedy fixpoint, same argument as the rendezvous checker: each
-    // channel has one producer and one consumer, so enabled moves are
-    // persistent and the visit order cannot mask a drain.
-    loop {
-        let mut progressed = false;
-        for c in 0..seqs.len() {
-            while let Some(&site) = seqs[c].get(cursor[c]) {
-                let ch = chans.entry(site.key).or_insert_with(|| Chan {
-                    queue: VecDeque::new(),
-                    vc_used: vec![0; vcs as usize],
-                    next_vc: 0,
-                    stats: ChannelStats::default(),
-                });
-                if site.is_send {
-                    let vc = ch.next_vc as usize;
-                    if let Some(credits) = limit(&site.key) {
-                        if ch.vc_used[vc] >= credits {
-                            break;
-                        }
-                    }
-                    ch.next_vc = (ch.next_vc + 1) % vcs;
-                    ch.vc_used[vc] += 1;
-                    ch.queue.push_back(vc as u32);
-                    ch.stats.messages += 1;
-                    ch.stats.peak_in_flight = ch.stats.peak_in_flight.max(ch.queue.len() as u32);
-                    ch.stats.peak_per_vc = ch.stats.peak_per_vc.max(ch.vc_used[vc]);
-                } else {
-                    let Some(vc) = ch.queue.pop_front() else {
-                        break;
-                    };
-                    ch.vc_used[vc as usize] -= 1;
-                }
-                cursor[c] += 1;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    let drained = (0..seqs.len()).all(|c| cursor[c] >= seqs[c].len());
-    (
-        drained,
-        chans.into_iter().map(|(k, c)| (k, c.stats)).collect(),
-    )
-}
-
 /// Computes the occupancy report. Returns an empty report when any core
 /// is non-linear or the unbounded replay fails to drain (an unpaired or
 /// self-inconsistent program — already diagnosed elsewhere).
 pub(crate) fn occupancy(program: &Program, cfgs: &[Cfg], vcs: u32) -> OccupancyReport {
-    let vcs = vcs.max(1);
     let mut seqs: Vec<Vec<Site>> = Vec::with_capacity(program.cores.len());
     for (c, (cp, cfg)) in program.cores.iter().zip(cfgs).enumerate() {
         let Some(trace) = cfg.linear_trace() else {
@@ -152,47 +79,38 @@ pub(crate) fn occupancy(program: &Program, cfgs: &[Cfg], vcs: u32) -> OccupancyR
         );
     }
 
-    let (drained, unbounded) = exec(&seqs, vcs, |_| None);
-    if !drained {
+    let unbounded = abstract_exec(&seqs, vcs, |_| None);
+    if !unbounded.drained {
         return OccupancyReport::default();
     }
+    let credit_knee = unbounded
+        .channels
+        .values()
+        .map(|s| s.peak_per_vc)
+        .max()
+        .unwrap_or(0);
 
-    let credit_knee = unbounded.values().map(|s| s.peak_per_vc).max().unwrap_or(0);
-
-    // Smallest uniform limit that drains. Draining is monotone in the
-    // limit and the unbounded run drains, so scanning up from 1 and
-    // stopping at the first success yields the minimum; the knee bounds
-    // the scan because `limit >= peak` behaves exactly like unbounded.
-    let mut min_uniform = 1;
-    let min_credits_deadlock_free = if credit_knee == 0 {
-        // No transfers at all: any credit count (vacuously) works.
-        None
-    } else {
-        while !exec(&seqs, vcs, |_| Some(min_uniform)).0 {
-            min_uniform += 1;
-            debug_assert!(min_uniform <= credit_knee, "knee must drain");
-        }
-        Some(min_uniform)
-    };
+    // Each search below finds the smallest limit that drains. Draining is
+    // monotone in the limit, and a limit at the peak behaves exactly like
+    // the unbounded run, which drained: a search over `1..=peak` ends by
+    // its last value. No transfers at all (knee 0) leaves the uniform
+    // minimum `None`: any credit count vacuously works.
+    let min_credits_deadlock_free =
+        (1..=credit_knee).find(|&c| abstract_exec(&seqs, vcs, |_| Some(c)).drained);
 
     // Per-channel minima: limit one channel, leave the rest unbounded.
     let channels = unbounded
+        .channels
         .iter()
-        .map(|(&key, stats)| {
-            let mut c = 1;
-            while !exec(&seqs, vcs, |k| (*k == key).then_some(c)).0 {
-                c += 1;
-                debug_assert!(c <= stats.peak_per_vc, "peak must drain");
-            }
-            ChannelBound {
-                sender: key.0,
-                receiver: key.1,
-                tag: key.2,
-                messages: stats.messages,
-                peak_in_flight: stats.peak_in_flight,
-                peak_per_vc: stats.peak_per_vc,
-                min_credits: Some(c),
-            }
+        .map(|(&key, stats)| ChannelBound {
+            sender: key.0,
+            receiver: key.1,
+            tag: key.2,
+            messages: stats.messages,
+            peak_in_flight: stats.peak_in_flight,
+            peak_per_vc: stats.peak_per_vc,
+            min_credits: (1..=stats.peak_per_vc)
+                .find(|&c| abstract_exec(&seqs, vcs, |k| (*k == key).then_some(c)).drained),
         })
         .collect();
 

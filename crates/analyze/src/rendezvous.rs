@@ -17,7 +17,7 @@
 //! schedule wedges: a reported [`DiagKind::DeadlockCycle`] is a
 //! guaranteed runtime deadlock, not a maybe.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use pimsim_isa::{Instruction, Program};
 use serde::{Deserialize, Serialize};
@@ -282,7 +282,8 @@ pub fn check(
     // order is known and every site paired up.
     let mut drained = false;
     if all_linear && all_paired && diags.is_empty() {
-        drained = abstract_exec(program, &traces, credits, vcs, &mut diags);
+        let seqs: Vec<Vec<Site>> = traces.into_iter().flatten().collect();
+        drained = drains(program, &seqs, credits, vcs, &mut diags);
     }
 
     let map = RendezvousMap {
@@ -292,70 +293,81 @@ pub fn check(
     (diags, map)
 }
 
-/// State of one channel in the abstract fabric.
-#[derive(Debug)]
-struct AbstractChannel {
-    /// Messages deposited but not consumed, in order, each tagged with
-    /// the VC whose credit it holds.
-    queue: std::collections::VecDeque<u32>,
-    /// Credits in use per VC.
-    vc_used: Vec<u32>,
-    /// Round-robin cursor for the next send's VC assignment.
-    next_vc: u32,
+/// One channel's observations in an [`abstract_exec`] run.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct ChannelStats {
+    /// Messages sent.
+    pub(crate) messages: u32,
+    /// Peak simultaneously in-flight (sent, not yet received) messages.
+    pub(crate) peak_in_flight: u32,
+    /// Peak credits in use on any single virtual channel.
+    pub(crate) peak_per_vc: u32,
 }
 
-/// Zero-latency most-permissive execution of the transfer fabric.
-/// Returns `true` if every core's transfer sequence drains; on a wedge,
-/// appends one [`DiagKind::DeadlockCycle`] diagnostic per stuck core.
-fn abstract_exec(
-    program: &Program,
-    traces: &[Option<Vec<Site>>],
-    credits: u32,
+/// Where an [`abstract_exec`] run stopped, and what it saw on the way.
+#[derive(Debug)]
+pub(crate) struct AbstractRun {
+    /// `true` if every core's transfer sequence drained.
+    pub(crate) drained: bool,
+    /// Per core, how many of its transfer sites fired.
+    pub(crate) cursors: Vec<usize>,
+    /// Per channel touched, sorted by `(sender, receiver, tag)`.
+    pub(crate) channels: BTreeMap<(u16, u16, u16), ChannelStats>,
+}
+
+/// Zero-latency most-permissive execution of the transfer fabric over
+/// each core's transfer sequence. Each channel is split round-robin over
+/// `vcs` virtual channels, assigned at issue like the runtime, and a send
+/// waits while its VC holds `limit(channel)` credits (`None`: unbounded).
+///
+/// Greedy fixpoint. Enabled moves are persistent (single producer and
+/// single consumer per channel), so the visit order can't mask a drain:
+/// if the run wedges, no order drains.
+pub(crate) fn abstract_exec(
+    seqs: &[Vec<Site>],
     vcs: u32,
-    diags: &mut Vec<Diagnostic>,
-) -> bool {
-    let seqs: Vec<&[Site]> = traces
-        .iter()
-        .map(|t| t.as_deref().expect("caller checked all cores linear"))
-        .collect();
-    let mut cursor = vec![0usize; seqs.len()];
-    let mut chans: BTreeMap<(u16, u16, u16), AbstractChannel> = BTreeMap::new();
-    fn chan(
-        chans: &mut BTreeMap<(u16, u16, u16), AbstractChannel>,
-        key: (u16, u16, u16),
-        vcs: u32,
-    ) -> &mut AbstractChannel {
-        chans.entry(key).or_insert_with(|| AbstractChannel {
-            queue: std::collections::VecDeque::new(),
-            vc_used: vec![0; vcs as usize],
-            next_vc: 0,
-        })
+    limit: impl Fn(&(u16, u16, u16)) -> Option<u32>,
+) -> AbstractRun {
+    /// A channel's state: messages deposited but not consumed, in order,
+    /// each tagged with the VC whose credit it holds; credits in use per
+    /// VC; the round-robin cursor for the next send's VC.
+    struct Chan {
+        queue: VecDeque<u32>,
+        vc_used: Vec<u32>,
+        next_vc: u32,
+        stats: ChannelStats,
     }
-    // Greedy fixpoint. Enabled moves are persistent (single producer and
-    // single consumer per channel), so the visit order can't mask a
-    // drain: if the loop wedges, no order drains.
+    let vcs = vcs.max(1);
+    let mut cursors = vec![0usize; seqs.len()];
+    let mut chans: BTreeMap<(u16, u16, u16), Chan> = BTreeMap::new();
     loop {
         let mut progressed = false;
-        for c in 0..seqs.len() {
-            while let Some(&site) = seqs[c].get(cursor[c]) {
-                let ch = chan(&mut chans, site.key, vcs);
+        for (seq, cursor) in seqs.iter().zip(&mut cursors) {
+            while let Some(site) = seq.get(*cursor) {
+                let ch = chans.entry(site.key).or_insert_with(|| Chan {
+                    queue: VecDeque::new(),
+                    vc_used: vec![0; vcs as usize],
+                    next_vc: 0,
+                    stats: ChannelStats::default(),
+                });
                 if site.is_send {
-                    // The VC is assigned round-robin at issue and the send
-                    // waits on that VC's credit pool, like the runtime.
                     let vc = ch.next_vc as usize;
-                    if ch.vc_used[vc] >= credits {
+                    if limit(&site.key).is_some_and(|credits| ch.vc_used[vc] >= credits) {
                         break;
                     }
                     ch.next_vc = (ch.next_vc + 1) % vcs;
                     ch.vc_used[vc] += 1;
                     ch.queue.push_back(vc as u32);
+                    ch.stats.messages += 1;
+                    ch.stats.peak_in_flight = ch.stats.peak_in_flight.max(ch.queue.len() as u32);
+                    ch.stats.peak_per_vc = ch.stats.peak_per_vc.max(ch.vc_used[vc]);
                 } else {
                     let Some(vc) = ch.queue.pop_front() else {
                         break;
                     };
                     ch.vc_used[vc as usize] -= 1;
                 }
-                cursor[c] += 1;
+                *cursor += 1;
                 progressed = true;
             }
         }
@@ -363,7 +375,25 @@ fn abstract_exec(
             break;
         }
     }
+    AbstractRun {
+        drained: seqs.iter().zip(&cursors).all(|(seq, &c)| c >= seq.len()),
+        cursors,
+        channels: chans.into_iter().map(|(k, c)| (k, c.stats)).collect(),
+    }
+}
 
+/// Runs the abstract fabric with `credits` credits per VC on every
+/// channel. Returns `true` if every core's transfer sequence drains; on a
+/// wedge, appends one [`DiagKind::DeadlockCycle`] diagnostic per stuck
+/// core, built from where each core's cursor stopped.
+fn drains(
+    program: &Program,
+    seqs: &[Vec<Site>],
+    credits: u32,
+    vcs: u32,
+    diags: &mut Vec<Diagnostic>,
+) -> bool {
+    let cursor = abstract_exec(seqs, vcs, |_| Some(credits)).cursors;
     let stuck: Vec<usize> = (0..seqs.len())
         .filter(|&c| cursor[c] < seqs[c].len())
         .collect();

@@ -246,6 +246,10 @@ pub struct NocParams {
     pub router_pipeline_depth: u32,
 }
 
+/// Largest [`NocParams::virtual_channels`] [`ArchConfig::validate`]
+/// accepts.
+const MAX_VIRTUAL_CHANNELS: u32 = 64;
+
 /// Serde default for [`NocParams::virtual_channels`]: one VC, the
 /// pre-virtual-channel credit model.
 fn default_virtual_channels() -> u32 {
@@ -570,6 +574,17 @@ impl ArchConfig {
         if n.virtual_channels == 0 {
             return bad("noc.virtual_channels", "need at least one virtual channel");
         }
+        // The simulator and the analyzer keep one credit counter per VC
+        // on every channel: an unbounded count is an unbounded allocation.
+        if n.virtual_channels > MAX_VIRTUAL_CHANNELS {
+            return bad(
+                "noc.virtual_channels",
+                format!(
+                    "{} virtual channels exceed the supported {MAX_VIRTUAL_CHANNELS}",
+                    n.virtual_channels
+                ),
+            );
+        }
         if n.router_pipeline_depth == 0 {
             return bad(
                 "noc.router_pipeline_depth",
@@ -692,6 +707,22 @@ mod tests {
         match cfg.validate().unwrap_err() {
             ArchError::Invalid { field, .. } => assert_eq!(field, "noc.virtual_channels"),
             other => panic!("expected Invalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn too_many_virtual_channels_rejected_with_field_path() {
+        let cfg = ArchConfig::paper_default().with_virtual_channels(MAX_VIRTUAL_CHANNELS);
+        assert!(cfg.validate().is_ok(), "the cap itself is accepted");
+        for vcs in [MAX_VIRTUAL_CHANNELS + 1, 4_000_000_000] {
+            let cfg = ArchConfig::paper_default().with_virtual_channels(vcs);
+            match cfg.validate().unwrap_err() {
+                ArchError::Invalid { field, msg } => {
+                    assert_eq!(field, "noc.virtual_channels");
+                    assert!(msg.contains(&vcs.to_string()), "{msg}");
+                }
+                other => panic!("expected Invalid, got {other:?}"),
+            }
         }
     }
 

@@ -85,6 +85,25 @@ impl<'a> CostModel<'a> {
         Clock::from_ghz(self.cfg.noc.freq_ghz)
     }
 
+    /// Minimum spacing between successive dispatches on one core.
+    ///
+    /// Rounds *up* when the width does not divide the period: truncation
+    /// (1000 ps at width 3 -> 333 ps) would admit slightly more than
+    /// `dispatch_width` dispatches per cycle, drifting ahead of the
+    /// hardware without bound. Ceiling errs on the conservative side.
+    #[inline]
+    pub fn dispatch_interval(&self) -> SimTime {
+        let period = self.core_clock().period().as_ps();
+        SimTime::from_ps(period.div_ceil(self.cfg.timing.dispatch_width.max(1) as u64))
+    }
+
+    /// Time before a core's first dispatch (fetch + decode pipeline fill).
+    #[inline]
+    pub fn decode_offset(&self) -> SimTime {
+        self.core_clock()
+            .cycles_to_time(self.cfg.timing.decode_cycles as u64)
+    }
+
     /// Worst per-crossbar active physical columns for a group with
     /// `output_len` logical outputs over `xbar_count` crossbars.
     fn worst_cols(&self, output_len: u32, xbar_count: u32) -> u32 {
@@ -362,6 +381,41 @@ mod tests {
         assert!((m.static_power_w() - 0.37).abs() < 1e-9);
         let e = m.static_energy(SimTime::from_us(1));
         assert!((e.as_uj() - 0.37).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dispatch_interval_divides_the_core_period() {
+        let mut cfg = ArchConfig::paper_default();
+        cfg.timing.dispatch_width = 2;
+        let m = model(&cfg);
+        let period = m.core_clock().period();
+        assert_eq!(m.dispatch_interval(), SimTime::from_ps(period.as_ps() / 2));
+        assert_eq!(m.decode_offset(), m.core_clock().cycles_to_time(1));
+    }
+
+    #[test]
+    fn dispatch_interval_never_exceeds_the_width() {
+        // Regression: 1000 ps at width 3 used to truncate to 333 ps —
+        // 3.003 dispatches per cycle, i.e. a 3-wide core dispatching
+        // *faster* than 3 per cycle with unbounded drift. The interval
+        // must round up so `width * interval >= period` always holds.
+        let mut cfg = ArchConfig::paper_default();
+        cfg.timing.dispatch_width = 3;
+        assert_eq!(model(&cfg).dispatch_interval(), SimTime::from_ps(334));
+        for width in 1u32..=9 {
+            cfg.timing.dispatch_width = width;
+            let interval = model(&cfg).dispatch_interval().as_ps();
+            let period = model(&cfg).core_clock().period().as_ps();
+            assert!(
+                interval * width as u64 >= period,
+                "width {width}: {width} dispatches take {} ps < one {period} ps cycle",
+                interval * width as u64
+            );
+            assert!(
+                (interval - 1) * width as u64 <= period,
+                "width {width}: interval {interval} ps is more than rounding"
+            );
+        }
     }
 
     #[test]

@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn conversions_chain_sources() {
-        let e: CompileError = IsaError::UnknownOpcode(0xEE).into();
+        let e: CompileError = IsaError::InvalidRegister(40).into();
         assert!(e.source().is_some());
     }
 }

@@ -4,10 +4,8 @@
 //! adds, i64 MVM accumulation clamped to i32, truncating average pooling,
 //! Q8.8 sigmoid/tanh) so compiled programs can be checked bit-exactly.
 
-use pimsim_isa::{GroupConfig, PoolOp, VBinOp, VImmOp, VUnOp};
+use pimsim_isa::{GroupConfig, PoolOp, Resolved, VBinOp, VImmOp, VUnOp};
 use pimsim_nn::{fixed_sigmoid, fixed_tanh};
-
-use crate::resolve::Resolved;
 
 /// A zero-initialized, lazily grown local memory of 32-bit elements.
 #[derive(Debug, Default, Clone)]
@@ -105,7 +103,8 @@ pub fn execute_local(r: &Resolved, mem: &mut Memory, groups: &[GroupConfig]) {
                 .map(|&x| match op {
                     VImmOp::Add => x.saturating_add(*imm),
                     VImmOp::Mul => sat(x as i64 * *imm as i64),
-                    VImmOp::Sra => x >> (*imm as u32 & 31),
+                    // Arithmetic shift, amount masked to 5 bits.
+                    VImmOp::Sra => x.wrapping_shr(*imm as u32),
                 })
                 .collect();
             mem.write(*dst, &out);

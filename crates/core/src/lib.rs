@@ -74,10 +74,9 @@
 mod exec;
 mod machine;
 mod noc;
-mod resolve;
 mod stats;
 
-pub use machine::{DefaultTiming, SimError, Simulator, TimingModel};
+pub use machine::{SimError, Simulator};
 pub use noc::{
     routing_for, Adaptive, AdaptiveRoute, DimOrder, Noc, NocCosts, Route, Routing, Xy,
     XyYxAlternate, Yx, MEM_NODE, PORTS,

@@ -2,16 +2,17 @@
 //! scalar execution.
 //!
 //! Instructions dispatch in order, at most one per
-//! [`TimingModel::dispatch_interval`](super::TimingModel::dispatch_interval).
-//! Scalar instructions (ALU, branches, jumps) execute right here — loops
-//! and address arithmetic never enter the ROB. Memory-class instructions
-//! get their operands resolved against the register file and are handed
-//! to the ROB, after which the issue logic in [`super::units`] takes over.
+//! [`CostModel::dispatch_interval`](pimsim_arch::model::CostModel::dispatch_interval).
+//! Scalar instructions (ALU, branches, jumps) execute right here, with the
+//! ISA's own semantics ([`Instruction::exec_scalar`]) — loops and address
+//! arithmetic never enter the ROB. Memory-class instructions get their
+//! operands resolved against the register file ([`resolve`]) and are
+//! handed to the ROB, after which the issue logic in [`super::units`]
+//! takes over.
 
-use pimsim_isa::{BranchCond, InstrClass, Instruction, SBinOp, SImmOp};
+use pimsim_isa::{resolve, InstrClass, Instruction, Resolved};
 
 use super::{Ctx, Machine, MachineEvent};
-use crate::resolve::{resolve, Resolved};
 
 impl Machine<'_> {
     /// Dispatches as many instructions as the frontend rules allow at the
@@ -58,7 +59,11 @@ impl Machine<'_> {
                         self.telemetry
                             .record_trace(dispatch_at, c as u16, instr.to_string());
                     }
-                    self.exec_scalar(c, &instr);
+                    let core = &mut self.cores[c];
+                    match instr.exec_scalar(&mut core.regs, core.pc) {
+                        Some(next) => core.pc = next,
+                        None => core.halted = true,
+                    }
                 }
                 Some(res) => {
                     self.enter_rob(c, tag, &instr, res);
@@ -85,69 +90,5 @@ impl Machine<'_> {
         let chan = core.chans[core.pc as usize];
         core.admit(tag, class, res, chan, text);
         core.pc += 1;
-    }
-
-    /// Executes a scalar instruction against the register file, updating
-    /// the program counter (branches and jumps set it directly).
-    pub(crate) fn exec_scalar(&mut self, c: usize, instr: &Instruction) {
-        let core = &mut self.cores[c];
-        let rd_write = |regs: &mut [i32; 32], rd: pimsim_isa::Reg, v: i32| {
-            if !rd.is_zero() {
-                regs[rd.index() as usize] = v;
-            }
-        };
-        match instr {
-            Instruction::SBin { op, rd, rs1, rs2 } => {
-                let a = core.regs[rs1.index() as usize];
-                let b = core.regs[rs2.index() as usize];
-                let v = match op {
-                    SBinOp::Add => a.wrapping_add(b),
-                    SBinOp::Sub => a.wrapping_sub(b),
-                    SBinOp::Mul => a.wrapping_mul(b),
-                    SBinOp::And => a & b,
-                    SBinOp::Or => a | b,
-                    SBinOp::Xor => a ^ b,
-                    SBinOp::Slt => (a < b) as i32,
-                    SBinOp::Sll => ((a as u32) << (b as u32 & 31)) as i32,
-                    SBinOp::Srl => ((a as u32) >> (b as u32 & 31)) as i32,
-                };
-                rd_write(&mut core.regs, *rd, v);
-                core.pc += 1;
-            }
-            Instruction::SImm { op, rd, rs1, imm } => {
-                let a = core.regs[rs1.index() as usize];
-                let v = match op {
-                    SImmOp::Add => a.wrapping_add(*imm),
-                    SImmOp::Mul => a.wrapping_mul(*imm),
-                    SImmOp::Sll => ((a as u32) << (*imm as u32 & 31)) as i32,
-                    SImmOp::Srl => ((a as u32) >> (*imm as u32 & 31)) as i32,
-                    SImmOp::And => a & *imm,
-                    SImmOp::Or => a | *imm,
-                    SImmOp::Slt => (a < *imm) as i32,
-                };
-                rd_write(&mut core.regs, *rd, v);
-                core.pc += 1;
-            }
-            Instruction::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                let a = core.regs[rs1.index() as usize];
-                let b = core.regs[rs2.index() as usize];
-                let taken = match cond {
-                    BranchCond::Eq => a == b,
-                    BranchCond::Ne => a != b,
-                    BranchCond::Lt => a < b,
-                    BranchCond::Ge => a >= b,
-                };
-                core.pc = if taken { *target } else { core.pc + 1 };
-            }
-            Instruction::Jump { target } => core.pc = *target,
-            Instruction::Halt => core.halted = true,
-            Instruction::Nop => core.pc += 1,
-            _ => unreachable!("memory-class instruction in exec_scalar"),
-        }
     }
 }

@@ -10,9 +10,6 @@
 //!   completion,
 //! * [`transfer`] — the rendezvous transfer fabric: flow-controlled
 //!   channels, credit bookkeeping, global-memory traffic,
-//! * [`timing`] — the [`TimingModel`] seam between dispatch and cost
-//!   lookup (swap in alternative unit timings without touching the run
-//!   loop),
 //! * [`run`] — the [`Simulator`] entry point: world construction, the
 //!   event loop, deadlock detection, report assembly,
 //! * [`error`] — the [`SimError`] taxonomy.
@@ -26,10 +23,10 @@ pub(crate) mod error;
 pub(crate) mod frontend;
 pub(crate) mod rob;
 pub(crate) mod run;
-pub(crate) mod timing;
 pub(crate) mod transfer;
 pub(crate) mod units;
 
+use pimsim_arch::model::CostModel;
 use pimsim_arch::{ArchConfig, Energy};
 use pimsim_event::{EventCtx, SimTime, World};
 
@@ -39,7 +36,6 @@ use crate::stats::{EnergyBreakdown, NodeStats, TraceEntry, TRACE_CAP};
 
 pub use error::SimError;
 pub use run::Simulator;
-pub use timing::{DefaultTiming, TimingModel};
 
 use rob::Core;
 use transfer::{Pending, TransferFabric};
@@ -121,7 +117,8 @@ pub(crate) type Ctx = EventCtx<MachineEvent>;
 /// sink — the [`World`] the event kernel drives.
 pub(crate) struct Machine<'a> {
     pub(crate) cfg: &'a ArchConfig,
-    pub(crate) timing: &'a dyn TimingModel,
+    /// Unit latencies and energies: the shared cost tables over `cfg`.
+    pub(crate) model: CostModel<'a>,
     pub(crate) cores: Vec<Core<'a>>,
     pub(crate) noc: Noc,
     /// Per-message cost constants, derived once from `cfg` so the

@@ -2,7 +2,7 @@
 //!
 //! Every hazard is resolved **once**, when an entry is admitted: the new
 //! entry is compared against each older entry that is not yet `Done`
-//! (RAW/WAW/WAR local-memory ranges, global-memory interval, same-channel
+//! (the ISA's memory rule, [`Footprint::conflicts`], plus same-channel
 //! FIFO order). Each conflict becomes one blocker→dependent edge; the new
 //! entry remembers how many blockers are outstanding. [`Core::mark_done`]
 //! — the only place an entry turns `Done` — walks the finished entry's
@@ -34,10 +34,9 @@
 use std::collections::VecDeque;
 
 use pimsim_event::SimTime;
-use pimsim_isa::{GroupConfig, GroupId, InstrClass, Instruction, Range};
+use pimsim_isa::{Footprint, GroupConfig, GroupId, InstrClass, Instruction, Resolved};
 
 use crate::exec::Memory;
-use crate::resolve::Resolved;
 use crate::stats::CoreStats;
 
 /// Lifecycle of one ROB entry.
@@ -77,10 +76,7 @@ pub(crate) struct InFlight {
     /// Dense index of the `(sender, receiver, tag)` channel a `SEND` or
     /// `RECV` uses ([`NO_CHANNEL`] otherwise).
     pub(crate) chan: u32,
-    reads: [Range; 2],
-    write: Range,
-    /// Global-memory interval `[start, end)` touched, with `true` = write.
-    gmem: Option<(u64, u64, bool)>,
+    footprint: Footprint,
     /// Ancestors among the 64 entries before this one: bit `k` is the
     /// entry `k + 1` places older. Farther ancestors are dropped, which
     /// only costs the scan a test.
@@ -94,22 +90,11 @@ pub(crate) struct InFlight {
 impl InFlight {
     /// Must `self` wait until the older entry `older` is `Done`?
     fn must_follow(&self, older: &InFlight) -> bool {
-        let raw = self.reads.iter().any(|r| r.overlaps(&older.write));
-        let waw = self.write.overlaps(&older.write);
-        let war = older.reads.iter().any(|r| self.write.overlaps(r));
         // Transfers may overtake each other *across* channels, but each
         // (src, dst, tag) channel stays FIFO so messages match in program
         // order.
         let fifo = self.chan != NO_CHANNEL && self.chan == older.chan;
-        raw || waw || war || fifo || gmem_conflict(&self.gmem, &older.gmem)
-    }
-}
-
-/// Do two optional global accesses conflict (overlap with a write)?
-fn gmem_conflict(a: &Option<(u64, u64, bool)>, b: &Option<(u64, u64, bool)>) -> bool {
-    match (a, b) {
-        (Some((s1, e1, w1)), Some((s2, e2, w2))) => (*w1 || *w2) && s1 < e2 && s2 < e1,
-        _ => false,
+        fifo || self.footprint.conflicts(&older.footprint)
     }
 }
 
@@ -236,15 +221,8 @@ impl<'p> Core<'p> {
             Resolved::Mvm { group, .. } => self.groups[group.as_usize()].output_len,
             _ => 0,
         };
-        let gmem = match res {
-            Resolved::GLoad { gaddr, len, .. } => Some((gaddr, gaddr + len as u64, false)),
-            Resolved::GStore { gaddr, len, .. } => Some((gaddr, gaddr + len as u64, true)),
-            _ => None,
-        };
         let mut entry = InFlight {
-            reads: res.reads(),
-            write: res.write(mvm_out),
-            gmem,
+            footprint: res.footprint(mvm_out),
             res,
             class,
             tag,
@@ -408,17 +386,12 @@ mod tests {
         /// the resolved operands alone (nothing the scoreboard stores).
         /// `core_id` names this core in channel keys.
         fn scan_oracle(&self, core_id: u16, structure_hazard: bool) -> Option<u64> {
-            let ranges = |e: &InFlight| {
+            let footprint = |e: &InFlight| {
                 let out = match e.res {
                     Resolved::Mvm { group, .. } => self.groups[group.as_usize()].output_len,
                     _ => 0,
                 };
-                (e.res.reads(), e.res.write(out))
-            };
-            let gmem = |e: &InFlight| match e.res {
-                Resolved::GLoad { gaddr, len, .. } => Some((gaddr, gaddr + len as u64, false)),
-                Resolved::GStore { gaddr, len, .. } => Some((gaddr, gaddr + len as u64, true)),
-                _ => None,
+                e.res.footprint(out)
             };
             let channel = |e: &InFlight| match e.res {
                 Resolved::Send { peer, tag, .. } => Some((core_id, peer, tag)),
@@ -429,16 +402,11 @@ mod tests {
                 if e.state != State::Waiting {
                     continue;
                 }
-                let (reads, write) = ranges(e);
                 for older in self.rob.iter().take(i) {
                     if older.state == State::Done {
                         continue;
                     }
-                    let (o_reads, o_write) = ranges(older);
-                    let raw = reads.iter().any(|r| r.overlaps(&o_write));
-                    let waw = write.overlaps(&o_write);
-                    let war = o_reads.iter().any(|r| write.overlaps(r));
-                    if raw || waw || war || gmem_conflict(&gmem(e), &gmem(older)) {
+                    if footprint(e).conflicts(&footprint(older)) {
                         continue 'scan;
                     }
                     if channel(e).is_some() && channel(e) == channel(older) {
@@ -455,17 +423,36 @@ mod tests {
 
     #[test]
     fn gmem_conflicts_require_a_write_and_overlap() {
-        let read = Some((0u64, 10u64, false));
-        let write = Some((5u64, 15u64, true));
-        let far_write = Some((20u64, 30u64, true));
-        assert!(gmem_conflict(&read, &write));
-        assert!(gmem_conflict(&write, &write));
-        assert!(!gmem_conflict(&read, &read), "two reads never conflict");
-        assert!(
-            !gmem_conflict(&read, &far_write),
-            "disjoint never conflicts"
-        );
-        assert!(!gmem_conflict(&None, &write));
+        // Disjoint local buffers: only the global intervals can conflict.
+        let load = |gaddr, dst| Resolved::GLoad {
+            dst,
+            gaddr,
+            len: 10,
+        };
+        let store = |gaddr, src| Resolved::GStore {
+            gaddr,
+            src,
+            len: 10,
+        };
+        let mut core = test_core(8);
+        for res in [
+            load(0, 100),
+            load(5, 200),
+            store(5, 300),
+            store(30, 400),
+            load(12, 500),
+        ] {
+            core.admit(0, InstrClass::Transfer, res, NO_CHANNEL, None);
+        }
+        assert_eq!(core.ready, [0, 1, 3], "two loads, or disjoint: no edge");
+        for seq in [0, 1] {
+            core.begin(seq, SimTime::ZERO);
+            core.mark_done(seq);
+        }
+        assert_eq!(core.ready, [2, 3], "the store waited for both loads");
+        core.begin(2, SimTime::ZERO);
+        core.mark_done(2);
+        assert_eq!(core.ready, [3, 4], "the last load waited for the store");
     }
 
     /// Crossbar groups with overlapping sets: 0∩1 = {1}, 1∩2 = {2}, 0∩2 = ∅;

@@ -9,7 +9,6 @@ use pimsim_event::{Kernel, RunResult, SimTime};
 use pimsim_isa::{CoreProgram, Program, ProgramLimits};
 
 use super::rob::Core;
-use super::timing::{DefaultTiming, TimingModel};
 use super::transfer::TransferFabric;
 use super::{error::SimError, Machine, MachineEvent, Telemetry};
 use crate::exec::Memory;
@@ -28,23 +27,20 @@ static IDLE_CORE: CoreProgram = CoreProgram {
 /// Runs compiled [`Program`]s on a configured chip.
 ///
 /// See the crate docs for the machine model. Unit latencies and energies
-/// come from a [`TimingModel`] — [`DefaultTiming`] (the paper's shared
-/// cost tables) unless [`Simulator::with_timing`] swaps in another.
+/// come from the paper's shared [`CostModel`] tables.
 #[derive(Debug, Clone, Copy)]
 pub struct Simulator<'a> {
     arch: &'a ArchConfig,
-    timing: &'a dyn TimingModel,
     /// Set by [`Simulator::with_preflight`]: run the static analyzer
     /// before the first event and refuse programs with provable defects.
     preflight: bool,
 }
 
 impl<'a> Simulator<'a> {
-    /// Creates a simulator over `arch` with the default timing model.
+    /// Creates a simulator over `arch`.
     pub fn new(arch: &'a ArchConfig) -> Self {
         Simulator {
             arch,
-            timing: &DefaultTiming,
             preflight: false,
         }
     }
@@ -59,13 +55,6 @@ impl<'a> Simulator<'a> {
     /// byte-identical with and without the check.
     pub fn with_preflight(mut self) -> Self {
         self.preflight = true;
-        self
-    }
-
-    /// Replaces the unit-timing model (the run loop is untouched; only
-    /// cost lookups change).
-    pub fn with_timing(mut self, timing: &'a dyn TimingModel) -> Self {
-        self.timing = timing;
         self
     }
 
@@ -163,8 +152,8 @@ impl<'a> Simulator<'a> {
         'a: 'p,
     {
         let functional = self.arch.sim.functional;
-        let dispatch_interval = self.timing.dispatch_interval(self.arch);
-        let decode_offset = self.timing.decode_offset(self.arch);
+        let model = CostModel::new(self.arch);
+        let decode_offset = model.decode_offset();
 
         let n_cores = self.arch.resources.cores() as usize;
         let mut cores = Vec::with_capacity(n_cores);
@@ -197,16 +186,16 @@ impl<'a> Simulator<'a> {
         let fabric = TransferFabric::for_cores(&mut cores, self.arch.noc.virtual_channels);
         Machine {
             cfg: self.arch,
-            timing: self.timing,
+            model,
             noc: Noc::for_arch(self.arch),
             costs: NocCosts::new(self.arch),
             gmem,
             cores,
             fabric,
             functional,
-            dispatch_interval,
-            frontend_energy: self.timing.frontend_energy(self.arch),
-            scalar_energy: self.timing.scalar_cost(self.arch).energy,
+            dispatch_interval: model.dispatch_interval(),
+            frontend_energy: model.frontend_energy(),
+            scalar_energy: model.scalar_cost().energy,
             telemetry: Telemetry::new(self.arch.sim.trace),
             error: None,
             finish_time: SimTime::ZERO,

@@ -17,8 +17,7 @@
 //! Transfer *timing* is positional (policy-routed mesh walk, per-link
 //! occupancy, controller queue) and comes from [`Noc`](crate::noc::Noc)
 //! walks priced by the per-machine [`NocCosts`](crate::noc::NocCosts)
-//! constants; the [`TimingModel`](super::TimingModel) seam covers the
-//! execution units only. A [`Pending`] carries its `(tag, len)` from
+//! constants. A [`Pending`] carries its `(tag, len)` from
 //! issue time, so launching or kicking a transfer never rescans the ROB.
 //!
 //! Channels are a dense table: `SEND`/`RECV` name their peer and tag as
@@ -31,12 +30,11 @@
 use std::collections::{HashMap, VecDeque};
 
 use pimsim_event::SimTime;
-use pimsim_isa::Instruction;
+use pimsim_isa::{Instruction, Resolved};
 
 use super::error::SimError;
 use super::rob::{Core, Issued};
 use super::{Ctx, Machine, MachineEvent};
-use crate::resolve::Resolved;
 
 /// A flow-control channel identifier: `(sender, receiver, tag)`.
 pub(crate) type ChannelKey = (u16, u16, u16);

@@ -6,39 +6,18 @@
 //! books the unit: the vector unit is single-occupancy,
 //! the matrix unit accepts any number of concurrent `MVM`s with disjoint
 //! crossbar sets, and transfers are handed to [`super::transfer`]. Costs
-//! come from the [`TimingModel`](super::TimingModel) seam — never
-//! computed here — so alternative unit timings slot in without touching
-//! this choreography.
+//! come from the shared [`CostModel`](pimsim_arch::model::CostModel)
+//! tables, vector work classified by the ISA's
+//! [`Resolved::vector_shape`] — the same prices the static bound
+//! analyzer uses.
 
 use pimsim_event::SimTime;
-use pimsim_isa::{InstrClass, VectorShape};
+use pimsim_isa::{InstrClass, Resolved};
 
 use super::rob::Issued;
 use super::{Ctx, Machine, MachineEvent};
 use crate::exec::execute_local;
 use crate::machine::error::SimError;
-use crate::resolve::Resolved;
-
-/// The [`VectorShape`] of a resolved vector operation, for cost lookup.
-/// Built from the same shared constructors the static bound analyzer
-/// prices with, so the two cannot drift.
-fn vector_shape(res: &Resolved) -> VectorShape {
-    match res {
-        Resolved::VBin { len, .. } => VectorShape::binary(*len),
-        Resolved::VImm { len, .. } | Resolved::VUn { len, .. } => VectorShape::unary(*len),
-        Resolved::VFill { len, .. } => VectorShape::fill(*len),
-        Resolved::VCopy2d {
-            block_len, blocks, ..
-        } => VectorShape::copy2d(*block_len, *blocks),
-        Resolved::VPool {
-            channels,
-            win_w,
-            win_h,
-            ..
-        } => VectorShape::pool(*channels, *win_w, *win_h),
-        other => unreachable!("vector class mismatch: {other:?}"),
-    }
-}
 
 impl Machine<'_> {
     /// Issues every ROB entry that can start right now.
@@ -61,10 +40,10 @@ impl Machine<'_> {
         let Issued { res, tag, .. } = issued;
         match issued.class {
             InstrClass::Vector => {
-                let shape = vector_shape(&res);
-                let cost = self
-                    .timing
-                    .vector_cost(self.cfg, shape.len, shape.reads, shape.writes);
+                let Some(shape) = res.vector_shape() else {
+                    unreachable!("vector class mismatch: {res:?}")
+                };
+                let cost = self.model.vector_cost(shape.len, shape.reads, shape.writes);
                 self.cores[c].vector_busy = true;
                 self.telemetry.energy.vector += cost.energy;
                 self.telemetry.node(tag).energy += cost.energy;
@@ -79,7 +58,7 @@ impl Machine<'_> {
                     let g = &self.cores[c].groups[group.as_usize()];
                     (g.input_len, g.output_len, g.xbar_ids.len() as u32)
                 };
-                let cost = self.timing.matrix_cost(self.cfg, inp, outp, nx);
+                let cost = self.model.mvm_cost(inp, outp, nx);
                 self.cores[c].book_xbars(group);
                 self.telemetry.energy.matrix += cost.energy;
                 self.telemetry.node(tag).energy += cost.energy;

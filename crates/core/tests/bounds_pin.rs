@@ -8,12 +8,15 @@
 //! costs — across a grid of shapes, payload sizes and arch knobs,
 //! including non-default router depths, link widths and frequencies.
 
-use pimsim_analyze::bounds::{decode_offset, dispatch_interval, memory_access_min, message_min};
+use pimsim_analyze::bounds::{memory_access_min, message_min};
+use pimsim_analyze::dag::{Dag, ServiceKind};
+use pimsim_analyze::{Cfg, RendezvousMap};
 use pimsim_arch::model::CostModel;
 use pimsim_arch::ArchConfig;
-use pimsim_core::{DefaultTiming, Noc, NocCosts, TimingModel};
+use pimsim_core::{Noc, NocCosts};
 use pimsim_event::SimTime;
-use pimsim_isa::{Addr, Instruction, PoolOp, Reg, VBinOp, VImmOp, VUnOp, VectorShape};
+use pimsim_isa::asm::assemble;
+use pimsim_isa::{resolve, VectorShape};
 
 /// Arch variants exercising the knobs the pricing depends on.
 fn arches() -> Vec<ArchConfig> {
@@ -75,86 +78,49 @@ fn memory_access_min_matches_idle_noc_access() {
     }
 }
 
-#[test]
-fn frontend_pacing_matches_default_timing() {
-    for arch in arches() {
-        let model = CostModel::new(&arch);
-        assert_eq!(
-            dispatch_interval(&model),
-            DefaultTiming.dispatch_interval(&arch)
-        );
-        assert_eq!(decode_offset(&model), DefaultTiming.decode_offset(&arch));
-    }
-}
-
-/// The shared `VectorShape` classification prices identically through
-/// `CostModel::vector_cost` and the simulator's `TimingModel` seam, for
-/// every vector instruction kind.
+/// The simulator and the bound analyzer both price vector work through
+/// the ISA's one classification, [`Resolved::vector_shape`]: the shape of
+/// every vector instruction kind is pinned here, and the DAG node the
+/// analyzer builds for it carries that same shape.
 #[test]
 fn vector_shapes_price_identically_everywhere() {
-    let addr = |off: i32| Addr::new(Reg::R1, off).unwrap();
-    let instrs = [
-        Instruction::VBin {
-            op: VBinOp::Add,
-            dst: addr(0),
-            a: addr(8),
-            b: addr(16),
-            len: 129,
-        },
-        Instruction::VImm {
-            op: VImmOp::Mul,
-            dst: addr(0),
-            src: addr(8),
-            imm: 2,
-            len: 77,
-        },
-        Instruction::VUn {
-            op: VUnOp::Sigmoid,
-            dst: addr(0),
-            src: addr(8),
-            len: 31,
-        },
-        Instruction::VFill {
-            dst: addr(0),
-            value: 4,
-            len: 200,
-        },
-        Instruction::VCopy2d {
-            dst: addr(0),
-            src: addr(8),
-            block_len: 9,
-            blocks: 13,
-            src_stride: 11,
-            dst_stride: 9,
-        },
-        Instruction::VPool {
-            op: PoolOp::Max,
-            dst: addr(0),
-            src: addr(8),
-            channels: 16,
-            win_w: 3,
-            win_h: 3,
-            row_stride: 48,
-        },
+    let cases = [
+        ("vadd [r1+0], [r1+8], [r1+16], 129", (129, 2, 1)),
+        ("vmuli [r1+0], [r1+8], 2, 77", (77, 1, 1)),
+        ("vsigmoid [r1+0], [r1+8], 31", (31, 1, 1)),
+        ("vfill [r1+0], 4, 200", (200, 0, 1)),
+        (
+            "vcopy2d [r1+0], [r1+8], block=9, blocks=13, sstride=11, dstride=9",
+            (117, 1, 1),
+        ),
+        (
+            "vpool.max [r1+0], [r1+8], ch=16, win=3x3, rstride=48",
+            (144, 1, 1),
+        ),
     ];
-    let expected_shapes = [
-        VectorShape::binary(129),
-        VectorShape::unary(77),
-        VectorShape::unary(31),
-        VectorShape::fill(200),
-        VectorShape::copy2d(9, 13),
-        VectorShape::pool(16, 3, 3),
-    ];
-    for arch in arches() {
-        let model = CostModel::new(&arch);
-        for (instr, want) in instrs.iter().zip(&expected_shapes) {
-            let shape = instr
-                .vector_shape()
-                .unwrap_or_else(|| panic!("{instr} must have a vector shape"));
-            assert_eq!(shape, *want, "{instr}");
-            let via_model = model.vector_cost(shape.len, shape.reads, shape.writes);
-            let via_timing = DefaultTiming.vector_cost(&arch, shape.len, shape.reads, shape.writes);
-            assert_eq!(via_model, via_timing, "{instr}");
-        }
+    let mut text = String::from(".core 0\n");
+    for (instr, _) in &cases {
+        text.push_str(instr);
+        text.push('\n');
+    }
+    text.push_str("halt\n");
+    let program = assemble(&text).unwrap();
+    let cfgs: Vec<Cfg> = program
+        .cores
+        .iter()
+        .map(|c| Cfg::build(&c.instrs))
+        .collect();
+    let dag = Dag::build(&program, &cfgs, &RendezvousMap::default());
+    assert_eq!(dag.nodes.len(), cases.len());
+    for ((text, (len, reads, writes)), node) in cases.iter().zip(&dag.nodes) {
+        let instr = &program.cores[0].instrs[node.pc as usize];
+        let shape = resolve(instr, &[0; 32]).and_then(|r| r.vector_shape());
+        let want = VectorShape {
+            len: *len,
+            reads: *reads,
+            writes: *writes,
+        };
+        assert_eq!(shape, Some(want), "{text}");
+        assert_eq!(node.service, ServiceKind::Vector(want), "{text}");
     }
 }

@@ -1,14 +1,14 @@
-//! Shared per-instruction cost classification.
+//! Per-instruction cost classification.
 //!
-//! The simulator's `DefaultTiming` and the static bound analyzer in
-//! `pimsim-analyze` both need to know, for every vector instruction, how
-//! many elements the vector unit touches and how many local-memory reads
-//! and writes it performs — the `(len, reads, writes)` triple fed to
-//! `CostModel::vector_cost`. Keeping that classification in one place
-//! means the two cannot drift: a new vector op priced here is priced the
-//! same way in both the event-driven machine and the analytic bound.
+//! For every vector instruction, the simulator's vector unit and the
+//! static bound analyzer in `pimsim-analyze` both need to know how many
+//! elements the vector unit touches and how many local-memory reads and
+//! writes it performs — the `(len, reads, writes)` triple fed to
+//! `CostModel::vector_cost`. Both call [`Resolved::vector_shape`]: a new
+//! vector op classified there is priced the same way in the event-driven
+//! machine and in the analytic bound.
 
-use crate::instr::Instruction;
+use crate::resolve::Resolved;
 
 /// The operand shape `CostModel::vector_cost` is priced on: how many
 /// elements the vector unit processes and how many local-memory read and
@@ -23,170 +23,85 @@ pub struct VectorShape {
     pub writes: u32,
 }
 
-impl VectorShape {
-    /// A two-source element-wise operation (`vadd` and friends):
-    /// two reads, one write.
-    pub fn binary(len: u32) -> VectorShape {
-        VectorShape {
-            len,
-            reads: 2,
-            writes: 1,
-        }
-    }
-
-    /// A one-source element-wise operation (`vrelu`, `vaddi`, …):
-    /// one read, one write.
-    pub fn unary(len: u32) -> VectorShape {
-        VectorShape {
-            len,
-            reads: 1,
-            writes: 1,
-        }
-    }
-
-    /// A fill: no reads, one write.
-    pub fn fill(len: u32) -> VectorShape {
-        VectorShape {
-            len,
-            reads: 0,
-            writes: 1,
-        }
-    }
-
-    /// A strided 2-D copy moving `blocks` blocks of `block_len` elements:
-    /// one read and one write over the total moved element count.
-    pub fn copy2d(block_len: u32, blocks: u32) -> VectorShape {
-        VectorShape {
-            len: block_len.saturating_mul(blocks),
-            reads: 1,
-            writes: 1,
-        }
-    }
-
-    /// A fused pooling macro-op reducing a `win_w × win_h` window of
-    /// `channels`-length pixels: one read and one write over the window's
-    /// total element count.
-    pub fn pool(channels: u32, win_w: u32, win_h: u32) -> VectorShape {
-        VectorShape {
-            len: channels.saturating_mul(win_w).saturating_mul(win_h),
-            reads: 1,
-            writes: 1,
-        }
-    }
-}
-
-impl Instruction {
+impl Resolved {
     /// The [`VectorShape`] this instruction presents to the vector unit,
-    /// or `None` for non-vector-class instructions. This is the exact
-    /// shape the simulator's timing model prices, shared so the static
-    /// bound analyzer cannot drift from it.
+    /// or `None` for non-vector-class instructions: two reads for
+    /// `vadd` and friends, none for a fill, and one read and one write
+    /// over the total moved element count for 2-D copies and pooling
+    /// windows (saturating, never wrapping).
+    #[inline]
     pub fn vector_shape(&self) -> Option<VectorShape> {
-        match self {
-            Instruction::VBin { len, .. } => Some(VectorShape::binary(*len)),
-            Instruction::VImm { len, .. } | Instruction::VUn { len, .. } => {
-                Some(VectorShape::unary(*len))
-            }
-            Instruction::VFill { len, .. } => Some(VectorShape::fill(*len)),
-            Instruction::VCopy2d {
+        let (len, reads) = match *self {
+            Resolved::VBin { len, .. } => (len, 2),
+            Resolved::VImm { len, .. } | Resolved::VUn { len, .. } => (len, 1),
+            Resolved::VFill { len, .. } => (len, 0),
+            Resolved::VCopy2d {
                 block_len, blocks, ..
-            } => Some(VectorShape::copy2d(*block_len, *blocks)),
-            Instruction::VPool {
+            } => (block_len.saturating_mul(blocks), 1),
+            Resolved::VPool {
                 channels,
                 win_w,
                 win_h,
                 ..
-            } => Some(VectorShape::pool(*channels, *win_w, *win_h)),
-            _ => None,
-        }
+            } => (channels.saturating_mul(win_w).saturating_mul(win_h), 1),
+            _ => return None,
+        };
+        Some(VectorShape {
+            len,
+            reads,
+            writes: 1,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::instr::{Addr, PoolOp, VBinOp, VImmOp, VUnOp};
-    use crate::reg::Reg;
+    use crate::asm::parse_instruction;
+    use crate::resolve::resolve;
 
-    fn addr(off: i32) -> Addr {
-        Addr::new(Reg::R1, off).unwrap()
+    fn shape_of(text: &str) -> Option<(u32, u32, u32)> {
+        let instr = parse_instruction(text).unwrap();
+        let res = resolve(&instr, &[0; 32])?;
+        res.vector_shape().map(|s| (s.len, s.reads, s.writes))
     }
 
     #[test]
     fn shapes_match_operand_counts() {
-        let vbin = Instruction::VBin {
-            op: VBinOp::Add,
-            dst: addr(0),
-            a: addr(8),
-            b: addr(16),
-            len: 64,
-        };
-        assert_eq!(vbin.vector_shape(), Some(VectorShape::binary(64)));
-
-        let vimm = Instruction::VImm {
-            op: VImmOp::Mul,
-            dst: addr(0),
-            src: addr(8),
-            imm: 3,
-            len: 32,
-        };
-        assert_eq!(vimm.vector_shape(), Some(VectorShape::unary(32)));
-
-        let vun = Instruction::VUn {
-            op: VUnOp::Relu,
-            dst: addr(0),
-            src: addr(8),
-            len: 32,
-        };
-        assert_eq!(vun.vector_shape(), Some(VectorShape::unary(32)));
-
-        let vfill = Instruction::VFill {
-            dst: addr(0),
-            value: 0,
-            len: 16,
-        };
-        assert_eq!(vfill.vector_shape(), Some(VectorShape::fill(16)));
-
-        let copy = Instruction::VCopy2d {
-            dst: addr(0),
-            src: addr(8),
-            block_len: 3,
-            blocks: 5,
-            src_stride: 7,
-            dst_stride: 3,
-        };
-        let shape = copy.vector_shape().unwrap();
-        assert_eq!((shape.len, shape.reads, shape.writes), (15, 1, 1));
-
-        let pool = Instruction::VPool {
-            op: PoolOp::Max,
-            dst: addr(0),
-            src: addr(8),
-            channels: 4,
-            win_w: 2,
-            win_h: 3,
-            row_stride: 12,
-        };
-        let shape = pool.vector_shape().unwrap();
-        assert_eq!((shape.len, shape.reads, shape.writes), (24, 1, 1));
+        let cases = [
+            ("vadd [r1+0], [r1+8], [r1+16], 64", (64, 2, 1)),
+            ("vmuli [r1+0], [r1+8], 3, 32", (32, 1, 1)),
+            ("vrelu [r1+0], [r1+8], 32", (32, 1, 1)),
+            ("vfill [r1+0], 0, 16", (16, 0, 1)),
+            (
+                "vcopy2d [r1+0], [r1+8], block=3, blocks=5, sstride=7, dstride=3",
+                (15, 1, 1),
+            ),
+            (
+                "vpool.max [r1+0], [r1+8], ch=4, win=2x3, rstride=12",
+                (24, 1, 1),
+            ),
+            // The element count saturates instead of wrapping to zero.
+            (
+                "vpool.max [r1+0], [r1+8], ch=65536, win=65536x1, rstride=8",
+                (u32::MAX, 1, 1),
+            ),
+        ];
+        for (text, want) in cases {
+            assert_eq!(shape_of(text), Some(want), "{text}");
+        }
     }
 
     #[test]
     fn non_vector_instructions_have_no_shape() {
-        assert_eq!(Instruction::Halt.vector_shape(), None);
-        assert_eq!(Instruction::Nop.vector_shape(), None);
-        let mvm = Instruction::Mvm {
-            group: 0.into(),
-            dst: addr(0),
-            src: addr(8),
-            len: 4,
-        };
-        assert_eq!(mvm.vector_shape(), None);
-        let send = Instruction::Send {
-            peer: 1.into(),
-            src: addr(0),
-            len: 4,
-            tag: 0,
-        };
-        assert_eq!(send.vector_shape(), None);
+        for text in [
+            "mvm g0, [r1+0], [r1+8], 4",
+            "send core1, [r1+0], 4, tag=0",
+            "recv core1, [r1+0], 4, tag=0",
+            "gload [r1+0], g[r1+0], 4",
+            "halt",
+            "nop",
+        ] {
+            assert_eq!(shape_of(text), None, "{text}");
+        }
     }
 }

@@ -3,13 +3,13 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced when constructing, encoding, parsing or validating
-/// instructions and programs.
+/// Errors produced when constructing, parsing or validating instructions
+/// and programs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IsaError {
     /// A register index outside `0..32`.
     InvalidRegister(u8),
-    /// An immediate/operand field does not fit its encoding field.
+    /// An immediate/operand field does not fit its field width.
     FieldRange {
         /// Which field overflowed.
         field: &'static str,
@@ -20,8 +20,6 @@ pub enum IsaError {
         /// Largest encodable value.
         max: i64,
     },
-    /// A binary word whose opcode byte is unknown.
-    UnknownOpcode(u8),
     /// Assembly text or a program file could not be parsed. `line` is
     /// 1-based; 0 when unknown or when `msg` already ends in its location
     /// (JSON errors carry line and column there).
@@ -55,7 +53,6 @@ impl fmt::Display for IsaError {
                 f,
                 "{field} value {value} outside encodable range [{min}, {max}]"
             ),
-            IsaError::UnknownOpcode(op) => write!(f, "unknown opcode byte {op:#04x}"),
             IsaError::Parse { line, msg } if *line > 0 => {
                 write!(f, "parse error at line {line}: {msg}")
             }
@@ -103,7 +100,7 @@ mod tests {
 
     #[test]
     fn error_trait_object_safe() {
-        let e: Box<dyn Error + Send + Sync> = Box::new(IsaError::UnknownOpcode(0xff));
-        assert!(e.to_string().contains("0xff"));
+        let e: Box<dyn Error + Send + Sync> = Box::new(IsaError::InvalidRegister(40));
+        assert!(e.to_string().contains("40"));
     }
 }

@@ -7,10 +7,9 @@ use serde::{Deserialize, Serialize};
 use crate::error::IsaError;
 use crate::reg::Reg;
 
-/// Encoding field-width limits. The binary format packs every instruction
-/// into a fixed 128-bit word; these constants bound the immediate fields and
-/// are enforced at construction/encoding time so the compiler fails loudly
-/// instead of emitting unencodable programs.
+/// Operand field-width limits of the ISA's instruction format.
+/// [`Addr::new`] enforces [`ADDR_OFFSET_BITS`](limits::ADDR_OFFSET_BITS);
+/// the other widths are the documented bounds of their fields.
 pub mod limits {
     /// Signed bits for a local/global address offset (`register + offset`).
     pub const ADDR_OFFSET_BITS: u32 = 22;
@@ -318,6 +317,23 @@ impl SBinOp {
             SBinOp::Srl => "srl",
         }
     }
+
+    /// `a op b` with the machine's semantics: wrapping arithmetic, signed
+    /// `slt`, shift amounts masked to 5 bits, logical `srl`.
+    #[inline]
+    pub fn apply(self, a: i32, b: i32) -> i32 {
+        match self {
+            SBinOp::Add => a.wrapping_add(b),
+            SBinOp::Sub => a.wrapping_sub(b),
+            SBinOp::Mul => a.wrapping_mul(b),
+            SBinOp::And => a & b,
+            SBinOp::Or => a | b,
+            SBinOp::Xor => a ^ b,
+            SBinOp::Slt => (a < b) as i32,
+            SBinOp::Sll => a.wrapping_shl(b as u32),
+            SBinOp::Srl => (a as u32).wrapping_shr(b as u32) as i32,
+        }
+    }
 }
 
 /// Register-immediate scalar operations.
@@ -352,6 +368,22 @@ impl SImmOp {
             SImmOp::Slt => "slti",
         }
     }
+
+    /// `a op imm`: the register-register operation of the same name
+    /// ([`SBinOp::apply`]) with `imm` as its second operand.
+    #[inline]
+    pub fn apply(self, a: i32, imm: i32) -> i32 {
+        let op = match self {
+            SImmOp::Add => SBinOp::Add,
+            SImmOp::Mul => SBinOp::Mul,
+            SImmOp::Sll => SBinOp::Sll,
+            SImmOp::Srl => SBinOp::Srl,
+            SImmOp::And => SBinOp::And,
+            SImmOp::Or => SBinOp::Or,
+            SImmOp::Slt => SBinOp::Slt,
+        };
+        op.apply(a, imm)
+    }
 }
 
 /// Branch comparison conditions (signed).
@@ -375,6 +407,17 @@ impl BranchCond {
             BranchCond::Ne => "bne",
             BranchCond::Lt => "blt",
             BranchCond::Ge => "bge",
+        }
+    }
+
+    /// Is the branch taken for operands `a` and `b` (signed compare)?
+    #[inline]
+    pub fn holds(self, a: i32, b: i32) -> bool {
+        match self {
+            BranchCond::Eq => a == b,
+            BranchCond::Ne => a != b,
+            BranchCond::Lt => a < b,
+            BranchCond::Ge => a >= b,
         }
     }
 }
@@ -697,6 +740,32 @@ impl Instruction {
             Jump { .. } | Halt | Nop => {}
         }
     }
+
+    /// Executes this instruction's scalar effect at `pc` against `regs` —
+    /// what the core frontend does at dispatch — and returns the next pc,
+    /// or `None` once the core halts. Writes to `r0` are discarded.
+    /// Memory-class instructions have no scalar effect and fall through.
+    #[inline]
+    pub fn exec_scalar(&self, regs: &mut [i32; 32], pc: u32) -> Option<u32> {
+        let read = |r: &Reg| regs[r.index() as usize];
+        let (rd, v) = match *self {
+            Instruction::SBin { op, rd, rs1, rs2 } => (rd, op.apply(read(&rs1), read(&rs2))),
+            Instruction::SImm { op, rd, rs1, imm } => (rd, op.apply(read(&rs1), imm)),
+            Instruction::Branch {
+                cond,
+                rs1,
+                rs2,
+                target,
+            } if cond.holds(read(&rs1), read(&rs2)) => return Some(target),
+            Instruction::Jump { target } => return Some(target),
+            Instruction::Halt => return None,
+            _ => return Some(pc + 1),
+        };
+        if !rd.is_zero() {
+            regs[rd.index() as usize] = v;
+        }
+        Some(pc + 1)
+    }
 }
 
 impl fmt::Display for Instruction {
@@ -892,6 +961,96 @@ mod tests {
         assert_eq!(jmp.branch_target(), Some(3));
         assert_eq!(Instruction::Halt.branch_target(), None);
         assert_eq!(Instruction::Nop.branch_target(), None);
+    }
+
+    #[test]
+    fn scalar_semantics_at_the_edges() {
+        use SBinOp::*;
+        let binary = [
+            // Shift amounts are masked to 5 bits: 32 is 0, 33 is 1, -1 is 31.
+            (Sll, 1, 31, i32::MIN),
+            (Sll, 1, 32, 1),
+            (Sll, 1, 33, 2),
+            (Sll, 1, -1, i32::MIN),
+            (Srl, i32::MIN, 31, 1),
+            (Srl, -1, 32, -1),
+            (Srl, -1, 33, i32::MAX),
+            (Srl, -1, -1, 1),
+            // Logical, not arithmetic, right shift.
+            (Srl, -8, 1, 0x7fff_fffc),
+            // Wrapping arithmetic.
+            (Mul, i32::MIN, -1, i32::MIN),
+            (Add, i32::MAX, 1, i32::MIN),
+            (Sub, i32::MIN, 1, i32::MAX),
+            // Signed compare.
+            (Slt, -1, 0, 1),
+            (Slt, 0, -1, 0),
+            (Slt, 3, 3, 0),
+            (And, 0b1100, 0b1010, 0b1000),
+            (Or, 0b1100, 0b1010, 0b1110),
+            (Xor, 0b1100, 0b1010, 0b0110),
+        ];
+        for (op, a, b, want) in binary {
+            assert_eq!(op.apply(a, b), want, "{} {a}, {b}", op.mnemonic());
+        }
+        let immediate = [
+            (SImmOp::Sll, 1, 33, 2),
+            (SImmOp::Srl, -1, -1, 1),
+            (SImmOp::Mul, i32::MIN, -1, i32::MIN),
+            (SImmOp::Slt, -5, -4, 1),
+            (SImmOp::Add, 7, -8, -1),
+            (SImmOp::And, -1, 6, 6),
+            (SImmOp::Or, 1, 6, 7),
+        ];
+        for (op, a, imm, want) in immediate {
+            assert_eq!(op.apply(a, imm), want, "{} {a}, {imm}", op.mnemonic());
+        }
+        // Each condition at equality, and signed below it.
+        for (cond, at_equal, below) in [
+            (BranchCond::Eq, true, false),
+            (BranchCond::Ne, false, true),
+            (BranchCond::Lt, false, true),
+            (BranchCond::Ge, true, false),
+        ] {
+            assert_eq!(cond.holds(-3, -3), at_equal, "{}", cond.mnemonic());
+            assert_eq!(cond.holds(-4, -3), below, "{}", cond.mnemonic());
+        }
+    }
+
+    #[test]
+    fn exec_scalar_moves_the_pc_and_discards_r0() {
+        let mut regs = [0i32; 32];
+        regs[1] = 5;
+        let addi = |rd, imm| Instruction::SImm {
+            op: SImmOp::Add,
+            rd,
+            rs1: Reg::R1,
+            imm,
+        };
+        assert_eq!(addi(Reg::R2, 3).exec_scalar(&mut regs, 4), Some(5));
+        assert_eq!(regs[2], 8);
+        assert_eq!(addi(Reg::R0, 3).exec_scalar(&mut regs, 5), Some(6));
+        assert_eq!(regs[0], 0, "r0 stays zero");
+        let branch = |cond| Instruction::Branch {
+            cond,
+            rs1: Reg::R1,
+            rs2: Reg::R2,
+            target: 40,
+        };
+        assert_eq!(branch(BranchCond::Lt).exec_scalar(&mut regs, 6), Some(40));
+        assert_eq!(branch(BranchCond::Ge).exec_scalar(&mut regs, 6), Some(7));
+        let jump = Instruction::Jump { target: 2 };
+        assert_eq!(jump.exec_scalar(&mut regs, 9), Some(2));
+        assert_eq!(Instruction::Nop.exec_scalar(&mut regs, 9), Some(10));
+        assert_eq!(Instruction::Halt.exec_scalar(&mut regs, 9), None);
+        let fill = Instruction::VFill {
+            dst: addr(Reg::R1, 0),
+            value: 1,
+            len: 4,
+        };
+        let before = regs;
+        assert_eq!(fill.exec_scalar(&mut regs, 3), Some(4));
+        assert_eq!(regs, before, "memory-class: no register effect");
     }
 
     #[test]

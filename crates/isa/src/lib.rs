@@ -25,11 +25,16 @@
 //!   classes are addressed as `register + immediate offset`, so compiled
 //!   programs are compact loops rather than unrolled traces.
 //!
-//! The crate provides the instruction definitions, a fixed-width 128-bit
-//! binary encoding ([`encode`]/[`decode`]), a textual assembler and
-//! disassembler ([`asm`]), crossbar group descriptors ([`GroupConfig`]) and
-//! the [`Program`] container (per-core instruction streams + group
-//! configuration + local-memory images) consumed by the simulator.
+//! The crate provides the instruction definitions, a textual assembler
+//! and disassembler ([`asm`]), crossbar group descriptors
+//! ([`GroupConfig`]) and the [`Program`] container (per-core instruction
+//! streams + group configuration + local-memory images) consumed by the
+//! simulator. It also holds the machine semantics the simulator and the
+//! static analyzer share, so each rule has one definition: scalar ALU and
+//! branch behaviour ([`SBinOp::apply`], [`BranchCond::holds`],
+//! [`Instruction::exec_scalar`]), operand resolution ([`resolve`]), the
+//! memory hazard rule ([`Footprint::conflicts`]) and the vector cost
+//! classification ([`Resolved::vector_shape`]).
 //!
 //! # Example
 //!
@@ -43,27 +48,29 @@
 //!     src: Addr::new(Reg::R0, 128)?,
 //!     len: 128,
 //! };
-//! // Canonical assembly text:
+//! // Canonical assembly text, and back:
 //! assert_eq!(instr.to_string(), "mvm g3, [r2+16], [r0+128], 128");
-//! // 128-bit binary round-trip:
-//! let word = pimsim_isa::encode(&instr)?;
-//! assert_eq!(pimsim_isa::decode(word)?, instr);
+//! assert_eq!(pimsim_isa::asm::parse_instruction(&instr.to_string())?, instr);
+//! // Operands resolved against a register file:
+//! let mut regs = [0; 32];
+//! regs[2] = 1000;
+//! let res = pimsim_isa::resolve(&instr, &regs).expect("memory-class");
+//! assert_eq!(res.footprint(64).write, pimsim_isa::Range::new(1016, 64));
 //! # Ok(())
 //! # }
 //! ```
 
 pub mod asm;
 mod cost;
-mod encode;
 mod error;
 mod group;
 mod instr;
 mod program;
 mod range;
 mod reg;
+mod resolve;
 
 pub use cost::VectorShape;
-pub use encode::{decode, encode, encode_program_words};
 pub use error::IsaError;
 pub use group::{GroupConfig, WeightMatrix};
 pub use instr::limits;
@@ -72,8 +79,9 @@ pub use instr::{
     VImmOp, VUnOp,
 };
 pub use program::{CoreProgram, Program, ProgramLimits, ProgramMeta};
-pub use range::Range;
+pub use range::{Footprint, Range};
 pub use reg::Reg;
+pub use resolve::{resolve, Resolved};
 
 /// Result alias for fallible ISA operations.
 pub type Result<T> = std::result::Result<T, IsaError>;

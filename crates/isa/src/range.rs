@@ -1,12 +1,11 @@
-//! Shared local-memory hazard footprints.
+//! Memory hazard footprints and the conflict test on them.
 //!
 //! The simulator's scoreboard and the static bound analyzer in
-//! `pimsim-analyze` both order instructions by the local-memory intervals
-//! they read and write. Keeping the interval type — and the arithmetic
-//! that turns strided and windowed operands into one — in this crate
-//! means the two cannot drift: an edge the analyzer prices is an ordering
-//! the machine really enforces, and an overflow fixed here is fixed in
-//! both.
+//! `pimsim-analyze` both order instructions by the memory they read and
+//! write. Both call the interval type, the arithmetic that turns strided
+//! and windowed operands into one, and the [`Footprint::conflicts`] rule
+//! defined here: an edge the analyzer prices is an ordering the machine
+//! really enforces, and an overflow fixed here is fixed in both.
 
 /// A half-open local-memory interval `[start, end)` used for hazard checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +71,45 @@ impl Range {
     }
 }
 
+/// Everything a memory-class instruction touches, as far as ordering it
+/// against the other instructions of its core goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Footprint {
+    /// Local-memory ranges read. No instruction reads more than two;
+    /// unused slots are [`Range::EMPTY`].
+    pub reads: [Range; 2],
+    /// The local-memory range written ([`Range::EMPTY`] for `send` and
+    /// `gstore`).
+    pub write: Range,
+    /// Global-memory interval `[start, end)` touched, with `true` = write.
+    pub gmem: Option<(u64, u64, bool)>,
+}
+
+impl Footprint {
+    /// Must an instruction with this footprint wait for the older one to
+    /// complete? RAW, WAW or WAR overlap in local memory, or a global
+    /// conflict ([`Footprint::gmem_conflicts`]).
+    #[inline]
+    pub fn conflicts(&self, older: &Footprint) -> bool {
+        let raw = self.reads.iter().any(|r| r.overlaps(&older.write));
+        let waw = self.write.overlaps(&older.write);
+        let war = older.reads.iter().any(|r| self.write.overlaps(r));
+        raw || waw || war || self.gmem_conflicts(older)
+    }
+
+    /// Do the two global accesses overlap with a write on either side?
+    /// The interval test has no emptiness guard: a zero-length access
+    /// conflicts with an interval strictly around its address, and never
+    /// with another zero-length one.
+    #[inline]
+    pub fn gmem_conflicts(&self, other: &Footprint) -> bool {
+        match (self.gmem, other.gmem) {
+            (Some((s1, e1, w1)), Some((s2, e2, w2))) => (w1 || w2) && s1 < e2 && s2 < e1,
+            _ => false,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,5 +160,56 @@ mod tests {
             Range::strided(10, 8, 3, 16)
         );
         assert_eq!(Range::pool_window(10, 4, 2, 0, 16), Range::new(10, 8));
+    }
+
+    fn local(reads: [Range; 2], write: Range) -> Footprint {
+        Footprint {
+            reads,
+            write,
+            gmem: None,
+        }
+    }
+
+    fn global(start: u64, len: u64, write: bool) -> Footprint {
+        Footprint {
+            reads: [Range::EMPTY; 2],
+            write: Range::EMPTY,
+            gmem: Some((start, start + len, write)),
+        }
+    }
+
+    #[test]
+    fn local_conflicts_are_raw_waw_war() {
+        let none = Range::EMPTY;
+        let writer = local([none; 2], Range::new(0, 8));
+        let reader = local([none, Range::new(4, 8)], Range::new(100, 8));
+        assert!(reader.conflicts(&writer), "RAW");
+        assert!(writer.conflicts(&reader), "WAR");
+        assert!(writer.conflicts(&writer), "WAW");
+        let other_reader = local([Range::new(0, 8), none], Range::new(300, 8));
+        assert!(!other_reader.conflicts(&reader), "two reads");
+        let elsewhere = local([Range::new(8, 4), none], Range::new(200, 8));
+        assert!(!elsewhere.conflicts(&writer) && !writer.conflicts(&elsewhere));
+    }
+
+    #[test]
+    fn gmem_conflicts_require_a_write_and_overlap() {
+        let read = global(0, 10, false);
+        let write = global(5, 10, true);
+        assert!(read.conflicts(&write) && write.conflicts(&read));
+        assert!(write.conflicts(&write));
+        assert!(!read.conflicts(&read), "two reads never conflict");
+        assert!(!read.conflicts(&global(20, 10, true)), "disjoint");
+        assert!(!local([Range::EMPTY; 2], Range::EMPTY).conflicts(&write));
+        // A zero-length access: strictly inside a written interval it
+        // conflicts, in either order; on its boundary or against another
+        // zero-length access it does not.
+        let store = global(100, 8, true);
+        assert!(global(104, 0, false).conflicts(&store));
+        assert!(store.conflicts(&global(104, 0, false)));
+        assert!(global(104, 0, true).conflicts(&global(100, 8, false)));
+        assert!(!global(100, 0, false).conflicts(&store), "on the boundary");
+        assert!(!global(108, 0, true).conflicts(&store), "one past the end");
+        assert!(!global(104, 0, true).conflicts(&global(104, 0, true)));
     }
 }

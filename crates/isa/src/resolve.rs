@@ -1,10 +1,19 @@
 //! Operand resolution: ISA instructions → absolute addresses + hazard
-//! ranges, using the dispatching core's register file.
+//! footprints, using the dispatching core's register file.
+//!
+//! The simulator resolves every memory-class instruction here at
+//! dispatch; the static bound analyzer resolves the same instructions
+//! against the register file it interprets. Both get the same addresses
+//! and the same [`Footprint`] from the one definition.
 
-use pimsim_isa::{Addr, GroupId, Instruction, PoolOp, Range, VBinOp, VImmOp, VUnOp};
+use crate::instr::{Addr, GroupId, Instruction, PoolOp, VBinOp, VImmOp, VUnOp};
+use crate::range::{Footprint, Range};
 
 /// A memory-class instruction with every operand resolved to an absolute
-/// element address at dispatch time.
+/// element address at dispatch time. Fields mean what the same-named
+/// [`Instruction`] fields mean, with each [`Addr`] resolved; `peer` is
+/// the peer core's index.
+#[allow(missing_docs)] // variants and fields: see `Instruction`
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Resolved {
     Mvm {
@@ -83,9 +92,26 @@ pub enum Resolved {
 }
 
 impl Resolved {
+    /// Everything this instruction touches, for hazard checks. For `MVM`
+    /// the output length is supplied by the caller (from the group table).
+    #[inline]
+    pub fn footprint(&self, mvm_out_len: u32) -> Footprint {
+        let gmem = match *self {
+            Resolved::GLoad { gaddr, len, .. } => Some((gaddr, gaddr + len as u64, false)),
+            Resolved::GStore { gaddr, len, .. } => Some((gaddr, gaddr + len as u64, true)),
+            _ => None,
+        };
+        Footprint {
+            reads: self.reads(),
+            write: self.write(mvm_out_len),
+            gmem,
+        }
+    }
+
     /// Local-memory ranges read by this instruction. No instruction reads
     /// more than two; unused slots are empty ranges, which overlap nothing.
-    pub fn reads(&self) -> [Range; 2] {
+    #[inline]
+    fn reads(&self) -> [Range; 2] {
         const NONE: Range = Range::EMPTY;
         match self {
             Resolved::VBin { a, b, len, .. } => [Range::new(*a, *len), Range::new(*b, *len)],
@@ -119,7 +145,8 @@ impl Resolved {
     /// The local-memory range written by this instruction (empty for
     /// `SEND`/`GSTORE`). For `MVM` the output length is supplied by the
     /// caller (from the group table).
-    pub fn write(&self, mvm_out_len: u32) -> Range {
+    #[inline]
+    fn write(&self, mvm_out_len: u32) -> Range {
         match self {
             Resolved::Mvm { dst, .. } => Range::new(*dst, mvm_out_len),
             Resolved::VBin { dst, len, .. }
@@ -148,6 +175,7 @@ impl Resolved {
 }
 
 /// Resolves `addr` against a register file.
+#[inline]
 fn abs(addr: Addr, regs: &[i32; 32]) -> u32 {
     let base = regs[addr.base().index() as usize] as i64;
     (base + addr.offset() as i64).max(0) as u32
@@ -155,6 +183,7 @@ fn abs(addr: Addr, regs: &[i32; 32]) -> u32 {
 
 /// Resolves a memory-class instruction. Returns `None` for scalar-class
 /// instructions (they execute at dispatch and never enter the ROB).
+#[inline]
 pub fn resolve(instr: &Instruction, regs: &[i32; 32]) -> Option<Resolved> {
     use Instruction as I;
     Some(match instr {
@@ -290,7 +319,9 @@ pub fn resolve(instr: &Instruction, regs: &[i32; 32]) -> Option<Resolved> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pimsim_isa::Reg;
+    use crate::asm::parse_instruction;
+    use crate::instr::SImmOp;
+    use crate::reg::Reg;
 
     fn regs_with(r1: i32) -> [i32; 32] {
         let mut regs = [0i32; 32];
@@ -301,7 +332,7 @@ mod tests {
     #[test]
     fn resolution_uses_registers() {
         let regs = regs_with(1000);
-        let i = pimsim_isa::asm::parse_instruction("vadd [r1+24], [r1+0], [r0+8], 8").unwrap();
+        let i = parse_instruction("vadd [r1+24], [r1+0], [r0+8], 8").unwrap();
         let r = resolve(&i, &regs).unwrap();
         match r {
             Resolved::VBin { dst, a, b, len, .. } => {
@@ -314,21 +345,21 @@ mod tests {
     #[test]
     fn scalar_instructions_do_not_resolve() {
         let regs = [0i32; 32];
-        let i = pimsim_isa::Instruction::SImm {
-            op: pimsim_isa::SImmOp::Add,
+        let i = Instruction::SImm {
+            op: SImmOp::Add,
             rd: Reg::R1,
             rs1: Reg::R0,
             imm: 5,
         };
         assert!(resolve(&i, &regs).is_none());
-        assert!(resolve(&pimsim_isa::Instruction::Halt, &regs).is_none());
+        assert!(resolve(&Instruction::Halt, &regs).is_none());
     }
 
     #[test]
     fn recv_variants_unify() {
         let regs = [0i32; 32];
         let r1 = resolve(
-            &pimsim_isa::asm::parse_instruction("recv core1, [r0+64], 32, tag=7").unwrap(),
+            &parse_instruction("recv core1, [r0+64], 32, tag=7").unwrap(),
             &regs,
         )
         .unwrap();
@@ -348,7 +379,7 @@ mod tests {
     #[test]
     fn hazard_ranges_cover_operands() {
         let regs = [0i32; 32];
-        let i = pimsim_isa::asm::parse_instruction(
+        let i = parse_instruction(
             "vcopy2d [r0+0], [r0+1000], block=4, blocks=3, sstride=16, dstride=8",
         )
         .unwrap();
@@ -363,5 +394,21 @@ mod tests {
         );
         assert!(!unused.overlaps(&read), "unused read slot is empty");
         assert_eq!(r.write(0), Range { start: 0, end: 20 });
+        assert_eq!(r.footprint(0).gmem, None);
+
+        let regs = regs_with(40);
+        let footprint =
+            |text| resolve(&parse_instruction(text).unwrap(), &regs).map(|r| r.footprint(0));
+        let (Some(load), Some(store)) = (
+            footprint("gload [r0+0], g[r1+2], 6"),
+            footprint("gstore g[r1+0], [r0+8], 4"),
+        ) else {
+            panic!("global transfers are memory-class");
+        };
+        assert_eq!(load.gmem, Some((42, 48, false)));
+        assert_eq!(load.write, Range::new(0, 6));
+        assert_eq!(store.gmem, Some((40, 44, true)));
+        assert_eq!(store.reads[0], Range::new(8, 4));
+        assert_eq!(store.write, Range::EMPTY);
     }
 }
