@@ -4,6 +4,7 @@
 //! absorbed as flags.
 
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 /// Parsed command-line arguments: `--key value` options, `--flag` booleans
 /// and positional arguments.
@@ -20,11 +21,11 @@ pub struct Args {
 /// so a typo — or another subcommand's option (`sweep --rob` instead of
 /// `sweep --robs`) — is caught instead of being silently absorbed.
 #[derive(Debug, Clone, Copy)]
-pub struct Vocabulary {
+pub struct Vocabulary<'a> {
     /// Option names that take a value.
-    pub value_options: &'static [&'static str],
+    pub value_options: &'a [&'a str],
     /// Boolean flag names.
-    pub flags: &'static [&'static str],
+    pub flags: &'a [&'a str],
     /// How many positional (non-`--`) arguments the command accepts;
     /// extras are an error rather than being silently dropped.
     pub max_positionals: usize,
@@ -58,8 +59,13 @@ pub fn closest<'a>(name: &str, candidates: impl IntoIterator<Item = &'a str>) ->
 
 /// The closest name in `vocab`, if any is close enough to be a plausible
 /// typo.
-fn suggestion(name: &str, vocab: &Vocabulary) -> Option<&'static str> {
+fn suggestion<'a>(name: &str, vocab: &Vocabulary<'a>) -> Option<&'a str> {
     closest(name, vocab.value_options.iter().chain(vocab.flags).copied())
+}
+
+fn number<T: FromStr>(name: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("--{name} expects a number, got `{v}`"))
 }
 
 impl Args {
@@ -121,68 +127,13 @@ impl Args {
         self.options.get(name).map(String::as_str)
     }
 
-    /// The value of `--name` parsed as `u32`.
+    /// The value of `--name` parsed as a number.
     ///
     /// # Errors
     ///
-    /// Returns a message when the value is not a number.
-    pub fn get_u32(&self, name: &str) -> Result<Option<u32>, String> {
-        match self.get(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("--{name} expects a number, got `{v}`")),
-        }
-    }
-
-    /// The value of `--name` parsed as `u64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the value is not a number.
-    pub fn get_u64(&self, name: &str) -> Result<Option<u64>, String> {
-        match self.get(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("--{name} expects a number, got `{v}`")),
-        }
-    }
-
-    /// The value of `--name` parsed as `f64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the value is not a number.
-    pub fn get_f64(&self, name: &str) -> Result<Option<f64>, String> {
-        match self.get(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("--{name} expects a number, got `{v}`")),
-        }
-    }
-
-    /// The value of `--name` as a comma-separated list of `f64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when any item is not a number.
-    pub fn get_f64_csv(&self, name: &str) -> Result<Option<Vec<f64>>, String> {
-        match self.get_csv(name) {
-            None => Ok(None),
-            Some(items) => items
-                .iter()
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| format!("--{name} expects numbers, got `{v}`"))
-                })
-                .collect::<Result<Vec<f64>, String>>()
-                .map(Some),
-        }
+    /// Returns a message when the value is not a number of type `T`.
+    pub fn get_num<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get(name).map(|v| number(name, v)).transpose()
     }
 
     /// The value of `--name` split on commas (empty items dropped).
@@ -195,23 +146,15 @@ impl Args {
         })
     }
 
-    /// The value of `--name` as a comma-separated list of `u32`.
+    /// The value of `--name` as a comma-separated list of numbers.
     ///
     /// # Errors
     ///
-    /// Returns a message when any item is not a number.
-    pub fn get_u32_csv(&self, name: &str) -> Result<Option<Vec<u32>>, String> {
-        match self.get_csv(name) {
-            None => Ok(None),
-            Some(items) => items
-                .iter()
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| format!("--{name} expects numbers, got `{v}`"))
-                })
-                .collect::<Result<Vec<u32>, String>>()
-                .map(Some),
-        }
+    /// Returns a message when any item is not a number of type `T`.
+    pub fn get_nums<T: FromStr>(&self, name: &str) -> Result<Option<Vec<T>>, String> {
+        self.get_csv(name)
+            .map(|items| items.iter().map(|v| number(name, v)).collect())
+            .transpose()
     }
 
     /// `true` if `--name` was given as a flag.
@@ -248,8 +191,8 @@ mod tests {
         assert!(a.flag("json"));
         assert!(!a.flag("baseline"));
         assert_eq!(a.positional, vec!["file.s"]);
-        assert_eq!(a.get_u32("rob").unwrap(), Some(8));
-        assert_eq!(a.get_u32("batch").unwrap(), None);
+        assert_eq!(a.get_num::<u32>("rob").unwrap(), Some(8));
+        assert_eq!(a.get_num::<u32>("batch").unwrap(), None);
     }
 
     #[test]
@@ -261,7 +204,7 @@ mod tests {
     #[test]
     fn bad_number_is_an_error() {
         let a = parse(&["--rob", "eight"]);
-        assert!(a.get_u32("rob").is_err());
+        assert!(a.get_num::<u32>("rob").is_err());
     }
 
     #[test]
@@ -320,7 +263,7 @@ mod tests {
     fn key_equals_value_form() {
         let a = parse(&["--network=vgg8", "--rob=16"]);
         assert_eq!(a.get("network"), Some("vgg8"));
-        assert_eq!(a.get_u32("rob").unwrap(), Some(16));
+        assert_eq!(a.get_num::<u32>("rob").unwrap(), Some(16));
         assert!(parse_err(&["--json=yes"]).contains("takes no value"));
     }
 
@@ -337,24 +280,26 @@ mod tests {
             a.get_csv("networks").unwrap(),
             vec!["vgg8".to_string(), "lenet".to_string()]
         );
-        assert_eq!(a.get_u32_csv("robs").unwrap().unwrap(), vec![1, 4, 8]);
-        assert_eq!(a.get_u32_csv("batches").unwrap(), None);
+        assert_eq!(a.get_nums::<u32>("robs").unwrap().unwrap(), vec![1, 4, 8]);
+        assert_eq!(a.get_nums::<u32>("batches").unwrap(), None);
         let a = parse(&["--robs", "1,x"]);
-        assert!(a.get_u32_csv("robs").is_err());
+        let err = a.get_nums::<u32>("robs").unwrap_err();
+        assert_eq!(err, "--robs expects a number, got `x`");
     }
 
     #[test]
     fn numeric_helpers() {
         let a = parse(&["--rob", "1e5", "--batch", "9007199254740993"]);
-        assert_eq!(a.get_f64("rob").unwrap(), Some(1e5));
-        assert_eq!(a.get_u64("batch").unwrap(), Some(9007199254740993));
-        assert_eq!(a.get_f64("network").unwrap(), None);
-        assert_eq!(a.get_u64("network").unwrap(), None);
+        assert_eq!(a.get_num::<f64>("rob").unwrap(), Some(1e5));
+        assert_eq!(a.get_num::<u64>("batch").unwrap(), Some(9007199254740993));
+        assert!(a.get_num::<u32>("batch").is_err());
+        assert_eq!(a.get_num::<f64>("network").unwrap(), None);
+        assert_eq!(a.get_num::<u64>("network").unwrap(), None);
         let a = parse(&["--rob", "fast", "--robs", "1.5,x"]);
-        assert!(a.get_f64("rob").is_err());
-        assert!(a.get_u64("rob").is_err());
-        assert!(a.get_f64_csv("robs").is_err());
+        assert!(a.get_num::<f64>("rob").is_err());
+        assert!(a.get_num::<u64>("rob").is_err());
+        assert!(a.get_nums::<f64>("robs").is_err());
         let a = parse(&["--robs", "0.5,2e4"]);
-        assert_eq!(a.get_f64_csv("robs").unwrap().unwrap(), vec![0.5, 2e4]);
+        assert_eq!(a.get_nums::<f64>("robs").unwrap().unwrap(), vec![0.5, 2e4]);
     }
 }

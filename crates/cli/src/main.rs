@@ -1,9 +1,9 @@
 //! `pimsim` — command-line front end for the PIMSIM-NN framework.
 //!
 //! ```text
-//! pimsim run      --network resnet18 [--size 64] [--mapping performance-first]
-//!                 [--rob N] [--batch N] [--config arch.json] [--functional]
-//!                 [--baseline] [--json]
+//! pimsim run      <prog.json|prog.s> | --network resnet18 [--size 64]
+//!                 [--mapping performance-first] [--batch N] [--baseline]
+//!                 [--rob N] [--config arch.json] [--functional] [--json]
 //! pimsim compile  --network vgg8 [--size 32] [--mapping ...] [--out prog.json]
 //!                 [--asm prog.s]
 //! pimsim check    <prog.json|prog.s> | --network resnet18 [--mapping ...]
@@ -27,19 +27,23 @@ use std::process::ExitCode;
 
 use pimsim_arch::ArchConfig;
 use pimsim_baseline::BaselineSimulator;
-use pimsim_compiler::{Compiler, MappingPolicy};
+use pimsim_compiler::{Compiled, Compiler, MappingPolicy};
 use pimsim_core::Simulator;
 use pimsim_isa::{asm, Program};
 use pimsim_nn::{zoo, Network};
-use pimsim_sweep::{results_to_json, run_scenarios, SweepGrid};
+use pimsim_sweep::{
+    default_resolution, default_threads, parse_mapping, results_to_json, run_scenarios, SweepGrid,
+    ARCH_KNOBS,
+};
 
 mod args;
 use args::Args;
 
 const USAGE: &str =
     "usage: pimsim <run|compile|check|bound|asm|disasm|sweep|serve|networks|config> [options]
-  run       compile a zoo network and simulate it (add --baseline for the
-            MNSIM2.0-like behaviour-level model)
+  run       simulate a program (a .s/.json file, or --network to compile
+            one on the spot; add --baseline for the MNSIM2.0-like
+            behaviour-level model)
   compile   compile a network and write the program (JSON and/or assembly)
   check     statically verify a program (a .s/.json file, or --network to
             compile one on the spot): control flow, register dataflow,
@@ -57,24 +61,22 @@ const USAGE: &str =
   networks  list zoo networks
   config    print (or write) the default architecture configuration
 
-common options (in parentheses: the commands that accept each):
-  --network NAME      zoo network (run/compile/check/bound; see
-                      `pimsim networks`)
+network options (run/compile/check/bound; run/check/bound refuse them
+beside a program file, which has fixed them):
+  --network NAME      zoo network to compile (see `pimsim networks`)
   --size N            input resolution, default 64; vgg default 32
-                      (run/compile/check/bound)
-  --config FILE       architecture configuration JSON, default: paper chip
-                      (run/compile/check/bound); for `sweep`: the grid JSON
   --mapping POLICY    performance-first | utilization-first
-                      (run/compile/check/bound)
-  --rob N             re-order buffer size override (run/compile/check/bound)
   --batch N           inferences compiled back to back
-                      (run/compile/check/bound)
+
+architecture options (run/compile/check/bound/serve):
+  --config FILE       architecture configuration JSON, default: paper chip
+                      (for `sweep`: the grid JSON)
+  --rob N             re-order buffer size override
   --routing POLICY    NoC routing: xy (default) | yx | xy-yx | adaptive
-                      (run/compile/check/bound)
   --vcs N             virtual channels per rendezvous channel, default 1
-                      (run/compile/check/bound)
   --router-depth N    router pipeline stages per hop, default 1
-                      (run/compile/check/bound)
+
+other options (in parentheses: the commands that accept each):
   --format FMT        report format: text (default) | json (check/bound)
   --deny-warnings     exit nonzero on warnings, not just errors (check)
   --functional        run functionally, data + timing (run/compile)
@@ -105,8 +107,8 @@ left empty inherits a single value from the base architecture):
   --serve-seed N      serving arrival-stream seed (default 42)
   --threads N         worker threads (default: available cores; sweep/serve)
 
-serve options (open-loop serving; also honors --config, --mapping, --rob,
---routing, --vcs and --router-depth like `run`):
+serve options (open-loop serving; also takes the architecture options and
+--mapping):
   --networks A,B      zoo networks to serve, `name` or `name/RES` (required)
   --rate R            aggregate offered load, requests/second (default 50000)
   --arrivals KIND     arrival process: poisson (default) | fixed | bursty
@@ -157,13 +159,55 @@ fn emit(
     }
 }
 
+/// Option sets several subcommands share.
+#[derive(PartialEq)]
+enum Group {
+    /// `--network` and the [`NETWORK_OPTIONS`] that shape it.
+    Network,
+    /// `--config` and each architecture knob's single-value option.
+    Arch,
+    /// Each architecture knob's sweep axis flag.
+    Axes,
+}
+
 /// One subcommand: its name, its option vocabulary (so one command's
 /// options are rejected with a hint on another instead of being silently
 /// ignored), and its entry point.
 struct CommandSpec {
     name: &'static str,
-    vocab: args::Vocabulary,
+    groups: &'static [Group],
+    /// Options taking a value, besides the groups'.
+    options: &'static [&'static str],
+    flags: &'static [&'static str],
+    max_positionals: usize,
     run: fn(&Args) -> Result<(), String>,
+}
+
+impl CommandSpec {
+    /// Every option that takes a value: the command's own, then its
+    /// groups', the knob ones read off [`ARCH_KNOBS`].
+    fn value_options(&self) -> Vec<&'static str> {
+        let mut names = self.options.to_vec();
+        for group in self.groups {
+            match group {
+                Group::Network => names.extend(NETWORK_OPTIONS),
+                Group::Arch => names.extend(
+                    std::iter::once("config").chain(ARCH_KNOBS.iter().filter_map(|k| k.option)),
+                ),
+                Group::Axes => names.extend(ARCH_KNOBS.iter().map(|k| k.axis_flag)),
+            }
+        }
+        names
+    }
+
+    fn parse(&self, argv: &[String]) -> Result<Args, String> {
+        let vocab = args::Vocabulary {
+            value_options: &self.value_options(),
+            flags: self.flags,
+            max_positionals: self.max_positionals,
+        };
+        Args::parse(argv, &vocab)
+    }
 }
 
 /// The complete subcommand table — the single source the parser, the
@@ -171,176 +215,109 @@ struct CommandSpec {
 const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "run",
-        vocab: args::Vocabulary {
-            value_options: &[
-                "network",
-                "size",
-                "config",
-                "mapping",
-                "rob",
-                "batch",
-                "routing",
-                "vcs",
-                "router-depth",
-            ],
-            flags: &["baseline", "functional", "trace", "json", "help"],
-            max_positionals: 0,
-        },
+        groups: &[Group::Network, Group::Arch],
+        options: &[],
+        flags: &["baseline", "functional", "trace", "json", "help"],
+        max_positionals: 1,
         run: cmd_run,
     },
     CommandSpec {
         name: "compile",
-        vocab: args::Vocabulary {
-            value_options: &[
-                "network",
-                "size",
-                "config",
-                "mapping",
-                "rob",
-                "batch",
-                "routing",
-                "vcs",
-                "router-depth",
-                "out",
-                "asm",
-            ],
-            flags: &["functional", "trace", "help"],
-            max_positionals: 0,
-        },
+        groups: &[Group::Network, Group::Arch],
+        options: &["out", "asm"],
+        flags: &["functional", "trace", "help"],
+        max_positionals: 0,
         run: cmd_compile,
     },
     CommandSpec {
         name: "check",
-        vocab: args::Vocabulary {
-            value_options: &[
-                "network",
-                "size",
-                "config",
-                "mapping",
-                "rob",
-                "batch",
-                "routing",
-                "vcs",
-                "router-depth",
-                "format",
-            ],
-            flags: &["deny-warnings", "help"],
-            max_positionals: 1,
-        },
+        groups: &[Group::Network, Group::Arch],
+        options: &["format"],
+        flags: &["deny-warnings", "help"],
+        max_positionals: 1,
         run: cmd_check,
     },
     CommandSpec {
         name: "bound",
-        vocab: args::Vocabulary {
-            value_options: &[
-                "network",
-                "size",
-                "config",
-                "mapping",
-                "rob",
-                "batch",
-                "routing",
-                "vcs",
-                "router-depth",
-                "format",
-            ],
-            flags: &["help"],
-            max_positionals: 1,
-        },
+        groups: &[Group::Network, Group::Arch],
+        options: &["format"],
+        flags: &["help"],
+        max_positionals: 1,
         run: cmd_bound,
     },
     CommandSpec {
         name: "asm",
-        vocab: args::Vocabulary {
-            value_options: &["out"],
-            flags: &["help"],
-            max_positionals: 1,
-        },
+        groups: &[],
+        options: &["out"],
+        flags: &["help"],
+        max_positionals: 1,
         run: cmd_asm,
     },
     CommandSpec {
         name: "disasm",
-        vocab: args::Vocabulary {
-            value_options: &[],
-            flags: &["help"],
-            max_positionals: 1,
-        },
+        groups: &[],
+        options: &[],
+        flags: &["help"],
+        max_positionals: 1,
         run: cmd_disasm,
     },
     CommandSpec {
         name: "sweep",
-        vocab: args::Vocabulary {
-            value_options: &[
-                "config",
-                "out",
-                "threads",
-                "networks",
-                "resolutions",
-                "mappings",
-                "batches",
-                "robs",
-                "adcs",
-                "lanes",
-                "flits",
-                "routings",
-                "vcs",
-                "router-depths",
-                "hazards",
-                "simulators",
-                "arrival-rates",
-                "batch-policies",
-                "serve-duration",
-                "serve-seed",
-            ],
-            flags: &["json", "help"],
-            max_positionals: 0,
-        },
+        groups: &[Group::Axes],
+        options: &[
+            "config",
+            "out",
+            "threads",
+            "networks",
+            "resolutions",
+            "mappings",
+            "batches",
+            "simulators",
+            "arrival-rates",
+            "batch-policies",
+            "serve-duration",
+            "serve-seed",
+        ],
+        flags: &["json", "help"],
+        max_positionals: 0,
         run: cmd_sweep,
     },
     CommandSpec {
         name: "serve",
-        vocab: args::Vocabulary {
-            value_options: &[
-                "networks",
-                "config",
-                "mapping",
-                "rob",
-                "routing",
-                "vcs",
-                "router-depth",
-                "rate",
-                "arrivals",
-                "duration",
-                "seed",
-                "batch",
-                "queue",
-                "instances",
-                "burst-on",
-                "burst-off",
-                "threads",
-                "out",
-            ],
-            flags: &["no-drain", "json", "help"],
-            max_positionals: 0,
-        },
+        groups: &[Group::Arch],
+        options: &[
+            "networks",
+            "mapping",
+            "rate",
+            "arrivals",
+            "duration",
+            "seed",
+            "batch",
+            "queue",
+            "instances",
+            "burst-on",
+            "burst-off",
+            "threads",
+            "out",
+        ],
+        flags: &["no-drain", "json", "help"],
+        max_positionals: 0,
         run: cmd_serve,
     },
     CommandSpec {
         name: "networks",
-        vocab: args::Vocabulary {
-            value_options: &[],
-            flags: &["help"],
-            max_positionals: 0,
-        },
+        groups: &[],
+        options: &[],
+        flags: &["help"],
+        max_positionals: 0,
         run: cmd_networks,
     },
     CommandSpec {
         name: "config",
-        vocab: args::Vocabulary {
-            value_options: &["out"],
-            flags: &["help"],
-            max_positionals: 0,
-        },
+        groups: &[],
+        options: &["out"],
+        flags: &["help"],
+        max_positionals: 0,
         run: cmd_config,
     },
 ];
@@ -359,7 +336,7 @@ fn dispatch(argv: &[String]) -> Result<(), String> {
         };
         return Err(format!("unknown command `{cmd}`{hint}\n{USAGE}"));
     };
-    let args = Args::parse(&argv[1..], &spec.vocab)?;
+    let args = spec.parse(&argv[1..])?;
     if args.flag("help") {
         return emit(None, |w| w.write_all(USAGE.as_bytes()));
     }
@@ -371,24 +348,15 @@ fn load_arch(args: &Args) -> Result<ArchConfig, String> {
         Some(path) => ArchConfig::from_file(path).map_err(|e| e.to_string())?,
         None => ArchConfig::paper_default(),
     };
-    if let Some(rob) = args.get_u32("rob")? {
-        arch.resources.rob_size = rob;
+    for knob in ARCH_KNOBS {
+        let Some(name) = knob.option else { continue };
+        if let Some(text) = args.get(name) {
+            let value = (knob.parse)(text).map_err(|e| format!("--{name} {e}"))?;
+            (knob.set)(&mut arch, value);
+        }
     }
-    if let Some(routing) = args.get("routing") {
-        arch.noc.routing = pimsim_sweep::parse_routing(routing).map_err(|e| e.to_string())?;
-    }
-    if let Some(vcs) = args.get_u32("vcs")? {
-        arch.noc.virtual_channels = vcs;
-    }
-    if let Some(depth) = args.get_u32("router-depth")? {
-        arch.noc.router_pipeline_depth = depth;
-    }
-    if args.flag("functional") {
-        arch.sim.functional = true;
-    }
-    if args.flag("trace") {
-        arch.sim.trace = true;
-    }
+    arch.sim.functional |= args.flag("functional");
+    arch.sim.trace |= args.flag("trace");
     arch.validate().map_err(|e| e.to_string())?;
     Ok(arch)
 }
@@ -398,20 +366,96 @@ fn load_network(args: &Args) -> Result<Network, String> {
         .get("network")
         .ok_or("missing --network (try `pimsim networks`)")?;
     let size = args
-        .get_u32("size")?
-        .unwrap_or_else(|| pimsim_sweep::default_resolution(name));
+        .get_num("size")?
+        .unwrap_or_else(|| default_resolution(name));
     zoo::by_name(name, size).ok_or_else(|| format!("unknown network `{name}`"))
 }
 
 fn mapping_policy(args: &Args) -> Result<MappingPolicy, String> {
-    pimsim_sweep::parse_mapping(args.get("mapping").unwrap_or("performance-first"))
+    parse_mapping(args.get("mapping").unwrap_or("performance-first")).map_err(|e| e.to_string())
+}
+
+/// The options that pick and shape the network `--network` compiles; a
+/// program file has already fixed them.
+const NETWORK_OPTIONS: [&str; 4] = ["network", "size", "mapping", "batch"];
+
+/// `--network` compiled on the spot under `--mapping` and `--batch`.
+fn compile_network(args: &Args, arch: &ArchConfig) -> Result<Compiled, String> {
+    let net = load_network(args)?;
+    Compiler::new(arch)
+        .mapping(mapping_policy(args)?)
+        .batch(args.get_num("batch")?.unwrap_or(1))
+        .compile(&net)
         .map_err(|e| e.to_string())
+}
+
+/// The program `run`, `check` and `bound` work on.
+enum ProgramSource {
+    /// `--network`, compiled on the spot.
+    Network(Compiled),
+    /// A positional `.json`/`.s` file, and its path.
+    File(Program, String),
+}
+
+impl ProgramSource {
+    /// Resolves exactly one of a positional program file and `--network`.
+    /// The options that shape a compiled network (and `run --baseline`,
+    /// which simulates the network, not a program) are refused beside a
+    /// file instead of being silently ignored.
+    fn resolve(args: &Args, arch: &ArchConfig, cmd: &str) -> Result<ProgramSource, String> {
+        match (args.positional.first(), args.get("network")) {
+            (Some(_), Some(_)) => Err("give a program file or --network, not both".to_string()),
+            (Some(path), None) => {
+                let mut network_only = NETWORK_OPTIONS
+                    .into_iter()
+                    .filter(|name| args.get(name).is_some())
+                    .chain(args.flag("baseline").then_some("baseline"));
+                if let Some(name) = network_only.next() {
+                    return Err(format!(
+                        "--{name} applies to --network, not to a program file"
+                    ));
+                }
+                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+                let program = if path.ends_with(".s") {
+                    asm::assemble(&text).map_err(|e| e.to_string())?
+                } else {
+                    Program::from_json(&text).map_err(|e| e.to_string())?
+                };
+                Ok(ProgramSource::File(program, path.clone()))
+            }
+            (None, Some(_)) => compile_network(args, arch).map(ProgramSource::Network),
+            (None, None) => Err(format!(
+                "usage: pimsim {cmd} <prog.json|prog.s> | pimsim {cmd} --network NAME"
+            )),
+        }
+    }
+
+    fn program(&self) -> &Program {
+        match self {
+            ProgramSource::Network(compiled) => &compiled.program,
+            ProgramSource::File(program, _) => program,
+        }
+    }
+
+    /// How text reports name the program.
+    fn label(&self) -> String {
+        match self {
+            ProgramSource::Network(c) => format!("{} under {}", c.program.meta.name, c.policy),
+            ProgramSource::File(_, path) => path.clone(),
+        }
+    }
+}
+
+/// `text` as a JSON string literal: quoted, and escaped by the JSON
+/// writer, since a program file's name is whatever its author wrote.
+fn json_string(text: &str) -> String {
+    serde_json::to_string(text).unwrap_or_default()
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
     let arch = load_arch(args)?;
-    let net = load_network(args)?;
-    if args.flag("baseline") {
+    if args.flag("baseline") && args.positional.is_empty() {
+        let net = load_network(args)?;
         let report = BaselineSimulator::new(&arch)
             .run(&net)
             .map_err(|e| e.to_string())?;
@@ -419,8 +463,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             if args.flag("json") {
                 writeln!(
                     w,
-                    "{{\"simulator\":\"baseline\",\"network\":\"{}\",\"latency_ns\":{},\"energy_pj\":{},\"power_w\":{}}}",
-                    net.name,
+                    "{{\"simulator\":\"baseline\",\"network\":{},\"latency_ns\":{},\"energy_pj\":{},\"power_w\":{}}}",
+                    json_string(&net.name),
                     report.latency.as_ns_f64(),
                     report.energy.as_pj(),
                     report.avg_power_w()
@@ -435,24 +479,25 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         });
     }
 
-    let batch = args.get_u32("batch")?.unwrap_or(1);
-    let policy = mapping_policy(args)?;
-    let compiled = Compiler::new(&arch)
-        .mapping(policy)
-        .batch(batch)
-        .compile(&net)
-        .map_err(|e| e.to_string())?;
+    let source = ProgramSource::resolve(args, &arch, "run")?;
+    let program = source.program();
     let report = Simulator::new(&arch)
-        .run(&compiled.program)
+        .run(program)
         .map_err(|e| e.to_string())?;
-    let per_image = report.latency / batch as u64;
+    // A program file does not record a batch: it is one inference.
+    let batch = match &source {
+        ProgramSource::Network(compiled) => compiled.batch,
+        ProgramSource::File(..) => 1,
+    };
+    let per_image = report.latency / u64::from(batch);
+    let (name, mapping) = (&program.meta.name, &program.meta.mapping);
     if args.flag("json") {
         return emit(None, |w| {
             writeln!(
                 w,
-                "{{\"simulator\":\"cycle-accurate\",\"network\":\"{}\",\"mapping\":\"{}\",\"batch\":{},\"latency_ns\":{},\"latency_per_image_ns\":{},\"energy_pj\":{},\"power_w\":{},\"instructions\":{},\"events\":{}}}",
-                net.name,
-                policy,
+                "{{\"simulator\":\"cycle-accurate\",\"network\":{},\"mapping\":{},\"batch\":{},\"latency_ns\":{},\"latency_per_image_ns\":{},\"energy_pj\":{},\"power_w\":{},\"instructions\":{},\"events\":{}}}",
+                json_string(name),
+                json_string(mapping),
                 batch,
                 report.latency.as_ns_f64(),
                 per_image.as_ns_f64(),
@@ -464,7 +509,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         });
     }
     emit(None, |w| {
-        writeln!(w, "{} under {policy} (batch {batch}):", net.name)?;
+        writeln!(w, "{name} under {mapping} (batch {batch}):")?;
         writeln!(w, "  latency        : {}", report.latency)?;
         if batch > 1 {
             writeln!(w, "  per image      : {per_image}")?;
@@ -489,10 +534,14 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             report.class_counts[3]
         )?;
         writeln!(w, "  kernel events  : {}", report.events)?;
-        writeln!(w, "  cores w/ work  : {}", compiled.placement.cores_used)?;
-        if arch.sim.functional {
-            let out = report.read_global(compiled.output.gaddr, compiled.output.elems.min(8));
-            writeln!(w, "  output head    : {out:?}")?;
+        // The compiler's placement and output location are not part of a
+        // program file.
+        if let ProgramSource::Network(compiled) = &source {
+            writeln!(w, "  cores w/ work  : {}", compiled.placement.cores_used)?;
+            if arch.sim.functional {
+                let out = report.read_global(compiled.output.gaddr, compiled.output.elems.min(8));
+                writeln!(w, "  output head    : {out:?}")?;
+            }
         }
         if arch.sim.trace {
             writeln!(w, "  trace (first 20 of {}):", report.trace.len())?;
@@ -512,17 +561,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 
 fn cmd_compile(args: &Args) -> Result<(), String> {
     let arch = load_arch(args)?;
-    let net = load_network(args)?;
-    let policy = mapping_policy(args)?;
-    let batch = args.get_u32("batch")?.unwrap_or(1);
-    let compiled = Compiler::new(&arch)
-        .mapping(policy)
-        .batch(batch)
-        .compile(&net)
-        .map_err(|e| e.to_string())?;
+    let compiled = compile_network(args, &arch)?;
     eprintln!(
         "compiled {}: {} instructions over {} cores",
-        net.name,
+        compiled.program.meta.name,
         compiled.program.total_instructions(),
         compiled.placement.cores_used
     );
@@ -544,9 +586,6 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `pimsim check`: static dataflow + rendezvous verification of a program
-/// (a `.s`/`.json` file, or a zoo network compiled on the spot) against
-/// the architecture configuration, without simulating anything.
 /// Validates `--format` for the analyzer commands.
 fn report_format(args: &Args) -> Result<&str, String> {
     let format = args.get("format").unwrap_or("text");
@@ -562,44 +601,13 @@ fn report_format(args: &Args) -> Result<&str, String> {
     Ok(format)
 }
 
-/// Resolves the program `check`/`bound` operate on: a positional
-/// `.s`/`.json` file, or a zoo network compiled on the spot. Returns the
-/// program plus a human-readable label.
-fn load_program(args: &Args, arch: &ArchConfig, cmd: &str) -> Result<(Program, String), String> {
-    match (args.positional.first(), args.get("network")) {
-        (Some(_), Some(_)) => Err("give a program file or --network, not both".to_string()),
-        (Some(path), None) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let program = if path.ends_with(".s") {
-                asm::assemble(&text).map_err(|e| e.to_string())?
-            } else {
-                Program::from_json(&text).map_err(|e| e.to_string())?
-            };
-            Ok((program, path.clone()))
-        }
-        (None, Some(_)) => {
-            let net = load_network(args)?;
-            let policy = mapping_policy(args)?;
-            let batch = args.get_u32("batch")?.unwrap_or(1);
-            let compiled = Compiler::new(arch)
-                .mapping(policy)
-                .batch(batch)
-                .compile(&net)
-                .map_err(|e| e.to_string())?;
-            Ok((compiled.program, format!("{} under {policy}", net.name)))
-        }
-        (None, None) => Err(format!(
-            "usage: pimsim {cmd} <prog.json|prog.s> | pimsim {cmd} --network NAME"
-        )),
-    }
-}
-
 fn cmd_check(args: &Args) -> Result<(), String> {
     let arch = load_arch(args)?;
     let format = report_format(args)?;
-    let (program, label) = load_program(args, &arch, "check")?;
+    let source = ProgramSource::resolve(args, &arch, "check")?;
+    let label = source.label();
 
-    let analysis = pimsim_analyze::analyze(&program, &arch);
+    let analysis = pimsim_analyze::analyze(source.program(), &arch);
     if format == "json" {
         emit(None, |w| writeln!(w, "{}", analysis.to_json()))?;
     } else {
@@ -636,9 +644,10 @@ fn cmd_check(args: &Args) -> Result<(), String> {
 fn cmd_bound(args: &Args) -> Result<(), String> {
     let arch = load_arch(args)?;
     let format = report_format(args)?;
-    let (program, label) = load_program(args, &arch, "bound")?;
+    let source = ProgramSource::resolve(args, &arch, "bound")?;
+    let label = source.label();
 
-    let report = pimsim_analyze::bounds(&program, &arch);
+    let report = pimsim_analyze::bounds(source.program(), &arch);
     if format == "json" {
         emit(None, |w| writeln!(w, "{}", report.to_json()))?;
     } else {
@@ -754,15 +763,9 @@ fn cmd_disasm(args: &Args) -> Result<(), String> {
     emit(None, |w| w.write_all(asm::disassemble(&program).as_bytes()))
 }
 
-fn parse_on_off(v: &str) -> Result<bool, String> {
-    match v {
-        "on" | "true" | "1" => Ok(true),
-        "off" | "false" | "0" => Ok(false),
-        other => Err(format!("--hazards expects on/off, got `{other}`")),
-    }
-}
-
-fn cmd_sweep(args: &Args) -> Result<(), String> {
+/// The campaign `sweep` runs: the `--config` grid, with the axes given as
+/// flags replacing the file's.
+fn sweep_grid(args: &Args) -> Result<SweepGrid, String> {
     let mut grid = match args.get("config") {
         Some(path) => SweepGrid::from_file(path).map_err(|e| e.to_string())?,
         None => SweepGrid::default(),
@@ -770,46 +773,29 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     if let Some(v) = args.get_csv("networks") {
         grid.networks = v;
     }
-    if let Some(v) = args.get_u32_csv("resolutions")? {
+    if let Some(v) = args.get_nums("resolutions")? {
         grid.resolutions = v;
     }
     if let Some(v) = args.get_csv("mappings") {
         grid.mappings = v;
     }
-    if let Some(v) = args.get_u32_csv("batches")? {
+    if let Some(v) = args.get_nums("batches")? {
         grid.batches = v;
     }
-    if let Some(v) = args.get_u32_csv("robs")? {
-        grid.rob_sizes = v;
-    }
-    if let Some(v) = args.get_u32_csv("adcs")? {
-        grid.adcs_per_xbar = v;
-    }
-    if let Some(v) = args.get_u32_csv("lanes")? {
-        grid.vector_lanes = v;
-    }
-    if let Some(v) = args.get_u32_csv("flits")? {
-        grid.flit_bytes = v;
-    }
-    if let Some(v) = args.get_csv("routings") {
-        grid.routings = v;
-    }
-    if let Some(v) = args.get_u32_csv("vcs")? {
-        grid.vcs = v;
-    }
-    if let Some(v) = args.get_u32_csv("router-depths")? {
-        grid.router_depths = v;
-    }
-    if let Some(v) = args.get_csv("hazards") {
-        grid.structure_hazard = v
-            .iter()
-            .map(|s| parse_on_off(s))
-            .collect::<Result<_, _>>()?;
+    for knob in ARCH_KNOBS {
+        if let Some(items) = args.get_csv(knob.axis_flag) {
+            let values = items
+                .iter()
+                .map(|v| (knob.parse)(v))
+                .collect::<Result<_, _>>()
+                .map_err(|e| format!("--{} {e}", knob.axis_flag))?;
+            (knob.set_axis)(&mut grid, values);
+        }
     }
     if let Some(v) = args.get_csv("simulators") {
         grid.simulators = v;
     }
-    if let Some(v) = args.get_f64_csv("arrival-rates")? {
+    if let Some(v) = args.get_nums("arrival-rates")? {
         grid.arrival_rates = v;
     }
     if let Some(v) = args.get_csv("batch-policies") {
@@ -818,13 +804,22 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     if let Some(v) = args.get("serve-duration") {
         grid.serve_duration = Some(v.to_string());
     }
-    if let Some(v) = args.get_u64("serve-seed")? {
+    if let Some(v) = args.get_num("serve-seed")? {
         grid.serve_seed = Some(v);
     }
-    let threads = match args.get_u32("threads")? {
-        Some(t) => t.max(1) as usize,
-        None => pimsim_sweep::default_threads(),
-    };
+    Ok(grid)
+}
+
+/// `--threads`, at least 1; default: every core the host offers.
+fn threads(args: &Args) -> Result<usize, String> {
+    Ok(args
+        .get_num::<u32>("threads")?
+        .map_or_else(default_threads, |t| t.max(1) as usize))
+}
+
+fn cmd_sweep(args: &Args) -> Result<(), String> {
+    let grid = sweep_grid(args)?;
+    let threads = threads(args)?;
     // Grid expansion probes every (network, resolution) pair and converts
     // zoo-builder panics into clean errors; silence the default panic hook
     // meanwhile so the user sees one diagnostic, not a backtrace.
@@ -894,14 +889,14 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 })?;
                 (n.to_string(), res)
             }
-            None => (item.clone(), pimsim_sweep::default_resolution(item)),
+            None => (item.clone(), default_resolution(item)),
         };
         networks.push((name, resolution));
     }
     let mut config = pimsim_serve::ServeConfig::new(networks);
     config.arch = load_arch(args)?;
     config.mapping = mapping_policy(args)?;
-    if let Some(rate) = args.get_f64("rate")? {
+    if let Some(rate) = args.get_num("rate")? {
         config.rate_rps = rate;
     }
     if let Some(v) = args.get("arrivals") {
@@ -917,7 +912,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         config.duration =
             pimsim_serve::parse_duration(v).map_err(|e| format!("--duration: {e}"))?;
     }
-    if let Some(seed) = args.get_u64("seed")? {
+    if let Some(seed) = args.get_num("seed")? {
         config.seed = seed;
     }
     if let Some(v) = args.get("batch") {
@@ -925,10 +920,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             .parse()
             .map_err(|e: pimsim_serve::ServeError| e.to_string())?;
     }
-    if let Some(cap) = args.get_u64("queue")? {
+    if let Some(cap) = args.get_num("queue")? {
         config.queue_cap = cap;
     }
-    if let Some(n) = args.get_u32("instances")? {
+    if let Some(n) = args.get_num("instances")? {
         config.instances = n;
     }
     if let Some(v) = args.get("burst-on") {
@@ -942,11 +937,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if args.flag("no-drain") {
         config.drain = false;
     }
-    let threads = match args.get_u32("threads")? {
-        Some(t) => t.max(1) as usize,
-        None => pimsim_sweep::default_threads(),
-    };
-    let report = pimsim_serve::serve(&config, threads).map_err(|e| match &e {
+    let report = pimsim_serve::serve(&config, threads(args)?).map_err(|e| match &e {
         pimsim_serve::ServeError::UnknownNetwork(n) => {
             match args::closest(n, zoo::NAMES.iter().copied()) {
                 Some(s) => format!("{e} — did you mean `{s}`?"),
@@ -971,7 +962,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 fn cmd_networks(_args: &Args) -> Result<(), String> {
     emit(None, |w| {
         for name in zoo::NAMES {
-            let default = pimsim_sweep::default_resolution(name);
+            let default = default_resolution(name);
             if let Some(net) = zoo::by_name(name, default) {
                 writeln!(
                     w,
@@ -1084,6 +1075,83 @@ mod tests {
         assert!(err.contains("usage: pimsim check"), "{err}");
         let err = dispatch(&argv(&["check", "prog.json", "--network", "tiny_mlp"])).unwrap_err();
         assert!(err.contains("not both"), "{err}");
+    }
+
+    #[test]
+    fn program_files_refuse_network_options() {
+        let dir = std::env::temp_dir().join("pimsim-cli-source-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = dir.join("good.s");
+        std::fs::write(
+            &good,
+            ".core 0\nli r1, 0\nsend core1, [r1+0], 8, tag=1\nhalt\n\
+             .core 1\nrecv core0, [r0+0], 8, tag=1\nhalt\n",
+        )
+        .unwrap();
+        let file = good.to_str().unwrap();
+        // These used to exit 0 having ignored the options: the file was
+        // compiled under whatever size, mapping and batch it was.
+        for (cmd, option, value) in [
+            ("bound", "--batch", "4"),
+            ("bound", "--mapping", "utilization-first"),
+            ("check", "--size", "7"),
+            ("run", "--batch", "2"),
+            ("run", "--baseline", ""),
+        ] {
+            let line: Vec<&str> = [cmd, file, option, value]
+                .into_iter()
+                .filter(|s| !s.is_empty())
+                .collect();
+            let err = dispatch(&argv(&line)).unwrap_err();
+            assert_eq!(
+                err,
+                format!("{option} applies to --network, not to a program file"),
+                "{line:?}"
+            );
+        }
+        // Architecture options apply to either source.
+        dispatch(&argv(&["bound", file, "--rob", "2", "--vcs", "2"])).unwrap();
+    }
+
+    /// What a knob's `other` value is in the tests: valid, and not the
+    /// paper chip's.
+    fn other_value(knob: &pimsim_sweep::ArchKnob) -> String {
+        match (knob.get)(&ArchConfig::paper_default()) {
+            pimsim_sweep::KnobValue::Count(n) => (n * 2).to_string(),
+            pimsim_sweep::KnobValue::Routing(_) => "yx".to_string(),
+            pimsim_sweep::KnobValue::Switch(on) => if on { "off" } else { "on" }.to_string(),
+        }
+    }
+
+    /// Each knob row reaches every command that takes an architecture
+    /// (as its single-value option, when it has one) and `sweep` (as its
+    /// axis flag), and the value lands where the row says.
+    #[test]
+    fn every_knob_is_an_option_and_a_sweep_axis() {
+        let arch_commands: Vec<&CommandSpec> = COMMANDS
+            .iter()
+            .filter(|spec| spec.groups.contains(&Group::Arch))
+            .collect();
+        let names: Vec<&str> = arch_commands.iter().map(|spec| spec.name).collect();
+        assert_eq!(names, ["run", "compile", "check", "bound", "serve"]);
+        let sweep = COMMANDS.iter().find(|spec| spec.name == "sweep").unwrap();
+        for knob in ARCH_KNOBS {
+            let value = other_value(knob);
+            let expected = (knob.parse)(&value).unwrap();
+            if let Some(option) = knob.option {
+                for spec in &arch_commands {
+                    let args = spec
+                        .parse(&argv(&[&format!("--{option}"), &value]))
+                        .unwrap();
+                    assert_eq!((knob.get)(&load_arch(&args).unwrap()), expected, "{option}");
+                }
+            }
+            let flag = format!("--{}", knob.axis_flag);
+            let both = format!("{value},{value}");
+            let args = sweep.parse(&argv(&[&flag, &both])).unwrap();
+            let grid = sweep_grid(&args).unwrap();
+            assert_eq!((knob.axis)(&grid).unwrap(), [expected, expected], "{flag}");
+        }
     }
 
     #[test]
@@ -1341,10 +1409,9 @@ mod tests {
                 }
             }
             let mut expected: std::collections::BTreeSet<String> = spec
-                .vocab
-                .value_options
+                .value_options()
                 .iter()
-                .chain(spec.vocab.flags)
+                .chain(spec.flags)
                 .map(|s| s.to_string())
                 .collect();
             expected.remove("help"); // documented once, in the intro
@@ -1359,8 +1426,8 @@ mod tests {
     fn usage_and_vocabularies_agree() {
         let mut accepted = std::collections::BTreeSet::new();
         for spec in COMMANDS {
-            accepted.extend(spec.vocab.value_options.iter().copied());
-            accepted.extend(spec.vocab.flags.iter().copied());
+            accepted.extend(spec.value_options());
+            accepted.extend(spec.flags.iter().copied());
         }
         // Everything the help text advertises is accepted somewhere...
         for name in usage_options() {

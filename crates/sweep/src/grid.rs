@@ -5,12 +5,15 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize, Sink};
 
-use pimsim_arch::{ArchConfig, RoutingPolicy};
+use pimsim_arch::ArchConfig;
+#[cfg(test)]
+use pimsim_arch::RoutingPolicy;
 use pimsim_compiler::MappingPolicy;
 use pimsim_event::SimTime;
 use pimsim_nn::zoo;
 use pimsim_serve::BatchPolicy;
 
+use crate::knob::{KnobValue, Shown, ARCH_KNOBS};
 use crate::SweepError;
 
 /// Which simulator evaluates a scenario.
@@ -56,17 +59,6 @@ pub fn parse_mapping(name: &str) -> Result<MappingPolicy, SweepError> {
         "utilization-first" => Ok(MappingPolicy::UtilizationFirst),
         other => Err(SweepError::UnknownMapping(other.to_string())),
     }
-}
-
-/// Parses a NoC routing-policy name (`xy` / `yx` / `xy-yx` / `adaptive`)
-/// as used in configuration files and on the command line.
-///
-/// # Errors
-///
-/// Returns [`SweepError::UnknownRouting`] for anything else.
-pub fn parse_routing(name: &str) -> Result<RoutingPolicy, SweepError> {
-    name.parse()
-        .map_err(|_| SweepError::UnknownRouting(name.to_string()))
 }
 
 /// The default input resolution for a zoo network: CIFAR-scale for the
@@ -170,48 +162,30 @@ impl Scenario {
     }
 
     /// The label to display: the explicit one, or a derived
-    /// `network/res mapping xN rob=R` summary (plus the routing policy,
-    /// virtual-channel count and router pipeline depth when they differ
-    /// from the paper defaults).
+    /// `network/res mapping xN rob=R` summary with every knob
+    /// [`ARCH_KNOBS`] labels (the routing policy, virtual-channel count
+    /// and router pipeline depth only when they differ from the paper
+    /// chip's).
     pub fn display_label(&self) -> String {
         if !self.label.is_empty() {
             return self.label.clone();
         }
-        let routing = if self.arch.noc.routing == RoutingPolicy::default() {
-            String::new()
-        } else {
-            format!(" {}", self.arch.noc.routing)
-        };
-        let vcs = if self.arch.noc.virtual_channels == 1 {
-            String::new()
-        } else {
-            format!(" vc={}", self.arch.noc.virtual_channels)
-        };
-        let depth = if self.arch.noc.router_pipeline_depth == 1 {
-            String::new()
-        } else {
-            format!(" depth={}", self.arch.noc.router_pipeline_depth)
-        };
-        if let Some(sp) = &self.serve {
-            return format!(
-                "{}/{} {} serve rate={} batch={} rob={}{routing}{vcs}{depth}",
-                self.network,
-                self.resolution,
-                self.mapping,
-                sp.rate_rps,
-                sp.policy,
-                self.arch.resources.rob_size,
-            );
+        let knobs: String = ARCH_KNOBS
+            .iter()
+            .filter(|knob| knob.shows(knob.label.1, &self.arch))
+            .map(|knob| format!(" {}{}", knob.label.0, (knob.get)(&self.arch)))
+            .collect();
+        let (network, resolution, mapping) = (&self.network, self.resolution, self.mapping);
+        match &self.serve {
+            Some(sp) => format!(
+                "{network}/{resolution} {mapping} serve rate={} batch={}{knobs}",
+                sp.rate_rps, sp.policy
+            ),
+            None => format!(
+                "{network}/{resolution} {mapping} x{}{knobs} {}",
+                self.batch, self.simulator
+            ),
         }
-        format!(
-            "{}/{} {} x{} rob={}{routing}{vcs}{depth} {}",
-            self.network,
-            self.resolution,
-            self.mapping,
-            self.batch,
-            self.arch.resources.rob_size,
-            self.simulator,
-        )
     }
 }
 
@@ -227,26 +201,15 @@ impl Serialize for Scenario {
         sink.field("batch", &self.batch);
         sink.field("simulator", &self.simulator.to_string());
         sink.field("label", &self.label);
-        let r = &self.arch.resources;
-        sink.field("rob_size", &r.rob_size);
-        sink.field("adcs_per_xbar", &r.adcs_per_xbar);
-        sink.field("vector_lanes", &r.vector_lanes);
-        sink.field("flit_bytes", &self.arch.noc.flit_bytes);
-        // The router-model knobs are serialized only when swept away from
-        // their paper defaults, so campaign outputs from before the knobs
-        // existed stay byte-identical.
-        if self.arch.noc.routing != RoutingPolicy::default() {
-            sink.field("routing", &self.arch.noc.routing.to_string());
-        }
-        if self.arch.noc.virtual_channels != 1 {
-            sink.field("virtual_channels", &self.arch.noc.virtual_channels);
-        }
-        if self.arch.noc.router_pipeline_depth != 1 {
-            sink.field(
-                "router_pipeline_depth",
-                &self.arch.noc.router_pipeline_depth,
-            );
-        }
+        let knob_fields = |sink: &mut S, after_serve: bool| {
+            for knob in ARCH_KNOBS {
+                let (key, when) = knob.json;
+                if (when == Shown::AfterServe) == after_serve && knob.shows(when, &self.arch) {
+                    sink.field(key, &(knob.get)(&self.arch));
+                }
+            }
+        };
+        knob_fields(sink, false);
         // Serving coordinates appear only on serving points, so one-shot
         // campaign output from before the serving layer existed stays
         // byte-identical.
@@ -256,7 +219,7 @@ impl Serialize for Scenario {
             sink.field("serve_duration_ns", &sp.duration.as_ns_f64());
             sink.field("serve_seed", &sp.seed);
         }
-        sink.field("structure_hazard", &self.arch.sim.structure_hazard);
+        knob_fields(sink, true);
         sink.end_map();
     }
 }
@@ -385,24 +348,20 @@ impl SweepGrid {
     /// an upper bound on [`SweepGrid::scenarios`]' length, since baseline
     /// points collapse the axes the behaviour-level model ignores.
     pub fn points(&self) -> usize {
-        fn axis(len: usize) -> usize {
-            len.max(1)
-        }
-        axis(self.networks.len())
-            * axis(self.resolutions.len())
-            * axis(self.mappings.len())
-            * axis(self.batches.len())
-            * axis(self.simulators.len())
-            * axis(self.rob_sizes.len())
-            * axis(self.adcs_per_xbar.len())
-            * axis(self.vector_lanes.len())
-            * axis(self.flit_bytes.len())
-            * axis(self.routings.len())
-            * axis(self.vcs.len())
-            * axis(self.router_depths.len())
-            * axis(self.structure_hazard.len())
-            * axis(self.arrival_rates.len())
-            * axis(self.batch_policies.len())
+        let knobs: usize = ARCH_KNOBS
+            .iter()
+            .map(|knob| (knob.axis)(self).map_or(1, |axis| axis.len().max(1)))
+            .product();
+        let others = [
+            self.networks.len(),
+            self.resolutions.len(),
+            self.mappings.len(),
+            self.batches.len(),
+            self.simulators.len(),
+            self.arrival_rates.len(),
+            self.batch_policies.len(),
+        ];
+        knobs * others.iter().map(|&len| len.max(1)).product::<usize>()
     }
 
     /// Resolves the serving axes into concrete [`ServePoint`]s (rate
@@ -447,39 +406,34 @@ impl SweepGrid {
             None => SimTime::from_ms(10),
         };
         let seed = self.serve_seed.unwrap_or(42);
-        let mut points = Vec::with_capacity(self.arrival_rates.len() * policies.len());
-        for &rate_rps in &self.arrival_rates {
-            for &policy in &policies {
-                points.push(ServePoint {
-                    rate_rps,
-                    policy,
-                    duration,
-                    seed,
-                });
-            }
-        }
-        Ok(Some(points))
+        let points = self.arrival_rates.iter().flat_map(|&rate_rps| {
+            policies.iter().map(move |&policy| ServePoint {
+                rate_rps,
+                policy,
+                duration,
+                seed,
+            })
+        });
+        Ok(Some(points.collect()))
     }
 
     /// Expands the cartesian product into concrete scenarios, in a fixed
     /// axis order (networks outermost, then resolution, mapping, batch,
-    /// simulator, ROB, ADCs, lanes, flit width, routing, virtual
-    /// channels, router depth, hazard, and — on serving
+    /// simulator, the [`ARCH_KNOBS`] in table order, and — on serving
     /// grids — arrival rate then batch policy innermost).
     ///
     /// A non-empty `arrival_rates` axis turns cycle points into open-loop
     /// serving points (see [`ServePoint`]); the `batches` axis collapses
     /// there, since batch formation is the batch policy's job.
     ///
-    /// Baseline-simulator points ignore the mapping, batch, ROB, routing,
-    /// virtual-channel, router-depth and structure-hazard axes (the
-    /// behaviour-level model has none of them — its NoC cost is a
-    /// hop-count closed form, identical for every minimal routing order
-    /// and blind to flow control and router pipelining): one baseline
-    /// point is emitted per remaining axis combination — pinned to
-    /// performance-first, batch 1 and the first ROB / routing / VC /
-    /// depth / hazard axis values — instead of duplicating identical
-    /// simulations.
+    /// Baseline-simulator points ignore the mapping, batch and serving
+    /// axes and every knob with [`crate::ArchKnob::baseline_collapses`]
+    /// set (ROB, routing, virtual channels, router depth, structure
+    /// hazard): one baseline point is emitted per remaining axis
+    /// combination —
+    /// pinned to performance-first, batch 1 and the first value of each
+    /// collapsed axis — instead of duplicating identical simulations (and
+    /// a misleading per-image latency).
     ///
     /// # Errors
     ///
@@ -489,6 +443,152 @@ impl SweepGrid {
     /// for bad axis values, [`SweepError::Config`] for bad serving axes,
     /// and [`SweepError::Arch`] when the base configuration is invalid.
     pub fn scenarios(&self) -> Result<Vec<Scenario>, SweepError> {
+        if self.networks.is_empty() {
+            return Err(SweepError::EmptyGrid);
+        }
+        let base = self.base_arch();
+        base.validate()?;
+        let mappings = self
+            .mappings
+            .iter()
+            .map(|m| parse_mapping(m))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mappings = non_empty(&mappings, MappingPolicy::PerformanceFirst);
+        let simulators = self
+            .simulators
+            .iter()
+            .map(|s| s.parse())
+            .collect::<Result<Vec<_>, _>>()?;
+        let simulators = non_empty(&simulators, SimulatorKind::Cycle);
+        let serve = match self.serve_points()? {
+            Some(points) => points.into_iter().map(Some).collect(),
+            None => vec![None],
+        };
+        let batches = non_empty(&self.batches, 1);
+        let knobs = ARCH_KNOBS
+            .iter()
+            .map(|knob| Ok(non_empty(&(knob.axis)(self)?, (knob.get)(&base))))
+            .collect::<Result<Vec<_>, SweepError>>()?;
+        let mut inputs = Vec::new();
+        for network in &self.networks {
+            // Validate the name once per network, at expansion time.
+            if !zoo::NAMES.contains(&network.as_str()) {
+                return Err(SweepError::UnknownNetwork(network.clone()));
+            }
+            for resolution in non_empty(&self.resolutions, default_resolution(network)) {
+                // Probe each (network, resolution) pair up front: the zoo
+                // builders panic on degenerate resolutions (a pooling
+                // window larger than its input, say), and catching that
+                // here turns it into a clean expansion error instead of a
+                // per-worker unwind mid-campaign.
+                std::panic::catch_unwind(|| zoo::by_name(network, resolution)).map_err(|_| {
+                    SweepError::Config(format!(
+                        "network `{network}` cannot be built at resolution {resolution}"
+                    ))
+                })?;
+                inputs.push((network, resolution));
+            }
+        }
+
+        // One odometer over every axis, the last turning fastest: input,
+        // mapping, batch, simulator, the knobs in table order, serve point.
+        let heads = [
+            inputs.len(),
+            mappings.len(),
+            batches.len(),
+            simulators.len(),
+        ];
+        let radices = heads.into_iter().chain(knobs.iter().map(Vec::len));
+        let mut out = Vec::with_capacity(self.points());
+        for digits in odometer(radices.chain([serve.len()]).collect()) {
+            let (network, resolution) = inputs[digits[0]];
+            let (mapping, batch) = (mappings[digits[1]], batches[digits[2]]);
+            let simulator = simulators[digits[3]];
+            let values: Vec<KnobValue> =
+                knobs.iter().zip(&digits[4..]).map(|(a, &d)| a[d]).collect();
+            let serve_digit = digits[digits.len() - 1];
+            let baseline = simulator == SimulatorKind::Baseline;
+            // A baseline point off the first value of an axis it collapses
+            // repeats the point on it. Values are compared, not positions,
+            // so a value listed twice still expands twice.
+            let collapsed = mapping != mappings[0]
+                || batch != batches[0]
+                || serve_digit != 0
+                || (ARCH_KNOBS.iter().zip(&knobs).zip(&values))
+                    .any(|((knob, axis), &v)| knob.baseline_collapses && v != axis[0]);
+            // In serving mode batch formation is the batch policy's job,
+            // so the compile-batch axis collapses for cycle points too.
+            let serving = !baseline && serve[0].is_some();
+            if (baseline && collapsed) || (serving && batch != batches[0]) {
+                continue;
+            }
+            let mut arch = base.clone();
+            for (knob, &value) in ARCH_KNOBS.iter().zip(&values) {
+                (knob.set)(&mut arch, value);
+            }
+            out.push(if baseline {
+                Scenario::baseline(network.clone(), resolution, arch)
+            } else {
+                let batch = if serving { 1 } else { batch.max(1) };
+                Scenario {
+                    serve: serve[serve_digit].clone(),
+                    ..Scenario::cycle(network.clone(), resolution, mapping, batch, arch)
+                }
+            });
+        }
+        Ok(out)
+    }
+}
+
+fn non_empty<T: Copy>(axis: &[T], default: T) -> Vec<T> {
+    if axis.is_empty() {
+        vec![default]
+    } else {
+        axis.to_vec()
+    }
+}
+
+/// Every digit tuple of a mixed-radix counter with these (non-zero)
+/// radices, from all zeros up, the last digit turning fastest.
+fn odometer(radices: Vec<usize>) -> impl Iterator<Item = Vec<usize>> {
+    std::iter::successors(Some(vec![0; radices.len()]), move |digits| {
+        let turning = (0..radices.len())
+            .rev()
+            .find(|&d| digits[d] + 1 < radices[d])?;
+        let mut next = digits.clone();
+        next[turning] += 1;
+        next[turning + 1..].fill(0);
+        Some(next)
+    })
+}
+
+// The expansion, label and scenario JSON as they were before the knob
+// table, one `for` per axis and each knob spelled out: the oracle the
+// table-driven code is checked against.
+#[cfg(test)]
+impl SweepGrid {
+    fn nested_points(&self) -> usize {
+        fn axis(len: usize) -> usize {
+            len.max(1)
+        }
+        axis(self.networks.len())
+            * axis(self.resolutions.len())
+            * axis(self.mappings.len())
+            * axis(self.batches.len())
+            * axis(self.simulators.len())
+            * axis(self.rob_sizes.len())
+            * axis(self.adcs_per_xbar.len())
+            * axis(self.vector_lanes.len())
+            * axis(self.flit_bytes.len())
+            * axis(self.routings.len())
+            * axis(self.vcs.len())
+            * axis(self.router_depths.len())
+            * axis(self.structure_hazard.len())
+            * axis(self.arrival_rates.len())
+            * axis(self.batch_policies.len())
+    }
+
+    fn nested_scenarios(&self) -> Result<Vec<Scenario>, SweepError> {
         if self.networks.is_empty() {
             return Err(SweepError::EmptyGrid);
         }
@@ -528,7 +628,7 @@ impl SweepGrid {
         let depths = non_empty(&self.router_depths, base.noc.router_pipeline_depth);
         let hazards = non_empty(&self.structure_hazard, base.sim.structure_hazard);
 
-        let mut out = Vec::with_capacity(self.points());
+        let mut out = Vec::with_capacity(self.nested_points());
         for network in &self.networks {
             // Validate the name once per network, at expansion time.
             if !zoo::NAMES.contains(&network.as_str()) {
@@ -651,11 +751,101 @@ impl SweepGrid {
     }
 }
 
-fn non_empty<T: Copy>(axis: &[T], default: T) -> Vec<T> {
-    if axis.is_empty() {
-        vec![default]
-    } else {
-        axis.to_vec()
+#[cfg(test)]
+fn parse_routing(name: &str) -> Result<RoutingPolicy, SweepError> {
+    name.parse()
+        .map_err(|_| SweepError::UnknownRouting(name.to_string()))
+}
+
+#[cfg(test)]
+impl Scenario {
+    fn nested_label(&self) -> String {
+        if !self.label.is_empty() {
+            return self.label.clone();
+        }
+        let routing = if self.arch.noc.routing == RoutingPolicy::default() {
+            String::new()
+        } else {
+            format!(" {}", self.arch.noc.routing)
+        };
+        let vcs = if self.arch.noc.virtual_channels == 1 {
+            String::new()
+        } else {
+            format!(" vc={}", self.arch.noc.virtual_channels)
+        };
+        let depth = if self.arch.noc.router_pipeline_depth == 1 {
+            String::new()
+        } else {
+            format!(" depth={}", self.arch.noc.router_pipeline_depth)
+        };
+        if let Some(sp) = &self.serve {
+            return format!(
+                "{}/{} {} serve rate={} batch={} rob={}{routing}{vcs}{depth}",
+                self.network,
+                self.resolution,
+                self.mapping,
+                sp.rate_rps,
+                sp.policy,
+                self.arch.resources.rob_size,
+            );
+        }
+        format!(
+            "{}/{} {} x{} rob={}{routing}{vcs}{depth} {}",
+            self.network,
+            self.resolution,
+            self.mapping,
+            self.batch,
+            self.arch.resources.rob_size,
+            self.simulator,
+        )
+    }
+}
+
+#[cfg(test)]
+struct NestedJson<'a>(&'a Scenario);
+
+#[cfg(test)]
+impl Serialize for NestedJson<'_> {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        let NestedJson(this) = self;
+        sink.begin_map();
+        sink.field("network", &this.network);
+        sink.field("resolution", &this.resolution);
+        sink.field("mapping", &this.mapping.to_string());
+        sink.field("batch", &this.batch);
+        sink.field("simulator", &this.simulator.to_string());
+        sink.field("label", &this.label);
+        let r = &this.arch.resources;
+        sink.field("rob_size", &r.rob_size);
+        sink.field("adcs_per_xbar", &r.adcs_per_xbar);
+        sink.field("vector_lanes", &r.vector_lanes);
+        sink.field("flit_bytes", &this.arch.noc.flit_bytes);
+        // The router-model knobs are serialized only when swept away from
+        // their paper defaults, so campaign outputs from before the knobs
+        // existed stay byte-identical.
+        if this.arch.noc.routing != RoutingPolicy::default() {
+            sink.field("routing", &this.arch.noc.routing.to_string());
+        }
+        if this.arch.noc.virtual_channels != 1 {
+            sink.field("virtual_channels", &this.arch.noc.virtual_channels);
+        }
+        if this.arch.noc.router_pipeline_depth != 1 {
+            sink.field(
+                "router_pipeline_depth",
+                &this.arch.noc.router_pipeline_depth,
+            );
+        }
+        // Serving coordinates appear only on serving points, so one-shot
+        // campaign output from before the serving layer existed stays
+        // byte-identical.
+        if let Some(sp) = &this.serve {
+            sink.field("arrival_rate_rps", &sp.rate_rps);
+            sink.field("batch_policy", &sp.policy.to_string());
+            sink.field("serve_duration_ns", &sp.duration.as_ns_f64());
+            sink.field("serve_seed", &sp.seed);
+        }
+        sink.field("structure_hazard", &this.arch.sim.structure_hazard);
+        sink.end_map();
     }
 }
 
@@ -841,7 +1031,6 @@ mod tests {
             grid.scenarios().unwrap_err(),
             SweepError::UnknownRouting(_)
         ));
-        assert_eq!(parse_routing("yx").unwrap(), RoutingPolicy::Yx);
     }
 
     #[test]
@@ -990,5 +1179,81 @@ mod tests {
         grid.arrival_rates = vec![1000.0];
         grid.batch_policies = vec!["nonsense".into()];
         assert!(matches!(grid.scenarios(), Err(SweepError::Config(_))));
+    }
+
+    /// Picks `0..=3` values for an axis from `pool`, repeats allowed.
+    fn pick<T: Clone + std::fmt::Debug + 'static>(
+        pool: &'static [T],
+    ) -> impl proptest::strategy::Strategy<Value = Vec<T>> {
+        use proptest::strategy::Strategy;
+        proptest::collection::vec(0..pool.len(), 0..=3usize)
+            .prop_map(move |ix| ix.into_iter().map(|i| pool[i].clone()).collect())
+    }
+
+    const NAMES: &[&str] = &["tiny_mlp", "tiny_cnn"];
+    const MAPPINGS: &[&str] = &["performance-first", "utilization-first"];
+    const SIMULATORS: &[&str] = &["cycle", "baseline"];
+    const ROUTINGS: &[&str] = &["xy", "yx", "xy-yx", "adaptive"];
+    const POLICIES: &[&str] = &["1", "4/50us"];
+
+    fn strings(names: Vec<&str>) -> Vec<String> {
+        names.into_iter().map(str::to_string).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// The odometer expands every grid — each axis with 0–3 values,
+        /// repeats included, cycle and baseline, with and without serving
+        /// axes — into the oracle's scenarios, labels and JSON bytes.
+        #[test]
+        fn odometer_matches_the_nested_loops(
+            program in (pick(NAMES), pick(&[32u32, 64]), pick(MAPPINGS), pick(&[0u32, 1, 2])),
+            sims in (pick(SIMULATORS), proptest::strategy::any::<bool>()),
+            knobs in (
+                pick(&[1u32, 4, 8]),
+                pick(&[1u32, 2]),
+                pick(&[8u32, 32]),
+                pick(&[16u32, 32]),
+                pick(ROUTINGS),
+                pick(&[1u32, 2, 4]),
+                pick(&[1u32, 3]),
+                pick(&[true, false]),
+            ),
+            serving in (pick(&[5e4f64, 2e5]), pick(POLICIES), proptest::strategy::any::<bool>()),
+        ) {
+            let mut grid = SweepGrid {
+                networks: strings(program.0),
+                resolutions: program.1,
+                mappings: strings(program.2),
+                batches: program.3,
+                simulators: strings(sims.0),
+                rob_sizes: knobs.0,
+                adcs_per_xbar: knobs.1,
+                vector_lanes: knobs.2,
+                flit_bytes: knobs.3,
+                routings: strings(knobs.4),
+                vcs: knobs.5,
+                router_depths: knobs.6,
+                structure_hazard: knobs.7,
+                base: sims.1.then(ArchConfig::small_test),
+                ..SweepGrid::default()
+            };
+            if serving.2 {
+                grid.arrival_rates = serving.0;
+                grid.batch_policies = strings(serving.1);
+                grid.serve_duration = Some("1ms".to_string());
+            }
+            proptest::prop_assert_eq!(grid.points(), grid.nested_points());
+            let ours = grid.scenarios();
+            proptest::prop_assert_eq!(&ours, &grid.nested_scenarios());
+            for s in ours.iter().flatten() {
+                proptest::prop_assert_eq!(s.display_label(), s.nested_label());
+                proptest::prop_assert_eq!(
+                    serde_json::to_string(s).unwrap(),
+                    serde_json::to_string(&NestedJson(s)).unwrap()
+                );
+            }
+        }
     }
 }

@@ -6,10 +6,11 @@
 //! evaluation over the ISA boundary; studies like PIMSYN run *thousands*
 //! of simulations per campaign. This crate turns such a campaign into a
 //! declarative [`SweepGrid`] — network × resolution × mapping policy ×
-//! batch × architecture knobs (ROB depth, ADCs per crossbar, SIMD lanes,
-//! flit width, routing policy, structure hazard) × simulator kind —
-//! expands its cartesian product into [`Scenario`]s, fans them out across OS threads, and
-//! collects one [`SweepRow`] per point.
+//! batch × simulator kind × the architecture knobs of [`ARCH_KNOBS`] (ROB
+//! depth, ADCs per crossbar, SIMD lanes, flit width, routing policy,
+//! virtual channels, router depth, structure hazard) — expands its
+//! cartesian product into [`Scenario`]s, fans them out across OS threads,
+//! and collects one [`SweepRow`] per point.
 //!
 //! Grids can also sweep the *serving* plane: `arrival_rates` and
 //! `batch_policies` axes fan each hardware point out across open-loop
@@ -43,14 +44,13 @@
 
 mod engine;
 mod grid;
+mod knob;
 
 pub use engine::{
     default_threads, results_to_json, run_grid, run_scenarios, ServeSummary, SweepRow,
 };
-pub use grid::{
-    default_resolution, parse_mapping, parse_routing, Scenario, ServePoint, SimulatorKind,
-    SweepGrid,
-};
+pub use grid::{default_resolution, parse_mapping, Scenario, ServePoint, SimulatorKind, SweepGrid};
+pub use knob::{ArchKnob, KnobValue, Shown, ARCH_KNOBS};
 
 use pimsim_arch::ArchError;
 
