@@ -221,17 +221,19 @@ pub fn bounds(program: &Program, arch: &ArchConfig) -> BoundsReport {
 /// Any such node reaches `i` through stored edges, and completion times
 /// never decrease along a path, so every node on that path completes at
 /// `at` too: walking stored edges backwards through nodes completing at
-/// `at` visits all candidates. `seen` marks visited nodes with `i + 1`.
+/// `at` visits all candidates. `seen` marks visited nodes with `i + 1`;
+/// `stack` is the walk's scratch space, empty between calls.
 fn determining_pred(
     dag: &Dag,
     completion: &[SimTime],
     i: usize,
     at: SimTime,
     seen: &mut [u32],
+    stack: &mut Vec<usize>,
 ) -> usize {
     let mark = i as u32 + 1;
     let mut best = None;
-    let mut stack = vec![i];
+    stack.push(i);
     while let Some(x) = stack.pop() {
         for &p in dag.preds(x) {
             let p = p as usize;
@@ -363,6 +365,7 @@ pub(crate) fn price(
         // outlasts its own service, else by a hazard predecessor when one
         // held its issue past the dispatch time, else by nothing.
         let mut seen = vec![0u32; n];
+        let mut stack = Vec::new();
         let mut chain = vec![sink];
         loop {
             let i = *chain.last().expect("chain starts at the sink");
@@ -370,7 +373,7 @@ pub(crate) fn price(
             let det = match sent {
                 Some(sp) if completion[sp] > start[i] + service[i] => sp,
                 _ if start[i] > dispatch_lb[i] => {
-                    determining_pred(dag, &completion, i, start[i], &mut seen)
+                    determining_pred(dag, &completion, i, start[i], &mut seen, &mut stack)
                 }
                 _ => break,
             };

@@ -48,8 +48,19 @@
 //! predecessor completes, so the longest-path start and completion times
 //! — hence the bound — are identical to the all-pairs graph's. The
 //! all-pairs scan survives as this module's test oracle.
+//!
+//! # Prepare once, then place cheaply
+//!
+//! A core's whole trace is resolved before the forward pass, so every
+//! address the pass will touch is known up front. The map is dense over
+//! those addresses: the accesses' boundaries, sorted, cut memory into
+//! elementary intervals, and a segment is a run of intervals whose start
+//! is marked in a 64-ary bit tree, with its history in flat vectors. An
+//! access is two boundary lookups and a walk over the segments it
+//! touches, with no tree node to allocate or rebalance. The ordered-tree
+//! segment map it replaced survives as the test oracle of `HazardMap`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use pimsim_isa::{resolve, Footprint, Instruction, Program, Resolved, VectorShape};
 
@@ -162,133 +173,299 @@ pub struct Dag {
     pub edges: Vec<u32>,
 }
 
-/// "No node" in the interval map: an unwritten segment's writer, the end
-/// of a reader list.
+/// "No node" in the hazard map: an unwritten run's writer, the end of a
+/// reader list, a stamp no node has set.
 const NIL: u32 = u32::MAX;
 
-/// A maximal run of addresses with one access history.
-#[derive(Debug, Clone, Copy)]
-struct Segment {
-    /// One past the segment's last address (its start is its map key).
-    end: u64,
-    /// The last node that wrote it ([`NIL`]: never written).
-    writer: u32,
-    /// Head of the list of nodes that read it since ([`NIL`]: none).
-    readers: u32,
+/// One node's predecessor list under construction, written straight into
+/// the DAG's edge list. A node can meet one older node through several
+/// runs and operands; the stamp drops the repeats on push.
+struct Preds {
+    /// The DAG's edge list; the node under construction owns its tail.
+    edges: Vec<u32>,
+    /// Per node id: the last node whose list took it.
+    stamp: Vec<u32>,
+    /// The node under construction.
+    node: u32,
 }
 
-/// One address space's access history during the forward pass: who wrote
-/// each address last, and who has read it since.
+impl Preds {
+    fn push(&mut self, pred: u32) {
+        let stamp = &mut self.stamp[pred as usize];
+        if *stamp != self.node {
+            *stamp = self.node;
+            self.edges.push(pred);
+        }
+    }
+}
+
+/// A set of indices `0..len` with successor and predecessor queries in
+/// `O(log64 len)`: a 64-ary tree of bits. Level 0 holds one bit per
+/// index; bit `w` of level `l + 1` is set when word `w` of level `l` is
+/// non-zero, so a query skips empty stretches a whole word of the level
+/// above at a time, whatever order the set was built in.
+#[derive(Default)]
+struct BitTree {
+    /// Level 0 first; the last level is one word.
+    levels: Vec<Vec<u64>>,
+}
+
+impl BitTree {
+    /// Makes the set empty, over `0..len`.
+    fn reset(&mut self, len: usize) {
+        let mut depth = 0;
+        let mut len = len.max(1);
+        loop {
+            let words = len.div_ceil(64);
+            if depth == self.levels.len() {
+                self.levels.push(Vec::new());
+            }
+            self.levels[depth].clear();
+            self.levels[depth].resize(words, 0);
+            depth += 1;
+            if words == 1 {
+                break;
+            }
+            len = words;
+        }
+        self.levels.truncate(depth);
+    }
+
+    fn insert(&mut self, mut i: usize) {
+        for level in &mut self.levels {
+            let word = &mut level[i / 64];
+            let was_empty = *word == 0;
+            *word |= 1 << (i % 64);
+            if !was_empty {
+                break;
+            }
+            i /= 64;
+        }
+    }
+
+    fn remove(&mut self, mut i: usize) {
+        for level in &mut self.levels {
+            let word = &mut level[i / 64];
+            *word &= !(1 << (i % 64));
+            if *word != 0 {
+                break;
+            }
+            i /= 64;
+        }
+    }
+
+    /// The least member `>= i`, if any.
+    fn next(&self, mut i: usize) -> Option<usize> {
+        // Climb until a word holds a member at or after the position.
+        let mut depth = 0;
+        loop {
+            let word = *self.levels.get(depth)?.get(i / 64)?;
+            let bits = word & (u64::MAX << (i % 64));
+            if bits != 0 {
+                i = i / 64 * 64 + bits.trailing_zeros() as usize;
+                break;
+            }
+            i = i / 64 + 1;
+            depth += 1;
+        }
+        // Descend along each word's first member.
+        for level in self.levels[..depth].iter().rev() {
+            i = i * 64 + level[i].trailing_zeros() as usize;
+        }
+        Some(i)
+    }
+
+    /// The greatest member `<= i`, if any.
+    fn prev(&self, mut i: usize) -> Option<usize> {
+        let mut depth = 0;
+        loop {
+            let word = self.levels.get(depth)?[i / 64];
+            let bits = word & (u64::MAX >> (63 - i % 64));
+            if bits != 0 {
+                i = i / 64 * 64 + 63 - bits.leading_zeros() as usize;
+                break;
+            }
+            i = (i / 64).checked_sub(1)?;
+            depth += 1;
+        }
+        for level in self.levels[..depth].iter().rev() {
+            i = i * 64 + 63 - level[i].leading_zeros() as usize;
+        }
+        Some(i)
+    }
+}
+
+/// One address space's access history during the forward pass over one
+/// core: who wrote each address last, and who has read it since.
+///
+/// It is prepared once per core from every access the core will make
+/// ([`reset`](Self::reset)): their boundaries, sorted and deduplicated,
+/// cut the address space into *elementary intervals*, and an access
+/// becomes an index range over them. A *run* is a maximal stretch of
+/// intervals with one history; a [`BitTree`] marks where runs start, and
+/// the history lives in flat vectors at each run's start. Accesses split
+/// and merge runs exactly where a map of address segments would split
+/// and merge segments, so an access visits no more runs than such a map
+/// visits segments, and finds each in `O(log64 k)` for `k` intervals.
 ///
 /// [`read`](Self::read) and [`write`](Self::write) record one node's
-/// access and append to `preds` a covering set (module docs) of the older
-/// nodes that access makes it follow, possibly with repeats. A node's
-/// reads must be recorded before its write.
+/// access and push a covering set (module docs) of the older nodes that
+/// access makes it follow. A node's reads must be recorded before its
+/// write.
+#[derive(Default)]
 struct HazardMap {
-    /// Disjoint segments keyed by start, together covering
-    /// `[0, u64::MAX)`; accesses split and merge them.
-    segments: BTreeMap<u64, Segment>,
+    /// The access boundaries, ascending: interval `i` is
+    /// `[cuts[i], cuts[i + 1])`.
+    cuts: Vec<u64>,
+    /// The intervals that start a run. Interval 0 always does.
+    run_starts: BitTree,
+    /// At each run start: the run's last writer ([`NIL`]: never written).
+    writer: Vec<u32>,
+    /// At each run start: the head of the list of nodes that read the run
+    /// since that write ([`NIL`]: none).
+    readers: Vec<u32>,
     /// Reader-list cells `(node, next)`. A list only ever grows at its
-    /// head, so the halves of a split segment share their tail.
-    readers: Vec<(u32, u32)>,
+    /// head, so the halves of a split run share their tail.
+    cells: Vec<(u32, u32)>,
+    /// Recent [`index_of`](Self::index_of) answers, by [`slot_of`].
+    memo: Vec<Option<(u64, usize)>>,
+}
+
+/// Slots of the direct-mapped boundary caches.
+const SLOTS: usize = 1024;
+
+/// The cache slot of boundary `at`.
+fn slot_of(at: u64) -> usize {
+    (at ^ (at >> 10)) as usize % SLOTS
 }
 
 impl HazardMap {
-    fn new() -> HazardMap {
-        let mut map = HazardMap {
-            segments: BTreeMap::new(),
-            readers: Vec::new(),
-        };
-        map.clear();
-        map
-    }
-
-    /// Forgets all history (a new core starts).
-    fn clear(&mut self) {
-        self.segments.clear();
+    /// Forgets all history and prepares for the accesses `[start, end)`
+    /// of `ranges` (empty ones are skipped, as the accesses skip them).
+    fn reset(&mut self, ranges: impl Iterator<Item = (u64, u64)>) {
+        // A core's accesses repeat a few thousand boundaries many times
+        // over: a direct-mapped cache of recent ones drops most repeats
+        // before the sort.
+        let mut recent = [None; SLOTS];
+        self.cuts.clear();
+        for (start, end) in ranges.filter(|(start, end)| start < end) {
+            for at in [start, end] {
+                let slot = &mut recent[slot_of(at)];
+                if *slot != Some(at) {
+                    *slot = Some(at);
+                    self.cuts.push(at);
+                }
+            }
+        }
+        self.cuts.sort_unstable();
+        self.cuts.dedup();
+        let len = self.cuts.len().max(1);
+        self.run_starts.reset(len);
+        self.run_starts.insert(0);
+        self.writer.clear();
+        self.writer.resize(len, NIL);
         self.readers.clear();
-        self.segments.insert(
-            0,
-            Segment {
-                end: u64::MAX,
-                writer: NIL,
-                readers: NIL,
-            },
-        );
+        self.readers.resize(len, NIL);
+        self.cells.clear();
+        self.memo.clear();
+        self.memo.resize(SLOTS, None);
     }
 
-    /// Makes `at` a segment boundary.
-    fn split_at(&mut self, at: u64) {
-        let (&start, seg) = self
-            .segments
-            .range_mut(..=at)
-            .next_back()
-            .expect("segments cover the address space");
-        if start < at && at < seg.end {
-            let tail = *seg;
-            seg.end = at;
-            self.segments.insert(at, tail);
+    /// Makes interval `i` start a run, with the history of the run it
+    /// was part of.
+    fn split_at(&mut self, i: usize) {
+        // Interval 0 always starts a run.
+        let run = self.run_starts.prev(i).unwrap_or(0);
+        if run != i {
+            self.run_starts.insert(i);
+            self.writer[i] = self.writer[run];
+            self.readers[i] = self.readers[run];
         }
     }
 
-    /// `node` reads `[start, end)`: it follows each touched segment's
-    /// last writer.
-    fn read(&mut self, start: u64, end: u64, node: u32, preds: &mut Vec<u32>) {
+    /// The run after the one starting at `run`. Inside an access the
+    /// access's end starts a run, so there always is one.
+    fn next_run(&self, run: usize) -> usize {
+        self.run_starts.next(run + 1).unwrap_or(usize::MAX)
+    }
+
+    /// The index of boundary `at` in `cuts`. A core's accesses reuse few
+    /// boundaries, so a direct-mapped memo answers most lookups without
+    /// the binary search.
+    fn index_of(&mut self, at: u64) -> usize {
+        let slot = &mut self.memo[slot_of(at)];
+        match *slot {
+            Some((seen, index)) if seen == at => index,
+            _ => {
+                let index = self.cuts.partition_point(|&c| c < at);
+                *slot = Some((at, index));
+                index
+            }
+        }
+    }
+
+    /// The intervals of `[start, end)`, both ends made run starts. Both
+    /// are boundaries handed to [`reset`](Self::reset).
+    fn runs_of(&mut self, start: u64, end: u64) -> (usize, usize) {
+        let first = self.index_of(start);
+        let last = self.index_of(end);
+        self.split_at(first);
+        self.split_at(last);
+        (first, last)
+    }
+
+    /// `node` reads `[start, end)`: it follows each touched run's last
+    /// writer.
+    fn read(&mut self, start: u64, end: u64, node: u32, preds: &mut Preds) {
         if start >= end {
             return;
         }
-        self.split_at(start);
-        self.split_at(end);
-        for (_, seg) in self.segments.range_mut(start..end) {
-            if seg.writer != NIL {
-                preds.push(seg.writer);
+        let (mut run, last) = self.runs_of(start, end);
+        while run < last {
+            if self.writer[run] != NIL {
+                preds.push(self.writer[run]);
             }
-            // Both operands of one node may cover the same segment.
-            if seg.readers == NIL || self.readers[seg.readers as usize].0 != node {
-                let cell = u32::try_from(self.readers.len()).expect("reader cells fit u32");
-                self.readers.push((node, seg.readers));
-                seg.readers = cell;
+            // Both operands of one node may cover the same run.
+            let head = self.readers[run];
+            if head == NIL || self.cells[head as usize].0 != node {
+                self.readers[run] = u32::try_from(self.cells.len()).expect("reader cells fit u32");
+                self.cells.push((node, head));
             }
+            run = self.next_run(run);
         }
     }
 
     /// `node` writes `[start, end)`: it follows the readers of each
-    /// touched segment since its last write (they follow that writer),
-    /// or the writer itself when there are none. The touched segments
-    /// merge into one that `node` wrote and nobody has read.
-    fn write(&mut self, start: u64, end: u64, node: u32, preds: &mut Vec<u32>) {
+    /// touched run since its last write (they follow that writer), or the
+    /// writer itself when there are none. The touched runs merge into one
+    /// that `node` wrote and nobody has read.
+    fn write(&mut self, start: u64, end: u64, node: u32, preds: &mut Preds) {
         if start >= end {
             return;
         }
-        self.split_at(start);
-        self.split_at(end);
-        while let Some((&key, &seg)) = self.segments.range(start..end).next() {
-            if seg.readers == NIL {
-                if seg.writer != NIL {
-                    preds.push(seg.writer);
-                }
-            } else {
-                let mut cell = seg.readers;
-                while cell != NIL {
-                    let (reader, next) = self.readers[cell as usize];
-                    // An in-place op reads what it overwrites; its read
-                    // already followed the writer.
-                    if reader != node {
-                        preds.push(reader);
-                    }
-                    cell = next;
-                }
+        let (first, last) = self.runs_of(start, end);
+        let mut run = first;
+        while run < last {
+            let mut cell = self.readers[run];
+            if cell == NIL && self.writer[run] != NIL {
+                preds.push(self.writer[run]);
             }
-            self.segments.remove(&key);
+            while cell != NIL {
+                let (reader, next) = self.cells[cell as usize];
+                // An in-place op reads what it overwrites; its read
+                // already followed the writer.
+                if reader != node {
+                    preds.push(reader);
+                }
+                cell = next;
+            }
+            if run != first {
+                self.run_starts.remove(run);
+            }
+            run = self.next_run(run);
         }
-        self.segments.insert(
-            start,
-            Segment {
-                end,
-                writer: node,
-                readers: NIL,
-            },
-        );
+        self.writer[first] = node;
+        self.readers[first] = NIL;
     }
 }
 
@@ -350,76 +527,79 @@ impl Dag {
     /// a conservative pacing term); channels whose endpoints are not both
     /// linear have no rendezvous edges.
     ///
-    /// Cost: one interval-map access per operand, so `O((n + e) log n)`
-    /// for `n` nodes and `e` kept edges.
+    /// Per linear core it first resolves the trace into nodes, then
+    /// prepares one `HazardMap` per address space from those nodes'
+    /// accesses, then runs the forward pass over them. Cost: a sort of
+    /// each core's access boundaries, and per access two boundary lookups
+    /// (binary searches, most answered by a memo) plus one `O(log64 n)`
+    /// visit per run it touches, for `n` nodes; the zoo's compiled
+    /// programs' reads make 6-34 run visits per node.
     pub fn build(program: &Program, cfgs: &[Cfg], rendezvous: &crate::RendezvousMap) -> Dag {
         let mut nodes: Vec<DagNode> = Vec::new();
-        let mut edges: Vec<u32> = Vec::new();
         let mut cores = Vec::with_capacity(program.cores.len());
         // The forward pass's state, reset per core.
-        let mut local = HazardMap::new();
-        let mut global = HazardMap::new();
+        let mut local = HazardMap::default();
+        let mut global = HazardMap::default();
         let mut channel_tail: HashMap<(u16, u16, u16), u32> = HashMap::new();
-        let mut empty_global: Vec<u32> = Vec::new();
-        let mut preds: Vec<u32> = Vec::new();
+        let mut preds = Preds {
+            edges: Vec::new(),
+            stamp: Vec::new(),
+            node: NIL,
+        };
         for (c, (cp, cfg)) in program.cores.iter().zip(cfgs).enumerate() {
+            let first = nodes.len();
             let Some(trace) = cfg.linear_trace() else {
                 cores.push(CoreTrace {
                     linear: false,
                     dispatches: 0,
                     has_instructions: !cp.instrs.is_empty(),
-                    nodes: nodes.len()..nodes.len(),
+                    nodes: first..first,
                 });
                 continue;
             };
-            let first = nodes.len();
-            local.clear();
-            global.clear();
-            channel_tail.clear();
-            empty_global.clear();
             let mut regs = [0i32; 32];
             for (k, &pc) in trace.iter().enumerate() {
                 let instr = &cp.instrs[pc as usize];
-                let Some(mut node) = node_of(program, c as u16, pc, k as u32, instr, &regs) else {
+                match node_of(program, c as u16, pc, k as u32, instr, &regs) {
+                    Some(node) => nodes.push(node),
                     // Control flow is already fixed by the linear trace.
-                    instr.exec_scalar(&mut regs, pc);
-                    continue;
-                };
-                let id = u32::try_from(nodes.len()).expect("node ids fit u32");
-                let Footprint { reads, write, gmem } = node.footprint;
+                    None => {
+                        instr.exec_scalar(&mut regs, pc);
+                    }
+                }
+            }
+            let end = u32::try_from(nodes.len()).expect("node ids fit u32");
+            let footprints = || nodes[first..].iter().map(|n| n.footprint);
+            local.reset(footprints().flat_map(|f| {
+                let [a, b] = f.reads;
+                [a, b, f.write].map(|r| (r.start as u64, r.end as u64))
+            }));
+            global.reset(footprints().filter_map(|f| f.gmem).map(|(s, e, _)| (s, e)));
+            channel_tail.clear();
+            preds.stamp.resize(nodes.len(), NIL);
+            for node in first as u32..end {
+                let DagNode {
+                    footprint: Footprint { reads, write, gmem },
+                    channel,
+                    ..
+                } = nodes[node as usize];
+                let from = preds.edges.len();
+                preds.node = node;
                 for r in reads {
-                    local.read(r.start as u64, r.end as u64, id, &mut preds);
+                    local.read(r.start as u64, r.end as u64, node, &mut preds);
                 }
-                local.write(write.start as u64, write.end as u64, id, &mut preds);
-                if let Some((start, end, is_write)) = gmem {
-                    if is_write {
-                        global.write(start, end, id, &mut preds);
-                    } else {
-                        global.read(start, end, id, &mut preds);
-                    }
-                    // A zero-length access is invisible to the map yet
-                    // conflicts with intervals strictly around its
-                    // address. Compiled programs have none, so they pay
-                    // the pairwise rule instead of complicating the map.
-                    let conflicts =
-                        |j: &u32| node.footprint.gmem_conflicts(&nodes[*j as usize].footprint);
-                    if start == end {
-                        preds.extend((first as u32..id).filter(conflicts));
-                        empty_global.push(id);
-                    } else {
-                        preds.extend(empty_global.iter().copied().filter(conflicts));
-                    }
+                local.write(write.start as u64, write.end as u64, node, &mut preds);
+                match gmem {
+                    Some((start, end, true)) => global.write(start, end, node, &mut preds),
+                    Some((start, end, false)) => global.read(start, end, node, &mut preds),
+                    None => {}
                 }
-                if let Some(channel) = node.channel {
-                    preds.extend(channel_tail.insert(channel, id));
+                if let Some(tail) = channel.and_then(|ch| channel_tail.insert(ch, node)) {
+                    preds.push(tail);
                 }
-                preds.sort_unstable();
-                preds.dedup();
+                preds.edges[from..].sort_unstable();
                 let offset = |at: usize| u32::try_from(at).expect("edge offsets fit u32");
-                node.preds.0 = offset(edges.len());
-                edges.append(&mut preds);
-                node.preds.1 = offset(edges.len());
-                nodes.push(node);
+                nodes[node as usize].preds = (offset(from), offset(preds.edges.len()));
             }
             cores.push(CoreTrace {
                 linear: true,
@@ -431,27 +611,29 @@ impl Dag {
 
         // Rendezvous edges: each statically-matched pair's recv waits for
         // its send's delivery. A pc appears at most once in a linear
-        // trace, so (core, pc) identifies a node.
-        let mut by_site = BTreeMap::new();
-        for (id, n) in nodes.iter().enumerate() {
-            if n.channel.is_some() {
-                by_site.insert((n.core, n.pc), id as u32);
-            }
-        }
+        // trace, so (core, pc) identifies a node. Traces of compiled
+        // programs run in pc order, so the sort finds the sites sorted.
+        let mut sites: Vec<(u16, u32, u32)> = (nodes.iter().enumerate())
+            .filter(|(_, n)| n.channel.is_some())
+            .map(|(id, n)| (n.core, n.pc, id as u32))
+            .collect();
+        sites.sort_unstable();
+        let node_at = |core: u16, pc: u32| {
+            let at = sites.binary_search_by_key(&(core, pc), |&(c, p, _)| (c, p));
+            at.ok().map(|at| sites[at].2)
+        };
         for p in &rendezvous.pairs {
-            let (Some(&s), Some(&r)) = (
-                by_site.get(&(p.sender, p.send_pc)),
-                by_site.get(&(p.receiver, p.recv_pc)),
-            ) else {
-                continue;
-            };
-            nodes[r as usize].paired_send = Some(s);
+            if let (Some(s), Some(r)) =
+                (node_at(p.sender, p.send_pc), node_at(p.receiver, p.recv_pc))
+            {
+                nodes[r as usize].paired_send = Some(s);
+            }
         }
 
         Dag {
             nodes,
             cores,
-            edges,
+            edges: preds.edges,
         }
     }
 
@@ -515,6 +697,8 @@ impl Dag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use pimsim_arch::ArchConfig;
     use pimsim_isa::asm::assemble;
     use pimsim_isa::{Addr, CoreId, Range, Reg};
@@ -724,9 +908,9 @@ mod tests {
 
     #[test]
     fn zero_length_global_accesses_follow_the_pairwise_rule() {
-        // The ROB's interval test has no emptiness guard: an empty access
-        // conflicts with an interval strictly around its address, in
-        // either program order, and never with another empty one.
+        // An empty access conflicts with nothing (`Footprint::gmem_conflicts`,
+        // the ROB's rule too): not with an interval strictly around its
+        // address, in either program order, nor with another empty one.
         let d = dag_of(
             ".core 0\n\
              gstore g[r0+100], [r0+0], 8\n\
@@ -736,10 +920,17 @@ mod tests {
              gload [r0+700], g[r0+100], 0\n\
              halt\n",
         );
-        assert_eq!(d.preds(1), [0], "empty load inside the stored interval");
-        assert_eq!(d.preds(2), [0], "empty store too; not the empty load");
-        assert_eq!(d.preds(3), [0, 2], "a load around the empty store");
-        assert!(d.preds(4).is_empty(), "on the boundary: no conflict");
+        assert!(
+            d.preds(1).is_empty(),
+            "empty load inside the stored interval"
+        );
+        assert!(d.preds(2).is_empty(), "empty store too, and the empty load");
+        assert_eq!(
+            d.preds(3),
+            [0],
+            "a load around the empty store: the store only"
+        );
+        assert!(d.preds(4).is_empty(), "on the boundary");
         assert_covers(&d).unwrap();
     }
 
@@ -798,6 +989,117 @@ mod tests {
         let path: Vec<u32> = report.critical_path.iter().map(|h| h.pc).collect();
         assert_eq!(report.bound_source, "critical-path");
         assert_eq!((report.critical_path_len, path), (2, vec![0, 2]));
+    }
+
+    /// The map the dense [`HazardMap`] replaced, kept as its oracle:
+    /// disjoint segments keyed by start, together covering
+    /// `[0, u64::MAX)`, split and merged by each access.
+    struct SegmentMap {
+        /// Segment start → (end, last writer, reader-list head).
+        segments: BTreeMap<u64, (u64, u32, u32)>,
+        /// Reader-list cells `(node, next)`.
+        readers: Vec<(u32, u32)>,
+    }
+
+    impl SegmentMap {
+        fn new() -> SegmentMap {
+            let segments = BTreeMap::from([(0, (u64::MAX, NIL, NIL))]);
+            SegmentMap {
+                segments,
+                readers: Vec::new(),
+            }
+        }
+
+        fn split_at(&mut self, at: u64) {
+            let Some((&start, seg)) = self.segments.range_mut(..=at).next_back() else {
+                unreachable!("segments cover the address space")
+            };
+            if start < at && at < seg.0 {
+                let tail = *seg;
+                seg.0 = at;
+                self.segments.insert(at, tail);
+            }
+        }
+
+        fn read(&mut self, start: u64, end: u64, node: u32, preds: &mut Vec<u32>) {
+            if start >= end {
+                return;
+            }
+            self.split_at(start);
+            self.split_at(end);
+            for (_, (_, writer, readers)) in self.segments.range_mut(start..end) {
+                if *writer != NIL {
+                    preds.push(*writer);
+                }
+                if *readers == NIL || self.readers[*readers as usize].0 != node {
+                    self.readers.push((node, *readers));
+                    *readers = self.readers.len() as u32 - 1;
+                }
+            }
+        }
+
+        fn write(&mut self, start: u64, end: u64, node: u32, preds: &mut Vec<u32>) {
+            if start >= end {
+                return;
+            }
+            self.split_at(start);
+            self.split_at(end);
+            while let Some((&key, &(_, writer, mut cell))) = self.segments.range(start..end).next()
+            {
+                if cell == NIL && writer != NIL {
+                    preds.push(writer);
+                }
+                while cell != NIL {
+                    let (reader, next) = self.readers[cell as usize];
+                    if reader != node {
+                        preds.push(reader);
+                    }
+                    cell = next;
+                }
+                self.segments.remove(&key);
+            }
+            self.segments.insert(start, (end, node, NIL));
+        }
+    }
+
+    /// One node's accesses in a generated access stream: up to two local
+    /// reads, a local write, and maybe a global access (`true` = write).
+    type Access = (Vec<(u64, u64)>, (u64, u64), Option<(u64, u64, bool)>);
+
+    /// `[start, end)` from two points of a narrow window, in either
+    /// order: partial overlaps, nesting, adjacency and empty ranges are
+    /// all common.
+    fn span() -> impl Strategy<Value = (u64, u64)> {
+        (0u64..24, 0u64..24).prop_map(|(a, b)| (a.min(b), a.max(b)))
+    }
+
+    fn access() -> impl Strategy<Value = Access> {
+        let global = prop_oneof![
+            1 => Just(None),
+            1 => (span(), any::<bool>()).prop_map(|((s, e), w)| Some((s, e, w))),
+        ];
+        (
+            proptest::collection::vec(span(), 0usize..3),
+            span(),
+            any::<bool>(),
+            global,
+        )
+            .prop_map(|(reads, write, in_place, global)| {
+                // An in-place op writes what it reads.
+                let write = match reads.first() {
+                    Some(&read) if in_place => read,
+                    _ => write,
+                };
+                (reads, write, global)
+            })
+    }
+
+    /// A node's deduplicated predecessors, ascending, from an oracle
+    /// push list.
+    fn set_of(mut preds: Vec<u32>) -> Vec<u32> {
+        preds.sort_unstable();
+        preds.dedup();
+        preds
     }
 
     /// One step of a generated program: a local instruction on a core,
@@ -938,6 +1240,79 @@ mod tests {
         /// covering subset of the oracle's, and the priced report —
         /// bound, per-core terms, critical path with its tie-breaks — is
         /// byte-identical from either graph.
+        /// The bit tree against an ordered set, over inserts and removes
+        /// spread across three levels (and a one-level tree).
+        #[test]
+        fn bit_tree_matches_an_ordered_set(
+            len in prop_oneof![1usize..200, 4000usize..300_000],
+            ops in proptest::collection::vec((any::<bool>(), 0usize..1 << 20, 0usize..1 << 20), 1usize..200),
+        ) {
+            let mut tree = BitTree::default();
+            tree.reset(len);
+            let mut set = std::collections::BTreeSet::new();
+            for (insert, at, probe) in ops {
+                let (at, probe) = (at % len, probe % len);
+                if insert {
+                    tree.insert(at);
+                    set.insert(at);
+                } else {
+                    tree.remove(at);
+                    set.remove(&at);
+                }
+                prop_assert_eq!(tree.next(probe), set.range(probe..).next().copied());
+                prop_assert_eq!(tree.prev(probe), set.range(..=probe).next_back().copied());
+            }
+        }
+
+        /// The dense map against the segment map it replaced, over one
+        /// access stream: every node gets the same predecessor set.
+        #[test]
+        fn dense_map_matches_the_segment_map(
+            stream in proptest::collection::vec(access(), 1usize..60usize)
+        ) {
+            let mut local = HazardMap::default();
+            local.reset(stream.iter().flat_map(|(reads, write, _)| {
+                reads.iter().chain([write]).copied()
+            }));
+            let mut global = HazardMap::default();
+            global.reset(stream.iter().filter_map(|a| a.2).map(|(s, e, _)| (s, e)));
+            let (mut old_local, mut old_global) = (SegmentMap::new(), SegmentMap::new());
+            let mut preds = Preds {
+                edges: Vec::new(),
+                stamp: vec![NIL; stream.len()],
+                node: NIL,
+            };
+            for (node, (reads, (ws, we), gmem)) in stream.iter().enumerate() {
+                let node = node as u32;
+                preds.node = node;
+                preds.edges.clear();
+                let mut old = Vec::new();
+                for &(s, e) in reads {
+                    local.read(s, e, node, &mut preds);
+                    old_local.read(s, e, node, &mut old);
+                }
+                local.write(*ws, *we, node, &mut preds);
+                old_local.write(*ws, *we, node, &mut old);
+                match *gmem {
+                    Some((s, e, true)) => {
+                        global.write(s, e, node, &mut preds);
+                        old_global.write(s, e, node, &mut old);
+                    }
+                    Some((s, e, false)) => {
+                        global.read(s, e, node, &mut preds);
+                        old_global.read(s, e, node, &mut old);
+                    }
+                    None => {}
+                }
+                let mut new = preds.edges.clone();
+                let pushed = new.len();
+                new.sort_unstable();
+                new.dedup();
+                prop_assert_eq!(new.len(), pushed, "node {}: a repeat survived the stamp", node);
+                prop_assert_eq!(new, set_of(old), "node {}", node);
+            }
+        }
+
         #[test]
         fn stored_edges_cover_the_pairwise_hazards(
             steps in proptest::collection::vec(step_strategy(), 1usize..80usize)

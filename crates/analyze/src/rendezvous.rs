@@ -17,7 +17,7 @@
 //! schedule wedges: a reported [`DiagKind::DeadlockCycle`] is a
 //! guaranteed runtime deadlock, not a maybe.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use pimsim_isa::{Instruction, Program};
 use serde::{Deserialize, Serialize};
@@ -293,7 +293,7 @@ pub fn check(
     (diags, map)
 }
 
-/// One channel's observations in an [`abstract_exec`] run.
+/// One channel's observations in a [`Fabric::exec`] run.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct ChannelStats {
     /// Messages sent.
@@ -304,81 +304,107 @@ pub(crate) struct ChannelStats {
     pub(crate) peak_per_vc: u32,
 }
 
-/// Where an [`abstract_exec`] run stopped, and what it saw on the way.
+/// Where a [`Fabric::exec`] run stopped, and what it saw on the way.
 #[derive(Debug)]
 pub(crate) struct AbstractRun {
     /// `true` if every core's transfer sequence drained.
     pub(crate) drained: bool,
     /// Per core, how many of its transfer sites fired.
     pub(crate) cursors: Vec<usize>,
-    /// Per channel touched, sorted by `(sender, receiver, tag)`.
-    pub(crate) channels: BTreeMap<(u16, u16, u16), ChannelStats>,
+    /// Per channel, parallel to [`Fabric::keys`].
+    pub(crate) channels: Vec<ChannelStats>,
 }
 
-/// Zero-latency most-permissive execution of the transfer fabric over
-/// each core's transfer sequence. Each channel is split round-robin over
-/// `vcs` virtual channels, assigned at issue like the runtime, and a send
-/// waits while its VC holds `limit(channel)` credits (`None`: unbounded).
-///
-/// Greedy fixpoint. Enabled moves are persistent (single producer and
-/// single consumer per channel), so the visit order can't mask a drain:
-/// if the run wedges, no order drains.
-pub(crate) fn abstract_exec(
-    seqs: &[Vec<Site>],
-    vcs: u32,
-    limit: impl Fn(&(u16, u16, u16)) -> Option<u32>,
-) -> AbstractRun {
-    /// A channel's state: messages deposited but not consumed, in order,
-    /// each tagged with the VC whose credit it holds; credits in use per
-    /// VC; the round-robin cursor for the next send's VC.
-    struct Chan {
-        queue: VecDeque<u32>,
-        vc_used: Vec<u32>,
-        next_vc: u32,
-        stats: ChannelStats,
+/// Each core's transfer sequence with its channels interned, prepared
+/// once for any number of abstract executions.
+pub(crate) struct Fabric {
+    /// Every channel `(sender, receiver, tag)` with a site, ascending; a
+    /// channel's index is its position.
+    pub(crate) keys: Vec<(u16, u16, u16)>,
+    /// Per core, its sites in execution order, each packed as
+    /// `channel << 1 | is_send`.
+    seqs: Vec<Vec<u32>>,
+}
+
+impl Fabric {
+    pub(crate) fn new(seqs: &[Vec<Site>]) -> Fabric {
+        // Deduplicated per core first: a core repeats few channels many
+        // times over.
+        let mut keys = Vec::new();
+        for seq in seqs {
+            let mut core_keys: Vec<_> = seq.iter().map(|s| s.key).collect();
+            core_keys.sort_unstable();
+            core_keys.dedup();
+            keys.append(&mut core_keys);
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        let site = |s: &Site| {
+            let channel = keys.partition_point(|&k| k < s.key);
+            u32::try_from(channel << 1 | usize::from(s.is_send)).expect("channel ids fit u31")
+        };
+        let seqs = seqs
+            .iter()
+            .map(|seq| seq.iter().map(site).collect())
+            .collect();
+        Fabric { keys, seqs }
     }
-    let vcs = vcs.max(1);
-    let mut cursors = vec![0usize; seqs.len()];
-    let mut chans: BTreeMap<(u16, u16, u16), Chan> = BTreeMap::new();
-    loop {
-        let mut progressed = false;
-        for (seq, cursor) in seqs.iter().zip(&mut cursors) {
-            while let Some(site) = seq.get(*cursor) {
-                let ch = chans.entry(site.key).or_insert_with(|| Chan {
-                    queue: VecDeque::new(),
-                    vc_used: vec![0; vcs as usize],
-                    next_vc: 0,
-                    stats: ChannelStats::default(),
-                });
-                if site.is_send {
-                    let vc = ch.next_vc as usize;
-                    if limit(&site.key).is_some_and(|credits| ch.vc_used[vc] >= credits) {
-                        break;
+
+    /// Zero-latency most-permissive execution of the transfer fabric.
+    /// Each channel is split round-robin over `vcs` virtual channels,
+    /// assigned at issue like the runtime, and a send waits while its VC
+    /// holds `limit(channel index)` credits (`None`: unbounded).
+    ///
+    /// Greedy fixpoint. Enabled moves are persistent (single producer and
+    /// single consumer per channel), so the visit order can't mask a
+    /// drain: if the run wedges, no order drains. A channel's messages
+    /// take VCs round-robin and leave in order, so the `k`-th message,
+    /// sent or received, holds VC `k % vcs`: counts are the whole state.
+    pub(crate) fn exec(&self, vcs: u32, limit: impl Fn(usize) -> Option<u32>) -> AbstractRun {
+        let vcs = vcs.max(1) as usize;
+        let mut cursors = vec![0usize; self.seqs.len()];
+        let mut received = vec![0u32; self.keys.len()];
+        let mut vc_used = vec![0u32; self.keys.len() * vcs];
+        let mut stats = vec![ChannelStats::default(); self.keys.len()];
+        loop {
+            let mut progressed = false;
+            for (seq, cursor) in self.seqs.iter().zip(&mut cursors) {
+                while let Some(&site) = seq.get(*cursor) {
+                    let ch = (site >> 1) as usize;
+                    let st = &mut stats[ch];
+                    if site & 1 == 1 {
+                        let used = &mut vc_used[ch * vcs + st.messages as usize % vcs];
+                        if limit(ch).is_some_and(|credits| *used >= credits) {
+                            break;
+                        }
+                        *used += 1;
+                        st.messages += 1;
+                        st.peak_in_flight = st.peak_in_flight.max(st.messages - received[ch]);
+                        st.peak_per_vc = st.peak_per_vc.max(*used);
+                    } else {
+                        if received[ch] == st.messages {
+                            break;
+                        }
+                        vc_used[ch * vcs + received[ch] as usize % vcs] -= 1;
+                        received[ch] += 1;
                     }
-                    ch.next_vc = (ch.next_vc + 1) % vcs;
-                    ch.vc_used[vc] += 1;
-                    ch.queue.push_back(vc as u32);
-                    ch.stats.messages += 1;
-                    ch.stats.peak_in_flight = ch.stats.peak_in_flight.max(ch.queue.len() as u32);
-                    ch.stats.peak_per_vc = ch.stats.peak_per_vc.max(ch.vc_used[vc]);
-                } else {
-                    let Some(vc) = ch.queue.pop_front() else {
-                        break;
-                    };
-                    ch.vc_used[vc as usize] -= 1;
+                    *cursor += 1;
+                    progressed = true;
                 }
-                *cursor += 1;
-                progressed = true;
+            }
+            if !progressed {
+                break;
             }
         }
-        if !progressed {
-            break;
+        AbstractRun {
+            drained: self
+                .seqs
+                .iter()
+                .zip(&cursors)
+                .all(|(seq, &c)| c >= seq.len()),
+            cursors,
+            channels: stats,
         }
-    }
-    AbstractRun {
-        drained: seqs.iter().zip(&cursors).all(|(seq, &c)| c >= seq.len()),
-        cursors,
-        channels: chans.into_iter().map(|(k, c)| (k, c.stats)).collect(),
     }
 }
 
@@ -393,7 +419,7 @@ fn drains(
     vcs: u32,
     diags: &mut Vec<Diagnostic>,
 ) -> bool {
-    let cursor = abstract_exec(seqs, vcs, |_| Some(credits)).cursors;
+    let cursor = Fabric::new(seqs).exec(vcs, |_| Some(credits)).cursors;
     let stuck: Vec<usize> = (0..seqs.len())
         .filter(|&c| cursor[c] < seqs[c].len())
         .collect();
@@ -456,6 +482,7 @@ fn drains(
 mod tests {
     use super::*;
     use pimsim_isa::{Addr, CoreId, Reg};
+    use proptest::prelude::*;
 
     fn addr() -> Addr {
         Addr::new(Reg::R0, 0).unwrap()
@@ -723,5 +750,117 @@ mod tests {
         sorted.sort();
         assert_eq!(keys, sorted);
         assert_eq!(map.pairs.len(), 3);
+    }
+
+    /// A channel `(sender, receiver, tag)`.
+    type Key = (u16, u16, u16);
+
+    /// The queue-per-channel executor [`Fabric::exec`] replaced, kept as
+    /// its oracle: each in-flight message carries its VC in a queue, and
+    /// channels live in an ordered map, created on first visit.
+    fn queue_exec(
+        seqs: &[Vec<Site>],
+        vcs: u32,
+        limit: impl Fn(&Key) -> Option<u32>,
+    ) -> (Vec<usize>, BTreeMap<Key, ChannelStats>) {
+        use std::collections::VecDeque;
+        let vcs = vcs.max(1);
+        let mut cursors = vec![0usize; seqs.len()];
+        let mut chans = BTreeMap::new();
+        loop {
+            let mut progressed = false;
+            for (seq, cursor) in seqs.iter().zip(&mut cursors) {
+                while let Some(site) = seq.get(*cursor) {
+                    let (queue, vc_used, next_vc, stats) =
+                        chans.entry(site.key).or_insert_with(|| {
+                            (
+                                VecDeque::new(),
+                                vec![0u32; vcs as usize],
+                                0u32,
+                                ChannelStats::default(),
+                            )
+                        });
+                    if site.is_send {
+                        let vc = *next_vc as usize;
+                        if limit(&site.key).is_some_and(|credits| vc_used[vc] >= credits) {
+                            break;
+                        }
+                        *next_vc = (*next_vc + 1) % vcs;
+                        vc_used[vc] += 1;
+                        queue.push_back(vc);
+                        stats.messages += 1;
+                        stats.peak_in_flight = stats.peak_in_flight.max(queue.len() as u32);
+                        stats.peak_per_vc = stats.peak_per_vc.max(vc_used[vc]);
+                    } else {
+                        let Some(vc) = queue.pop_front() else {
+                            break;
+                        };
+                        vc_used[vc] -= 1;
+                    }
+                    *cursor += 1;
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+        let stats = chans.into_iter().map(|(k, c)| (k, c.3)).collect();
+        (cursors, stats)
+    }
+
+    const CORES: u16 = 3;
+
+    /// A random site: send or recv, with one of the other cores, on one
+    /// of two tags. Sequences need not pair up, so runs wedge often.
+    fn site() -> impl Strategy<Value = (u16, bool, u16, u16)> {
+        (0..CORES, any::<bool>(), 1..CORES, 0u16..2)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 512,
+            ..ProptestConfig::default()
+        })]
+
+        /// The counter-based executor against the queue-based one: the
+        /// same cursors and, per channel, the same counts and peaks, at
+        /// unbounded, uniform and single-channel limits.
+        #[test]
+        fn fabric_matches_the_queue_executor(
+            sites in proptest::collection::vec(site(), 0usize..60usize),
+            vcs in 1u32..5,
+            credits in 1u32..4,
+        ) {
+            let mut seqs = vec![Vec::new(); CORES as usize];
+            for (pc, &(core, is_send, hop, tag)) in sites.iter().enumerate() {
+                let peer = (core + hop) % CORES;
+                let key = if is_send { (core, peer, tag) } else { (peer, core, tag) };
+                seqs[core as usize].push(Site { pc: pc as u32, is_send, key, elems: 1 });
+            }
+            let fabric = Fabric::new(&seqs);
+            // Unbounded; `credits` on every channel; on the first alone.
+            let first = fabric.keys.first().copied();
+            let limit = |case: u8, k: &Key| match case {
+                0 => None,
+                1 => Some(credits),
+                _ => (Some(*k) == first).then_some(credits),
+            };
+            for case in 0..3 {
+                let run = fabric.exec(vcs, |ch| limit(case, &fabric.keys[ch]));
+                let (cursors, stats) = queue_exec(&seqs, vcs, |k| limit(case, k));
+                prop_assert_eq!(&run.cursors, &cursors);
+                let drained = seqs.iter().zip(&cursors).all(|(seq, &c)| c == seq.len());
+                prop_assert_eq!(run.drained, drained);
+                for (key, got) in fabric.keys.iter().zip(&run.channels) {
+                    let want = stats.get(key).copied().unwrap_or_default();
+                    prop_assert_eq!(
+                        (got.messages, got.peak_in_flight, got.peak_per_vc),
+                        (want.messages, want.peak_in_flight, want.peak_per_vc),
+                        "{:?}", key
+                    );
+                }
+            }
+        }
     }
 }

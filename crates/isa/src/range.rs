@@ -98,13 +98,14 @@ impl Footprint {
     }
 
     /// Do the two global accesses overlap with a write on either side?
-    /// The interval test has no emptiness guard: a zero-length access
-    /// conflicts with an interval strictly around its address, and never
-    /// with another zero-length one.
+    /// Like [`Range::overlaps`], a zero-length access overlaps nothing,
+    /// so it conflicts with nothing.
     #[inline]
     pub fn gmem_conflicts(&self, other: &Footprint) -> bool {
         match (self.gmem, other.gmem) {
-            (Some((s1, e1, w1)), Some((s2, e2, w2))) => (w1 || w2) && s1 < e2 && s2 < e1,
+            (Some((s1, e1, w1)), Some((s2, e2, w2))) => {
+                (w1 || w2) && s1 < e1 && s2 < e2 && s1 < e2 && s2 < e1
+            }
             _ => false,
         }
     }
@@ -201,13 +202,13 @@ mod tests {
         assert!(!read.conflicts(&read), "two reads never conflict");
         assert!(!read.conflicts(&global(20, 10, true)), "disjoint");
         assert!(!local([Range::EMPTY; 2], Range::EMPTY).conflicts(&write));
-        // A zero-length access: strictly inside a written interval it
-        // conflicts, in either order; on its boundary or against another
-        // zero-length access it does not.
+        // A zero-length access conflicts with nothing: not strictly
+        // inside a written interval (in either order), not on its
+        // boundary, not against another zero-length access.
         let store = global(100, 8, true);
-        assert!(global(104, 0, false).conflicts(&store));
-        assert!(store.conflicts(&global(104, 0, false)));
-        assert!(global(104, 0, true).conflicts(&global(100, 8, false)));
+        assert!(!global(104, 0, false).conflicts(&store));
+        assert!(!store.conflicts(&global(104, 0, false)));
+        assert!(!global(104, 0, true).conflicts(&global(100, 8, false)));
         assert!(!global(100, 0, false).conflicts(&store), "on the boundary");
         assert!(!global(108, 0, true).conflicts(&store), "one past the end");
         assert!(!global(104, 0, true).conflicts(&global(104, 0, true)));

@@ -135,3 +135,49 @@ fn dag_edge_count_stays_linear_in_nodes() {
         );
     }
 }
+
+#[test]
+fn zero_length_gload_inside_a_gstore_does_not_wait() {
+    // A zero-length global access overlaps nothing, so it conflicts with
+    // nothing — not even a store whose interval lies strictly around its
+    // address. The machine and the analyzer share that rule: in `run` the
+    // load completes exactly when it does beside a store elsewhere (it
+    // still queues behind the store for the memory link), and `bound`
+    // stores no edge.
+    let program = |store_at: u32| {
+        pimsim::isa::asm::assemble(&format!(
+            ".core 0\n\
+             gstore g[r0+{store_at}], [r0+0], 64\n\
+             gload [r0+500], g[r0+104], 0\n\
+             halt\n"
+        ))
+        .unwrap()
+    };
+    let mut arch = ArchConfig::small_test().with_functional(false);
+    arch.sim.trace = true;
+    let load_done = |program: &Program| {
+        let sim = Simulator::new(&arch).run(program).unwrap();
+        let load = sim.trace.iter().find(|t| t.instr.starts_with("gload"));
+        load.expect("the load retired").time
+    };
+    let around = program(100);
+    assert_eq!(
+        load_done(&around),
+        load_done(&program(1000)),
+        "the empty load must not wait for the store around it"
+    );
+
+    let analysis = analyze(&around, &arch);
+    let cfgs: Vec<Cfg> = around.cores.iter().map(|c| Cfg::build(&c.instrs)).collect();
+    let dag = Dag::build(&around, &cfgs, &analysis.rendezvous);
+    assert_eq!(dag.nodes.len(), 2);
+    assert!(
+        dag.preds(1).is_empty(),
+        "no hazard edge: {:?}",
+        dag.preds(1)
+    );
+    let sim = Simulator::new(&arch).run(&around).unwrap();
+    let report = bounds(&around, &arch);
+    assert!(report.latency_lb_ps <= sim.latency.as_ps());
+    assert_eq!(report.critical_path_len, 1, "the store alone");
+}
