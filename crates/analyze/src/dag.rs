@@ -327,35 +327,15 @@ struct HazardMap {
     /// Reader-list cells `(node, next)`. A list only ever grows at its
     /// head, so the halves of a split run share their tail.
     cells: Vec<(u32, u32)>,
-    /// Recent [`index_of`](Self::index_of) answers, by [`slot_of`].
-    memo: Vec<Option<(u64, usize)>>,
-}
-
-/// Slots of the direct-mapped boundary caches.
-const SLOTS: usize = 1024;
-
-/// The cache slot of boundary `at`.
-fn slot_of(at: u64) -> usize {
-    (at ^ (at >> 10)) as usize % SLOTS
 }
 
 impl HazardMap {
     /// Forgets all history and prepares for the accesses `[start, end)`
     /// of `ranges` (empty ones are skipped, as the accesses skip them).
     fn reset(&mut self, ranges: impl Iterator<Item = (u64, u64)>) {
-        // A core's accesses repeat a few thousand boundaries many times
-        // over: a direct-mapped cache of recent ones drops most repeats
-        // before the sort.
-        let mut recent = [None; SLOTS];
         self.cuts.clear();
         for (start, end) in ranges.filter(|(start, end)| start < end) {
-            for at in [start, end] {
-                let slot = &mut recent[slot_of(at)];
-                if *slot != Some(at) {
-                    *slot = Some(at);
-                    self.cuts.push(at);
-                }
-            }
+            self.cuts.extend([start, end]);
         }
         self.cuts.sort_unstable();
         self.cuts.dedup();
@@ -367,8 +347,6 @@ impl HazardMap {
         self.readers.clear();
         self.readers.resize(len, NIL);
         self.cells.clear();
-        self.memo.clear();
-        self.memo.resize(SLOTS, None);
     }
 
     /// Makes interval `i` start a run, with the history of the run it
@@ -389,26 +367,10 @@ impl HazardMap {
         self.run_starts.next(run + 1).unwrap_or(usize::MAX)
     }
 
-    /// The index of boundary `at` in `cuts`. A core's accesses reuse few
-    /// boundaries, so a direct-mapped memo answers most lookups without
-    /// the binary search.
-    fn index_of(&mut self, at: u64) -> usize {
-        let slot = &mut self.memo[slot_of(at)];
-        match *slot {
-            Some((seen, index)) if seen == at => index,
-            _ => {
-                let index = self.cuts.partition_point(|&c| c < at);
-                *slot = Some((at, index));
-                index
-            }
-        }
-    }
-
     /// The intervals of `[start, end)`, both ends made run starts. Both
     /// are boundaries handed to [`reset`](Self::reset).
     fn runs_of(&mut self, start: u64, end: u64) -> (usize, usize) {
-        let first = self.index_of(start);
-        let last = self.index_of(end);
+        let [first, last] = [start, end].map(|at| self.cuts.partition_point(|&c| c < at));
         self.split_at(first);
         self.split_at(last);
         (first, last)
@@ -531,9 +493,9 @@ impl Dag {
     /// prepares one `HazardMap` per address space from those nodes'
     /// accesses, then runs the forward pass over them. Cost: a sort of
     /// each core's access boundaries, and per access two boundary lookups
-    /// (binary searches, most answered by a memo) plus one `O(log64 n)`
-    /// visit per run it touches, for `n` nodes; the zoo's compiled
-    /// programs' reads make 6-34 run visits per node.
+    /// (binary searches) plus one `O(log64 n)` visit per run it touches,
+    /// for `n` nodes; the zoo's compiled programs' reads make 6-34 run
+    /// visits per node.
     pub fn build(program: &Program, cfgs: &[Cfg], rendezvous: &crate::RendezvousMap) -> Dag {
         let mut nodes: Vec<DagNode> = Vec::new();
         let mut cores = Vec::with_capacity(program.cores.len());

@@ -21,20 +21,17 @@
 //!
 //! # The search
 //!
-//! Each minimum is found by a galloping search over `1..=peak`, one
-//! abstract execution per probe: it tries 1, 2, 4, … until a limit
-//! drains, then bisects the last gap. That is one run when the answer is
-//! 1 — as on every zoo channel, where a linear scan from 1 also stops at
-//! once — and about `2 log2(answer)` runs otherwise, where a linear scan
-//! takes `answer`. A bare bisection of `1..=peak` would take `log2(peak)`
-//! runs even for an answer of 1.
+//! Each minimum is the first limit in `1..=peak` at which the abstract
+//! execution drains, found by a linear scan, one execution per probe.
+//! On every zoo channel the answer is 1, so the scan stops after one run;
+//! a bisection of `1..=peak` would take `log2(peak)` runs there.
 //!
-//! Any search over the limit is exact because draining is monotone in
-//! it. VCs are assigned round-robin at issue whatever the limit, so every
-//! order of moves a limit allows, a larger one allows too; and the greedy
+//! The scan is exact because draining is monotone in the limit. VCs are
+//! assigned round-robin at issue whatever the limit, so every order of
+//! moves a limit allows, a larger one allows too; and the greedy
 //! execution drains whenever some order does. A limit at the peak never
 //! blocks a send, so it behaves like the unbounded run, which drained:
-//! the search never needs to probe the peak itself.
+//! the scan ends by its last value.
 
 use pimsim_isa::Program;
 use serde::{Deserialize, Serialize};
@@ -100,7 +97,7 @@ pub(crate) fn occupancy(program: &Program, cfgs: &[Cfg], vcs: u32) -> OccupancyR
     // No transfers at all (knee 0) leaves the uniform minimum `None`: any
     // credit count vacuously works.
     let min_credits_deadlock_free =
-        least_draining(credit_knee, |c| fabric.exec(vcs, |_| Some(c)).drained);
+        (1..=credit_knee).find(|&c| fabric.exec(vcs, |_| Some(c)).drained);
 
     // Per-channel minima: limit one channel, leave the rest unbounded.
     let channels = (fabric.keys.iter().zip(&unbounded.channels).enumerate())
@@ -111,9 +108,8 @@ pub(crate) fn occupancy(program: &Program, cfgs: &[Cfg], vcs: u32) -> OccupancyR
             messages: stats.messages,
             peak_in_flight: stats.peak_in_flight,
             peak_per_vc: stats.peak_per_vc,
-            min_credits: least_draining(stats.peak_per_vc, |c| {
-                fabric.exec(vcs, |k| (k == ch).then_some(c)).drained
-            }),
+            min_credits: (1..=stats.peak_per_vc)
+                .find(|&c| fabric.exec(vcs, |k| (k == ch).then_some(c)).drained),
         })
         .collect();
 
@@ -140,49 +136,14 @@ fn transfer_fabric(program: &Program, cfgs: &[Cfg]) -> Option<Fabric> {
     Some(Fabric::new(&seqs?))
 }
 
-/// The smallest limit in `1..=peak` at which `drains` holds, `None` for a
-/// zero peak. Galloping search (module docs): `drains` must be monotone
-/// and hold at `peak`.
-fn least_draining(peak: u32, drains: impl Fn(u32) -> bool) -> Option<u32> {
-    if peak == 0 {
-        return None;
-    }
-    // `drains(hi)` holds throughout; every limit below `lo` fails.
-    let (mut lo, mut hi) = (1, peak);
-    let mut probe = 1;
-    while probe < hi {
-        if drains(probe) {
-            hi = probe;
-        } else {
-            lo = probe + 1;
-            probe = probe.saturating_mul(2);
-        }
-    }
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if drains(mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Some(hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pimsim_isa::asm::assemble;
-    use proptest::prelude::*;
-
-    fn prepared(src: &str) -> (Program, Vec<Cfg>) {
-        let p = assemble(src).unwrap();
-        let cfgs = p.cores.iter().map(|c| Cfg::build(&c.instrs)).collect();
-        (p, cfgs)
-    }
 
     fn report(src: &str, vcs: u32) -> OccupancyReport {
-        let (p, cfgs) = prepared(src);
+        let p = assemble(src).unwrap();
+        let cfgs: Vec<Cfg> = p.cores.iter().map(|c| Cfg::build(&c.instrs)).collect();
         occupancy(&p, &cfgs, vcs)
     }
 
@@ -281,88 +242,5 @@ mod tests {
         );
         assert!(r.channels.is_empty());
         assert_eq!(r.min_credits_deadlock_free, None);
-    }
-
-    #[test]
-    fn galloping_search_finds_every_threshold() {
-        assert_eq!(least_draining(0, |_| true), None);
-        for peak in 1..=40u32 {
-            for answer in 1..=peak {
-                let probes = std::cell::Cell::new(0u32);
-                let found = least_draining(peak, |c| {
-                    probes.set(probes.get() + 1);
-                    c >= answer
-                });
-                assert_eq!(found, Some(answer), "peak {peak}");
-                // One probe for an answer of 1; two per bit of the answer.
-                let bits = u32::BITS - answer.leading_zeros();
-                let most = if answer == 1 { 1 } else { 2 * bits };
-                assert!(probes.get() <= most, "{} probes for {answer}", probes.get());
-            }
-        }
-    }
-
-    const CORES: u16 = 3;
-
-    /// Transfers `(from, hop, tag, delay)` in one global order: transfer
-    /// `i` sends at time `2i` and is received at `2(i + delay) + 1`, and
-    /// each core runs its sites in time order. Every recv comes after its
-    /// send, so the program drains with unbounded credits. Long delays let
-    /// sends pile up, cross between cores, and overtake on another tag, so
-    /// about a quarter of the programs need more than one credit.
-    fn transfer_program(transfers: &[(u16, u16, u16, u32)]) -> String {
-        let mut timed = vec![Vec::new(); CORES as usize];
-        for (i, &(from, hop, tag, delay)) in transfers.iter().enumerate() {
-            let to = (from + hop) % CORES;
-            let i = i as u32;
-            let send = format!("send core{to}, [r0+0], 4, tag={tag}\n");
-            timed[from as usize].push((2 * i, send));
-            let recv = format!("recv core{from}, [r0+0], 4, tag={tag}\n");
-            timed[to as usize].push((2 * (i + delay) + 1, recv));
-        }
-        let mut src = String::new();
-        for (core, mut sites) in timed.into_iter().enumerate() {
-            sites.sort_by_key(|&(time, _)| time);
-            src.push_str(&format!(".core {core}\n"));
-            src.extend(sites.into_iter().map(|(_, line)| line));
-            src.push_str("halt\n");
-        }
-        src
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig {
-            cases: 256,
-            ..ProptestConfig::default()
-        })]
-
-        /// The galloping search against the linear search it replaced, at
-        /// every VC count the CLI is commonly run with: the same uniform
-        /// and per-channel minima on random transfer programs.
-        #[test]
-        fn galloping_search_matches_the_linear_search(
-            transfers in proptest::collection::vec(
-                (0..CORES, 1..CORES, 0u16..3, 0u32..40),
-                1usize..40usize,
-            ),
-            vcs in prop_oneof![Just(1u32), Just(2), Just(4)],
-        ) {
-            let (p, cfgs) = prepared(&transfer_program(&transfers));
-            let report = occupancy(&p, &cfgs, vcs);
-            prop_assert!(!report.channels.is_empty(), "the program drains unbounded");
-            let Some(fabric) = transfer_fabric(&p, &cfgs) else {
-                return Err(TestCaseError::fail("every core is linear"));
-            };
-            let uniform = (1..=report.credit_knee)
-                .find(|&c| fabric.exec(vcs, |_| Some(c)).drained);
-            prop_assert_eq!(report.min_credits_deadlock_free, uniform);
-            for (k, ch) in report.channels.iter().enumerate() {
-                let key = (ch.sender, ch.receiver, ch.tag);
-                prop_assert_eq!(fabric.keys[k], key);
-                let linear = (1..=ch.peak_per_vc)
-                    .find(|&c| fabric.exec(vcs, |j| (j == k).then_some(c)).drained);
-                prop_assert_eq!(ch.min_credits, linear, "{:?}", key);
-            }
-        }
     }
 }

@@ -328,15 +328,7 @@ pub(crate) struct Fabric {
 
 impl Fabric {
     pub(crate) fn new(seqs: &[Vec<Site>]) -> Fabric {
-        // Deduplicated per core first: a core repeats few channels many
-        // times over.
-        let mut keys = Vec::new();
-        for seq in seqs {
-            let mut core_keys: Vec<_> = seq.iter().map(|s| s.key).collect();
-            core_keys.sort_unstable();
-            core_keys.dedup();
-            keys.append(&mut core_keys);
-        }
+        let mut keys: Vec<_> = seqs.iter().flatten().map(|s| s.key).collect();
         keys.sort_unstable();
         keys.dedup();
         let site = |s: &Site| {
