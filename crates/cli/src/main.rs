@@ -368,7 +368,9 @@ fn load_network(args: &Args) -> Result<Network, String> {
     let size = args
         .get_num("size")?
         .unwrap_or_else(|| default_resolution(name));
-    zoo::by_name(name, size).ok_or_else(|| format!("unknown network `{name}`"))
+    let net = zoo::by_name(name, size).ok_or_else(|| format!("unknown network `{name}`"))?;
+    net.validate().map_err(|e| e.to_string())?;
+    Ok(net)
 }
 
 fn mapping_policy(args: &Args) -> Result<MappingPolicy, String> {

@@ -41,27 +41,31 @@
 //! [`SCRATCH_SLOTS`] slots so consecutive pixels have no false WAW hazards
 //! and the ROB (paper Fig. 4) can overlap them.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use pimsim_arch::ArchConfig;
 use pimsim_isa::{
-    Addr, CoreId, GroupConfig, GroupId, Instruction, PoolOp, Program, ProgramLimits, Reg, SImmOp,
-    VBinOp, VImmOp, VUnOp, WeightMatrix,
+    limits, Addr, CoreId, GroupConfig, GroupId, Instruction, PoolOp, Program, ProgramLimits, Reg,
+    SImmOp, VBinOp, VImmOp, VUnOp, WeightMatrix,
 };
-use pimsim_nn::{Activation, Network, NodeId, PortRef, WeightGen};
+use pimsim_nn::{Activation, Network, NodeId, PortRef, Shape, WeightGen, DEFAULT_REQUANT_SHIFT};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CompileError;
-use crate::lower::{resolve_alias, LoweredKind, LoweredNode};
+use crate::lower::{resolve_alias, LoweredKind, LoweredNode, MatrixOp};
 use crate::mapping::{MappingPolicy, Placement, Slice};
 use crate::Result;
 
 /// Scratch-slot rotation depth (bounds cross-pixel WAW serialization).
 pub const SCRATCH_SLOTS: u32 = 4;
 
-const LEN_MAX: u32 = (1 << 18) - 1; // transfer/vector length field
-const ABS_MAX: i32 = (1 << 21) - 1; // absolute r0-relative offset
-const WIN_MAX: u32 = 63; // VPOOL window field
+/// Transfer/vector length field.
+const LEN_MAX: u32 = limits::umax(limits::LEN_BITS) as u32;
+/// Largest offset from a base register (absolute `r0`-relative addresses
+/// beyond it go through a base-register load).
+const ABS_MAX: i32 = limits::smax(limits::ADDR_OFFSET_BITS) as i32;
+/// `VPOOL` window field.
+const WIN_MAX: u32 = limits::umax(limits::WIN_BITS) as u32;
 
 /// Where the network output lands in global memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -95,27 +99,33 @@ pub struct Compiled {
 /// Key for every local-memory buffer the generator plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum BufKey {
-    /// Consumer-side storage for one input edge on one compute core.
-    EdgeIn { node: u32, edge: u32, core: u16 },
-    /// Row-assembly buffer (home: full channels; slice cores: their cols).
-    Staging { node: u32, core: u16 },
-    /// Rotating window/accumulator scratch.
-    Scratch { node: u32, core: u16 },
-    /// Bias values.
-    Bias { node: u32, core: u16 },
+    /// `(node, edge, core)`: consumer-side storage for one input edge on
+    /// one compute core.
+    EdgeIn(u32, u32, u16),
+    /// `(node, core)`: a non-home compute core's column-slice output.
+    Staging(u32, u16),
+    /// `(node, core)`: rotating window/accumulator scratch.
+    Scratch(u32, u16),
+    /// `(node, core)`: bias values.
+    Bias(u32, u16),
     /// Fully materialized output (branch points forward edge-major).
-    OutBuf { node: u32 },
-    /// Home-side contiguous accumulator for a row-split column range.
-    AccRow { node: u32, col_start: u32 },
-    /// Home-side landing area for one remote partial-sum piece.
-    PartialIn { node: u32, slice: u32 },
+    OutBuf(u32),
+    /// `(node, col_start)`: home-side contiguous accumulator for a
+    /// row-split column range.
+    AccRow(u32, u32),
+    /// `(node, slice)`: home-side landing area for one remote partial-sum
+    /// piece.
+    PartialIn(u32, u32),
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Buf {
-    base: u32,
-    #[allow(dead_code)]
-    elems: u32,
+/// Key for every transfer tag: one per consumer edge per compute core
+/// `(consumer, edge, core)`, and one gather channel per matrix slice
+/// `(node, slice)` so a core holding several slices of one layer ships
+/// each segment on its own tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum TagKey {
+    Edge(u32, u32, u16),
+    Gather(u32, u32),
 }
 
 /// Geometry of one consumer edge on one compute core.
@@ -144,30 +154,47 @@ impl EdgeDst {
     }
 }
 
+/// The unary op a fused or standalone activation runs as.
+fn activation_op(act: Activation) -> VUnOp {
+    match act {
+        Activation::Relu => VUnOp::Relu,
+        Activation::Sigmoid => VUnOp::Sigmoid,
+        Activation::Tanh => VUnOp::Tanh,
+    }
+}
+
+/// Zero padding around a node's (first) input buffer.
+fn input_padding(kind: &LoweredKind) -> u32 {
+    match kind {
+        LoweredKind::Matrix(m) => m.padding,
+        LoweredKind::Pool { padding, .. } => *padding,
+        _ => 0,
+    }
+}
+
 struct Emitter<'a> {
     arch: &'a ArchConfig,
-    input_shape: pimsim_nn::Shape,
+    input_shape: Shape,
     lowered: &'a [LoweredNode],
     placement: &'a Placement,
     progs: Vec<pimsim_isa::CoreProgram>,
     tags: Vec<Vec<u16>>,
     mem_next: Vec<u32>,
-    bufs: HashMap<BufKey, Buf>,
-    edge_tags: HashMap<(u32, u32, u16), u16>,
-    gather_tags: HashMap<u32, u16>,
+    /// Base address of every planned buffer.
+    bufs: HashMap<BufKey, u32>,
+    transfer_tags: HashMap<TagKey, u16>,
     /// Remote edges whose sends are emitted but whose consumer section has
     /// not yet received: `(producer, consumer, edge, consumer core, sender)`.
     /// Producer-first ordering is the cross-core drain order.
-    pending_remote: std::collections::BTreeSet<(u32, u32, u32, u16, u16)>,
+    pending_remote: BTreeSet<(u32, u32, u32, u16, u16)>,
     /// `(consumer, edge, core)` edges whose consumer section has begun
     /// receiving through the normal incremental path.
-    drain_started: std::collections::HashSet<(u32, u32, u16)>,
+    drain_started: HashSet<(u32, u32, u16)>,
     /// `(consumer, edge, core)` edges fully received ahead of their
     /// section by [`Emitter::drain_pending_before`].
-    hoist_drained: std::collections::HashSet<(u32, u32, u16)>,
+    hoist_drained: HashSet<(u32, u32, u16)>,
     next_tag: u32,
     weights: Option<WeightGen>,
-    shift: u32,
     cur_tag: u16,
     /// Per-core rotating base-register cache: (reg index 1..=8, value).
     reg_cache: Vec<Vec<(u8, u32)>>,
@@ -179,14 +206,12 @@ struct Emitter<'a> {
 }
 
 /// Entry point: emits the full program.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn emit(
     net: &Network,
     lowered: &[LoweredNode],
     placement: &Placement,
     arch: &ArchConfig,
     policy: MappingPolicy,
-    shift: u32,
     weights: Option<WeightGen>,
     batch: u32,
 ) -> Result<Compiled> {
@@ -200,14 +225,12 @@ pub(crate) fn emit(
         tags: vec![Vec::new(); n_cores],
         mem_next: vec![0; n_cores],
         bufs: HashMap::new(),
-        edge_tags: HashMap::new(),
-        gather_tags: HashMap::new(),
-        pending_remote: std::collections::BTreeSet::new(),
-        drain_started: std::collections::HashSet::new(),
-        hoist_drained: std::collections::HashSet::new(),
+        transfer_tags: HashMap::new(),
+        pending_remote: BTreeSet::new(),
+        drain_started: HashSet::new(),
+        hoist_drained: HashSet::new(),
         next_tag: 0,
         weights,
-        shift,
         cur_tag: 0,
         reg_cache: vec![Vec::new(); n_cores],
         reg_next: vec![1; n_cores],
@@ -258,7 +281,7 @@ pub(crate) fn emit(
     }
     program.meta.name = net.name.clone();
     program.meta.mapping = policy.to_string();
-    program.meta.notes = format!("requant_shift={shift}");
+    program.meta.notes = format!("requant_shift={DEFAULT_REQUANT_SHIFT}");
 
     // Stage the input for functional runs.
     if let Some(gen) = e.weights {
@@ -295,7 +318,8 @@ impl<'a> Emitter<'a> {
         self.tags[core as usize].push(self.cur_tag);
     }
 
-    fn alloc(&mut self, core: u16, elems: u32, what: &str) -> Result<u32> {
+    /// Reserves `elems` of `core`'s local memory for buffer `key`.
+    fn alloc_buf(&mut self, core: u16, key: BufKey, elems: u32, what: &str) -> Result<()> {
         let cap = self.arch.resources.local_mem_elems();
         let base = self.mem_next[core as usize];
         let end = base as u64 + elems as u64;
@@ -308,20 +332,32 @@ impl<'a> Emitter<'a> {
             });
         }
         self.mem_next[core as usize] = end as u32;
-        Ok(base)
+        self.bufs.insert(key, base);
+        Ok(())
     }
 
-    fn buf(&self, key: BufKey) -> Result<Buf> {
+    /// Base address of buffer `key`.
+    fn buf(&self, key: BufKey) -> Result<u32> {
         self.bufs
             .get(&key)
             .copied()
             .ok_or_else(|| CompileError::Internal(format!("missing buffer {key:?}")))
     }
 
-    fn new_tag(&mut self) -> Result<u16> {
-        let t = self.next_tag;
+    /// Base address of `node`'s input-edge buffer on core `core`.
+    fn edge_in(&self, node: &LoweredNode, edge: u32, core: u16) -> Result<u32> {
+        self.buf(BufKey::EdgeIn(node.id.0, edge, core))
+    }
+
+    /// The transfer tag of `key`, allocated on first use.
+    fn tag(&mut self, key: TagKey) -> Result<u16> {
+        if let Some(&t) = self.transfer_tags.get(&key) {
+            return Ok(t);
+        }
+        let t = u16::try_from(self.next_tag).map_err(|_| CompileError::TagOverflow)?;
         self.next_tag += 1;
-        u16::try_from(t).map_err(|_| CompileError::TagOverflow)
+        self.transfer_tags.insert(key, t);
+        Ok(t)
     }
 
     /// Local-memory operand for absolute element address `abs`, emitting a
@@ -364,246 +400,167 @@ impl<'a> Emitter<'a> {
         self.addr(core, abs32)
     }
 
-    /// Chunked local-to-local contiguous copy.
-    fn copy_local(&mut self, core: u16, dst: u32, src: u32, len: u32) -> Result<()> {
+    /// Splits `len` elements into `LEN_MAX`-sized chunks and pushes
+    /// `make(done, n)` for each: `n` elements starting `done` in. `make`
+    /// resolves its operands (which may emit base-register loads first).
+    fn chunked(
+        &mut self,
+        core: u16,
+        len: u32,
+        mut make: impl FnMut(&mut Self, u32, u32) -> Result<Instruction>,
+    ) -> Result<()> {
         let mut done = 0;
         while done < len {
             let n = (len - done).min(LEN_MAX);
-            let d = self.addr(core, dst + done)?;
-            let s = self.addr(core, src + done)?;
-            self.push(
-                core,
-                Instruction::VUn {
-                    op: VUnOp::Copy,
-                    dst: d,
-                    src: s,
-                    len: n,
-                },
-            );
+            let instr = make(self, done, n)?;
+            self.push(core, instr);
             done += n;
         }
         Ok(())
     }
 
-    /// Chunked synchronized send.
+    /// Synchronized send.
     fn send(&mut self, core: u16, peer: u16, src: u32, len: u32, tag: u16) -> Result<()> {
-        let mut done = 0;
-        while done < len {
-            let n = (len - done).min(LEN_MAX);
-            let s = self.addr(core, src + done)?;
-            self.push(
-                core,
-                Instruction::Send {
-                    peer: CoreId(peer),
-                    src: s,
-                    len: n,
-                    tag,
-                },
-            );
-            done += n;
-        }
-        Ok(())
+        self.chunked(core, len, |e, done, len| {
+            Ok(Instruction::Send {
+                peer: CoreId(peer),
+                src: e.addr(core, src + done)?,
+                len,
+                tag,
+            })
+        })
     }
 
-    /// Chunked synchronized contiguous receive.
+    /// Synchronized contiguous receive.
     fn recv(&mut self, core: u16, peer: u16, dst: u32, len: u32, tag: u16) -> Result<()> {
-        let mut done = 0;
-        while done < len {
-            let n = (len - done).min(LEN_MAX);
-            let d = self.addr(core, dst + done)?;
-            self.push(
-                core,
-                Instruction::Recv {
-                    peer: CoreId(peer),
-                    dst: d,
-                    len: n,
-                    tag,
-                },
-            );
-            done += n;
-        }
-        Ok(())
+        self.chunked(core, len, |e, done, len| {
+            Ok(Instruction::Recv {
+                peer: CoreId(peer),
+                dst: e.addr(core, dst + done)?,
+                len,
+                tag,
+            })
+        })
     }
 
-    /// Chunked global load into local memory.
+    /// Global load into local memory.
     fn gload(&mut self, core: u16, dst: u32, gsrc: u64, len: u32) -> Result<()> {
-        let mut done = 0;
-        while done < len {
-            let n = (len - done).min(LEN_MAX);
-            let d = self.addr(core, dst + done)?;
-            let g = self.gaddr(core, gsrc + done as u64)?;
-            self.push(
-                core,
-                Instruction::GLoad {
-                    dst: d,
-                    gaddr: g,
-                    len: n,
-                },
-            );
-            done += n;
-        }
-        Ok(())
+        self.chunked(core, len, |e, done, len| {
+            Ok(Instruction::GLoad {
+                dst: e.addr(core, dst + done)?,
+                gaddr: e.gaddr(core, gsrc + done as u64)?,
+                len,
+            })
+        })
     }
 
-    /// Chunked global store from local memory.
+    /// Global store from local memory.
     fn gstore(&mut self, core: u16, gdst: u64, src: u32, len: u32) -> Result<()> {
-        let mut done = 0;
-        while done < len {
-            let n = (len - done).min(LEN_MAX);
-            let g = self.gaddr(core, gdst + done as u64)?;
-            let s = self.addr(core, src + done)?;
-            self.push(
-                core,
-                Instruction::GStore {
-                    gaddr: g,
-                    src: s,
-                    len: n,
-                },
-            );
-            done += n;
-        }
-        Ok(())
+        self.chunked(core, len, |e, done, len| {
+            Ok(Instruction::GStore {
+                gaddr: e.gaddr(core, gdst + done as u64)?,
+                src: e.addr(core, src + done)?,
+                len,
+            })
+        })
     }
 
-    /// Chunked element-wise binary op over contiguous vectors.
+    /// Element-wise binary op over contiguous vectors.
     fn vbin(&mut self, core: u16, op: VBinOp, dst: u32, a: u32, b: u32, len: u32) -> Result<()> {
-        let mut done = 0;
-        while done < len {
-            let n = (len - done).min(LEN_MAX);
-            let d = self.addr(core, dst + done)?;
-            let aa = self.addr(core, a + done)?;
-            let bb = self.addr(core, b + done)?;
-            self.push(
-                core,
-                Instruction::VBin {
-                    op,
-                    dst: d,
-                    a: aa,
-                    b: bb,
-                    len: n,
-                },
-            );
-            done += n;
-        }
-        Ok(())
+        self.chunked(core, len, |e, done, len| {
+            Ok(Instruction::VBin {
+                op,
+                dst: e.addr(core, dst + done)?,
+                a: e.addr(core, a + done)?,
+                b: e.addr(core, b + done)?,
+                len,
+            })
+        })
     }
 
+    /// Element-wise unary op over contiguous vectors (`VUnOp::Copy` is
+    /// the local copy).
     fn vun(&mut self, core: u16, op: VUnOp, dst: u32, src: u32, len: u32) -> Result<()> {
-        let mut done = 0;
-        while done < len {
-            let n = (len - done).min(LEN_MAX);
-            let d = self.addr(core, dst + done)?;
-            let s = self.addr(core, src + done)?;
-            self.push(
-                core,
-                Instruction::VUn {
-                    op,
-                    dst: d,
-                    src: s,
-                    len: n,
-                },
-            );
-            done += n;
-        }
-        Ok(())
+        self.chunked(core, len, |e, done, len| {
+            Ok(Instruction::VUn {
+                op,
+                dst: e.addr(core, dst + done)?,
+                src: e.addr(core, src + done)?,
+                len,
+            })
+        })
     }
 
-    fn activation_op(&mut self, core: u16, act: Activation, at: u32, len: u32) -> Result<()> {
-        let op = match act {
-            Activation::Relu => VUnOp::Relu,
-            Activation::Sigmoid => VUnOp::Sigmoid,
-            Activation::Tanh => VUnOp::Tanh,
-        };
-        self.vun(core, op, at, at, len)
+    /// The fused weight-layer epilogue: `at = acc + bias`, then `VSRAI`
+    /// requantization and the activation, in place at `at`.
+    fn epilogue(
+        &mut self,
+        core: u16,
+        at: u32,
+        acc: u32,
+        bias: u32,
+        len: u32,
+        act: Option<Activation>,
+    ) -> Result<()> {
+        self.vbin(core, VBinOp::Add, at, acc, bias, len)?;
+        let d = self.addr(core, at)?;
+        self.push(
+            core,
+            Instruction::VImm {
+                op: VImmOp::Sra,
+                dst: d,
+                src: d,
+                imm: DEFAULT_REQUANT_SHIFT as i32,
+                len,
+            },
+        );
+        match act {
+            Some(act) => self.vun(core, activation_op(act), at, at, len),
+            None => Ok(()),
+        }
     }
 
     // ------------------------------------------------------ buffer planning --
 
-    /// Geometry of a node's input edge `e` as seen on compute core `cc`.
-    /// The *wire* geometry (rows, elements per row) comes from the
-    /// effective producer (aliases like flatten change the logical shape
-    /// but not the bytes); the *placement* geometry (padding, channel
-    /// interleave) comes from the consumer.
-    fn edge_dst(&self, node: &LoweredNode, e: usize, cc: u16) -> Result<EdgeDst> {
-        // Effective wire shape.
-        let src_shape = match resolve_alias(self.lowered, node.inputs[e]) {
+    /// The *wire* shape of a node's input edge `e`: the effective
+    /// producer's output (aliases like flatten change the logical shape
+    /// but not the bytes).
+    fn wire_shape(&self, node: &LoweredNode, e: usize) -> Shape {
+        match resolve_alias(self.lowered, node.inputs[e]) {
             PortRef::Input => self.input_shape,
             PortRef::Node(id) => self.lowered[id.as_usize()].out_shape,
-        };
+        }
+    }
+
+    /// Geometry of a node's input edge `e` as seen on compute core `cc`.
+    /// The wire geometry (rows, elements per row) comes from the effective
+    /// producer; the *placement* geometry (padding, channel interleave)
+    /// comes from the consumer.
+    fn edge_dst(&self, node: &LoweredNode, e: usize, cc: u16) -> Result<EdgeDst> {
+        let src_shape = self.wire_shape(node, e);
         if matches!(node.kind, LoweredKind::Concat) && src_shape != node.in_shapes[e] {
             return Err(CompileError::Internal(format!(
                 "concat input {e} of {} is reshaped ({} vs {}); aliasing into concat is unsupported",
                 node.name, src_shape, node.in_shapes[e]
             )));
         }
-        let (pad, c_total, chan_off, buf_key) = match &node.kind {
-            LoweredKind::Matrix(m) if m.kernel > 0 => (
-                m.padding,
-                src_shape.channels,
-                0,
-                BufKey::EdgeIn {
-                    node: node.id.0,
-                    edge: 0,
-                    core: cc,
-                },
-            ),
-            LoweredKind::Matrix(_) => (
-                0,
-                src_shape.channels,
-                0,
-                BufKey::EdgeIn {
-                    node: node.id.0,
-                    edge: 0,
-                    core: cc,
-                },
-            ),
-            LoweredKind::Pool { padding, .. } => (
-                *padding,
-                src_shape.channels,
-                0,
-                BufKey::EdgeIn {
-                    node: node.id.0,
-                    edge: 0,
-                    core: cc,
-                },
-            ),
+        // Only `add` keeps a buffer per edge; concat assembles every branch
+        // in one buffer, branch e at its channel offset.
+        let (c_total, chan_off, edge) = match &node.kind {
             LoweredKind::Concat => {
-                // One assembly buffer; branch e lands at its channel offset.
-                let off: u32 = node.in_shapes[..e].iter().map(|s| s.channels).sum();
-                (
-                    0,
-                    node.out_shape.channels,
-                    off,
-                    BufKey::EdgeIn {
-                        node: node.id.0,
-                        edge: 0,
-                        core: cc,
-                    },
-                )
+                let off = node.in_shapes[..e].iter().map(|s| s.channels).sum();
+                (node.out_shape.channels, off, 0)
             }
-            _ => (
-                0,
-                src_shape.channels,
-                0,
-                BufKey::EdgeIn {
-                    node: node.id.0,
-                    edge: e as u32,
-                    core: cc,
-                },
-            ),
+            LoweredKind::Add { .. } => (src_shape.channels, 0, e as u32),
+            _ => (src_shape.channels, 0, 0),
         };
-        let buf = self.buf(buf_key)?;
         // For flat sources (linear inputs, gap outputs) the "image" is the
         // producer's row structure.
-        let w_pad = match &node.kind {
-            LoweredKind::Matrix(m) if m.kernel > 0 => src_shape.width + 2 * pad,
-            LoweredKind::Pool { .. } => src_shape.width + 2 * pad,
-            _ => src_shape.width,
-        };
+        let pad = input_padding(&node.kind);
         Ok(EdgeDst {
-            buf: buf.base,
+            buf: self.edge_in(node, edge, cc)?,
             pad,
-            w_pad,
+            w_pad: src_shape.width + 2 * pad,
             c_total,
             chan_off,
             src_w: src_shape.width,
@@ -611,87 +568,57 @@ impl<'a> Emitter<'a> {
         })
     }
 
+    /// Elements of one scratch slot: the im2col window, the accumulator and
+    /// one partial per crossbar group (distinct buffers so MVMs on
+    /// different groups have no false WAW hazards and can run
+    /// concurrently).
+    fn slot_len(&self, m: &MatrixOp, max_cols: u32) -> u32 {
+        let win = if m.is_linear() { 0 } else { m.rows };
+        win + (1 + m.rows.div_ceil(self.arch.resources.xbar_rows)) * max_cols
+    }
+
     fn plan_buffers(&mut self) -> Result<()> {
-        let xr = self.arch.resources.xbar_rows;
         let placement = self.placement;
-        let slices_of = |id: NodeId| -> Vec<Slice> {
-            placement.node_slices[id.as_usize()]
-                .iter()
-                .map(|&si| placement.slices[si].clone())
-                .collect()
-        };
         for node in self.lowered {
             let nid = node.id.0;
             let name = &node.name;
+            let home = placement.home[node.id.as_usize()];
+            let out_s = node.out_shape;
             // Every node materializes its whole output and forwards
             // edge-major (see the deadlock-freedom argument in the module
             // docs); concat already assembles a full buffer, aliases emit
             // nothing.
             if !matches!(node.kind, LoweredKind::Alias | LoweredKind::Concat) {
-                let home = self.placement.home[node.id.as_usize()];
-                let elems = node.out_shape.elems();
-                let b = self.alloc(home, elems, &format!("{name} output buffer"))?;
-                self.bufs
-                    .insert(BufKey::OutBuf { node: nid }, Buf { base: b, elems });
+                let what = format!("{name} output buffer");
+                self.alloc_buf(home, BufKey::OutBuf(nid), out_s.elems(), &what)?;
             }
+            // The (first) input buffer, padded.
+            let in_elems = || {
+                let (s, pad) = (node.in_shapes[0], input_padding(&node.kind));
+                (s.height + 2 * pad) * (s.width + 2 * pad) * s.channels
+            };
             match &node.kind {
                 LoweredKind::Alias => {}
                 LoweredKind::Matrix(m) => {
-                    let cores = self.placement.compute_cores(node.id);
-                    let home = self.placement.home[node.id.as_usize()];
-                    let in_s = node.in_shapes[0];
-                    let out_s = node.out_shape;
-                    let in_elems = if m.kernel > 0 {
-                        (in_s.height + 2 * m.padding) * (in_s.width + 2 * m.padding) * in_s.channels
-                    } else {
-                        in_s.elems()
-                    };
-                    for &cc in &cores {
-                        let b = self.alloc(cc, in_elems, &format!("{name} input"))?;
-                        self.bufs.insert(
-                            BufKey::EdgeIn {
-                                node: nid,
-                                edge: 0,
-                                core: cc,
-                            },
-                            Buf {
-                                base: b,
-                                elems: in_elems,
-                            },
-                        );
+                    for cc in placement.compute_cores(node.id) {
+                        let what = format!("{name} input");
+                        self.alloc_buf(cc, BufKey::EdgeIn(nid, 0, cc), in_elems(), &what)?;
+                        let cols = || {
+                            placement
+                                .slices_of(node.id)
+                                .filter(|s| s.core == cc)
+                                .map(|s| s.cols)
+                        };
                         // Scratch: rotating window + accumulators.
-                        let max_cols = slices_of(node.id)
-                            .iter()
-                            .filter(|s| s.core == cc)
-                            .map(|s| s.cols)
-                            .max()
-                            .unwrap_or(out_s.channels);
-                        let win = if m.kernel > 0 { m.rows } else { 0 };
-                        // win + accumulator + one partial per crossbar group
-                        // (distinct buffers so MVMs on different groups have
-                        // no false WAW hazards and can run concurrently).
-                        let max_groups = m.rows.div_ceil(self.arch.resources.xbar_rows);
-                        let slot = win + (1 + max_groups) * max_cols.max(1);
-                        let b = self.alloc(cc, SCRATCH_SLOTS * slot, &format!("{name} scratch"))?;
-                        self.bufs.insert(
-                            BufKey::Scratch {
-                                node: nid,
-                                core: cc,
-                            },
-                            Buf {
-                                base: b,
-                                elems: SCRATCH_SLOTS * slot,
-                            },
-                        );
-                        // Staging: home assembles full channels.
+                        let max_cols = cols().max().unwrap_or(out_s.channels);
+                        let slots = SCRATCH_SLOTS * self.slot_len(m, max_cols.max(1));
+                        let what = format!("{name} scratch");
+                        self.alloc_buf(cc, BufKey::Scratch(nid, cc), slots, &what)?;
+                        // Home assembles full channels.
                         let c_here = if cc == home {
                             out_s.channels
                         } else {
-                            slices_of(node.id)
-                                .iter()
-                                .filter(|s| s.core == cc)
-                                .map(|s| s.cols)
-                                .sum()
+                            cols().sum()
                         };
                         // Non-home compute cores materialize their whole
                         // column-slice output, then ship it to home row by
@@ -700,126 +627,45 @@ impl<'a> Emitter<'a> {
                         // loops across the producer's forward phase.
                         if cc != home {
                             let st = out_s.height * out_s.width * c_here.max(1);
-                            let b = self.alloc(cc, st, &format!("{name} slice output"))?;
-                            self.bufs.insert(
-                                BufKey::Staging {
-                                    node: nid,
-                                    core: cc,
-                                },
-                                Buf { base: b, elems: st },
-                            );
+                            let what = format!("{name} slice output");
+                            self.alloc_buf(cc, BufKey::Staging(nid, cc), st, &what)?;
                         }
                         // Bias: full vector at home, slice cols elsewhere.
                         let bias_elems = if cc == home { m.cols } else { c_here };
-                        let b = self.alloc(cc, bias_elems.max(1), &format!("{name} bias"))?;
-                        self.bufs.insert(
-                            BufKey::Bias {
-                                node: nid,
-                                core: cc,
-                            },
-                            Buf {
-                                base: b,
-                                elems: bias_elems,
-                            },
-                        );
+                        let what = format!("{name} bias");
+                        self.alloc_buf(cc, BufKey::Bias(nid, cc), bias_elems.max(1), &what)?;
                     }
                     // Row-split support at home.
-                    let mut partial_ranges: Vec<u32> = Vec::new();
-                    for (si_local, s) in slices_of(node.id).iter().enumerate() {
-                        if !s.covers_all_rows(m.rows) {
-                            if !partial_ranges.contains(&s.col_start) {
-                                partial_ranges.push(s.col_start);
-                                let elems = out_s.height * out_s.width * s.cols;
-                                let acc = self.alloc(home, elems, &format!("{name} accrow"))?;
-                                self.bufs.insert(
-                                    BufKey::AccRow {
-                                        node: nid,
-                                        col_start: s.col_start,
-                                    },
-                                    Buf { base: acc, elems },
-                                );
-                            }
-                            if s.core != home {
-                                let p = self.alloc(
-                                    home,
-                                    out_s.width * s.cols,
-                                    &format!("{name} partial-in"),
-                                )?;
-                                self.bufs.insert(
-                                    BufKey::PartialIn {
-                                        node: nid,
-                                        slice: si_local as u32,
-                                    },
-                                    Buf {
-                                        base: p,
-                                        elems: out_s.width * s.cols,
-                                    },
-                                );
-                            }
+                    for (si, s) in placement.slices_of(node.id).enumerate() {
+                        if s.covers_all_rows(m.rows) {
+                            continue;
+                        }
+                        let acc = BufKey::AccRow(nid, s.col_start);
+                        if !self.bufs.contains_key(&acc) {
+                            let elems = out_s.height * out_s.width * s.cols;
+                            self.alloc_buf(home, acc, elems, &format!("{name} accrow"))?;
+                        }
+                        if s.core != home {
+                            let key = BufKey::PartialIn(nid, si as u32);
+                            let what = format!("{name} partial-in");
+                            self.alloc_buf(home, key, out_s.width * s.cols, &what)?;
                         }
                     }
-                    let _ = xr;
                 }
-                LoweredKind::Pool { padding, .. } => {
-                    let home = self.placement.home[node.id.as_usize()];
-                    let s = node.in_shapes[0];
-                    let elems = (s.height + 2 * padding) * (s.width + 2 * padding) * s.channels;
-                    let b = self.alloc(home, elems, &format!("{name} input"))?;
-                    self.bufs.insert(
-                        BufKey::EdgeIn {
-                            node: nid,
-                            edge: 0,
-                            core: home,
-                        },
-                        Buf { base: b, elems },
-                    );
-                }
-                LoweredKind::GlobalPool | LoweredKind::Activation(_) => {
-                    let home = self.placement.home[node.id.as_usize()];
-                    let s = node.in_shapes[0];
-                    let b = self.alloc(home, s.elems(), &format!("{name} input"))?;
-                    self.bufs.insert(
-                        BufKey::EdgeIn {
-                            node: nid,
-                            edge: 0,
-                            core: home,
-                        },
-                        Buf {
-                            base: b,
-                            elems: s.elems(),
-                        },
-                    );
+                LoweredKind::Pool { .. } | LoweredKind::GlobalPool | LoweredKind::Activation(_) => {
+                    let what = format!("{name} input");
+                    self.alloc_buf(home, BufKey::EdgeIn(nid, 0, home), in_elems(), &what)?;
                 }
                 LoweredKind::Add { .. } => {
-                    let home = self.placement.home[node.id.as_usize()];
                     for e in 0..2u32 {
-                        let s = node.in_shapes[e as usize];
-                        let b = self.alloc(home, s.elems(), &format!("{name} input {e}"))?;
-                        self.bufs.insert(
-                            BufKey::EdgeIn {
-                                node: nid,
-                                edge: e,
-                                core: home,
-                            },
-                            Buf {
-                                base: b,
-                                elems: s.elems(),
-                            },
-                        );
+                        let elems = node.in_shapes[e as usize].elems();
+                        let what = format!("{name} input {e}");
+                        self.alloc_buf(home, BufKey::EdgeIn(nid, e, home), elems, &what)?;
                     }
                 }
                 LoweredKind::Concat => {
-                    let home = self.placement.home[node.id.as_usize()];
-                    let elems = node.out_shape.elems();
-                    let b = self.alloc(home, elems, &format!("{name} assembly"))?;
-                    self.bufs.insert(
-                        BufKey::EdgeIn {
-                            node: nid,
-                            edge: 0,
-                            core: home,
-                        },
-                        Buf { base: b, elems },
-                    );
+                    let what = format!("{name} assembly");
+                    self.alloc_buf(home, BufKey::EdgeIn(nid, 0, home), out_s.elems(), &what)?;
                 }
             }
         }
@@ -831,17 +677,14 @@ impl<'a> Emitter<'a> {
     fn build_groups(&mut self) -> Result<()> {
         let xr = self.arch.resources.xbar_rows;
         let lcpx = self.arch.resources.logical_cols_per_xbar().max(1);
+        let placement = self.placement;
         for node in self.lowered {
             let Some(m) = node.matrix() else { continue };
             let full = self
                 .weights
                 .as_ref()
                 .map(|g| g.matrix(node.id, m.rows, m.cols));
-            for (si_local, s) in self.placement.node_slices[node.id.as_usize()]
-                .iter()
-                .map(|&si| &self.placement.slices[si])
-                .enumerate()
-            {
+            for (si_local, s) in placement.slices_of(node.id).enumerate() {
                 let core = s.core as usize;
                 let mut gids = Vec::new();
                 let rbs = s.rows.div_ceil(xr);
@@ -849,12 +692,13 @@ impl<'a> Emitter<'a> {
                 for rb in 0..rbs {
                     let row0 = s.row_start + rb * xr;
                     let rows = xr.min(s.row_start + s.rows - row0);
-                    let gid = GroupId(self.progs[core].groups.len() as u16);
-                    if gid.0 as u32 >= (1 << 12) {
+                    let n_groups = self.progs[core].groups.len();
+                    if n_groups as u64 > limits::umax(limits::GROUP_BITS) {
                         return Err(CompileError::Internal(format!(
                             "group id overflow on core {core}"
                         )));
                     }
+                    let gid = GroupId(n_groups as u16);
                     let xbar0 = self.xbar_next[core];
                     self.xbar_next[core] += xbars_per_group;
                     let xbar_ids: Vec<u32> = (xbar0..xbar0 + xbars_per_group).collect();
@@ -925,7 +769,7 @@ impl<'a> Emitter<'a> {
     fn drain_pending_before(&mut self, producer: u32, cc: u16, sender: u16) -> Result<()> {
         // `pending_remote` is a `BTreeSet` keyed producer-first, so the
         // drain happens in producer order — the same order `sender` sent.
-        let todo: Vec<(u32, u32, u32)> = self
+        let todo: Vec<(u32, u32)> = self
             .pending_remote
             .iter()
             .filter(|&&(p, cons, edge, pcc, psender)| {
@@ -935,9 +779,9 @@ impl<'a> Emitter<'a> {
                     && !self.drain_started.contains(&(cons, edge, cc))
                     && !self.hoist_drained.contains(&(cons, edge, cc))
             })
-            .map(|&(_, cons, edge, _, _)| (cons, edge, cc as u32))
+            .map(|&(_, cons, edge, _, _)| (cons, edge))
             .collect();
-        for (cons, edge, _) in todo {
+        for (cons, edge) in todo {
             self.hoist_drained.insert((cons, edge, cc));
             let lowered = self.lowered;
             let cons_node = &lowered[cons as usize];
@@ -965,20 +809,16 @@ impl<'a> Emitter<'a> {
             return Ok(());
         }
         let dst = self.edge_dst(node, e, cc)?;
-        let src = resolve_alias(self.lowered, node.inputs[e]);
         let row_len = dst.src_w * dst.src_c;
-        match src {
+        match resolve_alias(self.lowered, node.inputs[e]) {
             PortRef::Input => {
-                let in_shape = self.lowered[0].in_shapes.first().copied();
-                let _ = in_shape;
+                if dst.interleaved() {
+                    return Err(CompileError::Internal(
+                        "interleaved global load is not supported".into(),
+                    ));
+                }
                 for y in from..=to_incl {
-                    let g = (y as u64) * row_len as u64;
-                    if dst.interleaved() {
-                        return Err(CompileError::Internal(
-                            "interleaved global load is not supported".into(),
-                        ));
-                    }
-                    self.gload(cc, dst.row_base(y), g, row_len)?;
+                    self.gload(cc, dst.row_base(y), y as u64 * row_len as u64, row_len)?;
                 }
             }
             PortRef::Node(src_id) => {
@@ -986,7 +826,7 @@ impl<'a> Emitter<'a> {
                 if src_home == cc {
                     return Ok(()); // producer wrote locally
                 }
-                let tag = self.tag_for(node.id.0, e as u32, cc)?;
+                let tag = self.tag(TagKey::Edge(node.id.0, e as u32, cc))?;
                 for y in from..=to_incl {
                     if dst.interleaved() {
                         let d = self.addr(cc, dst.row_base(y))?;
@@ -1008,15 +848,6 @@ impl<'a> Emitter<'a> {
             }
         }
         Ok(())
-    }
-
-    fn tag_for(&mut self, node: u32, edge: u32, core: u16) -> Result<u16> {
-        if let Some(&t) = self.edge_tags.get(&(node, edge, core)) {
-            return Ok(t);
-        }
-        let t = self.new_tag()?;
-        self.edge_tags.insert((node, edge, core), t);
-        Ok(t)
     }
 
     /// Source rows needed before producing output row `y` of a windowed op.
@@ -1050,10 +881,7 @@ impl<'a> Emitter<'a> {
     /// height (aliases such as flatten reshape logically, but the producer
     /// still forwards its own rows).
     fn eff_rows(&self, node: &LoweredNode, e: usize) -> u32 {
-        match resolve_alias(self.lowered, node.inputs[e]) {
-            PortRef::Input => self.input_shape.height,
-            PortRef::Node(id) => self.lowered[id.as_usize()].out_shape.height,
-        }
+        self.wire_shape(node, e).height
     }
 
     /// A node's input edges sorted by (effective producer id, edge index)
@@ -1103,10 +931,10 @@ impl<'a> Emitter<'a> {
                         },
                     );
                 } else {
-                    self.copy_local(cc, dst.row_base(y), src_row, row_len)?;
+                    self.vun(cc, VUnOp::Copy, dst.row_base(y), src_row, row_len)?;
                 }
             } else {
-                let tag = self.tag_for(cid.0, e as u32, cc)?;
+                let tag = self.tag(TagKey::Edge(cid.0, e as u32, cc))?;
                 self.pending_remote
                     .insert((node.id.0, cid.0, e as u32, cc, home));
                 self.send(home, cc, src_row, row_len, tag)?;
@@ -1148,61 +976,46 @@ impl<'a> Emitter<'a> {
 
     fn emit_matrix(&mut self, node: &LoweredNode, out_node: NodeId, out_gaddr: u64) -> Result<()> {
         let m = node.matrix().expect("matrix node").clone();
+        let nid = node.id.0;
         let home = self.placement.home[node.id.as_usize()];
         let out_s = node.out_shape;
         let in_s = node.in_shapes[0];
         let xr = self.arch.resources.xbar_rows;
+        let placement = self.placement;
+        // Every slice with its index within the node.
+        let slices: Vec<(u32, &Slice)> = placement
+            .slices_of(node.id)
+            .enumerate()
+            .map(|(i, s)| (i as u32, s))
+            .collect();
 
         // Stage bias into local memory.
         if let Some(gen) = self.weights {
             let full_bias = gen.bias(node.id, m.cols);
-            let cores = self.placement.compute_cores(node.id);
-            for cc in cores {
-                let b = self.buf(BufKey::Bias {
-                    node: node.id.0,
-                    core: cc,
-                })?;
-                let vals = if cc == home {
+            for cc in placement.compute_cores(node.id) {
+                let vals: Vec<i32> = if cc == home {
                     full_bias.clone()
                 } else {
-                    let mut v = Vec::new();
-                    for s in self.placement.node_slices[node.id.as_usize()]
+                    slices
                         .iter()
-                        .map(|&si| &self.placement.slices[si])
-                        .filter(|s| s.core == cc)
-                    {
-                        v.extend_from_slice(
-                            &full_bias[s.col_start as usize..(s.col_start + s.cols) as usize],
-                        );
-                    }
-                    v
+                        .filter(|(_, s)| s.core == cc)
+                        .flat_map(|(_, s)| {
+                            &full_bias[s.col_start as usize..(s.col_start + s.cols) as usize]
+                        })
+                        .copied()
+                        .collect()
                 };
                 if !vals.is_empty() {
-                    self.progs[cc as usize].local_init.push((b.base, vals));
+                    let b = self.buf(BufKey::Bias(nid, cc))?;
+                    self.progs[cc as usize].local_init.push((b, vals));
                 }
             }
         }
 
-        // Slices grouped per core; remember each slice's local staging
-        // column offset on its core.
-        let slices: Vec<(u32, Slice)> = self.placement.node_slices[node.id.as_usize()]
-            .iter()
-            .enumerate()
-            .map(|(i, &si)| (i as u32, self.placement.slices[si].clone()))
-            .collect();
-        let mut cores: Vec<u16> = slices.iter().map(|(_, s)| s.core).collect();
-        cores.dedup();
-        let mut seen = Vec::new();
-        cores.retain(|c| {
-            if seen.contains(c) {
-                false
-            } else {
-                seen.push(*c);
-                true
-            }
-        });
         // Home first for readability; ordering across cores is irrelevant.
+        let mut cores: Vec<u16> = slices.iter().map(|(_, s)| s.core).collect();
         cores.sort_unstable_by_key(|&c| (c != home, c));
+        cores.dedup();
 
         let (h_out, w_out) = (out_s.height, out_s.width);
         let is_linear = m.is_linear();
@@ -1211,80 +1024,41 @@ impl<'a> Emitter<'a> {
         } else {
             in_s.height
         };
+        let win_len = if is_linear { 0 } else { m.rows };
+        let w_pad_elems = (in_s.width + 2 * m.padding) * in_s.channels;
+        let outbuf = self.buf(BufKey::OutBuf(nid))?;
 
         // Per core: emit its section.
         for &cc in &cores {
-            let my: Vec<(u32, Slice)> = slices
+            // This core's slices with their column offset in its output
+            // rows (home: the full channel range; slice cores pack theirs).
+            let mut packed = 0;
+            let my: Vec<(u32, &Slice, u32)> = slices
                 .iter()
                 .filter(|(_, s)| s.core == cc)
-                .cloned()
+                .map(|&(si, s)| {
+                    let off = if cc == home { s.col_start } else { packed };
+                    packed += s.cols;
+                    (si, s, off)
+                })
                 .collect();
-            let in_buf = self
-                .buf(BufKey::EdgeIn {
-                    node: node.id.0,
-                    edge: 0,
-                    core: cc,
-                })?
-                .base;
-            let scratch = self
-                .buf(BufKey::Scratch {
-                    node: node.id.0,
-                    core: cc,
-                })?
-                .base;
-            let staging = if cc == home {
-                0
+            let in_buf = self.edge_in(node, 0, cc)?;
+            let scratch = self.buf(BufKey::Scratch(nid, cc))?;
+            let bias = self.buf(BufKey::Bias(nid, cc))?;
+            let max_cols = my.iter().map(|(_, s, _)| s.cols).max().unwrap_or(1);
+            let slot_len = self.slot_len(&m, max_cols);
+            // Where this core assembles its output rows: home the
+            // materialized output, slice cores their slice buffer.
+            let (rows_at, c_here) = if cc == home {
+                (outbuf, out_s.channels)
             } else {
-                self.buf(BufKey::Staging {
-                    node: node.id.0,
-                    core: cc,
-                })?
-                .base
-            };
-            let bias = self
-                .buf(BufKey::Bias {
-                    node: node.id.0,
-                    core: cc,
-                })?
-                .base;
-            let max_cols = my.iter().map(|(_, s)| s.cols).max().unwrap_or(1);
-            let win_len = if is_linear { 0 } else { m.rows };
-            let max_groups = m.rows.div_ceil(xr);
-            let slot_len = win_len + (1 + max_groups) * max_cols;
-            // Local staging column offsets (non-home cores pack their slices).
-            let mut local_off = HashMap::new();
-            let mut acc_off = 0u32;
-            for (si, s) in &my {
-                if cc == home {
-                    local_off.insert(*si, s.col_start);
-                } else {
-                    local_off.insert(*si, acc_off);
-                    acc_off += s.cols;
-                }
-            }
-            let c_here: u32 = if cc == home {
-                out_s.channels
-            } else {
-                my.iter().map(|(_, s)| s.cols).sum()
-            };
-
-            let w_pad_elems = (in_s.width + 2 * m.padding) * in_s.channels;
-            let mut acquired: i64 = -1;
-            let outbuf = if cc == home {
-                self.buf(BufKey::OutBuf { node: node.id.0 })?.base
-            } else {
-                0
+                (self.buf(BufKey::Staging(nid, cc))?, packed)
             };
             let row_len_out = w_out * c_here;
+            let mut acquired: i64 = -1;
 
             for y in 0..h_out {
-                // Where this core assembles output row `y` (home: the
-                // materialized output; slice cores: the slice buffer).
-                let row_base = if cc == home {
-                    outbuf + y * row_len_out
-                } else {
-                    staging + y * row_len_out
-                };
+                let row_base = rows_at + y * row_len_out;
                 // Acquire the input rows this output row needs.
                 if is_linear {
                     if y == 0 {
@@ -1299,10 +1073,9 @@ impl<'a> Emitter<'a> {
                 }
 
                 for x in 0..w_out {
-                    let slot = scratch + (x % SCRATCH_SLOTS) * slot_len;
-                    let win = slot;
-                    let acc = slot + win_len;
-                    let parts = slot + win_len + max_cols;
+                    let win = scratch + (x % SCRATCH_SLOTS) * slot_len;
+                    let acc = win + win_len;
+                    let parts = acc + max_cols;
 
                     // Assemble the im2col window (skip for linear and for
                     // pointwise stride-1 unpadded convs, which read the
@@ -1331,23 +1104,14 @@ impl<'a> Emitter<'a> {
                         None
                     };
 
-                    for (si, s) in &my {
-                        let gids = self.slice_groups[&(node.id.0, *si)].clone();
+                    for &(si, s, loff) in &my {
+                        let gids = self.slice_groups[&(nid, si)].clone();
                         let complete = s.covers_all_rows(m.rows);
-                        let loff = local_off[si];
-                        // Raw accumulation target: complete slices at home
-                        // write straight into staging via the epilogue;
-                        // everything else accumulates in scratch first.
-                        let seg_dst = if complete {
-                            row_base + x * c_here + loff
-                        } else if cc == home {
-                            let accrow = self
-                                .buf(BufKey::AccRow {
-                                    node: node.id.0,
-                                    col_start: s.col_start,
-                                })?
-                                .base;
-                            accrow + (y * w_out + x) * s.cols
+                        // Raw accumulation target: row-split slices at home
+                        // accumulate in their range's accumulator; all
+                        // others write straight into the output row.
+                        let seg_dst = if !complete && cc == home {
+                            self.buf(BufKey::AccRow(nid, s.col_start))? + (y * w_out + x) * s.cols
                         } else {
                             row_base + x * c_here + loff
                         };
@@ -1355,10 +1119,7 @@ impl<'a> Emitter<'a> {
                         for (gi, gid) in gids.iter().enumerate() {
                             let g_rows = self.progs[cc as usize].groups[gid.as_usize()].input_len;
                             let row0 = s.row_start + (gi as u32) * xr;
-                            let src = match direct_src {
-                                Some(b) => b + row0,
-                                None => win + row0,
-                            };
+                            let src = direct_src.unwrap_or(win) + row0;
                             let mvm_dst = if gi == 0 {
                                 acc
                             } else {
@@ -1379,31 +1140,13 @@ impl<'a> Emitter<'a> {
                                 // Fold the partial into the accumulator; the
                                 // last fold lands in the segment target.
                                 let fold_dst = if gi + 1 == n_g { seg_dst } else { acc };
-                                let part = parts + (gi as u32 - 1) * max_cols;
-                                self.vbin(cc, VBinOp::Add, fold_dst, acc, part, s.cols)?;
+                                self.vbin(cc, VBinOp::Add, fold_dst, acc, mvm_dst, s.cols)?;
                             } else if n_g == 1 {
-                                self.copy_local(cc, seg_dst, acc, s.cols)?;
+                                self.vun(cc, VUnOp::Copy, seg_dst, acc, s.cols)?;
                             }
                         }
-                        // Epilogue for complete slices (bias, requant, act).
                         if complete {
-                            let at = seg_dst;
-                            let bias_at = bias + if cc == home { s.col_start } else { loff };
-                            self.vbin(cc, VBinOp::Add, at, at, bias_at, s.cols)?;
-                            let d = self.addr(cc, at)?;
-                            self.push(
-                                cc,
-                                Instruction::VImm {
-                                    op: VImmOp::Sra,
-                                    dst: d,
-                                    src: d,
-                                    imm: self.shift as i32,
-                                    len: s.cols,
-                                },
-                            );
-                            if let Some(act) = m.activation {
-                                self.activation_op(cc, act, at, s.cols)?;
-                            }
+                            self.epilogue(cc, seg_dst, seg_dst, bias + loff, s.cols, m.activation)?;
                         }
                     }
                 }
@@ -1420,13 +1163,12 @@ impl<'a> Emitter<'a> {
                 // accumulator), then run the epilogue for row-split ranges.
                 for y in 0..h_out {
                     let row_base = outbuf + y * row_len_out;
-                    for (si, sl) in &slices {
+                    for &(si, sl) in &slices {
                         if sl.core == home {
                             continue;
                         }
-                        let complete = sl.covers_all_rows(m.rows);
-                        let tag = self.gather_tag(node.id.0, *si)?;
-                        if complete {
+                        let tag = self.tag(TagKey::Gather(nid, si))?;
+                        if sl.covers_all_rows(m.rows) {
                             let d = self.addr(home, row_base + sl.col_start)?;
                             self.push(
                                 home,
@@ -1440,65 +1182,25 @@ impl<'a> Emitter<'a> {
                                 },
                             );
                         } else {
-                            let pin = self
-                                .buf(BufKey::PartialIn {
-                                    node: node.id.0,
-                                    slice: *si,
-                                })?
-                                .base;
-                            self.recv(home, sl.core, pin, w_out * sl.cols, tag)?;
-                            let accrow = self
-                                .buf(BufKey::AccRow {
-                                    node: node.id.0,
-                                    col_start: sl.col_start,
-                                })?
-                                .base;
-                            self.vbin(
-                                home,
-                                VBinOp::Add,
-                                accrow + y * w_out * sl.cols,
-                                accrow + y * w_out * sl.cols,
-                                pin,
-                                w_out * sl.cols,
-                            )?;
+                            let len = w_out * sl.cols;
+                            let pin = self.buf(BufKey::PartialIn(nid, si))?;
+                            self.recv(home, sl.core, pin, len, tag)?;
+                            let at = self.buf(BufKey::AccRow(nid, sl.col_start))? + y * len;
+                            self.vbin(home, VBinOp::Add, at, at, pin, len)?;
                         }
                     }
                     let mut done_ranges: Vec<u32> = Vec::new();
-                    for (_, sl) in &slices {
+                    for &(_, sl) in &slices {
                         if sl.covers_all_rows(m.rows) || done_ranges.contains(&sl.col_start) {
                             continue;
                         }
                         done_ranges.push(sl.col_start);
-                        let accrow = self
-                            .buf(BufKey::AccRow {
-                                node: node.id.0,
-                                col_start: sl.col_start,
-                            })?
-                            .base;
+                        let accrow = self.buf(BufKey::AccRow(nid, sl.col_start))?;
                         for x in 0..w_out {
-                            let dst = row_base + x * out_s.channels + sl.col_start;
-                            self.vbin(
-                                home,
-                                VBinOp::Add,
-                                dst,
-                                accrow + (y * w_out + x) * sl.cols,
-                                bias + sl.col_start,
-                                sl.cols,
-                            )?;
-                            let d = self.addr(home, dst)?;
-                            self.push(
-                                home,
-                                Instruction::VImm {
-                                    op: VImmOp::Sra,
-                                    dst: d,
-                                    src: d,
-                                    imm: self.shift as i32,
-                                    len: sl.cols,
-                                },
-                            );
-                            if let Some(act) = m.activation {
-                                self.activation_op(home, act, dst, sl.cols)?;
-                            }
+                            let at = row_base + x * out_s.channels + sl.col_start;
+                            let acc = accrow + (y * w_out + x) * sl.cols;
+                            let bias_at = bias + sl.col_start;
+                            self.epilogue(home, at, acc, bias_at, sl.cols, m.activation)?;
                         }
                     }
                 }
@@ -1506,14 +1208,15 @@ impl<'a> Emitter<'a> {
             } else {
                 // Ship each slice segment to home, row by row in order.
                 for y in 0..h_out {
-                    for (si, sl) in &my {
-                        let tag = self.gather_tag(node.id.0, *si)?;
-                        let src = staging + y * row_len_out + local_off[si];
+                    for &(si, sl, loff) in &my {
+                        let tag = self.tag(TagKey::Gather(nid, si))?;
+                        let src = rows_at + y * row_len_out + loff;
+                        let len = w_out * sl.cols;
                         // Per-pixel segments of this slice are strided by
                         // c_here; contiguous only when the slice owns the
                         // whole local row.
                         if sl.cols == c_here {
-                            self.send(cc, home, src, w_out * sl.cols, tag)?;
+                            self.send(cc, home, src, len, tag)?;
                         } else {
                             // Compact the strided segment into the scratch
                             // area, then send contiguously.
@@ -1530,25 +1233,13 @@ impl<'a> Emitter<'a> {
                                     dst_stride: sl.cols as i32,
                                 },
                             );
-                            self.send(cc, home, scratch, w_out * sl.cols, tag)?;
+                            self.send(cc, home, scratch, len, tag)?;
                         }
                     }
                 }
             }
         }
         Ok(())
-    }
-
-    /// One gather channel per (node, slice) so a core holding several
-    /// slices of the same layer ships each segment on its own tag.
-    fn gather_tag(&mut self, node: u32, slice: u32) -> Result<u16> {
-        let key = node << 16 | slice;
-        if let Some(&t) = self.gather_tags.get(&key) {
-            return Ok(t);
-        }
-        let t = self.new_tag()?;
-        self.gather_tags.insert(key, t);
-        Ok(t)
     }
 
     // -------------------------------------------------------- other nodes --
@@ -1571,17 +1262,11 @@ impl<'a> Emitter<'a> {
         let home = self.placement.home[node.id.as_usize()];
         let in_s = node.in_shapes[0];
         let out_s = node.out_shape;
-        let in_buf = self
-            .buf(BufKey::EdgeIn {
-                node: node.id.0,
-                edge: 0,
-                core: home,
-            })?
-            .base;
+        let in_buf = self.edge_in(node, 0, home)?;
         let w_pad_elems = (in_s.width + 2 * padding) * in_s.channels;
         let op = if is_max { PoolOp::Max } else { PoolOp::Avg };
         let mut acquired: i64 = -1;
-        let outbuf = self.buf(BufKey::OutBuf { node: node.id.0 })?.base;
+        let outbuf = self.buf(BufKey::OutBuf(node.id.0))?;
         let row_len = out_s.width * out_s.channels;
         for y in 0..out_s.height {
             let row_base = outbuf + y * row_len;
@@ -1612,8 +1297,7 @@ impl<'a> Emitter<'a> {
         if acquired + 1 < in_s.height as i64 {
             self.acquire_rows(node, 0, home, (acquired + 1) as u32, in_s.height - 1)?;
         }
-        self.finish_section(node, outbuf, out_node, out_gaddr)?;
-        Ok(())
+        self.finish_section(node, outbuf, out_node, out_gaddr)
     }
 
     fn emit_global_pool(
@@ -1630,15 +1314,9 @@ impl<'a> Emitter<'a> {
                 in_s.height, in_s.width
             )));
         }
-        let in_buf = self
-            .buf(BufKey::EdgeIn {
-                node: node.id.0,
-                edge: 0,
-                core: home,
-            })?
-            .base;
+        let in_buf = self.edge_in(node, 0, home)?;
         self.acquire_rows(node, 0, home, 0, self.eff_rows(node, 0) - 1)?;
-        let outbuf = self.buf(BufKey::OutBuf { node: node.id.0 })?.base;
+        let outbuf = self.buf(BufKey::OutBuf(node.id.0))?;
         let d = self.addr(home, outbuf)?;
         let s = self.addr(home, in_buf)?;
         self.push(
@@ -1653,8 +1331,7 @@ impl<'a> Emitter<'a> {
                 row_stride: (in_s.width * in_s.channels) as i32,
             },
         );
-        self.finish_section(node, outbuf, out_node, out_gaddr)?;
-        Ok(())
+        self.finish_section(node, outbuf, out_node, out_gaddr)
     }
 
     fn emit_activation(
@@ -1668,15 +1345,10 @@ impl<'a> Emitter<'a> {
         };
         let home = self.placement.home[node.id.as_usize()];
         let in_s = node.in_shapes[0];
-        let in_buf = self
-            .buf(BufKey::EdgeIn {
-                node: node.id.0,
-                edge: 0,
-                core: home,
-            })?
-            .base;
+        let in_buf = self.edge_in(node, 0, home)?;
         let row = in_s.width * in_s.channels;
-        let outbuf = self.buf(BufKey::OutBuf { node: node.id.0 })?.base;
+        let outbuf = self.buf(BufKey::OutBuf(node.id.0))?;
+        let op = activation_op(act);
         let eff = self.eff_rows(node, 0);
         if eff != in_s.height {
             self.acquire_rows(node, 0, home, 0, eff - 1)?;
@@ -1685,16 +1357,9 @@ impl<'a> Emitter<'a> {
             if eff == in_s.height {
                 self.acquire_rows(node, 0, home, y, y)?;
             }
-            let src = in_buf + y * row;
-            let op = match act {
-                Activation::Relu => VUnOp::Relu,
-                Activation::Sigmoid => VUnOp::Sigmoid,
-                Activation::Tanh => VUnOp::Tanh,
-            };
-            self.vun(home, op, outbuf + y * row, src, row)?;
+            self.vun(home, op, outbuf + y * row, in_buf + y * row, row)?;
         }
-        self.finish_section(node, outbuf, out_node, out_gaddr)?;
-        Ok(())
+        self.finish_section(node, outbuf, out_node, out_gaddr)
     }
 
     fn emit_add(&mut self, node: &LoweredNode, out_node: NodeId, out_gaddr: u64) -> Result<()> {
@@ -1703,22 +1368,10 @@ impl<'a> Emitter<'a> {
         };
         let home = self.placement.home[node.id.as_usize()];
         let s = node.out_shape;
-        let a_buf = self
-            .buf(BufKey::EdgeIn {
-                node: node.id.0,
-                edge: 0,
-                core: home,
-            })?
-            .base;
-        let b_buf = self
-            .buf(BufKey::EdgeIn {
-                node: node.id.0,
-                edge: 1,
-                core: home,
-            })?
-            .base;
+        let a_buf = self.edge_in(node, 0, home)?;
+        let b_buf = self.edge_in(node, 1, home)?;
         let row = s.width * s.channels;
-        let outbuf = self.buf(BufKey::OutBuf { node: node.id.0 })?.base;
+        let outbuf = self.buf(BufKey::OutBuf(node.id.0))?;
         // Drain edges in producer order; the last one pipelines row by row
         // with the adds.
         let order = self.edges_in_drain_order(node);
@@ -1734,40 +1387,24 @@ impl<'a> Emitter<'a> {
             if eff_last == s.height {
                 self.acquire_rows(node, last, home, y, y)?;
             }
-            self.vbin(
-                home,
-                VBinOp::Add,
-                outbuf + y * row,
-                a_buf + y * row,
-                b_buf + y * row,
-                row,
-            )?;
+            let at = outbuf + y * row;
+            self.vbin(home, VBinOp::Add, at, a_buf + y * row, b_buf + y * row, row)?;
             if let Some(act) = activation {
-                self.activation_op(home, act, outbuf + y * row, row)?;
+                self.vun(home, activation_op(act), at, at, row)?;
             }
         }
-        self.finish_section(node, outbuf, out_node, out_gaddr)?;
-        Ok(())
+        self.finish_section(node, outbuf, out_node, out_gaddr)
     }
 
     fn emit_concat(&mut self, node: &LoweredNode, out_node: NodeId, out_gaddr: u64) -> Result<()> {
         let home = self.placement.home[node.id.as_usize()];
-        let s = node.out_shape;
-        let buf = self
-            .buf(BufKey::EdgeIn {
-                node: node.id.0,
-                edge: 0,
-                core: home,
-            })?
-            .base;
+        let buf = self.edge_in(node, 0, home)?;
         // Drain every branch fully, in producer order.
         for e in self.edges_in_drain_order(node) {
             let h = self.eff_rows(node, e);
             self.acquire_rows(node, e, home, 0, h - 1)?;
         }
-        let _ = s;
         // The assembly buffer is already a full output.
-        self.finish_section(node, buf, out_node, out_gaddr)?;
-        Ok(())
+        self.finish_section(node, buf, out_node, out_gaddr)
     }
 }

@@ -52,7 +52,7 @@ pub use lower::{lower, LoweredKind, LoweredNode, MatrixOp};
 pub use mapping::{MappingPolicy, Placement, Slice};
 
 use pimsim_arch::ArchConfig;
-use pimsim_nn::{Network, WeightGen, DEFAULT_REQUANT_SHIFT};
+use pimsim_nn::{Network, WeightGen};
 
 /// Result alias for fallible compilation.
 pub type Result<T> = std::result::Result<T, CompileError>;
@@ -65,19 +65,16 @@ pub type Result<T> = std::result::Result<T, CompileError>;
 pub struct Compiler<'a> {
     arch: &'a ArchConfig,
     policy: MappingPolicy,
-    requant_shift: u32,
     functional: Option<bool>,
     batch: u32,
 }
 
 impl<'a> Compiler<'a> {
-    /// Creates a compiler for `arch` with the performance-first policy and
-    /// the default requantization shift.
+    /// Creates a compiler for `arch` with the performance-first policy.
     pub fn new(arch: &'a ArchConfig) -> Self {
         Compiler {
             arch,
             policy: MappingPolicy::PerformanceFirst,
-            requant_shift: DEFAULT_REQUANT_SHIFT,
             functional: None,
             batch: 1,
         }
@@ -96,13 +93,6 @@ impl<'a> Compiler<'a> {
     /// Selects the mapping policy (paper §III-A).
     pub fn mapping(&mut self, policy: MappingPolicy) -> &mut Self {
         self.policy = policy;
-        self
-    }
-
-    /// Overrides the requantization shift applied after every weight layer
-    /// (must match the golden model's when comparing outputs).
-    pub fn requant_shift(&mut self, shift: u32) -> &mut Self {
-        self.requant_shift = shift;
         self
     }
 
@@ -134,7 +124,6 @@ impl<'a> Compiler<'a> {
             &placement,
             self.arch,
             self.policy,
-            self.requant_shift,
             weights,
             self.batch,
         )

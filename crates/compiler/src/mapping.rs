@@ -88,17 +88,20 @@ pub struct Placement {
 }
 
 impl Placement {
+    /// A node's weight slices, in allocation order (none for non-matrix
+    /// nodes).
+    pub fn slices_of(&self, node: NodeId) -> impl Iterator<Item = &Slice> + '_ {
+        self.node_slices[node.as_usize()]
+            .iter()
+            .map(|&si| &self.slices[si])
+    }
+
     /// The distinct compute cores of a node (home first).
     pub fn compute_cores(&self, node: NodeId) -> Vec<u16> {
-        let slices = &self.node_slices[node.as_usize()];
-        if slices.is_empty() {
-            return vec![self.home[node.as_usize()]];
-        }
         let mut cores = vec![self.home[node.as_usize()]];
-        for &si in slices {
-            let c = self.slices[si].core;
-            if !cores.contains(&c) {
-                cores.push(c);
+        for s in self.slices_of(node) {
+            if !cores.contains(&s.core) {
+                cores.push(s.core);
             }
         }
         cores
@@ -285,9 +288,9 @@ mod tests {
         let lowered = lower(net).unwrap();
         for node in &lowered {
             let Some(m) = node.matrix() else { continue };
-            let area: u64 = p.node_slices[node.id.as_usize()]
-                .iter()
-                .map(|&si| p.slices[si].rows as u64 * p.slices[si].cols as u64)
+            let area: u64 = p
+                .slices_of(node.id)
+                .map(|s| s.rows as u64 * s.cols as u64)
                 .sum();
             assert_eq!(
                 area,

@@ -3,8 +3,9 @@
 //! policies and several chip geometries.
 
 use pimsim_arch::ArchConfig;
-use pimsim_compiler::{Compiler, MappingPolicy};
+use pimsim_compiler::{Compiled, Compiler, MappingPolicy};
 use pimsim_core::Simulator;
+use pimsim_isa::{limits, Instruction, Reg, SImmOp};
 use pimsim_nn::{zoo, GoldenModel, Network, WeightGen};
 
 /// Compiles and simulates `net` functionally, returning (simulated output,
@@ -14,6 +15,12 @@ fn run_both(net: &Network, arch: &ArchConfig, policy: MappingPolicy) -> (Vec<i32
         .mapping(policy)
         .compile(net)
         .unwrap_or_else(|e| panic!("compile {}: {e}", net.name));
+    run_compiled(net, arch, &compiled)
+}
+
+/// Simulates a functional compile of `net`, returning (simulated output,
+/// golden output).
+fn run_compiled(net: &Network, arch: &ArchConfig, compiled: &Compiled) -> (Vec<i32>, Vec<i32>) {
     let report = Simulator::new(arch)
         .run(&compiled.program)
         .unwrap_or_else(|e| panic!("simulate {}: {e}", net.name));
@@ -158,4 +165,57 @@ fn rob_size_does_not_change_results() {
         }
         reference = Some(sim);
     }
+}
+
+#[test]
+fn rows_past_the_length_field_are_chunked() {
+    // 600x512 rows hold 307,200 elements, past the 18-bit length field
+    // (262,143): every transfer and vector op on a row splits in two, and
+    // the buffers reach past the 22-bit offset field, so operands go
+    // through base registers.
+    use pimsim_nn::{Activation, Layer, PortRef, Shape};
+    let mut b = Network::builder("wide_rows", Shape::new(2, 600, 512));
+    let act = b.add(
+        "act",
+        Layer::Activation(Activation::Relu),
+        vec![PortRef::Input],
+    );
+    b.add(
+        "res_add",
+        Layer::Add { activation: None },
+        vec![PortRef::Input, act],
+    );
+    let net = b.finish().expect("wide_rows is well-formed");
+    let arch = ArchConfig::paper_default().with_functional(true);
+    let compiled = Compiler::new(&arch).compile(&net).expect("compiles");
+    let (sim, gold) = run_compiled(&net, &arch, &compiled);
+    assert_eq!(sim, gold);
+
+    let len_max = limits::umax(limits::LEN_BITS) as u32;
+    let instrs: Vec<&Instruction> = compiled
+        .program
+        .cores
+        .iter()
+        .flat_map(|c| &c.instrs)
+        .collect();
+    let full_chunks = instrs
+        .iter()
+        .filter(|i| match i {
+            Instruction::GLoad { len, .. }
+            | Instruction::GStore { len, .. }
+            | Instruction::VUn { len, .. }
+            | Instruction::VBin { len, .. } => *len == len_max,
+            _ => false,
+        })
+        .count();
+    // Per row: two loads, the activation, the copy forwarding it to the
+    // add, the add and the store.
+    assert_eq!(full_chunks, 2 * 6, "one LEN_MAX chunk per row operation");
+    let base_loads = instrs
+        .iter()
+        .filter(|i| {
+            matches!(i, Instruction::SImm { op: SImmOp::Add, rd, rs1: Reg::R0, .. } if *rd != Reg::R0)
+        })
+        .count();
+    assert!(base_loads > 0, "no base-register load was emitted");
 }

@@ -159,8 +159,11 @@ impl Network {
     /// Returns [`NnError::Graph`] or [`NnError::Shape`] describing the first
     /// problem.
     pub fn validate(&self) -> Result<(), NnError> {
-        if self.input_shape.elems() == 0 {
-            return Err(NnError::Shape("input shape has zero elements".into()));
+        if self.input_shape.checked_elems() == Some(0) {
+            return Err(NnError::Shape(format!(
+                "network input: shape {} has zero elements",
+                self.input_shape
+            )));
         }
         for (i, n) in self.nodes.iter().enumerate() {
             if n.id.as_usize() != i {
@@ -222,8 +225,11 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Shape`] on the first incompatibility.
+    /// Returns [`NnError::Shape`] on the first incompatibility, or on the
+    /// first shape (the input's included) whose element count does not
+    /// fit `u32`.
     pub fn inferred_shapes(&self) -> Result<Vec<Shape>, NnError> {
+        fits_u32(self.input_shape, || "network input".into())?;
         let mut shapes: Vec<Shape> = Vec::with_capacity(self.nodes.len());
         for n in &self.nodes {
             let input_shapes: Vec<Shape> = n
@@ -238,6 +244,7 @@ impl Network {
                 .layer
                 .infer_shape(&input_shapes)
                 .map_err(|e| NnError::Shape(format!("node {}: {e}", n.name)))?;
+            fits_u32(out, || format!("node {}", n.name))?;
             shapes.push(out);
         }
         Ok(shapes)
@@ -302,6 +309,19 @@ impl Network {
     }
 }
 
+/// Rejects a shape whose element count overflows the `u32` that buffer
+/// sizes and addresses are computed in.
+fn fits_u32(s: Shape, what: impl FnOnce() -> String) -> Result<(), NnError> {
+    match s.checked_elems() {
+        Some(_) => Ok(()),
+        None => Err(NnError::Shape(format!(
+            "{}: shape {s} has more than {} elements",
+            what(),
+            u32::MAX
+        ))),
+    }
+}
+
 /// Incremental [`Network`] constructor. Each `add` returns the new node's
 /// [`PortRef`] so graphs read like dataflow:
 ///
@@ -349,6 +369,13 @@ impl NetworkBuilder {
     pub fn finish(self) -> Result<Network, NnError> {
         self.net.validate()?;
         Ok(self.net)
+    }
+
+    /// Returns the network without validating it: the zoo's graphs are
+    /// fixed, and only the input resolution a caller picks can make their
+    /// shapes invalid, which [`Network::validate`] then reports.
+    pub(crate) fn finish_unvalidated(self) -> Network {
+        self.net
     }
 }
 

@@ -47,6 +47,13 @@ impl Shape {
         self.height * self.width * self.channels
     }
 
+    /// Total element count, or `None` if it does not fit `u32`.
+    pub(crate) fn checked_elems(&self) -> Option<u32> {
+        self.height
+            .checked_mul(self.width)?
+            .checked_mul(self.channels)
+    }
+
     /// `true` if this is a 1 × 1 × C vector.
     pub fn is_flat(&self) -> bool {
         self.height == 1 && self.width == 1
@@ -85,6 +92,13 @@ mod tests {
         assert_eq!(s.index(0, 0, 0), 0);
         assert_eq!(s.index(3, 4, 2), 59);
         assert_eq!(s.row_elems(), 15);
+    }
+
+    #[test]
+    fn checked_elems_refuses_a_u32_overflow() {
+        assert_eq!(Shape::new(4, 5, 3).checked_elems(), Some(60));
+        assert_eq!(Shape::new(65536, 65536, 1).checked_elems(), None);
+        assert_eq!(Shape::new(70000, 70000, 3).checked_elems(), None);
     }
 
     #[test]

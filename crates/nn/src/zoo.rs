@@ -7,7 +7,10 @@
 //! Every builder takes the input resolution so experiments can run at
 //! reduced scale (the paper's figures are *normalized*, so shape — not
 //! absolute size — is what matters; see EXPERIMENTS.md for the resolutions
-//! used). Layer graphs follow the standard architectures; LRN layers
+//! used). They return the graph unvalidated: a resolution it cannot take
+//! (a window larger than its input, an element count past `u32`) is an
+//! error of [`Network::validate`], which `Compiler::compile` runs, not a
+//! panic. Layer graphs follow the standard architectures; LRN layers
 //! (AlexNet/GoogLeNet) are omitted as is customary in modern
 //! re-implementations, and aux classifiers are dropped from GoogLeNet.
 
@@ -131,7 +134,7 @@ pub fn alexnet(input_hw: u32) -> Network {
     let fc6 = linear(&mut b, "fc6", f, 4096, RELU);
     let fc7 = linear(&mut b, "fc7", fc6, 4096, RELU);
     linear(&mut b, "fc8", fc7, 1000, None);
-    b.finish().expect("alexnet is well-formed")
+    b.finish_unvalidated()
 }
 
 /// One GoogLeNet inception module.
@@ -192,7 +195,7 @@ pub fn googlenet(input_hw: u32) -> Network {
     let i5b = inception(&mut b, "5b", i5a, 384, 192, 384, 48, 128, 128);
     let gap = b.add("gap", Layer::GlobalAvgPool, vec![i5b]);
     linear(&mut b, "fc", gap, 1000, None);
-    b.finish().expect("googlenet is well-formed")
+    b.finish_unvalidated()
 }
 
 /// One ResNet basic block (two 3×3 convs + identity/projection shortcut).
@@ -251,7 +254,7 @@ pub fn resnet18(input_hw: u32) -> Network {
     let l4b = basic_block(&mut b, "layer4.1", l4a, 512, 1, false);
     let gap = b.add("gap", Layer::GlobalAvgPool, vec![l4b]);
     linear(&mut b, "fc", gap, 1000, None);
-    b.finish().expect("resnet18 is well-formed")
+    b.finish_unvalidated()
 }
 
 /// One SqueezeNet fire module (squeeze 1×1, expand 1×1 ‖ 3×3, concat).
@@ -279,7 +282,7 @@ pub fn squeezenet(input_hw: u32) -> Network {
     let f9 = fire(&mut b, "fire9", p8, 64, 256);
     let c10 = conv(&mut b, "conv10", f9, 1000, 1, 1, 0, RELU);
     b.add("gap", Layer::GlobalAvgPool, vec![c10]);
-    b.finish().expect("squeezenet is well-formed")
+    b.finish_unvalidated()
 }
 
 /// VGG-8 (the CIFAR-scale network from the MNSIM2.0 examples): six 3×3
@@ -299,7 +302,7 @@ pub fn vgg8(input_hw: u32) -> Network {
     let f = b.add("flatten", Layer::Flatten, vec![p3]);
     let fc1 = linear(&mut b, "fc1", f, 1024, RELU);
     linear(&mut b, "fc2", fc1, 10, None);
-    b.finish().expect("vgg8 is well-formed")
+    b.finish_unvalidated()
 }
 
 /// VGG-16. Works from `input_hw` 32 upward.
@@ -326,7 +329,7 @@ pub fn vgg16(input_hw: u32) -> Network {
     let fc1 = linear(&mut b, "fc1", f, 4096, RELU);
     let fc2 = linear(&mut b, "fc2", fc1, 4096, RELU);
     linear(&mut b, "fc3", fc2, 1000, None);
-    b.finish().expect("vgg16 is well-formed")
+    b.finish_unvalidated()
 }
 
 /// LeNet-5 (tanh activations, average pooling) — the classic 32×32
@@ -359,7 +362,7 @@ pub fn lenet(input_hw: u32) -> Network {
     let f = b.add("flatten", Layer::Flatten, vec![c5]);
     let f6 = linear(&mut b, "f6", f, 84, TANH);
     linear(&mut b, "output", f6, 10, None);
-    b.finish().expect("lenet is well-formed")
+    b.finish_unvalidated()
 }
 
 /// VGG-11 (configuration A). Works from `input_hw` 32 upward.
@@ -386,7 +389,7 @@ pub fn vgg11(input_hw: u32) -> Network {
     let fc1 = linear(&mut b, "fc1", f, 4096, RELU);
     let fc2 = linear(&mut b, "fc2", fc1, 4096, RELU);
     linear(&mut b, "fc3", fc2, 1000, None);
-    b.finish().expect("vgg11 is well-formed")
+    b.finish_unvalidated()
 }
 
 /// ResNet-34: the deeper basic-block residual network
@@ -412,7 +415,7 @@ pub fn resnet34(input_hw: u32) -> Network {
     }
     let gap = b.add("gap", Layer::GlobalAvgPool, vec![x]);
     linear(&mut b, "fc", gap, 1000, None);
-    b.finish().expect("resnet34 is well-formed")
+    b.finish_unvalidated()
 }
 
 /// Looks up a zoo network by name at a given input resolution. Names:

@@ -81,15 +81,14 @@ impl ServiceModel {
 /// Compiles and simulates one `(network, batch size)` key.
 fn measure(config: &ServeConfig, net: usize, k: u32) -> Result<ServicePoint, ServeError> {
     let (name, resolution) = &config.networks[net];
-    // The zoo builders panic on degenerate resolutions; surface that as
-    // this key's error instead of unwinding a worker thread.
-    let network = std::panic::catch_unwind(|| zoo::by_name(name, *resolution))
-        .map_err(|_| {
-            ServeError::Config(format!(
-                "network `{name}` cannot be built at resolution {resolution}"
-            ))
-        })?
-        .ok_or_else(|| ServeError::UnknownNetwork(name.clone()))?;
+    let network =
+        zoo::by_name(name, *resolution).ok_or_else(|| ServeError::UnknownNetwork(name.clone()))?;
+    // A degenerate resolution is this key's error.
+    network.validate().map_err(|_| {
+        ServeError::Config(format!(
+            "network `{name}` cannot be built at resolution {resolution}"
+        ))
+    })?;
     let compiled = Compiler::new(&config.arch)
         .mapping(config.mapping)
         .batch(k)

@@ -134,18 +134,16 @@ impl Scenario {
         if let Some(sp) = &self.serve {
             return self.execute_serve(index, sp);
         }
-        // The zoo builders panic on degenerate resolutions (a pooling
-        // window larger than its input, say); catch that so one bad grid
-        // point surfaces as this scenario's error instead of unwinding a
-        // worker thread and aborting the whole campaign.
-        let net = std::panic::catch_unwind(|| zoo::by_name(&self.network, self.resolution))
-            .map_err(|_| {
-                SweepError::Config(format!(
-                    "network `{}` cannot be built at resolution {}",
-                    self.network, self.resolution
-                ))
-            })?
+        let net = zoo::by_name(&self.network, self.resolution)
             .ok_or_else(|| SweepError::UnknownNetwork(self.network.clone()))?;
+        // A degenerate resolution (a pooling window larger than its input,
+        // say) is this scenario's error.
+        net.validate().map_err(|_| {
+            SweepError::Config(format!(
+                "network `{}` cannot be built at resolution {}",
+                self.network, self.resolution
+            ))
+        })?;
         match self.simulator {
             SimulatorKind::Cycle => {
                 let compiled = Compiler::new(&self.arch)

@@ -476,16 +476,14 @@ impl SweepGrid {
                 return Err(SweepError::UnknownNetwork(network.clone()));
             }
             for resolution in non_empty(&self.resolutions, default_resolution(network)) {
-                // Probe each (network, resolution) pair up front: the zoo
-                // builders panic on degenerate resolutions (a pooling
-                // window larger than its input, say), and catching that
-                // here turns it into a clean expansion error instead of a
-                // per-worker unwind mid-campaign.
-                std::panic::catch_unwind(|| zoo::by_name(network, resolution)).map_err(|_| {
-                    SweepError::Config(format!(
+                // Probe each (network, resolution) pair up front, so a
+                // degenerate resolution (a pooling window larger than its
+                // input, say) is one expansion error, not one per point.
+                if zoo::by_name(network, resolution).is_none_or(|net| net.validate().is_err()) {
+                    return Err(SweepError::Config(format!(
                         "network `{network}` cannot be built at resolution {resolution}"
-                    ))
-                })?;
+                    )));
+                }
                 inputs.push((network, resolution));
             }
         }
@@ -636,16 +634,14 @@ impl SweepGrid {
             }
             let resolutions = non_empty(&self.resolutions, default_resolution(network));
             for &resolution in &resolutions {
-                // Probe each (network, resolution) pair up front: the zoo
-                // builders panic on degenerate resolutions (a pooling
-                // window larger than its input, say), and catching that
-                // here turns it into a clean expansion error instead of a
-                // per-worker unwind mid-campaign.
-                std::panic::catch_unwind(|| zoo::by_name(network, resolution)).map_err(|_| {
-                    SweepError::Config(format!(
+                // Probe each (network, resolution) pair up front, so a
+                // degenerate resolution (a pooling window larger than its
+                // input, say) is one expansion error, not one per point.
+                if zoo::by_name(network, resolution).is_none_or(|net| net.validate().is_err()) {
+                    return Err(SweepError::Config(format!(
                         "network `{network}` cannot be built at resolution {resolution}"
-                    ))
-                })?;
+                    )));
+                }
                 for &mapping in &mappings {
                     for &batch in &batches {
                         for &simulator in &simulators {
