@@ -60,10 +60,8 @@ pub fn message_min(model: &CostModel, from: u16, to: u16, elems: u32) -> SimTime
     if from == to {
         return model.local_copy_cost(elems).time;
     }
-    let cfg = model.config();
-    let hops = cfg.resources.mesh_hops(from, to);
-    let router = model.noc_hop_latency(1) * cfg.noc.router_pipeline_depth as u64;
-    router * hops as u64 + model.link_serialization(model.flits_for_elems(elems))
+    let hops = model.config().resources.mesh_hops(from, to);
+    model.router_latency() * hops as u64 + model.link_serialization(model.flits_for_elems(elems))
 }
 
 /// Minimal uncontended `gload`/`gstore` time from `core`: the trip to the
@@ -71,10 +69,8 @@ pub fn message_min(model: &CostModel, from: u16, to: u16, elems: u32) -> SimTime
 /// serialization plus the memory service time. Pinned against
 /// `Noc::memory_access` on an idle fabric.
 pub fn memory_access_min(model: &CostModel, core: u16, elems: u32) -> SimTime {
-    let cfg = model.config();
-    let hops = cfg.resources.mesh_hops(core, 0) + 1;
-    let router = model.noc_hop_latency(1) * cfg.noc.router_pipeline_depth as u64;
-    router * hops as u64
+    let hops = model.config().resources.mesh_hops(core, 0) + 1;
+    model.router_latency() * hops as u64
         + model.link_serialization(model.flits_for_elems(elems))
         + model.global_mem_cost(elems).time
 }

@@ -132,8 +132,8 @@ pub struct TimingParams {
 /// per-message alternation balances load across the two dimension orders;
 /// `adaptive` picks the less-congested minimal direction at each hop from
 /// live link occupancy). All are minimal, deterministic and deadlock-free
-/// on a mesh; the simulator's `Routing` trait is where further policies
-/// plug in.
+/// on a mesh; the simulator's NoC matches on this enum to pick each hop,
+/// so a further policy is one more variant and one more match arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 #[serde(try_from = "String", into = "String")]
 pub enum RoutingPolicy {
@@ -500,6 +500,13 @@ impl ArchConfig {
         if r.core_rows == 0 || r.core_cols == 0 {
             return bad("resources.core_rows", "mesh must have at least one core");
         }
+        // Core ids are `u16`, and the NoC reserves `u16::MAX` for its
+        // memory node.
+        let cores = r.core_rows as u32 * r.core_cols as u32;
+        if cores > u16::MAX as u32 {
+            let msg = format!("{cores} cores exceed the 65535 a 16-bit core id addresses");
+            return bad("resources.core_rows", msg);
+        }
         if r.xbars_per_core == 0 {
             return bad("resources.xbars_per_core", "need at least one crossbar");
         }
@@ -538,6 +545,11 @@ impl ArchConfig {
         }
         if r.local_mem_kb == 0 {
             return bad("resources.local_mem_kb", "local memory must be positive");
+        }
+        // `local_mem_elems` counts through the byte count in `u32`.
+        if r.local_mem_kb as u64 * 1024 > u32::MAX as u64 {
+            let msg = format!("{} KiB overflow the 32-bit memory size", r.local_mem_kb);
+            return bad("resources.local_mem_kb", msg);
         }
         let t = &self.timing;
         if !(t.core_freq_ghz.is_finite() && t.core_freq_ghz > 0.0) {
@@ -698,6 +710,24 @@ mod tests {
         let mut cfg = ArchConfig::paper_default();
         cfg.resources.rob_size = 0;
         assert!(cfg.validate().is_err());
+
+        // Sizes whose `u16` core count or `u32` memory size would wrap,
+        // and the largest that fit.
+        for (rows, cols, kb, field) in [
+            (256, 256, 64, Some("resources.core_rows")),
+            (300, 300, 64, Some("resources.core_rows")),
+            (8, 8, 4_194_304, Some("resources.local_mem_kb")),
+            (255, 257, 4_194_303, None),
+        ] {
+            let mut cfg = ArchConfig::paper_default();
+            (cfg.resources.core_rows, cfg.resources.core_cols) = (rows, cols);
+            cfg.resources.local_mem_kb = kb;
+            let got = cfg.validate().err().map(|e| match e {
+                ArchError::Invalid { field, .. } => field,
+                other => panic!("expected Invalid, got {other:?}"),
+            });
+            assert_eq!(got, field, "{rows}x{cols}, {kb} KiB");
+        }
     }
 
     #[test]

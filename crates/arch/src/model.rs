@@ -30,10 +30,12 @@
 //! ## Transfers
 //!
 //! A message of `n` 32-bit elements becomes `1 + ceil(4n / flit_bytes)`
-//! flits (one header flit). Per-hop pipe latency is `hop_cycles`; a link
-//! forwards `link_flits_per_cycle`, so serialization is
-//! `flits / link_flits_per_cycle` NoC cycles. Contention on shared links is
-//! modeled by the simulator's NoC, not here.
+//! flits (one header flit). A head flit pays `hop_cycles *
+//! router_pipeline_depth` NoC cycles per router; a link forwards
+//! `link_flits_per_cycle`, so serialization is `flits /
+//! link_flits_per_cycle` NoC cycles. Contention on shared links is modeled
+//! by the simulator's NoC, which walks each message link by link and
+//! prices every step with these methods.
 
 use pimsim_event::{Clock, SimTime};
 
@@ -62,12 +64,24 @@ pub struct Cost {
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel<'a> {
     cfg: &'a ArchConfig,
+    core_clock: Clock,
+    noc_clock: Clock,
 }
 
 impl<'a> CostModel<'a> {
-    /// Creates a cost model over `cfg`.
+    /// Creates a cost model over `cfg`, deriving both clocks once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a clock frequency is not finite and positive, which
+    /// [`ArchConfig::validate`] rules out: build models from validated
+    /// configurations only.
     pub fn new(cfg: &'a ArchConfig) -> Self {
-        CostModel { cfg }
+        CostModel {
+            cfg,
+            core_clock: Clock::from_ghz(cfg.timing.core_freq_ghz),
+            noc_clock: Clock::from_ghz(cfg.noc.freq_ghz),
+        }
     }
 
     /// The underlying configuration.
@@ -77,12 +91,12 @@ impl<'a> CostModel<'a> {
 
     /// The core clock.
     pub fn core_clock(&self) -> Clock {
-        Clock::from_ghz(self.cfg.timing.core_freq_ghz)
+        self.core_clock
     }
 
     /// The NoC clock.
     pub fn noc_clock(&self) -> Clock {
-        Clock::from_ghz(self.cfg.noc.freq_ghz)
+        self.noc_clock
     }
 
     /// Minimum spacing between successive dispatches on one core.
@@ -184,6 +198,13 @@ impl<'a> CostModel<'a> {
             .cycles_to_time(hops as u64 * self.cfg.noc.hop_cycles as u64)
     }
 
+    /// Head-flit latency of one full router traversal: `hop_cycles *
+    /// router_pipeline_depth` NoC cycles. Every hop of a message walk pays
+    /// this; at depth 1 it is [`CostModel::noc_hop_latency`]`(1)`.
+    pub fn router_latency(&self) -> SimTime {
+        self.noc_hop_latency(1) * self.cfg.noc.router_pipeline_depth as u64
+    }
+
     /// Time for one link to forward `flits` flits.
     pub fn link_serialization(&self, flits: u64) -> SimTime {
         let cycles = (flits as f64 / self.cfg.noc.link_flits_per_cycle).ceil() as u64;
@@ -196,7 +217,7 @@ impl<'a> CostModel<'a> {
     }
 
     /// Dynamic energy of a core-to-core message of `elems` elements: NoC
-    /// wire/router energy along the XY route, or the local scratchpad-copy
+    /// wire/router energy along a minimal route, or the local scratchpad-copy
     /// energy when `from == to` (the timing-side counterpart lives in the
     /// simulator's `Noc::message`, which charges `local_copy_cost` time
     /// for the same case).
@@ -244,6 +265,14 @@ impl<'a> CostModel<'a> {
             time: SimTime::from_ns_f64(time_ns),
             energy: Energy::from_pj(elems as f64 * self.cfg.energy.global_mem_pj_per_elem),
         }
+    }
+
+    /// Dynamic energy of a `gload`/`gstore` of `elems` elements from
+    /// `core`: NoC energy to the controller at core 0 (one extra hop
+    /// through the memory port) plus the global-memory access energy.
+    pub fn memory_access_energy(&self, core: u16, elems: u32) -> Energy {
+        let hops = self.cfg.resources.mesh_hops(core, 0) + 1;
+        self.noc_energy(self.flits_for_elems(elems), hops) + self.global_mem_cost(elems).energy
     }
 
     /// Total static power of the chip in watts.
@@ -362,6 +391,18 @@ mod tests {
         let local = m.message_energy(5, 5, 64);
         assert_eq!(local, m.local_copy_cost(64).energy);
         assert!(local.as_pj() > 0.0);
+    }
+
+    #[test]
+    fn memory_access_energy_adds_the_memory_port_hop() {
+        let cfg = ArchConfig::paper_default();
+        let m = model(&cfg);
+        // Core 9 is two hops from core 0, plus the memory port.
+        let wire = m.noc_energy(m.flits_for_elems(64), 3);
+        assert_eq!(
+            m.memory_access_energy(9, 64),
+            wire + m.global_mem_cost(64).energy
+        );
     }
 
     #[test]

@@ -822,16 +822,7 @@ fn threads(args: &Args) -> Result<usize, String> {
 fn cmd_sweep(args: &Args) -> Result<(), String> {
     let grid = sweep_grid(args)?;
     let threads = threads(args)?;
-    // Grid expansion probes every (network, resolution) pair and converts
-    // zoo-builder panics into clean errors; silence the default panic hook
-    // meanwhile so the user sees one diagnostic, not a backtrace.
-    let scenarios = {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = grid.scenarios();
-        std::panic::set_hook(hook);
-        result.map_err(|e| e.to_string())?
-    };
+    let scenarios = grid.scenarios().map_err(|e| e.to_string())?;
     eprintln!(
         "sweep: {} scenario(s) on {} thread(s)",
         scenarios.len(),

@@ -1,0 +1,55 @@
+//! A mesh or local memory too large for the simulator's integer widths is
+//! a configuration error (exit 1, the field named), not a core count or
+//! memory size that silently wraps to a different chip.
+
+use std::process::Command;
+
+use pimsim_arch::ArchConfig;
+
+/// A two-core send/recv: the smallest program that needs a mesh and a
+/// receive buffer.
+const PING: &str = "\
+.core 0
+vfill [r1+0], 7, 64
+send core1, [r1+0], 64, tag=1
+halt
+.core 1
+recv core0, [r2+0], 64, tag=1
+halt
+";
+
+#[test]
+fn wrapping_mesh_and_memory_sizes_are_rejected() -> std::io::Result<()> {
+    let dir = std::env::temp_dir().join("pimsim-cli-wrapping-sizes");
+    std::fs::create_dir_all(&dir)?;
+    let program = dir.join("ping.s");
+    std::fs::write(&program, PING)?;
+    let cases = [
+        ("mesh256", 256, 256, 64, "resources.core_rows"),
+        ("mesh300", 300, 300, 64, "resources.core_rows"),
+        ("mem4g", 8, 8, 4_194_304, "resources.local_mem_kb"),
+    ];
+    for (name, rows, cols, kb, field) in cases {
+        let mut arch = ArchConfig::paper_default();
+        arch.resources.core_rows = rows;
+        arch.resources.core_cols = cols;
+        arch.resources.local_mem_kb = kb;
+        let config = dir.join(format!("{name}.json"));
+        std::fs::write(&config, arch.to_json())?;
+        for cmd in ["run", "check", "bound"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_pimsim"))
+                .arg(cmd)
+                .arg(&program)
+                .arg("--config")
+                .arg(&config)
+                .output()?;
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "`{cmd}` on {name}: {stderr}");
+            assert!(
+                stderr.contains(&format!("invalid configuration field `{field}`")),
+                "`{cmd}` on {name}: {stderr}"
+            );
+        }
+    }
+    Ok(())
+}

@@ -32,11 +32,12 @@
 //!
 //! ## NoC model
 //!
-//! XY routing over per-link occupancy: a packet reserves each link along
-//! its path in sequence (`1 + ceil(bytes/flit)` flits, one header), so
-//! contention, serialization and distance all shape communication time.
-//! The global memory controller sits at mesh corner (0,0) with its own
-//! service queue.
+//! Minimal routing under the configured `RoutingPolicy` (XY by default)
+//! over per-link occupancy: a packet reserves each link along its path in
+//! sequence (`1 + ceil(bytes/flit)` flits, one header), so contention,
+//! serialization and distance all shape communication time. Every price
+//! comes from the same `CostModel`. The global memory controller sits at
+//! mesh corner (0,0) with its own service queue.
 //!
 //! ## Functional mode
 //!
@@ -77,10 +78,7 @@ mod noc;
 mod stats;
 
 pub use machine::{SimError, Simulator};
-pub use noc::{
-    routing_for, Adaptive, AdaptiveRoute, DimOrder, Noc, NocCosts, Route, Routing, Xy,
-    XyYxAlternate, Yx, MEM_NODE, PORTS,
-};
+pub use noc::{Noc, NocCosts, Route, MEM_NODE, PORTS};
 pub use stats::{CoreStats, EnergyBreakdown, NodeStats, SimReport, TraceEntry, TRACE_CAP};
 
 /// Result alias for fallible simulation.

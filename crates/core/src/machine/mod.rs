@@ -31,7 +31,7 @@ use pimsim_arch::{ArchConfig, Energy};
 use pimsim_event::{EventCtx, SimTime, World};
 
 use crate::exec::Memory;
-use crate::noc::{Noc, NocCosts};
+use crate::noc::Noc;
 use crate::stats::{EnergyBreakdown, NodeStats, TraceEntry, TRACE_CAP};
 
 pub use error::SimError;
@@ -117,13 +117,11 @@ pub(crate) type Ctx = EventCtx<MachineEvent>;
 /// sink — the [`World`] the event kernel drives.
 pub(crate) struct Machine<'a> {
     pub(crate) cfg: &'a ArchConfig,
-    /// Unit latencies and energies: the shared cost tables over `cfg`.
+    /// Unit, transfer and static prices: the shared cost tables over
+    /// `cfg`, with both clocks derived once per run.
     pub(crate) model: CostModel<'a>,
     pub(crate) cores: Vec<Core<'a>>,
     pub(crate) noc: Noc,
-    /// Per-message cost constants, derived once from `cfg` so the
-    /// transfer hot path never rebuilds a cost model.
-    pub(crate) costs: NocCosts,
     pub(crate) gmem: Memory,
     pub(crate) fabric: TransferFabric,
     pub(crate) functional: bool,

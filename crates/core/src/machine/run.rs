@@ -12,7 +12,7 @@ use super::rob::Core;
 use super::transfer::TransferFabric;
 use super::{error::SimError, Machine, MachineEvent, Telemetry};
 use crate::exec::Memory;
-use crate::noc::{Noc, NocCosts};
+use crate::noc::Noc;
 use crate::stats::SimReport;
 
 /// What a mesh slot the program leaves out runs: nothing.
@@ -100,7 +100,7 @@ impl<'a> Simulator<'a> {
     /// Runs a built machine to quiescence and assembles its report.
     pub(super) fn execute(&self, machine: Machine<'_>) -> Result<SimReport, SimError> {
         let functional = machine.functional;
-        let clock = CostModel::new(self.arch).core_clock();
+        let clock = machine.model.core_clock();
         let horizon = clock.cycles_to_time(self.arch.sim.max_cycles);
         let mut kernel = Kernel::new(machine);
         for c in 0..kernel.world().cores.len() {
@@ -128,7 +128,7 @@ impl<'a> Simulator<'a> {
         self.check_quiescent(&machine, now)?;
 
         let latency = now;
-        machine.telemetry.energy.static_energy = CostModel::new(self.arch).static_energy(latency);
+        machine.telemetry.energy.static_energy = machine.model.static_energy(latency);
         let per_core = machine.cores.iter().map(|c| c.stats).collect();
         Ok(SimReport {
             latency,
@@ -188,7 +188,6 @@ impl<'a> Simulator<'a> {
             cfg: self.arch,
             model,
             noc: Noc::for_arch(self.arch),
-            costs: NocCosts::new(self.arch),
             gmem,
             cores,
             fabric,

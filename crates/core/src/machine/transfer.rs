@@ -16,9 +16,10 @@
 //!
 //! Transfer *timing* is positional (policy-routed mesh walk, per-link
 //! occupancy, controller queue) and comes from [`Noc`](crate::noc::Noc)
-//! walks priced by the per-machine [`NocCosts`](crate::noc::NocCosts)
-//! constants. A [`Pending`] carries its `(tag, len)` from
-//! issue time, so launching or kicking a transfer never rescans the ROB.
+//! walks; their prices and every transfer energy come from the machine's
+//! one [`CostModel`](pimsim_arch::model::CostModel). A [`Pending`]
+//! carries its `(tag, len)` from issue time, so launching or kicking a
+//! transfer never rescans the ROB.
 //!
 //! Channels are a dense table: `SEND`/`RECV` name their peer and tag as
 //! immediates, so the program's whole `(sender, receiver, tag)` set is
@@ -318,11 +319,8 @@ impl Machine<'_> {
                 }
             }
             Resolved::GLoad { len, .. } | Resolved::GStore { len, .. } => {
-                let costs = &self.costs;
-                let hops = costs.hops(c as u16, 0) + 1;
-                let flits = costs.flits_for_elems(len);
-                let e_txn = costs.noc_energy(flits, hops) + costs.global_mem(len).energy;
-                let end = self.noc.memory_access(c as u16, len, now, &self.costs);
+                let e_txn = self.model.memory_access_energy(c as u16, len);
+                let end = self.noc.memory_access(c as u16, len, now, &self.model);
                 self.telemetry.energy.transfer += e_txn;
                 self.telemetry.node(tag).energy += e_txn;
                 ctx.schedule_at(end, MachineEvent::Complete { core: c, seq });
@@ -337,8 +335,8 @@ impl Machine<'_> {
         let (from, to, _) = self.fabric.key(chan);
         // A send's length came from a `u32` operand.
         let len = send.len as u32;
-        let e_txn = self.costs.message_energy(from, to, len);
-        let end = self.noc.message(from, to, len, now, &self.costs);
+        let e_txn = self.model.message_energy(from, to, len);
+        let end = self.noc.message(from, to, len, now, &self.model);
         self.telemetry.energy.transfer += e_txn;
         self.telemetry.node(send.tag).energy += e_txn;
         ctx.schedule_at(end, MachineEvent::Deposit { chan, send });

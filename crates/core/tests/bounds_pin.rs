@@ -13,7 +13,7 @@ use pimsim_analyze::dag::{Dag, ServiceKind};
 use pimsim_analyze::{Cfg, RendezvousMap};
 use pimsim_arch::model::CostModel;
 use pimsim_arch::ArchConfig;
-use pimsim_core::{Noc, NocCosts};
+use pimsim_core::Noc;
 use pimsim_event::SimTime;
 use pimsim_isa::asm::assemble;
 use pimsim_isa::{resolve, VectorShape};
@@ -37,7 +37,6 @@ fn arches() -> Vec<ArchConfig> {
 fn message_min_matches_idle_noc_delivery() {
     for arch in arches() {
         let model = CostModel::new(&arch);
-        let costs = NocCosts::new(&arch);
         let cores = arch.resources.cores();
         let start = SimTime::from_ns(3);
         for &from in &[0u16, 1, cores - 1] {
@@ -45,7 +44,7 @@ fn message_min_matches_idle_noc_delivery() {
                 for &elems in &[1u32, 16, 300, 4096] {
                     // Fresh fabric per probe: no residual reservations.
                     let mut noc = Noc::for_arch(&arch);
-                    let done = noc.message(from, to, elems, start, &costs);
+                    let done = noc.message(from, to, elems, start, &model);
                     let min = message_min(&model, from, to, elems);
                     assert_eq!(
                         done,
@@ -64,13 +63,12 @@ fn message_min_matches_idle_noc_delivery() {
 fn memory_access_min_matches_idle_noc_access() {
     for arch in arches() {
         let model = CostModel::new(&arch);
-        let costs = NocCosts::new(&arch);
         let cores = arch.resources.cores();
         let start = SimTime::from_ns(5);
         for &core in &[0u16, 1, cores / 2, cores - 1] {
             for &elems in &[1u32, 64, 1000] {
                 let mut noc = Noc::for_arch(&arch);
-                let done = noc.memory_access(core, elems, start, &costs);
+                let done = noc.memory_access(core, elems, start, &model);
                 let min = memory_access_min(&model, core, elems);
                 assert_eq!(done, start + min, "gmem access from core{core} x{elems}");
             }

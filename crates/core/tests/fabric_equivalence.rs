@@ -4,14 +4,15 @@
 //!
 //! `HashMapNoc` is the reference the dense fabric is held to: an allocated
 //! route `Vec` per message and a hash-probed `(from, to) -> free_at` map
-//! per link, XY order only, priced by the same [`NocCosts`].
+//! per link, XY order only, priced by the same [`CostModel`].
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use pimsim_arch::ArchConfig;
-use pimsim_core::{Noc, NocCosts, MEM_NODE};
+use pimsim_arch::model::CostModel;
+use pimsim_arch::{ArchConfig, RoutingPolicy};
+use pimsim_core::{Noc, MEM_NODE};
 use pimsim_event::SimTime;
 
 #[derive(Debug, Default)]
@@ -60,32 +61,39 @@ impl HashMapNoc {
         links: &[(u16, u16)],
         start: SimTime,
         flits: u64,
-        c: &NocCosts,
+        c: &CostModel,
     ) -> SimTime {
-        let ser = c.serialization(flits);
+        let ser = c.link_serialization(flits);
         let (mut head, mut tail) = (start, start);
         for link in links {
             let free = self.link_free.get(link).copied().unwrap_or(SimTime::ZERO);
-            head = head.max(free) + c.hop();
+            head = head.max(free) + c.router_latency();
             tail = head + ser;
             self.link_free.insert(*link, tail);
         }
         tail
     }
 
-    fn message(&mut self, from: u16, to: u16, elems: u32, start: SimTime, c: &NocCosts) -> SimTime {
+    fn message(
+        &mut self,
+        from: u16,
+        to: u16,
+        elems: u32,
+        start: SimTime,
+        c: &CostModel,
+    ) -> SimTime {
         if from == to {
-            return start + c.local_copy(elems).time;
+            return start + c.local_copy_cost(elems).time;
         }
         let links = self.route(from, to);
         self.traverse(&links, start, c.flits_for_elems(elems), c)
     }
 
-    fn memory_access(&mut self, core: u16, elems: u32, start: SimTime, c: &NocCosts) -> SimTime {
+    fn memory_access(&mut self, core: u16, elems: u32, start: SimTime, c: &CostModel) -> SimTime {
         let mut links = self.route(core, 0);
         links.push((0, MEM_NODE));
         let arrived = self.traverse(&links, start, c.flits_for_elems(elems), c);
-        self.mem_free = arrived.max(self.mem_free) + c.global_mem(elems).time;
+        self.mem_free = arrived.max(self.mem_free) + c.global_mem_cost(elems).time;
         self.mem_free
     }
 
@@ -95,10 +103,6 @@ impl HashMapNoc {
             .copied()
             .unwrap_or(SimTime::ZERO)
     }
-}
-
-fn costs() -> NocCosts {
-    NocCosts::new(&ArchConfig::paper_default())
 }
 
 proptest! {
@@ -113,9 +117,10 @@ proptest! {
         traffic in proptest::collection::vec(
             (0u32..10_000, 0u32..10_000, 1u32..2048, 0u64..500), 1..64),
     ) {
-        let c = costs();
+        let arch = ArchConfig::paper_default();
+        let c = CostModel::new(&arch);
         let routers = rows as u32 * cols as u32;
-        let mut dense = Noc::new(rows, cols);
+        let mut dense = Noc::new(rows, cols, RoutingPolicy::Xy);
         let mut reference = HashMapNoc::new(cols);
         for (i, &(f, t, elems, start_ns)) in traffic.iter().enumerate() {
             let (from, to) = ((f % routers) as u16, (t % routers) as u16);
@@ -161,7 +166,8 @@ proptest! {
 #[test]
 fn fabric_workload_checksums_agree() {
     const MESH: u16 = 8;
-    let c = costs();
+    let arch = ArchConfig::paper_default();
+    let c = CostModel::new(&arch);
     let routers = MESH as u64 * MESH as u64;
     let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
     let mut next = || {
@@ -170,7 +176,7 @@ fn fabric_workload_checksums_agree() {
             .wrapping_add(1442695040888963407);
         state >> 11
     };
-    let mut dense = Noc::new(MESH, MESH);
+    let mut dense = Noc::new(MESH, MESH, RoutingPolicy::Xy);
     let mut reference = HashMapNoc::new(MESH);
     let (mut dense_sum, mut reference_sum) = (0u64, 0u64);
     for i in 0..2_000u64 {

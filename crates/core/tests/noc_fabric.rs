@@ -1,12 +1,14 @@
-//! Property tests for the dense, policy-pluggable NoC fabric: every
-//! policy routes minimally, every message is delivered, link occupancy
-//! only moves forward, and routing actually changes contention (but
-//! never determinism) on a multi-core scenario.
+//! Property tests for the dense, policy-routed NoC fabric: every policy
+//! routes minimally, the read-only route view is the path a message then
+//! reserves, every message is delivered, link occupancy only moves
+//! forward, and routing actually changes contention (but never
+//! determinism) on a multi-core scenario.
 
 use proptest::prelude::*;
 
+use pimsim_arch::model::CostModel;
 use pimsim_arch::{ArchConfig, RoutingPolicy};
-use pimsim_core::{routing_for, Adaptive, Noc, NocCosts, SimReport, Simulator};
+use pimsim_core::{Noc, SimReport, Simulator};
 use pimsim_event::SimTime;
 use pimsim_isa::asm;
 
@@ -18,11 +20,55 @@ fn manhattan(cols: u16, a: u16, b: u16) -> usize {
     (ar.abs_diff(br) + ac.abs_diff(bc)) as usize
 }
 
+/// Every directed link of a `rows` × `cols` mesh.
+fn mesh_links(rows: u16, cols: u16) -> Vec<(u16, u16)> {
+    let mut links = Vec::new();
+    for r in 0..rows * cols {
+        if r % cols != cols - 1 {
+            links.push((r, r + 1));
+        }
+        if r % cols != 0 {
+            links.push((r, r - 1));
+        }
+        if r / cols != rows - 1 {
+            links.push((r, r + cols));
+        }
+        if r / cols != 0 {
+            links.push((r, r - cols));
+        }
+    }
+    links
+}
+
+/// `link_free` of every link in `links`.
+fn occupancy(noc: &Noc, links: &[(u16, u16)]) -> Vec<SimTime> {
+    links.iter().map(|&(a, b)| noc.link_free(a, b)).collect()
+}
+
+/// Asserts `links` is a minimal connected route `from -> to`.
+fn check_minimal(cols: u16, from: u16, to: u16, links: &[(u16, u16)]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(links.len(), manhattan(cols, from, to));
+    let mut cur = from;
+    for (a, b) in links {
+        prop_assert_eq!(*a, cur, "route is connected");
+        prop_assert_eq!(
+            manhattan(cols, *a, *b),
+            1,
+            "each link joins mesh neighbours"
+        );
+        cur = *b;
+    }
+    prop_assert_eq!(cur, to, "route ends at the destination");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every policy produces a minimal route: exactly the Manhattan
-    /// distance, each step a mesh neighbour, ending at the destination.
+    /// Every policy produces a minimal route for the `msg_seq`-th message
+    /// (the injection counter picks `xy-yx`'s order and `adaptive`'s tie
+    /// break): exactly the Manhattan distance, each step a mesh neighbour,
+    /// ending at the destination.
     #[test]
     fn routes_are_minimal_for_every_policy(
         rows in 1u16..9,
@@ -31,24 +77,61 @@ proptest! {
         to_seed in 0u32..10_000,
         msg_seq in 0u64..8,
     ) {
+        let cfg = ArchConfig::paper_default();
+        let model = CostModel::new(&cfg);
         let routers = (rows as u32 * cols as u32) as u16;
         let from = (from_seed % routers as u32) as u16;
         let to = (to_seed % routers as u32) as u16;
-        let noc = Noc::new(rows, cols);
         for policy in POLICIES {
-            let order = routing_for(policy).order(from, to, msg_seq);
-            let links: Vec<(u16, u16)> = noc.route(from, to, order).collect();
-            prop_assert_eq!(links.len(), manhattan(cols, from, to));
-            let mut cur = from;
-            for (a, b) in &links {
-                prop_assert_eq!(*a, cur, "route is connected");
-                prop_assert_eq!(
-                    manhattan(cols, *a, *b), 1,
-                    "each link joins mesh neighbours"
-                );
-                cur = *b;
+            let mut noc = Noc::new(rows, cols, policy);
+            // `msg_seq` earlier messages advance the injection counter.
+            for i in 0..msg_seq {
+                noc.memory_access(from, 8, SimTime::from_us(i), &model);
             }
-            prop_assert_eq!(cur, to, "route ends at the destination");
+            let links: Vec<(u16, u16)> = noc.route(from, to).collect();
+            check_minimal(cols, from, to, &links)?;
+        }
+    }
+
+    /// The read-only route view is the path a message then takes: after
+    /// random warm-up traffic, the links `Noc::route` lists are exactly
+    /// the links whose occupancy the next `Noc::message` moves, under
+    /// every policy.
+    #[test]
+    fn route_view_is_the_path_the_next_message_reserves(
+        rows in 1u16..7,
+        cols in 1u16..7,
+        warm in proptest::collection::vec((0u32..10_000, 0u32..10_000, 1u32..512, 0u64..200), 0..24),
+        from_seed in 0u32..10_000,
+        to_seed in 0u32..10_000,
+        elems in 1u32..512,
+        start_ns in 0u64..200,
+    ) {
+        let cfg = ArchConfig::paper_default();
+        let model = CostModel::new(&cfg);
+        let routers = rows as u32 * cols as u32;
+        let all = mesh_links(rows, cols);
+        let from = (from_seed % routers) as u16;
+        let to = (to_seed % routers) as u16;
+        for policy in POLICIES {
+            let mut noc = Noc::new(rows, cols, policy);
+            for &(f, t, n, at) in &warm {
+                let (f, t) = ((f % routers) as u16, (t % routers) as u16);
+                noc.message(f, t, n, SimTime::from_ns(at), &model);
+            }
+            let mut route: Vec<(u16, u16)> = noc.route(from, to).collect();
+            let before = occupancy(&noc, &all);
+            noc.message(from, to, elems, SimTime::from_ns(start_ns), &model);
+            let after = occupancy(&noc, &all);
+            let mut moved: Vec<(u16, u16)> = all
+                .iter()
+                .zip(before.iter().zip(&after))
+                .filter(|(_, (old, new))| old != new)
+                .map(|(&link, _)| link)
+                .collect();
+            route.sort_unstable();
+            moved.sort_unstable();
+            prop_assert_eq!(route, moved, "{}", policy.name());
         }
     }
 
@@ -62,37 +145,29 @@ proptest! {
         traffic in proptest::collection::vec((0u32..10_000, 0u32..10_000, 1u32..512), 1..40),
     ) {
         let cfg = ArchConfig::paper_default();
-        let costs = NocCosts::new(&cfg);
+        let model = CostModel::new(&cfg);
         let routers = rows as u32 * cols as u32;
+        let all = mesh_links(rows, cols);
         for policy in POLICIES {
-            let mut noc = Noc::with_routing(rows, cols, routing_for(policy));
+            let mut noc = Noc::new(rows, cols, policy);
             let mut prev_free: Vec<SimTime> = Vec::new();
             for (i, &(f, t, elems)) in traffic.iter().enumerate() {
                 let from = (f % routers) as u16;
                 let to = (t % routers) as u16;
                 let start = SimTime::from_ns(i as u64 * 3);
-                let done = noc.message(from, to, elems, start, &costs);
+                let done = noc.message(from, to, elems, start, &model);
                 // Delivered: never before injection, and no faster than
                 // the uncontended pipe latency + serialization.
                 let hops = manhattan(cols, from, to) as u32;
                 if from == to {
-                    prop_assert_eq!(done, start + costs.local_copy(elems).time);
+                    prop_assert_eq!(done, start + model.local_copy_cost(elems).time);
                 } else {
-                    let floor = costs.hop() * hops as u64
-                        + costs.serialization(costs.flits_for_elems(elems));
+                    let floor = model.router_latency() * hops as u64
+                        + model.link_serialization(model.flits_for_elems(elems));
                     prop_assert!(done >= start + floor, "no lost flits / time travel");
                 }
                 // Monotone link times across the whole fabric.
-                let free: Vec<SimTime> = (0..routers as u16)
-                    .flat_map(|r| {
-                        let mut out = Vec::new();
-                        if r % cols != cols - 1 { out.push(noc.link_free(r, r + 1)); }
-                        if r % cols != 0 { out.push(noc.link_free(r, r - 1)); }
-                        if r / cols != rows - 1 { out.push(noc.link_free(r, r + cols)); }
-                        if r / cols != 0 { out.push(noc.link_free(r, r - cols)); }
-                        out
-                    })
-                    .collect();
+                let free = occupancy(&noc, &all);
                 if !prev_free.is_empty() {
                     for (new, old) in free.iter().zip(&prev_free) {
                         prop_assert!(new >= old, "link occupancy went backwards");
@@ -115,29 +190,19 @@ proptest! {
         to_seed in 0u32..10_000,
     ) {
         let cfg = ArchConfig::paper_default();
-        let costs = NocCosts::new(&cfg);
+        let model = CostModel::new(&cfg);
         let routers = rows as u32 * cols as u32;
-        let mut noc = Noc::with_routing(rows, cols, &Adaptive);
+        let mut noc = Noc::new(rows, cols, RoutingPolicy::Adaptive);
         // Random warm-up traffic loads the links the adaptive walk reads.
         for (i, &(f, t, elems)) in warm.iter().enumerate() {
             let from = (f % routers) as u16;
             let to = (t % routers) as u16;
-            noc.message(from, to, elems, SimTime::from_ns(i as u64), &costs);
+            noc.message(from, to, elems, SimTime::from_ns(i as u64), &model);
         }
         let from = (from_seed % routers) as u16;
         let to = (to_seed % routers) as u16;
-        let links: Vec<(u16, u16)> = noc.adaptive_route(from, to).collect();
-        prop_assert_eq!(links.len(), manhattan(cols, from, to));
-        let mut cur = from;
-        for (a, b) in &links {
-            prop_assert_eq!(*a, cur, "route is connected");
-            prop_assert_eq!(
-                manhattan(cols, *a, *b), 1,
-                "each link joins mesh neighbours"
-            );
-            cur = *b;
-        }
-        prop_assert_eq!(cur, to, "route ends at the destination");
+        let links: Vec<(u16, u16)> = noc.route(from, to).collect();
+        check_minimal(cols, from, to, &links)?;
     }
 
     /// On contention-free traffic — every message injected after the
@@ -151,18 +216,18 @@ proptest! {
         traffic in proptest::collection::vec((0u32..10_000, 0u32..10_000, 1u32..1024), 1..32),
     ) {
         let cfg = ArchConfig::paper_default();
-        let costs = NocCosts::new(&cfg);
+        let model = CostModel::new(&cfg);
         let routers = rows as u32 * cols as u32;
-        let mut xy = Noc::with_routing(rows, cols, &pimsim_core::Xy);
-        let mut adaptive = Noc::with_routing(rows, cols, &Adaptive);
+        let mut xy = Noc::new(rows, cols, RoutingPolicy::Xy);
+        let mut adaptive = Noc::new(rows, cols, RoutingPolicy::Adaptive);
         for (i, &(f, t, elems)) in traffic.iter().enumerate() {
             let from = (f % routers) as u16;
             let to = (t % routers) as u16;
             // 1 ms spacing dwarfs any route's latency, so every message
             // sees a drained fabric (starts past every link's free time).
             let start = SimTime::from_ns(i as u64 * 1_000_000);
-            let a = xy.message(from, to, elems, start, &costs);
-            let b = adaptive.message(from, to, elems, start, &costs);
+            let a = xy.message(from, to, elems, start, &model);
+            let b = adaptive.message(from, to, elems, start, &model);
             prop_assert_eq!(a, b, "message {} diverged without contention", i);
         }
     }
