@@ -41,10 +41,10 @@ use pimsim_event::SimTime;
 use pimsim_isa::Program;
 use serde::{Deserialize, Serialize};
 
-use crate::cfg::Cfg;
 use crate::dag::{Dag, ServiceKind};
 use crate::diag::Diagnostic;
-use crate::occupancy::{occupancy, ChannelBound};
+use crate::occupancy::{occupancy, ChannelBound, OccupancyReport};
+use crate::rendezvous::Fabric;
 
 /// Maximum critical-path hops retained in a [`BoundsReport`]; longer
 /// paths keep their *last* hops (closest to completion) and record the
@@ -188,7 +188,7 @@ impl BoundsReport {
 /// [`ArchConfig`]. Programs the checker rejects with errors yield a
 /// trivial (zero) bound with `bound_source = "unanalyzable"`.
 pub fn bounds(program: &Program, arch: &ArchConfig) -> BoundsReport {
-    let (analysis, cfgs) = crate::analyze_with_cfgs(program, arch);
+    let (analysis, walk) = crate::analyze_walk(program, arch);
     if analysis.has_errors() {
         return BoundsReport {
             schema_version: crate::SCHEMA_VERSION,
@@ -205,8 +205,8 @@ pub fn bounds(program: &Program, arch: &ArchConfig) -> BoundsReport {
             diagnostics: analysis.diagnostics,
         };
     }
-    let dag = Dag::build(program, &cfgs, &analysis.rendezvous);
-    price(program, arch, analysis, &cfgs, &dag)
+    let dag = Dag::build(program, &walk.traces);
+    price(program, arch, analysis, walk.fabric.as_ref(), &dag)
 }
 
 /// The critical-path tie-break, stated on the machine's full pairwise
@@ -245,16 +245,19 @@ fn determining_pred(
     best.expect("a hazard-bound start is some predecessor's completion")
 }
 
-/// Prices `dag` and assembles the report for an error-free `analysis`.
+/// Prices `dag` and assembles the report for an error-free `analysis`;
+/// `fabric` is the one its rendezvous check drained, if complete.
 pub(crate) fn price(
     program: &Program,
     arch: &ArchConfig,
     analysis: crate::Analysis,
-    cfgs: &[Cfg],
+    fabric: Option<&Fabric>,
     dag: &Dag,
 ) -> BoundsReport {
     let model = CostModel::new(arch);
-    let occ = occupancy(program, cfgs, arch.noc.virtual_channels);
+    let occ = fabric.map_or_else(OccupancyReport::default, |f| {
+        occupancy(f, arch.noc.virtual_channels)
+    });
 
     let n = dag.nodes.len();
     let interval = model.dispatch_interval();

@@ -2,13 +2,14 @@
 //! bounds pass.
 //!
 //! For every core whose execution order is statically determined
-//! ([`Cfg::linear_trace`]), the builder runs the scalar register file
-//! through the ISA's own semantics ([`Instruction::exec_scalar`], what
-//! the machine frontend calls at dispatch), resolves every memory-class
-//! operand with the runtime's resolver ([`resolve`]), and orders nodes by
-//! the hazard rule the ROB applies ([`Footprint::conflicts`]). Nodes are
-//! the ROB-class (matrix/vector/transfer) instructions; edges are
-//! constraints the real machine provably enforces:
+//! ([`Cfg::linear_trace`](crate::Cfg::linear_trace)), the builder runs
+//! the scalar register file through the ISA's own semantics
+//! ([`Instruction::exec_scalar`], what the machine frontend calls at
+//! dispatch), resolves every memory-class operand with the runtime's
+//! resolver ([`resolve`]), and orders nodes by the hazard rule the ROB
+//! applies ([`Footprint::conflicts`]). Nodes are the ROB-class
+//! (matrix/vector/transfer) instructions; edges are constraints the real
+//! machine provably enforces:
 //!
 //! * **hazard edges** — a younger instruction whose ranges RAW/WAW/WAR
 //!   overlap an older one (or whose global-memory interval conflicts)
@@ -16,8 +17,9 @@
 //! * **channel FIFO edges** — transfers on one `(src, dst, tag)` channel
 //!   issue in program order;
 //! * **rendezvous edges** — a `recv` completes no earlier than its
-//!   statically-matched `send`'s message delivery
-//!   ([`crate::RendezvousMap`] supplies the pairing).
+//!   matched `send`'s message delivery. Channels are FIFO, so the `k`-th
+//!   `recv` on a channel takes the `k`-th `send`: on a program the checker
+//!   passes, these are exactly the pairs of its [`crate::RendezvousMap`].
 //!
 //! Calling the machine's own definitions rather than a copy of them is
 //! what makes the downstream bound *sound*: every edge corresponds to an
@@ -60,11 +62,9 @@
 //! touches, with no tree node to allocate or rebalance. The ordered-tree
 //! segment map it replaced survives as the test oracle of `HazardMap`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use pimsim_isa::{resolve, Footprint, Instruction, Program, Resolved, VectorShape};
-
-use crate::cfg::Cfg;
 
 /// What a node costs: the inputs its minimal unit-service time is priced
 /// on, with vector work classified by the ISA ([`Resolved::vector_shape`])
@@ -119,7 +119,8 @@ pub struct DagNode {
     pub channel: Option<(u16, u16, u16)>,
     /// This node's span of [`Dag::edges`].
     preds: (u32, u32),
-    /// The statically-matched `send` node feeding this `recv`, if any.
+    /// The `send` node feeding this `recv`: the one its channel delivers
+    /// to it in FIFO order, if that sender's core has nodes.
     pub paired_send: Option<u32>,
 }
 
@@ -443,7 +444,7 @@ fn node_of(
     regs: &[i32; 32],
 ) -> Option<DagNode> {
     let res = resolve(instr, regs)?;
-    let (service, mvm_out, channel) = match res {
+    let (service, mvm_out) = match res {
         Resolved::Mvm { group, .. } => {
             let g = &program.cores[core as usize].groups[group.as_usize()];
             let service = ServiceKind::Matrix {
@@ -451,24 +452,24 @@ fn node_of(
                 output_len: g.output_len,
                 xbar_count: g.xbar_ids.len() as u32,
             };
-            (service, g.output_len, None)
+            (service, g.output_len)
         }
-        Resolved::Send { peer, len, tag, .. } => {
+        Resolved::Send { peer, len, .. } => {
             let service = ServiceKind::Send {
                 to: peer,
                 elems: len,
             };
-            (service, 0, Some((core, peer, tag)))
+            (service, 0)
         }
-        Resolved::Recv { peer, tag, .. } => (ServiceKind::Recv, 0, Some((peer, core, tag))),
+        Resolved::Recv { .. } => (ServiceKind::Recv, 0),
         Resolved::GLoad { len, .. } | Resolved::GStore { len, .. } => {
-            (ServiceKind::GlobalMem { elems: len }, 0, None)
+            (ServiceKind::GlobalMem { elems: len }, 0)
         }
         _ => {
             let Some(shape) = res.vector_shape() else {
                 unreachable!("every other memory-class op is a vector op: {res:?}")
             };
-            (ServiceKind::Vector(shape), 0, None)
+            (ServiceKind::Vector(shape), 0)
         }
     };
     Some(DagNode {
@@ -477,16 +478,17 @@ fn node_of(
         dispatch_index,
         service,
         footprint: res.footprint(mvm_out),
-        channel,
+        channel: instr.channel(core),
         preds: (0, 0),
         paired_send: None,
     })
 }
 
 impl Dag {
-    /// Builds the DAG from a validated program, its per-core CFGs, and
-    /// the rendezvous pairing. Non-linear cores contribute no nodes (only
-    /// a conservative pacing term); channels whose endpoints are not both
+    /// Builds the DAG from a validated program and each core's
+    /// [`Cfg::linear_trace`](crate::Cfg::linear_trace) (`None`:
+    /// non-linear). Non-linear cores contribute no nodes (only a
+    /// conservative pacing term), so channels whose endpoints are not both
     /// linear have no rendezvous edges.
     ///
     /// Per linear core it first resolves the trace into nodes, then
@@ -496,7 +498,7 @@ impl Dag {
     /// (binary searches) plus one `O(log64 n)` visit per run it touches,
     /// for `n` nodes; the zoo's compiled programs' reads make 6-34 run
     /// visits per node.
-    pub fn build(program: &Program, cfgs: &[Cfg], rendezvous: &crate::RendezvousMap) -> Dag {
+    pub fn build(program: &Program, traces: &[Option<Vec<u32>>]) -> Dag {
         let mut nodes: Vec<DagNode> = Vec::new();
         let mut cores = Vec::with_capacity(program.cores.len());
         // The forward pass's state, reset per core.
@@ -508,9 +510,9 @@ impl Dag {
             stamp: Vec::new(),
             node: NIL,
         };
-        for (c, (cp, cfg)) in program.cores.iter().zip(cfgs).enumerate() {
+        for (c, (cp, trace)) in program.cores.iter().zip(traces).enumerate() {
             let first = nodes.len();
-            let Some(trace) = cfg.linear_trace() else {
+            let Some(trace) = trace else {
                 cores.push(CoreTrace {
                     linear: false,
                     dispatches: 0,
@@ -571,24 +573,17 @@ impl Dag {
             });
         }
 
-        // Rendezvous edges: each statically-matched pair's recv waits for
-        // its send's delivery. A pc appears at most once in a linear
-        // trace, so (core, pc) identifies a node. Traces of compiled
-        // programs run in pc order, so the sort finds the sites sorted.
-        let mut sites: Vec<(u16, u32, u32)> = (nodes.iter().enumerate())
-            .filter(|(_, n)| n.channel.is_some())
-            .map(|(id, n)| (n.core, n.pc, id as u32))
-            .collect();
-        sites.sort_unstable();
-        let node_at = |core: u16, pc: u32| {
-            let at = sites.binary_search_by_key(&(core, pc), |&(c, p, _)| (c, p));
-            at.ok().map(|at| sites[at].2)
-        };
-        for p in &rendezvous.pairs {
-            if let (Some(s), Some(r)) =
-                (node_at(p.sender, p.send_pc), node_at(p.receiver, p.recv_pc))
-            {
-                nodes[r as usize].paired_send = Some(s);
+        // Rendezvous edges: each recv waits for the delivery of the next
+        // send its FIFO channel has not yet paired.
+        let mut sends: HashMap<(u16, u16, u16), VecDeque<u32>> = HashMap::new();
+        for (id, node) in nodes.iter().enumerate() {
+            if let (ServiceKind::Send { .. }, Some(ch)) = (node.service, node.channel) {
+                sends.entry(ch).or_default().push_back(id as u32);
+            }
+        }
+        for node in &mut nodes {
+            if let (ServiceKind::Recv, Some(ch)) = (node.service, node.channel) {
+                node.paired_send = sends.get_mut(&ch).and_then(VecDeque::pop_front);
             }
         }
 
@@ -666,15 +661,12 @@ mod tests {
     use pimsim_isa::{Addr, CoreId, Range, Reg};
     use proptest::prelude::*;
 
-    fn cfgs_of(p: &Program) -> Vec<Cfg> {
-        p.cores.iter().map(|c| Cfg::build(&c.instrs)).collect()
-    }
-
     fn dag_of(src: &str) -> Dag {
         let p = assemble(src).unwrap();
-        let cfgs = cfgs_of(&p);
-        let (_, map) = crate::rendezvous::check(&p, &cfgs, 4, 1);
-        Dag::build(&p, &cfgs, &map)
+        let traces: Vec<_> = (p.cores.iter())
+            .map(|c| crate::Cfg::build(&c.instrs).linear_trace())
+            .collect();
+        Dag::build(&p, &traces)
     }
 
     /// The oracle: the same nodes with *every* pair the machine's rule
@@ -734,11 +726,12 @@ mod tests {
 
     /// The full report priced from `dag` and from its oracle.
     fn reports(p: &Program, arch: &ArchConfig) -> (String, String, Dag) {
-        let (analysis, cfgs) = crate::analyze_with_cfgs(p, arch);
+        let (analysis, walk) = crate::analyze_walk(p, arch);
         assert!(!analysis.has_errors(), "{:?}", analysis.diagnostics);
-        let dag = Dag::build(p, &cfgs, &analysis.rendezvous);
-        let kept = crate::bounds::price(p, arch, analysis.clone(), &cfgs, &dag).to_json();
-        let all = crate::bounds::price(p, arch, analysis, &cfgs, &scan_oracle(&dag)).to_json();
+        let dag = Dag::build(p, &walk.traces);
+        let fabric = walk.fabric.as_ref();
+        let kept = crate::bounds::price(p, arch, analysis.clone(), fabric, &dag).to_json();
+        let all = crate::bounds::price(p, arch, analysis, fabric, &scan_oracle(&dag)).to_json();
         (kept, all, dag)
     }
 

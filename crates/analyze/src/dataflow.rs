@@ -77,7 +77,7 @@ type Regs = [Interval; 32];
 
 /// Evaluates one scalar instruction over the interval state: exactly
 /// [`Instruction::exec_scalar`] on single values, a sound hull otherwise.
-fn eval(instr: &Instruction, regs: &mut Regs) {
+fn eval(regs: &mut Regs, instr: &Instruction) {
     let get = |regs: &Regs, r: Reg| regs[r.index() as usize];
     let set = |regs: &mut Regs, r: Reg, v: Interval| {
         if !r.is_zero() {
@@ -161,6 +161,54 @@ fn predecessors(cfg: &Cfg) -> Vec<Vec<usize>> {
     preds
 }
 
+/// Round-robin iteration to a fixpoint: each sweep visits the reachable
+/// blocks in `order` and sets block `b`'s state to `step(b, states,
+/// sweep)` (sweeps count from 1); a sweep that changes no state ends it.
+fn fixpoint<S: PartialEq>(
+    cfg: &Cfg,
+    order: impl Iterator<Item = usize> + Clone,
+    states: &mut [S],
+    mut step: impl FnMut(usize, &[S], usize) -> S,
+) {
+    for sweep in 1.. {
+        let mut changed = false;
+        for b in order.clone().filter(|&b| cfg.reachable[b]) {
+            let state = step(b, states, sweep);
+            if state != states[b] {
+                states[b] = state;
+                changed = true;
+            }
+        }
+        if !changed {
+            return;
+        }
+    }
+}
+
+/// Runs a pass's per-instruction `effect` over `pcs` from `state`, and
+/// returns the state after the last one. `visit` sees each instruction
+/// with the state just before its effect: a block transfer ignores it,
+/// a report walk checks it.
+fn walk<S>(
+    instrs: &[Instruction],
+    pcs: impl Iterator<Item = u32>,
+    mut state: S,
+    effect: impl Fn(&mut S, &Instruction),
+    mut visit: impl FnMut(u32, &Instruction, &S),
+) -> S {
+    for pc in pcs {
+        let instr = &instrs[pc as usize];
+        visit(pc, instr, &state);
+        effect(&mut state, instr);
+    }
+    state
+}
+
+/// The register `instr` writes, as a one-bit set (empty if none).
+fn def_bit(instr: &Instruction) -> u32 {
+    instr.def_reg().map_or(0, |rd| 1 << rd.index())
+}
+
 /// Forward definite-assignment: warn when a register can be read before
 /// any instruction writes it (it reads as `0`, the power-on value).
 fn def_before_use(
@@ -170,72 +218,41 @@ fn def_before_use(
     preds: &[Vec<usize>],
     out: &mut Vec<Diagnostic>,
 ) {
-    const ALL: u32 = u32::MAX;
+    // Bit r set = register r definitely assigned. r0 is always
+    // "assigned": every state holds bit 0, so it is never reported.
+    let assign = |mask: &mut u32, instr: &Instruction| *mask |= def_bit(instr);
     let nb = cfg.blocks.len();
-    // Bit r set = register r definitely assigned. r0 is always "assigned".
-    let mut inb = vec![ALL; nb];
+    let mut inb = vec![u32::MAX; nb];
     inb[0] = 1;
-    let transfer = |blk: &crate::cfg::BasicBlock, mut mask: u32| {
-        for pc in blk.start..blk.end {
-            if let Some(rd) = instrs[pc as usize].def_reg() {
-                if !rd.is_zero() {
-                    mask |= 1 << rd.index();
-                }
-            }
+    fixpoint(cfg, 0..nb, &mut inb, |b, inb, _| {
+        if b == 0 {
+            // The entry meets with the power-on state: nothing but r0
+            // is definitely assigned at pc 0 on the first entry, and
+            // intersection with any loop-back edge can't add to that.
+            return inb[0];
         }
-        mask
+        // Meet (intersection) over predecessors' OUT sets.
+        preds[b].iter().fold(u32::MAX, |acc, &p| {
+            let blk = &cfg.blocks[p];
+            acc & walk(instrs, blk.start..blk.end, inb[p], assign, |_, _, _| {})
+        })
+    });
+    let mut report = |pc, instr: &Instruction, mask: &u32| {
+        let unassigned = instr.uses_regs() & !mask;
+        for r in Reg::all().filter(|r| unassigned >> r.index() & 1 == 1) {
+            let message = format!("{r} may be read before any write (reads as 0)");
+            out.push(Diagnostic::at(
+                DiagKind::DefBeforeUse,
+                core,
+                pc,
+                instr,
+                message,
+            ));
+        }
     };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in 0..nb {
-            if !cfg.reachable[b] {
-                continue;
-            }
-            if b == 0 {
-                // The entry meets with the power-on state: nothing but r0
-                // is definitely assigned at pc 0 on the first entry, and
-                // intersection with any loop-back edge can't add to that.
-                continue;
-            }
-            // Meet (intersection) over predecessors' OUT sets.
-            let m = preds[b]
-                .iter()
-                .fold(ALL, |acc, &p| acc & transfer(&cfg.blocks[p], inb[p]));
-            if m != inb[b] {
-                inb[b] = m;
-                changed = true;
-            }
-        }
-    }
-    // Report pass.
-    for (b, entry) in inb.iter().enumerate().take(nb) {
-        if !cfg.reachable[b] {
-            continue;
-        }
-        let mut mask = *entry;
-        for pc in cfg.blocks[b].start..cfg.blocks[b].end {
-            let instr = &instrs[pc as usize];
-            let mut uses = Vec::new();
-            instr.uses_regs(&mut uses);
-            uses.sort_unstable();
-            uses.dedup();
-            for r in uses {
-                if !r.is_zero() && mask & (1 << r.index()) == 0 {
-                    out.push(Diagnostic::at(
-                        DiagKind::DefBeforeUse,
-                        core,
-                        pc,
-                        instr,
-                        format!("{r} may be read before any write (reads as 0)"),
-                    ));
-                }
-            }
-            if let Some(rd) = instr.def_reg() {
-                if !rd.is_zero() {
-                    mask |= 1 << rd.index();
-                }
-            }
+    for (b, blk) in cfg.blocks.iter().enumerate() {
+        if cfg.reachable[b] {
+            walk(instrs, blk.start..blk.end, inb[b], assign, &mut report);
         }
     }
 }
@@ -243,84 +260,45 @@ fn def_before_use(
 /// Backward liveness: warn about register writes no path can observe,
 /// including writes to the hardwired-zero register.
 fn dead_writes(core: u16, instrs: &[Instruction], cfg: &Cfg, out: &mut Vec<Diagnostic>) {
-    let nb = cfg.blocks.len();
     // Bit r set = register r live (read before next write on some path).
-    let mut live_in = vec![0u32; nb];
-    let transfer = |blk: &crate::cfg::BasicBlock, live_out: u32| {
-        let mut live = live_out;
-        for pc in (blk.start..blk.end).rev() {
-            let instr = &instrs[pc as usize];
-            if let Some(rd) = instr.def_reg() {
-                live &= !(1 << rd.index());
-            }
-            let mut uses = Vec::new();
-            instr.uses_regs(&mut uses);
-            for r in uses {
-                live |= 1 << r.index();
-            }
-        }
-        live
+    let unkill = |live: &mut u32, instr: &Instruction| {
+        *live = *live & !def_bit(instr) | instr.uses_regs();
     };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..nb).rev() {
-            if !cfg.reachable[b] {
-                continue;
+    let live_out = |b: usize, live_in: &[u32]| {
+        let succs = cfg.blocks[b].succs.iter();
+        succs.fold(0u32, |acc, &s| acc | live_in[s])
+    };
+    let nb = cfg.blocks.len();
+    let mut live_in = vec![0u32; nb];
+    fixpoint(cfg, (0..nb).rev(), &mut live_in, |b, live_in, _| {
+        let blk = &cfg.blocks[b];
+        let pcs = (blk.start..blk.end).rev();
+        walk(instrs, pcs, live_out(b, live_in), unkill, |_, _, _| {})
+    });
+    // Walk backward so the visited state is the live-after set at each
+    // pc. Report order doesn't matter: the caller sorts all diagnostics.
+    let mut report = |pc, instr: &Instruction, live: &u32| {
+        let message = match instr.def_reg() {
+            Some(rd) if rd.is_zero() => "write to r0 is discarded (hardwired zero)".into(),
+            Some(rd) if live >> rd.index() & 1 == 0 => {
+                format!("value written to {rd} is never read")
             }
-            let live_out = cfg.blocks[b]
-                .succs
-                .iter()
-                .fold(0u32, |acc, &s| acc | live_in[s]);
-            let li = transfer(&cfg.blocks[b], live_out);
-            if li != live_in[b] {
-                live_in[b] = li;
-                changed = true;
-            }
+            _ => return,
+        };
+        out.push(Diagnostic::at(
+            DiagKind::DeadWrite,
+            core,
+            pc,
+            instr,
+            message,
+        ));
+    };
+    for (b, blk) in cfg.blocks.iter().enumerate() {
+        if cfg.reachable[b] {
+            let pcs = (blk.start..blk.end).rev();
+            walk(instrs, pcs, live_out(b, &live_in), unkill, &mut report);
         }
     }
-    // Report pass.
-    for b in 0..nb {
-        if !cfg.reachable[b] {
-            continue;
-        }
-        let mut live = cfg.blocks[b]
-            .succs
-            .iter()
-            .fold(0u32, |acc, &s| acc | live_in[s]);
-        // Walk backward so `live` is the live-after set at each pc.
-        let pcs: Vec<u32> = (cfg.blocks[b].start..cfg.blocks[b].end).collect();
-        for &pc in pcs.iter().rev() {
-            let instr = &instrs[pc as usize];
-            if let Some(rd) = instr.def_reg() {
-                if rd.is_zero() {
-                    out.push(Diagnostic::at(
-                        DiagKind::DeadWrite,
-                        core,
-                        pc,
-                        instr,
-                        "write to r0 is discarded (hardwired zero)".to_string(),
-                    ));
-                } else if live & (1 << rd.index()) == 0 {
-                    out.push(Diagnostic::at(
-                        DiagKind::DeadWrite,
-                        core,
-                        pc,
-                        instr,
-                        format!("value written to {rd} is never read"),
-                    ));
-                }
-                live &= !(1 << rd.index());
-            }
-            let mut uses = Vec::new();
-            instr.uses_regs(&mut uses);
-            for r in uses {
-                live |= 1 << r.index();
-            }
-        }
-    }
-    // The backward report walk emits per block in reverse pc order; the
-    // caller sorts all diagnostics, so order here doesn't matter.
 }
 
 /// Forward interval analysis + provable out-of-bounds memory operands.
@@ -332,78 +310,42 @@ fn out_of_bounds(
     limits: MemLimits,
     out: &mut Vec<Diagnostic>,
 ) {
-    let nb = cfg.blocks.len();
     let entry: Regs = [Interval::exact(0); 32];
+    let hull = |a: Regs, b: Regs| -> Regs { std::array::from_fn(|r| a[r].join(b[r])) };
+    let nb = cfg.blocks.len();
     let mut inb: Vec<Option<Regs>> = vec![None; nb]; // None = not yet seen
     inb[0] = Some(entry);
-    let transfer = |blk: &crate::cfg::BasicBlock, mut regs: Regs| {
-        for pc in blk.start..blk.end {
-            eval(&instrs[pc as usize], &mut regs);
+    // Widening after a few sweeps: interval joins only ever grow, and
+    // widening snaps growing bounds to TOP, so this terminates quickly.
+    fixpoint(cfg, 0..nb, &mut inb, |b, inb, sweep| {
+        let mut joined = (b == 0).then_some(entry);
+        for &p in &preds[b] {
+            let Some(pi) = inb[p] else { continue };
+            let blk = &cfg.blocks[p];
+            let po = walk(instrs, blk.start..blk.end, pi, eval, |_, _, _| {});
+            joined = Some(joined.map_or(po, |j| hull(j, po)));
         }
-        regs
-    };
-    // Round-robin to fixpoint with widening after a few sweeps: interval
-    // joins only ever grow, and widening snaps growing bounds to TOP, so
-    // this terminates quickly.
-    let mut sweeps = 0usize;
-    loop {
-        let mut changed = false;
-        sweeps += 1;
-        for b in 0..nb {
-            if !cfg.reachable[b] {
-                continue;
-            }
-            let mut joined: Option<Regs> = if b == 0 { Some(entry) } else { None };
-            for &p in &preds[b] {
-                let Some(pi) = inb[p] else { continue };
-                let po = transfer(&cfg.blocks[p], pi);
-                joined = Some(match joined {
-                    None => po,
-                    Some(mut j) => {
-                        for r in 0..32 {
-                            j[r] = j[r].join(po[r]);
-                        }
-                        j
-                    }
-                });
-            }
-            let Some(mut j) = joined else { continue };
-            if let Some(old) = inb[b] {
-                if sweeps > 3 {
-                    // Widen: any bound still moving goes straight to TOP.
-                    for r in 0..32 {
-                        if j[r] != old[r] {
-                            j[r] = TOP;
-                        }
-                    }
+        let (Some(mut j), Some(old)) = (joined, inb[b]) else {
+            return joined.or(inb[b]);
+        };
+        if sweep > 3 {
+            // Widen: any bound still moving goes straight to TOP.
+            for r in 0..32 {
+                if j[r] != old[r] {
+                    j[r] = TOP;
                 }
-                for r in 0..32 {
-                    j[r] = j[r].join(old[r]);
-                }
-                if j != old {
-                    inb[b] = Some(j);
-                    changed = true;
-                }
-            } else {
-                inb[b] = Some(j);
-                changed = true;
             }
         }
-        if !changed {
-            break;
-        }
-    }
+        Some(hull(j, old))
+    });
     // Report pass: evaluate each reachable block from its converged entry
     // state and check memory operands.
-    for (b, entry) in inb.iter().enumerate().take(nb) {
-        if !cfg.reachable[b] {
-            continue;
-        }
-        let Some(mut regs) = *entry else { continue };
-        for pc in cfg.blocks[b].start..cfg.blocks[b].end {
-            let instr = &instrs[pc as usize];
-            check_instr_bounds(core, pc, instr, &regs, limits, out);
-            eval(instr, &mut regs);
+    let mut report = |pc, instr: &Instruction, regs: &Regs| {
+        check_instr_bounds(core, pc, instr, regs, limits, out);
+    };
+    for (b, blk) in cfg.blocks.iter().enumerate() {
+        if let Some(regs) = inb[b].filter(|_| cfg.reachable[b]) {
+            walk(instrs, blk.start..blk.end, regs, eval, &mut report);
         }
     }
 }

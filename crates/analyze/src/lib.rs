@@ -128,13 +128,24 @@ impl Analysis {
 /// [`DiagKind::InvalidProgram`] error and nothing else runs (the deeper
 /// passes assume in-range branch targets and peers).
 pub fn analyze(program: &Program, arch: &ArchConfig) -> Analysis {
-    analyze_with_cfgs(program, arch).0
+    analyze_walk(program, arch).0
 }
 
-/// [`analyze`], also handing back the per-core CFGs it built so the
-/// bounds pass does not build them again. The CFGs are complete whenever
-/// the analysis has no errors (they are empty when validation failed).
-pub(crate) fn analyze_with_cfgs(program: &Program, arch: &ArchConfig) -> (Analysis, Vec<Cfg>) {
+/// What [`analyze`] derived from each core once, kept for the bounds
+/// pass so it does not walk the program again. Complete whenever the
+/// analysis has no errors (empty when validation failed).
+#[derive(Default)]
+pub(crate) struct Walk {
+    /// Per core, its [`Cfg::linear_trace`]: `None` when its execution
+    /// order is not statically known.
+    pub(crate) traces: Vec<Option<Vec<u32>>>,
+    /// The abstract transfer fabric the rendezvous check drained: `Some`
+    /// exactly when the [`RendezvousMap`] is complete.
+    pub(crate) fabric: Option<rendezvous::Fabric>,
+}
+
+/// [`analyze`], also handing back the per-core [`Walk`] it made.
+pub(crate) fn analyze_walk(program: &Program, arch: &ArchConfig) -> (Analysis, Walk) {
     let mut diagnostics = Vec::new();
     let rejected = |diagnostics| {
         let analysis = Analysis {
@@ -142,7 +153,7 @@ pub(crate) fn analyze_with_cfgs(program: &Program, arch: &ArchConfig) -> (Analys
             diagnostics,
             rendezvous: RendezvousMap::default(),
         };
-        (analysis, Vec::new())
+        (analysis, Walk::default())
     };
 
     if let Err(e) = arch.validate() {
@@ -188,6 +199,7 @@ pub(crate) fn analyze_with_cfgs(program: &Program, arch: &ArchConfig) -> (Analys
 
     // Per-core structure + dataflow.
     let mut cfgs = Vec::with_capacity(program.cores.len());
+    let mut traces = Vec::with_capacity(program.cores.len());
     for (c, cp) in program.cores.iter().enumerate() {
         let c16 = c as u16;
         let cfg = Cfg::build(&cp.instrs);
@@ -217,13 +229,15 @@ pub(crate) fn analyze_with_cfgs(program: &Program, arch: &ArchConfig) -> (Analys
             }
         }
         dataflow::check_core(c16, &cp.instrs, &cfg, mem, &mut diagnostics);
+        traces.push(cfg.linear_trace());
         cfgs.push(cfg);
     }
 
     // Cross-core rendezvous.
-    let (rdiags, rendezvous) = rendezvous::check(
+    let (rdiags, rendezvous, fabric) = rendezvous::check(
         program,
         &cfgs,
+        &traces,
         arch.noc.channel_credits,
         arch.noc.virtual_channels,
     );
@@ -235,7 +249,7 @@ pub(crate) fn analyze_with_cfgs(program: &Program, arch: &ArchConfig) -> (Analys
         diagnostics,
         rendezvous,
     };
-    (analysis, cfgs)
+    (analysis, Walk { traces, fabric })
 }
 
 #[cfg(test)]

@@ -16,8 +16,9 @@
 //!   channel's behavior, so more credits stop helping.
 //!
 //! All of this is defined only when every core's transfer order is
-//! statically known and every site is paired; otherwise the report is
-//! empty and the minima are `None`.
+//! statically known, every site is paired and the fabric drains at the
+//! configured credits: exactly when the rendezvous check hands over its
+//! [`Fabric`]. Otherwise the report is empty and the minima are `None`.
 //!
 //! # The search
 //!
@@ -29,15 +30,14 @@
 //! The scan is exact because draining is monotone in the limit. VCs are
 //! assigned round-robin at issue whatever the limit, so every order of
 //! moves a limit allows, a larger one allows too; and the greedy
-//! execution drains whenever some order does. A limit at the peak never
-//! blocks a send, so it behaves like the unbounded run, which drained:
-//! the scan ends by its last value.
+//! execution drains whenever some order does. The fabric drained at the
+//! configured credits, so the unbounded run drains too; a limit at the
+//! peak never blocks a send, so it behaves like that run: the scan ends
+//! by its last value.
 
-use pimsim_isa::Program;
 use serde::{Deserialize, Serialize};
 
-use crate::cfg::Cfg;
-use crate::rendezvous::{site_of, Fabric, Site};
+use crate::rendezvous::Fabric;
 
 /// One channel's occupancy profile under the most-permissive abstract
 /// execution.
@@ -76,17 +76,10 @@ pub struct OccupancyReport {
     pub credit_knee: u32,
 }
 
-/// Computes the occupancy report. Returns an empty report when any core
-/// is non-linear or the unbounded replay fails to drain (an unpaired or
-/// self-inconsistent program — already diagnosed elsewhere).
-pub(crate) fn occupancy(program: &Program, cfgs: &[Cfg], vcs: u32) -> OccupancyReport {
-    let Some(fabric) = transfer_fabric(program, cfgs) else {
-        return OccupancyReport::default();
-    };
+/// Computes the occupancy report on the fabric a complete rendezvous
+/// check drained.
+pub(crate) fn occupancy(fabric: &Fabric, vcs: u32) -> OccupancyReport {
     let unbounded = fabric.exec(vcs, |_| None);
-    if !unbounded.drained {
-        return OccupancyReport::default();
-    }
     let credit_knee = unbounded
         .channels
         .iter()
@@ -120,31 +113,19 @@ pub(crate) fn occupancy(program: &Program, cfgs: &[Cfg], vcs: u32) -> OccupancyR
     }
 }
 
-/// The fabric of each core's transfer sites in execution order, or
-/// `None` when some core's order is not statically known.
-fn transfer_fabric(program: &Program, cfgs: &[Cfg]) -> Option<Fabric> {
-    let cores = program.cores.iter().zip(cfgs).enumerate();
-    let seqs: Option<Vec<Vec<Site>>> = cores
-        .map(|(c, (cp, cfg))| {
-            let trace = cfg.linear_trace()?;
-            let sites = trace
-                .iter()
-                .filter_map(|&pc| site_of(c as u16, pc, &cp.instrs[pc as usize]));
-            Some(sites.collect())
-        })
-        .collect();
-    Some(Fabric::new(&seqs?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pimsim_arch::ArchConfig;
     use pimsim_isa::asm::assemble;
 
+    /// The report `bound` prints for `src` at `vcs` VCs.
     fn report(src: &str, vcs: u32) -> OccupancyReport {
         let p = assemble(src).unwrap();
-        let cfgs: Vec<Cfg> = p.cores.iter().map(|c| Cfg::build(&c.instrs)).collect();
-        occupancy(&p, &cfgs, vcs)
+        let arch = ArchConfig::small_test().with_virtual_channels(vcs);
+        let (_, walk) = crate::analyze_walk(&p, &arch);
+        walk.fabric
+            .map_or_else(OccupancyReport::default, |f| occupancy(&f, vcs))
     }
 
     #[test]

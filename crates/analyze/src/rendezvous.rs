@@ -63,90 +63,67 @@ pub struct RendezvousMap {
 type ChannelSites = (Vec<Site>, Vec<Site>);
 
 /// One transfer site, in a core's statically-known execution order.
-/// Shared with the credit-occupancy pass ([`crate::occupancy`]).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Site {
-    pub(crate) pc: u32,
+struct Site {
+    pc: u32,
     /// `true` for `send`, `false` for `recv`/`recv2d`.
-    pub(crate) is_send: bool,
+    is_send: bool,
     /// Channel key `(sender, receiver, tag)`.
-    pub(crate) key: (u16, u16, u16),
+    key: (u16, u16, u16),
     /// Payload elements: `len` for send/recv, `block_len * blocks` for
     /// `recv2d` (the length the runtime's payload check compares) — in
     /// `u64`, because that product can exceed `u32` (and a wrapped one
     /// would "match" a send it cannot).
-    pub(crate) elems: u64,
+    elems: u64,
 }
 
-pub(crate) fn site_of(core: u16, pc: u32, instr: &Instruction) -> Option<Site> {
-    match instr {
-        Instruction::Send { peer, len, tag, .. } => Some(Site {
-            pc,
-            is_send: true,
-            key: (core, peer.0, *tag),
-            elems: *len as u64,
-        }),
-        Instruction::Recv { peer, len, tag, .. } => Some(Site {
-            pc,
-            is_send: false,
-            key: (peer.0, core, *tag),
-            elems: *len as u64,
-        }),
+fn site_of(core: u16, pc: u32, instr: &Instruction) -> Option<Site> {
+    let key = instr.channel(core)?;
+    let (is_send, elems) = match *instr {
+        Instruction::Send { len, .. } => (true, len as u64),
+        Instruction::Recv { len, .. } => (false, len as u64),
         Instruction::Recv2d {
-            peer,
-            block_len,
-            blocks,
-            tag,
-            ..
-        } => Some(Site {
-            pc,
-            is_send: false,
-            key: (peer.0, core, *tag),
-            elems: *block_len as u64 * *blocks as u64,
-        }),
-        _ => None,
-    }
+            block_len, blocks, ..
+        } => (false, block_len as u64 * blocks as u64),
+        _ => unreachable!("only transfers have a channel: {instr}"),
+    };
+    Some(Site {
+        pc,
+        is_send,
+        key,
+        elems,
+    })
 }
 
 fn channel_name(key: (u16, u16, u16)) -> String {
     format!("channel core{}\u{2192}core{} tag={}", key.0, key.1, key.2)
 }
 
-/// Runs the rendezvous analysis. `cfgs` parallels `program.cores`.
-/// Returns the diagnostics plus the [`RendezvousMap`] artifact.
+/// Runs the rendezvous analysis. `cfgs` and `traces` parallel
+/// `program.cores`; a core's trace is its [`Cfg::linear_trace`]. Returns
+/// the diagnostics, the [`RendezvousMap`] artifact and, when the map is
+/// complete, the abstract transfer [`Fabric`] that drained.
 pub fn check(
     program: &Program,
     cfgs: &[Cfg],
+    traces: &[Option<Vec<u32>>],
     credits: u32,
     vcs: u32,
-) -> (Vec<Diagnostic>, RendezvousMap) {
+) -> (Vec<Diagnostic>, RendezvousMap, Option<Fabric>) {
     let mut diags = Vec::new();
 
     // Per-core transfer sites in execution order (linear cores) or in
     // program order over reachable pcs (conservative fallback).
-    let mut traces: Vec<Option<Vec<Site>>> = Vec::new(); // None = not linear
-    let mut all_sites: Vec<Vec<Site>> = Vec::new();
-    for (c, (cp, cfg)) in program.cores.iter().zip(cfgs).enumerate() {
-        let c16 = c as u16;
-        match cfg.linear_trace() {
-            Some(pcs) => {
-                let sites: Vec<Site> = pcs
-                    .iter()
-                    .filter_map(|&pc| site_of(c16, pc, &cp.instrs[pc as usize]))
-                    .collect();
-                all_sites.push(sites.clone());
-                traces.push(Some(sites));
-            }
-            None => {
-                let sites: Vec<Site> = (0..cp.instrs.len() as u32)
-                    .filter(|&pc| cfg.pc_reachable(pc))
-                    .filter_map(|pc| site_of(c16, pc, &cp.instrs[pc as usize]))
-                    .collect();
-                all_sites.push(sites);
-                traces.push(None);
-            }
-        }
-    }
+    let cores = program.cores.iter().zip(cfgs).zip(traces).enumerate();
+    let all_sites: Vec<Vec<Site>> = cores
+        .map(|(c, ((cp, cfg), trace))| {
+            let fallback = if trace.is_some() { 0 } else { cp.instrs.len() };
+            let reachable = (0..fallback as u32).filter(|&pc| cfg.pc_reachable(pc));
+            let pcs = trace.iter().flatten().copied().chain(reachable);
+            pcs.filter_map(|pc| site_of(c as u16, pc, &cp.instrs[pc as usize]))
+                .collect()
+        })
+        .collect();
     let all_linear = traces.iter().all(Option::is_some);
 
     // Group sites by channel.
@@ -279,18 +256,16 @@ pub fn check(
     pairs.sort_by_key(|p| (p.sender, p.send_pc));
 
     // Abstract execution: only meaningful when every core's transfer
-    // order is known and every site paired up.
-    let mut drained = false;
-    if all_linear && all_paired && diags.is_empty() {
-        let seqs: Vec<Vec<Site>> = traces.into_iter().flatten().collect();
-        drained = drains(program, &seqs, credits, vcs, &mut diags);
-    }
-
+    // order is known and every site paired up. It drains exactly when
+    // the map is complete.
+    let fabric = (all_linear && all_paired && diags.is_empty())
+        .then(|| Fabric::new(&all_sites))
+        .filter(|fabric| drains(program, fabric, &all_sites, credits, vcs, &mut diags));
     let map = RendezvousMap {
         pairs,
-        complete: all_linear && all_paired && drained && diags.is_empty(),
+        complete: fabric.is_some(),
     };
-    (diags, map)
+    (diags, map, fabric)
 }
 
 /// One channel's observations in a [`Fabric::exec`] run.
@@ -316,8 +291,10 @@ pub(crate) struct AbstractRun {
 }
 
 /// Each core's transfer sequence with its channels interned, prepared
-/// once for any number of abstract executions.
-pub(crate) struct Fabric {
+/// once for any number of abstract executions: the rendezvous check
+/// runs it at the configured credits, the credit-occupancy pass probes
+/// it at others. Opaque outside this crate.
+pub struct Fabric {
     /// Every channel `(sender, receiver, tag)` with a site, ascending; a
     /// channel's index is its position.
     pub(crate) keys: Vec<(u16, u16, u16)>,
@@ -327,7 +304,7 @@ pub(crate) struct Fabric {
 }
 
 impl Fabric {
-    pub(crate) fn new(seqs: &[Vec<Site>]) -> Fabric {
+    fn new(seqs: &[Vec<Site>]) -> Fabric {
         let mut keys: Vec<_> = seqs.iter().flatten().map(|s| s.key).collect();
         keys.sort_unstable();
         keys.dedup();
@@ -400,18 +377,19 @@ impl Fabric {
     }
 }
 
-/// Runs the abstract fabric with `credits` credits per VC on every
-/// channel. Returns `true` if every core's transfer sequence drains; on a
+/// Runs `fabric`, built from `seqs`, with `credits` credits per VC on
+/// every channel. Returns `true` if every core's transfer sequence drains; on a
 /// wedge, appends one [`DiagKind::DeadlockCycle`] diagnostic per stuck
 /// core, built from where each core's cursor stopped.
 fn drains(
     program: &Program,
+    fabric: &Fabric,
     seqs: &[Vec<Site>],
     credits: u32,
     vcs: u32,
     diags: &mut Vec<Diagnostic>,
 ) -> bool {
-    let cursor = Fabric::new(seqs).exec(vcs, |_| Some(credits)).cursors;
+    let cursor = fabric.exec(vcs, |_| Some(credits)).cursors;
     let stuck: Vec<usize> = (0..seqs.len())
         .filter(|&c| cursor[c] < seqs[c].len())
         .collect();
@@ -508,7 +486,10 @@ mod tests {
 
     fn run(p: &Program) -> (Vec<Diagnostic>, RendezvousMap) {
         let cfgs: Vec<Cfg> = p.cores.iter().map(|c| Cfg::build(&c.instrs)).collect();
-        check(p, &cfgs, 2, 1)
+        let traces: Vec<_> = cfgs.iter().map(Cfg::linear_trace).collect();
+        let (diags, map, fabric) = check(p, &cfgs, &traces, 2, 1);
+        assert_eq!(fabric.is_some(), map.complete);
+        (diags, map)
     }
 
     #[test]

@@ -80,7 +80,7 @@ other options (in parentheses: the commands that accept each):
   --format FMT        report format: text (default) | json (check/bound)
   --deny-warnings     exit nonzero on warnings, not just errors (check)
   --functional        run functionally, data + timing (run/compile)
-  --trace             print the first instruction completions (run/compile)
+  --trace             print the first instruction completions (run)
   --json              machine-readable report (run/sweep)
   --out FILE          output path (compile/asm/sweep/config)
   --asm FILE          also write the program's assembly (compile)
@@ -225,7 +225,7 @@ const COMMANDS: &[CommandSpec] = &[
         name: "compile",
         groups: &[Group::Network, Group::Arch],
         options: &["out", "asm"],
-        flags: &["functional", "trace", "help"],
+        flags: &["functional", "help"],
         max_positionals: 0,
         run: cmd_compile,
     },

@@ -182,28 +182,6 @@ pub fn execute_local(r: &Resolved, mem: &mut Memory, groups: &[GroupConfig]) {
     }
 }
 
-/// Moves a matched send/recv payload from `src_mem` to `dst_mem` with the
-/// receiver's (possibly strided) placement.
-#[cfg(test)]
-pub fn execute_transfer(
-    src_mem: &Memory,
-    dst_mem: &mut Memory,
-    src: u32,
-    len: u32,
-    dst: u32,
-    block_len: u32,
-    dst_stride: i32,
-) {
-    let payload = src_mem.read(src, len);
-    if block_len == 0 {
-        return;
-    }
-    for (b, chunk) in payload.chunks(block_len as usize).enumerate() {
-        let d = (dst as i64 + b as i64 * dst_stride as i64).max(0) as u32;
-        dst_mem.write(d, chunk);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,18 +304,6 @@ mod tests {
             &[],
         );
         assert_eq!(mem.read(100, 10), vec![1, 2, 0, 0, 3, 4, 0, 0, 5, 6]);
-    }
-
-    #[test]
-    fn transfer_with_interleave() {
-        let src = {
-            let mut m = Memory::default();
-            m.write(0, &[1, 2, 3, 4]);
-            m
-        };
-        let mut dst = Memory::default();
-        execute_transfer(&src, &mut dst, 0, 4, 100, 2, 5);
-        assert_eq!(dst.read(100, 8), vec![1, 2, 0, 0, 0, 3, 4, 0]);
     }
 
     #[test]

@@ -55,10 +55,8 @@ impl Machine<'_> {
                     // Scalar class: execute at dispatch.
                     self.telemetry.class_counts[3] += 1;
                     self.telemetry.energy.scalar += self.scalar_energy;
-                    if self.telemetry.trace_live() {
-                        self.telemetry
-                            .record_trace(dispatch_at, c as u16, instr.to_string());
-                    }
+                    self.telemetry
+                        .record_trace(dispatch_at, c as u16, pc as u32);
                     let core = &mut self.cores[c];
                     match instr.exec_scalar(&mut core.regs, core.pc) {
                         Some(next) => core.pc = next,
@@ -85,10 +83,9 @@ impl Machine<'_> {
             InstrClass::Scalar => unreachable!("resolved scalar"),
         };
         self.telemetry.class_counts[slot] += 1;
-        let text = self.telemetry.trace_live().then(|| instr.to_string());
         let core = &mut self.cores[c];
         let chan = core.chans[core.pc as usize];
-        core.admit(tag, class, res, chan, text);
+        core.admit(tag, class, res, chan, core.pc);
         core.pc += 1;
     }
 }

@@ -32,7 +32,7 @@ use pimsim_event::{EventCtx, SimTime, World};
 
 use crate::exec::Memory;
 use crate::noc::Noc;
-use crate::stats::{EnergyBreakdown, NodeStats, TraceEntry, TRACE_CAP};
+use crate::stats::{EnergyBreakdown, NodeStats, TRACE_CAP};
 
 pub use error::SimError;
 pub use run::Simulator;
@@ -51,7 +51,9 @@ pub(crate) struct Telemetry {
     /// Per-node (tag) attribution; index = tag value.
     pub(crate) per_node: Vec<NodeStats>,
     pub(crate) trace_on: bool,
-    pub(crate) trace: Vec<TraceEntry>,
+    /// `(completion time, core, pc)` per traced instruction; the report
+    /// renders each pc as assembly.
+    pub(crate) trace: Vec<(SimTime, u16, u32)>,
 }
 
 impl Telemetry {
@@ -81,17 +83,11 @@ impl Telemetry {
         &mut self.per_node[idx]
     }
 
-    /// `true` while the trace wants more entries. Checked *before*
-    /// rendering instruction text: once the cap is hit the trace can never
-    /// grow again, so skipping the formatting is observationally free.
-    pub(crate) fn trace_live(&self) -> bool {
-        self.trace_on && self.trace.len() < TRACE_CAP
-    }
-
-    /// Appends a trace entry unless the cap has been reached.
-    pub(crate) fn record_trace(&mut self, time: SimTime, core: u16, instr: String) {
-        if self.trace.len() < TRACE_CAP {
-            self.trace.push(TraceEntry { time, core, instr });
+    /// Appends a trace entry when tracing, unless the cap has been
+    /// reached.
+    pub(crate) fn record_trace(&mut self, time: SimTime, core: u16, pc: u32) {
+        if self.trace_on && self.trace.len() < TRACE_CAP {
+            self.trace.push((time, core, pc));
         }
     }
 }

@@ -26,8 +26,7 @@
 //! receives into one buffer, or sends on one channel, thus each wait on
 //! their predecessor alone, and the ready set moves exactly as before.
 //!
-//! In-flight entries are fixed-size and heap-free (the trace text is the
-//! one exception, and `None` unless tracing); edges live in a per-core
+//! In-flight entries are fixed-size and heap-free; edges live in a per-core
 //! pool that grows to the peak conflict count and is then recycled, so
 //! the steady state allocates nothing and no ROB size is special.
 
@@ -71,8 +70,9 @@ pub(crate) struct InFlight {
     pub(crate) tag: u16,
     pub(crate) state: State,
     pub(crate) issue_at: SimTime,
-    /// Rendered assembly, kept only while the trace wants entries.
-    pub(crate) text: Option<String>,
+    /// The instruction's index in its core's program (the trace renders
+    /// it at report time).
+    pub(crate) pc: u32,
     /// Dense index of the `(sender, receiver, tag)` channel a `SEND` or
     /// `RECV` uses ([`NO_CHANNEL`] otherwise).
     pub(crate) chan: u32,
@@ -213,7 +213,7 @@ impl<'p> Core<'p> {
         class: InstrClass,
         res: Resolved,
         chan: u32,
-        text: Option<String>,
+        pc: u32,
     ) -> u64 {
         let seq = self.seq_next;
         self.seq_next += 1;
@@ -228,7 +228,7 @@ impl<'p> Core<'p> {
             tag,
             state: State::Waiting,
             issue_at: SimTime::ZERO,
-            text,
+            pc,
             chan,
             ancestors: 0,
             blockers: 0,
@@ -442,7 +442,7 @@ mod tests {
             store(30, 400),
             load(12, 500),
         ] {
-            core.admit(0, InstrClass::Transfer, res, NO_CHANNEL, None);
+            core.admit(0, InstrClass::Transfer, res, NO_CHANNEL, 0);
         }
         assert_eq!(core.ready, [0, 1, 3], "two loads, or disjoint: no edge");
         for seq in [0, 1] {
@@ -499,14 +499,14 @@ mod tests {
     #[test]
     fn raw_hazard_blocks_younger_entry() {
         let mut core = test_core(8);
-        core.admit(0, InstrClass::Vector, vfill(0), NO_CHANNEL, None);
+        core.admit(0, InstrClass::Vector, vfill(0), NO_CHANNEL, 0);
         let relu = Resolved::VUn {
             op: VUnOp::Relu,
             dst: 100,
             src: 4,
             len: 8,
         };
-        core.admit(0, InstrClass::Vector, relu, NO_CHANNEL, None);
+        core.admit(0, InstrClass::Vector, relu, NO_CHANNEL, 0);
         // Entry 0 issuable first; entry 1 reads what 0 writes.
         assert_eq!(core.next_issuable(true), Some(0));
         core.begin(0, SimTime::ZERO);
@@ -521,13 +521,13 @@ mod tests {
     #[test]
     fn same_channel_transfers_stay_fifo() {
         let mut core = test_core(8);
-        core.admit(0, InstrClass::Transfer, send(7, 0), 0, None);
+        core.admit(0, InstrClass::Transfer, send(7, 0), 0, 0);
         core.begin(0, SimTime::ZERO);
-        core.admit(0, InstrClass::Transfer, send(7, 0), 0, None);
+        core.admit(0, InstrClass::Transfer, send(7, 0), 0, 0);
         // Same (src, dst, tag) channel: the younger send must wait...
         assert_eq!(core.next_issuable(true), None);
         // ...but a different tag may overtake.
-        core.admit(0, InstrClass::Transfer, send(8, 100), 1, None);
+        core.admit(0, InstrClass::Transfer, send(8, 100), 1, 0);
         assert_eq!(core.next_issuable(true), Some(2));
     }
 
@@ -541,7 +541,7 @@ mod tests {
             src: 100,
             len: 4,
         };
-        core.admit(0, InstrClass::Matrix, mvm(0), NO_CHANNEL, None);
+        core.admit(0, InstrClass::Matrix, mvm(0), NO_CHANNEL, 0);
         assert_eq!(core.next_issuable(true), None, "hazard enforced");
         assert_eq!(core.next_issuable(false), Some(0), "ablation disables");
         core.release_xbars(GroupId(1));
@@ -554,7 +554,7 @@ mod tests {
     fn retire_pops_done_prefix_only() {
         let mut core = test_core(8);
         for seq in 0..3 {
-            core.admit(0, InstrClass::Vector, vfill(seq * 100), NO_CHANNEL, None);
+            core.admit(0, InstrClass::Vector, vfill(seq * 100), NO_CHANNEL, 0);
             core.begin(seq as u64, SimTime::ZERO);
         }
         core.mark_done(0);
@@ -681,7 +681,7 @@ mod tests {
                 // ROBs do fill).
                 0..=3 if !core.rob_is_full() => {
                     let (class, res, chan) = random_instr(&mut rng);
-                    core.admit(0, class, res, chan, None);
+                    core.admit(0, class, res, chan, 0);
                 }
                 // Out-of-order completion of a random executing entry.
                 4..=6 if !executing.is_empty() => {

@@ -13,7 +13,7 @@ use super::transfer::TransferFabric;
 use super::{error::SimError, Machine, MachineEvent, Telemetry};
 use crate::exec::Memory;
 use crate::noc::Noc;
-use crate::stats::SimReport;
+use crate::stats::{SimReport, TraceEntry};
 
 /// What a mesh slot the program leaves out runs: nothing.
 static IDLE_CORE: CoreProgram = CoreProgram {
@@ -138,7 +138,13 @@ impl<'a> Simulator<'a> {
             per_core,
             per_node: machine.telemetry.per_node,
             events,
-            trace: machine.telemetry.trace,
+            trace: (machine.telemetry.trace.iter())
+                .map(|&(time, core, pc)| TraceEntry {
+                    time,
+                    core,
+                    instr: machine.cores[core as usize].instrs[pc as usize].to_string(),
+                })
+                .collect(),
             gmem: functional.then_some(machine.gmem),
             locals: functional.then(|| machine.cores.into_iter().map(|c| c.mem).collect()),
         })

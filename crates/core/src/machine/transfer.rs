@@ -31,7 +31,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use pimsim_event::SimTime;
-use pimsim_isa::{Instruction, Resolved};
+use pimsim_isa::Resolved;
 
 use super::error::SimError;
 use super::rob::{Core, Issued};
@@ -126,18 +126,6 @@ pub(crate) struct TransferFabric {
     channels: Vec<Channel>,
 }
 
-/// The channel a transfer instruction on core `core` uses, or `None` for
-/// every other instruction.
-fn channel_key(core: u16, instr: &Instruction) -> Option<ChannelKey> {
-    match *instr {
-        Instruction::Send { peer, tag, .. } => Some((core, peer.0, tag)),
-        Instruction::Recv { peer, tag, .. } | Instruction::Recv2d { peer, tag, .. } => {
-            Some((peer.0, core, tag))
-        }
-        _ => None,
-    }
-}
-
 impl TransferFabric {
     /// Interns every `(sender, receiver, tag)` channel the cores' programs
     /// name, in first-seen order, with `vcs` virtual channels each, and
@@ -152,7 +140,7 @@ impl TransferFabric {
         let mut index: HashMap<ChannelKey, u32> = HashMap::new();
         for (c, core) in cores.iter_mut().enumerate() {
             for (instr, chan) in core.instrs.iter().zip(&mut core.chans) {
-                let Some(key) = channel_key(c as u16, instr) else {
+                let Some(key) = instr.channel(c as u16) else {
                     continue;
                 };
                 *chan = *index.entry(key).or_insert_with(|| {
@@ -528,7 +516,7 @@ impl Machine<'_> {
     fn finish_transfer_side(&mut self, c: usize, seq: u64, ctx: &mut Ctx) {
         let now = ctx.now();
         self.finish_time = self.finish_time.max(now);
-        let (tag, span, text) = {
+        let (tag, span, pc) = {
             let Some(e) = self.cores[c].mark_done(seq) else {
                 // A completion whose ROB entry vanished is an invariant
                 // break; report it instead of quietly dropping the
@@ -539,11 +527,9 @@ impl Machine<'_> {
                 self.fail(SimError::Internal { detail }, ctx);
                 return;
             };
-            (e.tag, now.saturating_sub(e.issue_at), e.text.take())
+            (e.tag, now.saturating_sub(e.issue_at), e.pc)
         };
-        if let Some(t) = text {
-            self.telemetry.record_trace(now, c as u16, t);
-        }
+        self.telemetry.record_trace(now, c as u16, pc);
         self.cores[c].stats.transfer_busy += span;
         self.telemetry.node(tag).comm_time += span;
         self.cores[c].retire();
@@ -571,17 +557,13 @@ mod tests {
             let mut keys: Vec<ChannelKey> = cores
                 .iter()
                 .enumerate()
-                .flat_map(|(c, core)| {
-                    core.instrs
-                        .iter()
-                        .filter_map(move |i| channel_key(c as u16, i))
-                })
+                .flat_map(|(c, core)| core.instrs.iter().filter_map(move |i| i.channel(c as u16)))
                 .collect();
             keys.sort_unstable();
             keys.dedup();
             for (c, core) in cores.iter_mut().enumerate() {
                 for (instr, chan) in core.instrs.iter().zip(&mut core.chans) {
-                    if let Some(key) = channel_key(c as u16, instr) {
+                    if let Some(key) = instr.channel(c as u16) {
                         *chan = keys.binary_search(&key).expect("collected above") as u32;
                     }
                 }
@@ -639,7 +621,7 @@ mod tests {
         cores
             .iter()
             .flat_map(|core| core.instrs.iter().zip(&core.chans))
-            .filter(|(instr, _)| channel_key(0, instr).is_some())
+            .filter(|(instr, _)| instr.channel(0).is_some())
             .map(|(_, &chan)| chan)
             .collect()
     }

@@ -80,7 +80,7 @@ impl Machine<'_> {
         }
         let now = ctx.now();
         self.finish_time = self.finish_time.max(now);
-        let (class, res, tag, span, text) = {
+        let (class, res, tag, span, pc) = {
             let Some(e) = self.cores[c].mark_done(seq) else {
                 // A completion whose ROB entry vanished is an invariant
                 // break (entries leave the ROB only through in-order
@@ -92,17 +92,9 @@ impl Machine<'_> {
                 self.fail(SimError::Internal { detail }, ctx);
                 return;
             };
-            (
-                e.class,
-                e.res,
-                e.tag,
-                now.saturating_sub(e.issue_at),
-                e.text.take(),
-            )
+            (e.class, e.res, e.tag, now.saturating_sub(e.issue_at), e.pc)
         };
-        if let Some(t) = text {
-            self.telemetry.record_trace(now, c as u16, t);
-        }
+        self.telemetry.record_trace(now, c as u16, pc);
         match class {
             InstrClass::Vector => {
                 self.cores[c].vector_busy = false;

@@ -10,7 +10,7 @@
 
 use pimsim_analyze::bounds::{memory_access_min, message_min};
 use pimsim_analyze::dag::{Dag, ServiceKind};
-use pimsim_analyze::{Cfg, RendezvousMap};
+use pimsim_analyze::Cfg;
 use pimsim_arch::model::CostModel;
 use pimsim_arch::ArchConfig;
 use pimsim_core::Noc;
@@ -103,12 +103,12 @@ fn vector_shapes_price_identically_everywhere() {
     }
     text.push_str("halt\n");
     let program = assemble(&text).unwrap();
-    let cfgs: Vec<Cfg> = program
+    let traces: Vec<_> = program
         .cores
         .iter()
-        .map(|c| Cfg::build(&c.instrs))
+        .map(|c| Cfg::build(&c.instrs).linear_trace())
         .collect();
-    let dag = Dag::build(&program, &cfgs, &RendezvousMap::default());
+    let dag = Dag::build(&program, &traces);
     assert_eq!(dag.nodes.len(), cases.len());
     for ((text, (len, reads, writes)), node) in cases.iter().zip(&dag.nodes) {
         let instr = &program.cores[0].instrs[node.pc as usize];

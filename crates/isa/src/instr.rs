@@ -718,26 +718,39 @@ impl Instruction {
         }
     }
 
-    /// Appends every scalar register this instruction reads — ALU and
+    /// The set of scalar registers this instruction reads — ALU and
     /// branch operands plus the base register of every memory operand —
-    /// to `out` (duplicates possible, in operand order).
-    pub fn uses_regs(&self, out: &mut Vec<Reg>) {
+    /// as a bit set: bit `r` for register `r`.
+    pub fn uses_regs(&self) -> u32 {
         use Instruction::*;
-        match self {
-            Mvm { dst, src, .. } => out.extend([dst.base(), src.base()]),
-            VBin { dst, a, b, .. } => out.extend([dst.base(), a.base(), b.base()]),
-            VImm { dst, src, .. } | VUn { dst, src, .. } | VCopy2d { dst, src, .. } => {
-                out.extend([dst.base(), src.base()])
+        let regs: &[Reg] = match self {
+            Mvm { dst, src, .. }
+            | VImm { dst, src, .. }
+            | VUn { dst, src, .. }
+            | VCopy2d { dst, src, .. }
+            | VPool { dst, src, .. } => &[dst.base(), src.base()],
+            VBin { dst, a, b, .. } => &[dst.base(), a.base(), b.base()],
+            VFill { dst, .. } | Recv { dst, .. } | Recv2d { dst, .. } => &[dst.base()],
+            Send { src, .. } => &[src.base()],
+            GLoad { dst, gaddr, .. } => &[dst.base(), gaddr.base()],
+            GStore { gaddr, src, .. } => &[gaddr.base(), src.base()],
+            SBin { rs1, rs2, .. } | Branch { rs1, rs2, .. } => &[*rs1, *rs2],
+            SImm { rs1, .. } => &[*rs1],
+            Jump { .. } | Halt | Nop => &[],
+        };
+        regs.iter().fold(0, |set, r| set | 1 << r.index())
+    }
+
+    /// The rendezvous channel `(sender, receiver, tag)` a `send`, `recv`
+    /// or `recv2d` on core `core` uses; `None` for every other
+    /// instruction. Messages on one channel are delivered in order.
+    pub fn channel(&self, core: u16) -> Option<(u16, u16, u16)> {
+        match *self {
+            Instruction::Send { peer, tag, .. } => Some((core, peer.0, tag)),
+            Instruction::Recv { peer, tag, .. } | Instruction::Recv2d { peer, tag, .. } => {
+                Some((peer.0, core, tag))
             }
-            VPool { dst, src, .. } => out.extend([dst.base(), src.base()]),
-            VFill { dst, .. } => out.push(dst.base()),
-            Send { src, .. } => out.push(src.base()),
-            Recv { dst, .. } | Recv2d { dst, .. } => out.push(dst.base()),
-            GLoad { dst, gaddr, .. } => out.extend([dst.base(), gaddr.base()]),
-            GStore { gaddr, src, .. } => out.extend([gaddr.base(), src.base()]),
-            SBin { rs1, rs2, .. } | Branch { rs1, rs2, .. } => out.extend([*rs1, *rs2]),
-            SImm { rs1, .. } => out.push(*rs1),
-            Jump { .. } | Halt | Nop => {}
+            _ => None,
         }
     }
 
@@ -1062,9 +1075,8 @@ mod tests {
             rs2: Reg::R5,
         };
         assert_eq!(sbin.def_reg(), Some(Reg::R3));
-        let mut uses = Vec::new();
-        sbin.uses_regs(&mut uses);
-        assert_eq!(uses, vec![Reg::R4, Reg::R5]);
+        let set = |regs: &[u8]| regs.iter().fold(0u32, |set, r| set | 1 << r);
+        assert_eq!(sbin.uses_regs(), set(&[4, 5]));
 
         let simm = Instruction::SImm {
             op: SImmOp::Add,
@@ -1073,9 +1085,7 @@ mod tests {
             imm: 1,
         };
         assert_eq!(simm.def_reg(), Some(Reg::R6));
-        uses.clear();
-        simm.uses_regs(&mut uses);
-        assert_eq!(uses, vec![Reg::R7]);
+        assert_eq!(simm.uses_regs(), set(&[7]));
 
         // Memory operands contribute their base registers.
         let vbin = Instruction::VBin {
@@ -1086,24 +1096,37 @@ mod tests {
             len: 64,
         };
         assert_eq!(vbin.def_reg(), None);
-        uses.clear();
-        vbin.uses_regs(&mut uses);
-        assert_eq!(uses, vec![Reg::R1, Reg::R2, Reg::R3]);
+        assert_eq!(vbin.uses_regs(), set(&[1, 2, 3]));
 
         let gload = Instruction::GLoad {
             dst: addr(Reg::R8, 0),
             gaddr: addr(Reg::R2, 4),
             len: 16,
         };
-        uses.clear();
-        gload.uses_regs(&mut uses);
-        assert_eq!(uses, vec![Reg::R8, Reg::R2]);
+        assert_eq!(gload.uses_regs(), set(&[8, 2]));
 
-        uses.clear();
-        Instruction::Halt.uses_regs(&mut uses);
-        assert!(uses.is_empty());
-        uses.clear();
-        Instruction::Jump { target: 0 }.uses_regs(&mut uses);
-        assert!(uses.is_empty());
+        assert_eq!(Instruction::Halt.uses_regs(), 0);
+        assert_eq!(Instruction::Jump { target: 0 }.uses_regs(), 0);
+    }
+
+    #[test]
+    fn transfers_name_their_channel() {
+        let send = Instruction::Send {
+            peer: CoreId(4),
+            src: addr(Reg::R1, 0),
+            len: 8,
+            tag: 9,
+        };
+        let recv2d = Instruction::Recv2d {
+            peer: CoreId(2),
+            dst: addr(Reg::R1, 0),
+            block_len: 4,
+            blocks: 2,
+            dst_stride: 8,
+            tag: 9,
+        };
+        assert_eq!(send.channel(3), Some((3, 4, 9)));
+        assert_eq!(recv2d.channel(3), Some((2, 3, 9)));
+        assert_eq!(Instruction::Halt.channel(3), None);
     }
 }

@@ -7,7 +7,8 @@
 //! *statically* so the clean-implies-runs direction actually gets
 //! exercised from both sides of the boundary.
 
-use pimsim::analyze::analyze;
+use pimsim::analyze::dag::Dag;
+use pimsim::analyze::{analyze, Cfg};
 use pimsim::isa::asm;
 use pimsim::prelude::*;
 use pimsim::sim::SimError;
@@ -51,8 +52,10 @@ fn tweak_strategy() -> impl Strategy<Value = Tweak> {
 
 /// Builds the assembly text: each transfer appends a send to its sender
 /// and a recv to its receiver, in one global order (which is always
-/// deadlock-free), then the tweaks are applied to break it.
-fn build_program(xfers: &[Xfer], tweaks: &[Tweak]) -> String {
+/// deadlock-free), then the tweaks are applied to break it. Core
+/// `looped`, if any, ends in a backward branch that is never taken: it
+/// runs the same, but has no statically known order.
+fn build_program(xfers: &[Xfer], tweaks: &[Tweak], looped: Option<usize>) -> String {
     let mut lines: Vec<Vec<String>> = vec![Vec::new(); CORES];
     let mut recv_lens: Vec<u8> = xfers.iter().map(|x| x.len).collect();
     for t in tweaks {
@@ -94,6 +97,9 @@ fn build_program(xfers: &[Xfer], tweaks: &[Tweak]) -> String {
             text.push_str(line);
             text.push('\n');
         }
+        if looped == Some(core) {
+            text.push_str("bne r0, r0, 0\n");
+        }
         text.push_str("halt\n");
     }
     text
@@ -111,7 +117,7 @@ proptest! {
         tweaks in proptest::collection::vec(tweak_strategy(), 0..5),
     ) {
         let arch = ArchConfig::small_test();
-        let text = build_program(&xfers, &tweaks);
+        let text = build_program(&xfers, &tweaks, None);
         let program = asm::assemble(&text).expect("generated assembly is well-formed");
         let analysis = analyze(&program, &arch);
         if analysis.has_errors() {
@@ -145,7 +151,7 @@ proptest! {
         tweaks in proptest::collection::vec(tweak_strategy(), 0..4),
     ) {
         let arch = ArchConfig::small_test();
-        let text = build_program(&xfers, &tweaks);
+        let text = build_program(&xfers, &tweaks, None);
         let program = asm::assemble(&text).expect("generated assembly is well-formed");
         let a = analyze(&program, &arch);
         let b = analyze(&program, &arch);
@@ -178,7 +184,7 @@ proptest! {
         use pimsim::prelude::bounds;
 
         let arch = ArchConfig::small_test();
-        let text = build_program(&xfers, &tweaks);
+        let text = build_program(&xfers, &tweaks, None);
         let program = asm::assemble(&text).expect("generated assembly is well-formed");
         if analyze(&program, &arch).has_errors() {
             // Rejected programs get the trivial zero bound; nothing to
@@ -205,5 +211,43 @@ proptest! {
             "bound {} ps exceeds simulated {} ps\n{}",
             report.latency_lb_ps, sim.latency.as_ps(), text
         );
+    }
+
+    /// `Dag::build` pairs each recv with the next unpaired send on its
+    /// FIFO channel. On every program the analyzer passes, those are
+    /// exactly the pairs of its rendezvous map; a core that loops has no
+    /// linear trace, so a recv on one of its channels has no send.
+    #[test]
+    fn dag_fifo_pairing_is_the_rendezvous_map(
+        xfers in proptest::collection::vec(xfer_strategy(), 1..12),
+        tweaks in proptest::collection::vec(tweak_strategy(), 0..5),
+        looped in prop_oneof![1 => Just(None), 1 => (0..CORES).prop_map(Some)],
+    ) {
+        let arch = ArchConfig::small_test();
+        let text = build_program(&xfers, &tweaks, looped);
+        let program = asm::assemble(&text).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let analysis = analyze(&program, &arch);
+        if analysis.has_errors() {
+            return Ok(()); // `bound` builds no DAG for these
+        }
+        let traces: Vec<_> = (program.cores.iter())
+            .map(|c| Cfg::build(&c.instrs).linear_trace())
+            .collect();
+        let dag = Dag::build(&program, &traces);
+        let mut paired = Vec::new();
+        for recv in &dag.nodes {
+            let Some(send) = recv.paired_send else { continue };
+            let send = &dag.nodes[send as usize];
+            paired.push((send.core, send.pc, recv.core, recv.pc));
+            let linear = |core: u16| looped != Some(core as usize);
+            prop_assert!(
+                recv.channel.is_some_and(|(s, r, _)| linear(s) && linear(r)),
+                "pc {} of core{} paired across a looping core\n{}", recv.pc, recv.core, text
+            );
+        }
+        paired.sort_unstable();
+        let pairs = analysis.rendezvous.pairs.iter();
+        let expected: Vec<_> = pairs.map(|p| (p.sender, p.send_pc, p.receiver, p.recv_pc)).collect();
+        prop_assert_eq!(paired, expected, "{}", text);
     }
 }

@@ -89,12 +89,12 @@ fn bound_is_sound_across_arch_knobs() {
 fn dag_size(program: &Program, arch: &ArchConfig) -> (usize, usize) {
     let analysis = analyze(program, arch);
     assert!(!analysis.has_errors(), "{:?}", analysis.diagnostics);
-    let cfgs: Vec<Cfg> = program
+    let traces: Vec<_> = program
         .cores
         .iter()
-        .map(|c| Cfg::build(&c.instrs))
+        .map(|c| Cfg::build(&c.instrs).linear_trace())
         .collect();
-    let dag = Dag::build(program, &cfgs, &analysis.rendezvous);
+    let dag = Dag::build(program, &traces);
     (dag.edges.len(), dag.nodes.len())
 }
 
@@ -167,9 +167,10 @@ fn zero_length_gload_inside_a_gstore_does_not_wait() {
         "the empty load must not wait for the store around it"
     );
 
-    let analysis = analyze(&around, &arch);
-    let cfgs: Vec<Cfg> = around.cores.iter().map(|c| Cfg::build(&c.instrs)).collect();
-    let dag = Dag::build(&around, &cfgs, &analysis.rendezvous);
+    let traces: Vec<_> = (around.cores.iter())
+        .map(|c| Cfg::build(&c.instrs).linear_trace())
+        .collect();
+    let dag = Dag::build(&around, &traces);
     assert_eq!(dag.nodes.len(), 2);
     assert!(
         dag.preds(1).is_empty(),
