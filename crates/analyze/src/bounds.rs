@@ -245,6 +245,99 @@ fn determining_pred(
     best.expect("a hazard-bound start is some predecessor's completion")
 }
 
+/// Each node's earliest dispatch (the frontend issues one instruction per
+/// dispatch interval after the decode offset) and minimal service time.
+fn node_terms(model: &CostModel, dag: &Dag) -> (Vec<SimTime>, Vec<SimTime>) {
+    let (interval, decode) = (model.dispatch_interval(), model.decode_offset());
+    let nodes = dag.nodes.iter();
+    let dispatch_lb = nodes
+        .clone()
+        .map(|nd| decode + interval * nd.dispatch_index as u64);
+    let service = nodes.map(|nd| service_time(model, nd.core, &nd.service));
+    (dispatch_lb.collect(), service.collect())
+}
+
+/// Where [`schedule`]'s walk is at a node.
+#[derive(Clone, Copy, PartialEq)]
+enum Walk {
+    /// Not reached yet.
+    Unpriced,
+    /// On the walk's stack: its inputs are being priced.
+    Open,
+    /// Start and completion known.
+    Priced,
+}
+
+/// The longest-path schedule of `dag`: each node's earliest issue
+/// (`dispatch_lb`, raised to its stored predecessors' completions) and
+/// completion (issue plus `service`, or its matched send's delivery if
+/// later), or `None` when the graph has a cycle. The graph can only be
+/// cyclic when a non-linear core kept the rendezvous deadlock check from
+/// running; such programs wedge at runtime.
+///
+/// No successor graph is built: a depth-first walk over each node's
+/// inputs (its predecessor list and matched send) prices the inputs
+/// first, and reaching a node already on the walk's stack is a cycle.
+/// Nodes are taken as roots in index order, and stored predecessors are
+/// older nodes of the same core, so when a root is reached all its
+/// predecessors are priced: the walk only descends from a recv whose send
+/// is not. Pricing each core in program order instead would stall where
+/// two cores each receive before they send on independent buffers, which
+/// is no cycle (the checker lets it through when a looping core keeps the
+/// deadlock search from running).
+pub(crate) fn schedule(
+    dag: &Dag,
+    dispatch_lb: &[SimTime],
+    service: &[SimTime],
+) -> Option<(Vec<SimTime>, Vec<SimTime>)> {
+    let n = dag.nodes.len();
+    let mut start = vec![SimTime::ZERO; n];
+    let mut completion = vec![SimTime::ZERO; n];
+    let mut walk = vec![Walk::Unpriced; n];
+    // `(node, inputs visited)`: a node's inputs are its predecessors,
+    // then its matched send.
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if walk[root] == Walk::Priced {
+            continue;
+        }
+        // Every older node is priced by now, so are `root`'s predecessors:
+        // start at its matched send.
+        walk[root] = Walk::Open;
+        stack.push((root, dag.preds(root).len()));
+        while let Some((i, visited)) = stack.last_mut() {
+            let (i, preds, sent) = (*i, dag.preds(*i), dag.nodes[*i].paired_send);
+            let input = match preds.get(*visited) {
+                Some(&p) => Some(p),
+                None if *visited == preds.len() => sent,
+                None => None,
+            };
+            *visited += 1;
+            if let Some(input) = input {
+                let input = input as usize;
+                match walk[input] {
+                    Walk::Unpriced => {
+                        walk[input] = Walk::Open;
+                        stack.push((input, 0));
+                    }
+                    Walk::Open => return None,
+                    Walk::Priced => {}
+                }
+                continue;
+            }
+            let s = preds
+                .iter()
+                .fold(dispatch_lb[i], |s, &p| s.max(completion[p as usize]));
+            start[i] = s;
+            let sent = sent.map_or(SimTime::ZERO, |sp| completion[sp as usize]);
+            completion[i] = (s + service[i]).max(sent);
+            walk[i] = Walk::Priced;
+            stack.pop();
+        }
+    }
+    Some((start, completion))
+}
+
 /// Prices `dag` and assembles the report for an error-free `analysis`;
 /// `fabric` is the one its rendezvous check drained, if complete.
 pub(crate) fn price(
@@ -262,33 +355,15 @@ pub(crate) fn price(
     let n = dag.nodes.len();
     let interval = model.dispatch_interval();
     let decode = model.decode_offset();
-    let service: Vec<SimTime> = dag
-        .nodes
-        .iter()
-        .map(|nd| service_time(&model, nd.core, &nd.service))
-        .collect();
-    let dispatch_lb: Vec<SimTime> = dag
-        .nodes
-        .iter()
-        .map(|nd| decode + interval * nd.dispatch_index as u64)
-        .collect();
+    let (dispatch_lb, service) = node_terms(&model, dag);
 
     // Longest-path schedule: earliest possible issue and completion per
-    // node under the enforced constraints only. A cyclic graph (see
-    // `Dag::topological_order`) falls back to the pacing terms below,
-    // which stays sound.
-    let topo = dag.topological_order();
-    let acyclic = topo.is_some();
-    let mut start = vec![SimTime::ZERO; n];
-    let mut completion = vec![SimTime::ZERO; n];
-    for i in topo.into_iter().flatten() {
-        let i = i as usize;
-        let preds = dag.preds(i).iter();
-        let s = preds.fold(dispatch_lb[i], |s, &p| s.max(completion[p as usize]));
-        start[i] = s;
-        let sent = dag.nodes[i].paired_send.map(|sp| completion[sp as usize]);
-        completion[i] = (s + service[i]).max(sent.unwrap_or(SimTime::ZERO));
-    }
+    // node under the enforced constraints only. A cyclic graph falls back
+    // to the pacing terms below, which stays sound.
+    let times = schedule(dag, &dispatch_lb, &service);
+    let acyclic = times.is_some();
+    let (start, completion) =
+        times.unwrap_or_else(|| (vec![SimTime::ZERO; n], vec![SimTime::ZERO; n]));
 
     // Per-core terms and the global bound.
     let mut crit_max = SimTime::ZERO;
@@ -366,8 +441,8 @@ pub(crate) fn price(
         let mut seen = vec![0u32; n];
         let mut stack = Vec::new();
         let mut chain = vec![sink];
+        let mut i = sink;
         loop {
-            let i = *chain.last().expect("chain starts at the sink");
             let sent = dag.nodes[i].paired_send.map(|sp| sp as usize);
             let det = match sent {
                 Some(sp) if completion[sp] > start[i] + service[i] => sp,
@@ -377,6 +452,7 @@ pub(crate) fn price(
                 _ => break,
             };
             chain.push(det);
+            i = det;
         }
         chain.reverse();
         critical_path_len = chain.len() as u32;
@@ -413,9 +489,16 @@ pub(crate) fn price(
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/transfer_programs.rs"]
+mod transfer_programs;
+
+#[cfg(test)]
 mod tests {
+    use super::transfer_programs::{build_program, tweak_strategy, xfer_strategy, CORES};
     use super::*;
     use pimsim_isa::asm::assemble;
+    use pimsim_isa::IsaError;
+    use proptest::prelude::*;
 
     fn arch() -> ArchConfig {
         ArchConfig::small_test()
@@ -556,5 +639,123 @@ mod tests {
         let expect = model.decode_offset() + fill * 8;
         assert_eq!(r.bound_source, "vector-unit-throughput");
         assert_eq!(r.latency_lb_ps, expect.as_ps());
+    }
+
+    /// The schedule [`schedule`] replaced, as its oracle: Kahn's order
+    /// over the successor graph, then one fold per node.
+    fn schedule_by_topological_order(
+        dag: &Dag,
+        dispatch_lb: &[SimTime],
+        service: &[SimTime],
+    ) -> Option<(Vec<SimTime>, Vec<SimTime>)> {
+        let n = dag.nodes.len();
+        let mut start = vec![SimTime::ZERO; n];
+        let mut completion = vec![SimTime::ZERO; n];
+        for i in dag.topological_order()? {
+            let i = i as usize;
+            let preds = dag.preds(i).iter();
+            let s = preds.fold(dispatch_lb[i], |s, &p| s.max(completion[p as usize]));
+            start[i] = s;
+            let sent = dag.nodes[i].paired_send.map(|sp| completion[sp as usize]);
+            completion[i] = (s + service[i]).max(sent.unwrap_or(SimTime::ZERO));
+        }
+        Some((start, completion))
+    }
+
+    type Schedule = Option<(Vec<SimTime>, Vec<SimTime>)>;
+
+    /// `program`'s schedule from the walk and from the oracle, or `None`
+    /// when the checker rejects it (`bounds` prices no DAG then).
+    fn both_schedules(program: &Program) -> Option<(Schedule, Schedule)> {
+        let a = arch();
+        let (analysis, walk) = crate::analyze_walk(program, &a);
+        if analysis.has_errors() {
+            return None;
+        }
+        let dag = Dag::build(program, &walk.traces);
+        let (dispatch_lb, service) = node_terms(&CostModel::new(&a), &dag);
+        Some((
+            schedule(&dag, &dispatch_lb, &service),
+            schedule_by_topological_order(&dag, &dispatch_lb, &service),
+        ))
+    }
+
+    #[test]
+    fn crossed_transfers_beside_a_looping_core_are_not_a_cycle() -> Result<(), IsaError> {
+        // Each core receives before it sends, on other channels and
+        // buffers: pricing cores in program order would stall on both
+        // recvs, but no stored edge holds either send back. The looping
+        // core keeps the checker's deadlock search from running.
+        let p = assemble(
+            ".core 0\n\
+             recv core1, [r0+0], 4, tag=1\n\
+             send core1, [r0+64], 4, tag=2\n\
+             halt\n\
+             .core 1\n\
+             recv core0, [r0+0], 4, tag=2\n\
+             send core0, [r0+64], 4, tag=1\n\
+             halt\n\
+             .core 2\n\
+             bne r0, r0, 0\n\
+             halt\n",
+        )?;
+        let Some((walked, oracle)) = both_schedules(&p) else {
+            panic!("the checker rejected the program");
+        };
+        assert!(walked.is_some());
+        assert_eq!(walked, oracle);
+        let r = bounds(&p, &arch());
+        assert_eq!(r.bound_source, "critical-path");
+        assert!(!r.complete, "a core has no linear trace");
+        Ok(())
+    }
+
+    #[test]
+    fn relayed_crossed_transfers_are_a_cycle() -> Result<(), IsaError> {
+        // As above, but each send forwards what its core just received:
+        // recv -> send on each core closes a cycle through both pairings.
+        let p = assemble(
+            ".core 0\n\
+             recv core1, [r0+0], 4, tag=1\n\
+             send core1, [r0+0], 4, tag=2\n\
+             halt\n\
+             .core 1\n\
+             recv core0, [r0+0], 4, tag=2\n\
+             send core0, [r0+0], 4, tag=1\n\
+             halt\n\
+             .core 2\n\
+             bne r0, r0, 0\n\
+             halt\n",
+        )?;
+        assert_eq!(both_schedules(&p), Some((None, None)));
+        let r = bounds(&p, &arch());
+        assert_eq!(r.bound_source, "frontend-pacing");
+        assert!(!r.complete);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 512,
+            ..ProptestConfig::default()
+        })]
+
+        /// The walk against the topological order on random transfer
+        /// programs whose sends forward what their core received, half of
+        /// them beside a looping core (the checker's deadlock search then
+        /// does not run, and crossed exchanges reach pricing as cycles):
+        /// the same start and completion vectors, and `None` together.
+        #[test]
+        fn schedule_matches_the_topological_order(
+            xfers in proptest::collection::vec(xfer_strategy(), 1..12),
+            tweaks in proptest::collection::vec(tweak_strategy(), 0..8),
+            looped in prop_oneof![1 => Just(None), 1 => (0..CORES).prop_map(Some)],
+        ) {
+            let text = build_program(&xfers, &tweaks, looped, true);
+            let p = assemble(&text).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            if let Some((walked, oracle)) = both_schedules(&p) {
+                prop_assert_eq!(walked, oracle, "{}", text);
+            }
+        }
     }
 }

@@ -54,15 +54,19 @@
 //! # Prepare once, then place cheaply
 //!
 //! A core's whole trace is resolved before the forward pass, so every
-//! address the pass will touch is known up front. The map is dense over
-//! those addresses: the accesses' boundaries, sorted, cut memory into
-//! elementary intervals, and a segment is a run of intervals whose start
-//! is marked in a 64-ary bit tree, with its history in flat vectors. An
-//! access is two boundary lookups and a walk over the segments it
-//! touches, with no tree node to allocate or rebalance. The ordered-tree
-//! segment map it replaced survives as the test oracle of `HazardMap`.
+//! access the pass will make is known up front, in order. The map is
+//! dense over those accesses: their distinct boundaries, sorted, cut
+//! memory into elementary intervals, each access's pair of interval
+//! indices is computed once, and a segment is a run of intervals whose
+//! start is marked in a 64-ary bit tree, with its history and a link to
+//! the next run in a flat vector. An access is two array reads and a walk
+//! along the links of the segments it touches, with no tree node to
+//! allocate or rebalance. Memory is proportional to the accesses, not to
+//! the addresses they reach. The ordered-tree segment map it replaced
+//! survives as the test oracle of `HazardMap`.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use pimsim_isa::{resolve, Footprint, Instruction, Program, Resolved, VectorShape};
 
@@ -200,11 +204,11 @@ impl Preds {
     }
 }
 
-/// A set of indices `0..len` with successor and predecessor queries in
-/// `O(log64 len)`: a 64-ary tree of bits. Level 0 holds one bit per
-/// index; bit `w` of level `l + 1` is set when word `w` of level `l` is
-/// non-zero, so a query skips empty stretches a whole word of the level
-/// above at a time, whatever order the set was built in.
+/// A set of indices `0..len` with predecessor queries in `O(log64 len)`:
+/// a 64-ary tree of bits. Level 0 holds one bit per index; bit `w` of
+/// level `l + 1` is set when word `w` of level `l` is non-zero, so a query
+/// skips empty stretches a whole word of the level above at a time,
+/// whatever order the set was built in.
 #[derive(Default)]
 struct BitTree {
     /// Level 0 first; the last level is one word.
@@ -255,29 +259,9 @@ impl BitTree {
         }
     }
 
-    /// The least member `>= i`, if any.
-    fn next(&self, mut i: usize) -> Option<usize> {
-        // Climb until a word holds a member at or after the position.
-        let mut depth = 0;
-        loop {
-            let word = *self.levels.get(depth)?.get(i / 64)?;
-            let bits = word & (u64::MAX << (i % 64));
-            if bits != 0 {
-                i = i / 64 * 64 + bits.trailing_zeros() as usize;
-                break;
-            }
-            i = i / 64 + 1;
-            depth += 1;
-        }
-        // Descend along each word's first member.
-        for level in self.levels[..depth].iter().rev() {
-            i = i * 64 + level[i].trailing_zeros() as usize;
-        }
-        Some(i)
-    }
-
     /// The greatest member `<= i`, if any.
     fn prev(&self, mut i: usize) -> Option<usize> {
+        // Climb until a word holds a member at or before the position.
         let mut depth = 0;
         loop {
             let word = self.levels.get(depth)?[i / 64];
@@ -289,6 +273,7 @@ impl BitTree {
             i = (i / 64).checked_sub(1)?;
             depth += 1;
         }
+        // Descend along each word's last member.
         for level in self.levels[..depth].iter().rev() {
             i = i * 64 + 63 - level[i].leading_zeros() as usize;
         }
@@ -296,18 +281,63 @@ impl BitTree {
     }
 }
 
+/// The hasher of [`HazardMap`]'s boundary table: one multiply, its high
+/// half folded onto the low one (the table picks a bucket by low bits).
+#[derive(Default)]
+struct BoundaryHasher(u64);
+
+impl Hasher for BoundaryHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The history of one run, kept at the interval that starts it.
+#[derive(Clone, Copy)]
+struct Run {
+    /// The interval that starts the next run (the interval count after
+    /// the last run).
+    next: u32,
+    /// The run's last writer ([`NIL`]: never written).
+    writer: u32,
+    /// The head of the list of nodes that read the run since that write
+    /// ([`NIL`]: none).
+    readers: u32,
+    /// The node of that head cell ([`NIL`]: none).
+    reader: u32,
+}
+
 /// One address space's access history during the forward pass over one
 /// core: who wrote each address last, and who has read it since.
 ///
 /// It is prepared once per core from every access the core will make
-/// ([`reset`](Self::reset)): their boundaries, sorted and deduplicated,
-/// cut the address space into *elementary intervals*, and an access
-/// becomes an index range over them. A *run* is a maximal stretch of
-/// intervals with one history; a [`BitTree`] marks where runs start, and
-/// the history lives in flat vectors at each run's start. Accesses split
-/// and merge runs exactly where a map of address segments would split
-/// and merge segments, so an access visits no more runs than such a map
-/// visits segments, and finds each in `O(log64 k)` for `k` intervals.
+/// ([`reset`](Self::reset)): their distinct boundaries, sorted, cut the
+/// address space into *elementary intervals*, and each access becomes the
+/// pair of interval indices of its two boundaries, computed there and
+/// then. The forward pass makes the accesses in the order `reset` was
+/// handed them and reads each pair off in turn, so finding an access's
+/// intervals takes two array reads. Memory is proportional to the number
+/// of accesses, whatever addresses they reach.
+///
+/// A *run* is a maximal stretch of intervals with one history, a [`Run`]
+/// kept at its first interval. The run starts are marked in a
+/// [`BitTree`], asked only for the run holding an interval when an access
+/// boundary splits it; each run links to the next, so walking the runs an
+/// access touches is one array read per run. Accesses split and merge
+/// runs exactly where a map of address segments would split and merge
+/// segments, so an access visits no more runs than such a map visits
+/// segments.
 ///
 /// [`read`](Self::read) and [`write`](Self::write) record one node's
 /// access and push a covering set (module docs) of the older nodes that
@@ -315,38 +345,71 @@ impl BitTree {
 /// write.
 #[derive(Default)]
 struct HazardMap {
-    /// The access boundaries, ascending: interval `i` is
+    /// The access boundaries, ascending and distinct: interval `i` is
     /// `[cuts[i], cuts[i + 1])`.
     cuts: Vec<u64>,
+    /// Per access boundary, in the order [`reset`](Self::reset) saw them
+    /// (start then end of each non-empty access): its interval index.
+    at: Vec<u32>,
+    /// The next entry of `at` an access takes.
+    cursor: usize,
     /// The intervals that start a run. Interval 0 always does.
     run_starts: BitTree,
-    /// At each run start: the run's last writer ([`NIL`]: never written).
-    writer: Vec<u32>,
-    /// At each run start: the head of the list of nodes that read the run
-    /// since that write ([`NIL`]: none).
-    readers: Vec<u32>,
+    /// Per interval: its run's history, valid where a run starts.
+    runs: Vec<Run>,
     /// Reader-list cells `(node, next)`. A list only ever grows at its
     /// head, so the halves of a split run share their tail.
     cells: Vec<(u32, u32)>,
+    /// `reset`'s scratch: each distinct boundary's first-seen index.
+    first_seen: HashMap<u64, u32, BuildHasherDefault<BoundaryHasher>>,
+    /// `reset`'s scratch: first-seen index to interval index.
+    rank: Vec<u32>,
 }
 
 impl HazardMap {
     /// Forgets all history and prepares for the accesses `[start, end)`
-    /// of `ranges` (empty ones are skipped, as the accesses skip them).
+    /// of `ranges`, which the forward pass then makes in this order
+    /// (empty ones are skipped, as the accesses skip them).
     fn reset(&mut self, ranges: impl Iterator<Item = (u64, u64)>) {
+        // Number the distinct boundaries in first-seen order, then sort
+        // only those: on the zoo a boundary recurs 10-33 times per core.
         self.cuts.clear();
+        self.at.clear();
+        self.first_seen.clear();
         for (start, end) in ranges.filter(|(start, end)| start < end) {
-            self.cuts.extend([start, end]);
+            for key in [start, end] {
+                let seen = self.cuts.len() as u32;
+                let cuts = &mut self.cuts;
+                let id = *self.first_seen.entry(key).or_insert_with(|| {
+                    cuts.push(key);
+                    seen
+                });
+                self.at.push(id);
+            }
         }
-        self.cuts.sort_unstable();
-        self.cuts.dedup();
-        let len = self.cuts.len().max(1);
-        self.run_starts.reset(len);
+        let len = u32::try_from(self.cuts.len().max(1)).expect("boundaries fit u32");
+        let mut sorted: Vec<(u64, u32)> = self.cuts.iter().copied().zip(0..).collect();
+        sorted.sort_unstable();
+        self.rank.clear();
+        self.rank.resize(sorted.len(), 0);
+        for (i, &(cut, id)) in sorted.iter().enumerate() {
+            self.cuts[i] = cut;
+            self.rank[id as usize] = i as u32;
+        }
+        for id in &mut self.at {
+            *id = self.rank[*id as usize];
+        }
+        self.cursor = 0;
+        self.run_starts.reset(len as usize);
         self.run_starts.insert(0);
-        self.writer.clear();
-        self.writer.resize(len, NIL);
-        self.readers.clear();
-        self.readers.resize(len, NIL);
+        let run = Run {
+            next: len,
+            writer: NIL,
+            readers: NIL,
+            reader: NIL,
+        };
+        self.runs.clear();
+        self.runs.resize(len as usize, run);
         self.cells.clear();
     }
 
@@ -357,21 +420,21 @@ impl HazardMap {
         let run = self.run_starts.prev(i).unwrap_or(0);
         if run != i {
             self.run_starts.insert(i);
-            self.writer[i] = self.writer[run];
-            self.readers[i] = self.readers[run];
+            self.runs[i] = self.runs[run];
+            self.runs[run].next = i as u32;
         }
     }
 
-    /// The run after the one starting at `run`. Inside an access the
-    /// access's end starts a run, so there always is one.
-    fn next_run(&self, run: usize) -> usize {
-        self.run_starts.next(run + 1).unwrap_or(usize::MAX)
-    }
-
-    /// The intervals of `[start, end)`, both ends made run starts. Both
-    /// are boundaries handed to [`reset`](Self::reset).
+    /// The intervals of the next access, `[start, end)`, both ends made
+    /// run starts.
     fn runs_of(&mut self, start: u64, end: u64) -> (usize, usize) {
-        let [first, last] = [start, end].map(|at| self.cuts.partition_point(|&c| c < at));
+        let [first, last] = [0, 1].map(|side| self.at[self.cursor + side] as usize);
+        self.cursor += 2;
+        debug_assert_eq!(
+            (self.cuts[first], self.cuts[last]),
+            (start, end),
+            "accesses come in the order `reset` saw them"
+        );
         self.split_at(first);
         self.split_at(last);
         (first, last)
@@ -383,18 +446,19 @@ impl HazardMap {
         if start >= end {
             return;
         }
-        let (mut run, last) = self.runs_of(start, end);
-        while run < last {
-            if self.writer[run] != NIL {
-                preds.push(self.writer[run]);
+        let (mut i, last) = self.runs_of(start, end);
+        while i < last {
+            let run = &mut self.runs[i];
+            if run.writer != NIL {
+                preds.push(run.writer);
             }
             // Both operands of one node may cover the same run.
-            let head = self.readers[run];
-            if head == NIL || self.cells[head as usize].0 != node {
-                self.readers[run] = u32::try_from(self.cells.len()).expect("reader cells fit u32");
-                self.cells.push((node, head));
+            if run.reader != node {
+                self.cells.push((node, run.readers));
+                run.readers = u32::try_from(self.cells.len() - 1).expect("reader cells fit u32");
+                run.reader = node;
             }
-            run = self.next_run(run);
+            i = run.next as usize;
         }
     }
 
@@ -407,12 +471,13 @@ impl HazardMap {
             return;
         }
         let (first, last) = self.runs_of(start, end);
-        let mut run = first;
-        while run < last {
-            let mut cell = self.readers[run];
-            if cell == NIL && self.writer[run] != NIL {
-                preds.push(self.writer[run]);
+        let mut i = first;
+        while i < last {
+            let run = self.runs[i];
+            if run.readers == NIL && run.writer != NIL {
+                preds.push(run.writer);
             }
+            let mut cell = run.readers;
             while cell != NIL {
                 let (reader, next) = self.cells[cell as usize];
                 // An in-place op reads what it overwrites; its read
@@ -422,13 +487,17 @@ impl HazardMap {
                 }
                 cell = next;
             }
-            if run != first {
-                self.run_starts.remove(run);
+            if i != first {
+                self.run_starts.remove(i);
             }
-            run = self.next_run(run);
+            i = run.next as usize;
         }
-        self.writer[first] = node;
-        self.readers[first] = NIL;
+        self.runs[first] = Run {
+            next: last as u32,
+            writer: node,
+            readers: NIL,
+            reader: NIL,
+        };
     }
 }
 
@@ -493,11 +562,12 @@ impl Dag {
     ///
     /// Per linear core it first resolves the trace into nodes, then
     /// prepares one `HazardMap` per address space from those nodes'
-    /// accesses, then runs the forward pass over them. Cost: a sort of
-    /// each core's access boundaries, and per access two boundary lookups
-    /// (binary searches) plus one `O(log64 n)` visit per run it touches,
-    /// for `n` nodes; the zoo's compiled programs' reads make 6-34 run
-    /// visits per node.
+    /// accesses, then runs the forward pass over them. Cost: one hash
+    /// lookup per access boundary and a sort of the distinct ones, then
+    /// per access two array reads and at most two `O(log64 n)` run
+    /// splits, plus one array read per run it touches, for `n` nodes. The
+    /// zoo's compiled programs' reads make 4-34 run visits per node (lenet
+    /// at a 48-pixel input: 32,561 accesses, 380,700 read visits).
     pub fn build(program: &Program, traces: &[Option<Vec<u32>>]) -> Dag {
         let mut nodes: Vec<DagNode> = Vec::new();
         let mut cores = Vec::with_capacity(program.cores.len());
@@ -603,10 +673,11 @@ impl Dag {
     }
 
     /// A topological order of the nodes over the stored and rendezvous
-    /// edges, or `None` when the graph has a cycle. The graph can only be
-    /// cyclic when a non-linear core kept the rendezvous deadlock check
-    /// from running; such programs wedge at runtime.
-    pub fn topological_order(&self) -> Option<Vec<u32>> {
+    /// edges, or `None` when the graph has a cycle: Kahn's algorithm over a
+    /// successor graph, the test oracle of pricing's walk over
+    /// predecessor lists (`bounds::schedule`).
+    #[cfg(test)]
+    pub(crate) fn topological_order(&self) -> Option<Vec<u32>> {
         let n = self.nodes.len();
         let incoming = |i: usize| {
             let preds = self.preds(i).iter().copied();
@@ -1190,11 +1261,6 @@ mod tests {
             ..ProptestConfig::default()
         })]
 
-        /// The forward pass against the all-pairs scan on random
-        /// programs mixing every hazard kind: the stored edges are a
-        /// covering subset of the oracle's, and the priced report —
-        /// bound, per-core terms, critical path with its tie-breaks — is
-        /// byte-identical from either graph.
         /// The bit tree against an ordered set, over inserts and removes
         /// spread across three levels (and a one-level tree).
         #[test]
@@ -1214,7 +1280,6 @@ mod tests {
                     tree.remove(at);
                     set.remove(&at);
                 }
-                prop_assert_eq!(tree.next(probe), set.range(probe..).next().copied());
                 prop_assert_eq!(tree.prev(probe), set.range(..=probe).next_back().copied());
             }
         }
@@ -1268,6 +1333,11 @@ mod tests {
             }
         }
 
+        /// The forward pass against the all-pairs scan on random
+        /// programs mixing every hazard kind: the stored edges are a
+        /// covering subset of the oracle's, and the priced report —
+        /// bound, per-core terms, critical path with its tie-breaks — is
+        /// byte-identical from either graph.
         #[test]
         fn stored_edges_cover_the_pairwise_hazards(
             steps in proptest::collection::vec(step_strategy(), 1usize..80usize)

@@ -39,12 +39,14 @@ pub enum SimError {
         /// Description of the mismatching pair.
         detail: String,
     },
-    /// A transfer addressed memory outside the receiving core's local
-    /// address space (e.g. a strided `RECV` whose destination goes
-    /// negative). Such accesses used to clamp to address 0 and silently
-    /// corrupt local memory.
+    /// A functional run addressed memory outside the configured local or
+    /// global memory: a strided `RECV` whose destination goes negative or
+    /// past the scratchpad, or a vector op, `MVM`, `GLOAD` or `GSTORE`
+    /// reaching past either capacity. Such accesses used to clamp to
+    /// address 0 and silently corrupt local memory, or to grow the
+    /// functional memory without bound.
     MemoryFault {
-        /// The core whose local memory was addressed.
+        /// The core that made the access.
         core: u16,
         /// Description of the out-of-range access.
         detail: String,

@@ -76,7 +76,9 @@ pub(crate) struct InFlight {
     /// Dense index of the `(sender, receiver, tag)` channel a `SEND` or
     /// `RECV` uses ([`NO_CHANNEL`] otherwise).
     pub(crate) chan: u32,
-    footprint: Footprint,
+    /// The memory it touches: what the hazard check orders it by, and
+    /// what a functional run bounds-checks before its payload.
+    pub(crate) footprint: Footprint,
     /// Ancestors among the 64 entries before this one: bit `k` is the
     /// entry `k + 1` places older. Farther ancestors are dropped, which
     /// only costs the scan a test.

@@ -256,6 +256,62 @@ fn recv_past_the_scratchpad_capacity_is_a_memory_fault() {
     );
 }
 
+/// Runs `text` functionally on `small_test` (65,536 local and 4,194,304
+/// global elements), expecting a memory fault on core 0 that names
+/// `capacity`; the same program still runs timing-only, where no payload
+/// touches memory.
+fn assert_faults_past(text: &str, capacity: &str) {
+    let arch = ArchConfig::small_test();
+    let err = run(&arch, text).expect_err("an access past the configured memory must fail");
+    let SimError::MemoryFault { core, detail } = &err else {
+        panic!("expected MemoryFault, got {err:?}");
+    };
+    assert_eq!(*core, 0);
+    assert!(detail.contains(capacity), "names the bound: {detail}");
+    if let Err(err) = run(&arch.with_functional(false), text) {
+        panic!("timing-only runs are unchanged, but this one failed: {err}");
+    }
+}
+
+#[test]
+fn vector_op_past_the_scratchpad_capacity_is_a_memory_fault() {
+    // The sum's last four elements land past the scratchpad, which the
+    // functional memory used to grow to hold.
+    assert_faults_past(
+        r#"
+            .core 0
+            li r1, 65532
+            vadd [r1+0], [r0+0], [r0+8], 8
+            halt
+        "#,
+        "65536-element local memory",
+    );
+}
+
+#[test]
+fn mvm_past_the_scratchpad_capacity_is_a_memory_fault() {
+    assert_faults_past(
+        r#"
+            .core 0
+            .group 0 in=16 out=16 xbars=0
+            li r1, 65530
+            mvm g0, [r1+0], [r0+0], 16
+            halt
+        "#,
+        "65536-element local memory",
+    );
+}
+
+#[test]
+fn global_accesses_past_global_memory_are_memory_faults() {
+    for access in ["gstore g[r1+0], [r0+0], 8", "gload [r0+0], g[r1+0], 8"] {
+        assert_faults_past(
+            &format!(".core 0\nli r1, 4194300\n{access}\nhalt\n"),
+            "4194304-element global memory",
+        );
+    }
+}
+
 #[test]
 fn in_range_strided_recv_still_interleaves() {
     // The fix must not touch valid strided receives (negative strides

@@ -1,6 +1,7 @@
 //! Differential property test for the static analyzer: random multi-core
 //! send/recv programs are generated from a global transfer order and then
-//! perturbed (instruction swaps, payload-length edits). Whenever
+//! perturbed (instruction swaps, payload-length edits; see
+//! `support/transfer_programs.rs`). Whenever
 //! `pimsim::analyze` certifies a program clean, the simulator must run it
 //! to completion — no `Deadlock`, no `TagMismatch`. The perturbations
 //! produce plenty of genuinely broken programs; those must be rejected
@@ -14,96 +15,10 @@ use pimsim::prelude::*;
 use pimsim::sim::SimError;
 use proptest::prelude::*;
 
-const CORES: usize = 3;
+#[path = "support/transfer_programs.rs"]
+mod transfer_programs;
 
-/// One transfer in the global order: sender, receiver, tag, payload words.
-#[derive(Debug, Clone)]
-struct Xfer {
-    from: usize,
-    to: usize,
-    tag: u8,
-    len: u8,
-}
-
-fn xfer_strategy() -> impl Strategy<Value = Xfer> {
-    (0..CORES, 1..CORES, 0u8..4, 1u8..=4).prop_map(|(from, hop, tag, len)| Xfer {
-        from,
-        to: (from + hop) % CORES,
-        tag,
-        len,
-    })
-}
-
-/// A perturbation applied after generation. Swaps reorder a core's
-/// instruction stream (possibly crossing send/recv orders between
-/// channels); `LenEdit` changes one receive's payload length.
-#[derive(Debug, Clone)]
-enum Tweak {
-    Swap { core: usize, at: usize },
-    LenEdit { event: usize, len: u8 },
-}
-
-fn tweak_strategy() -> impl Strategy<Value = Tweak> {
-    prop_oneof![
-        3 => (0..CORES, 0usize..16).prop_map(|(core, at)| Tweak::Swap { core, at }),
-        1 => (0usize..24, 1u8..=5).prop_map(|(event, len)| Tweak::LenEdit { event, len }),
-    ]
-}
-
-/// Builds the assembly text: each transfer appends a send to its sender
-/// and a recv to its receiver, in one global order (which is always
-/// deadlock-free), then the tweaks are applied to break it. Core
-/// `looped`, if any, ends in a backward branch that is never taken: it
-/// runs the same, but has no statically known order.
-fn build_program(xfers: &[Xfer], tweaks: &[Tweak], looped: Option<usize>) -> String {
-    let mut lines: Vec<Vec<String>> = vec![Vec::new(); CORES];
-    let mut recv_lens: Vec<u8> = xfers.iter().map(|x| x.len).collect();
-    for t in tweaks {
-        if let Tweak::LenEdit { event, len } = t {
-            if let Some(slot) = recv_lens.get_mut(event % xfers.len().max(1)) {
-                *slot = *len;
-            }
-        }
-    }
-    for (i, x) in xfers.iter().enumerate() {
-        lines[x.from].push(format!(
-            "send core{}, [r0+{}], {}, tag={}",
-            x.to,
-            1024 + i * 8,
-            x.len,
-            x.tag
-        ));
-        lines[x.to].push(format!(
-            "recv core{}, [r0+{}], {}, tag={}",
-            x.from,
-            i * 8,
-            recv_lens[i],
-            x.tag
-        ));
-    }
-    for t in tweaks {
-        if let Tweak::Swap { core, at } = t {
-            let stream = &mut lines[*core];
-            if stream.len() >= 2 {
-                let at = at % (stream.len() - 1);
-                stream.swap(at, at + 1);
-            }
-        }
-    }
-    let mut text = String::new();
-    for (core, stream) in lines.iter().enumerate() {
-        text.push_str(&format!(".core {core}\n"));
-        for line in stream {
-            text.push_str(line);
-            text.push('\n');
-        }
-        if looped == Some(core) {
-            text.push_str("bne r0, r0, 0\n");
-        }
-        text.push_str("halt\n");
-    }
-    text
-}
+use transfer_programs::{build_program, tweak_strategy, xfer_strategy, CORES};
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -117,7 +32,7 @@ proptest! {
         tweaks in proptest::collection::vec(tweak_strategy(), 0..5),
     ) {
         let arch = ArchConfig::small_test();
-        let text = build_program(&xfers, &tweaks, None);
+        let text = build_program(&xfers, &tweaks, None, false);
         let program = asm::assemble(&text).expect("generated assembly is well-formed");
         let analysis = analyze(&program, &arch);
         if analysis.has_errors() {
@@ -151,7 +66,7 @@ proptest! {
         tweaks in proptest::collection::vec(tweak_strategy(), 0..4),
     ) {
         let arch = ArchConfig::small_test();
-        let text = build_program(&xfers, &tweaks, None);
+        let text = build_program(&xfers, &tweaks, None, false);
         let program = asm::assemble(&text).expect("generated assembly is well-formed");
         let a = analyze(&program, &arch);
         let b = analyze(&program, &arch);
@@ -184,7 +99,7 @@ proptest! {
         use pimsim::prelude::bounds;
 
         let arch = ArchConfig::small_test();
-        let text = build_program(&xfers, &tweaks, None);
+        let text = build_program(&xfers, &tweaks, None, false);
         let program = asm::assemble(&text).expect("generated assembly is well-formed");
         if analyze(&program, &arch).has_errors() {
             // Rejected programs get the trivial zero bound; nothing to
@@ -224,7 +139,7 @@ proptest! {
         looped in prop_oneof![1 => Just(None), 1 => (0..CORES).prop_map(Some)],
     ) {
         let arch = ArchConfig::small_test();
-        let text = build_program(&xfers, &tweaks, looped);
+        let text = build_program(&xfers, &tweaks, looped, false);
         let program = asm::assemble(&text).map_err(|e| TestCaseError::fail(e.to_string()))?;
         let analysis = analyze(&program, &arch);
         if analysis.has_errors() {
