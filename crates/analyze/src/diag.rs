@@ -2,8 +2,8 @@
 //!
 //! Diagnostics are plain data — severity, kind, location (core + pc), the
 //! offending instruction's canonical assembly text, and a human-readable
-//! message — so they render the same way from the CLI (`pimsim check`),
-//! the `Simulator` pre-flight hook, and tests. Kinds serialize as their
+//! message — so they render the same way from the CLI (`pimsim check`)
+//! and tests. Kinds serialize as their
 //! kebab-case names (the same strings `Display` prints), keeping the JSON
 //! output grep-friendly.
 

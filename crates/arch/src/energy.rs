@@ -34,16 +34,6 @@ impl Energy {
         Energy(pj)
     }
 
-    /// Creates an energy from nanojoules.
-    pub fn from_nj(nj: f64) -> Energy {
-        Energy(nj * 1e3)
-    }
-
-    /// Creates an energy from microjoules.
-    pub fn from_uj(uj: f64) -> Energy {
-        Energy(uj * 1e6)
-    }
-
     /// This energy in picojoules.
     pub fn as_pj(self) -> f64 {
         self.0
@@ -142,9 +132,8 @@ mod tests {
 
     #[test]
     fn unit_conversions() {
-        let e = Energy::from_nj(1.0);
-        assert_eq!(e.as_pj(), 1e3);
-        assert_eq!(Energy::from_uj(1.0).as_nj(), 1e3);
+        assert_eq!(Energy::from_pj(1e3).as_nj(), 1.0);
+        assert_eq!(Energy::from_pj(1e6).as_nj(), 1e3);
         assert!((Energy::from_pj(1e12).as_j() - 1.0).abs() < 1e-12);
     }
 
@@ -175,6 +164,6 @@ mod tests {
     fn display_scales() {
         assert_eq!(format!("{}", Energy::from_pj(12.0)), "12.000 pJ");
         assert_eq!(format!("{}", Energy::from_pj(1500.0)), "1.500 nJ");
-        assert_eq!(format!("{}", Energy::from_uj(2.0)), "2.000 uJ");
+        assert_eq!(format!("{}", Energy::from_pj(2e6)), "2.000 uJ");
     }
 }

@@ -22,13 +22,6 @@ pub enum SimError {
         /// Human-readable description of stuck cores.
         detail: String,
     },
-    /// The opt-in pre-flight static analysis
-    /// ([`crate::Simulator::with_preflight`]) found provable defects —
-    /// the run was refused before the first event fired.
-    StaticAnalysis {
-        /// The analyzer's error-severity findings, one per line.
-        detail: String,
-    },
     /// The `sim.max_cycles` safety horizon was reached.
     Timeout {
         /// The horizon, in core cycles.
@@ -68,12 +61,6 @@ impl fmt::Display for SimError {
             SimError::Arch(e) => write!(f, "invalid architecture: {e}"),
             SimError::Deadlock { time, detail } => {
                 write!(f, "deadlock at {time}: {detail}")
-            }
-            SimError::StaticAnalysis { detail } => {
-                write!(
-                    f,
-                    "pre-flight static analysis rejected the program:\n{detail}"
-                )
             }
             SimError::Timeout { max_cycles } => {
                 write!(

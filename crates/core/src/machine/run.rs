@@ -31,31 +31,12 @@ static IDLE_CORE: CoreProgram = CoreProgram {
 #[derive(Debug, Clone, Copy)]
 pub struct Simulator<'a> {
     arch: &'a ArchConfig,
-    /// Set by [`Simulator::with_preflight`]: run the static analyzer
-    /// before the first event and refuse programs with provable defects.
-    preflight: bool,
 }
 
 impl<'a> Simulator<'a> {
     /// Creates a simulator over `arch`.
     pub fn new(arch: &'a ArchConfig) -> Self {
-        Simulator {
-            arch,
-            preflight: false,
-        }
-    }
-
-    /// Enables the pre-flight static check: before the first event fires,
-    /// the program is run through `pimsim-analyze` (control flow, register
-    /// dataflow, memory bounds, send/recv rendezvous) and refused with
-    /// [`SimError::StaticAnalysis`] if any *error*-severity diagnostic is
-    /// found — surfacing a guaranteed `Deadlock`/`TagMismatch` in
-    /// microseconds instead of after millions of simulated events.
-    /// Warnings never block a run. Off by default: simulation output is
-    /// byte-identical with and without the check.
-    pub fn with_preflight(mut self) -> Self {
-        self.preflight = true;
-        self
+        Simulator { arch }
     }
 
     /// Runs `program` to completion.
@@ -63,8 +44,6 @@ impl<'a> Simulator<'a> {
     /// # Errors
     ///
     /// * [`SimError::InvalidProgram`] / [`SimError::Arch`] for malformed inputs,
-    /// * [`SimError::StaticAnalysis`] when [`Simulator::with_preflight`]
-    ///   is on and the analyzer proves a defect,
     /// * [`SimError::Deadlock`] when transfers can never match,
     /// * [`SimError::Timeout`] at the `sim.max_cycles` horizon,
     /// * [`SimError::TagMismatch`] for inconsistent payload lengths.
@@ -77,22 +56,6 @@ impl<'a> Simulator<'a> {
             global_mem_elems: self.arch.resources.global_mem_elems(),
         };
         program.validate(&limits)?;
-
-        if self.preflight {
-            let analysis = pimsim_analyze::analyze(program, self.arch);
-            if analysis.has_errors() {
-                let errors: Vec<String> = analysis
-                    .diagnostics
-                    .iter()
-                    .filter(|d| d.severity == pimsim_analyze::Severity::Error)
-                    .map(|d| d.to_string())
-                    .collect();
-                return Err(SimError::StaticAnalysis {
-                    detail: errors.join("\n"),
-                });
-            }
-        }
-
         let machine = self.build_machine(program);
         self.execute(machine)
     }
@@ -117,7 +80,7 @@ impl<'a> Simulator<'a> {
             return Err(err);
         }
         match result {
-            RunResult::Horizon | RunResult::StepBudget => {
+            RunResult::Horizon => {
                 return Err(SimError::Timeout {
                     max_cycles: self.arch.sim.max_cycles,
                 })

@@ -415,7 +415,7 @@ fn deadlock_display_includes_time_and_detail() {
     assert!(text.contains("core0: stuck"), "detail rendered: {text}");
 }
 
-// ------------------------------------------------------ StaticAnalysis --
+// ------------------------------------------------------- Deadlock detail --
 
 #[test]
 fn deadlock_detail_names_unmatched_sites_and_suggests_check() {
@@ -449,66 +449,6 @@ fn deadlock_detail_names_unmatched_sites_and_suggests_check() {
         detail.contains("`pimsim check`"),
         "hints the tool: {detail}"
     );
-}
-
-#[test]
-fn preflight_refuses_a_statically_deadlocked_program() {
-    let arch = ArchConfig::small_test();
-    let text = r#"
-        .core 0
-        recv core1, [r0+0], 4, tag=9
-        halt
-        .core 1
-        halt
-    "#;
-    let program = asm::assemble(text).expect("assembles");
-    // Without pre-flight the defect surfaces as a runtime deadlock...
-    let err = Simulator::new(&arch).run(&program).unwrap_err();
-    assert!(matches!(err, SimError::Deadlock { .. }), "{err:?}");
-    // ...with pre-flight it is refused before the first event.
-    let err = Simulator::new(&arch)
-        .with_preflight()
-        .run(&program)
-        .unwrap_err();
-    let SimError::StaticAnalysis { detail } = &err else {
-        panic!("expected StaticAnalysis, got {err:?}");
-    };
-    assert!(detail.contains("unmatched-rendezvous"), "{detail}");
-    assert!(detail.contains("core0"), "{detail}");
-    assert!(err.source().is_none());
-    assert!(
-        err.to_string()
-            .starts_with("pre-flight static analysis rejected the program"),
-        "{err}"
-    );
-}
-
-#[test]
-fn preflight_passes_clean_programs_with_identical_output() {
-    let arch = ArchConfig::small_test();
-    let text = r#"
-        .core 0
-        li r1, 0
-        send core1, [r1+0], 8, tag=1
-        halt
-        .core 1
-        recv core0, [r0+0], 8, tag=1
-        halt
-    "#;
-    let program = asm::assemble(text).expect("assembles");
-    let plain = Simulator::new(&arch).run(&program).expect("clean");
-    let checked = Simulator::new(&arch)
-        .with_preflight()
-        .run(&program)
-        .expect("clean under preflight");
-    assert_eq!(plain.latency, checked.latency);
-    assert_eq!(plain.events, checked.events);
-    // Warnings (here: a dead write) do not block the run.
-    let warn = asm::assemble(".core 0\nli r1, 7\nhalt\n").unwrap();
-    Simulator::new(&arch)
-        .with_preflight()
-        .run(&warn)
-        .expect("warnings never refuse a run");
 }
 
 #[test]

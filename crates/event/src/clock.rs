@@ -48,11 +48,6 @@ impl Clock {
         Clock { period_ps: period }
     }
 
-    /// Creates a clock from a frequency in MHz.
-    pub fn from_mhz(mhz: f64) -> Self {
-        Clock::from_ghz(mhz / 1000.0)
-    }
-
     /// The clock period.
     pub fn period(&self) -> SimTime {
         SimTime::from_ps(self.period_ps)
@@ -72,17 +67,6 @@ impl Clock {
     pub fn time_to_cycles_ceil(&self, t: SimTime) -> u64 {
         t.as_ps().div_ceil(self.period_ps)
     }
-
-    /// The first clock edge at or after `t`.
-    pub fn edge_at_or_after(&self, t: SimTime) -> SimTime {
-        let c = t.as_ps().div_ceil(self.period_ps);
-        SimTime::from_ps(c * self.period_ps)
-    }
-
-    /// The cycle index containing `t` (edge at `t` belongs to that cycle).
-    pub fn cycle_index(&self, t: SimTime) -> u64 {
-        t.as_ps() / self.period_ps
-    }
 }
 
 impl fmt::Display for Clock {
@@ -99,7 +83,6 @@ mod tests {
     fn ghz_to_period() {
         assert_eq!(Clock::from_ghz(1.0).period(), SimTime::from_ps(1000));
         assert_eq!(Clock::from_ghz(2.0).period(), SimTime::from_ps(500));
-        assert_eq!(Clock::from_mhz(500.0).period(), SimTime::from_ps(2000));
     }
 
     #[test]
@@ -116,21 +99,6 @@ mod tests {
         assert_eq!(clk.time_to_cycles_ceil(SimTime::from_ps(1)), 1);
         assert_eq!(clk.time_to_cycles_ceil(SimTime::from_ps(1001)), 2);
         assert_eq!(clk.time_to_cycles_ceil(SimTime::ZERO), 0);
-    }
-
-    #[test]
-    fn edges_align() {
-        let clk = Clock::from_period_ps(400);
-        assert_eq!(clk.edge_at_or_after(SimTime::from_ps(0)), SimTime::ZERO);
-        assert_eq!(
-            clk.edge_at_or_after(SimTime::from_ps(399)),
-            SimTime::from_ps(400)
-        );
-        assert_eq!(
-            clk.edge_at_or_after(SimTime::from_ps(400)),
-            SimTime::from_ps(400)
-        );
-        assert_eq!(clk.cycle_index(SimTime::from_ps(799)), 1);
     }
 
     #[test]

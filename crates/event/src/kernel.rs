@@ -136,12 +136,6 @@ impl<E> EventCtx<E> {
         self.buffered.push((at, ev));
     }
 
-    /// Schedules `ev` at the current time, after all other events already
-    /// buffered for this instant (deterministic FIFO).
-    pub fn schedule_now(&mut self, ev: E) {
-        self.buffered.push((self.now, ev));
-    }
-
     /// Requests that the kernel stop after the current event completes.
     pub fn stop(&mut self) {
         self.stop = true;
@@ -153,10 +147,6 @@ impl<E> EventCtx<E> {
 pub struct KernelStats {
     /// Events dispatched.
     pub executed: u64,
-    /// Events scheduled (including those not yet dispatched).
-    pub scheduled: u64,
-    /// High-water mark of the pending-event queue.
-    pub max_queue_depth: usize,
 }
 
 /// Why a run loop returned.
@@ -168,8 +158,6 @@ pub enum RunResult {
     Stopped,
     /// `run_until` reached its horizon with events still pending.
     Horizon,
-    /// `run_steps` executed its step budget with events still pending.
-    StepBudget,
 }
 
 /// A deterministic discrete-event simulation kernel that owns a simulated
@@ -241,17 +229,12 @@ impl<W: World> Kernel<W> {
         &self.world
     }
 
-    /// Exclusive access to the world state (e.g. to pre-load memories).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consumes the kernel, returning the final world state.
     pub fn into_world(self) -> W {
         self.world
     }
 
-    /// Counters for executed/scheduled events and queue depth.
+    /// Counters of what the kernel has done.
     pub fn stats(&self) -> KernelStats {
         self.stats
     }
@@ -269,9 +252,7 @@ impl<W: World> Kernel<W> {
     fn push(&mut self, time: SimTime, ev: W::Event) {
         let seq = self.seq;
         self.seq += 1;
-        self.stats.scheduled += 1;
         self.queue.push(Scheduled::new(time, seq, ev));
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
     }
 
     /// Schedules `ev` at absolute time `at`.
@@ -333,7 +314,6 @@ impl<W: World> Kernel<W> {
         if let Some((t, e)) = follow_ups.next() {
             *top = Scheduled::new(t, self.seq, e);
             self.seq += 1;
-            self.stats.scheduled += 1;
             drop(top);
         } else {
             PeekMut::pop(top);
@@ -384,31 +364,8 @@ impl<W: World> Kernel<W> {
         }
     }
 
-    /// Runs at most `max_steps` events.
-    pub fn run_steps(&mut self, max_steps: u64) -> RunResult {
-        for _ in 0..max_steps {
-            if !self.step() {
-                return RunResult::Exhausted;
-            }
-            if self.take_stop() {
-                return RunResult::Stopped;
-            }
-        }
-        if self.queue.is_empty() {
-            RunResult::Exhausted
-        } else {
-            RunResult::StepBudget
-        }
-    }
-
     fn take_stop(&mut self) -> bool {
         std::mem::take(&mut self.stop_requested)
-    }
-
-    /// `true` if the last executed event requested a stop that has not yet
-    /// been consumed by a run loop.
-    pub fn stop_pending(&self) -> bool {
-        self.stop_requested
     }
 }
 
@@ -469,7 +426,7 @@ mod tests {
                 }
                 ChainEv::Second => {
                     self.0 += 10;
-                    ctx.schedule_now(ChainEv::Third);
+                    ctx.schedule_in(SimTime::ZERO, ChainEv::Third);
                 }
                 ChainEv::Third => self.0 += 100,
             }
@@ -529,18 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn run_steps_respects_budget() {
-        let mut k = Kernel::new(Log::default());
-        for i in 0..10u64 {
-            k.schedule_at(SimTime::from_ns(i + 1), i as u32);
-        }
-        assert_eq!(k.run_steps(4), RunResult::StepBudget);
-        assert_eq!(k.world().0.len(), 4);
-        assert_eq!(k.run_steps(100), RunResult::Exhausted);
-        assert_eq!(k.world().0.len(), 10);
-    }
-
-    #[test]
     fn stats_track_activity() {
         let mut k = Kernel::new(Chained::default());
         k.schedule_at(SimTime::from_ns(1), ChainEv::First);
@@ -548,8 +493,6 @@ mod tests {
         k.run();
         let s = k.stats();
         assert_eq!(s.executed, 4);
-        assert_eq!(s.scheduled, 4);
-        assert!(s.max_queue_depth >= 2);
     }
 
     /// Schedules an event in the past from inside a handler.

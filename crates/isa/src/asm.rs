@@ -10,6 +10,12 @@
 //!   in=N out=M xbars=0,1,2` (define a crossbar group), `.init START
 //!   v0,v1,...` (preload local memory).
 //!
+//! Each op mnemonic is written once, in `instr.rs`: an op enum's
+//! `mnemonic()` (what `Display` prints) beside its `ALL` table, which the
+//! parser searches (for example [`VBinOp::ALL`] for `vadd`). Operands are
+//! separated by commas, and an empty operand (`add r1,, r2` or a trailing
+//! comma) is an error naming the mnemonic and the operand's position.
+//!
 //! ```rust
 //! use pimsim_isa::asm;
 //!
@@ -43,13 +49,6 @@ use crate::instr::{
 use crate::program::{CoreProgram, Program, ProgramMeta};
 use crate::reg::Reg;
 
-/// A branch/jump target that may still be symbolic.
-#[derive(Debug, Clone)]
-enum Target {
-    Absolute(u32),
-    Label(String),
-}
-
 fn perr(line: usize, msg: impl Into<String>) -> IsaError {
     IsaError::Parse {
         line,
@@ -57,179 +56,150 @@ fn perr(line: usize, msg: impl Into<String>) -> IsaError {
     }
 }
 
-/// Splits an operand list on top-level commas (no nesting in this syntax).
-fn split_operands(rest: &str) -> Vec<String> {
-    rest.split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect()
-}
-
+/// One instruction's comma-separated operands, taken in order.
 struct Operands<'a> {
-    items: Vec<String>,
-    next: usize,
+    items: std::str::Split<'a, char>,
+    taken: usize,
     line: usize,
     mnemonic: &'a str,
+    /// The label a branch target named, for [`assemble`] to patch.
+    label: Option<&'a str>,
 }
 
 impl<'a> Operands<'a> {
-    fn new(mnemonic: &'a str, rest: &str, line: usize) -> Self {
-        Operands {
-            items: split_operands(rest),
-            next: 0,
+    /// Splits `rest` on commas (no nesting in this syntax); an empty
+    /// operand is an error.
+    fn new(mnemonic: &'a str, rest: &'a str, line: usize) -> Result<Self, IsaError> {
+        let mut items = rest.split(',');
+        if rest.is_empty() {
+            items.next(); // no operands at all
+        }
+        if let Some(i) = items.clone().position(|s| s.trim().is_empty()) {
+            let msg = format!("`{mnemonic}` operand {} is empty", i + 1);
+            return Err(perr(line, msg));
+        }
+        Ok(Operands {
+            items,
+            taken: 0,
             line,
             mnemonic,
-        }
-    }
-
-    fn take(&mut self) -> Result<String, IsaError> {
-        let item = self.items.get(self.next).cloned().ok_or_else(|| {
-            perr(
-                self.line,
-                format!("`{}` is missing operand {}", self.mnemonic, self.next + 1),
-            )
-        })?;
-        self.next += 1;
-        Ok(item)
-    }
-
-    fn finish(self) -> Result<(), IsaError> {
-        if self.next != self.items.len() {
-            return Err(perr(
-                self.line,
-                format!(
-                    "`{}` has {} extra operand(s)",
-                    self.mnemonic,
-                    self.items.len() - self.next
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    fn reg(&mut self) -> Result<Reg, IsaError> {
-        let line = self.line;
-        let tok = self.take()?;
-        tok.parse()
-            .map_err(|_| perr(line, format!("expected register, got `{tok}`")))
-    }
-
-    fn int(&mut self) -> Result<i64, IsaError> {
-        let line = self.line;
-        let tok = self.take()?;
-        parse_int(&tok).ok_or_else(|| perr(line, format!("expected integer, got `{tok}`")))
-    }
-
-    fn u32(&mut self) -> Result<u32, IsaError> {
-        let line = self.line;
-        let v = self.int()?;
-        u32::try_from(v).map_err(|_| perr(line, format!("expected unsigned value, got {v}")))
-    }
-
-    fn i32(&mut self) -> Result<i32, IsaError> {
-        let line = self.line;
-        let v = self.int()?;
-        i32::try_from(v).map_err(|_| perr(line, format!("immediate {v} does not fit 32 bits")))
-    }
-
-    fn addr(&mut self) -> Result<Addr, IsaError> {
-        let line = self.line;
-        let tok = self.take()?;
-        parse_addr(&tok, false)
-            .ok_or_else(|| perr(line, format!("expected address like [r1+8], got `{tok}`")))
-    }
-
-    fn gaddr(&mut self) -> Result<Addr, IsaError> {
-        let line = self.line;
-        let tok = self.take()?;
-        parse_addr(&tok, true).ok_or_else(|| {
-            perr(
-                line,
-                format!("expected global address like g[r1+8], got `{tok}`"),
-            )
+            label: None,
         })
     }
 
-    fn core(&mut self) -> Result<CoreId, IsaError> {
-        let line = self.line;
+    fn take(&mut self) -> Result<&'a str, IsaError> {
+        let item = self.items.next().ok_or_else(|| {
+            perr(
+                self.line,
+                format!("`{}` is missing operand {}", self.mnemonic, self.taken + 1),
+            )
+        })?;
+        self.taken += 1;
+        Ok(item.trim())
+    }
+
+    /// Checks that every operand was taken; returns the label a branch
+    /// target named, if any.
+    fn finish(self) -> Result<Option<&'a str>, IsaError> {
+        match self.items.count() {
+            0 => Ok(self.label),
+            extra => Err(perr(
+                self.line,
+                format!("`{}` has {extra} extra operand(s)", self.mnemonic),
+            )),
+        }
+    }
+
+    /// Takes the next operand and parses it with `parse`, or reports
+    /// "expected {expected}, got `{token}`".
+    fn parsed<T>(
+        &mut self,
+        parse: impl FnOnce(&str) -> Option<T>,
+        expected: &str,
+    ) -> Result<T, IsaError> {
         let tok = self.take()?;
-        let digits = tok.strip_prefix("core").unwrap_or(&tok);
-        let id: u16 = digits
-            .parse()
-            .map_err(|_| perr(line, format!("expected core id, got `{tok}`")))?;
-        Ok(CoreId(id))
+        parse(tok).ok_or_else(|| perr(self.line, format!("expected {expected}, got `{tok}`")))
+    }
+
+    fn reg(&mut self) -> Result<Reg, IsaError> {
+        self.parsed(|t| t.parse().ok(), "register")
+    }
+
+    fn u32(&mut self) -> Result<u32, IsaError> {
+        let v = self.parsed(parse_int, "integer")?;
+        u32::try_from(v).map_err(|_| perr(self.line, format!("expected unsigned value, got {v}")))
+    }
+
+    fn i32(&mut self) -> Result<i32, IsaError> {
+        let v = self.parsed(parse_int, "integer")?;
+        i32::try_from(v).map_err(|_| perr(self.line, format!("immediate {v} does not fit 32 bits")))
+    }
+
+    fn addr(&mut self) -> Result<Addr, IsaError> {
+        self.parsed(|t| parse_addr(t, false), "address like [r1+8]")
+    }
+
+    fn gaddr(&mut self) -> Result<Addr, IsaError> {
+        self.parsed(|t| parse_addr(t, true), "global address like g[r1+8]")
+    }
+
+    fn core(&mut self) -> Result<CoreId, IsaError> {
+        let id = |t: &str| t.strip_prefix("core").unwrap_or(t).parse().ok();
+        Ok(CoreId(self.parsed(id, "core id")?))
     }
 
     fn group(&mut self) -> Result<GroupId, IsaError> {
-        let line = self.line;
-        let tok = self.take()?;
-        let digits = tok
-            .strip_prefix('g')
-            .ok_or_else(|| perr(line, format!("expected group like g3, got `{tok}`")))?;
-        let id: u16 = digits
-            .parse()
-            .map_err(|_| perr(line, format!("expected group like g3, got `{tok}`")))?;
-        Ok(GroupId(id))
+        let id = |t: &str| t.strip_prefix('g')?.parse().ok();
+        Ok(GroupId(self.parsed(id, "group like g3")?))
     }
 
     /// Parses `key=value` returning the integer value.
     fn kv_int(&mut self, key: &str) -> Result<i64, IsaError> {
-        let line = self.line;
         let tok = self.take()?;
         let val = tok
             .strip_prefix(key)
             .and_then(|r| r.strip_prefix('='))
-            .ok_or_else(|| perr(line, format!("expected `{key}=<value>`, got `{tok}`")))?;
-        parse_int(val).ok_or_else(|| perr(line, format!("bad integer in `{tok}`")))
+            .ok_or_else(|| perr(self.line, format!("expected `{key}=<value>`, got `{tok}`")))?;
+        parse_int(val).ok_or_else(|| perr(self.line, format!("bad integer in `{tok}`")))
     }
 
     fn kv_u32(&mut self, key: &str) -> Result<u32, IsaError> {
-        let line = self.line;
         let v = self.kv_int(key)?;
-        u32::try_from(v).map_err(|_| perr(line, format!("`{key}` must be unsigned, got {v}")))
+        u32::try_from(v).map_err(|_| perr(self.line, format!("`{key}` must be unsigned, got {v}")))
     }
 
     fn kv_i32(&mut self, key: &str) -> Result<i32, IsaError> {
-        let line = self.line;
         let v = self.kv_int(key)?;
-        i32::try_from(v).map_err(|_| perr(line, format!("`{key}` value {v} does not fit")))
+        i32::try_from(v).map_err(|_| perr(self.line, format!("`{key}` value {v} does not fit")))
     }
 
     fn kv_u16(&mut self, key: &str) -> Result<u16, IsaError> {
-        let line = self.line;
         let v = self.kv_int(key)?;
-        u16::try_from(v).map_err(|_| perr(line, format!("`{key}` value {v} does not fit u16")))
+        u16::try_from(v).map_err(|_| perr(self.line, format!("`{key}` value {v} does not fit u16")))
     }
 
     /// Parses `win=WxH`.
     fn kv_window(&mut self) -> Result<(u32, u32), IsaError> {
-        let line = self.line;
         let tok = self.take()?;
-        let val = tok
+        let (w, h) = tok
             .strip_prefix("win=")
-            .ok_or_else(|| perr(line, format!("expected `win=WxH`, got `{tok}`")))?;
-        let (w, h) = val
-            .split_once('x')
-            .ok_or_else(|| perr(line, format!("expected `win=WxH`, got `{tok}`")))?;
-        let w: u32 = w
-            .parse()
-            .map_err(|_| perr(line, format!("bad window `{tok}`")))?;
-        let h: u32 = h
-            .parse()
-            .map_err(|_| perr(line, format!("bad window `{tok}`")))?;
-        Ok((w, h))
+            .and_then(|v| v.split_once('x'))
+            .ok_or_else(|| perr(self.line, format!("expected `win=WxH`, got `{tok}`")))?;
+        let bad = || perr(self.line, format!("bad window `{tok}`"));
+        Ok((w.parse().map_err(|_| bad())?, h.parse().map_err(|_| bad())?))
     }
 
-    /// Parses a branch target: a number or a label name.
-    fn target(&mut self) -> Result<Target, IsaError> {
+    /// Parses a branch target: a number, or a label name that reads as
+    /// target 0 until [`assemble`] patches it.
+    fn target(&mut self) -> Result<u32, IsaError> {
         let tok = self.take()?;
-        if let Some(v) = parse_int(&tok) {
-            let line = self.line;
-            let t = u32::try_from(v)
-                .map_err(|_| perr(line, format!("branch target {v} out of range")))?;
-            Ok(Target::Absolute(t))
-        } else {
-            Ok(Target::Label(tok))
+        match parse_int(tok) {
+            Some(v) => u32::try_from(v)
+                .map_err(|_| perr(self.line, format!("branch target {v} out of range"))),
+            None => {
+                self.label = Some(tok);
+                Ok(0)
+            }
         }
     }
 }
@@ -270,112 +240,33 @@ fn parse_addr(tok: &str, global: bool) -> Option<Addr> {
 ///
 /// Returns [`IsaError::Parse`] describing the first problem found.
 pub fn parse_instruction(text: &str) -> Result<Instruction, IsaError> {
-    let (instr, _) = parse_instruction_inner(text, 0)?;
-    match instr {
-        Parsed::Instr(i) => Ok(i),
-        Parsed::NeedsLabel(_, _) => Err(perr(
+    match parse_line(text, 0)? {
+        (instr, None) => Ok(instr),
+        (_, Some(_)) => Err(perr(
             0,
             "label targets are only supported inside full programs",
         )),
     }
 }
 
-enum Parsed {
-    Instr(Instruction),
-    /// Branch awaiting label resolution: (builder, label).
-    NeedsLabel(Box<dyn FnOnce(u32) -> Instruction>, String),
+/// The op of `mnemonic` in an op enum's `ALL` table.
+fn lookup<T: Copy>(all: &[T], name: fn(T) -> &'static str, mnemonic: &str) -> Option<T> {
+    all.iter().copied().find(|&op| name(op) == mnemonic)
 }
 
-fn parse_instruction_inner(text: &str, line: usize) -> Result<(Parsed, ()), IsaError> {
+/// Parses one instruction, returning beside it the label its branch
+/// target names (the target then reads 0).
+fn parse_line(text: &str, line: usize) -> Result<(Instruction, Option<&str>), IsaError> {
     let text = text.trim();
-    let (mnemonic, rest) = match text.split_once(char::is_whitespace) {
-        Some((m, r)) => (m, r),
-        None => (text, ""),
-    };
-    let mut ops = Operands::new(mnemonic, rest, line);
+    let (mnemonic, rest) = text.split_once(char::is_whitespace).unwrap_or((text, ""));
+    let mut ops = Operands::new(mnemonic, rest, line)?;
     use Instruction::*;
     let instr = match mnemonic {
         "nop" => Nop,
         "halt" => Halt,
-        "jmp" => match ops.target()? {
-            Target::Absolute(t) => Jump { target: t },
-            Target::Label(l) => {
-                ops.finish()?;
-                return Ok((
-                    Parsed::NeedsLabel(Box::new(move |t| Jump { target: t }), l),
-                    (),
-                ));
-            }
+        "jmp" => Jump {
+            target: ops.target()?,
         },
-        "beq" | "bne" | "blt" | "bge" => {
-            let cond = match mnemonic {
-                "beq" => BranchCond::Eq,
-                "bne" => BranchCond::Ne,
-                "blt" => BranchCond::Lt,
-                _ => BranchCond::Ge,
-            };
-            let rs1 = ops.reg()?;
-            let rs2 = ops.reg()?;
-            match ops.target()? {
-                Target::Absolute(t) => Branch {
-                    cond,
-                    rs1,
-                    rs2,
-                    target: t,
-                },
-                Target::Label(l) => {
-                    ops.finish()?;
-                    return Ok((
-                        Parsed::NeedsLabel(
-                            Box::new(move |t| Branch {
-                                cond,
-                                rs1,
-                                rs2,
-                                target: t,
-                            }),
-                            l,
-                        ),
-                        (),
-                    ));
-                }
-            }
-        }
-        "add" | "sub" | "mul" | "and" | "or" | "xor" | "slt" | "sll" | "srl" => {
-            let op = match mnemonic {
-                "add" => SBinOp::Add,
-                "sub" => SBinOp::Sub,
-                "mul" => SBinOp::Mul,
-                "and" => SBinOp::And,
-                "or" => SBinOp::Or,
-                "xor" => SBinOp::Xor,
-                "slt" => SBinOp::Slt,
-                "sll" => SBinOp::Sll,
-                _ => SBinOp::Srl,
-            };
-            SBin {
-                op,
-                rd: ops.reg()?,
-                rs1: ops.reg()?,
-                rs2: ops.reg()?,
-            }
-        }
-        "addi" | "muli" | "slli" | "srli" | "andi" | "ori" | "slti" => {
-            let op = match mnemonic {
-                "addi" => SImmOp::Add,
-                "muli" => SImmOp::Mul,
-                "slli" => SImmOp::Sll,
-                "srli" => SImmOp::Srl,
-                "andi" => SImmOp::And,
-                "ori" => SImmOp::Or,
-                _ => SImmOp::Slt,
-            };
-            SImm {
-                op,
-                rd: ops.reg()?,
-                rs1: ops.reg()?,
-                imm: ops.i32()?,
-            }
-        }
         "li" => SImm {
             op: SImmOp::Add,
             rd: ops.reg()?,
@@ -388,52 +279,6 @@ fn parse_instruction_inner(text: &str, line: usize) -> Result<(Parsed, ()), IsaE
             src: ops.addr()?,
             len: ops.u32()?,
         },
-        "vadd" | "vsub" | "vmul" | "vmax" | "vmin" => {
-            let op = match mnemonic {
-                "vadd" => VBinOp::Add,
-                "vsub" => VBinOp::Sub,
-                "vmul" => VBinOp::Mul,
-                "vmax" => VBinOp::Max,
-                _ => VBinOp::Min,
-            };
-            VBin {
-                op,
-                dst: ops.addr()?,
-                a: ops.addr()?,
-                b: ops.addr()?,
-                len: ops.u32()?,
-            }
-        }
-        "vaddi" | "vmuli" | "vsrai" => {
-            let op = match mnemonic {
-                "vaddi" => VImmOp::Add,
-                "vmuli" => VImmOp::Mul,
-                _ => VImmOp::Sra,
-            };
-            VImm {
-                op,
-                dst: ops.addr()?,
-                src: ops.addr()?,
-                imm: ops.i32()?,
-                len: ops.u32()?,
-            }
-        }
-        "vrelu" | "vsigmoid" | "vtanh" | "vcopy" | "vneg" | "vabs" => {
-            let op = match mnemonic {
-                "vrelu" => VUnOp::Relu,
-                "vsigmoid" => VUnOp::Sigmoid,
-                "vtanh" => VUnOp::Tanh,
-                "vcopy" => VUnOp::Copy,
-                "vneg" => VUnOp::Neg,
-                _ => VUnOp::Abs,
-            };
-            VUn {
-                op,
-                dst: ops.addr()?,
-                src: ops.addr()?,
-                len: ops.u32()?,
-            }
-        }
         "vfill" => VFill {
             dst: ops.addr()?,
             value: ops.i32()?,
@@ -447,27 +292,6 @@ fn parse_instruction_inner(text: &str, line: usize) -> Result<(Parsed, ()), IsaE
             src_stride: ops.kv_i32("sstride")?,
             dst_stride: ops.kv_i32("dstride")?,
         },
-        "vpool.max" | "vpool.avg" => {
-            let op = if mnemonic == "vpool.max" {
-                PoolOp::Max
-            } else {
-                PoolOp::Avg
-            };
-            let dst = ops.addr()?;
-            let src = ops.addr()?;
-            let channels = ops.kv_u32("ch")?;
-            let (win_w, win_h) = ops.kv_window()?;
-            let row_stride = ops.kv_i32("rstride")?;
-            VPool {
-                op,
-                dst,
-                src,
-                channels,
-                win_w,
-                win_h,
-                row_stride,
-            }
-        }
         "send" => Send {
             peer: ops.core()?,
             src: ops.addr()?,
@@ -498,10 +322,69 @@ fn parse_instruction_inner(text: &str, line: usize) -> Result<(Parsed, ()), IsaE
             src: ops.addr()?,
             len: ops.u32()?,
         },
-        other => return Err(perr(line, format!("unknown mnemonic `{other}`"))),
+        m => {
+            if let Some(cond) = lookup(&BranchCond::ALL, BranchCond::mnemonic, m) {
+                Branch {
+                    cond,
+                    rs1: ops.reg()?,
+                    rs2: ops.reg()?,
+                    target: ops.target()?,
+                }
+            } else if let Some(op) = lookup(&SBinOp::ALL, SBinOp::mnemonic, m) {
+                SBin {
+                    op,
+                    rd: ops.reg()?,
+                    rs1: ops.reg()?,
+                    rs2: ops.reg()?,
+                }
+            } else if let Some(op) = lookup(&SImmOp::ALL, SImmOp::mnemonic, m) {
+                SImm {
+                    op,
+                    rd: ops.reg()?,
+                    rs1: ops.reg()?,
+                    imm: ops.i32()?,
+                }
+            } else if let Some(op) = lookup(&VBinOp::ALL, VBinOp::mnemonic, m) {
+                VBin {
+                    op,
+                    dst: ops.addr()?,
+                    a: ops.addr()?,
+                    b: ops.addr()?,
+                    len: ops.u32()?,
+                }
+            } else if let Some(op) = lookup(&VImmOp::ALL, VImmOp::mnemonic, m) {
+                VImm {
+                    op,
+                    dst: ops.addr()?,
+                    src: ops.addr()?,
+                    imm: ops.i32()?,
+                    len: ops.u32()?,
+                }
+            } else if let Some(op) = lookup(&VUnOp::ALL, VUnOp::mnemonic, m) {
+                VUn {
+                    op,
+                    dst: ops.addr()?,
+                    src: ops.addr()?,
+                    len: ops.u32()?,
+                }
+            } else if let Some(op) = lookup(&PoolOp::ALL, PoolOp::mnemonic, m) {
+                let (dst, src, channels) = (ops.addr()?, ops.addr()?, ops.kv_u32("ch")?);
+                let (win_w, win_h) = ops.kv_window()?;
+                VPool {
+                    op,
+                    dst,
+                    src,
+                    channels,
+                    win_w,
+                    win_h,
+                    row_stride: ops.kv_i32("rstride")?,
+                }
+            } else {
+                return Err(perr(line, format!("unknown mnemonic `{m}`")));
+            }
+        }
     };
-    ops.finish()?;
-    Ok((Parsed::Instr(instr), ()))
+    Ok((instr, ops.finish()?))
 }
 
 /// Assembles a full multi-core program.
@@ -511,15 +394,14 @@ fn parse_instruction_inner(text: &str, line: usize) -> Result<(Parsed, ()), IsaE
 /// Returns [`IsaError::Parse`] with a 1-based line number on the first
 /// syntax problem, or an undefined-label error at the end of assembly.
 pub fn assemble(text: &str) -> Result<Program, IsaError> {
-    /// A forward-reference patch: `(instruction slot, patcher, label, line)`.
-    type Fixup = (usize, Box<dyn FnOnce(u32) -> Instruction>, String, usize);
     #[derive(Default)]
-    struct CoreBuild {
+    struct CoreBuild<'a> {
         instrs: Vec<Instruction>,
         groups: Vec<GroupConfig>,
         local_init: Vec<(u32, Vec<i32>)>,
         labels: BTreeMap<String, u32>,
-        fixups: Vec<Fixup>,
+        /// `(instruction slot, label, line)` of each label target.
+        fixups: Vec<(usize, &'a str, usize)>,
     }
 
     let mut cores: BTreeMap<u16, CoreBuild> = BTreeMap::new();
@@ -619,17 +501,14 @@ pub fn assemble(text: &str) -> Result<Program, IsaError> {
             continue;
         }
 
-        match parse_instruction_inner(line, lineno)? {
-            (Parsed::Instr(i), ()) => core.instrs.push(i),
-            (Parsed::NeedsLabel(build, label), ()) => {
-                let at = core.instrs.len();
-                core.instrs.push(Instruction::Nop); // placeholder
-                core.fixups.push((at, build, label, lineno));
-            }
+        let (instr, label) = parse_line(line, lineno)?;
+        if let Some(label) = label {
+            core.fixups.push((core.instrs.len(), label, lineno));
         }
+        core.instrs.push(instr);
     }
 
-    // Resolve label fixups and build the program.
+    // Patch label targets and build the program.
     let max_core = cores
         .keys()
         .next_back()
@@ -649,11 +528,15 @@ pub fn assemble(text: &str) -> Result<Program, IsaError> {
             labels,
             fixups,
         } = build;
-        for (at, make, label, lineno) in fixups {
-            let target = *labels
-                .get(&label)
+        for (at, label, lineno) in fixups {
+            let pc = *labels
+                .get(label)
                 .ok_or_else(|| perr(lineno, format!("undefined label `{label}`")))?;
-            instrs[at] = make(target);
+            if let Instruction::Jump { target } | Instruction::Branch { target, .. } =
+                &mut instrs[at]
+            {
+                *target = pc;
+            }
         }
         program.cores[cid as usize] = CoreProgram {
             instrs,
@@ -725,7 +608,449 @@ pub fn disassemble(program: &Program) -> String {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/instructions.rs"]
+mod instructions;
+
+/// The parser as it stood before each op mnemonic moved into its enum's
+/// `ALL` table: a `match` per op family, and boxed label builders beside
+/// the numeric path. The differential tests hold [`parse_line`] to it.
+#[cfg(test)]
+mod oracle {
+    use super::{parse_addr, parse_int, perr};
+    use crate::error::IsaError;
+    use crate::instr::{
+        Addr, BranchCond, CoreId, GroupId, Instruction, PoolOp, SBinOp, SImmOp, VBinOp, VImmOp,
+        VUnOp,
+    };
+    use crate::reg::Reg;
+
+    /// A branch/jump target that may still be symbolic.
+    #[derive(Debug, Clone)]
+    enum Target {
+        Absolute(u32),
+        Label(String),
+    }
+
+    /// Splits an operand list on top-level commas (no nesting in this syntax).
+    fn split_operands(rest: &str) -> Vec<String> {
+        rest.split(',')
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .collect()
+    }
+
+    struct Operands<'a> {
+        items: Vec<String>,
+        next: usize,
+        line: usize,
+        mnemonic: &'a str,
+    }
+
+    impl<'a> Operands<'a> {
+        fn new(mnemonic: &'a str, rest: &str, line: usize) -> Self {
+            Operands {
+                items: split_operands(rest),
+                next: 0,
+                line,
+                mnemonic,
+            }
+        }
+
+        fn take(&mut self) -> Result<String, IsaError> {
+            let item = self.items.get(self.next).cloned().ok_or_else(|| {
+                perr(
+                    self.line,
+                    format!("`{}` is missing operand {}", self.mnemonic, self.next + 1),
+                )
+            })?;
+            self.next += 1;
+            Ok(item)
+        }
+
+        fn finish(self) -> Result<(), IsaError> {
+            if self.next != self.items.len() {
+                return Err(perr(
+                    self.line,
+                    format!(
+                        "`{}` has {} extra operand(s)",
+                        self.mnemonic,
+                        self.items.len() - self.next
+                    ),
+                ));
+            }
+            Ok(())
+        }
+
+        fn reg(&mut self) -> Result<Reg, IsaError> {
+            let line = self.line;
+            let tok = self.take()?;
+            tok.parse()
+                .map_err(|_| perr(line, format!("expected register, got `{tok}`")))
+        }
+
+        fn int(&mut self) -> Result<i64, IsaError> {
+            let line = self.line;
+            let tok = self.take()?;
+            parse_int(&tok).ok_or_else(|| perr(line, format!("expected integer, got `{tok}`")))
+        }
+
+        fn u32(&mut self) -> Result<u32, IsaError> {
+            let line = self.line;
+            let v = self.int()?;
+            u32::try_from(v).map_err(|_| perr(line, format!("expected unsigned value, got {v}")))
+        }
+
+        fn i32(&mut self) -> Result<i32, IsaError> {
+            let line = self.line;
+            let v = self.int()?;
+            i32::try_from(v).map_err(|_| perr(line, format!("immediate {v} does not fit 32 bits")))
+        }
+
+        fn addr(&mut self) -> Result<Addr, IsaError> {
+            let line = self.line;
+            let tok = self.take()?;
+            parse_addr(&tok, false)
+                .ok_or_else(|| perr(line, format!("expected address like [r1+8], got `{tok}`")))
+        }
+
+        fn gaddr(&mut self) -> Result<Addr, IsaError> {
+            let line = self.line;
+            let tok = self.take()?;
+            parse_addr(&tok, true).ok_or_else(|| {
+                perr(
+                    line,
+                    format!("expected global address like g[r1+8], got `{tok}`"),
+                )
+            })
+        }
+
+        fn core(&mut self) -> Result<CoreId, IsaError> {
+            let line = self.line;
+            let tok = self.take()?;
+            let digits = tok.strip_prefix("core").unwrap_or(&tok);
+            let id: u16 = digits
+                .parse()
+                .map_err(|_| perr(line, format!("expected core id, got `{tok}`")))?;
+            Ok(CoreId(id))
+        }
+
+        fn group(&mut self) -> Result<GroupId, IsaError> {
+            let line = self.line;
+            let tok = self.take()?;
+            let digits = tok
+                .strip_prefix('g')
+                .ok_or_else(|| perr(line, format!("expected group like g3, got `{tok}`")))?;
+            let id: u16 = digits
+                .parse()
+                .map_err(|_| perr(line, format!("expected group like g3, got `{tok}`")))?;
+            Ok(GroupId(id))
+        }
+
+        /// Parses `key=value` returning the integer value.
+        fn kv_int(&mut self, key: &str) -> Result<i64, IsaError> {
+            let line = self.line;
+            let tok = self.take()?;
+            let val = tok
+                .strip_prefix(key)
+                .and_then(|r| r.strip_prefix('='))
+                .ok_or_else(|| perr(line, format!("expected `{key}=<value>`, got `{tok}`")))?;
+            parse_int(val).ok_or_else(|| perr(line, format!("bad integer in `{tok}`")))
+        }
+
+        fn kv_u32(&mut self, key: &str) -> Result<u32, IsaError> {
+            let line = self.line;
+            let v = self.kv_int(key)?;
+            u32::try_from(v).map_err(|_| perr(line, format!("`{key}` must be unsigned, got {v}")))
+        }
+
+        fn kv_i32(&mut self, key: &str) -> Result<i32, IsaError> {
+            let line = self.line;
+            let v = self.kv_int(key)?;
+            i32::try_from(v).map_err(|_| perr(line, format!("`{key}` value {v} does not fit")))
+        }
+
+        fn kv_u16(&mut self, key: &str) -> Result<u16, IsaError> {
+            let line = self.line;
+            let v = self.kv_int(key)?;
+            u16::try_from(v).map_err(|_| perr(line, format!("`{key}` value {v} does not fit u16")))
+        }
+
+        /// Parses `win=WxH`.
+        fn kv_window(&mut self) -> Result<(u32, u32), IsaError> {
+            let line = self.line;
+            let tok = self.take()?;
+            let val = tok
+                .strip_prefix("win=")
+                .ok_or_else(|| perr(line, format!("expected `win=WxH`, got `{tok}`")))?;
+            let (w, h) = val
+                .split_once('x')
+                .ok_or_else(|| perr(line, format!("expected `win=WxH`, got `{tok}`")))?;
+            let w: u32 = w
+                .parse()
+                .map_err(|_| perr(line, format!("bad window `{tok}`")))?;
+            let h: u32 = h
+                .parse()
+                .map_err(|_| perr(line, format!("bad window `{tok}`")))?;
+            Ok((w, h))
+        }
+
+        /// Parses a branch target: a number or a label name.
+        fn target(&mut self) -> Result<Target, IsaError> {
+            let tok = self.take()?;
+            if let Some(v) = parse_int(&tok) {
+                let line = self.line;
+                let t = u32::try_from(v)
+                    .map_err(|_| perr(line, format!("branch target {v} out of range")))?;
+                Ok(Target::Absolute(t))
+            } else {
+                Ok(Target::Label(tok))
+            }
+        }
+    }
+
+    enum Parsed {
+        Instr(Instruction),
+        /// Branch awaiting label resolution: (builder, label).
+        NeedsLabel(Box<dyn FnOnce(u32) -> Instruction>, String),
+    }
+
+    fn parse_instruction_inner(text: &str, line: usize) -> Result<(Parsed, ()), IsaError> {
+        let text = text.trim();
+        let (mnemonic, rest) = match text.split_once(char::is_whitespace) {
+            Some((m, r)) => (m, r),
+            None => (text, ""),
+        };
+        let mut ops = Operands::new(mnemonic, rest, line);
+        use Instruction::*;
+        let instr = match mnemonic {
+            "nop" => Nop,
+            "halt" => Halt,
+            "jmp" => match ops.target()? {
+                Target::Absolute(t) => Jump { target: t },
+                Target::Label(l) => {
+                    ops.finish()?;
+                    return Ok((
+                        Parsed::NeedsLabel(Box::new(move |t| Jump { target: t }), l),
+                        (),
+                    ));
+                }
+            },
+            "beq" | "bne" | "blt" | "bge" => {
+                let cond = match mnemonic {
+                    "beq" => BranchCond::Eq,
+                    "bne" => BranchCond::Ne,
+                    "blt" => BranchCond::Lt,
+                    _ => BranchCond::Ge,
+                };
+                let rs1 = ops.reg()?;
+                let rs2 = ops.reg()?;
+                match ops.target()? {
+                    Target::Absolute(t) => Branch {
+                        cond,
+                        rs1,
+                        rs2,
+                        target: t,
+                    },
+                    Target::Label(l) => {
+                        ops.finish()?;
+                        return Ok((
+                            Parsed::NeedsLabel(
+                                Box::new(move |t| Branch {
+                                    cond,
+                                    rs1,
+                                    rs2,
+                                    target: t,
+                                }),
+                                l,
+                            ),
+                            (),
+                        ));
+                    }
+                }
+            }
+            "add" | "sub" | "mul" | "and" | "or" | "xor" | "slt" | "sll" | "srl" => {
+                let op = match mnemonic {
+                    "add" => SBinOp::Add,
+                    "sub" => SBinOp::Sub,
+                    "mul" => SBinOp::Mul,
+                    "and" => SBinOp::And,
+                    "or" => SBinOp::Or,
+                    "xor" => SBinOp::Xor,
+                    "slt" => SBinOp::Slt,
+                    "sll" => SBinOp::Sll,
+                    _ => SBinOp::Srl,
+                };
+                SBin {
+                    op,
+                    rd: ops.reg()?,
+                    rs1: ops.reg()?,
+                    rs2: ops.reg()?,
+                }
+            }
+            "addi" | "muli" | "slli" | "srli" | "andi" | "ori" | "slti" => {
+                let op = match mnemonic {
+                    "addi" => SImmOp::Add,
+                    "muli" => SImmOp::Mul,
+                    "slli" => SImmOp::Sll,
+                    "srli" => SImmOp::Srl,
+                    "andi" => SImmOp::And,
+                    "ori" => SImmOp::Or,
+                    _ => SImmOp::Slt,
+                };
+                SImm {
+                    op,
+                    rd: ops.reg()?,
+                    rs1: ops.reg()?,
+                    imm: ops.i32()?,
+                }
+            }
+            "li" => SImm {
+                op: SImmOp::Add,
+                rd: ops.reg()?,
+                rs1: Reg::R0,
+                imm: ops.i32()?,
+            },
+            "mvm" => Mvm {
+                group: ops.group()?,
+                dst: ops.addr()?,
+                src: ops.addr()?,
+                len: ops.u32()?,
+            },
+            "vadd" | "vsub" | "vmul" | "vmax" | "vmin" => {
+                let op = match mnemonic {
+                    "vadd" => VBinOp::Add,
+                    "vsub" => VBinOp::Sub,
+                    "vmul" => VBinOp::Mul,
+                    "vmax" => VBinOp::Max,
+                    _ => VBinOp::Min,
+                };
+                VBin {
+                    op,
+                    dst: ops.addr()?,
+                    a: ops.addr()?,
+                    b: ops.addr()?,
+                    len: ops.u32()?,
+                }
+            }
+            "vaddi" | "vmuli" | "vsrai" => {
+                let op = match mnemonic {
+                    "vaddi" => VImmOp::Add,
+                    "vmuli" => VImmOp::Mul,
+                    _ => VImmOp::Sra,
+                };
+                VImm {
+                    op,
+                    dst: ops.addr()?,
+                    src: ops.addr()?,
+                    imm: ops.i32()?,
+                    len: ops.u32()?,
+                }
+            }
+            "vrelu" | "vsigmoid" | "vtanh" | "vcopy" | "vneg" | "vabs" => {
+                let op = match mnemonic {
+                    "vrelu" => VUnOp::Relu,
+                    "vsigmoid" => VUnOp::Sigmoid,
+                    "vtanh" => VUnOp::Tanh,
+                    "vcopy" => VUnOp::Copy,
+                    "vneg" => VUnOp::Neg,
+                    _ => VUnOp::Abs,
+                };
+                VUn {
+                    op,
+                    dst: ops.addr()?,
+                    src: ops.addr()?,
+                    len: ops.u32()?,
+                }
+            }
+            "vfill" => VFill {
+                dst: ops.addr()?,
+                value: ops.i32()?,
+                len: ops.u32()?,
+            },
+            "vcopy2d" => VCopy2d {
+                dst: ops.addr()?,
+                src: ops.addr()?,
+                block_len: ops.kv_u32("block")?,
+                blocks: ops.kv_u32("blocks")?,
+                src_stride: ops.kv_i32("sstride")?,
+                dst_stride: ops.kv_i32("dstride")?,
+            },
+            "vpool.max" | "vpool.avg" => {
+                let op = if mnemonic == "vpool.max" {
+                    PoolOp::Max
+                } else {
+                    PoolOp::Avg
+                };
+                let dst = ops.addr()?;
+                let src = ops.addr()?;
+                let channels = ops.kv_u32("ch")?;
+                let (win_w, win_h) = ops.kv_window()?;
+                let row_stride = ops.kv_i32("rstride")?;
+                VPool {
+                    op,
+                    dst,
+                    src,
+                    channels,
+                    win_w,
+                    win_h,
+                    row_stride,
+                }
+            }
+            "send" => Send {
+                peer: ops.core()?,
+                src: ops.addr()?,
+                len: ops.u32()?,
+                tag: ops.kv_u16("tag")?,
+            },
+            "recv" => Recv {
+                peer: ops.core()?,
+                dst: ops.addr()?,
+                len: ops.u32()?,
+                tag: ops.kv_u16("tag")?,
+            },
+            "recv2d" => Recv2d {
+                peer: ops.core()?,
+                dst: ops.addr()?,
+                block_len: ops.kv_u32("block")?,
+                blocks: ops.kv_u32("blocks")?,
+                dst_stride: ops.kv_i32("dstride")?,
+                tag: ops.kv_u16("tag")?,
+            },
+            "gload" => GLoad {
+                dst: ops.addr()?,
+                gaddr: ops.gaddr()?,
+                len: ops.u32()?,
+            },
+            "gstore" => GStore {
+                gaddr: ops.gaddr()?,
+                src: ops.addr()?,
+                len: ops.u32()?,
+            },
+            other => return Err(perr(line, format!("unknown mnemonic `{other}`"))),
+        };
+        ops.finish()?;
+        Ok((Parsed::Instr(instr), ()))
+    }
+
+    /// One line through the old parser: the instruction (a label target
+    /// reads 0) and the label its target names.
+    pub(super) fn parse(
+        text: &str,
+        line: usize,
+    ) -> Result<(Instruction, Option<String>), IsaError> {
+        let (parsed, ()) = parse_instruction_inner(text, line)?;
+        Ok(match parsed {
+            Parsed::Instr(i) => (i, None),
+            Parsed::NeedsLabel(build, label) => (build(0), Some(label)),
+        })
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
+    use super::instructions::instruction_strategy;
     use super::*;
 
     #[test]
@@ -881,5 +1206,195 @@ mod tests {
     fn comments_and_blank_lines_ignored() {
         let p = assemble("# header\n\n   ; note\nnop # trailing\n").unwrap();
         assert_eq!(p.cores[0].instrs, vec![Instruction::Nop]);
+    }
+
+    #[test]
+    fn empty_operands_are_errors() {
+        for (text, msg) in [
+            ("add r1,, r2, r3", "`add` operand 2 is empty"),
+            ("halt ,", "`halt` operand 1 is empty"),
+            (
+                "vadd [r1+0], [r2+0], [r3+0], 4,",
+                "`vadd` operand 5 is empty",
+            ),
+            ("jmp  , end", "`jmp` operand 1 is empty"),
+            ("send core1, [r0+0], 8, ,tag=1", "`send` operand 4 is empty"),
+        ] {
+            let e = assemble(&format!("nop\nend:\n{text}")).unwrap_err();
+            assert_eq!(e.to_string(), format!("parse error at line 3: {msg}"));
+            let e = parse_instruction(text).unwrap_err();
+            assert_eq!(e.to_string(), format!("parse error: {msg}"));
+        }
+    }
+
+    #[test]
+    fn label_targets_are_patched_forward_and_backward() {
+        let p = assemble("top:\njmp end\nbeq r1, r2, top\nend:").unwrap();
+        assert_eq!(p.cores[0].instrs[0], Instruction::Jump { target: 2 });
+        assert_eq!(p.cores[0].instrs[1].branch_target(), Some(0));
+        let e = parse_instruction("bge r1, r2, top").unwrap_err();
+        assert!(e
+            .to_string()
+            .contains("only supported inside full programs"));
+    }
+
+    /// Both parsers' verdict on `text`: the instruction and the label its
+    /// target names, or the error text.
+    type Verdict = Result<(Instruction, Option<String>), String>;
+
+    fn both(text: &str) -> (Verdict, Verdict) {
+        let new = parse_line(text, 7)
+            .map(|(i, label)| (i, label.map(str::to_owned)))
+            .map_err(|e| e.to_string());
+        (new, oracle::parse(text, 7).map_err(|e| e.to_string()))
+    }
+
+    /// Operand tokens that are wrong somewhere, right elsewhere, or label
+    /// names.
+    const TOKENS: [&str; 30] = [
+        "r0",
+        "r31",
+        "r32",
+        "x1",
+        "[r1+0]",
+        "[r1]",
+        "[r1-4]",
+        "[-4]",
+        "[r1+]",
+        "[r2",
+        "g[r2+8]",
+        "g[r2]",
+        "g3",
+        "g",
+        "g4096",
+        "core7",
+        "core",
+        "7",
+        "-1",
+        "0x1f",
+        "-0x10",
+        "0x",
+        "2147483648",
+        "-2147483649",
+        "4294967296",
+        "99999999999999999999",
+        "loop",
+        "end",
+        "l0",
+        "win=3x3",
+    ];
+    /// Unknown mnemonics, and known ones that take other operands.
+    const MNEMONICS: [&str; 14] = [
+        "frob",
+        "vadd.x",
+        "VADD",
+        "ad",
+        "addii",
+        "vpool",
+        "vpool.min",
+        "b",
+        "jmpx",
+        "li",
+        "nop",
+        "halt",
+        "send",
+        "mvm",
+    ];
+    const KEYS: [&str; 10] = [
+        "tag", "block", "blocks", "sstride", "dstride", "ch", "win", "rstride", "tg", "",
+    ];
+    const VALUES: [&str; 8] = ["", "x", "-1", "0x", "99999999999", "3x", "1x2x3", "70000"];
+
+    /// `text` (canonical syntax) with the edit `kind`, placed by `a` and
+    /// `b`; `true` when the edit left an empty operand.
+    fn mutate(text: &str, kind: u8, a: usize, b: usize) -> (String, bool) {
+        let (mnemonic, rest) = text.split_once(' ').unwrap_or((text, ""));
+        let mut mnemonic = mnemonic.to_string();
+        let mut ops: Vec<String> = rest
+            .split(", ")
+            .filter(|s| !s.is_empty())
+            .map(str::to_owned)
+            .collect();
+        let n = ops.len();
+        let mut empty = false;
+        match kind {
+            // Dropped, duplicated or swapped operands.
+            0 if n > 0 => drop(ops.remove(a % n)),
+            1 if n > 0 => ops.insert(b % (n + 1), ops[a % n].clone()),
+            2 if n > 1 => ops.swap(a % n, b % n),
+            3 => mnemonic = MNEMONICS[a % MNEMONICS.len()].to_string(),
+            // A bad key, a bad value, or no `=` at all.
+            4 => {
+                let keyed: Vec<usize> = (0..n).filter(|&i| ops[i].contains('=')).collect();
+                if let Some(&i) = keyed.get(a % keyed.len().max(1)) {
+                    let (key, value) = ops[i].split_once('=').expect("keyed");
+                    ops[i] = match b % 3 {
+                        0 => format!("{}={value}", KEYS[b / 3 % KEYS.len()]),
+                        1 => format!("{key}={}", VALUES[b / 3 % VALUES.len()]),
+                        _ => format!("{key}{value}"),
+                    };
+                }
+            }
+            // A label target: of a jump, of a branch, or where no target goes.
+            5 => {
+                let target = ["loop", "end", "l0", "0x10"][b % 4].to_string();
+                match b / 4 % 3 {
+                    0 => (mnemonic, ops) = ("jmp".to_string(), vec![target]),
+                    1 => {
+                        mnemonic = BranchCond::ALL[a % 4].mnemonic().to_string();
+                        ops = vec!["r1".to_string(), format!("r{}", a % 33), target];
+                    }
+                    _ if n > 0 => ops[n - 1] = target,
+                    _ => ops.push(target),
+                }
+            }
+            6 if n > 0 => ops[a % n] = TOKENS[b % TOKENS.len()].to_string(),
+            7 => {
+                ops.insert(b % (n + 1), [" ", ""][a % 2].to_string());
+                empty = n > 0;
+            }
+            // `li` sugar in place of the first two operands.
+            8 if n > 1 => {
+                mnemonic = "li".to_string();
+                ops.remove(1);
+            }
+            _ => {}
+        }
+        let sep = [", ", ",", " , ", ",\t"][a % 4];
+        let gap = [" ", "\t", "   "][b % 3];
+        (format!("{mnemonic}{gap}{}", ops.join(sep)), empty)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Well-formed lines: both parsers agree, and read the line back
+        /// as the instruction that printed it.
+        #[test]
+        fn parser_matches_the_oracle_on_canonical_lines(instr in instruction_strategy()) {
+            let text = instr.to_string();
+            let (new, old) = both(&text);
+            prop_assert_eq!(&new, &Ok((instr, None)), "{}", text);
+            prop_assert_eq!(new, old, "{}", text);
+        }
+
+        /// Mutated lines: the same instruction, label or error text, except
+        /// that an empty operand is always an error.
+        #[test]
+        fn parser_matches_the_oracle_on_mutated_lines(
+            instr in instruction_strategy(),
+            kind in 0u8..10,
+            a in 0usize..1 << 16,
+            b in 0usize..1 << 16,
+        ) {
+            let (line, empty) = mutate(&instr.to_string(), kind, a, b);
+            let (new, old) = both(&line);
+            if empty {
+                let err = new.expect_err("an empty operand is an error");
+                prop_assert!(err.contains("is empty"), "{}: {}", line, err);
+            } else {
+                prop_assert_eq!(new, old, "{}", line);
+            }
+        }
     }
 }

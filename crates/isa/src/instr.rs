@@ -195,6 +195,15 @@ pub enum VBinOp {
 }
 
 impl VBinOp {
+    /// Every operation; the assembler looks each mnemonic up here.
+    pub const ALL: [VBinOp; 5] = [
+        VBinOp::Add,
+        VBinOp::Sub,
+        VBinOp::Mul,
+        VBinOp::Max,
+        VBinOp::Min,
+    ];
+
     /// Canonical mnemonic.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -219,6 +228,9 @@ pub enum VImmOp {
 }
 
 impl VImmOp {
+    /// Every operation; the assembler looks each mnemonic up here.
+    pub const ALL: [VImmOp; 3] = [VImmOp::Add, VImmOp::Mul, VImmOp::Sra];
+
     /// Canonical mnemonic.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -247,6 +259,16 @@ pub enum VUnOp {
 }
 
 impl VUnOp {
+    /// Every operation; the assembler looks each mnemonic up here.
+    pub const ALL: [VUnOp; 6] = [
+        VUnOp::Relu,
+        VUnOp::Sigmoid,
+        VUnOp::Tanh,
+        VUnOp::Copy,
+        VUnOp::Neg,
+        VUnOp::Abs,
+    ];
+
     /// Canonical mnemonic.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -270,6 +292,9 @@ pub enum PoolOp {
 }
 
 impl PoolOp {
+    /// Every operation; the assembler looks each mnemonic up here.
+    pub const ALL: [PoolOp; 2] = [PoolOp::Max, PoolOp::Avg];
+
     /// Canonical mnemonic.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -303,6 +328,19 @@ pub enum SBinOp {
 }
 
 impl SBinOp {
+    /// Every operation; the assembler looks each mnemonic up here.
+    pub const ALL: [SBinOp; 9] = [
+        SBinOp::Add,
+        SBinOp::Sub,
+        SBinOp::Mul,
+        SBinOp::And,
+        SBinOp::Or,
+        SBinOp::Xor,
+        SBinOp::Slt,
+        SBinOp::Sll,
+        SBinOp::Srl,
+    ];
+
     /// Canonical mnemonic.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -356,6 +394,17 @@ pub enum SImmOp {
 }
 
 impl SImmOp {
+    /// Every operation; the assembler looks each mnemonic up here.
+    pub const ALL: [SImmOp; 7] = [
+        SImmOp::Add,
+        SImmOp::Mul,
+        SImmOp::Sll,
+        SImmOp::Srl,
+        SImmOp::And,
+        SImmOp::Or,
+        SImmOp::Slt,
+    ];
+
     /// Canonical mnemonic.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -400,6 +449,14 @@ pub enum BranchCond {
 }
 
 impl BranchCond {
+    /// Every condition; the assembler looks each mnemonic up here.
+    pub const ALL: [BranchCond; 4] = [
+        BranchCond::Eq,
+        BranchCond::Ne,
+        BranchCond::Lt,
+        BranchCond::Ge,
+    ];
+
     /// Canonical mnemonic.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -877,6 +934,46 @@ mod tests {
 
     fn addr(base: Reg, off: i32) -> Addr {
         Addr::new(base, off).unwrap()
+    }
+
+    /// `ALL` is every variant in declaration order: the `match` stops
+    /// compiling when a variant is added without an arm here, and the
+    /// assertion then fails until `ALL` lists it too.
+    macro_rules! all_lists_every_variant {
+        ($($test:ident: $ty:ident [$($v:ident),+];)+) => {$(
+            #[test]
+            fn $test() {
+                let listed = |op: $ty| match op {
+                    $($ty::$v)|+ => op,
+                };
+                assert_eq!($ty::ALL, [$(listed($ty::$v)),+]);
+            }
+        )+};
+    }
+
+    all_lists_every_variant! {
+        vbin_all_is_exhaustive: VBinOp [Add, Sub, Mul, Max, Min];
+        vimm_all_is_exhaustive: VImmOp [Add, Mul, Sra];
+        vun_all_is_exhaustive: VUnOp [Relu, Sigmoid, Tanh, Copy, Neg, Abs];
+        pool_all_is_exhaustive: PoolOp [Max, Avg];
+        sbin_all_is_exhaustive: SBinOp [Add, Sub, Mul, And, Or, Xor, Slt, Sll, Srl];
+        simm_all_is_exhaustive: SImmOp [Add, Mul, Sll, Srl, And, Or, Slt];
+        branch_all_is_exhaustive: BranchCond [Eq, Ne, Lt, Ge];
+    }
+
+    #[test]
+    fn op_mnemonics_are_distinct() {
+        let mut all: Vec<&str> = VBinOp::ALL.map(VBinOp::mnemonic).to_vec();
+        all.extend(VImmOp::ALL.map(VImmOp::mnemonic));
+        all.extend(VUnOp::ALL.map(VUnOp::mnemonic));
+        all.extend(PoolOp::ALL.map(PoolOp::mnemonic));
+        all.extend(SBinOp::ALL.map(SBinOp::mnemonic));
+        all.extend(SImmOp::ALL.map(SImmOp::mnemonic));
+        all.extend(BranchCond::ALL.map(BranchCond::mnemonic));
+        let count = all.len();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!((count, all.len()), (36, 36));
     }
 
     #[test]

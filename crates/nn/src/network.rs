@@ -271,11 +271,6 @@ impl Network {
             .sum()
     }
 
-    /// Count of weight-bearing (MVM) layers.
-    pub fn weight_layer_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.layer.has_weights()).count()
-    }
-
     /// Serializes to pretty JSON (the on-disk network description format).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("network serialization cannot fail")
@@ -451,7 +446,6 @@ mod tests {
     #[test]
     fn macs_and_weight_layers() {
         let net = tiny();
-        assert_eq!(net.weight_layer_count(), 2);
         // conv: 16 px * 4 ch * 3*3*2 + fc: 64 * 3
         assert_eq!(net.total_macs(), 16 * 4 * 18 + 64 * 3);
     }

@@ -68,11 +68,6 @@ impl Shape {
         debug_assert!(y < self.height && x < self.width && c < self.channels);
         ((y * self.width + x) * self.channels + c) as usize
     }
-
-    /// Elements in one pixel row (`width × channels`) — the vertical stride.
-    pub fn row_elems(&self) -> u32 {
-        self.width * self.channels
-    }
 }
 
 impl fmt::Display for Shape {
@@ -91,7 +86,6 @@ mod tests {
         assert_eq!(s.elems(), 60);
         assert_eq!(s.index(0, 0, 0), 0);
         assert_eq!(s.index(3, 4, 2), 59);
-        assert_eq!(s.row_elems(), 15);
     }
 
     #[test]

@@ -239,22 +239,43 @@ fn basic_block(
     )
 }
 
-/// ResNet-18. Minimum sensible `input_hw` is 32.
-pub fn resnet18(input_hw: u32) -> Network {
-    let mut b = Network::builder("resnet18", Shape::new(input_hw, input_hw, 3));
+/// A basic-block ResNet: a 7×7 stem, stages of `(channels, blocks)` whose
+/// first block strides by 2 and projects its shortcut (all but the first
+/// stage), global average pooling and one FC layer. Minimum sensible
+/// `input_hw` is 32.
+fn resnet(name: &str, stages: &[(u32, u32)], input_hw: u32) -> Network {
+    let mut b = Network::builder(name, Shape::new(input_hw, input_hw, 3));
     let c1 = conv(&mut b, "conv1", PortRef::Input, 64, 7, 2, 3, RELU);
-    let p1 = maxpool(&mut b, "pool1", c1, 3, 2, 1);
-    let l1a = basic_block(&mut b, "layer1.0", p1, 64, 1, false);
-    let l1b = basic_block(&mut b, "layer1.1", l1a, 64, 1, false);
-    let l2a = basic_block(&mut b, "layer2.0", l1b, 128, 2, true);
-    let l2b = basic_block(&mut b, "layer2.1", l2a, 128, 1, false);
-    let l3a = basic_block(&mut b, "layer3.0", l2b, 256, 2, true);
-    let l3b = basic_block(&mut b, "layer3.1", l3a, 256, 1, false);
-    let l4a = basic_block(&mut b, "layer4.0", l3b, 512, 2, true);
-    let l4b = basic_block(&mut b, "layer4.1", l4a, 512, 1, false);
-    let gap = b.add("gap", Layer::GlobalAvgPool, vec![l4b]);
+    let mut x = maxpool(&mut b, "pool1", c1, 3, 2, 1);
+    for (si, &(ch, blocks)) in stages.iter().enumerate() {
+        for bi in 0..blocks {
+            let project = si > 0 && bi == 0;
+            let stride = if project { 2 } else { 1 };
+            let block = format!("layer{}.{bi}", si + 1);
+            x = basic_block(&mut b, &block, x, ch, stride, project);
+        }
+    }
+    let gap = b.add("gap", Layer::GlobalAvgPool, vec![x]);
     linear(&mut b, "fc", gap, 1000, None);
     b.finish_unvalidated()
+}
+
+/// ResNet-18 (stage depths 2/2/2/2).
+pub fn resnet18(input_hw: u32) -> Network {
+    resnet(
+        "resnet18",
+        &[(64, 2), (128, 2), (256, 2), (512, 2)],
+        input_hw,
+    )
+}
+
+/// ResNet-34 (stage depths 3/4/6/3).
+pub fn resnet34(input_hw: u32) -> Network {
+    resnet(
+        "resnet34",
+        &[(64, 3), (128, 4), (256, 6), (512, 3)],
+        input_hw,
+    )
 }
 
 /// One SqueezeNet fire module (squeeze 1×1, expand 1×1 ‖ 3×3, concat).
@@ -305,23 +326,15 @@ pub fn vgg8(input_hw: u32) -> Network {
     b.finish_unvalidated()
 }
 
-/// VGG-16. Works from `input_hw` 32 upward.
-pub fn vgg16(input_hw: u32) -> Network {
-    let mut b = Network::builder("vgg16", Shape::new(input_hw, input_hw, 3));
+/// A VGG: stages of `(channels, convs)` 3×3 convolutions, each closed by
+/// a 2×2 max pool, then three FC layers. Works from `input_hw` 32 upward.
+fn vgg(name: &str, stages: &[(u32, u32)], input_hw: u32) -> Network {
+    let mut b = Network::builder(name, Shape::new(input_hw, input_hw, 3));
     let mut x = PortRef::Input;
-    let stages: [(u32, u32); 5] = [(64, 2), (128, 2), (256, 3), (512, 3), (512, 3)];
-    for (si, (ch, n)) in stages.iter().enumerate() {
-        for li in 0..*n {
-            x = conv(
-                &mut b,
-                &format!("conv{}_{}", si + 1, li + 1),
-                x,
-                *ch,
-                3,
-                1,
-                1,
-                RELU,
-            );
+    for (si, &(ch, convs)) in stages.iter().enumerate() {
+        for li in 0..convs {
+            let name = format!("conv{}_{}", si + 1, li + 1);
+            x = conv(&mut b, &name, x, ch, 3, 1, 1, RELU);
         }
         x = maxpool(&mut b, &format!("pool{}", si + 1), x, 2, 2, 0);
     }
@@ -330,6 +343,24 @@ pub fn vgg16(input_hw: u32) -> Network {
     let fc2 = linear(&mut b, "fc2", fc1, 4096, RELU);
     linear(&mut b, "fc3", fc2, 1000, None);
     b.finish_unvalidated()
+}
+
+/// VGG-11 (configuration A).
+pub fn vgg11(input_hw: u32) -> Network {
+    vgg(
+        "vgg11",
+        &[(64, 1), (128, 1), (256, 2), (512, 2), (512, 2)],
+        input_hw,
+    )
+}
+
+/// VGG-16 (configuration D).
+pub fn vgg16(input_hw: u32) -> Network {
+    vgg(
+        "vgg16",
+        &[(64, 2), (128, 2), (256, 3), (512, 3), (512, 3)],
+        input_hw,
+    )
 }
 
 /// LeNet-5 (tanh activations, average pooling) — the classic 32×32
@@ -362,59 +393,6 @@ pub fn lenet(input_hw: u32) -> Network {
     let f = b.add("flatten", Layer::Flatten, vec![c5]);
     let f6 = linear(&mut b, "f6", f, 84, TANH);
     linear(&mut b, "output", f6, 10, None);
-    b.finish_unvalidated()
-}
-
-/// VGG-11 (configuration A). Works from `input_hw` 32 upward.
-pub fn vgg11(input_hw: u32) -> Network {
-    let mut b = Network::builder("vgg11", Shape::new(input_hw, input_hw, 3));
-    let mut x = PortRef::Input;
-    let stages: [(u32, u32); 5] = [(64, 1), (128, 1), (256, 2), (512, 2), (512, 2)];
-    for (si, (ch, n)) in stages.iter().enumerate() {
-        for li in 0..*n {
-            x = conv(
-                &mut b,
-                &format!("conv{}_{}", si + 1, li + 1),
-                x,
-                *ch,
-                3,
-                1,
-                1,
-                RELU,
-            );
-        }
-        x = maxpool(&mut b, &format!("pool{}", si + 1), x, 2, 2, 0);
-    }
-    let f = b.add("flatten", Layer::Flatten, vec![x]);
-    let fc1 = linear(&mut b, "fc1", f, 4096, RELU);
-    let fc2 = linear(&mut b, "fc2", fc1, 4096, RELU);
-    linear(&mut b, "fc3", fc2, 1000, None);
-    b.finish_unvalidated()
-}
-
-/// ResNet-34: the deeper basic-block residual network
-/// (stage depths 3/4/6/3). Minimum sensible `input_hw` is 32.
-pub fn resnet34(input_hw: u32) -> Network {
-    let mut b = Network::builder("resnet34", Shape::new(input_hw, input_hw, 3));
-    let c1 = conv(&mut b, "conv1", PortRef::Input, 64, 7, 2, 3, RELU);
-    let mut x = maxpool(&mut b, "pool1", c1, 3, 2, 1);
-    let stages: [(u32, u32); 4] = [(64, 3), (128, 4), (256, 6), (512, 3)];
-    for (si, (ch, blocks)) in stages.iter().enumerate() {
-        for bi in 0..*blocks {
-            let stride = if si > 0 && bi == 0 { 2 } else { 1 };
-            let project = si > 0 && bi == 0;
-            x = basic_block(
-                &mut b,
-                &format!("layer{}.{}", si + 1, bi),
-                x,
-                *ch,
-                stride,
-                project,
-            );
-        }
-    }
-    let gap = b.add("gap", Layer::GlobalAvgPool, vec![x]);
-    linear(&mut b, "fc", gap, 1000, None);
     b.finish_unvalidated()
 }
 
