@@ -319,10 +319,16 @@ impl<'a> Emitter<'a> {
     }
 
     /// Reserves `elems` of `core`'s local memory for buffer `key`.
-    fn alloc_buf(&mut self, core: u16, key: BufKey, elems: u32, what: &str) -> Result<()> {
+    fn alloc_buf(
+        &mut self,
+        core: u16,
+        key: BufKey,
+        elems: impl Into<u64>,
+        what: &str,
+    ) -> Result<()> {
         let cap = self.arch.resources.local_mem_elems();
         let base = self.mem_next[core as usize];
-        let end = base as u64 + elems as u64;
+        let end = (base as u64).saturating_add(elems.into());
         if end > cap as u64 {
             return Err(CompileError::LocalMemoryOverflow {
                 core,
@@ -592,10 +598,14 @@ impl<'a> Emitter<'a> {
                 let what = format!("{name} output buffer");
                 self.alloc_buf(home, BufKey::OutBuf(nid), out_s.elems(), &what)?;
             }
-            // The (first) input buffer, padded.
+            // The (first) input buffer, padded: in u64, where a padding
+            // near `u32::MAX` still cannot wrap; a count past u64 saturates.
             let in_elems = || {
-                let (s, pad) = (node.in_shapes[0], input_padding(&node.kind));
-                (s.height + 2 * pad) * (s.width + 2 * pad) * s.channels
+                let (s, pad) = (node.in_shapes[0], input_padding(&node.kind) as u64);
+                let side = |len: u32| len as u64 + 2 * pad;
+                (side(s.height).checked_mul(side(s.width)))
+                    .and_then(|n| n.checked_mul(s.channels as u64))
+                    .unwrap_or(u64::MAX)
             };
             match &node.kind {
                 LoweredKind::Alias => {}

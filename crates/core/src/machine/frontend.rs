@@ -14,38 +14,69 @@ use pimsim_isa::{resolve, InstrClass, Instruction, Resolved};
 
 use super::{Ctx, Machine, MachineEvent};
 
+/// How a wake-up's dispatch loop ended.
+struct Dispatched {
+    /// It stopped on pacing: the next dispatch lies in the future.
+    paced: bool,
+    /// The scalar instruction it executed, if any. The dispatch interval
+    /// is at least a picosecond, so a wake-up dispatches at most one.
+    scalar_pc: Option<u32>,
+}
+
 impl Machine<'_> {
     /// Dispatches as many instructions as the frontend rules allow at the
-    /// current time, scheduling a pacing wake-up when throttled.
+    /// current time, then issues what can start, then schedules a pacing
+    /// wake-up when throttled. This is the wake-up's one issue pass, and
+    /// it starts what issuing after every admit and at every completion
+    /// would: issue is age-ordered, and admit treats `Waiting` and
+    /// `Executing` entries alike. The follow-ups are buffered in the same
+    /// order too, the starts' `Complete`s before the pacing `Advance`, and
+    /// a scalar's trace entry goes after the transfers the pass finishes
+    /// at once, where the earlier issue would have put them.
     pub(crate) fn try_advance(&mut self, c: usize, ctx: &mut Ctx) {
-        self.finish_time = self.finish_time.max(ctx.now());
-        loop {
+        let now = ctx.now();
+        self.finish_time = self.finish_time.max(now);
+        let Dispatched { paced, scalar_pc } = self.dispatch(c, ctx);
+        if !self.eager_issue() {
+            self.try_issue(c, ctx);
+        }
+        if let Some(pc) = scalar_pc {
+            self.telemetry.record_trace(now, c as u16, pc);
+        }
+        let core = &mut self.cores[c];
+        // A transfer the issue pass finished may have run this core's
+        // wake-up already, and scheduled the `Advance` there.
+        if paced && self.error.is_none() && !core.advance_pending {
+            core.advance_pending = true;
+            let at = core.next_dispatch;
+            ctx.schedule_at(at, MachineEvent::Advance { core: c as u16 });
+        }
+    }
+
+    /// The frontend's in-order dispatch loop at the current time.
+    fn dispatch(&mut self, c: usize, ctx: &mut Ctx) -> Dispatched {
+        let now = ctx.now();
+        let mut scalar_pc = None;
+        let paced = loop {
             if self.error.is_some() || self.cores[c].halted {
-                return;
+                break false;
             }
-            let now = ctx.now();
             {
                 let core = &mut self.cores[c];
                 if core.rob_is_full() {
-                    return; // a completion will re-trigger us
+                    break false; // a completion will re-trigger us
                 }
                 if core.next_dispatch > now {
-                    if !core.advance_pending {
-                        core.advance_pending = true;
-                        let at = core.next_dispatch;
-                        ctx.schedule_at(at, MachineEvent::Advance { core: c });
-                    }
-                    return;
+                    break true;
                 }
             }
             let pc = self.cores[c].pc as usize;
             let Some(&instr) = self.cores[c].instrs.get(pc) else {
                 self.cores[c].halted = true;
-                return;
+                break false;
             };
             let tag = self.cores[c].tags.get(pc).copied().unwrap_or(0);
-            let dispatch_at = self.cores[c].next_dispatch.max(now);
-            self.cores[c].next_dispatch = dispatch_at + self.dispatch_interval;
+            self.cores[c].next_dispatch = now + self.dispatch_interval;
             self.cores[c].stats.dispatched += 1;
             self.telemetry.count_dispatch(tag);
             self.telemetry.energy.frontend += self.frontend_energy;
@@ -55,8 +86,7 @@ impl Machine<'_> {
                     // Scalar class: execute at dispatch.
                     self.telemetry.class_counts[3] += 1;
                     self.telemetry.energy.scalar += self.scalar_energy;
-                    self.telemetry
-                        .record_trace(dispatch_at, c as u16, pc as u32);
+                    scalar_pc = Some(pc as u32);
                     let core = &mut self.cores[c];
                     match instr.exec_scalar(&mut core.regs, core.pc) {
                         Some(next) => core.pc = next,
@@ -65,11 +95,13 @@ impl Machine<'_> {
                 }
                 Some(res) => {
                     self.enter_rob(c, tag, &instr, res);
-                    self.try_issue(c, ctx);
-                    continue;
+                    if self.eager_issue() {
+                        self.try_issue(c, ctx);
+                    }
                 }
             }
-        }
+        };
+        Dispatched { paced, scalar_pc }
     }
 
     /// Classifies a resolved instruction, allocates its ROB entry, and

@@ -16,8 +16,12 @@
 //!
 //! The [`Machine`] defined here is the [`World`] driven by the typed
 //! event kernel: all cross-component choreography happens through the
-//! three [`MachineEvent`]s, so the timing behaviour of a run is exactly
-//! the event schedule those variants produce.
+//! three 16-byte [`MachineEvent`]s, so the timing behaviour of a run is
+//! exactly the event schedule those variants produce. Every wake-up
+//! dispatches, then makes one issue pass, then schedules its pacing
+//! `Advance` ([`Machine::try_advance`]); that starts what issuing after
+//! every admit and at every completion would, in the same order, and a
+//! test holds the two cadences to byte-identical traced reports.
 
 pub(crate) mod error;
 pub(crate) mod frontend;
@@ -38,7 +42,7 @@ pub use error::SimError;
 pub use run::Simulator;
 
 use rob::Core;
-use transfer::{Pending, TransferFabric};
+use transfer::TransferFabric;
 
 /// Run-wide counters and the optional instruction trace, collected by
 /// every pipeline stage and folded into the final `SimReport`.
@@ -93,16 +97,28 @@ impl Telemetry {
 }
 
 /// The events that drive the machine. Everything the pipeline does at a
-/// later simulated time is one of these three wake-ups.
+/// later simulated time is one of these three wake-ups. Each is 16 bytes:
+/// a core index fits a `u16` (meshes are capped at 65,535 cores), and a
+/// message on the wire stays in the fabric, named by its slot.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum MachineEvent {
     /// The frontend of `core` may try to dispatch again (pacing timer).
-    Advance { core: usize },
+    Advance { core: u16 },
     /// The execution-unit occupancy of ROB entry `seq` on `core` ends.
-    Complete { core: usize, seq: u64 },
+    Complete { core: u16, seq: u64 },
     /// A message's tail flit arrives at the receiving end of channel
-    /// `chan` (the payload length travels inside `send`).
-    Deposit { chan: u32, send: Pending },
+    /// `chan`; the send it completes sits in the fabric's wire slot `slot`.
+    Deposit { chan: u32, slot: u32 },
+}
+
+impl MachineEvent {
+    /// The end of ROB entry `seq`'s unit occupancy on core `c`.
+    pub(crate) fn complete(c: usize, seq: u64) -> MachineEvent {
+        MachineEvent::Complete {
+            core: c as u16,
+            seq,
+        }
+    }
 }
 
 /// Scheduling context alias used throughout the machine modules.
@@ -131,6 +147,11 @@ pub(crate) struct Machine<'a> {
     /// Timestamp of the last real activity (the kernel clock advances to
     /// the horizon when the queue drains; latency must not).
     pub(crate) finish_time: SimTime,
+    /// Issue after every admit and at every completion, the cadence the
+    /// machine had before it issued once per wake-up: the oracle the
+    /// cadence differential holds the machine to.
+    #[cfg(test)]
+    pub(crate) eager_issue: bool,
 }
 
 impl Machine<'_> {
@@ -141,6 +162,14 @@ impl Machine<'_> {
         }
         ctx.stop();
     }
+
+    /// `true` when running the replaced issue cadence (tests only).
+    fn eager_issue(&self) -> bool {
+        #[cfg(test)]
+        return self.eager_issue;
+        #[cfg(not(test))]
+        false
+    }
 }
 
 impl World for Machine<'_> {
@@ -149,12 +178,27 @@ impl World for Machine<'_> {
     fn handle(&mut self, ev: MachineEvent, ctx: &mut Ctx) {
         match ev {
             MachineEvent::Advance { core } => {
-                self.cores[core].advance_pending = false;
-                self.try_advance(core, ctx);
+                self.cores[core as usize].advance_pending = false;
+                self.try_advance(core as usize, ctx);
             }
-            MachineEvent::Complete { core, seq } => self.complete(core, seq, ctx),
-            MachineEvent::Deposit { chan, send } => self.deposit(chan, send, ctx),
+            MachineEvent::Complete { core, seq } => self.complete(core as usize, seq, ctx),
+            MachineEvent::Deposit { chan, slot } => {
+                let send = self.fabric.take_off_wire(slot);
+                self.deposit(chan, send, ctx);
+            }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::MachineEvent;
+
+    #[test]
+    fn a_machine_event_is_sixteen_bytes() {
+        // The kernel queues `Option<MachineEvent>` beside a 16-byte key.
+        assert_eq!(std::mem::size_of::<MachineEvent>(), 16);
+        assert_eq!(std::mem::size_of::<Option<MachineEvent>>(), 16);
     }
 }
 

@@ -25,13 +25,27 @@
 //! one, so an edge from it could never be the last to clear. Back-to-back
 //! receives into one buffer, or sends on one channel, thus each wait on
 //! their predecessor alone, and the ready set moves exactly as before.
+//! Ancestors are kept as a bitmask over the 64 entries before the entry
+//! and as a sequence number below which every then-unfinished entry is
+//! one; admit stops scanning below the highest such number among the
+//! entries it waits on, so a pile-up of conflicting entries deeper than
+//! 64 still costs about one edge per entry, not one per pair.
 //!
-//! In-flight entries are fixed-size and heap-free; edges live in a per-core
-//! pool that grows to the peak conflict count and is then recycled, so
-//! the steady state allocates nothing and no ROB size is special.
+//! In-flight entries are fixed-size and heap-free. They live in a ring
+//! indexed by `seq & mask`, so finding an entry by sequence number is one
+//! mask, and retirement bumps the head. The ring doubles when an admit
+//! finds it full, so it never exceeds the smallest power of two at least
+//! `rob_size` and a huge configured ROB costs only what a run fills.
+//! Edges live in a per-core pool that grows to the peak conflict count
+//! and is then recycled, so the steady state allocates nothing and no ROB
+//! size is special.
+//!
+//! What the issue logic asks of a crossbar group is fixed for a run, so
+//! each core prices every group's `MVM` once and turns its crossbar set
+//! into `(word, mask)` pairs over [`Core::busy_xbars`]: the structure
+//! hazard is a few ANDs, booking and releasing a few ORs.
 
-use std::collections::VecDeque;
-
+use pimsim_arch::model::{Cost, CostModel};
 use pimsim_event::SimTime;
 use pimsim_isa::{Footprint, GroupConfig, GroupId, InstrClass, Instruction, Resolved};
 
@@ -63,7 +77,7 @@ struct Edge {
 }
 
 /// One instruction in flight between dispatch and retirement.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct InFlight {
     pub(crate) res: Resolved,
     pub(crate) class: InstrClass,
@@ -83,6 +97,9 @@ pub(crate) struct InFlight {
     /// entry `k + 1` places older. Farther ancestors are dropped, which
     /// only costs the scan a test.
     ancestors: u64,
+    /// Every entry older than this sequence number that was not `Done` at
+    /// admit is an ancestor, however far back.
+    covers_below: u64,
     /// Older conflicting entries that are not `Done` yet.
     blockers: u32,
     /// Head of this entry's list of blocked younger entries.
@@ -109,6 +126,15 @@ pub(crate) struct Issued {
     pub(crate) chan: u32,
 }
 
+/// A crossbar group as the issue logic sees it, built once per run.
+#[derive(Debug, Clone, Copy)]
+struct GroupPlan {
+    /// The price of one `MVM` on the group.
+    mvm: Cost,
+    /// Its `(word, mask)` pairs: `Core::xbar_masks[start..end]`.
+    masks: (u32, u32),
+}
+
 /// One simulated core: frontend state, register file, ROB, execution-unit
 /// occupancy, local memory, and its slice of the program — borrowed, so a
 /// run never copies the instruction stream or the group table.
@@ -131,11 +157,17 @@ pub(crate) struct Core<'p> {
     pub(crate) chans: Vec<u32>,
     pub(crate) mem: Memory,
     pub(crate) stats: CoreStats,
-    // The scoreboard proper. Private: `rob` holds consecutive sequence
-    // numbers ending at `seq_next - 1`, `ready` is exactly the `Waiting`
-    // entries with no blocker, in age order, and every edge hangs off a
-    // not-`Done` entry — conditions only this module's methods keep.
-    rob: VecDeque<InFlight>,
+    /// Per group (parallel to `groups`): its price and crossbar masks.
+    plans: Vec<GroupPlan>,
+    /// Every group's `(busy_xbars word, mask)` pairs, back to back.
+    xbar_masks: Vec<(u32, u64)>,
+    // The scoreboard proper. Private: `rob` is a ring of power-of-two
+    // length holding sequence numbers `head..seq_next` at `seq & mask`,
+    // `ready` is exactly the `Waiting` entries with no blocker, in age
+    // order, and every edge hangs off a not-`Done` entry — conditions only
+    // this module's methods keep.
+    rob: Vec<InFlight>,
+    head: u64,
     seq_next: u64,
     ready: Vec<u64>,
     edges: Vec<Edge>,
@@ -144,7 +176,8 @@ pub(crate) struct Core<'p> {
 
 impl<'p> Core<'p> {
     /// A core at reset: program loaded, ROB empty, units idle, first
-    /// dispatch possible at `next_dispatch`.
+    /// dispatch possible at `next_dispatch`, and each group priced by
+    /// `model`.
     pub(crate) fn new(
         instrs: &'p [Instruction],
         groups: &'p [GroupConfig],
@@ -152,12 +185,32 @@ impl<'p> Core<'p> {
         mem: Memory,
         rob_size: usize,
         next_dispatch: SimTime,
+        model: &CostModel<'_>,
     ) -> Core<'p> {
         let xbars = groups
             .iter()
             .flat_map(|g| &g.xbar_ids)
             .max()
             .map_or(0, |&x| x as usize + 1);
+        let mut xbar_masks: Vec<(u32, u64)> = Vec::new();
+        let plans = groups
+            .iter()
+            .map(|g| {
+                let start = xbar_masks.len();
+                for &x in &g.xbar_ids {
+                    let word = x / 64;
+                    match xbar_masks[start..].iter_mut().find(|(w, _)| *w == word) {
+                        Some((_, mask)) => *mask |= xbar_bit(x),
+                        None => xbar_masks.push((word, xbar_bit(x))),
+                    }
+                }
+                let nx = g.xbar_ids.len() as u32;
+                GroupPlan {
+                    mvm: model.mvm_cost(g.input_len, g.output_len, nx),
+                    masks: (start as u32, xbar_masks.len() as u32),
+                }
+            })
+            .collect();
         Core {
             pc: 0,
             regs: [0; 32],
@@ -173,7 +226,10 @@ impl<'p> Core<'p> {
             tags,
             mem,
             stats: CoreStats::default(),
-            rob: VecDeque::new(),
+            plans,
+            xbar_masks,
+            rob: Vec::new(),
+            head: 0,
             seq_next: 0,
             ready: Vec::new(),
             edges: Vec::new(),
@@ -183,27 +239,30 @@ impl<'p> Core<'p> {
 
     /// The entries in flight, oldest first.
     pub(crate) fn in_flight(&self) -> impl Iterator<Item = &InFlight> {
-        self.rob.iter()
+        (self.head..self.seq_next).map(|seq| &self.rob[self.slot(seq)])
     }
 
     pub(crate) fn rob_is_empty(&self) -> bool {
-        self.rob.is_empty()
+        self.head == self.seq_next
     }
 
     /// `true` when dispatch must wait for a retirement.
     pub(crate) fn rob_is_full(&self) -> bool {
-        self.rob.len() >= self.rob_size
+        self.seq_next - self.head >= self.rob_size as u64
     }
 
-    /// Sequence number of the ROB head (of the next admit, when empty).
-    fn head_seq(&self) -> u64 {
-        self.seq_next - self.rob.len() as u64
+    /// The ring index of sequence number `seq`.
+    fn slot(&self, seq: u64) -> usize {
+        seq as usize & self.rob.len().wrapping_sub(1)
     }
 
     /// The ROB entry with sequence number `seq`, if still in flight.
     pub(crate) fn find(&mut self, seq: u64) -> Option<&mut InFlight> {
-        let idx = seq.checked_sub(self.head_seq())?;
-        self.rob.get_mut(idx as usize)
+        if !(self.head..self.seq_next).contains(&seq) {
+            return None;
+        }
+        let slot = self.slot(seq);
+        Some(&mut self.rob[slot])
     }
 
     /// Appends a freshly dispatched memory-class instruction to the ROB in
@@ -218,7 +277,6 @@ impl<'p> Core<'p> {
         pc: u32,
     ) -> u64 {
         let seq = self.seq_next;
-        self.seq_next += 1;
         let mvm_out = match res {
             Resolved::Mvm { group, .. } => self.groups[group.as_usize()].output_len,
             _ => 0,
@@ -233,16 +291,28 @@ impl<'p> Core<'p> {
             pc,
             chan,
             ancestors: 0,
+            covers_below: seq,
             blockers: 0,
             dependents: NIL,
         };
-        for (back, older) in (1u32..).zip(self.rob.iter_mut().rev()) {
+        // Entries below `covered` are ancestors of a blocker found so far.
+        let mut covered = self.head;
+        let mask = self.rob.len().wrapping_sub(1);
+        for (back, older_seq) in (1u32..).zip((self.head..seq).rev()) {
+            if older_seq < covered {
+                break;
+            }
+            let older = &mut self.rob[older_seq as usize & mask];
             let bit = 1u64.checked_shl(back - 1).unwrap_or(0);
-            if entry.ancestors & bit != 0 || older.state == State::Done || !entry.must_follow(older)
-            {
+            if entry.ancestors & bit != 0 || older.state == State::Done {
+                continue;
+            }
+            if !entry.must_follow(older) {
+                entry.covers_below = older_seq;
                 continue;
             }
             entry.ancestors |= bit | older.ancestors.checked_shl(back).unwrap_or(0);
+            covered = covered.max(older.covers_below);
             let edge = Edge {
                 dependent: seq,
                 next: older.dependents,
@@ -262,19 +332,34 @@ impl<'p> Core<'p> {
             // The youngest entry: appending keeps the ready set in age order.
             self.ready.push(seq);
         }
-        self.rob.push_back(entry);
+        if seq - self.head == self.rob.len() as u64 {
+            self.grow(entry);
+        }
+        let slot = self.slot(seq);
+        self.rob[slot] = entry;
+        self.seq_next += 1;
         seq
+    }
+
+    /// Doubles the full ring, moving each live entry to its slot under the
+    /// wider mask. `filler` fills the slots no live entry takes.
+    fn grow(&mut self, filler: InFlight) {
+        let len = (self.rob.len() * 2).max(1);
+        let mut ring = vec![filler; len];
+        for seq in self.head..self.seq_next {
+            ring[seq as usize & (len - 1)] = self.rob[self.slot(seq)];
+        }
+        self.rob = ring;
     }
 
     /// The oldest hazard-free `Waiting` entry whose execution unit is
     /// available. `structure_hazard` gates the paper's same-crossbar
     /// serialization rule.
     pub(crate) fn next_issuable(&self, structure_hazard: bool) -> Option<u64> {
-        let head = self.head_seq();
-        self.ready.iter().copied().find(|&seq| {
-            let e = &self.rob[(seq - head) as usize];
-            self.unit_available(e, structure_hazard)
-        })
+        self.ready
+            .iter()
+            .copied()
+            .find(|&seq| self.unit_available(&self.rob[self.slot(seq)], structure_hazard))
     }
 
     /// Structural availability of `e`'s execution unit.
@@ -317,12 +402,7 @@ impl<'p> Core<'p> {
     /// blocker to the ready set. Returns the entry, or `None` if no such
     /// entry is executing (an invariant break the caller reports).
     pub(crate) fn mark_done(&mut self, seq: u64) -> Option<&mut InFlight> {
-        let head = self.head_seq();
-        let idx = seq.checked_sub(head)? as usize;
-        let e = self
-            .rob
-            .get_mut(idx)
-            .filter(|e| e.state == State::Executing)?;
+        let e = self.find(seq).filter(|e| e.state == State::Executing)?;
         e.state = State::Done;
         let mut edge = std::mem::replace(&mut e.dependents, NIL);
         while edge != NIL {
@@ -331,42 +411,54 @@ impl<'p> Core<'p> {
             self.free_edge = edge;
             edge = next;
             // Dependents are younger, and retirement is in order: still here.
-            let d = &mut self.rob[(dependent - head) as usize];
+            let slot = self.slot(dependent);
+            let d = &mut self.rob[slot];
             d.blockers -= 1;
             if d.blockers == 0 {
                 let at = self.ready.partition_point(|&s| s < dependent);
                 self.ready.insert(at, dependent);
             }
         }
-        self.rob.get_mut(idx)
+        let slot = self.slot(seq);
+        Some(&mut self.rob[slot])
     }
 
     /// Pops retired (`Done`) entries from the ROB head, in order.
     pub(crate) fn retire(&mut self) {
-        while matches!(self.rob.front(), Some(e) if e.state == State::Done) {
-            self.rob.pop_front();
+        while self.head < self.seq_next && self.rob[self.slot(self.head)].state == State::Done {
+            self.head += 1;
         }
+    }
+
+    /// The price of one `MVM` on `group`.
+    pub(crate) fn mvm_cost(&self, group: GroupId) -> Cost {
+        self.plans[group.as_usize()].mvm
+    }
+
+    /// `group`'s `(busy_xbars word, mask)` pairs.
+    fn masks_of(&self, group: GroupId) -> &[(u32, u64)] {
+        let (start, end) = self.plans[group.as_usize()].masks;
+        &self.xbar_masks[start as usize..end as usize]
     }
 
     /// `true` if no crossbar of `group` is occupied.
     fn xbars_free(&self, group: GroupId) -> bool {
-        self.groups[group.as_usize()]
-            .xbar_ids
-            .iter()
-            .all(|&x| self.busy_xbars[x as usize / 64] & xbar_bit(x) == 0)
+        (self.masks_of(group).iter()).all(|&(w, mask)| self.busy_xbars[w as usize] & mask == 0)
     }
 
     /// Occupies every crossbar of `group` (an `MVM` started).
     pub(crate) fn book_xbars(&mut self, group: GroupId) {
-        for &x in &self.groups[group.as_usize()].xbar_ids {
-            self.busy_xbars[x as usize / 64] |= xbar_bit(x);
+        let (start, end) = self.plans[group.as_usize()].masks;
+        for &(w, mask) in &self.xbar_masks[start as usize..end as usize] {
+            self.busy_xbars[w as usize] |= mask;
         }
     }
 
     /// Frees every crossbar of `group` (an `MVM` finished).
     pub(crate) fn release_xbars(&mut self, group: GroupId) {
-        for &x in &self.groups[group.as_usize()].xbar_ids {
-            self.busy_xbars[x as usize / 64] &= !xbar_bit(x);
+        let (start, end) = self.plans[group.as_usize()].masks;
+        for &(w, mask) in &self.xbar_masks[start as usize..end as usize] {
+            self.busy_xbars[w as usize] &= !mask;
         }
     }
 }
@@ -380,6 +472,7 @@ fn xbar_bit(x: u32) -> u64 {
 mod tests {
     use super::*;
     use crate::machine::test_rng::Rng;
+    use pimsim_arch::ArchConfig;
     use pimsim_isa::{VBinOp, VUnOp};
 
     impl Core<'_> {
@@ -400,11 +493,11 @@ mod tests {
                 Resolved::Recv { peer, tag, .. } => Some((peer, core_id, tag)),
                 _ => None,
             };
-            'scan: for (i, e) in self.rob.iter().enumerate() {
+            'scan: for (i, e) in self.in_flight().enumerate() {
                 if e.state != State::Waiting {
                     continue;
                 }
-                for older in self.rob.iter().take(i) {
+                for older in self.in_flight().take(i) {
                     if older.state == State::Done {
                         continue;
                     }
@@ -416,7 +509,7 @@ mod tests {
                     }
                 }
                 if self.unit_available(e, structure_hazard) {
-                    return Some(self.head_seq() + i as u64);
+                    return Some(self.head + i as u64);
                 }
             }
             None
@@ -471,6 +564,8 @@ mod tests {
     }
 
     fn test_core(rob_size: usize) -> Core<'static> {
+        static ARCH: std::sync::OnceLock<ArchConfig> = std::sync::OnceLock::new();
+        let arch = ARCH.get_or_init(ArchConfig::small_test);
         Core::new(
             &[],
             test_groups(),
@@ -478,6 +573,7 @@ mod tests {
             Memory::default(),
             rob_size,
             SimTime::ZERO,
+            &CostModel::new(arch),
         )
     }
 
@@ -568,6 +664,30 @@ mod tests {
         assert_eq!(core.find(1).map(|e| e.state), Some(State::Executing));
         assert!(core.find(2).is_some());
         assert!(core.find(3).is_none());
+    }
+
+    #[test]
+    fn a_deep_pile_up_costs_edges_linear_in_its_length() {
+        // Core 0 of a fill / scale / send stream whose transfers never
+        // drain: every block conflicts with every older one, far past the
+        // 64-entry ancestor window, and one edge per conflicting pair
+        // would take millions of edges.
+        let mut core = test_core(1 << 20);
+        let scale = Resolved::VImm {
+            op: pimsim_isa::VImmOp::Mul,
+            dst: 16,
+            src: 0,
+            imm: 2,
+            len: 16,
+        };
+        for _ in 0..3_000 {
+            core.admit(0, InstrClass::Vector, vfill(0), NO_CHANNEL, 0);
+            core.admit(0, InstrClass::Vector, scale, NO_CHANNEL, 0);
+            core.admit(0, InstrClass::Transfer, send(1, 16), 0, 0);
+        }
+        assert_eq!(core.in_flight().count(), 9_000);
+        assert!(core.edges.len() <= 2 * 9_000, "{} edges", core.edges.len());
+        assert_eq!(core.ready, [0], "only the first fill is free");
     }
 
     /// This core's id in the differential test's channel keys.
@@ -719,7 +839,10 @@ mod tests {
 
     #[test]
     fn scoreboard_issues_exactly_what_the_rescan_would() {
-        for rob_size in [1, 2, 8, 64, 65, 300] {
+        // Around the ancestor window and the ring's power-of-two lengths.
+        for rob_size in [
+            1, 2, 3, 4, 5, 8, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300,
+        ] {
             // The rescan is quadratic in occupancy: fewer seeds where deep.
             let seeds = if rob_size <= 8 { 6 } else { 2 };
             for structure_hazard in [true, false] {

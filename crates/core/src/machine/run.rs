@@ -68,7 +68,8 @@ impl<'a> Simulator<'a> {
         let mut kernel = Kernel::new(machine);
         for c in 0..kernel.world().cores.len() {
             if !kernel.world().cores[c].halted {
-                kernel.schedule_at(SimTime::ZERO, MachineEvent::Advance { core: c });
+                let core = c as u16;
+                kernel.schedule_at(SimTime::ZERO, MachineEvent::Advance { core });
             }
         }
         let result = kernel.run_until(horizon);
@@ -141,6 +142,7 @@ impl<'a> Simulator<'a> {
                 mem,
                 self.arch.resources.rob_size as usize,
                 decode_offset,
+                &model,
             ));
         }
         let mut gmem = Memory::default();
@@ -167,6 +169,8 @@ impl<'a> Simulator<'a> {
             telemetry: Telemetry::new(self.arch.sim.trace),
             error: None,
             finish_time: SimTime::ZERO,
+            #[cfg(test)]
+            eager_issue: false,
         }
     }
 

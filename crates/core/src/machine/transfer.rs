@@ -120,10 +120,14 @@ impl Channel {
 }
 
 /// All rendezvous channels of the chip, indexed by the channel index the
-/// ROB entries carry.
+/// ROB entries carry, and the sends on the wire.
 #[derive(Debug)]
 pub(crate) struct TransferFabric {
     channels: Vec<Channel>,
+    /// Each launched send until its `Deposit` event, in the slot the event
+    /// names; a deposit frees its slot for the next launch.
+    on_wire: Vec<Pending>,
+    free_slots: Vec<u32>,
 }
 
 impl TransferFabric {
@@ -149,7 +153,35 @@ impl TransferFabric {
                 });
             }
         }
-        TransferFabric { channels }
+        TransferFabric::new(channels)
+    }
+
+    fn new(channels: Vec<Channel>) -> TransferFabric {
+        TransferFabric {
+            channels,
+            on_wire: Vec::new(),
+            free_slots: Vec::new(),
+        }
+    }
+
+    /// Parks a launched send until its deposit; returns its slot.
+    fn put_on_wire(&mut self, send: Pending) -> u32 {
+        match self.free_slots.pop() {
+            Some(slot) => {
+                self.on_wire[slot as usize] = send;
+                slot
+            }
+            None => {
+                self.on_wire.push(send);
+                (self.on_wire.len() - 1) as u32
+            }
+        }
+    }
+
+    /// The send in wire slot `slot`, which its deposit frees.
+    pub(crate) fn take_off_wire(&mut self, slot: u32) -> Pending {
+        self.free_slots.push(slot);
+        self.on_wire[slot as usize]
     }
 
     /// The channel with index `chan`.
@@ -311,7 +343,7 @@ impl Machine<'_> {
                 let end = self.noc.memory_access(c as u16, len, now, &self.model);
                 self.telemetry.energy.transfer += e_txn;
                 self.telemetry.node(tag).energy += e_txn;
-                ctx.schedule_at(end, MachineEvent::Complete { core: c, seq });
+                ctx.schedule_at(end, MachineEvent::complete(c, seq));
             }
             other => unreachable!("transfer class mismatch: {other:?}"),
         }
@@ -327,7 +359,8 @@ impl Machine<'_> {
         let end = self.noc.message(from, to, len, now, &self.model);
         self.telemetry.energy.transfer += e_txn;
         self.telemetry.node(send.tag).energy += e_txn;
-        ctx.schedule_at(end, MachineEvent::Deposit { chan, send });
+        let slot = self.fabric.put_on_wire(send);
+        ctx.schedule_at(end, MachineEvent::Deposit { chan, slot });
     }
 
     /// Tail flit arrived at the receiver: the send completes
@@ -533,7 +566,9 @@ impl Machine<'_> {
         self.cores[c].stats.transfer_busy += span;
         self.telemetry.node(tag).comm_time += span;
         self.cores[c].retire();
-        self.try_issue(c, ctx);
+        if self.eager_issue() {
+            self.try_issue(c, ctx);
+        }
         self.try_advance(c, ctx);
     }
 }
@@ -569,7 +604,7 @@ mod tests {
                 }
             }
             let channels = keys.into_iter().map(|k| Channel::new(k, vcs)).collect();
-            TransferFabric { channels }
+            TransferFabric::new(channels)
         }
     }
 

@@ -48,22 +48,18 @@ impl Machine<'_> {
                 self.telemetry.energy.vector += cost.energy;
                 self.telemetry.node(tag).energy += cost.energy;
                 let end = now + cost.time;
-                ctx.schedule_at(end, MachineEvent::Complete { core: c, seq });
+                ctx.schedule_at(end, MachineEvent::complete(c, seq));
             }
             InstrClass::Matrix => {
                 let Resolved::Mvm { group, .. } = res else {
                     unreachable!("matrix class mismatch")
                 };
-                let (inp, outp, nx) = {
-                    let g = &self.cores[c].groups[group.as_usize()];
-                    (g.input_len, g.output_len, g.xbar_ids.len() as u32)
-                };
-                let cost = self.model.mvm_cost(inp, outp, nx);
+                let cost = self.cores[c].mvm_cost(group);
                 self.cores[c].book_xbars(group);
                 self.telemetry.energy.matrix += cost.energy;
                 self.telemetry.node(tag).energy += cost.energy;
                 let end = now + cost.time;
-                ctx.schedule_at(end, MachineEvent::Complete { core: c, seq });
+                ctx.schedule_at(end, MachineEvent::complete(c, seq));
             }
             InstrClass::Transfer => {
                 self.start_transfer(c, seq, issued, now, ctx);
@@ -143,7 +139,9 @@ impl Machine<'_> {
             InstrClass::Scalar => unreachable!(),
         }
         self.cores[c].retire();
-        self.try_issue(c, ctx);
+        if self.eager_issue() {
+            self.try_issue(c, ctx);
+        }
         self.try_advance(c, ctx);
     }
 
@@ -183,5 +181,95 @@ impl Machine<'_> {
     fn execute_functional(&mut self, c: usize, res: &Resolved) {
         let core = &mut self.cores[c];
         execute_local(res, &mut core.mem, core.groups);
+    }
+}
+
+#[cfg(test)]
+#[path = "../../tests/support/mixed_programs.rs"]
+mod mixed_programs;
+
+#[cfg(test)]
+#[path = "../../../../tests/support/transfer_programs.rs"]
+mod transfer_programs;
+
+#[cfg(test)]
+mod tests {
+    use pimsim_arch::ArchConfig;
+    use pimsim_isa::{asm, IsaError, Program};
+    use proptest::prelude::*;
+
+    use super::mixed_programs::random_program;
+    use super::transfer_programs::{build_program, tweak_strategy, xfer_strategy};
+    use crate::Simulator;
+
+    /// ROB 1/2/4/8/64 x structure hazard on/off x 1/2 virtual channels,
+    /// every run traced.
+    fn grid() -> impl Iterator<Item = ArchConfig> {
+        let knobs = [1, 2, 4, 8, 64]
+            .into_iter()
+            .flat_map(|rob| [true, false].map(|hazard| (rob, hazard)))
+            .flat_map(|(rob, hazard)| [1, 2].map(|vcs| (rob, hazard, vcs)));
+        knobs.map(|(rob, hazard, vcs)| {
+            let mut arch = ArchConfig::small_test()
+                .with_rob(rob)
+                .with_virtual_channels(vcs);
+            arch.sim.structure_hazard = hazard;
+            arch.sim.trace = true;
+            arch
+        })
+    }
+
+    /// Runs `program` under the machine's cadence (one issue pass per
+    /// wake-up) and under the eager one (an issue pass after every admit
+    /// and at every completion); the two reports must be equal to the
+    /// byte. Returns whether the run completed.
+    fn same_report(arch: &ArchConfig, program: &Program, what: &str) -> bool {
+        let sim = Simulator::new(arch);
+        let once = format!("{:?}", sim.run(program));
+        let mut machine = sim.build_machine(program);
+        machine.eager_issue = true;
+        let eager = format!("{:?}", sim.execute(machine));
+        let knobs = (arch.resources.rob_size, arch.sim.structure_hazard);
+        assert!(once == eager, "{what} {knobs:?}: {once}\nvs eager\n{eager}");
+        once.starts_with("Ok")
+    }
+
+    #[test]
+    fn one_issue_pass_per_wake_up_matches_the_eager_cadence_on_mixed_programs(
+    ) -> Result<(), IsaError> {
+        let mut state = 0x5EED_CAFE_F00D_0002;
+        let mut completed = 0;
+        for case in 0..100 {
+            let text = random_program(&mut state);
+            let program = asm::assemble(&text)?;
+            for arch in grid() {
+                completed += same_report(&arch, &program, &format!("case {case}")) as u32;
+            }
+        }
+        assert!(
+            completed >= 1_000,
+            "only {completed} of 2,000 runs completed"
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 96,
+            ..ProptestConfig::default()
+        })]
+
+        #[test]
+        fn one_issue_pass_per_wake_up_matches_the_eager_cadence_on_transfers(
+            xfers in proptest::collection::vec(xfer_strategy(), 1..24),
+            tweaks in proptest::collection::vec(tweak_strategy(), 0..4),
+            relay in any::<bool>(),
+        ) {
+            let text = build_program(&xfers, &tweaks, None, relay);
+            let program = asm::assemble(&text).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            for arch in grid() {
+                same_report(&arch, &program, &text);
+            }
+        }
     }
 }

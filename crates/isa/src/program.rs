@@ -188,8 +188,11 @@ impl Program {
                 msg,
             };
 
-            // Group table coherence.
-            let mut used_xbars = std::collections::BTreeSet::new();
+            // Group table coherence. Crossbars at or past the limit fail
+            // before they reach the bitset, so it needs no more bits.
+            let xbar_bound = (cp.groups.iter().flat_map(|g| &g.xbar_ids).max())
+                .map_or(0, |&x| (x as u64 + 1).min(limits.xbars_per_core as u64));
+            let mut used_xbars = vec![0u64; xbar_bound.div_ceil(64) as usize];
             for (gi, g) in cp.groups.iter().enumerate() {
                 if g.id.as_usize() != gi {
                     return Err(err(
@@ -210,12 +213,14 @@ impl Program {
                             ),
                         ));
                     }
-                    if !used_xbars.insert(x) {
+                    let (word, bit) = (x as usize / 64, 1u64 << (x % 64));
+                    if used_xbars[word] & bit != 0 {
                         return Err(err(
                             None,
                             format!("crossbar {x} assigned to more than one group"),
                         ));
                     }
+                    used_xbars[word] |= bit;
                 }
                 if let Some(w) = &g.weights {
                     if w.rows() != g.input_len || w.cols() != g.output_len {

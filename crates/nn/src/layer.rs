@@ -330,17 +330,22 @@ fn conv_output(s: Shape, kernel: u32, stride: u32, padding: u32) -> Result<(u32,
     if kernel == 0 || stride == 0 {
         return Err(NnError::Shape("kernel and stride must be positive".into()));
     }
-    let padded_h = s.height + 2 * padding;
-    let padded_w = s.width + 2 * padding;
-    if padded_h < kernel || padded_w < kernel {
+    // In u64: `2 * padding` alone can wrap a u32.
+    let padded = |side: u32| side as u64 + 2 * padding as u64;
+    let (padded_h, padded_w) = (padded(s.height), padded(s.width));
+    if padded_h < kernel as u64 || padded_w < kernel as u64 {
         return Err(NnError::Shape(format!(
             "window {kernel} larger than padded input {padded_h}x{padded_w}"
         )));
     }
-    Ok((
-        (padded_h - kernel) / stride + 1,
-        (padded_w - kernel) / stride + 1,
-    ))
+    let out = |side: u64| u32::try_from((side - kernel as u64) / stride as u64 + 1);
+    match (out(padded_h), out(padded_w)) {
+        (Ok(h), Ok(w)) => Ok((h, w)),
+        _ => Err(NnError::Shape(format!(
+            "padded input {padded_h}x{padded_w} gives an output side over {}",
+            u32::MAX
+        ))),
+    }
 }
 
 #[cfg(test)]
