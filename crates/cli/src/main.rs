@@ -13,7 +13,6 @@
 //! pimsim asm      <file.s> [--out prog.json]
 //! pimsim disasm   <prog.json>
 //! pimsim sweep    [--config grid.json] [--networks a,b] [--robs 1,4,8] ...
-//!                 [--arrival-rates R,S] [--batch-policies P,Q]
 //!                 [--threads N] [--out results.json] [--json]
 //! pimsim serve    --networks resnet18,vgg8 [--rate 50000] [--arrivals poisson]
 //!                 [--duration 10ms] [--batch 4/50us] [--queue 64]
@@ -100,11 +99,6 @@ left empty inherits a single value from the base architecture):
   --router-depths N,M router pipeline depths
   --hazards on,off    structure-hazard settings (ablation)
   --simulators S,T    cycle | baseline
-  --arrival-rates R,S open-loop serving rates (req/s); fans each hardware
-                      point out across traffic intensities
-  --batch-policies P,Q serving batch policies, `N` or `N/T` (e.g. 4/50us)
-  --serve-duration D  serving arrival horizon (default 10ms)
-  --serve-seed N      serving arrival-stream seed (default 42)
   --threads N         worker threads (default: available cores; sweep/serve)
 
 serve options (open-loop serving; also takes the architecture options and
@@ -273,10 +267,6 @@ const COMMANDS: &[CommandSpec] = &[
             "mappings",
             "batches",
             "simulators",
-            "arrival-rates",
-            "batch-policies",
-            "serve-duration",
-            "serve-seed",
         ],
         flags: &["json", "help"],
         max_positionals: 0,
@@ -796,18 +786,6 @@ fn sweep_grid(args: &Args) -> Result<SweepGrid, String> {
     }
     if let Some(v) = args.get_csv("simulators") {
         grid.simulators = v;
-    }
-    if let Some(v) = args.get_nums("arrival-rates")? {
-        grid.arrival_rates = v;
-    }
-    if let Some(v) = args.get_csv("batch-policies") {
-        grid.batch_policies = v;
-    }
-    if let Some(v) = args.get("serve-duration") {
-        grid.serve_duration = Some(v.to_string());
-    }
-    if let Some(v) = args.get_num("serve-seed")? {
-        grid.serve_seed = Some(v);
     }
     Ok(grid)
 }

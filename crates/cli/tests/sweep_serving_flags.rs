@@ -1,0 +1,27 @@
+//! `sweep` evaluates one compile-and-simulate per grid point; open-loop
+//! serving is `pimsim serve`'s. The serving flags `sweep` once took are
+//! refused by name (exit 1), not accepted and ignored.
+
+use std::process::Command;
+
+#[test]
+fn sweep_refuses_the_serving_flags() {
+    for (flag, value) in [
+        ("--arrival-rates", "5e4"),
+        ("--batch-policies", "4/50us"),
+        ("--serve-duration", "1ms"),
+        ("--serve-seed", "7"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pimsim"))
+            .args(["sweep", "--networks", "tiny_mlp", flag, value])
+            .output()
+            .expect("pimsim starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown option {flag}")),
+            "{flag}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag}: no sweep runs");
+    }
+}

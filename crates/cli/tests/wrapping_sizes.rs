@@ -53,3 +53,33 @@ fn wrapping_mesh_and_memory_sizes_are_rejected() -> std::io::Result<()> {
     }
     Ok(())
 }
+
+#[test]
+fn wrapping_global_init_segment_is_rejected() -> std::io::Result<()> {
+    // A segment starting at `u64::MAX` used to wrap its end to 0, pass
+    // validation and index out of bounds in a functional run.
+    let dir = std::env::temp_dir().join("pimsim-cli-wrapping-init");
+    std::fs::create_dir_all(&dir)?;
+    let program = dir.join("wrap.json");
+    std::fs::write(
+        &program,
+        r#"{"cores": [{"instrs": ["Halt"], "groups": [], "local_init": [],
+  "labels": {}, "instr_tags": []}],
+ "global_init": [[18446744073709551615, [1]]],
+ "meta": {"name": "wrap", "mapping": "", "notes": ""}}"#,
+    )?;
+    for cmd in [&["run", "--functional"][..], &["check"], &["bound"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pimsim"))
+            .args(cmd)
+            .arg(&program)
+            .output()?;
+        let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "`{cmd:?}`: {text}");
+        assert!(
+            text.contains("global init segment of 1 element(s) at 18446744073709551615"),
+            "`{cmd:?}`: {text}"
+        );
+        assert!(!text.contains("panicked"), "`{cmd:?}`: {text}");
+    }
+    Ok(())
+}

@@ -215,6 +215,26 @@ pub(crate) fn emit(
     weights: Option<WeightGen>,
     batch: u32,
 ) -> Result<Compiled> {
+    // The input sits at global address 0 and image `i`'s output at
+    // `out_gaddr + i * out_elems`: a batch that runs past global memory is
+    // refused before anything is planned or emitted.
+    let out_node = net.output_node()?;
+    let input_elems = net.input_shape.elems();
+    let out_shape = lowered[out_node.as_usize()].out_shape;
+    let out_gaddr = (input_elems as u64).next_multiple_of(64);
+    let needed = u64::from(batch)
+        .checked_mul(out_shape.elems() as u64)
+        .and_then(|outputs| outputs.checked_add(out_gaddr))
+        .unwrap_or(u64::MAX);
+    let available = arch.resources.global_mem_elems();
+    if needed > available {
+        return Err(CompileError::GlobalMemoryOverflow {
+            batch,
+            needed,
+            available,
+        });
+    }
+
     let n_cores = arch.resources.cores() as usize;
     let mut e = Emitter {
         arch,
@@ -240,11 +260,6 @@ pub(crate) fn emit(
 
     e.plan_buffers()?;
     e.build_groups()?;
-
-    let out_node = net.output_node()?;
-    let input_elems = net.input_shape.elems();
-    let out_shape = lowered[out_node.as_usize()].out_shape;
-    let out_gaddr = (input_elems as u64).next_multiple_of(64);
 
     for img in 0..batch {
         let img_out = out_gaddr + img as u64 * out_shape.elems() as u64;

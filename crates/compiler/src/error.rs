@@ -32,6 +32,16 @@ pub enum CompileError {
         /// The buffer being allocated.
         context: String,
     },
+    /// The input and the batch's outputs do not fit in global memory.
+    GlobalMemoryOverflow {
+        /// Inferences compiled back to back, one output each.
+        batch: u32,
+        /// Elements the input and every output need (saturated at
+        /// `u64::MAX`).
+        needed: u64,
+        /// Capacity in elements.
+        available: u64,
+    },
     /// The per-chip transfer tag space (2^16) was exhausted.
     TagOverflow,
     /// An emitted instruction exceeded an ISA encoding field.
@@ -64,6 +74,14 @@ impl fmt::Display for CompileError {
             } => write!(
                 f,
                 "core {core} local memory overflow: {needed} elements needed, {available} available ({context})"
+            ),
+            CompileError::GlobalMemoryOverflow {
+                batch,
+                needed,
+                available,
+            } => write!(
+                f,
+                "global memory overflow: the input and {batch} output(s) need {needed} elements, {available} available"
             ),
             CompileError::TagOverflow => write!(f, "transfer tag space (65536) exhausted"),
             CompileError::Isa(e) => write!(f, "ISA error: {e}"),

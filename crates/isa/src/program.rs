@@ -168,7 +168,16 @@ impl Program {
             });
         }
         for (start, values) in &self.global_init {
-            let end = start + values.len() as u64;
+            let Some(end) = start.checked_add(values.len() as u64) else {
+                return Err(IsaError::Validate {
+                    core: 0,
+                    pc: None,
+                    msg: format!(
+                        "global init segment of {} element(s) at {start} runs past the 64-bit address space",
+                        values.len()
+                    ),
+                });
+            };
             if end > limits.global_mem_elems {
                 return Err(IsaError::Validate {
                     core: 0,
@@ -457,6 +466,10 @@ mod tests {
         assert!(p.validate(&limits()).is_err());
         p.global_init = vec![((1 << 20) - 2, vec![1, 2])];
         assert!(p.validate(&limits()).is_ok());
+        // An end past `u64::MAX` must not wrap back into range.
+        p.global_init = vec![(u64::MAX, vec![1])];
+        let err = p.validate(&limits()).unwrap_err().to_string();
+        assert!(err.contains("runs past the 64-bit address space"), "{err}");
     }
 
     #[test]

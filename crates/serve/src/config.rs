@@ -77,9 +77,9 @@ impl std::str::FromStr for ArrivalProcess {
 /// time an instance is free. `max_size == 1` disables batching; a zero
 /// `timeout` dispatches every request as soon as an instance frees.
 ///
-/// The canonical string form is `N/Tunit` (`4/50us`: batches of up to 4,
-/// 50 µs timeout) or a bare `N` (default timeout); it is CSV-safe so the
-/// sweep engine can carry policies as a comma-separated axis.
+/// The canonical string form, which `pimsim serve --batch` takes, is
+/// `N/Tunit` (`4/50us`: batches of up to 4, 50 µs timeout) or a bare `N`
+/// (default timeout).
 ///
 /// ```rust
 /// use pimsim_serve::BatchPolicy;

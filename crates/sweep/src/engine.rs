@@ -13,30 +13,6 @@ use pimsim_nn::zoo;
 use crate::grid::{Scenario, SimulatorKind, SweepGrid};
 use crate::SweepError;
 
-/// The serving metrics of a serving-mode row ([`Scenario::serve`] set):
-/// what the open-loop front-end adds on top of the core columns.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct ServeSummary {
-    /// Achieved goodput, requests per second.
-    pub throughput_rps: f64,
-    /// Requests generated by the arrival process.
-    pub generated: u64,
-    /// Requests served to completion.
-    pub finished: u64,
-    /// Requests dropped at the full queue.
-    pub dropped: u64,
-    /// Requests still queued when the run stopped.
-    pub in_queue: u64,
-    /// Median request latency (arrival → completion), nanoseconds.
-    pub p50_latency_ns: f64,
-    /// 95th-percentile request latency, nanoseconds.
-    pub p95_latency_ns: f64,
-    /// 99th-percentile request latency, nanoseconds.
-    pub p99_latency_ns: f64,
-    /// The deepest the queue ever got.
-    pub max_queue_depth: u64,
-}
-
 /// One evaluated grid point: the scenario plus a summary of its
 /// simulation report.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,11 +39,6 @@ pub struct SweepRow {
     pub node_names: Vec<String>,
     /// Communication-latency ratio per node, aligned with `node_names`.
     pub comm_ratios: Vec<f64>,
-    /// Serving metrics (serving-mode rows only). On these rows the core
-    /// latency columns are repurposed: `latency_ps` carries the p99 and
-    /// `latency_per_image_ps` the p50 request latency, so rate×arch grids
-    /// plot tails through the same columns one-shot campaigns use.
-    pub serve: Option<ServeSummary>,
 }
 
 impl SweepRow {
@@ -110,11 +81,6 @@ impl Serialize for SweepRow {
         sink.field("cores_used", &self.cores_used);
         sink.field("node_names", &self.node_names);
         sink.field("comm_ratios", &self.comm_ratios);
-        // Present only on serving rows, so one-shot campaign output stays
-        // byte-identical with pre-serving releases.
-        if let Some(serve) = &self.serve {
-            sink.field("serve", serve);
-        }
         sink.end_map();
     }
 }
@@ -131,9 +97,6 @@ impl Scenario {
     /// compile, or simulation fails.
     pub fn execute(&self, index: usize) -> Result<SweepRow, SweepError> {
         self.arch.validate()?;
-        if let Some(sp) = &self.serve {
-            return self.execute_serve(index, sp);
-        }
         let net = zoo::by_name(&self.network, self.resolution)
             .ok_or_else(|| SweepError::UnknownNetwork(self.network.clone()))?;
         // A degenerate resolution (a pooling window larger than its input,
@@ -169,7 +132,6 @@ impl Scenario {
                     cores_used: compiled.placement.cores_used,
                     node_names: compiled.node_names.clone(),
                     comm_ratios,
-                    serve: None,
                 })
             }
             SimulatorKind::Baseline => {
@@ -188,57 +150,9 @@ impl Scenario {
                     cores_used: 0,
                     node_names: report.per_layer.iter().map(|l| l.name.clone()).collect(),
                     comm_ratios: report.per_layer.iter().map(|l| l.comm_ratio()).collect(),
-                    serve: None,
                 })
             }
         }
-    }
-
-    /// Evaluates a serving-mode grid point: the open-loop front-end at
-    /// this scenario's rate and batch policy, on this scenario's
-    /// architecture and mapping. Single-threaded — the worker pool's
-    /// parallelism lives at the scenario level, and the serve report is
-    /// thread-count-independent anyway.
-    fn execute_serve(
-        &self,
-        index: usize,
-        sp: &crate::grid::ServePoint,
-    ) -> Result<SweepRow, SweepError> {
-        let mut config =
-            pimsim_serve::ServeConfig::new(vec![(self.network.clone(), self.resolution)]);
-        config.arch = self.arch.clone();
-        config.mapping = self.mapping;
-        config.rate_rps = sp.rate_rps;
-        config.batch = sp.policy;
-        config.duration = sp.duration;
-        config.seed = sp.seed;
-        let report = pimsim_serve::serve(&config, 1)
-            .map_err(|e| SweepError::Sim(format!("{}: {e}", self.display_label())))?;
-        let net = &report.per_network[0];
-        Ok(SweepRow {
-            index,
-            scenario: self.clone(),
-            latency_ps: (net.p99_latency_ns * 1e3).round() as u64,
-            latency_per_image_ps: (net.p50_latency_ns * 1e3).round() as u64,
-            energy_pj: report.energy_pj,
-            power_w: report.avg_power_w,
-            instructions: 0,
-            events: 0,
-            cores_used: 0,
-            node_names: Vec::new(),
-            comm_ratios: Vec::new(),
-            serve: Some(ServeSummary {
-                throughput_rps: report.throughput_rps,
-                generated: report.generated,
-                finished: report.finished,
-                dropped: report.dropped,
-                in_queue: report.in_queue,
-                p50_latency_ns: net.p50_latency_ns,
-                p95_latency_ns: net.p95_latency_ns,
-                p99_latency_ns: net.p99_latency_ns,
-                max_queue_depth: report.max_queue_depth,
-            }),
-        })
     }
 }
 
@@ -383,40 +297,5 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\"points\": 4"));
         assert!(a.contains("\"network\": \"tiny_cnn\""));
-        // Non-serving rows never grow a `serve` key.
-        assert!(!a.contains("\"serve\""));
-    }
-
-    #[test]
-    fn serving_grids_execute_and_summarize() {
-        let mut grid = SweepGrid::over_networks(["tiny_mlp"]);
-        grid.base = Some(ArchConfig::small_test());
-        grid.arrival_rates = vec![100_000.0];
-        grid.batch_policies = vec!["2/20us".into()];
-        grid.serve_duration = Some("200us".into());
-        let rows = run_grid(&grid, 2).unwrap();
-        assert_eq!(rows.len(), 1);
-        let row = &rows[0];
-        let serve = row.serve.as_ref().expect("serving row carries a summary");
-        assert_eq!(
-            serve.generated,
-            serve.finished + serve.dropped + serve.in_queue
-        );
-        assert!(serve.throughput_rps > 0.0);
-        assert!(serve.p50_latency_ns > 0.0);
-        assert!(serve.p99_latency_ns >= serve.p95_latency_ns);
-        assert!(serve.p95_latency_ns >= serve.p50_latency_ns);
-        // Serving rows repurpose the latency columns as p99 / p50.
-        assert_eq!(row.latency_ps, (serve.p99_latency_ns * 1e3).round() as u64);
-        assert_eq!(
-            row.latency_per_image_ps,
-            (serve.p50_latency_ns * 1e3).round() as u64
-        );
-        let json = results_to_json(&rows);
-        assert!(json.contains("\"serve\""));
-        assert!(json.contains("\"throughput_rps\""));
-        // Thread count never changes serving results either.
-        let again = run_grid(&grid, 4).unwrap();
-        assert_eq!(results_to_json(&again), json);
     }
 }

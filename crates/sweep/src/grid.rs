@@ -9,11 +9,9 @@ use pimsim_arch::ArchConfig;
 #[cfg(test)]
 use pimsim_arch::RoutingPolicy;
 use pimsim_compiler::MappingPolicy;
-use pimsim_event::SimTime;
 use pimsim_nn::zoo;
-use pimsim_serve::BatchPolicy;
 
-use crate::knob::{KnobValue, Shown, ARCH_KNOBS};
+use crate::knob::{KnobValue, ARCH_KNOBS};
 use crate::SweepError;
 
 /// Which simulator evaluates a scenario.
@@ -72,22 +70,6 @@ pub fn default_resolution(network: &str) -> u32 {
     }
 }
 
-/// The serving-mode coordinates of a grid point: present when the grid
-/// has an `arrival_rates` axis, absent for plain one-shot simulation
-/// points (and always absent on behaviour-level baseline points, which
-/// have no open-loop front-end to drive).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServePoint {
-    /// Offered arrival rate, requests per second.
-    pub rate_rps: f64,
-    /// Batch formation policy of the queueing front-end.
-    pub policy: BatchPolicy,
-    /// Arrival horizon.
-    pub duration: SimTime,
-    /// RNG seed of the request stream.
-    pub seed: u64,
-}
-
 /// One fully resolved grid point: everything needed to compile and
 /// simulate, self-contained (the architecture already has all knobs
 /// applied).
@@ -106,8 +88,6 @@ pub struct Scenario {
     /// Optional human label (used by campaign front ends); empty means
     /// "derive one from the fields".
     pub label: String,
-    /// Open-loop serving coordinates; `None` = one-shot simulation.
-    pub serve: Option<ServePoint>,
     /// The complete architecture for this point.
     pub arch: ArchConfig,
 }
@@ -128,7 +108,6 @@ impl Scenario {
             batch,
             simulator: SimulatorKind::Cycle,
             label: String::new(),
-            serve: None,
             arch,
         }
     }
@@ -143,7 +122,6 @@ impl Scenario {
             batch: 1,
             simulator: SimulatorKind::Baseline,
             label: String::new(),
-            serve: None,
             arch,
         }
     }
@@ -151,13 +129,6 @@ impl Scenario {
     /// Returns the scenario tagged with a human-readable label.
     pub fn with_label(mut self, label: impl Into<String>) -> Scenario {
         self.label = label.into();
-        self
-    }
-
-    /// Returns the scenario evaluated in open-loop serving mode at the
-    /// given coordinates (cycle simulator only).
-    pub fn with_serve(mut self, serve: ServePoint) -> Scenario {
-        self.serve = Some(serve);
         self
     }
 
@@ -175,17 +146,10 @@ impl Scenario {
             .filter(|knob| knob.shows(knob.label.1, &self.arch))
             .map(|knob| format!(" {}{}", knob.label.0, (knob.get)(&self.arch)))
             .collect();
-        let (network, resolution, mapping) = (&self.network, self.resolution, self.mapping);
-        match &self.serve {
-            Some(sp) => format!(
-                "{network}/{resolution} {mapping} serve rate={} batch={}{knobs}",
-                sp.rate_rps, sp.policy
-            ),
-            None => format!(
-                "{network}/{resolution} {mapping} x{}{knobs} {}",
-                self.batch, self.simulator
-            ),
-        }
+        format!(
+            "{}/{} {} x{}{knobs} {}",
+            self.network, self.resolution, self.mapping, self.batch, self.simulator
+        )
     }
 }
 
@@ -201,25 +165,12 @@ impl Serialize for Scenario {
         sink.field("batch", &self.batch);
         sink.field("simulator", &self.simulator.to_string());
         sink.field("label", &self.label);
-        let knob_fields = |sink: &mut S, after_serve: bool| {
-            for knob in ARCH_KNOBS {
-                let (key, when) = knob.json;
-                if (when == Shown::AfterServe) == after_serve && knob.shows(when, &self.arch) {
-                    sink.field(key, &(knob.get)(&self.arch));
-                }
+        for knob in ARCH_KNOBS {
+            let (key, when) = knob.json;
+            if knob.shows(when, &self.arch) {
+                sink.field(key, &(knob.get)(&self.arch));
             }
-        };
-        knob_fields(sink, false);
-        // Serving coordinates appear only on serving points, so one-shot
-        // campaign output from before the serving layer existed stays
-        // byte-identical.
-        if let Some(sp) = &self.serve {
-            sink.field("arrival_rate_rps", &sp.rate_rps);
-            sink.field("batch_policy", &sp.policy.to_string());
-            sink.field("serve_duration_ns", &sp.duration.as_ns_f64());
-            sink.field("serve_seed", &sp.seed);
         }
-        knob_fields(sink, true);
         sink.end_map();
     }
 }
@@ -277,26 +228,6 @@ pub struct SweepGrid {
     /// Simulators (`cycle` / `baseline`); empty = cycle.
     #[serde(default)]
     pub simulators: Vec<String>,
-    /// Open-loop arrival rates (requests/second). Non-empty switches
-    /// cycle points into serving mode: each point runs the queueing
-    /// front-end at one rate instead of one closed-program simulation.
-    /// The `batches` axis collapses in serving mode (batch formation is
-    /// the batch policy's job), as do baseline points (no front-end).
-    #[serde(default)]
-    pub arrival_rates: Vec<f64>,
-    /// Batch policies (`N` or `N/Tunit`, e.g. `4/50us`) to cross with
-    /// `arrival_rates`; empty = `4/50us`. Only valid alongside
-    /// `arrival_rates`.
-    #[serde(default)]
-    pub batch_policies: Vec<String>,
-    /// Serving arrival horizon (`10ms`, `500us`, ...); absent = 10ms.
-    /// Only valid alongside `arrival_rates`.
-    #[serde(default)]
-    pub serve_duration: Option<String>,
-    /// Serving request-stream seed; absent = 42. Only valid alongside
-    /// `arrival_rates`.
-    #[serde(default)]
-    pub serve_seed: Option<u64>,
     /// Base architecture every knob is applied to; absent = the paper
     /// chip.
     #[serde(default)]
@@ -358,76 +289,16 @@ impl SweepGrid {
             self.mappings.len(),
             self.batches.len(),
             self.simulators.len(),
-            self.arrival_rates.len(),
-            self.batch_policies.len(),
         ];
         knobs * others.iter().map(|&len| len.max(1)).product::<usize>()
     }
 
-    /// Resolves the serving axes into concrete [`ServePoint`]s (rate
-    /// outermost, policy innermost), or `None` when the grid has no
-    /// `arrival_rates` axis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SweepError::Config`] when serving knobs are given
-    /// without `arrival_rates`, a rate is not positive, a batch policy or
-    /// the duration does not parse.
-    fn serve_points(&self) -> Result<Option<Vec<ServePoint>>, SweepError> {
-        if self.arrival_rates.is_empty() {
-            if !self.batch_policies.is_empty()
-                || self.serve_duration.is_some()
-                || self.serve_seed.is_some()
-            {
-                return Err(SweepError::Config(
-                    "batch_policies / serve_duration / serve_seed need an arrival_rates axis"
-                        .to_string(),
-                ));
-            }
-            return Ok(None);
-        }
-        for &rate in &self.arrival_rates {
-            if !rate.is_finite() || rate <= 0.0 {
-                return Err(SweepError::Config(format!(
-                    "arrival rate must be positive, got {rate}"
-                )));
-            }
-        }
-        let policies: Vec<BatchPolicy> = if self.batch_policies.is_empty() {
-            vec![BatchPolicy::default()]
-        } else {
-            self.batch_policies
-                .iter()
-                .map(|p| p.parse().map_err(|e| SweepError::Config(format!("{e}"))))
-                .collect::<Result<_, _>>()?
-        };
-        let duration = match &self.serve_duration {
-            Some(text) => pimsim_serve::parse_duration(text).map_err(SweepError::Config)?,
-            None => SimTime::from_ms(10),
-        };
-        let seed = self.serve_seed.unwrap_or(42);
-        let points = self.arrival_rates.iter().flat_map(|&rate_rps| {
-            policies.iter().map(move |&policy| ServePoint {
-                rate_rps,
-                policy,
-                duration,
-                seed,
-            })
-        });
-        Ok(Some(points.collect()))
-    }
-
     /// Expands the cartesian product into concrete scenarios, in a fixed
     /// axis order (networks outermost, then resolution, mapping, batch,
-    /// simulator, the [`ARCH_KNOBS`] in table order, and — on serving
-    /// grids — arrival rate then batch policy innermost).
+    /// simulator, then the [`ARCH_KNOBS`] in table order).
     ///
-    /// A non-empty `arrival_rates` axis turns cycle points into open-loop
-    /// serving points (see [`ServePoint`]); the `batches` axis collapses
-    /// there, since batch formation is the batch policy's job.
-    ///
-    /// Baseline-simulator points ignore the mapping, batch and serving
-    /// axes and every knob with [`crate::ArchKnob::baseline_collapses`]
+    /// Baseline-simulator points ignore the mapping and batch axes and
+    /// every knob with [`crate::ArchKnob::baseline_collapses`]
     /// set (ROB, routing, virtual channels, router depth, structure
     /// hazard): one baseline point is emitted per remaining axis
     /// combination —
@@ -440,8 +311,9 @@ impl SweepGrid {
     /// Returns [`SweepError::EmptyGrid`] when no networks are given,
     /// [`SweepError::UnknownNetwork`] / [`SweepError::UnknownMapping`] /
     /// [`SweepError::UnknownSimulator`] / [`SweepError::UnknownRouting`]
-    /// for bad axis values, [`SweepError::Config`] for bad serving axes,
-    /// and [`SweepError::Arch`] when the base configuration is invalid.
+    /// for bad axis values, [`SweepError::Config`] for a network that
+    /// cannot be built at a resolution, and [`SweepError::Arch`] when the
+    /// base configuration is invalid.
     pub fn scenarios(&self) -> Result<Vec<Scenario>, SweepError> {
         if self.networks.is_empty() {
             return Err(SweepError::EmptyGrid);
@@ -460,10 +332,6 @@ impl SweepGrid {
             .map(|s| s.parse())
             .collect::<Result<Vec<_>, _>>()?;
         let simulators = non_empty(&simulators, SimulatorKind::Cycle);
-        let serve = match self.serve_points()? {
-            Some(points) => points.into_iter().map(Some).collect(),
-            None => vec![None],
-        };
         let batches = non_empty(&self.batches, 1);
         let knobs = ARCH_KNOBS
             .iter()
@@ -489,7 +357,7 @@ impl SweepGrid {
         }
 
         // One odometer over every axis, the last turning fastest: input,
-        // mapping, batch, simulator, the knobs in table order, serve point.
+        // mapping, batch, simulator, the knobs in table order.
         let heads = [
             inputs.len(),
             mappings.len(),
@@ -498,26 +366,21 @@ impl SweepGrid {
         ];
         let radices = heads.into_iter().chain(knobs.iter().map(Vec::len));
         let mut out = Vec::with_capacity(self.points());
-        for digits in odometer(radices.chain([serve.len()]).collect()) {
+        for digits in odometer(radices.collect()) {
             let (network, resolution) = inputs[digits[0]];
             let (mapping, batch) = (mappings[digits[1]], batches[digits[2]]);
             let simulator = simulators[digits[3]];
             let values: Vec<KnobValue> =
                 knobs.iter().zip(&digits[4..]).map(|(a, &d)| a[d]).collect();
-            let serve_digit = digits[digits.len() - 1];
             let baseline = simulator == SimulatorKind::Baseline;
             // A baseline point off the first value of an axis it collapses
             // repeats the point on it. Values are compared, not positions,
             // so a value listed twice still expands twice.
             let collapsed = mapping != mappings[0]
                 || batch != batches[0]
-                || serve_digit != 0
                 || (ARCH_KNOBS.iter().zip(&knobs).zip(&values))
                     .any(|((knob, axis), &v)| knob.baseline_collapses && v != axis[0]);
-            // In serving mode batch formation is the batch policy's job,
-            // so the compile-batch axis collapses for cycle points too.
-            let serving = !baseline && serve[0].is_some();
-            if (baseline && collapsed) || (serving && batch != batches[0]) {
+            if baseline && collapsed {
                 continue;
             }
             let mut arch = base.clone();
@@ -527,11 +390,7 @@ impl SweepGrid {
             out.push(if baseline {
                 Scenario::baseline(network.clone(), resolution, arch)
             } else {
-                let batch = if serving { 1 } else { batch.max(1) };
-                Scenario {
-                    serve: serve[serve_digit].clone(),
-                    ..Scenario::cycle(network.clone(), resolution, mapping, batch, arch)
-                }
+                Scenario::cycle(network.clone(), resolution, mapping, batch.max(1), arch)
             });
         }
         Ok(out)
@@ -582,8 +441,6 @@ impl SweepGrid {
             * axis(self.vcs.len())
             * axis(self.router_depths.len())
             * axis(self.structure_hazard.len())
-            * axis(self.arrival_rates.len())
-            * axis(self.batch_policies.len())
     }
 
     fn nested_scenarios(&self) -> Result<Vec<Scenario>, SweepError> {
@@ -608,7 +465,6 @@ impl SweepGrid {
                 .map(|s| s.parse())
                 .collect::<Result<Vec<_>, _>>()?
         };
-        let serve_points = self.serve_points()?;
         let batches = non_empty(&self.batches, 1);
         let robs = non_empty(&self.rob_sizes, base.resources.rob_size);
         let adcs = non_empty(&self.adcs_per_xbar, base.resources.adcs_per_xbar);
@@ -677,19 +533,8 @@ impl SweepGrid {
                                                             {
                                                                 continue;
                                                             }
-                                                            // In serving mode batch formation is
-                                                            // the batch policy's job, so the
-                                                            // compile-batch axis collapses for
-                                                            // cycle points too.
-                                                            let serving =
-                                                                !baseline && serve_points.is_some();
-                                                            if serving && batch != batches[0] {
-                                                                continue;
-                                                            }
                                                             let (mapping, batch) = if baseline {
                                                                 (MappingPolicy::PerformanceFirst, 1)
-                                                            } else if serving {
-                                                                (mapping, 1)
                                                             } else {
                                                                 (mapping, batch.max(1))
                                                             };
@@ -702,34 +547,15 @@ impl SweepGrid {
                                                             arch.noc.virtual_channels = vc;
                                                             arch.noc.router_pipeline_depth = depth;
                                                             arch.sim.structure_hazard = hazard;
-                                                            let template = Scenario {
+                                                            out.push(Scenario {
                                                                 network: network.clone(),
                                                                 resolution,
                                                                 mapping,
                                                                 batch,
                                                                 simulator,
                                                                 label: String::new(),
-                                                                serve: None,
                                                                 arch,
-                                                            };
-                                                            match &serve_points {
-                                                                // Serving fan-out, rate
-                                                                // outermost then policy —
-                                                                // the innermost axes of a
-                                                                // serving campaign.
-                                                                Some(points) if !baseline => {
-                                                                    for sp in points {
-                                                                        out.push(
-                                                                            template
-                                                                                .clone()
-                                                                                .with_serve(
-                                                                                    sp.clone(),
-                                                                                ),
-                                                                        );
-                                                                    }
-                                                                }
-                                                                _ => out.push(template),
-                                                            }
+                                                            });
                                                         }
                                                     }
                                                 }
@@ -774,17 +600,6 @@ impl Scenario {
         } else {
             format!(" depth={}", self.arch.noc.router_pipeline_depth)
         };
-        if let Some(sp) = &self.serve {
-            return format!(
-                "{}/{} {} serve rate={} batch={} rob={}{routing}{vcs}{depth}",
-                self.network,
-                self.resolution,
-                self.mapping,
-                sp.rate_rps,
-                sp.policy,
-                self.arch.resources.rob_size,
-            );
-        }
         format!(
             "{}/{} {} x{} rob={}{routing}{vcs}{depth} {}",
             self.network,
@@ -830,15 +645,6 @@ impl Serialize for NestedJson<'_> {
                 "router_pipeline_depth",
                 &this.arch.noc.router_pipeline_depth,
             );
-        }
-        // Serving coordinates appear only on serving points, so one-shot
-        // campaign output from before the serving layer existed stays
-        // byte-identical.
-        if let Some(sp) = &this.serve {
-            sink.field("arrival_rate_rps", &sp.rate_rps);
-            sink.field("batch_policy", &sp.policy.to_string());
-            sink.field("serve_duration_ns", &sp.duration.as_ns_f64());
-            sink.field("serve_seed", &sp.seed);
         }
         sink.field("structure_hazard", &this.arch.sim.structure_hazard);
         sink.end_map();
@@ -1009,14 +815,23 @@ mod tests {
 
     #[test]
     fn unknown_engine_is_rejected() {
-        // There is one run loop; a grid still naming an `engines` axis is
-        // refused with the field's location, not silently ignored.
-        let err = SweepGrid::from_json("{\"networks\": [\"vgg8\"],\n \"engines\": [\"event\"]}")
-            .unwrap_err();
-        assert!(matches!(err, SweepError::Config(_)));
-        let text = err.to_string();
-        assert!(text.contains("unknown field `engines`"), "{text}");
-        assert!(text.contains("at line 2 column"), "{text}");
+        // There is one run loop, and serving is `pimsim serve`'s alone: a
+        // grid still naming an `engines` axis or a serving key is refused
+        // with the field's location, not silently ignored.
+        for (key, value) in [
+            ("engines", "[\"event\"]"),
+            ("arrival_rates", "[50000]"),
+            ("batch_policies", "[\"4/50us\"]"),
+            ("serve_duration", "\"1ms\""),
+            ("serve_seed", "7"),
+        ] {
+            let text = format!("{{\"networks\": [\"vgg8\"],\n \"{key}\": {value}}}");
+            let err = SweepGrid::from_json(&text).unwrap_err();
+            assert!(matches!(err, SweepError::Config(_)), "{key}");
+            let text = err.to_string();
+            assert!(text.contains(&format!("unknown field `{key}`")), "{text}");
+            assert!(text.contains("at line 2 column"), "{text}");
+        }
     }
 
     #[test]
@@ -1102,81 +917,6 @@ mod tests {
         assert!("spice".parse::<SimulatorKind>().is_err());
     }
 
-    #[test]
-    fn serving_axes_fan_out_and_collapse_batches() {
-        let mut grid = SweepGrid::over_networks(["tiny_mlp"]);
-        grid.base = Some(ArchConfig::small_test());
-        grid.batches = vec![1, 4];
-        grid.arrival_rates = vec![50_000.0, 100_000.0];
-        grid.batch_policies = vec!["1".into(), "4/20us".into()];
-        grid.serve_duration = Some("1ms".into());
-        grid.serve_seed = Some(7);
-        let scenarios = grid.scenarios().unwrap();
-        // The `batches` axis collapses under serving (batch formation is
-        // the policy's job): 1 hw point x 2 rates x 2 policies.
-        assert_eq!(scenarios.len(), 4);
-        for s in &scenarios {
-            assert_eq!(s.batch, 1);
-            let sp = s.serve.as_ref().unwrap();
-            assert_eq!(sp.duration, SimTime::from_ms(1));
-            assert_eq!(sp.seed, 7);
-        }
-        // Rate outermost, policy innermost.
-        assert_eq!(scenarios[0].serve.as_ref().unwrap().rate_rps, 50_000.0);
-        assert_eq!(
-            scenarios[1].serve.as_ref().unwrap().policy.to_string(),
-            "4/20us"
-        );
-        assert_eq!(scenarios[2].serve.as_ref().unwrap().rate_rps, 100_000.0);
-        // Serving scenarios serialize the traffic point; labels mention it.
-        let v = scenarios[1].to_value();
-        assert_eq!(
-            v["arrival_rate_rps"],
-            Value::Number(Number::from_f64(50_000.0))
-        );
-        assert_eq!(v["batch_policy"], Value::String("4/20us".into()));
-        assert!(scenarios[1].display_label().contains("serve rate=50000"));
-    }
-
-    #[test]
-    fn serving_skips_baseline_and_plain_grids_stay_plain() {
-        let mut grid = SweepGrid::over_networks(["tiny_mlp"]);
-        grid.base = Some(ArchConfig::small_test());
-        grid.arrival_rates = vec![50_000.0];
-        grid.simulators = vec!["cycle".into(), "baseline".into()];
-        let scenarios = grid.scenarios().unwrap();
-        assert_eq!(scenarios.len(), 2);
-        assert!(scenarios[0].serve.is_some());
-        let baseline = scenarios
-            .iter()
-            .find(|s| s.simulator == SimulatorKind::Baseline)
-            .unwrap();
-        assert!(baseline.serve.is_none());
-        // A grid without serving axes never grows the extra JSON fields.
-        let mut plain = SweepGrid::over_networks(["tiny_mlp"]);
-        plain.base = Some(ArchConfig::small_test());
-        let s = &plain.scenarios().unwrap()[0];
-        assert_eq!(s.to_value().get("arrival_rate_rps"), None);
-        assert!(!s.display_label().contains("serve"));
-    }
-
-    #[test]
-    fn serving_knobs_without_rates_are_rejected() {
-        let mut grid = SweepGrid::over_networks(["tiny_mlp"]);
-        grid.base = Some(ArchConfig::small_test());
-        grid.batch_policies = vec!["4/50us".into()];
-        assert!(matches!(grid.scenarios(), Err(SweepError::Config(_))));
-        let mut grid = SweepGrid::over_networks(["tiny_mlp"]);
-        grid.base = Some(ArchConfig::small_test());
-        grid.arrival_rates = vec![0.0];
-        assert!(matches!(grid.scenarios(), Err(SweepError::Config(_))));
-        let mut grid = SweepGrid::over_networks(["tiny_mlp"]);
-        grid.base = Some(ArchConfig::small_test());
-        grid.arrival_rates = vec![1000.0];
-        grid.batch_policies = vec!["nonsense".into()];
-        assert!(matches!(grid.scenarios(), Err(SweepError::Config(_))));
-    }
-
     /// Picks `0..=3` values for an axis from `pool`, repeats allowed.
     fn pick<T: Clone + std::fmt::Debug + 'static>(
         pool: &'static [T],
@@ -1190,7 +930,6 @@ mod tests {
     const MAPPINGS: &[&str] = &["performance-first", "utilization-first"];
     const SIMULATORS: &[&str] = &["cycle", "baseline"];
     const ROUTINGS: &[&str] = &["xy", "yx", "xy-yx", "adaptive"];
-    const POLICIES: &[&str] = &["1", "4/50us"];
 
     fn strings(names: Vec<&str>) -> Vec<String> {
         names.into_iter().map(str::to_string).collect()
@@ -1200,8 +939,7 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
 
         /// The odometer expands every grid — each axis with 0–3 values,
-        /// repeats included, cycle and baseline, with and without serving
-        /// axes — into the oracle's scenarios, labels and JSON bytes.
+        /// repeats included, cycle and baseline — into the oracle's scenarios, labels and JSON bytes.
         #[test]
         fn odometer_matches_the_nested_loops(
             program in (pick(NAMES), pick(&[32u32, 64]), pick(MAPPINGS), pick(&[0u32, 1, 2])),
@@ -1216,9 +954,8 @@ mod tests {
                 pick(&[1u32, 3]),
                 pick(&[true, false]),
             ),
-            serving in (pick(&[5e4f64, 2e5]), pick(POLICIES), proptest::strategy::any::<bool>()),
         ) {
-            let mut grid = SweepGrid {
+            let grid = SweepGrid {
                 networks: strings(program.0),
                 resolutions: program.1,
                 mappings: strings(program.2),
@@ -1233,13 +970,7 @@ mod tests {
                 router_depths: knobs.6,
                 structure_hazard: knobs.7,
                 base: sims.1.then(ArchConfig::small_test),
-                ..SweepGrid::default()
             };
-            if serving.2 {
-                grid.arrival_rates = serving.0;
-                grid.batch_policies = strings(serving.1);
-                grid.serve_duration = Some("1ms".to_string());
-            }
             proptest::prop_assert_eq!(grid.points(), grid.nested_points());
             let ours = grid.scenarios();
             proptest::prop_assert_eq!(&ours, &grid.nested_scenarios());

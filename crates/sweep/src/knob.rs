@@ -17,7 +17,7 @@ use pimsim_arch::{ArchConfig, RoutingPolicy};
 use crate::grid::SweepGrid;
 use crate::SweepError;
 use KnobValue::{Count, Routing, Switch};
-use Shown::{AfterServe, Always, Never, NonDefault};
+use Shown::{Always, Never, NonDefault};
 
 /// One value of a knob.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,9 +85,6 @@ pub enum Shown {
     NonDefault,
     /// Never (labels only).
     Never,
-    /// Always, after the serving fields: where the field stood before
-    /// they existed (JSON only).
-    AfterServe,
 }
 
 /// One architecture knob: plain data and `fn` pointers, read by the CLI,
@@ -125,7 +122,7 @@ impl ArchKnob {
     /// Whether the knob shows on `arch`, `when` it shows.
     pub fn shows(&self, when: Shown, arch: &ArchConfig) -> bool {
         match when {
-            Always | AfterServe => true,
+            Always => true,
             NonDefault => (self.get)(arch) != (self.get)(&ArchConfig::paper_default()),
             Never => false,
         }
@@ -277,7 +274,7 @@ pub const ARCH_KNOBS: &[ArchKnob] = &[
         set_axis: |g, v| g.structure_hazard = v.into_iter().map(KnobValue::switch).collect(),
         baseline_collapses: true,
         label: ("", Never),
-        json: ("structure_hazard", AfterServe),
+        json: ("structure_hazard", Always),
     },
 ];
 

@@ -12,10 +12,8 @@
 //! cartesian product into [`Scenario`]s, fans them out across OS threads,
 //! and collects one [`SweepRow`] per point.
 //!
-//! Grids can also sweep the *serving* plane: `arrival_rates` and
-//! `batch_policies` axes fan each hardware point out across open-loop
-//! traffic intensities (see [`ServePoint`]), and the resulting rows carry
-//! a [`ServeSummary`] with throughput and tail latency.
+//! Every grid point is one compile-and-simulate; open-loop serving is
+//! `pimsim_serve`'s, one `serve` call per offered rate.
 //!
 //! Results are **deterministic**: rows come back ordered by scenario
 //! index, every value is derived from a single-threaded simulation of one
@@ -46,10 +44,8 @@ mod engine;
 mod grid;
 mod knob;
 
-pub use engine::{
-    default_threads, results_to_json, run_grid, run_scenarios, ServeSummary, SweepRow,
-};
-pub use grid::{default_resolution, parse_mapping, Scenario, ServePoint, SimulatorKind, SweepGrid};
+pub use engine::{default_threads, results_to_json, run_grid, run_scenarios, SweepRow};
+pub use grid::{default_resolution, parse_mapping, Scenario, SimulatorKind, SweepGrid};
 pub use knob::{ArchKnob, KnobValue, Shown, ARCH_KNOBS};
 
 use pimsim_arch::ArchError;

@@ -31,6 +31,37 @@ fn local_memory_too_small() {
 }
 
 #[test]
+fn batch_outputs_past_global_memory() {
+    // tiny_mlp's outputs land past the input, one per image: 30,000 of
+    // them overrun a 1 MiB (262,144-element) global memory, and a batch
+    // near `u32::MAX` must be refused before billions of instructions are
+    // emitted.
+    let mut arch = ArchConfig::paper_default();
+    arch.resources.global_mem_mb = 1;
+    for batch in [30_000, u32::MAX] {
+        let err = Compiler::new(&arch)
+            .batch(batch)
+            .compile(&zoo::tiny_mlp())
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CompileError::GlobalMemoryOverflow {
+                    available: 262_144,
+                    ..
+                }
+            ),
+            "got {err}"
+        );
+        assert!(err.to_string().contains("global memory overflow"), "{err}");
+    }
+    assert!(Compiler::new(&arch)
+        .batch(2)
+        .compile(&zoo::tiny_mlp())
+        .is_ok());
+}
+
+#[test]
 fn invalid_arch_rejected_by_all_entry_points() {
     let mut arch = ArchConfig::paper_default();
     arch.timing.core_freq_ghz = -1.0;
