@@ -131,6 +131,14 @@ pub fn analyze(program: &Program, arch: &ArchConfig) -> Analysis {
     analyze_walk(program, arch).0
 }
 
+/// Whether `diagnostics` rejected the program before any pass ran: the
+/// architecture or [`Program::validate`] failed, so nothing was analyzed.
+pub fn rejected(diagnostics: &[Diagnostic]) -> bool {
+    diagnostics
+        .iter()
+        .any(|d| d.kind == DiagKind::InvalidProgram)
+}
+
 /// What [`analyze`] derived from each core once, kept for the bounds
 /// pass so it does not walk the program again. Complete whenever the
 /// analysis has no errors (empty when validation failed).
@@ -172,20 +180,20 @@ pub(crate) fn analyze_walk(program: &Program, arch: &ArchConfig) -> (Analysis, W
         global_mem_elems: arch.resources.global_mem_elems(),
     };
     if let Err(e) = program.validate(&limits) {
+        // A chip-level finding is reported at core 0: schema 1's `core`
+        // is a number.
         let diag = match &e {
             IsaError::Validate {
-                core,
+                core: Some(core),
                 pc: Some(pc),
                 msg,
             } => {
                 let instr = &program.cores[*core as usize].instrs[*pc as usize];
                 Diagnostic::at(DiagKind::InvalidProgram, *core, *pc, instr, msg.clone())
             }
-            IsaError::Validate {
-                core,
-                pc: None,
-                msg,
-            } => Diagnostic::core_level(DiagKind::InvalidProgram, *core, msg.clone()),
+            IsaError::Validate { core, msg, .. } => {
+                Diagnostic::core_level(DiagKind::InvalidProgram, core.unwrap_or(0), msg.clone())
+            }
             other => Diagnostic::core_level(DiagKind::InvalidProgram, 0, other.to_string()),
         };
         diagnostics.push(diag);

@@ -6,20 +6,17 @@
 //! ```
 
 use pimsim_arch::ArchConfig;
+use pimsim_baseline::BaselineSimulator;
 use pimsim_bench::{header, row, FIG5_NETWORKS, FIG5_RESOLUTION};
-use pimsim_sweep::{default_threads, run_grid, SimulatorKind, SweepGrid, SweepRow};
+use pimsim_nn::zoo;
+use pimsim_sweep::{default_threads, run_grid, SweepGrid};
 
 fn main() {
+    let arch = ArchConfig::paper_default().with_rob(16);
     let mut grid = SweepGrid::over_networks(FIG5_NETWORKS.iter().copied());
-    grid.base = Some(ArchConfig::paper_default().with_rob(16));
+    grid.base = Some(arch.clone());
     grid.resolutions = vec![FIG5_RESOLUTION];
-    grid.simulators = vec!["baseline".to_string(), "cycle".to_string()];
     let rows = run_grid(&grid, default_threads()).expect("fig5 sweep");
-    let find = |name: &str, sim: SimulatorKind| -> &SweepRow {
-        rows.iter()
-            .find(|r| r.scenario.network == name && r.scenario.simulator == sim)
-            .expect("grid covers every (network, simulator) point")
-    };
 
     println!("# Fig. 5 — latency normalized to the MNSIM2.0-like baseline");
     println!("# same crossbar configuration for both simulators; inputs {FIG5_RESOLUTION}x{FIG5_RESOLUTION}\n");
@@ -31,9 +28,12 @@ fn main() {
         "conv2 comm (ours)",
     ]);
 
-    for name in FIG5_NETWORKS {
-        let base = find(name, SimulatorKind::Baseline);
-        let ours = find(name, SimulatorKind::Cycle);
+    // The grid has one point per network, in `FIG5_NETWORKS` order.
+    for (name, ours) in FIG5_NETWORKS.iter().zip(&rows) {
+        let net = zoo::by_name(name, FIG5_RESOLUTION).expect("Fig. 5 network");
+        let base = BaselineSimulator::new(&arch)
+            .run(&net)
+            .expect("fig5 baseline");
 
         let conv2 = ours
             .node_names
@@ -43,14 +43,15 @@ fn main() {
             .map(|(i, _)| i)
             .nth(1)
             .unwrap_or(1);
+        let base_comm = base.per_layer.get(conv2).map_or(0.0, |l| l.comm_ratio());
         row(&[
             name.to_string(),
             "1.000".into(),
             format!(
                 "{:.3}",
-                ours.latency().as_ns_f64() / base.latency().as_ns_f64()
+                ours.latency().as_ns_f64() / base.latency.as_ns_f64()
             ),
-            format!("{:.0}%", 100.0 * base.comm_ratio(conv2)),
+            format!("{:.0}%", 100.0 * base_comm),
             format!("{:.0}%", 100.0 * ours.comm_ratio(conv2)),
         ]);
     }

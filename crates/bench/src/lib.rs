@@ -8,8 +8,9 @@
 //! * `fig5` — comparison with the MNSIM2.0-like baseline
 //!
 //! The binaries declare their grids as `pimsim_sweep::SweepGrid`s and run
-//! on the campaign engine; this crate only carries the shared constants
-//! and table-printing helpers. Run them with
+//! on the campaign engine (`fig5`'s baseline column calls
+//! `pimsim_baseline` directly); this crate only carries the shared
+//! constants and table-printing helpers. Run them with
 //! `cargo run -p pimsim-bench --release --bin fig3` etc. Host performance
 //! of the simulator itself is measured by the `benchmark/` harness.
 

@@ -98,7 +98,6 @@ left empty inherits a single value from the base architecture):
   --vcs N,M           virtual channels per rendezvous channel
   --router-depths N,M router pipeline depths
   --hazards on,off    structure-hazard settings (ablation)
-  --simulators S,T    cycle | baseline
   --threads N         worker threads (default: available cores; sweep/serve)
 
 serve options (open-loop serving; also takes the architecture options and
@@ -266,7 +265,6 @@ const COMMANDS: &[CommandSpec] = &[
             "resolutions",
             "mappings",
             "batches",
-            "simulators",
         ],
         flags: &["json", "help"],
         max_positionals: 0,
@@ -313,13 +311,11 @@ const COMMANDS: &[CommandSpec] = &[
 ];
 
 fn dispatch(argv: &[String]) -> Result<(), String> {
-    let Some(cmd) = argv.first() else {
-        return emit(None, |w| w.write_all(USAGE.as_bytes()));
-    };
-    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+    let cmd = argv.first().map_or("help", String::as_str);
+    if matches!(cmd, "help" | "--help" | "-h") {
         return emit(None, |w| w.write_all(USAGE.as_bytes()));
     }
-    let Some(spec) = COMMANDS.iter().find(|s| s.name == cmd.as_str()) else {
+    let Some(spec) = COMMANDS.iter().find(|s| s.name == cmd) else {
         let hint = match args::closest(cmd, COMMANDS.iter().map(|s| s.name)) {
             Some(s) => format!(" — did you mean `{s}`?"),
             None => String::new(),
@@ -607,6 +603,9 @@ fn cmd_check(args: &Args) -> Result<(), String> {
             for d in &analysis.diagnostics {
                 writeln!(w, "{d}")?;
             }
+            if pimsim_analyze::rejected(&analysis.diagnostics) {
+                return writeln!(w, "{label}: not analyzed because of the error(s) above");
+            }
             writeln!(
                 w,
                 "{label}: {}; rendezvous: {} pair(s){}",
@@ -646,6 +645,9 @@ fn cmd_bound(args: &Args) -> Result<(), String> {
         emit(None, |w| {
             for d in &report.diagnostics {
                 writeln!(w, "{d}")?;
+            }
+            if pimsim_analyze::rejected(&report.diagnostics) {
+                return writeln!(w, "{label}: not analyzed because of the error(s) above");
             }
             writeln!(
                 w,
@@ -783,9 +785,6 @@ fn sweep_grid(args: &Args) -> Result<SweepGrid, String> {
                 .map_err(|e| format!("--{} {e}", knob.axis_flag))?;
             (knob.set_axis)(&mut grid, values);
         }
-    }
-    if let Some(v) = args.get_csv("simulators") {
-        grid.simulators = v;
     }
     Ok(grid)
 }

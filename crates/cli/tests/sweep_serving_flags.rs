@@ -1,6 +1,8 @@
-//! `sweep` evaluates one compile-and-simulate per grid point; open-loop
-//! serving is `pimsim serve`'s. The serving flags `sweep` once took are
-//! refused by name (exit 1), not accepted and ignored.
+//! `sweep` evaluates one compile-and-simulate per grid point on the
+//! cycle-accurate simulator; open-loop serving is `pimsim serve`'s and the
+//! behaviour-level baseline `pimsim run --baseline`'s. The serving and
+//! simulator flags `sweep` once took are refused by name (exit 1), not
+//! accepted and ignored.
 
 use std::process::Command;
 
@@ -11,6 +13,7 @@ fn sweep_refuses_the_serving_flags() {
         ("--batch-policies", "4/50us"),
         ("--serve-duration", "1ms"),
         ("--serve-seed", "7"),
+        ("--simulators", "cycle"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_pimsim"))
             .args(["sweep", "--networks", "tiny_mlp", flag, value])

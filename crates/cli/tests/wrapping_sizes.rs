@@ -80,6 +80,16 @@ fn wrapping_global_init_segment_is_rejected() -> std::io::Result<()> {
             "`{cmd:?}`: {text}"
         );
         assert!(!text.contains("panicked"), "`{cmd:?}`: {text}");
+        // The segment is chip-level data, so no core is blamed for it,
+        // and `check`/`bound` name no result of an analysis that never ran.
+        let said = match cmd[0] {
+            "run" => "error: invalid program: global init segment",
+            _ => "wrap.json: not analyzed because of the error(s) above\n",
+        };
+        assert!(text.contains(said), "`{cmd:?}`: {text}");
+        for cause in ["core 0", "incomplete", "pacing terms", "rendezvous:"] {
+            assert!(!text.contains(cause), "`{cmd:?}`: {text}");
+        }
     }
     Ok(())
 }

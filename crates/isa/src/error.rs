@@ -31,8 +31,9 @@ pub enum IsaError {
     },
     /// A program failed structural validation.
     Validate {
-        /// Core whose program is invalid.
-        core: u16,
+        /// Core whose program is invalid; `None` for a chip-level finding
+        /// (the core count, global init data, a weight matrix).
+        core: Option<u16>,
         /// Offending instruction index, if applicable.
         pc: Option<u32>,
         /// Human-readable description.
@@ -57,9 +58,12 @@ impl fmt::Display for IsaError {
                 write!(f, "parse error at line {line}: {msg}")
             }
             IsaError::Parse { msg, .. } => write!(f, "parse error: {msg}"),
-            IsaError::Validate { core, pc, msg } => match pc {
-                Some(pc) => write!(f, "invalid program for core {core} at pc {pc}: {msg}"),
-                None => write!(f, "invalid program for core {core}: {msg}"),
+            IsaError::Validate { core, pc, msg } => match (core, pc) {
+                (Some(core), Some(pc)) => {
+                    write!(f, "invalid program for core {core} at pc {pc}: {msg}")
+                }
+                (Some(core), None) => write!(f, "invalid program for core {core}: {msg}"),
+                (None, _) => f.write_str(msg),
             },
         }
     }
@@ -90,12 +94,23 @@ mod tests {
         assert!(p.to_string().contains("line 7"));
 
         let v = IsaError::Validate {
-            core: 3,
+            core: Some(3),
             pc: Some(9),
             msg: "branch target out of range".into(),
         };
         assert!(v.to_string().contains("core 3"));
         assert!(v.to_string().contains("pc 9"));
+
+        // A chip-level finding blames no core.
+        let chip = IsaError::Validate {
+            core: None,
+            pc: None,
+            msg: "program targets 5 cores but the chip has 4".into(),
+        };
+        assert_eq!(
+            chip.to_string(),
+            "program targets 5 cores but the chip has 4"
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl WeightMatrix {
     pub fn new(rows: u32, cols: u32, data: Vec<i8>) -> Result<WeightMatrix, IsaError> {
         if data.len() != (rows as usize) * (cols as usize) {
             return Err(IsaError::Validate {
-                core: 0,
+                core: None,
                 pc: None,
                 msg: format!(
                     "weight matrix data length {} does not match {rows}x{cols}",
@@ -167,7 +167,7 @@ impl GroupConfig {
     pub fn with_weights(mut self, weights: WeightMatrix) -> Result<GroupConfig, IsaError> {
         if weights.rows() != self.input_len || weights.cols() != self.output_len {
             return Err(IsaError::Validate {
-                core: 0,
+                core: None,
                 pc: None,
                 msg: format!(
                     "group {} weights are {}x{}, expected {}x{}",

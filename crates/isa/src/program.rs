@@ -158,7 +158,7 @@ impl Program {
     pub fn validate(&self, limits: &ProgramLimits) -> Result<(), IsaError> {
         if self.cores.len() > limits.cores as usize {
             return Err(IsaError::Validate {
-                core: 0,
+                core: None,
                 pc: None,
                 msg: format!(
                     "program targets {} cores but the chip has {}",
@@ -170,7 +170,7 @@ impl Program {
         for (start, values) in &self.global_init {
             let Some(end) = start.checked_add(values.len() as u64) else {
                 return Err(IsaError::Validate {
-                    core: 0,
+                    core: None,
                     pc: None,
                     msg: format!(
                         "global init segment of {} element(s) at {start} runs past the 64-bit address space",
@@ -180,7 +180,7 @@ impl Program {
             };
             if end > limits.global_mem_elems {
                 return Err(IsaError::Validate {
-                    core: 0,
+                    core: None,
                     pc: None,
                     msg: format!(
                         "global init segment [{start}, {end}) exceeds global memory of {} elements",
@@ -192,7 +192,7 @@ impl Program {
         for (cid, cp) in self.cores.iter().enumerate() {
             let cid16 = cid as u16;
             let err = |pc: Option<u32>, msg: String| IsaError::Validate {
-                core: cid16,
+                core: Some(cid16),
                 pc,
                 msg,
             };

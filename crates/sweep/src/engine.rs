@@ -4,13 +4,12 @@
 use serde::{Serialize, Sink};
 
 use pimsim_arch::Energy;
-use pimsim_baseline::BaselineSimulator;
 use pimsim_compiler::Compiler;
 use pimsim_core::Simulator;
 use pimsim_event::{par_map_indexed, SimTime};
 use pimsim_nn::zoo;
 
-use crate::grid::{Scenario, SimulatorKind, SweepGrid};
+use crate::grid::{Scenario, SweepGrid};
 use crate::SweepError;
 
 /// One evaluated grid point: the scenario plus a summary of its
@@ -29,11 +28,11 @@ pub struct SweepRow {
     pub energy_pj: f64,
     /// Average power in watts.
     pub power_w: f64,
-    /// Dynamic instruction count (0 for the behaviour-level baseline).
+    /// Dynamic instruction count.
     pub instructions: u64,
-    /// Kernel events processed (0 for the behaviour-level baseline).
+    /// Kernel events processed.
     pub events: u64,
-    /// Cores with work assigned (0 for the behaviour-level baseline).
+    /// Cores with work assigned.
     pub cores_used: usize,
     /// Network node (layer) names, in node order.
     pub node_names: Vec<String>,
@@ -107,52 +106,30 @@ impl Scenario {
                 self.network, self.resolution
             ))
         })?;
-        match self.simulator {
-            SimulatorKind::Cycle => {
-                let compiled = Compiler::new(&self.arch)
-                    .mapping(self.mapping)
-                    .batch(self.batch)
-                    .compile(&net)
-                    .map_err(|e| SweepError::Compile(format!("{}: {e}", self.display_label())))?;
-                let report = Simulator::new(&self.arch)
-                    .run(&compiled.program)
-                    .map_err(|e| SweepError::Sim(format!("{}: {e}", self.display_label())))?;
-                let comm_ratios = (0..compiled.node_names.len())
-                    .map(|i| report.comm_ratio(i as u16))
-                    .collect();
-                Ok(SweepRow {
-                    index,
-                    scenario: self.clone(),
-                    latency_ps: report.latency.as_ps(),
-                    latency_per_image_ps: (report.latency / self.batch.max(1) as u64).as_ps(),
-                    energy_pj: report.energy.total().as_pj(),
-                    power_w: report.avg_power_w(),
-                    instructions: report.instructions,
-                    events: report.events,
-                    cores_used: compiled.placement.cores_used,
-                    node_names: compiled.node_names.clone(),
-                    comm_ratios,
-                })
-            }
-            SimulatorKind::Baseline => {
-                let report = BaselineSimulator::new(&self.arch)
-                    .run(&net)
-                    .map_err(|e| SweepError::Sim(format!("{}: {e}", self.display_label())))?;
-                Ok(SweepRow {
-                    index,
-                    scenario: self.clone(),
-                    latency_ps: report.latency.as_ps(),
-                    latency_per_image_ps: report.latency.as_ps(),
-                    energy_pj: report.energy.as_pj(),
-                    power_w: report.avg_power_w(),
-                    instructions: 0,
-                    events: 0,
-                    cores_used: 0,
-                    node_names: report.per_layer.iter().map(|l| l.name.clone()).collect(),
-                    comm_ratios: report.per_layer.iter().map(|l| l.comm_ratio()).collect(),
-                })
-            }
-        }
+        let compiled = Compiler::new(&self.arch)
+            .mapping(self.mapping)
+            .batch(self.batch)
+            .compile(&net)
+            .map_err(|e| SweepError::Compile(format!("{}: {e}", self.display_label())))?;
+        let report = Simulator::new(&self.arch)
+            .run(&compiled.program)
+            .map_err(|e| SweepError::Sim(format!("{}: {e}", self.display_label())))?;
+        let comm_ratios = (0..compiled.node_names.len())
+            .map(|i| report.comm_ratio(i as u16))
+            .collect();
+        Ok(SweepRow {
+            index,
+            scenario: self.clone(),
+            latency_ps: report.latency.as_ps(),
+            latency_per_image_ps: (report.latency / self.batch.max(1) as u64).as_ps(),
+            energy_pj: report.energy.total().as_pj(),
+            power_w: report.avg_power_w(),
+            instructions: report.instructions,
+            events: report.events,
+            cores_used: compiled.placement.cores_used,
+            node_names: compiled.node_names,
+            comm_ratios,
+        })
     }
 }
 
@@ -238,17 +215,6 @@ mod tests {
         }
         assert_eq!(rows[0].scenario.network, "tiny_mlp");
         assert_eq!(rows[3].scenario.network, "tiny_cnn");
-    }
-
-    #[test]
-    fn baseline_scenarios_run() {
-        let row = Scenario::baseline("tiny_mlp", 64, ArchConfig::small_test())
-            .execute(0)
-            .unwrap();
-        assert!(row.latency_ps > 0);
-        assert_eq!(row.instructions, 0);
-        assert_eq!(row.node_names.len(), row.comm_ratios.len());
-        assert!(!row.node_names.is_empty());
     }
 
     #[test]

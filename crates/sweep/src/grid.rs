@@ -1,6 +1,5 @@
 //! Declarative scenario grids and their expansion into scenarios.
 
-use std::fmt;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize, Sink};
@@ -11,38 +10,8 @@ use pimsim_arch::RoutingPolicy;
 use pimsim_compiler::MappingPolicy;
 use pimsim_nn::zoo;
 
-use crate::knob::{KnobValue, ARCH_KNOBS};
+use crate::knob::ARCH_KNOBS;
 use crate::SweepError;
-
-/// Which simulator evaluates a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SimulatorKind {
-    /// The cycle-accurate, event-driven simulator.
-    Cycle,
-    /// The MNSIM2.0-like behaviour-level baseline.
-    Baseline,
-}
-
-impl fmt::Display for SimulatorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimulatorKind::Cycle => f.write_str("cycle"),
-            SimulatorKind::Baseline => f.write_str("baseline"),
-        }
-    }
-}
-
-impl std::str::FromStr for SimulatorKind {
-    type Err = SweepError;
-
-    fn from_str(s: &str) -> Result<Self, SweepError> {
-        match s {
-            "cycle" | "cycle-accurate" => Ok(SimulatorKind::Cycle),
-            "baseline" | "mnsim" => Ok(SimulatorKind::Baseline),
-            other => Err(SweepError::UnknownSimulator(other.to_string())),
-        }
-    }
-}
 
 /// Parses a mapping-policy name as used in configuration files and on the
 /// command line.
@@ -83,8 +52,6 @@ pub struct Scenario {
     pub mapping: MappingPolicy,
     /// Back-to-back inferences compiled together.
     pub batch: u32,
-    /// Which simulator evaluates the point.
-    pub simulator: SimulatorKind,
     /// Optional human label (used by campaign front ends); empty means
     /// "derive one from the fields".
     pub label: String,
@@ -93,7 +60,7 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A cycle-accurate scenario.
+    /// A scenario (every scenario runs on the cycle-accurate simulator).
     pub fn cycle(
         network: impl Into<String>,
         resolution: u32,
@@ -106,21 +73,6 @@ impl Scenario {
             resolution,
             mapping,
             batch,
-            simulator: SimulatorKind::Cycle,
-            label: String::new(),
-            arch,
-        }
-    }
-
-    /// A behaviour-level baseline scenario (mapping and batch do not
-    /// apply; they are pinned to `performance-first` / 1).
-    pub fn baseline(network: impl Into<String>, resolution: u32, arch: ArchConfig) -> Scenario {
-        Scenario {
-            network: network.into(),
-            resolution,
-            mapping: MappingPolicy::PerformanceFirst,
-            batch: 1,
-            simulator: SimulatorKind::Baseline,
             label: String::new(),
             arch,
         }
@@ -133,7 +85,7 @@ impl Scenario {
     }
 
     /// The label to display: the explicit one, or a derived
-    /// `network/res mapping xN rob=R` summary with every knob
+    /// `network/res mapping xN rob=R cycle` summary with every knob
     /// [`ARCH_KNOBS`] labels (the routing policy, virtual-channel count
     /// and router pipeline depth only when they differ from the paper
     /// chip's).
@@ -147,15 +99,16 @@ impl Scenario {
             .map(|knob| format!(" {}{}", knob.label.0, (knob.get)(&self.arch)))
             .collect();
         format!(
-            "{}/{} {} x{}{knobs} {}",
-            self.network, self.resolution, self.mapping, self.batch, self.simulator
+            "{}/{} {} x{}{knobs} cycle",
+            self.network, self.resolution, self.mapping, self.batch
         )
     }
 }
 
 // Scenarios are serialized as a knob summary (not the full architecture)
 // so campaign outputs stay readable; the grid's `base` is the place a
-// custom full configuration lives.
+// custom full configuration lives. `"simulator": "cycle"` names the model
+// every row comes from, as `pimsim run --json`'s `simulator` field does.
 impl Serialize for Scenario {
     fn serialize<S: Sink>(&self, sink: &mut S) {
         sink.begin_map();
@@ -163,7 +116,7 @@ impl Serialize for Scenario {
         sink.field("resolution", &self.resolution);
         sink.field("mapping", &self.mapping.to_string());
         sink.field("batch", &self.batch);
-        sink.field("simulator", &self.simulator.to_string());
+        sink.field("simulator", "cycle");
         sink.field("label", &self.label);
         for knob in ARCH_KNOBS {
             let (key, when) = knob.json;
@@ -225,9 +178,6 @@ pub struct SweepGrid {
     /// architecture's.
     #[serde(default)]
     pub structure_hazard: Vec<bool>,
-    /// Simulators (`cycle` / `baseline`); empty = cycle.
-    #[serde(default)]
-    pub simulators: Vec<String>,
     /// Base architecture every knob is applied to; absent = the paper
     /// chip.
     #[serde(default)]
@@ -275,9 +225,8 @@ impl SweepGrid {
         self.base.clone().unwrap_or_else(ArchConfig::paper_default)
     }
 
-    /// Number of grid points the full cartesian product would expand to —
-    /// an upper bound on [`SweepGrid::scenarios`]' length, since baseline
-    /// points collapse the axes the behaviour-level model ignores.
+    /// Number of grid points: the length of [`SweepGrid::scenarios`]
+    /// when it expands.
     pub fn points(&self) -> usize {
         let knobs: usize = ARCH_KNOBS
             .iter()
@@ -288,30 +237,19 @@ impl SweepGrid {
             self.resolutions.len(),
             self.mappings.len(),
             self.batches.len(),
-            self.simulators.len(),
         ];
         knobs * others.iter().map(|&len| len.max(1)).product::<usize>()
     }
 
     /// Expands the cartesian product into concrete scenarios, in a fixed
     /// axis order (networks outermost, then resolution, mapping, batch,
-    /// simulator, then the [`ARCH_KNOBS`] in table order).
-    ///
-    /// Baseline-simulator points ignore the mapping and batch axes and
-    /// every knob with [`crate::ArchKnob::baseline_collapses`]
-    /// set (ROB, routing, virtual channels, router depth, structure
-    /// hazard): one baseline point is emitted per remaining axis
-    /// combination —
-    /// pinned to performance-first, batch 1 and the first value of each
-    /// collapsed axis — instead of duplicating identical simulations (and
-    /// a misleading per-image latency).
+    /// then the [`ARCH_KNOBS`] in table order).
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::EmptyGrid`] when no networks are given,
     /// [`SweepError::UnknownNetwork`] / [`SweepError::UnknownMapping`] /
-    /// [`SweepError::UnknownSimulator`] / [`SweepError::UnknownRouting`]
-    /// for bad axis values, [`SweepError::Config`] for a network that
+    /// [`SweepError::UnknownRouting`] for bad axis values, [`SweepError::Config`] for a network that
     /// cannot be built at a resolution, and [`SweepError::Arch`] when the
     /// base configuration is invalid.
     pub fn scenarios(&self) -> Result<Vec<Scenario>, SweepError> {
@@ -326,12 +264,6 @@ impl SweepGrid {
             .map(|m| parse_mapping(m))
             .collect::<Result<Vec<_>, _>>()?;
         let mappings = non_empty(&mappings, MappingPolicy::PerformanceFirst);
-        let simulators = self
-            .simulators
-            .iter()
-            .map(|s| s.parse())
-            .collect::<Result<Vec<_>, _>>()?;
-        let simulators = non_empty(&simulators, SimulatorKind::Cycle);
         let batches = non_empty(&self.batches, 1);
         let knobs = ARCH_KNOBS
             .iter()
@@ -357,41 +289,24 @@ impl SweepGrid {
         }
 
         // One odometer over every axis, the last turning fastest: input,
-        // mapping, batch, simulator, the knobs in table order.
-        let heads = [
-            inputs.len(),
-            mappings.len(),
-            batches.len(),
-            simulators.len(),
-        ];
+        // mapping, batch, the knobs in table order.
+        let heads = [inputs.len(), mappings.len(), batches.len()];
         let radices = heads.into_iter().chain(knobs.iter().map(Vec::len));
         let mut out = Vec::with_capacity(self.points());
         for digits in odometer(radices.collect()) {
             let (network, resolution) = inputs[digits[0]];
             let (mapping, batch) = (mappings[digits[1]], batches[digits[2]]);
-            let simulator = simulators[digits[3]];
-            let values: Vec<KnobValue> =
-                knobs.iter().zip(&digits[4..]).map(|(a, &d)| a[d]).collect();
-            let baseline = simulator == SimulatorKind::Baseline;
-            // A baseline point off the first value of an axis it collapses
-            // repeats the point on it. Values are compared, not positions,
-            // so a value listed twice still expands twice.
-            let collapsed = mapping != mappings[0]
-                || batch != batches[0]
-                || (ARCH_KNOBS.iter().zip(&knobs).zip(&values))
-                    .any(|((knob, axis), &v)| knob.baseline_collapses && v != axis[0]);
-            if baseline && collapsed {
-                continue;
-            }
             let mut arch = base.clone();
-            for (knob, &value) in ARCH_KNOBS.iter().zip(&values) {
-                (knob.set)(&mut arch, value);
+            for ((knob, axis), &d) in ARCH_KNOBS.iter().zip(&knobs).zip(&digits[3..]) {
+                (knob.set)(&mut arch, axis[d]);
             }
-            out.push(if baseline {
-                Scenario::baseline(network.clone(), resolution, arch)
-            } else {
-                Scenario::cycle(network.clone(), resolution, mapping, batch.max(1), arch)
-            });
+            out.push(Scenario::cycle(
+                network.clone(),
+                resolution,
+                mapping,
+                batch.max(1),
+                arch,
+            ));
         }
         Ok(out)
     }
@@ -432,7 +347,6 @@ impl SweepGrid {
             * axis(self.resolutions.len())
             * axis(self.mappings.len())
             * axis(self.batches.len())
-            * axis(self.simulators.len())
             * axis(self.rob_sizes.len())
             * axis(self.adcs_per_xbar.len())
             * axis(self.vector_lanes.len())
@@ -455,14 +369,6 @@ impl SweepGrid {
             self.mappings
                 .iter()
                 .map(|m| parse_mapping(m))
-                .collect::<Result<Vec<_>, _>>()?
-        };
-        let simulators = if self.simulators.is_empty() {
-            vec![SimulatorKind::Cycle]
-        } else {
-            self.simulators
-                .iter()
-                .map(|s| s.parse())
                 .collect::<Result<Vec<_>, _>>()?
         };
         let batches = non_empty(&self.batches, 1);
@@ -500,63 +406,31 @@ impl SweepGrid {
                 }
                 for &mapping in &mappings {
                     for &batch in &batches {
-                        for &simulator in &simulators {
-                            for &rob in &robs {
-                                for &adc in &adcs {
-                                    for &lane in &lanes {
-                                        for &flit in &flits {
-                                            for &routing in &routings {
-                                                for &vc in &vc_counts {
-                                                    for &depth in &depths {
-                                                        for &hazard in &hazards {
-                                                            // The behaviour-level baseline has no
-                                                            // mapping, batch, ROB, routing, VCs,
-                                                            // router pipeline, or structure hazard:
-                                                            // those axes would only duplicate
-                                                            // identical simulations (and a
-                                                            // misleading per-image latency), so
-                                                            // baseline points collapse them to one
-                                                            // representative each —
-                                                            // performance-first, batch 1, and the
-                                                            // first ROB / routing / VC / depth /
-                                                            // hazard axis values.
-                                                            let baseline = simulator
-                                                                == SimulatorKind::Baseline;
-                                                            if baseline
-                                                                && (mapping != mappings[0]
-                                                                    || batch != batches[0]
-                                                                    || rob != robs[0]
-                                                                    || routing != routings[0]
-                                                                    || vc != vc_counts[0]
-                                                                    || depth != depths[0]
-                                                                    || hazard != hazards[0])
-                                                            {
-                                                                continue;
-                                                            }
-                                                            let (mapping, batch) = if baseline {
-                                                                (MappingPolicy::PerformanceFirst, 1)
-                                                            } else {
-                                                                (mapping, batch.max(1))
-                                                            };
-                                                            let mut arch = base.clone();
-                                                            arch.resources.rob_size = rob;
-                                                            arch.resources.adcs_per_xbar = adc;
-                                                            arch.resources.vector_lanes = lane;
-                                                            arch.noc.flit_bytes = flit;
-                                                            arch.noc.routing = routing;
-                                                            arch.noc.virtual_channels = vc;
-                                                            arch.noc.router_pipeline_depth = depth;
-                                                            arch.sim.structure_hazard = hazard;
-                                                            out.push(Scenario {
-                                                                network: network.clone(),
-                                                                resolution,
-                                                                mapping,
-                                                                batch,
-                                                                simulator,
-                                                                label: String::new(),
-                                                                arch,
-                                                            });
-                                                        }
+                        for &rob in &robs {
+                            for &adc in &adcs {
+                                for &lane in &lanes {
+                                    for &flit in &flits {
+                                        for &routing in &routings {
+                                            for &vc in &vc_counts {
+                                                for &depth in &depths {
+                                                    for &hazard in &hazards {
+                                                        let mut arch = base.clone();
+                                                        arch.resources.rob_size = rob;
+                                                        arch.resources.adcs_per_xbar = adc;
+                                                        arch.resources.vector_lanes = lane;
+                                                        arch.noc.flit_bytes = flit;
+                                                        arch.noc.routing = routing;
+                                                        arch.noc.virtual_channels = vc;
+                                                        arch.noc.router_pipeline_depth = depth;
+                                                        arch.sim.structure_hazard = hazard;
+                                                        out.push(Scenario {
+                                                            network: network.clone(),
+                                                            resolution,
+                                                            mapping,
+                                                            batch: batch.max(1),
+                                                            label: String::new(),
+                                                            arch,
+                                                        });
                                                     }
                                                 }
                                             }
@@ -601,13 +475,8 @@ impl Scenario {
             format!(" depth={}", self.arch.noc.router_pipeline_depth)
         };
         format!(
-            "{}/{} {} x{} rob={}{routing}{vcs}{depth} {}",
-            self.network,
-            self.resolution,
-            self.mapping,
-            self.batch,
-            self.arch.resources.rob_size,
-            self.simulator,
+            "{}/{} {} x{} rob={}{routing}{vcs}{depth} cycle",
+            self.network, self.resolution, self.mapping, self.batch, self.arch.resources.rob_size,
         )
     }
 }
@@ -624,7 +493,7 @@ impl Serialize for NestedJson<'_> {
         sink.field("resolution", &this.resolution);
         sink.field("mapping", &this.mapping.to_string());
         sink.field("batch", &this.batch);
-        sink.field("simulator", &this.simulator.to_string());
+        sink.field("simulator", "cycle");
         sink.field("label", &this.label);
         let r = &this.arch.resources;
         sink.field("rob_size", &r.rob_size);
@@ -686,76 +555,27 @@ mod tests {
         let s = &scenarios[0];
         assert_eq!(s.arch, ArchConfig::small_test());
         assert_eq!(s.batch, 1);
-        assert_eq!(s.simulator, SimulatorKind::Cycle);
+        assert!(s.display_label().ends_with(" cycle"));
         assert_eq!(s.resolution, 64);
         assert_eq!(default_resolution("vgg8"), 32);
     }
 
     #[test]
-    fn baseline_points_collapse_ignored_axes() {
-        let mut grid = SweepGrid::over_networks(["tiny_mlp"]);
-        grid.base = Some(ArchConfig::small_test());
-        grid.mappings = vec![
-            "utilization-first".to_string(),
-            "performance-first".to_string(),
-        ];
-        grid.batches = vec![1, 4];
-        grid.rob_sizes = vec![1, 4];
-        grid.structure_hazard = vec![true, false];
-        grid.adcs_per_xbar = vec![1, 2];
-        grid.simulators = vec!["cycle".to_string(), "baseline".to_string()];
-        let scenarios = grid.scenarios().unwrap();
-        // Cycle: 2 mappings x 2 batches x 2 robs x 2 hazards x 2 adcs = 32.
-        // Baseline ignores mapping/batch/rob/hazard but NOT adcs: 2 points.
-        assert_eq!(scenarios.len(), 34);
-        assert!(grid.points() >= scenarios.len());
-        let baselines: Vec<_> = scenarios
-            .iter()
-            .filter(|s| s.simulator == SimulatorKind::Baseline)
-            .collect();
-        assert_eq!(baselines.len(), 2);
-        for b in &baselines {
-            assert_eq!(b.batch, 1);
-            assert_eq!(b.mapping, MappingPolicy::PerformanceFirst);
-            assert_eq!(b.arch.resources.rob_size, 1);
-            assert!(b.arch.sim.structure_hazard);
-        }
-        assert_ne!(
-            baselines[0].arch.resources.adcs_per_xbar,
-            baselines[1].arch.resources.adcs_per_xbar
-        );
-    }
-
-    #[test]
-    fn routing_axis_expands_and_collapses_for_baseline() {
+    fn routing_axis_expands() {
         let mut grid = SweepGrid::over_networks(["tiny_mlp"]);
         grid.base = Some(ArchConfig::small_test());
         grid.routings = vec!["xy".into(), "yx".into(), "xy-yx".into()];
-        grid.simulators = vec!["cycle".into(), "baseline".into()];
-        assert_eq!(grid.points(), 6);
+        assert_eq!(grid.points(), 3);
         let scenarios = grid.scenarios().unwrap();
-        // Cycle: one per routing. Baseline: the closed-form NoC cost is
-        // routing-independent, so the axis collapses to one point.
-        assert_eq!(scenarios.len(), 4);
-        let cycle: Vec<_> = scenarios
-            .iter()
-            .filter(|s| s.simulator == SimulatorKind::Cycle)
-            .map(|s| s.arch.noc.routing)
-            .collect();
+        let routings: Vec<_> = scenarios.iter().map(|s| s.arch.noc.routing).collect();
         assert_eq!(
-            cycle,
+            routings,
             vec![
                 RoutingPolicy::Xy,
                 RoutingPolicy::Yx,
                 RoutingPolicy::XyYxAlternate
             ]
         );
-        let baseline: Vec<_> = scenarios
-            .iter()
-            .filter(|s| s.simulator == SimulatorKind::Baseline)
-            .collect();
-        assert_eq!(baseline.len(), 1);
-        assert_eq!(baseline[0].arch.noc.routing, RoutingPolicy::Xy);
         // Labels and serialization surface the knob only when non-default.
         assert!(!scenarios[0].display_label().contains("xy"));
         assert!(scenarios[1].display_label().contains(" yx "));
@@ -767,20 +587,15 @@ mod tests {
     }
 
     #[test]
-    fn router_model_axes_expand_and_collapse_for_baseline() {
+    fn router_model_axes_expand() {
         let mut grid = SweepGrid::over_networks(["tiny_mlp"]);
         grid.base = Some(ArchConfig::small_test());
         grid.vcs = vec![1, 2];
         grid.router_depths = vec![1, 3];
-        grid.simulators = vec!["cycle".into(), "baseline".into()];
-        assert_eq!(grid.points(), 8);
+        assert_eq!(grid.points(), 4);
         let scenarios = grid.scenarios().unwrap();
-        // Cycle: the 2x2 product. Baseline: blind to flow control and
-        // router pipelining, so both axes collapse to one point.
-        assert_eq!(scenarios.len(), 5);
-        let cycle: Vec<_> = scenarios
+        let knobs: Vec<_> = scenarios
             .iter()
-            .filter(|s| s.simulator == SimulatorKind::Cycle)
             .map(|s| {
                 (
                     s.arch.noc.virtual_channels,
@@ -788,14 +603,7 @@ mod tests {
                 )
             })
             .collect();
-        assert_eq!(cycle, vec![(1, 1), (1, 3), (2, 1), (2, 3)]);
-        let baseline: Vec<_> = scenarios
-            .iter()
-            .filter(|s| s.simulator == SimulatorKind::Baseline)
-            .collect();
-        assert_eq!(baseline.len(), 1);
-        assert_eq!(baseline[0].arch.noc.virtual_channels, 1);
-        assert_eq!(baseline[0].arch.noc.router_pipeline_depth, 1);
+        assert_eq!(knobs, vec![(1, 1), (1, 3), (2, 1), (2, 3)]);
         // Labels and serialization surface the knobs only when
         // non-default, so pre-knob campaign output stays byte-identical.
         assert!(!scenarios[0].display_label().contains("vc="));
@@ -815,11 +623,13 @@ mod tests {
 
     #[test]
     fn unknown_engine_is_rejected() {
-        // There is one run loop, and serving is `pimsim serve`'s alone: a
-        // grid still naming an `engines` axis or a serving key is refused
-        // with the field's location, not silently ignored.
+        // There is one run loop and one simulator per point, and serving
+        // is `pimsim serve`'s alone: a grid still naming an `engines` or
+        // `simulators` axis or a serving key is refused with the field's
+        // location, not silently ignored.
         for (key, value) in [
             ("engines", "[\"event\"]"),
+            ("simulators", "[\"cycle\"]"),
             ("arrival_rates", "[50000]"),
             ("batch_policies", "[\"4/50us\"]"),
             ("serve_duration", "\"1ms\""),
@@ -856,12 +666,6 @@ mod tests {
             grid.scenarios().unwrap_err(),
             SweepError::UnknownMapping(_)
         ));
-        let mut grid = SweepGrid::over_networks(["tiny_mlp"]);
-        grid.simulators = vec!["spice".into()];
-        assert!(matches!(
-            grid.scenarios().unwrap_err(),
-            SweepError::UnknownSimulator(_)
-        ));
         let grid = SweepGrid::over_networks(["nonexistent_net"]);
         assert!(matches!(
             grid.scenarios().unwrap_err(),
@@ -873,7 +677,6 @@ mod tests {
     fn grid_json_roundtrip_and_unknown_fields() {
         let mut grid = SweepGrid::over_networks(["vgg8"]);
         grid.rob_sizes = vec![1, 8];
-        grid.simulators = vec!["cycle".into(), "baseline".into()];
         let text = grid.to_json();
         assert_eq!(SweepGrid::from_json(&text).unwrap(), grid);
         assert!(SweepGrid::from_json(r#"{"netwroks": ["vgg8"]}"#).is_err());
@@ -904,19 +707,6 @@ mod tests {
         assert_eq!(v["structure_hazard"], Value::Bool(true));
     }
 
-    #[test]
-    fn simulator_kind_parses() {
-        assert_eq!(
-            "cycle".parse::<SimulatorKind>().unwrap(),
-            SimulatorKind::Cycle
-        );
-        assert_eq!(
-            "baseline".parse::<SimulatorKind>().unwrap(),
-            SimulatorKind::Baseline
-        );
-        assert!("spice".parse::<SimulatorKind>().is_err());
-    }
-
     /// Picks `0..=3` values for an axis from `pool`, repeats allowed.
     fn pick<T: Clone + std::fmt::Debug + 'static>(
         pool: &'static [T],
@@ -928,7 +718,6 @@ mod tests {
 
     const NAMES: &[&str] = &["tiny_mlp", "tiny_cnn"];
     const MAPPINGS: &[&str] = &["performance-first", "utilization-first"];
-    const SIMULATORS: &[&str] = &["cycle", "baseline"];
     const ROUTINGS: &[&str] = &["xy", "yx", "xy-yx", "adaptive"];
 
     fn strings(names: Vec<&str>) -> Vec<String> {
@@ -939,11 +728,12 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
 
         /// The odometer expands every grid — each axis with 0–3 values,
-        /// repeats included, cycle and baseline — into the oracle's scenarios, labels and JSON bytes.
+        /// repeats included — into the oracle's scenarios, labels and JSON
+        /// bytes, and `points()` counts them exactly.
         #[test]
         fn odometer_matches_the_nested_loops(
             program in (pick(NAMES), pick(&[32u32, 64]), pick(MAPPINGS), pick(&[0u32, 1, 2])),
-            sims in (pick(SIMULATORS), proptest::strategy::any::<bool>()),
+            small_base in proptest::strategy::any::<bool>(),
             knobs in (
                 pick(&[1u32, 4, 8]),
                 pick(&[1u32, 2]),
@@ -960,7 +750,6 @@ mod tests {
                 resolutions: program.1,
                 mappings: strings(program.2),
                 batches: program.3,
-                simulators: strings(sims.0),
                 rob_sizes: knobs.0,
                 adcs_per_xbar: knobs.1,
                 vector_lanes: knobs.2,
@@ -969,11 +758,14 @@ mod tests {
                 vcs: knobs.5,
                 router_depths: knobs.6,
                 structure_hazard: knobs.7,
-                base: sims.1.then(ArchConfig::small_test),
+                base: small_base.then(ArchConfig::small_test),
             };
             proptest::prop_assert_eq!(grid.points(), grid.nested_points());
             let ours = grid.scenarios();
             proptest::prop_assert_eq!(&ours, &grid.nested_scenarios());
+            if let Ok(scenarios) = &ours {
+                proptest::prop_assert_eq!(grid.points(), scenarios.len());
+            }
             for s in ours.iter().flatten() {
                 proptest::prop_assert_eq!(s.display_label(), s.nested_label());
                 proptest::prop_assert_eq!(

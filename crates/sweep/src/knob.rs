@@ -4,9 +4,9 @@
 //! run --rob 4`) or sweeps as a grid axis (`pimsim sweep --robs 1,4`).
 //! [`ARCH_KNOBS`] is the one place that says how every consumer sees each
 //! knob: the CLI's single-value option and sweep flag, the [`SweepGrid`]
-//! field, grid expansion (and whether a baseline point collapses the
-//! axis), the derived scenario label and the scenario JSON. Adding a knob
-//! is one row here plus its `SweepGrid` field and its usage and docs lines.
+//! field, grid expansion, the derived scenario label and the scenario
+//! JSON. Adding a knob is one row here plus its `SweepGrid` field and its
+//! usage and docs lines.
 
 use std::fmt;
 
@@ -108,10 +108,6 @@ pub struct ArchKnob {
     pub axis: fn(&SweepGrid) -> Result<Vec<KnobValue>, SweepError>,
     /// Replaces the grid axis.
     pub set_axis: fn(&mut SweepGrid, Vec<KnobValue>),
-    /// Whether baseline points collapse the axis to its first value: the
-    /// behaviour-level model cannot see the knob, so other values would
-    /// only repeat one simulation.
-    pub baseline_collapses: bool,
     /// The knob's prefix in a derived scenario label, and when it shows.
     pub label: (&'static str, Shown),
     /// The knob's scenario-JSON key, and when it is written.
@@ -158,10 +154,7 @@ fn to_counts(values: Vec<KnobValue>) -> Vec<u32> {
 }
 
 /// Every architecture knob, in grid-expansion order (the last row varies
-/// fastest), which is also label and JSON order. Baseline points collapse
-/// the ROB and the hazard (the behaviour-level model has neither) and the
-/// router knobs (its NoC cost is a hop-count closed form, the same for
-/// every minimal routing order and blind to flow control and pipelining).
+/// fastest), which is also label and JSON order.
 pub const ARCH_KNOBS: &[ArchKnob] = &[
     ArchKnob {
         option: Some("rob"),
@@ -172,7 +165,6 @@ pub const ARCH_KNOBS: &[ArchKnob] = &[
         set: |a, v| a.resources.rob_size = v.count(),
         axis: |g| counts(&g.rob_sizes),
         set_axis: |g, v| g.rob_sizes = to_counts(v),
-        baseline_collapses: true,
         label: ("rob=", Always),
         json: ("rob_size", Always),
     },
@@ -185,7 +177,6 @@ pub const ARCH_KNOBS: &[ArchKnob] = &[
         set: |a, v| a.resources.adcs_per_xbar = v.count(),
         axis: |g| counts(&g.adcs_per_xbar),
         set_axis: |g, v| g.adcs_per_xbar = to_counts(v),
-        baseline_collapses: false,
         label: ("", Never),
         json: ("adcs_per_xbar", Always),
     },
@@ -198,7 +189,6 @@ pub const ARCH_KNOBS: &[ArchKnob] = &[
         set: |a, v| a.resources.vector_lanes = v.count(),
         axis: |g| counts(&g.vector_lanes),
         set_axis: |g, v| g.vector_lanes = to_counts(v),
-        baseline_collapses: false,
         label: ("", Never),
         json: ("vector_lanes", Always),
     },
@@ -211,7 +201,6 @@ pub const ARCH_KNOBS: &[ArchKnob] = &[
         set: |a, v| a.noc.flit_bytes = v.count(),
         axis: |g| counts(&g.flit_bytes),
         set_axis: |g, v| g.flit_bytes = to_counts(v),
-        baseline_collapses: false,
         label: ("", Never),
         json: ("flit_bytes", Always),
     },
@@ -233,7 +222,6 @@ pub const ARCH_KNOBS: &[ArchKnob] = &[
                 .collect()
         },
         set_axis: |g, v| g.routings = v.iter().map(ToString::to_string).collect(),
-        baseline_collapses: true,
         label: ("", NonDefault),
         json: ("routing", NonDefault),
     },
@@ -246,7 +234,6 @@ pub const ARCH_KNOBS: &[ArchKnob] = &[
         set: |a, v| a.noc.virtual_channels = v.count(),
         axis: |g| counts(&g.vcs),
         set_axis: |g, v| g.vcs = to_counts(v),
-        baseline_collapses: true,
         label: ("vc=", NonDefault),
         json: ("virtual_channels", NonDefault),
     },
@@ -259,7 +246,6 @@ pub const ARCH_KNOBS: &[ArchKnob] = &[
         set: |a, v| a.noc.router_pipeline_depth = v.count(),
         axis: |g| counts(&g.router_depths),
         set_axis: |g, v| g.router_depths = to_counts(v),
-        baseline_collapses: true,
         label: ("depth=", NonDefault),
         json: ("router_pipeline_depth", NonDefault),
     },
@@ -272,7 +258,6 @@ pub const ARCH_KNOBS: &[ArchKnob] = &[
         set: |a, v| a.sim.structure_hazard = v.switch(),
         axis: |g| Ok(g.structure_hazard.iter().map(|&on| Switch(on)).collect()),
         set_axis: |g, v| g.structure_hazard = v.into_iter().map(KnobValue::switch).collect(),
-        baseline_collapses: true,
         label: ("", Never),
         json: ("structure_hazard", Always),
     },

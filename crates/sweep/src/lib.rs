@@ -6,14 +6,16 @@
 //! evaluation over the ISA boundary; studies like PIMSYN run *thousands*
 //! of simulations per campaign. This crate turns such a campaign into a
 //! declarative [`SweepGrid`] — network × resolution × mapping policy ×
-//! batch × simulator kind × the architecture knobs of [`ARCH_KNOBS`] (ROB
-//! depth, ADCs per crossbar, SIMD lanes, flit width, routing policy,
-//! virtual channels, router depth, structure hazard) — expands its
+//! batch × the architecture knobs of [`ARCH_KNOBS`] (ROB depth, ADCs per
+//! crossbar, SIMD lanes, flit width, routing policy, virtual channels,
+//! router depth, structure hazard) — expands its
 //! cartesian product into [`Scenario`]s, fans them out across OS threads,
 //! and collects one [`SweepRow`] per point.
 //!
-//! Every grid point is one compile-and-simulate; open-loop serving is
-//! `pimsim_serve`'s, one `serve` call per offered rate.
+//! Every grid point is one compile-and-simulate on the cycle-accurate
+//! simulator; the behaviour-level baseline is `pimsim_baseline`'s, called
+//! directly, and open-loop serving is `pimsim_serve`'s, one `serve` call
+//! per offered rate.
 //!
 //! Results are **deterministic**: rows come back ordered by scenario
 //! index, every value is derived from a single-threaded simulation of one
@@ -45,7 +47,7 @@ mod grid;
 mod knob;
 
 pub use engine::{default_threads, results_to_json, run_grid, run_scenarios, SweepRow};
-pub use grid::{default_resolution, parse_mapping, Scenario, SimulatorKind, SweepGrid};
+pub use grid::{default_resolution, parse_mapping, Scenario, SweepGrid};
 pub use knob::{ArchKnob, KnobValue, Shown, ARCH_KNOBS};
 
 use pimsim_arch::ArchError;
@@ -59,8 +61,6 @@ pub enum SweepError {
     UnknownNetwork(String),
     /// A mapping-policy name is not recognized.
     UnknownMapping(String),
-    /// A simulator name is not recognized.
-    UnknownSimulator(String),
     /// A NoC routing-policy name is not recognized.
     UnknownRouting(String),
     /// A scenario's architecture configuration failed validation.
@@ -82,9 +82,6 @@ impl std::fmt::Display for SweepError {
                 f,
                 "unknown mapping policy `{m}` (want performance-first or utilization-first)"
             ),
-            SweepError::UnknownSimulator(s) => {
-                write!(f, "unknown simulator `{s}` (want cycle or baseline)")
-            }
             SweepError::UnknownRouting(r) => {
                 write!(
                     f,

@@ -66,6 +66,6 @@ pub mod prelude {
     pub use pimsim_nn::Network;
     pub use pimsim_serve::{serve, BatchPolicy, ServeConfig, ServeReport};
     pub use pimsim_sweep::{
-        default_threads, run_grid, run_scenarios, Scenario, SimulatorKind, SweepGrid, SweepRow,
+        default_threads, run_grid, run_scenarios, Scenario, SweepGrid, SweepRow,
     };
 }

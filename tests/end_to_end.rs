@@ -203,34 +203,38 @@ fn network_description_file_flow() {
 
 #[test]
 fn baseline_reports_lower_comm_share_than_cycle_accurate() {
+    // Fig. 5's claim on each of its networks, at `fig5`'s settings.
     use pimsim::baseline::BaselineSimulator;
     let arch = ArchConfig::paper_default().with_rob(16);
-    let net = zoo::vgg8(32);
-    let base = BaselineSimulator::new(&arch).run(&net).unwrap();
-    let compiled = Compiler::new(&arch)
-        .mapping(MappingPolicy::PerformanceFirst)
-        .functional(false)
-        .compile(&net)
-        .unwrap();
-    let ours = Simulator::new(&arch).run(&compiled.program).unwrap();
+    for name in ["vgg8", "vgg16", "resnet18"] {
+        let net = zoo::by_name(name, 32).unwrap();
+        let base = BaselineSimulator::new(&arch).run(&net).unwrap();
+        let compiled = Compiler::new(&arch)
+            .mapping(MappingPolicy::PerformanceFirst)
+            .functional(false)
+            .compile(&net)
+            .unwrap();
+        let ours = Simulator::new(&arch).run(&compiled.program).unwrap();
 
-    // Second convolution, as in the paper's analysis.
-    let conv2 = compiled
-        .node_names
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.contains("conv"))
-        .map(|(i, _)| i)
-        .nth(1)
-        .unwrap();
-    let base_ratio = base.per_layer[conv2].comm_ratio();
-    let ours_ratio = ours.comm_ratio(conv2 as u16);
-    assert!(
-        ours_ratio > base_ratio,
-        "synchronized transfers must show a larger comm share ({ours_ratio:.3} vs {base_ratio:.3})"
-    );
-    // And the cycle-accurate simulator must be slower end to end.
-    assert!(ours.latency > base.latency);
+        // Second convolution, as in the paper's analysis.
+        let conv2 = compiled
+            .node_names
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.contains("conv"))
+            .map(|(i, _)| i)
+            .nth(1)
+            .unwrap();
+        let base_ratio = base.per_layer[conv2].comm_ratio();
+        let ours_ratio = ours.comm_ratio(conv2 as u16);
+        assert!(
+            ours_ratio > base_ratio,
+            "{name}: synchronized transfers must show a larger comm share \
+             ({ours_ratio:.3} vs {base_ratio:.3})"
+        );
+        // And the cycle-accurate simulator must be slower end to end.
+        assert!(ours.latency > base.latency, "{name}");
+    }
 }
 
 #[test]
