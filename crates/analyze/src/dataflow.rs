@@ -238,8 +238,12 @@ fn def_before_use(
         })
     });
     let mut report = |pc, instr: &Instruction, mask: &u32| {
-        let unassigned = instr.uses_regs() & !mask;
-        for r in Reg::all().filter(|r| unassigned >> r.index() & 1 == 1) {
+        // Only the set bits, lowest register first (`Reg::all()` order).
+        let mut unassigned = instr.uses_regs() & !mask;
+        while unassigned != 0 {
+            let index = unassigned.trailing_zeros() as u8;
+            unassigned &= unassigned - 1;
+            let Ok(r) = Reg::new(index) else { break };
             let message = format!("{r} may be read before any write (reads as 0)");
             out.push(Diagnostic::at(
                 DiagKind::DefBeforeUse,
@@ -585,6 +589,38 @@ mod tests {
         let diags = run(&instrs);
         assert_eq!(kinds(&diags), vec![(DiagKind::DefBeforeUse, 0)]);
         assert!(diags[0].message.contains("r5"), "{}", diags[0].message);
+    }
+
+    #[test]
+    fn def_before_use_reports_registers_in_index_order() {
+        let instrs = vec![
+            Instruction::SBin {
+                op: SBinOp::Add,
+                rd: Reg::R1,
+                rs1: Reg::R8,
+                rs2: Reg::R3,
+            },
+            Instruction::SBin {
+                op: SBinOp::Add,
+                rd: Reg::R2,
+                rs1: Reg::R1,
+                rs2: Reg::R1,
+            },
+            Instruction::Halt,
+        ];
+        let diags = run(&instrs);
+        let messages: Vec<&str> = diags
+            .iter()
+            .filter(|d| d.kind == DiagKind::DefBeforeUse)
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(
+            messages,
+            [
+                "r3 may be read before any write (reads as 0)",
+                "r8 may be read before any write (reads as 0)",
+            ]
+        );
     }
 
     #[test]

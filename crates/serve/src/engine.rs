@@ -17,6 +17,7 @@ use pimsim_event::SimTime;
 
 use crate::config::ServeConfig;
 use crate::service::ServiceModel;
+use crate::trace::DepthTrace;
 use crate::workload::ArrivalStream;
 use crate::ServeError;
 
@@ -43,7 +44,7 @@ pub(crate) struct SimOutcome {
     /// horizon, even on an idle run).
     pub makespan: SimTime,
     /// `(time, queued total)` after every event, deduplicated per instant.
-    pub depth_samples: Vec<(SimTime, u64)>,
+    pub depth_samples: DepthTrace,
     /// The deepest the queue ever got.
     pub max_depth: u64,
     /// The most wake-ups that were ever pending at once.
@@ -102,7 +103,7 @@ pub(crate) fn simulate(
         latencies_ps: vec![Vec::new(); nets],
         energy_pj: 0.0,
         makespan: config.duration,
-        depth_samples: Vec::new(),
+        depth_samples: DepthTrace::default(),
         max_depth: 0,
         #[cfg(test)]
         pending_peak: 0,
@@ -186,10 +187,7 @@ pub(crate) fn simulate(
             out.pending_peak = out.pending_peak.max(pending.len());
         }
         out.max_depth = out.max_depth.max(queued_total);
-        match out.depth_samples.last_mut() {
-            Some(last) if last.0 == now => last.1 = queued_total,
-            _ => out.depth_samples.push((now, queued_total)),
-        }
+        out.depth_samples.record(now, queued_total);
     }
 
     for (net, queue) in queues.iter().enumerate() {

@@ -47,6 +47,7 @@ mod engine;
 mod oracle;
 mod report;
 mod service;
+mod trace;
 mod workload;
 
 pub use config::{format_duration, parse_duration, ArrivalProcess, BatchPolicy, ServeConfig};

@@ -16,6 +16,7 @@ use pimsim_event::SimTime;
 use crate::config::{ArrivalProcess, BatchPolicy, ServeConfig};
 use crate::engine::{simulate, SimOutcome};
 use crate::service::ServiceModel;
+use crate::trace::DepthTrace;
 use crate::workload::{generate_requests, ArrivalStream, Request};
 
 fn exponential(rng: &mut StdRng, rate: f64) -> SimTime {
@@ -103,8 +104,14 @@ enum EvKind {
     Free,
 }
 
-/// The everything-in-one-heap replay of `requests`.
-fn heap_simulate(config: &ServeConfig, requests: &[Request], model: &ServiceModel) -> SimOutcome {
+/// The everything-in-one-heap replay of `requests`. Its queue-depth
+/// samples come back beside the outcome as a plain `Vec`, so the
+/// differential test also checks the engine's encoded trace.
+fn heap_simulate(
+    config: &ServeConfig,
+    requests: &[Request],
+    model: &ServiceModel,
+) -> (SimOutcome, Vec<(SimTime, u64)>) {
     let nets = config.networks.len();
     let timeout = config.batch.timeout;
     let batch_max = config.batch.max_size;
@@ -133,10 +140,11 @@ fn heap_simulate(config: &ServeConfig, requests: &[Request], model: &ServiceMode
         latencies_ps: vec![Vec::new(); nets],
         energy_pj: 0.0,
         makespan: config.duration,
-        depth_samples: Vec::new(),
+        depth_samples: DepthTrace::default(),
         max_depth: 0,
         pending_peak: 0,
     };
+    let mut depth_samples: Vec<(SimTime, u64)> = Vec::new();
     for r in requests {
         out.generated[r.net] += 1;
     }
@@ -197,16 +205,16 @@ fn heap_simulate(config: &ServeConfig, requests: &[Request], model: &ServiceMode
         }
 
         out.max_depth = out.max_depth.max(queued_total);
-        match out.depth_samples.last_mut() {
+        match depth_samples.last_mut() {
             Some(last) if last.0 == now => last.1 = queued_total,
-            _ => out.depth_samples.push((now, queued_total)),
+            _ => depth_samples.push((now, queued_total)),
         }
     }
 
     for (net, queue) in queues.iter().enumerate() {
         out.in_queue[net] = queue.len() as u64;
     }
-    out
+    (out, depth_samples)
 }
 
 /// The workloads the differential test draws from: one to three networks
@@ -246,13 +254,15 @@ fn both(c: &ServeConfig) -> SimOutcome {
     let model = model(c.networks.len());
     let requests = eager_requests(c);
     assert_eq!(generate_requests(c).unwrap(), requests);
-    let old = heap_simulate(c, &requests, model);
+    let (old, old_samples) = heap_simulate(c, &requests, model);
     let mut stream = ArrivalStream::new(c).unwrap();
     let new = simulate(c, &mut stream, model).unwrap();
     assert!(stream.next().is_none(), "the replay consumes the stream");
+    assert!(new.depth_samples.iter().eq(old_samples));
     assert_eq!(
         SimOutcome {
             pending_peak: 0,
+            depth_samples: DepthTrace::default(),
             ..new.clone()
         },
         old

@@ -7,6 +7,7 @@ use pimsim_event::SimTime;
 use crate::config::ServeConfig;
 use crate::engine::SimOutcome;
 use crate::service::ServiceModel;
+use crate::trace::DepthTrace;
 
 /// One `(time, depth)` point of the queue-depth-over-time trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -129,21 +130,14 @@ fn tail_ns(ps: &mut [u64]) -> [f64; 4] {
 }
 
 /// Keeps at most `cap` evenly spaced samples (always retaining the last).
-fn downsample(samples: &[(SimTime, u64)], cap: usize) -> Vec<QueueSample> {
-    let stride = samples.len().div_ceil(cap).max(1);
-    let mut out: Vec<QueueSample> = samples
-        .iter()
-        .step_by(stride)
-        .map(|&(t, depth)| QueueSample {
-            t_ns: t.as_ns_f64(),
-            depth,
-        })
-        .collect();
-    if let Some(&(t, depth)) = samples.last() {
-        let last = QueueSample {
-            t_ns: t.as_ns_f64(),
-            depth,
-        };
+fn downsample(trace: &DepthTrace, cap: usize) -> Vec<QueueSample> {
+    let point = |(t, depth): (SimTime, u64)| QueueSample {
+        t_ns: t.as_ns_f64(),
+        depth,
+    };
+    let stride = trace.len().div_ceil(cap).max(1);
+    let mut out: Vec<QueueSample> = trace.iter().step_by(stride).map(point).collect();
+    if let Some(last) = trace.last().map(point) {
         if out.last() != Some(&last) {
             out.push(last);
         }
@@ -279,6 +273,31 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::tests::{reference, samples, trace};
+
+    /// `downsample` as it was over a plain `Vec` of samples: the reference
+    /// the trace-reading one is held to.
+    fn downsample_slice(samples: &[(SimTime, u64)], cap: usize) -> Vec<QueueSample> {
+        let stride = samples.len().div_ceil(cap).max(1);
+        let mut out: Vec<QueueSample> = samples
+            .iter()
+            .step_by(stride)
+            .map(|&(t, depth)| QueueSample {
+                t_ns: t.as_ns_f64(),
+                depth,
+            })
+            .collect();
+        if let Some(&(t, depth)) = samples.last() {
+            let last = QueueSample {
+                t_ns: t.as_ns_f64(),
+                depth,
+            };
+            if out.last() != Some(&last) {
+                out.push(last);
+            }
+        }
+        out
+    }
 
     #[test]
     fn nearest_rank_percentiles() {
@@ -311,12 +330,27 @@ mod tests {
     #[test]
     fn downsampling_keeps_ends_and_caps_length() {
         let samples: Vec<(SimTime, u64)> = (0..1000).map(|i| (SimTime::from_ns(i), i)).collect();
-        let ds = downsample(&samples, 64);
+        let ds = downsample(&trace(&samples), 64);
         assert!(ds.len() <= 65);
         assert_eq!(ds.first().unwrap().t_ns, 0.0);
         assert_eq!(ds.last().unwrap().depth, 999);
-        let tiny = downsample(&samples[..3], 64);
+        let tiny = downsample(&trace(&samples[..3]), 64);
         assert_eq!(tiny.len(), 3);
-        assert!(downsample(&[], 64).is_empty());
+        assert!(downsample(&DepthTrace::default(), 64).is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Downsampling the trace keeps the points the slice version keeps
+        /// from the `Vec` the trace stands for.
+        #[test]
+        fn downsampling_the_trace_matches_the_slice_oracle(
+            samples in samples(),
+            cap in 1usize..100,
+        ) {
+            let expect = downsample_slice(&reference(&samples), cap);
+            proptest::prop_assert_eq!(downsample(&trace(&samples), cap), expect);
+        }
     }
 }
