@@ -13,19 +13,10 @@
 //! otherwise the interval arithmetic widens to the full `i32` range
 //! whenever a result could wrap.
 
-use pimsim_isa::{Instruction, Reg, SBinOp, SImmOp};
+use pimsim_isa::{Instruction, ProgramLimits, Reg, SBinOp, SImmOp};
 
 use crate::cfg::Cfg;
 use crate::diag::{DiagKind, Diagnostic};
-
-/// Memory capacities the out-of-bounds check runs against.
-#[derive(Debug, Clone, Copy)]
-pub struct MemLimits {
-    /// Local scratchpad capacity, 32-bit elements.
-    pub local_elems: u32,
-    /// Global memory capacity, 32-bit elements.
-    pub global_elems: u64,
-}
 
 // ---------------------------------------------------------------- intervals
 
@@ -130,12 +121,13 @@ fn eval(regs: &mut Regs, instr: &Instruction) {
 
 // ------------------------------------------------------------ the passes
 
-/// Runs every dataflow pass over one core and appends its diagnostics.
+/// Runs every dataflow pass over one core and appends its diagnostics;
+/// the out-of-bounds check runs against `limits`' memory capacities.
 pub fn check_core(
     core: u16,
     instrs: &[Instruction],
     cfg: &Cfg,
-    limits: MemLimits,
+    limits: &ProgramLimits,
     out: &mut Vec<Diagnostic>,
 ) {
     if cfg.blocks.is_empty() {
@@ -311,7 +303,7 @@ fn out_of_bounds(
     instrs: &[Instruction],
     cfg: &Cfg,
     preds: &[Vec<usize>],
-    limits: MemLimits,
+    limits: &ProgramLimits,
     out: &mut Vec<Diagnostic>,
 ) {
     let entry: Regs = [Interval::exact(0); 32];
@@ -419,11 +411,11 @@ fn check_instr_bounds(
     pc: u32,
     instr: &Instruction,
     regs: &Regs,
-    limits: MemLimits,
+    limits: &ProgramLimits,
     out: &mut Vec<Diagnostic>,
 ) {
-    let local = limits.local_elems as i64;
-    let global = limits.global_elems.min(i64::MAX as u64) as i64;
+    let local = limits.local_mem_elems as i64;
+    let global = limits.global_mem_elems.min(i64::MAX as u64) as i64;
     match instr {
         Instruction::Recv { dst, len, .. } => {
             check_span(
@@ -520,9 +512,11 @@ mod tests {
     use super::*;
     use pimsim_isa::{Addr, CoreId, Reg};
 
-    const LIMITS: MemLimits = MemLimits {
-        local_elems: 1024,
-        global_elems: 1 << 20,
+    const LIMITS: ProgramLimits = ProgramLimits {
+        cores: 1,
+        xbars_per_core: 1,
+        local_mem_elems: 1024,
+        global_mem_elems: 1 << 20,
     };
 
     fn addr(base: Reg, off: i32) -> Addr {
@@ -541,7 +535,7 @@ mod tests {
     fn run(instrs: &[Instruction]) -> Vec<Diagnostic> {
         let cfg = Cfg::build(instrs);
         let mut out = Vec::new();
-        check_core(0, instrs, &cfg, LIMITS, &mut out);
+        check_core(0, instrs, &cfg, &LIMITS, &mut out);
         out
     }
 

@@ -54,7 +54,7 @@ pub mod occupancy;
 pub mod rendezvous;
 
 use pimsim_arch::ArchConfig;
-use pimsim_isa::{IsaError, Program, ProgramLimits};
+use pimsim_isa::{IsaError, Program};
 use serde::{Deserialize, Serialize};
 
 pub use bounds::{bounds, BoundsReport, CoreBound, CriticalHop};
@@ -62,8 +62,6 @@ pub use cfg::{BasicBlock, Cfg};
 pub use diag::{DiagKind, Diagnostic, Severity};
 pub use occupancy::{ChannelBound, OccupancyReport};
 pub use rendezvous::{RendezvousMap, RendezvousPair};
-
-use dataflow::MemLimits;
 
 /// Version stamp carried by every serialized analyzer artifact
 /// ([`Analysis`] and [`BoundsReport`]). Bump on any
@@ -173,12 +171,7 @@ pub(crate) fn analyze_walk(program: &Program, arch: &ArchConfig) -> (Analysis, W
         return rejected(diagnostics);
     }
 
-    let limits = ProgramLimits {
-        cores: arch.resources.cores(),
-        xbars_per_core: arch.resources.xbars_per_core,
-        local_mem_elems: arch.resources.local_mem_elems(),
-        global_mem_elems: arch.resources.global_mem_elems(),
-    };
+    let limits = arch.program_limits();
     if let Err(e) = program.validate(&limits) {
         // A chip-level finding is reported at core 0: schema 1's `core`
         // is a number.
@@ -199,11 +192,6 @@ pub(crate) fn analyze_walk(program: &Program, arch: &ArchConfig) -> (Analysis, W
         diagnostics.push(diag);
         return rejected(diagnostics);
     }
-
-    let mem = MemLimits {
-        local_elems: arch.resources.local_mem_elems(),
-        global_elems: arch.resources.global_mem_elems(),
-    };
 
     // Per-core structure + dataflow.
     let mut cfgs = Vec::with_capacity(program.cores.len());
@@ -236,7 +224,7 @@ pub(crate) fn analyze_walk(program: &Program, arch: &ArchConfig) -> (Analysis, W
                 ));
             }
         }
-        dataflow::check_core(c16, &cp.instrs, &cfg, mem, &mut diagnostics);
+        dataflow::check_core(c16, &cp.instrs, &cfg, &limits, &mut diagnostics);
         traces.push(cfg.linear_trace());
         cfgs.push(cfg);
     }

@@ -7,6 +7,7 @@
 
 use std::path::Path;
 
+use pimsim_isa::ProgramLimits;
 use serde::{Deserialize, Serialize};
 
 use crate::error::ArchError;
@@ -447,6 +448,17 @@ impl ArchConfig {
     pub fn with_router_pipeline_depth(mut self, depth: u32) -> ArchConfig {
         self.noc.router_pipeline_depth = depth;
         self
+    }
+
+    /// The structural limits a program must respect on this chip: what
+    /// [`Program::validate`](pimsim_isa::Program::validate) checks against.
+    pub fn program_limits(&self) -> ProgramLimits {
+        ProgramLimits {
+            cores: self.resources.cores(),
+            xbars_per_core: self.resources.xbars_per_core,
+            local_mem_elems: self.resources.local_mem_elems(),
+            global_mem_elems: self.resources.global_mem_elems(),
+        }
     }
 
     /// Serializes to pretty JSON (the on-disk configuration format).

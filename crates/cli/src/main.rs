@@ -31,8 +31,8 @@ use pimsim_core::Simulator;
 use pimsim_isa::{asm, Program};
 use pimsim_nn::{zoo, Network};
 use pimsim_sweep::{
-    default_resolution, default_threads, parse_mapping, results_to_json, run_scenarios, SweepGrid,
-    ARCH_KNOBS,
+    default_resolution, default_threads, parse_mapping, results_to_json, run_scenarios, SweepError,
+    SweepGrid, ARCH_KNOBS,
 };
 
 mod args;
@@ -908,7 +908,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         config.drain = false;
     }
     let report = pimsim_serve::serve(&config, threads(args)?).map_err(|e| match &e {
-        pimsim_serve::ServeError::UnknownNetwork(n) => {
+        pimsim_serve::ServeError::Service(SweepError::UnknownNetwork(n)) => {
             match args::closest(n, zoo::NAMES.iter().copied()) {
                 Some(s) => format!("{e} — did you mean `{s}`?"),
                 None => e.to_string(),

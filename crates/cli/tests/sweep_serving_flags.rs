@@ -2,7 +2,8 @@
 //! cycle-accurate simulator; open-loop serving is `pimsim serve`'s and the
 //! behaviour-level baseline `pimsim run --baseline`'s. The serving and
 //! simulator flags `sweep` once took are refused by name (exit 1), not
-//! accepted and ignored.
+//! accepted and ignored. A serve point is a sweep point, so both commands
+//! word a network they cannot build alike.
 
 use std::process::Command;
 
@@ -27,4 +28,24 @@ fn sweep_refuses_the_serving_flags() {
         );
         assert!(out.stdout.is_empty(), "{flag}: no sweep runs");
     }
+}
+
+#[test]
+fn serve_and_sweep_word_an_unbuildable_network_alike() {
+    let stderr = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_pimsim"))
+            .args(args)
+            .output()
+            .expect("pimsim starts");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        String::from_utf8(out.stderr).unwrap()
+    };
+    let serve = stderr(&["serve", "--networks", "vgg8/0"]);
+    let sweep = stderr(&["sweep", "--networks", "vgg8", "--resolutions", "0"]);
+    assert_eq!(
+        serve,
+        "error: network `vgg8` cannot be built at resolution 0\n"
+    );
+    assert_eq!(serve, sweep);
 }

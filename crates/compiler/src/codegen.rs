@@ -45,8 +45,8 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use pimsim_arch::ArchConfig;
 use pimsim_isa::{
-    limits, Addr, CoreId, GroupConfig, GroupId, Instruction, PoolOp, Program, ProgramLimits, Reg,
-    SImmOp, VBinOp, VImmOp, VUnOp, WeightMatrix,
+    limits, Addr, CoreId, GroupConfig, GroupId, Instruction, PoolOp, Program, Reg, SImmOp, VBinOp,
+    VImmOp, VUnOp, WeightMatrix,
 };
 use pimsim_nn::{Activation, Network, NodeId, PortRef, Shape, WeightGen, DEFAULT_REQUANT_SHIFT};
 use serde::{Deserialize, Serialize};
@@ -303,13 +303,7 @@ pub(crate) fn emit(
         program.global_init = vec![(0, gen.input(input_elems))];
     }
 
-    let limits = ProgramLimits {
-        cores: arch.resources.cores(),
-        xbars_per_core: arch.resources.xbars_per_core,
-        local_mem_elems: arch.resources.local_mem_elems(),
-        global_mem_elems: arch.resources.global_mem_elems(),
-    };
-    program.validate(&limits)?;
+    program.validate(&arch.program_limits())?;
 
     Ok(Compiled {
         program,

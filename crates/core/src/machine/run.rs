@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use pimsim_arch::model::CostModel;
 use pimsim_arch::ArchConfig;
 use pimsim_event::{Kernel, RunResult, SimTime};
-use pimsim_isa::{CoreProgram, Program, ProgramLimits};
+use pimsim_isa::{CoreProgram, Program};
 
 use super::rob::Core;
 use super::transfer::TransferFabric;
@@ -49,13 +49,7 @@ impl<'a> Simulator<'a> {
     /// * [`SimError::TagMismatch`] for inconsistent payload lengths.
     pub fn run(&self, program: &Program) -> Result<SimReport, SimError> {
         self.arch.validate()?;
-        let limits = ProgramLimits {
-            cores: self.arch.resources.cores(),
-            xbars_per_core: self.arch.resources.xbars_per_core,
-            local_mem_elems: self.arch.resources.local_mem_elems(),
-            global_mem_elems: self.arch.resources.global_mem_elems(),
-        };
-        program.validate(&limits)?;
+        program.validate(&self.arch.program_limits())?;
         let machine = self.build_machine(program);
         self.execute(machine)
     }

@@ -8,9 +8,9 @@ use crate::error::IsaError;
 use crate::group::GroupConfig;
 use crate::instr::{InstrClass, Instruction};
 
-/// Structural limits used by [`Program::validate`]. These mirror the
-/// architecture configuration (core count, crossbars per core, local-memory
-/// capacity) without making this crate depend on the `pimsim-arch` crate.
+/// Structural limits used by [`Program::validate`]: the core count,
+/// crossbars per core and memory capacities of a chip. `pimsim-arch`'s
+/// `ArchConfig::program_limits` derives them from a configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProgramLimits {
     /// Number of cores on the chip.

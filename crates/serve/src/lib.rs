@@ -13,9 +13,9 @@
 //!   bounded queue with drop accounting and dynamic batch formation under a
 //!   size/timeout policy.
 //! - A **dispatcher** over one or more simulated accelerator instances,
-//!   using the cycle-level [`Simulator`](pimsim_core::Simulator) as the
-//!   service-time model via a per-`(network, batch)` latency/energy cache —
-//!   repeated requests never re-simulate.
+//!   using the cycle-level simulator as the service-time model via a
+//!   per-`(network, batch)` latency/energy cache ([`ServiceModel`]), warmed
+//!   by one [`pimsim_sweep`] campaign — repeated requests never re-simulate.
 //!
 //! The result is a [`ServeReport`]: throughput, p50/p95/p99 tail latency,
 //! drop counts per network, and queue depth over time. Reports honor the
@@ -57,6 +57,8 @@ pub use workload::{generate_requests, Request};
 
 use std::fmt;
 
+use pimsim_sweep::SweepError;
+
 /// Everything that can go wrong while configuring or running a serving
 /// simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,13 +70,13 @@ pub enum ServeError {
     /// A batch policy that is not `N` or `N/Tunit` (a `T` that is not a
     /// duration is a [`ServeError::Config`] saying why).
     BadBatchPolicy(String),
-    /// A network name the zoo does not know.
-    UnknownNetwork(String),
     /// The instance architecture failed validation.
     Arch(String),
-    /// Compiling a network for the service model failed.
-    Compile(String),
-    /// Simulating a service-time point failed.
+    /// Warming the service model failed: a network the zoo does not know
+    /// or cannot build at its resolution, or a service-time point that
+    /// failed to compile or simulate.
+    Service(SweepError),
+    /// A batch completes past the end of simulated time.
     Sim(String),
 }
 
@@ -92,9 +94,8 @@ impl fmt::Display for ServeError {
                 f,
                 "bad batch policy `{text}`: expected `N` or `N/T` with a unit, e.g. `4/50us`"
             ),
-            ServeError::UnknownNetwork(name) => write!(f, "unknown network `{name}`"),
             ServeError::Arch(msg) => write!(f, "architecture error: {msg}"),
-            ServeError::Compile(msg) => write!(f, "compile error: {msg}"),
+            ServeError::Service(e) => write!(f, "{e}"),
             ServeError::Sim(msg) => write!(f, "simulation error: {msg}"),
         }
     }

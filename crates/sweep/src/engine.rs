@@ -7,9 +7,8 @@ use pimsim_arch::Energy;
 use pimsim_compiler::Compiler;
 use pimsim_core::Simulator;
 use pimsim_event::{par_map_indexed, SimTime};
-use pimsim_nn::zoo;
 
-use crate::grid::{Scenario, SweepGrid};
+use crate::grid::{zoo_network, Scenario, SweepGrid};
 use crate::SweepError;
 
 /// One evaluated grid point: the scenario plus a summary of its
@@ -92,20 +91,12 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns the corresponding [`SweepError`] when the architecture,
-    /// compile, or simulation fails.
+    /// Returns the corresponding [`SweepError`] when the architecture is
+    /// invalid, the network is unknown or cannot be built at its
+    /// resolution, or the compile or simulation fails.
     pub fn execute(&self, index: usize) -> Result<SweepRow, SweepError> {
         self.arch.validate()?;
-        let net = zoo::by_name(&self.network, self.resolution)
-            .ok_or_else(|| SweepError::UnknownNetwork(self.network.clone()))?;
-        // A degenerate resolution (a pooling window larger than its input,
-        // say) is this scenario's error.
-        net.validate().map_err(|_| {
-            SweepError::Config(format!(
-                "network `{}` cannot be built at resolution {}",
-                self.network, self.resolution
-            ))
-        })?;
+        let net = zoo_network(&self.network, self.resolution)?;
         let compiled = Compiler::new(&self.arch)
             .mapping(self.mapping)
             .batch(self.batch)
@@ -229,9 +220,12 @@ mod tests {
             ArchConfig::small_test(),
         );
         let err = run_scenarios(vec![s], 2).unwrap_err();
-        assert!(
-            matches!(err, SweepError::Config(_)),
-            "expected a config error, got {err:?}"
+        assert_eq!(
+            err,
+            SweepError::BadResolution {
+                network: "vgg8".to_string(),
+                resolution: 1
+            }
         );
     }
 

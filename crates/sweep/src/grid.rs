@@ -8,7 +8,7 @@ use pimsim_arch::ArchConfig;
 #[cfg(test)]
 use pimsim_arch::RoutingPolicy;
 use pimsim_compiler::MappingPolicy;
-use pimsim_nn::zoo;
+use pimsim_nn::{zoo, Network};
 
 use crate::knob::ARCH_KNOBS;
 use crate::SweepError;
@@ -37,6 +37,24 @@ pub fn default_resolution(network: &str) -> u32 {
     } else {
         64
     }
+}
+
+/// Builds zoo network `name` at `resolution`: the one check that a grid
+/// point's network exists and can be built at its resolution.
+///
+/// # Errors
+///
+/// Returns [`SweepError::UnknownNetwork`] for a name not in the zoo and
+/// [`SweepError::BadResolution`] for a resolution the network cannot be
+/// built at.
+pub(crate) fn zoo_network(name: &str, resolution: u32) -> Result<Network, SweepError> {
+    let net = zoo::by_name(name, resolution)
+        .ok_or_else(|| SweepError::UnknownNetwork(name.to_string()))?;
+    net.validate().map_err(|_| SweepError::BadResolution {
+        network: name.to_string(),
+        resolution,
+    })?;
+    Ok(net)
 }
 
 /// One fully resolved grid point: everything needed to compile and
@@ -249,8 +267,9 @@ impl SweepGrid {
     ///
     /// Returns [`SweepError::EmptyGrid`] when no networks are given,
     /// [`SweepError::UnknownNetwork`] / [`SweepError::UnknownMapping`] /
-    /// [`SweepError::UnknownRouting`] for bad axis values, [`SweepError::Config`] for a network that
-    /// cannot be built at a resolution, and [`SweepError::Arch`] when the
+    /// [`SweepError::UnknownRouting`] for bad axis values,
+    /// [`SweepError::BadResolution`] for a network that cannot be built at
+    /// a resolution, and [`SweepError::Arch`] when the
     /// base configuration is invalid.
     pub fn scenarios(&self) -> Result<Vec<Scenario>, SweepError> {
         if self.networks.is_empty() {
@@ -271,19 +290,11 @@ impl SweepGrid {
             .collect::<Result<Vec<_>, SweepError>>()?;
         let mut inputs = Vec::new();
         for network in &self.networks {
-            // Validate the name once per network, at expansion time.
-            if !zoo::NAMES.contains(&network.as_str()) {
-                return Err(SweepError::UnknownNetwork(network.clone()));
-            }
             for resolution in non_empty(&self.resolutions, default_resolution(network)) {
-                // Probe each (network, resolution) pair up front, so a
-                // degenerate resolution (a pooling window larger than its
-                // input, say) is one expansion error, not one per point.
-                if zoo::by_name(network, resolution).is_none_or(|net| net.validate().is_err()) {
-                    return Err(SweepError::Config(format!(
-                        "network `{network}` cannot be built at resolution {resolution}"
-                    )));
-                }
+                // Probe each (network, resolution) pair up front, so an
+                // unknown name or a degenerate resolution is one expansion
+                // error, not one per point.
+                zoo_network(network, resolution)?;
                 inputs.push((network, resolution));
             }
         }
@@ -390,20 +401,9 @@ impl SweepGrid {
 
         let mut out = Vec::with_capacity(self.nested_points());
         for network in &self.networks {
-            // Validate the name once per network, at expansion time.
-            if !zoo::NAMES.contains(&network.as_str()) {
-                return Err(SweepError::UnknownNetwork(network.clone()));
-            }
             let resolutions = non_empty(&self.resolutions, default_resolution(network));
             for &resolution in &resolutions {
-                // Probe each (network, resolution) pair up front, so a
-                // degenerate resolution (a pooling window larger than its
-                // input, say) is one expansion error, not one per point.
-                if zoo::by_name(network, resolution).is_none_or(|net| net.validate().is_err()) {
-                    return Err(SweepError::Config(format!(
-                        "network `{network}` cannot be built at resolution {resolution}"
-                    )));
-                }
+                zoo_network(network, resolution)?;
                 for &mapping in &mappings {
                     for &batch in &batches {
                         for &rob in &robs {

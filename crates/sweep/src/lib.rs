@@ -13,9 +13,12 @@
 //! and collects one [`SweepRow`] per point.
 //!
 //! Every grid point is one compile-and-simulate on the cycle-accurate
-//! simulator; the behaviour-level baseline is `pimsim_baseline`'s, called
-//! directly, and open-loop serving is `pimsim_serve`'s, one `serve` call
-//! per offered rate.
+//! simulator ([`Scenario::execute`]), and this crate holds the one copy of
+//! it: `pimsim_serve` warms its `(network, batch size)` service-time cache
+//! by executing one [`Scenario`] per key on the same pool. The
+//! behaviour-level baseline is `pimsim_baseline`'s, called directly, and
+//! open-loop serving is `pimsim_serve`'s, one `serve` call per offered
+//! rate.
 //!
 //! Results are **deterministic**: rows come back ordered by scenario
 //! index, every value is derived from a single-threaded simulation of one
@@ -53,12 +56,20 @@ pub use knob::{ArchKnob, KnobValue, Shown, ARCH_KNOBS};
 use pimsim_arch::ArchError;
 
 /// Errors produced while expanding or running a campaign.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepError {
     /// The grid expands to zero scenarios (no networks given).
     EmptyGrid,
     /// A network name is not in the zoo.
     UnknownNetwork(String),
+    /// A zoo network cannot be built at this input resolution (a pooling
+    /// window larger than its input, say).
+    BadResolution {
+        /// The zoo network name.
+        network: String,
+        /// The input resolution (height = width).
+        resolution: u32,
+    },
     /// A mapping-policy name is not recognized.
     UnknownMapping(String),
     /// A NoC routing-policy name is not recognized.
@@ -78,6 +89,13 @@ impl std::fmt::Display for SweepError {
         match self {
             SweepError::EmptyGrid => f.write_str("grid expands to zero scenarios"),
             SweepError::UnknownNetwork(n) => write!(f, "unknown network `{n}`"),
+            SweepError::BadResolution {
+                network,
+                resolution,
+            } => write!(
+                f,
+                "network `{network}` cannot be built at resolution {resolution}"
+            ),
             SweepError::UnknownMapping(m) => write!(
                 f,
                 "unknown mapping policy `{m}` (want performance-first or utilization-first)"
