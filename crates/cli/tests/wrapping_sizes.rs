@@ -93,3 +93,60 @@ fn wrapping_global_init_segment_is_rejected() -> std::io::Result<()> {
     }
     Ok(())
 }
+
+/// A program file can hold operands past their field of the instruction
+/// format, since reading it does not go through `Addr::new`; `run`,
+/// `check` and `bound` refuse them at the instruction, instead of timing
+/// a footprint the ISA cannot encode.
+#[test]
+fn operands_past_their_field_width_are_rejected() -> std::io::Result<()> {
+    let dir = std::env::temp_dir().join("pimsim-cli-field-widths");
+    std::fs::create_dir_all(&dir)?;
+    let compiled = dir.join("lenet.json");
+    let status = Command::new(env!("CARGO_BIN_EXE_pimsim"))
+        .args(["compile", "--network", "lenet", "--out"])
+        .arg(&compiled)
+        .output()?
+        .status;
+    assert!(status.success());
+    let text = std::fs::read_to_string(&compiled)?;
+    // lenet's first instruction is core 0's first `gload`.
+    let cases = [
+        (
+            "offset",
+            ("\"offset\": 21600", "\"offset\": 5000000"),
+            "dst offset value 5000000 outside encodable range [-2097152, 2097151]",
+        ),
+        (
+            "len",
+            ("\"len\": 64", "\"len\": 2147483648"),
+            "len value 2147483648 outside encodable range [0, 262143]",
+        ),
+    ];
+    for (name, (from, to), msg) in cases {
+        let program = dir.join(format!("{name}.json"));
+        std::fs::write(&program, text.replacen(from, to, 1))?;
+        for cmd in ["run", "check", "bound"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_pimsim"))
+                .arg(cmd)
+                .arg(&program)
+                .output()?;
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(out.status.code(), Some(1), "`{cmd}` on {name}: {stderr}");
+            let located = match cmd {
+                "run" => format!("invalid program for core 0 at pc 0: {msg}"),
+                _ => "error[invalid-program] core0 pc=0 ".to_string(),
+            };
+            assert!(
+                stderr.contains(&located) || stdout.contains(&located),
+                "`{cmd}` on {name}: {stdout}{stderr}"
+            );
+            assert!(
+                stderr.contains(msg) || stdout.contains(msg),
+                "`{cmd}` on {name}: {stdout}{stderr}"
+            );
+        }
+    }
+    Ok(())
+}

@@ -8,8 +8,9 @@ use crate::error::IsaError;
 use crate::reg::Reg;
 
 /// Operand field-width limits of the ISA's instruction format.
-/// [`Addr::new`] enforces [`ADDR_OFFSET_BITS`](limits::ADDR_OFFSET_BITS);
-/// the other widths are the documented bounds of their fields.
+/// [`Program::validate`](crate::Program::validate) enforces every width;
+/// [`Addr::new`] also refuses an offset past
+/// [`ADDR_OFFSET_BITS`](limits::ADDR_OFFSET_BITS) when it is built.
 pub mod limits {
     /// Signed bits for a local/global address offset (`register + offset`).
     pub const ADDR_OFFSET_BITS: u32 = 22;

@@ -6,7 +6,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::IsaError;
 use crate::group::GroupConfig;
-use crate::instr::{InstrClass, Instruction};
+use crate::instr::limits::{
+    smax, smin, umax, ADDR_OFFSET_BITS, BLOCK_BITS, CHAN_BITS, CORE_BITS, GROUP_BITS, LEN_BITS,
+    STRIDE_BITS, TAG_BITS, TARGET_BITS, VIMM_BITS, WIN_BITS,
+};
+use crate::instr::{Addr, InstrClass, Instruction};
 
 /// Structural limits used by [`Program::validate`]: the core count,
 /// crossbars per core and memory capacities of a chip. `pimsim-arch`'s
@@ -147,10 +151,12 @@ impl Program {
         })
     }
 
-    /// Structural validation: every branch target in range, every referenced
-    /// group defined with matching `MVM` length, group crossbars within the
-    /// per-core budget and disjoint across groups, transfer peers in range,
-    /// init segments within local memory, and group weight shapes coherent.
+    /// Structural validation: every operand within its field of the
+    /// instruction format ([`crate::limits`]), every branch target in
+    /// range, every referenced group defined with matching `MVM` length,
+    /// group crossbars within the per-core budget and disjoint across
+    /// groups, transfer peers in range, init segments within local memory,
+    /// and group weight shapes coherent.
     ///
     /// # Errors
     ///
@@ -330,9 +336,148 @@ impl Program {
                     }
                     _ => {}
                 }
+                fits_fields(instr).map_err(|msg| err(Some(pc32), msg))?;
             }
         }
         Ok(())
+    }
+}
+
+/// Checks that every operand of `instr` fits its field of the instruction
+/// format ([`crate::limits`]); the first that does not, worded like
+/// [`IsaError::FieldRange`].
+fn fits_fields(instr: &Instruction) -> Result<(), String> {
+    let u = |field, value: u32, bits| (field, i64::from(value), 0, umax(bits) as i64);
+    let s = |field, value: i32, bits| (field, i64::from(value), smin(bits), smax(bits));
+    let a = |field, addr: Addr| s(field, addr.offset(), ADDR_OFFSET_BITS);
+    use Instruction::*;
+    let operands: &[(&str, i64, i64, i64)] = match *instr {
+        Mvm {
+            group,
+            dst,
+            src,
+            len,
+        } => &[
+            u("group", group.0.into(), GROUP_BITS),
+            a("dst offset", dst),
+            a("src offset", src),
+            u("len", len, LEN_BITS),
+        ],
+        VBin {
+            dst, a: x, b, len, ..
+        } => &[
+            a("dst offset", dst),
+            a("a offset", x),
+            a("b offset", b),
+            u("len", len, LEN_BITS),
+        ],
+        VImm {
+            dst, src, imm, len, ..
+        } => &[
+            a("dst offset", dst),
+            a("src offset", src),
+            s("imm", imm, VIMM_BITS),
+            u("len", len, LEN_BITS),
+        ],
+        VUn { dst, src, len, .. } => &[
+            a("dst offset", dst),
+            a("src offset", src),
+            u("len", len, LEN_BITS),
+        ],
+        VFill { dst, value, len } => &[
+            a("dst offset", dst),
+            s("value", value, VIMM_BITS),
+            u("len", len, LEN_BITS),
+        ],
+        VCopy2d {
+            dst,
+            src,
+            block_len,
+            blocks,
+            src_stride,
+            dst_stride,
+        } => &[
+            a("dst offset", dst),
+            a("src offset", src),
+            u("block_len", block_len, BLOCK_BITS),
+            u("blocks", blocks, BLOCK_BITS),
+            s("src_stride", src_stride, STRIDE_BITS),
+            s("dst_stride", dst_stride, STRIDE_BITS),
+        ],
+        VPool {
+            dst,
+            src,
+            channels,
+            win_w,
+            win_h,
+            row_stride,
+            ..
+        } => &[
+            a("dst offset", dst),
+            a("src offset", src),
+            u("channels", channels, CHAN_BITS),
+            u("win_w", win_w, WIN_BITS),
+            u("win_h", win_h, WIN_BITS),
+            s("row_stride", row_stride, STRIDE_BITS),
+        ],
+        Send {
+            peer,
+            src,
+            len,
+            tag,
+        } => &[
+            u("peer", peer.0.into(), CORE_BITS),
+            a("src offset", src),
+            u("len", len, LEN_BITS),
+            u("tag", tag.into(), TAG_BITS),
+        ],
+        Recv {
+            peer,
+            dst,
+            len,
+            tag,
+        } => &[
+            u("peer", peer.0.into(), CORE_BITS),
+            a("dst offset", dst),
+            u("len", len, LEN_BITS),
+            u("tag", tag.into(), TAG_BITS),
+        ],
+        Recv2d {
+            peer,
+            dst,
+            block_len,
+            blocks,
+            dst_stride,
+            tag,
+        } => &[
+            u("peer", peer.0.into(), CORE_BITS),
+            a("dst offset", dst),
+            u("block_len", block_len, BLOCK_BITS),
+            u("blocks", blocks, BLOCK_BITS),
+            s("dst_stride", dst_stride, STRIDE_BITS),
+            u("tag", tag.into(), TAG_BITS),
+        ],
+        GLoad { dst, gaddr, len } => &[
+            a("dst offset", dst),
+            a("gaddr offset", gaddr),
+            u("len", len, LEN_BITS),
+        ],
+        GStore { gaddr, src, len } => &[
+            a("gaddr offset", gaddr),
+            a("src offset", src),
+            u("len", len, LEN_BITS),
+        ],
+        Branch { target, .. } | Jump { target } => &[u("target", target, TARGET_BITS)],
+        SBin { .. } | SImm { .. } | Halt | Nop => &[],
+    };
+    match operands
+        .iter()
+        .find(|(_, value, min, max)| !(min..=max).contains(&value))
+    {
+        None => Ok(()),
+        Some((field, value, min, max)) => Err(format!(
+            "{field} value {value} outside encodable range [{min}, {max}]"
+        )),
     }
 }
 
@@ -340,7 +485,8 @@ impl Program {
 mod tests {
     use super::*;
     use crate::group::{GroupConfig, WeightMatrix};
-    use crate::instr::{Addr, BranchCond, CoreId, GroupId};
+    use crate::instr::limits;
+    use crate::instr::{Addr, BranchCond, CoreId, GroupId, PoolOp, VImmOp};
     use crate::reg::Reg;
 
     fn limits() -> ProgramLimits {
@@ -482,6 +628,210 @@ mod tests {
         assert!(p.validate(&limits()).is_ok());
         p.cores[0].instr_tags = vec![];
         assert!(p.validate(&limits()).is_ok());
+    }
+
+    /// An address whose offset may be past the field, as a program file
+    /// can hold: deserialization does not go through [`Addr::new`].
+    fn raw_addr(offset: i64) -> Option<Addr> {
+        serde_json::from_str(&format!(r#"{{"base": 1, "offset": {offset}}}"#)).ok()
+    }
+
+    /// `make(v)` is an instruction whose operand `field` holds `v`, or
+    /// `None` when the operand's type cannot hold `v`. The field's extremes
+    /// pass, and one past either is an error naming the field and its range.
+    fn assert_width(
+        field: &str,
+        bits: u32,
+        signed: bool,
+        make: impl Fn(i64) -> Option<Instruction>,
+    ) {
+        let (min, max) = if signed {
+            (limits::smin(bits), limits::smax(bits))
+        } else {
+            (0, limits::umax(bits) as i64)
+        };
+        for ok in [min, max] {
+            let instr = make(ok).unwrap();
+            assert_eq!(fits_fields(&instr), Ok(()), "{field} = {ok}");
+        }
+        for bad in [min - 1, max + 1] {
+            if let Some(instr) = make(bad) {
+                assert_eq!(
+                    fits_fields(&instr),
+                    Err(format!(
+                        "{field} value {bad} outside encodable range [{min}, {max}]"
+                    ))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn addr_offset_width_checked() {
+        assert_width("dst offset", limits::ADDR_OFFSET_BITS, true, |v| {
+            Some(Instruction::VFill {
+                dst: raw_addr(v)?,
+                value: 0,
+                len: 1,
+            })
+        });
+    }
+
+    #[test]
+    fn len_width_checked() {
+        assert_width("len", limits::LEN_BITS, false, |v| {
+            Some(Instruction::GLoad {
+                dst: addr(0),
+                gaddr: addr(0),
+                len: v.try_into().ok()?,
+            })
+        });
+    }
+
+    #[test]
+    fn group_width_checked() {
+        assert_width("group", limits::GROUP_BITS, false, |v| {
+            Some(Instruction::Mvm {
+                group: GroupId(v.try_into().ok()?),
+                dst: addr(0),
+                src: addr(0),
+                len: 1,
+            })
+        });
+    }
+
+    #[test]
+    fn core_width_checked() {
+        assert_width("peer", limits::CORE_BITS, false, |v| {
+            Some(Instruction::Send {
+                peer: CoreId(v.try_into().ok()?),
+                src: addr(0),
+                len: 1,
+                tag: 0,
+            })
+        });
+    }
+
+    /// A `u16` tag cannot exceed its 16-bit field: only the extremes.
+    #[test]
+    fn tag_width_checked() {
+        assert_width("tag", limits::TAG_BITS, false, |v| {
+            Some(Instruction::Recv {
+                peer: CoreId(1),
+                dst: addr(0),
+                len: 1,
+                tag: v.try_into().ok()?,
+            })
+        });
+    }
+
+    #[test]
+    fn block_width_checked() {
+        assert_width("blocks", limits::BLOCK_BITS, false, |v| {
+            Some(Instruction::Recv2d {
+                peer: CoreId(1),
+                dst: addr(0),
+                block_len: 1,
+                blocks: v.try_into().ok()?,
+                dst_stride: 0,
+                tag: 0,
+            })
+        });
+    }
+
+    #[test]
+    fn stride_width_checked() {
+        assert_width("src_stride", limits::STRIDE_BITS, true, |v| {
+            Some(Instruction::VCopy2d {
+                dst: addr(0),
+                src: addr(0),
+                block_len: 1,
+                blocks: 1,
+                src_stride: v.try_into().ok()?,
+                dst_stride: 0,
+            })
+        });
+    }
+
+    #[test]
+    fn vimm_width_checked() {
+        assert_width("imm", limits::VIMM_BITS, true, |v| {
+            Some(Instruction::VImm {
+                op: VImmOp::Add,
+                dst: addr(0),
+                src: addr(0),
+                imm: v.try_into().ok()?,
+                len: 1,
+            })
+        });
+    }
+
+    #[test]
+    fn target_width_checked() {
+        assert_width("target", limits::TARGET_BITS, false, |v| {
+            Some(Instruction::Jump {
+                target: v.try_into().ok()?,
+            })
+        });
+    }
+
+    #[test]
+    fn win_width_checked() {
+        assert_width("win_h", limits::WIN_BITS, false, |v| {
+            Some(Instruction::VPool {
+                op: PoolOp::Max,
+                dst: addr(0),
+                src: addr(0),
+                channels: 1,
+                win_w: 1,
+                win_h: v.try_into().ok()?,
+                row_stride: 0,
+            })
+        });
+    }
+
+    #[test]
+    fn chan_width_checked() {
+        assert_width("channels", limits::CHAN_BITS, false, |v| {
+            Some(Instruction::VPool {
+                op: PoolOp::Avg,
+                dst: addr(0),
+                src: addr(0),
+                channels: v.try_into().ok()?,
+                win_w: 1,
+                win_h: 1,
+                row_stride: 0,
+            })
+        });
+    }
+
+    /// What `validate` makes of a field past its width: an error at the
+    /// instruction's core and pc.
+    #[test]
+    fn field_past_its_width_is_a_located_validate_error() {
+        let mut p = Program::with_cores(2);
+        p.cores[1].instrs = vec![
+            Instruction::Nop,
+            Instruction::GLoad {
+                dst: addr(0),
+                gaddr: raw_addr(5_000_000).unwrap(),
+                len: 4,
+            },
+        ];
+        let e = p.validate(&limits()).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "invalid program for core 1 at pc 1: gaddr offset value 5000000 \
+             outside encodable range [-2097152, 2097151]"
+        );
+        assert!(matches!(
+            e,
+            IsaError::Validate {
+                core: Some(1),
+                pc: Some(1),
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! allocates for what the program *owns* — a `Vec` per core, group table
 //! and init segment, label strings — plus the amortized doubling of those
 //! `Vec`s; an instruction is plain data and costs nothing. `to_json`
-//! allocates only when its output buffer grows. The old `Value`-tree path
+//! allocates only when its output buffer grows, and `write_json` keeps one
+//! chunk buffer. The old `Value`-tree path
 //! paid about ten nodes and a `String` per key for every instruction.
 //!
 //! This file holds a single test on purpose: the counter is process-wide,
@@ -82,6 +83,16 @@ fn program_json_io_allocates_per_owned_buffer_not_per_instruction() {
     assert!(
         long_write <= write + 3,
         "to_json: {write} allocations, {long_write} for 4x the instructions"
+    );
+
+    // Streaming keeps one chunk buffer, whatever the program's length:
+    // the document is never held whole.
+    let ((), stream) = allocations(|| program.write_json(std::io::sink()).unwrap());
+    let ((), long_stream) = allocations(|| long.write_json(std::io::sink()).unwrap());
+    assert!(stream <= 2, "write_json made {stream} allocations");
+    assert_eq!(
+        long_stream, stream,
+        "write_json: {stream} allocations, {long_stream} for 4x the instructions"
     );
 
     let (back, read) = allocations(|| Program::from_json(&text).unwrap());
