@@ -82,14 +82,26 @@ fn oversized_pool_window_still_orders_against_its_input() {
     // in `u32`; 65536 * 65536 wrapped to an empty — hazard-invisible —
     // range (and panicked on overflow in a debug build), so the load that
     // overwrites the pool's input finished long before the pool did.
+    // Such a window is now refused before it runs: both are past their
+    // fields.
     let mut cfg = arch().with_functional(false);
     cfg.sim.trace = true;
-    cfg.sim.max_cycles = 1 << 40; // the pool alone takes ~2^29 cycles
+    let wide = asm::assemble(
+        ".core 0\nvpool.max [r0+100], [r0+0], ch=65536, win=65536x1, rstride=8\nhalt\n",
+    )
+    .expect("assembles");
+    let err = Simulator::new(&cfg).run(&wide).expect_err("refused");
+    assert!(
+        err.to_string()
+            .contains("channels value 65536 outside encodable range [0, 16383]"),
+        "{err}"
+    );
+    // The widest window the fields encode still orders against its input.
     let report = run(
         &cfg,
         r#"
         .core 0
-        vpool.max [r0+100], [r0+0], ch=65536, win=65536x1, rstride=8
+        vpool.max [r0+100], [r0+0], ch=16383, win=63x1, rstride=8
         gload [r0+0], g[r0+0], 8
         halt
     "#,

@@ -170,8 +170,21 @@ fn length_mismatch_with_queued_message_fails() {
 fn recv2d_length_product_does_not_wrap_into_a_match() {
     // Regression: `block_len * blocks` was a `u32` product, so 65536 x
     // 65536 wrapped to 0 and "matched" an empty send; the run reported
-    // success. The receiver asks for 2^32 elements no send can carry.
+    // success. Such a receive is now refused before it runs: both counts
+    // are past their 14-bit field.
     let arch = ArchConfig::small_test();
+    let wide = ".core 0\nsend core1, [r0+0], 0, tag=1\nhalt\n.core 1\n\
+                recv2d core0, [r0+0], block=65536, blocks=65536, dstride=0, tag=1\nhalt\n";
+    let err = run(&arch, wide).expect_err("a 2^32-element recv does not run");
+    assert!(
+        matches!(err, SimError::InvalidProgram(_))
+            && err.to_string().contains(
+                "core 1 at pc 0: block_len value 65536 outside encodable range [0, 16383]"
+            ),
+        "{err}"
+    );
+    // The largest receive the fields encode, 16383 x 16383 elements,
+    // matches no empty send either.
     for recv_first in [true, false] {
         // Either side may arrive first: both comparison sites must agree.
         let delay = if recv_first {
@@ -181,16 +194,13 @@ fn recv2d_length_product_does_not_wrap_into_a_match() {
         };
         let text = format!(
             ".core 0\nsend core1, [r0+0], 0, tag=1\nhalt\n.core 1\n{delay}\
-             recv2d core0, [r0+0], block=65536, blocks=65536, dstride=0, tag=1\nhalt\n"
+             recv2d core0, [r0+0], block=16383, blocks=16383, dstride=0, tag=1\nhalt\n"
         );
-        let err = run(&arch, &text).expect_err("a 2^32-element recv matches no send");
+        let err = run(&arch, &text).expect_err("a 16383^2-element recv matches no send");
         let SimError::TagMismatch { detail } = &err else {
             panic!("expected TagMismatch, got {err:?}");
         };
-        assert!(
-            detail.contains("len 4294967296"),
-            "unwrapped length: {detail}"
-        );
+        assert!(detail.contains("len 268402689"), "full length: {detail}");
     }
 }
 

@@ -347,48 +347,60 @@ impl Program {
 /// format ([`crate::limits`]); the first that does not, worded like
 /// [`IsaError::FieldRange`].
 fn fits_fields(instr: &Instruction) -> Result<(), String> {
-    let u = |field, value: u32, bits| (field, i64::from(value), 0, umax(bits) as i64);
-    let s = |field, value: i32, bits| (field, i64::from(value), smin(bits), smax(bits));
+    #[inline(always)]
+    fn fits(field: &str, value: i64, min: i64, max: i64) -> Result<(), String> {
+        if (min..=max).contains(&value) {
+            Ok(())
+        } else {
+            Err(outside(field, value, min, max))
+        }
+    }
+    #[cold]
+    fn outside(field: &str, value: i64, min: i64, max: i64) -> String {
+        format!("{field} value {value} outside encodable range [{min}, {max}]")
+    }
+    let u = |field, value: u32, bits| fits(field, value.into(), 0, umax(bits) as i64);
+    let s = |field, value: i32, bits| fits(field, value.into(), smin(bits), smax(bits));
     let a = |field, addr: Addr| s(field, addr.offset(), ADDR_OFFSET_BITS);
     use Instruction::*;
-    let operands: &[(&str, i64, i64, i64)] = match *instr {
+    match *instr {
         Mvm {
             group,
             dst,
             src,
             len,
-        } => &[
-            u("group", group.0.into(), GROUP_BITS),
-            a("dst offset", dst),
-            a("src offset", src),
-            u("len", len, LEN_BITS),
-        ],
+        } => {
+            u("group", group.0.into(), GROUP_BITS)?;
+            a("dst offset", dst)?;
+            a("src offset", src)?;
+            u("len", len, LEN_BITS)
+        }
         VBin {
             dst, a: x, b, len, ..
-        } => &[
-            a("dst offset", dst),
-            a("a offset", x),
-            a("b offset", b),
-            u("len", len, LEN_BITS),
-        ],
+        } => {
+            a("dst offset", dst)?;
+            a("a offset", x)?;
+            a("b offset", b)?;
+            u("len", len, LEN_BITS)
+        }
         VImm {
             dst, src, imm, len, ..
-        } => &[
-            a("dst offset", dst),
-            a("src offset", src),
-            s("imm", imm, VIMM_BITS),
-            u("len", len, LEN_BITS),
-        ],
-        VUn { dst, src, len, .. } => &[
-            a("dst offset", dst),
-            a("src offset", src),
-            u("len", len, LEN_BITS),
-        ],
-        VFill { dst, value, len } => &[
-            a("dst offset", dst),
-            s("value", value, VIMM_BITS),
-            u("len", len, LEN_BITS),
-        ],
+        } => {
+            a("dst offset", dst)?;
+            a("src offset", src)?;
+            s("imm", imm, VIMM_BITS)?;
+            u("len", len, LEN_BITS)
+        }
+        VUn { dst, src, len, .. } => {
+            a("dst offset", dst)?;
+            a("src offset", src)?;
+            u("len", len, LEN_BITS)
+        }
+        VFill { dst, value, len } => {
+            a("dst offset", dst)?;
+            s("value", value, VIMM_BITS)?;
+            u("len", len, LEN_BITS)
+        }
         VCopy2d {
             dst,
             src,
@@ -396,14 +408,14 @@ fn fits_fields(instr: &Instruction) -> Result<(), String> {
             blocks,
             src_stride,
             dst_stride,
-        } => &[
-            a("dst offset", dst),
-            a("src offset", src),
-            u("block_len", block_len, BLOCK_BITS),
-            u("blocks", blocks, BLOCK_BITS),
-            s("src_stride", src_stride, STRIDE_BITS),
-            s("dst_stride", dst_stride, STRIDE_BITS),
-        ],
+        } => {
+            a("dst offset", dst)?;
+            a("src offset", src)?;
+            u("block_len", block_len, BLOCK_BITS)?;
+            u("blocks", blocks, BLOCK_BITS)?;
+            s("src_stride", src_stride, STRIDE_BITS)?;
+            s("dst_stride", dst_stride, STRIDE_BITS)
+        }
         VPool {
             dst,
             src,
@@ -412,36 +424,36 @@ fn fits_fields(instr: &Instruction) -> Result<(), String> {
             win_h,
             row_stride,
             ..
-        } => &[
-            a("dst offset", dst),
-            a("src offset", src),
-            u("channels", channels, CHAN_BITS),
-            u("win_w", win_w, WIN_BITS),
-            u("win_h", win_h, WIN_BITS),
-            s("row_stride", row_stride, STRIDE_BITS),
-        ],
+        } => {
+            a("dst offset", dst)?;
+            a("src offset", src)?;
+            u("channels", channels, CHAN_BITS)?;
+            u("win_w", win_w, WIN_BITS)?;
+            u("win_h", win_h, WIN_BITS)?;
+            s("row_stride", row_stride, STRIDE_BITS)
+        }
         Send {
             peer,
             src,
             len,
             tag,
-        } => &[
-            u("peer", peer.0.into(), CORE_BITS),
-            a("src offset", src),
-            u("len", len, LEN_BITS),
-            u("tag", tag.into(), TAG_BITS),
-        ],
+        } => {
+            u("peer", peer.0.into(), CORE_BITS)?;
+            a("src offset", src)?;
+            u("len", len, LEN_BITS)?;
+            u("tag", tag.into(), TAG_BITS)
+        }
         Recv {
             peer,
             dst,
             len,
             tag,
-        } => &[
-            u("peer", peer.0.into(), CORE_BITS),
-            a("dst offset", dst),
-            u("len", len, LEN_BITS),
-            u("tag", tag.into(), TAG_BITS),
-        ],
+        } => {
+            u("peer", peer.0.into(), CORE_BITS)?;
+            a("dst offset", dst)?;
+            u("len", len, LEN_BITS)?;
+            u("tag", tag.into(), TAG_BITS)
+        }
         Recv2d {
             peer,
             dst,
@@ -449,35 +461,26 @@ fn fits_fields(instr: &Instruction) -> Result<(), String> {
             blocks,
             dst_stride,
             tag,
-        } => &[
-            u("peer", peer.0.into(), CORE_BITS),
-            a("dst offset", dst),
-            u("block_len", block_len, BLOCK_BITS),
-            u("blocks", blocks, BLOCK_BITS),
-            s("dst_stride", dst_stride, STRIDE_BITS),
-            u("tag", tag.into(), TAG_BITS),
-        ],
-        GLoad { dst, gaddr, len } => &[
-            a("dst offset", dst),
-            a("gaddr offset", gaddr),
-            u("len", len, LEN_BITS),
-        ],
-        GStore { gaddr, src, len } => &[
-            a("gaddr offset", gaddr),
-            a("src offset", src),
-            u("len", len, LEN_BITS),
-        ],
-        Branch { target, .. } | Jump { target } => &[u("target", target, TARGET_BITS)],
-        SBin { .. } | SImm { .. } | Halt | Nop => &[],
-    };
-    match operands
-        .iter()
-        .find(|(_, value, min, max)| !(min..=max).contains(&value))
-    {
-        None => Ok(()),
-        Some((field, value, min, max)) => Err(format!(
-            "{field} value {value} outside encodable range [{min}, {max}]"
-        )),
+        } => {
+            u("peer", peer.0.into(), CORE_BITS)?;
+            a("dst offset", dst)?;
+            u("block_len", block_len, BLOCK_BITS)?;
+            u("blocks", blocks, BLOCK_BITS)?;
+            s("dst_stride", dst_stride, STRIDE_BITS)?;
+            u("tag", tag.into(), TAG_BITS)
+        }
+        GLoad { dst, gaddr, len } => {
+            a("dst offset", dst)?;
+            a("gaddr offset", gaddr)?;
+            u("len", len, LEN_BITS)
+        }
+        GStore { gaddr, src, len } => {
+            a("gaddr offset", gaddr)?;
+            a("src offset", src)?;
+            u("len", len, LEN_BITS)
+        }
+        Branch { target, .. } | Jump { target } => u("target", target, TARGET_BITS),
+        SBin { .. } | SImm { .. } | Halt | Nop => Ok(()),
     }
 }
 
@@ -651,8 +654,8 @@ mod tests {
             (0, limits::umax(bits) as i64)
         };
         for ok in [min, max] {
-            let instr = make(ok).unwrap();
-            assert_eq!(fits_fields(&instr), Ok(()), "{field} = {ok}");
+            let fits = make(ok).map(|instr| fits_fields(&instr));
+            assert_eq!(fits, Some(Ok(())), "{field} = {ok}");
         }
         for bad in [min - 1, max + 1] {
             if let Some(instr) = make(bad) {
@@ -810,14 +813,14 @@ mod tests {
     #[test]
     fn field_past_its_width_is_a_located_validate_error() {
         let mut p = Program::with_cores(2);
-        p.cores[1].instrs = vec![
-            Instruction::Nop,
-            Instruction::GLoad {
+        p.cores[1].instrs = vec![Instruction::Nop];
+        p.cores[1]
+            .instrs
+            .extend(raw_addr(5_000_000).map(|gaddr| Instruction::GLoad {
                 dst: addr(0),
-                gaddr: raw_addr(5_000_000).unwrap(),
+                gaddr,
                 len: 4,
-            },
-        ];
+            }));
         let e = p.validate(&limits()).unwrap_err();
         assert_eq!(
             e.to_string(),
