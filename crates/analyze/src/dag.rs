@@ -502,8 +502,9 @@ impl HazardMap {
 }
 
 /// Builds one node from a memory-class instruction and the exact register
-/// state at its dispatch: the runtime's [`resolve`] plus the node's
-/// pricing class. Returns `None` for scalars.
+/// state at its dispatch: the runtime's [`resolve`] and footprint (built
+/// from the instruction's extents) plus the node's pricing class. Returns
+/// `None` for scalars.
 fn node_of(
     program: &Program,
     core: u16,
@@ -513,32 +514,29 @@ fn node_of(
     regs: &[i32; 32],
 ) -> Option<DagNode> {
     let res = resolve(instr, regs)?;
-    let (service, mvm_out) = match res {
+    let groups = &program.cores[core as usize].groups;
+    let service = match res {
         Resolved::Mvm { group, .. } => {
-            let g = &program.cores[core as usize].groups[group.as_usize()];
-            let service = ServiceKind::Matrix {
+            let g = &groups[group.as_usize()];
+            ServiceKind::Matrix {
                 input_len: g.input_len,
                 output_len: g.output_len,
                 xbar_count: g.xbar_ids.len() as u32,
-            };
-            (service, g.output_len)
+            }
         }
-        Resolved::Send { peer, len, .. } => {
-            let service = ServiceKind::Send {
-                to: peer,
-                elems: len,
-            };
-            (service, 0)
-        }
-        Resolved::Recv { .. } => (ServiceKind::Recv, 0),
+        Resolved::Send { peer, len, .. } => ServiceKind::Send {
+            to: peer,
+            elems: len,
+        },
+        Resolved::Recv { .. } => ServiceKind::Recv,
         Resolved::GLoad { len, .. } | Resolved::GStore { len, .. } => {
-            (ServiceKind::GlobalMem { elems: len }, 0)
+            ServiceKind::GlobalMem { elems: len }
         }
         _ => {
             let Some(shape) = res.vector_shape() else {
                 unreachable!("every other memory-class op is a vector op: {res:?}")
             };
-            (ServiceKind::Vector(shape), 0)
+            ServiceKind::Vector(shape)
         }
     };
     Some(DagNode {
@@ -546,7 +544,7 @@ fn node_of(
         pc,
         dispatch_index,
         service,
-        footprint: res.footprint(mvm_out),
+        footprint: Footprint::of(instr, groups, regs),
         channel: instr.channel(core),
         preds: (0, 0),
         paired_send: None,
@@ -818,8 +816,11 @@ mod tests {
         assert_eq!(d.nodes.len(), 1);
         let n = &d.nodes[0];
         assert_eq!(n.dispatch_index, 1, "li dispatched first");
-        assert_eq!(n.footprint.write, Range::new(1024, 8));
-        assert_eq!(n.footprint.reads, [Range::new(1000, 8), Range::new(8, 8)]);
+        assert_eq!(n.footprint.write, Range::span(1024, 1032));
+        assert_eq!(
+            n.footprint.reads,
+            [Range::span(1000, 1008), Range::span(8, 16)]
+        );
         assert_eq!(d.cores[0].dispatches, 3);
     }
 
@@ -961,18 +962,25 @@ mod tests {
     }
 
     #[test]
-    fn oversized_pool_window_keeps_its_hazards() {
+    fn oversized_pool_window_keeps_its_hazards() -> Result<(), pimsim_isa::IsaError> {
         // Regression: `win_w * channels` wrapped `u32` to a 0-length —
         // hazard-invisible — read footprint (an overflow panic in a debug
         // build), so the pool floated free of the fill that feeds it and
-        // of the fill that overwrites its input.
-        let d = dag_of(
-            ".core 0\n\
-             vfill [r0+0], 1, 8\n\
-             vpool.max [r0+100], [r0+0], ch=65536, win=65536x1, rstride=8\n\
-             vfill [r0+4], 2, 8\n\
-             halt\n",
-        );
+        // of the fill that overwrites its input. The assembler refuses
+        // such a window now; `Dag::build` must still order one it is
+        // handed.
+        let mut p = assemble(".core 0\nvfill [r0+0], 1, 8\nnop\nvfill [r0+4], 2, 8\nhalt\n")?;
+        p.cores[0].instrs[1] = Instruction::VPool {
+            op: pimsim_isa::PoolOp::Max,
+            dst: Addr::new(Reg::R0, 100)?,
+            src: Addr::new(Reg::R0, 0)?,
+            channels: 65536,
+            win_w: 65536,
+            win_h: 1,
+            row_stride: 8,
+        };
+        let traces = [crate::Cfg::build(&p.cores[0].instrs).linear_trace()];
+        let d = Dag::build(&p, &traces);
         assert_eq!(
             d.nodes[1].footprint.reads[0],
             Range {
@@ -982,6 +990,7 @@ mod tests {
         );
         assert_eq!(d.preds(1), [0], "RAW on the fill");
         assert_eq!(d.preds(2), [1], "WAR on the pool's input (WAW implied)");
+        Ok(())
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Intra-core register dataflow: definite assignment (def-before-use),
 //! liveness (dead writes), and a conservative interval analysis over the
 //! scalar registers that flags statically-provable out-of-bounds memory
-//! operands.
+//! operands, by the extents the machine checks ([`Instruction::for_each_extent`]).
 //!
 //! All three passes are classic worklist fixpoints over the reachable
 //! part of the [`Cfg`]. Soundness direction: the interval of a register
@@ -13,7 +13,7 @@
 //! otherwise the interval arithmetic widens to the full `i32` range
 //! whenever a result could wrap.
 
-use pimsim_isa::{Instruction, ProgramLimits, Reg, SBinOp, SImmOp};
+use pimsim_isa::{GroupConfig, Instruction, ProgramLimits, Reg, SBinOp, SImmOp};
 
 use crate::cfg::Cfg;
 use crate::diag::{DiagKind, Diagnostic};
@@ -122,10 +122,12 @@ fn eval(regs: &mut Regs, instr: &Instruction) {
 // ------------------------------------------------------------ the passes
 
 /// Runs every dataflow pass over one core and appends its diagnostics;
-/// the out-of-bounds check runs against `limits`' memory capacities.
+/// the out-of-bounds check runs against `limits`' memory capacities, with
+/// each `MVM`'s output length from the core's `groups`.
 pub fn check_core(
     core: u16,
     instrs: &[Instruction],
+    groups: &[GroupConfig],
     cfg: &Cfg,
     limits: &ProgramLimits,
     out: &mut Vec<Diagnostic>,
@@ -136,7 +138,7 @@ pub fn check_core(
     let preds = predecessors(cfg);
     def_before_use(core, instrs, cfg, &preds, out);
     dead_writes(core, instrs, cfg, out);
-    out_of_bounds(core, instrs, cfg, &preds, limits, out);
+    out_of_bounds(core, instrs, groups, cfg, &preds, limits, out);
 }
 
 /// Predecessor lists, restricted to reachable blocks.
@@ -301,6 +303,7 @@ fn dead_writes(core: u16, instrs: &[Instruction], cfg: &Cfg, out: &mut Vec<Diagn
 fn out_of_bounds(
     core: u16,
     instrs: &[Instruction],
+    groups: &[GroupConfig],
     cfg: &Cfg,
     preds: &[Vec<usize>],
     limits: &ProgramLimits,
@@ -337,7 +340,7 @@ fn out_of_bounds(
     // Report pass: evaluate each reachable block from its converged entry
     // state and check memory operands.
     let mut report = |pc, instr: &Instruction, regs: &Regs| {
-        check_instr_bounds(core, pc, instr, regs, limits, out);
+        check_operands(core, pc, instr, groups, regs, limits, out);
     };
     for (b, blk) in cfg.blocks.iter().enumerate() {
         if let Some(regs) = inb[b].filter(|_| cfg.reachable[b]) {
@@ -346,9 +349,27 @@ fn out_of_bounds(
     }
 }
 
+/// Checks every memory operand of `instr`: its extent, over its base
+/// register's interval, against the capacity of its space.
+fn check_operands(
+    core: u16,
+    pc: u32,
+    instr: &Instruction,
+    groups: &[GroupConfig],
+    regs: &Regs,
+    limits: &ProgramLimits,
+    out: &mut Vec<Diagnostic>,
+) {
+    instr.for_each_extent(groups, |e| {
+        let capacity = limits.capacity(e.space).min(i64::MAX as u64) as i64;
+        let (what, base) = (e.space.name(), eff(e.base, regs));
+        check_span(core, pc, instr, what, base, e.lo, e.hi, capacity, out);
+    });
+}
+
 /// The effective-address interval of a memory operand: base register
-/// interval plus the static offset (the machine computes
-/// `max(reg + offset, 0)` in `i64`; clamping happens in the checks).
+/// interval plus the static offset (the machine computes `reg + offset`
+/// in `i64`).
 fn eff(addr: pimsim_isa::Addr, regs: &Regs) -> Interval {
     let base = regs[addr.base().index() as usize];
     Interval {
@@ -359,8 +380,12 @@ fn eff(addr: pimsim_isa::Addr, regs: &Regs) -> Interval {
 
 /// Checks one access with relative span `[rel_lo, rel_hi)` around an
 /// effective base interval against a memory of `capacity` elements.
-/// Reports only when the access faults for *every* value in the interval.
+/// Reports only when the access faults (starts below 0 or ends past
+/// `capacity`) for *every* value in the interval: below 0 even from the
+/// highest base, or past the end even from the lowest base that starts in
+/// memory.
 #[allow(clippy::too_many_arguments)]
+#[inline]
 fn check_span(
     core: u16,
     pc: u32,
@@ -372,40 +397,42 @@ fn check_span(
     capacity: i64,
     out: &mut Vec<Diagnostic>,
 ) {
-    if rel_hi <= rel_lo {
-        return; // empty access
-    }
-    if base.hi + rel_lo < 0 {
-        out.push(Diagnostic::at(
-            DiagKind::OutOfBounds,
-            core,
-            pc,
-            instr,
-            format!(
-                "{what} address is provably negative (lowest element at {})",
-                base.hi + rel_lo
-            ),
-        ));
-    } else if base.lo.max(-rel_lo) + rel_hi > capacity {
-        // Even the smallest possible base (after the machine's clamp to
-        // 0) reaches past the end.
-        out.push(Diagnostic::at(
-            DiagKind::OutOfBounds,
-            core,
-            pc,
-            instr,
-            format!(
-                "{what} access [{}, {}) provably exceeds {what} memory of {capacity} elements",
-                base.lo.max(-rel_lo) + rel_lo,
-                base.lo.max(-rel_lo) + rel_hi,
-            ),
+    if rel_hi > rel_lo && (base.hi + rel_lo < 0 || base.lo.max(-rel_lo) + rel_hi > capacity) {
+        let span = (rel_lo, rel_hi);
+        out.push(out_of_bounds_at(
+            core, pc, instr, what, base, span, capacity,
         ));
     }
 }
 
-/// Bounds checks for the transfer-class operands the issue calls out:
-/// `recv`/`recv2d` destinations, and `gload`/`gstore` local + global
-/// operands.
+/// The diagnostic of an access [`check_span`] found out of bounds.
+#[cold]
+fn out_of_bounds_at(
+    core: u16,
+    pc: u32,
+    instr: &Instruction,
+    what: &str,
+    base: Interval,
+    (rel_lo, rel_hi): (i64, i64),
+    capacity: i64,
+) -> Diagnostic {
+    let lowest = base.hi + rel_lo;
+    let message = if lowest < 0 {
+        format!("{what} address is provably negative (lowest element at {lowest})")
+    } else {
+        let lo = base.lo.max(-rel_lo);
+        let (start, end) = (lo + rel_lo, lo + rel_hi);
+        format!(
+            "{what} access [{start}, {end}) provably exceeds {what} memory of {capacity} elements"
+        )
+    };
+    Diagnostic::at(DiagKind::OutOfBounds, core, pc, instr, message)
+}
+
+/// The out-of-bounds pass before it read the extents, kept as the
+/// reference: per-instruction spans for `recv`/`recv2d` destinations and
+/// `gload`/`gstore` local and global operands only.
+#[cfg(test)]
 fn check_instr_bounds(
     core: u16,
     pc: u32,
@@ -511,6 +538,7 @@ fn check_instr_bounds(
 mod tests {
     use super::*;
     use pimsim_isa::{Addr, CoreId, Reg};
+    use proptest::prelude::*;
 
     const LIMITS: ProgramLimits = ProgramLimits {
         cores: 1,
@@ -535,7 +563,7 @@ mod tests {
     fn run(instrs: &[Instruction]) -> Vec<Diagnostic> {
         let cfg = Cfg::build(instrs);
         let mut out = Vec::new();
-        check_core(0, instrs, &cfg, &LIMITS, &mut out);
+        check_core(0, instrs, &[], &cfg, &LIMITS, &mut out);
         out
     }
 
@@ -864,5 +892,119 @@ mod tests {
                 .any(|d| d.kind == DiagKind::OutOfBounds && d.message.contains("negative")),
             "{diags:?}"
         );
+    }
+
+    #[test]
+    fn every_memory_operand_is_checked() {
+        // Operands the transfer-only pass never looked at: a vector
+        // destination below 0, a send source and an MVM output past the
+        // end (the output length comes from the group table).
+        let groups = [pimsim_isa::GroupConfig::new(0.into(), 8, 64, vec![0])];
+        let instrs = vec![
+            Instruction::VFill {
+                dst: addr(Reg::R0, -4),
+                value: 7,
+                len: 4,
+            },
+            Instruction::Send {
+                peer: CoreId(1),
+                src: addr(Reg::R0, 1020),
+                len: 8,
+                tag: 1,
+            },
+            Instruction::Mvm {
+                group: 0.into(),
+                dst: addr(Reg::R0, 1000),
+                src: addr(Reg::R0, 0),
+                len: 8,
+            },
+            Instruction::Halt,
+        ];
+        let cfg = Cfg::build(&instrs);
+        let mut diags = Vec::new();
+        check_core(0, &instrs, &groups, &cfg, &LIMITS, &mut diags);
+        assert_eq!(
+            kinds(&diags),
+            vec![
+                (DiagKind::OutOfBounds, 0),
+                (DiagKind::OutOfBounds, 1),
+                (DiagKind::OutOfBounds, 2)
+            ]
+        );
+        let messages: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(
+            messages,
+            [
+                "local address is provably negative (lowest element at -4)",
+                "local access [1020, 1028) provably exceeds local memory of 1024 elements",
+                "local access [1000, 1064) provably exceeds local memory of 1024 elements",
+            ]
+        );
+    }
+
+    /// A transfer of one of the four kinds the old pass covered, on base
+    /// registers `r0`-`r3`, around the test memories' edges.
+    fn transfer_strategy() -> impl Strategy<Value = Instruction> {
+        let base = [Reg::R0, Reg::R1, Reg::R2, Reg::R3];
+        let a = move || (0usize..4, -1_200i32..1_200).prop_map(move |(r, o)| addr(base[r], o));
+        let len = || 0u32..40;
+        prop_oneof![
+            (a(), len()).prop_map(|(dst, len)| Instruction::Recv {
+                peer: CoreId(1),
+                dst,
+                len,
+                tag: 0
+            }),
+            (a(), 0u32..20, 0u32..6, -300i32..300).prop_map(
+                |(dst, block_len, blocks, dst_stride)| Instruction::Recv2d {
+                    peer: CoreId(1),
+                    dst,
+                    block_len,
+                    blocks,
+                    dst_stride,
+                    tag: 0,
+                }
+            ),
+            (a(), a(), len()).prop_map(|(dst, gaddr, len)| Instruction::GLoad { dst, gaddr, len }),
+            (a(), a(), len()).prop_map(|(gaddr, src, len)| Instruction::GStore { gaddr, src, len }),
+        ]
+    }
+
+    /// Intervals for `r1`-`r3` (`r0` is 0) reaching below 0 and past both
+    /// memories' ends: some exact, some wide.
+    fn intervals_strategy() -> impl Strategy<Value = Regs> {
+        let one = || {
+            (-1_500i64..(1 << 20) + 1_500, 0i64..3_000, any::<bool>()).prop_map(
+                |(lo, width, exact)| Interval {
+                    lo,
+                    hi: if exact { lo } else { lo + width },
+                },
+            )
+        };
+        (one(), one(), one()).prop_map(|(a, b, c)| {
+            let mut regs = [Interval::exact(0); 32];
+            regs[1..4].copy_from_slice(&[a, b, c]);
+            regs
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 2_000,
+            ..ProptestConfig::default()
+        })]
+
+        #[test]
+        fn extent_pass_reports_what_the_transfer_pass_did(
+            instr in transfer_strategy(),
+            regs in intervals_strategy(),
+        ) {
+            let (mut new, mut old) = (Vec::new(), Vec::new());
+            check_operands(3, 7, &instr, &[], &regs, &LIMITS, &mut new);
+            check_instr_bounds(3, 7, &instr, &regs, &LIMITS, &mut old);
+            new.sort_by_key(|d| d.sort_key());
+            old.sort_by_key(|d| d.sort_key());
+            prop_assert_eq!(new, old, "{}", instr);
+        }
     }
 }

@@ -24,8 +24,9 @@
 //!   the rendezvous analysis builds on;
 //! * [`dataflow`] — register definite-assignment (def-before-use), dead
 //!   writes, and interval analysis flagging statically-provable
-//!   out-of-bounds `recv`/`recv2d`/`gload`/`gstore` operands against the
-//!   configured memory sizes;
+//!   out-of-bounds memory operands (every operand of every memory-class
+//!   instruction, by the extents the machine checks at dispatch) against
+//!   the configured memory sizes;
 //! * [`rendezvous`] — cross-core `send`/`recv` matching by
 //!   `(sender, receiver, tag)`, guaranteed-unmatched transfers, payload
 //!   mismatches, a credit-aware abstract execution that reports provable
@@ -224,7 +225,7 @@ pub(crate) fn analyze_walk(program: &Program, arch: &ArchConfig) -> (Analysis, W
                 ));
             }
         }
-        dataflow::check_core(c16, &cp.instrs, &cfg, &limits, &mut diagnostics);
+        dataflow::check_core(c16, &cp.instrs, &cp.groups, &cfg, &limits, &mut diagnostics);
         traces.push(cfg.linear_trace());
         cfgs.push(cfg);
     }

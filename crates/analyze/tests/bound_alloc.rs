@@ -1,8 +1,9 @@
 //! What `bounds` allocates does not depend on how far out a program
 //! addresses memory: the hazard map is sized by a core's accesses, never
 //! by the addresses they reach. The program is check-clean with a core
-//! addressing local element two billion; a structure indexed by address
-//! (even one bit per element) would cost hundreds of megabytes there.
+//! addressing local element one billion, on a chip whose local memory
+//! holds 1,073,741,568 elements; a structure indexed by address (even one
+//! bit per element) would cost over a hundred megabytes there.
 //!
 //! This file holds a single test on purpose: the counter is process-wide,
 //! and a second test running on another thread would pollute it.
@@ -72,14 +73,15 @@ fn bytes_of_bounds(arch: &ArchConfig, program: &Program) -> u64 {
 
 #[test]
 fn bounds_allocation_does_not_grow_with_the_address_reached() -> Result<(), IsaError> {
-    let arch = ArchConfig::paper_default();
-    let (near, far) = (far_program(1_000)?, far_program(2_000_000_000)?);
+    let mut arch = ArchConfig::paper_default();
+    arch.resources.local_mem_kb = 4_194_303;
+    let (near, far) = (far_program(1_000)?, far_program(1_000_000_000)?);
     // Warm whatever the first call of a process sets up lazily.
     bytes_of_bounds(&arch, &near);
     let (bytes_near, bytes_far) = (bytes_of_bounds(&arch, &near), bytes_of_bounds(&arch, &far));
     assert!(
         bytes_far <= bytes_near + 1024,
-        "bounds allocated {bytes_far} bytes at element 2e9 but {bytes_near} at element 1e3"
+        "bounds allocated {bytes_far} bytes at element 1e9 but {bytes_near} at element 1e3"
     );
     Ok(())
 }

@@ -754,6 +754,7 @@ fn cmd_disasm(args: &Args) -> Result<(), String> {
         .ok_or("usage: pimsim disasm <prog.json>")?;
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let program = Program::from_json(&text).map_err(|e| e.to_string())?;
+    program.validate_fields().map_err(|e| e.to_string())?;
     emit(None, |w| w.write_all(asm::disassemble(&program).as_bytes()))
 }
 

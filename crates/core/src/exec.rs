@@ -1,5 +1,7 @@
 //! Functional execution of resolved instructions.
 //!
+//! Dispatch checked every operand against memory: no address here clamps.
+//!
 //! Integer semantics are shared with `pimsim-nn`'s golden model (saturating
 //! adds, i64 MVM accumulation clamped to i32, truncating average pooling,
 //! Q8.8 sigmoid/tanh) so compiled programs can be checked bit-exactly.
@@ -37,8 +39,12 @@ impl Memory {
         self.data.get(addr as usize).copied().unwrap_or(0)
     }
 
-    /// Writes `values` at `addr`, growing as needed.
+    /// Writes `values` at `addr`, growing as needed. An empty write
+    /// touches nothing, wherever it points.
     pub fn write(&mut self, addr: u32, values: &[i32]) {
+        if values.is_empty() {
+            return;
+        }
         let end = addr as usize + values.len();
         if self.data.len() < end {
             self.data.resize(end, 0);
@@ -136,10 +142,10 @@ pub fn execute_local(r: &Resolved, mem: &mut Memory, groups: &[GroupConfig]) {
             dst_stride,
         } => {
             for b in 0..*blocks {
-                let s = (*src as i64 + b as i64 * *src_stride as i64).max(0) as u32;
-                let d = (*dst as i64 + b as i64 * *dst_stride as i64).max(0) as u32;
-                let block = mem.read(s, *block_len);
-                mem.write(d, &block);
+                let s = *src as i64 + b as i64 * *src_stride as i64;
+                let d = *dst as i64 + b as i64 * *dst_stride as i64;
+                let block = mem.read(s as u32, *block_len);
+                mem.write(d as u32, &block);
             }
         }
         Resolved::VPool {
@@ -161,7 +167,7 @@ pub fn execute_local(r: &Resolved, mem: &mut Memory, groups: &[GroupConfig]) {
                             + wy as i64 * *row_stride as i64
                             + wx as i64 * *channels as i64
                             + c as i64;
-                        let v = mem.get(a.max(0) as u64);
+                        let v = mem.get(a as u64);
                         m = m.max(v);
                         sum += v as i64;
                     }

@@ -47,6 +47,11 @@
 //! reference forward pass (the end-to-end correctness tests do exactly
 //! this). Scalar registers are always functional.
 //!
+//! Both modes check every memory operand once, at dispatch: an extent
+//! ([`pimsim_isa::Instruction::for_each_extent`]) outside its memory fails the
+//! run with [`SimError::MemoryFault`], in a timing run as in a
+//! functional one.
+//!
 //! # Example
 //!
 //! ```rust

@@ -32,12 +32,12 @@ pub enum SimError {
         /// Description of the mismatching pair.
         detail: String,
     },
-    /// A functional run addressed memory outside the configured local or
-    /// global memory: a strided `RECV` whose destination goes negative or
-    /// past the scratchpad, or a vector op, `MVM`, `GLOAD` or `GSTORE`
-    /// reaching past either capacity. Such accesses used to clamp to
-    /// address 0 and silently corrupt local memory, or to grow the
-    /// functional memory without bound.
+    /// A memory operand reaches below element 0 or past the configured
+    /// local or global memory: checked for every operand at dispatch, in
+    /// timing and functional runs alike. The detail names the pc, the
+    /// instruction, the span and the capacity. Such accesses used to clamp
+    /// to address 0, grow the functional memory without bound, or be
+    /// priced by timing runs as if valid.
     MemoryFault {
         /// The core that made the access.
         core: u16,

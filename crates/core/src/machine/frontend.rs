@@ -6,12 +6,15 @@
 //! Scalar instructions (ALU, branches, jumps) execute right here, with the
 //! ISA's own semantics ([`Instruction::exec_scalar`]) — loops and address
 //! arithmetic never enter the ROB. Memory-class instructions get their
-//! operands resolved against the register file ([`resolve`]) and are
-//! handed to the ROB, after which the issue logic in [`super::units`]
-//! takes over.
+//! operands resolved against the register file ([`resolve`]) and
+//! bounds-checked ([`Instruction::for_each_extent`]), in timing and functional
+//! runs alike, and are handed to the ROB, after which the issue logic in
+//! [`super::units`] takes over.
 
-use pimsim_isa::{resolve, InstrClass, Instruction, Resolved};
+use pimsim_isa::{resolve, Footprint, InstrClass, Instruction, ProgramLimits, Resolved};
 
+use super::error::SimError;
+use super::rob::Core;
 use super::{Ctx, Machine, MachineEvent};
 
 /// How a wake-up's dispatch loop ended.
@@ -94,7 +97,10 @@ impl Machine<'_> {
                     }
                 }
                 Some(res) => {
-                    self.enter_rob(c, tag, &instr, res);
+                    if let Err(fault) = self.enter_rob(c, tag, &instr, res) {
+                        self.fail(fault, ctx);
+                        break false;
+                    }
                     if self.eager_issue() {
                         self.try_issue(c, ctx);
                     }
@@ -104,9 +110,24 @@ impl Machine<'_> {
         Dispatched { paced, scalar_pc }
     }
 
-    /// Classifies a resolved instruction, allocates its ROB entry, and
-    /// advances the program counter past it.
-    fn enter_rob(&mut self, c: usize, tag: u16, instr: &Instruction, res: Resolved) {
+    /// Bounds-checks the operands' extents, then allocates the ROB entry
+    /// with their footprint and advances the program counter past it.
+    fn enter_rob(
+        &mut self,
+        c: usize,
+        tag: u16,
+        instr: &Instruction,
+        res: Resolved,
+    ) -> Result<(), SimError> {
+        let (core, limits) = (&self.cores[c], &self.limits);
+        let mut outside = false;
+        instr.for_each_extent(core.groups, |e| {
+            outside |= e.outside(&core.regs, limits.capacity(e.space)).is_some();
+        });
+        if outside {
+            return Err(memory_fault(c, core, instr, limits));
+        }
+        let footprint = Footprint::of(instr, core.groups, &core.regs);
         let class = instr.class();
         let slot = match class {
             InstrClass::Matrix => 0,
@@ -117,7 +138,30 @@ impl Machine<'_> {
         self.telemetry.class_counts[slot] += 1;
         let core = &mut self.cores[c];
         let chan = core.chans[core.pc as usize];
-        core.admit(tag, class, res, chan, core.pc);
+        core.admit(tag, class, res, footprint, chan, core.pc);
         core.pc += 1;
+        Ok(())
     }
+}
+
+/// The fault of the first operand of `instr`, on core `c`, outside its
+/// memory.
+#[cold]
+fn memory_fault(c: usize, core: &Core, instr: &Instruction, limits: &ProgramLimits) -> SimError {
+    let mut detail = String::new();
+    instr.for_each_extent(core.groups, |e| {
+        let capacity = limits.capacity(e.space);
+        match e.outside(&core.regs, capacity) {
+            Some((start, end)) if detail.is_empty() => {
+                let (pc, space) = (core.pc, e.space.name());
+                detail = format!(
+                    "pc {pc} ({instr}) accesses [{start}, {end}), outside the \
+                     {capacity}-element {space} memory"
+                );
+            }
+            _ => {}
+        }
+    });
+    let core = c as u16;
+    SimError::MemoryFault { core, detail }
 }

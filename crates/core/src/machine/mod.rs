@@ -33,6 +33,7 @@ pub(crate) mod units;
 use pimsim_arch::model::CostModel;
 use pimsim_arch::{ArchConfig, Energy};
 use pimsim_event::{EventCtx, SimTime, World};
+use pimsim_isa::ProgramLimits;
 
 use crate::exec::Memory;
 use crate::noc::Noc;
@@ -129,6 +130,9 @@ pub(crate) type Ctx = EventCtx<MachineEvent>;
 /// sink — the [`World`] the event kernel drives.
 pub(crate) struct Machine<'a> {
     pub(crate) cfg: &'a ArchConfig,
+    /// The chip's memory capacities, which every operand's extent is
+    /// checked against at dispatch.
+    pub(crate) limits: ProgramLimits,
     /// Unit, transfer and static prices: the shared cost tables over
     /// `cfg`, with both clocks derived once per run.
     pub(crate) model: CostModel<'a>,

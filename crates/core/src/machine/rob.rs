@@ -90,8 +90,9 @@ pub(crate) struct InFlight {
     /// Dense index of the `(sender, receiver, tag)` channel a `SEND` or
     /// `RECV` uses ([`NO_CHANNEL`] otherwise).
     pub(crate) chan: u32,
-    /// The memory it touches: what the hazard check orders it by, and
-    /// what a functional run bounds-checks before its payload.
+    /// The memory it touches, built from its operands' extents at
+    /// dispatch after they passed the bounds check: what the hazard check
+    /// orders it by.
     pub(crate) footprint: Footprint,
     /// Ancestors among the 64 entries before this one: bit `k` is the
     /// entry `k + 1` places older. Farther ancestors are dropped, which
@@ -266,23 +267,21 @@ impl<'p> Core<'p> {
     }
 
     /// Appends a freshly dispatched memory-class instruction to the ROB in
-    /// the `Waiting` state and resolves its hazards against every older
-    /// entry still in progress. Returns its sequence number.
+    /// the `Waiting` state and resolves its hazards, by `footprint`,
+    /// against every older entry still in progress. Returns its sequence
+    /// number.
     pub(crate) fn admit(
         &mut self,
         tag: u16,
         class: InstrClass,
         res: Resolved,
+        footprint: Footprint,
         chan: u32,
         pc: u32,
     ) -> u64 {
         let seq = self.seq_next;
-        let mvm_out = match res {
-            Resolved::Mvm { group, .. } => self.groups[group.as_usize()].output_len,
-            _ => 0,
-        };
         let mut entry = InFlight {
-            footprint: res.footprint(mvm_out),
+            footprint,
             res,
             class,
             tag,
@@ -473,21 +472,16 @@ mod tests {
     use super::*;
     use crate::machine::test_rng::Rng;
     use pimsim_arch::ArchConfig;
-    use pimsim_isa::{VBinOp, VUnOp};
+    use pimsim_isa::{asm, resolve};
 
     impl Core<'_> {
         /// The pre-scoreboard issue logic, kept as the reference: rescan the
         /// whole ROB in age order and re-derive every pairwise hazard from
-        /// the resolved operands alone (nothing the scoreboard stores).
-        /// `core_id` names this core in channel keys.
+        /// each entry's footprint and resolved operands alone (none of the
+        /// scoreboard's edges, ancestors or ready set). `core_id` names
+        /// this core in channel keys.
         fn scan_oracle(&self, core_id: u16, structure_hazard: bool) -> Option<u64> {
-            let footprint = |e: &InFlight| {
-                let out = match e.res {
-                    Resolved::Mvm { group, .. } => self.groups[group.as_usize()].output_len,
-                    _ => 0,
-                };
-                e.res.footprint(out)
-            };
+            let footprint = |e: &InFlight| e.footprint;
             let channel = |e: &InFlight| match e.res {
                 Resolved::Send { peer, tag, .. } => Some((core_id, peer, tag)),
                 Resolved::Recv { peer, tag, .. } => Some((peer, core_id, tag)),
@@ -516,28 +510,35 @@ mod tests {
         }
     }
 
+    /// `text` resolved under a zeroed register file: its class, operands
+    /// and footprint, as dispatch hands them to the ROB.
+    fn entry(text: &str) -> (InstrClass, Resolved, Footprint) {
+        let instr = asm::parse_instruction(text).expect("parses");
+        let res = resolve(&instr, &[0; 32]).expect("memory-class");
+        let footprint = Footprint::of(&instr, test_groups(), &[0; 32]);
+        (instr.class(), res, footprint)
+    }
+
+    /// Admits `text` on channel `chan`.
+    fn admit(core: &mut Core<'_>, text: &str, chan: u32) {
+        let (class, res, footprint) = entry(text);
+        core.admit(0, class, res, footprint, chan, 0);
+    }
+
     #[test]
     fn gmem_conflicts_require_a_write_and_overlap() {
         // Disjoint local buffers: only the global intervals can conflict.
-        let load = |gaddr, dst| Resolved::GLoad {
-            dst,
-            gaddr,
-            len: 10,
-        };
-        let store = |gaddr, src| Resolved::GStore {
-            gaddr,
-            src,
-            len: 10,
-        };
+        let load = |gaddr, dst| format!("gload [r0+{dst}], g[r0+{gaddr}], 10");
+        let store = |gaddr, src| format!("gstore g[r0+{gaddr}], [r0+{src}], 10");
         let mut core = test_core(8);
-        for res in [
+        for text in [
             load(0, 100),
             load(5, 200),
             store(5, 300),
             store(30, 400),
             load(12, 500),
         ] {
-            core.admit(0, InstrClass::Transfer, res, NO_CHANNEL, 0);
+            admit(&mut core, &text, NO_CHANNEL);
         }
         assert_eq!(core.ready, [0, 1, 3], "two loads, or disjoint: no edge");
         for seq in [0, 1] {
@@ -577,34 +578,19 @@ mod tests {
         )
     }
 
-    fn vfill(dst: u32) -> Resolved {
-        Resolved::VFill {
-            dst,
-            value: 0,
-            len: 8,
-        }
+    fn vfill(dst: u32) -> String {
+        format!("vfill [r0+{dst}], 0, 8")
     }
 
-    fn send(chan_tag: u16, src: u32) -> Resolved {
-        Resolved::Send {
-            peer: 1,
-            src,
-            len: 4,
-            tag: chan_tag,
-        }
+    fn send(chan_tag: u16, src: u32) -> String {
+        format!("send core1, [r0+{src}], 4, tag={chan_tag}")
     }
 
     #[test]
     fn raw_hazard_blocks_younger_entry() {
         let mut core = test_core(8);
-        core.admit(0, InstrClass::Vector, vfill(0), NO_CHANNEL, 0);
-        let relu = Resolved::VUn {
-            op: VUnOp::Relu,
-            dst: 100,
-            src: 4,
-            len: 8,
-        };
-        core.admit(0, InstrClass::Vector, relu, NO_CHANNEL, 0);
+        admit(&mut core, &vfill(0), NO_CHANNEL);
+        admit(&mut core, "vrelu [r0+100], [r0+4], 8", NO_CHANNEL);
         // Entry 0 issuable first; entry 1 reads what 0 writes.
         assert_eq!(core.next_issuable(true), Some(0));
         core.begin(0, SimTime::ZERO);
@@ -619,13 +605,13 @@ mod tests {
     #[test]
     fn same_channel_transfers_stay_fifo() {
         let mut core = test_core(8);
-        core.admit(0, InstrClass::Transfer, send(7, 0), 0, 0);
+        admit(&mut core, &send(7, 0), 0);
         core.begin(0, SimTime::ZERO);
-        core.admit(0, InstrClass::Transfer, send(7, 0), 0, 0);
+        admit(&mut core, &send(7, 0), 0);
         // Same (src, dst, tag) channel: the younger send must wait...
         assert_eq!(core.next_issuable(true), None);
         // ...but a different tag may overtake.
-        core.admit(0, InstrClass::Transfer, send(8, 100), 1, 0);
+        admit(&mut core, &send(8, 100), 1);
         assert_eq!(core.next_issuable(true), Some(2));
     }
 
@@ -633,13 +619,7 @@ mod tests {
     fn structure_hazard_flag_gates_crossbar_conflicts() {
         let mut core = test_core(8);
         core.book_xbars(GroupId(1));
-        let mvm = |group| Resolved::Mvm {
-            group: GroupId(group),
-            dst: 0,
-            src: 100,
-            len: 4,
-        };
-        core.admit(0, InstrClass::Matrix, mvm(0), NO_CHANNEL, 0);
+        admit(&mut core, "mvm g0, [r0+0], [r0+100], 4", NO_CHANNEL);
         assert_eq!(core.next_issuable(true), None, "hazard enforced");
         assert_eq!(core.next_issuable(false), Some(0), "ablation disables");
         core.release_xbars(GroupId(1));
@@ -652,7 +632,7 @@ mod tests {
     fn retire_pops_done_prefix_only() {
         let mut core = test_core(8);
         for seq in 0..3 {
-            core.admit(0, InstrClass::Vector, vfill(seq * 100), NO_CHANNEL, 0);
+            admit(&mut core, &vfill(seq * 100), NO_CHANNEL);
             core.begin(seq as u64, SimTime::ZERO);
         }
         core.mark_done(0);
@@ -673,17 +653,11 @@ mod tests {
         // 64-entry ancestor window, and one edge per conflicting pair
         // would take millions of edges.
         let mut core = test_core(1 << 20);
-        let scale = Resolved::VImm {
-            op: pimsim_isa::VImmOp::Mul,
-            dst: 16,
-            src: 0,
-            imm: 2,
-            len: 16,
-        };
+        let scale = "vmuli [r0+16], [r0+0], 2, 16";
         for _ in 0..3_000 {
-            core.admit(0, InstrClass::Vector, vfill(0), NO_CHANNEL, 0);
-            core.admit(0, InstrClass::Vector, scale, NO_CHANNEL, 0);
-            core.admit(0, InstrClass::Transfer, send(1, 16), 0, 0);
+            admit(&mut core, &vfill(0), NO_CHANNEL);
+            admit(&mut core, scale, NO_CHANNEL);
+            admit(&mut core, &send(1, 16), 0);
         }
         assert_eq!(core.in_flight().count(), 9_000);
         assert!(core.edges.len() <= 2 * 9_000, "{} edges", core.edges.len());
@@ -694,89 +668,49 @@ mod tests {
     const CORE_ID: u16 = 2;
 
     /// A random memory-class instruction over a deliberately tiny address
-    /// space (so all four hazard kinds are common), with its class and the
+    /// space (so all four hazard kinds are common), resolved, with the
     /// dense channel index a fabric would have interned for it.
-    fn random_instr(rng: &mut Rng) -> (InstrClass, Resolved, u32) {
+    fn random_instr(rng: &mut Rng) -> ((InstrClass, Resolved, Footprint), u32) {
         // Six 8-element slots, plus offsets that straddle two of them.
-        let mut addr = || (rng.below(6) * 8 + rng.below(2) * 4) as u32;
+        let mut addr = || rng.below(6) * 8 + rng.below(2) * 4;
         let (a, b, dst) = (addr(), addr(), addr());
-        let len = 1 + rng.below(12) as u32;
+        let len = 1 + rng.below(12);
         // Overlapping and disjoint global intervals, reads and writes.
         let gaddr = rng.below(4) * 6;
         // Two peers × two tags; sends and receives are distinct channels.
-        let (peer, tag) = (rng.below(2) as u16, rng.below(2) as u16);
-        match rng.below(10) {
+        let (peer, tag) = (rng.below(2), rng.below(2));
+        let (text, chan) = match rng.below(10) {
             0 | 1 => (
-                InstrClass::Matrix,
-                Resolved::Mvm {
-                    group: GroupId(rng.below(4) as u16),
-                    dst,
-                    src: a,
-                    len: 4,
-                },
+                format!("mvm g{}, [r0+{dst}], [r0+{a}], 4", rng.below(4)),
                 NO_CHANNEL,
             ),
             2 => (
-                InstrClass::Vector,
-                Resolved::VBin {
-                    op: VBinOp::Add,
-                    dst,
-                    a,
-                    b,
-                    len,
-                },
+                format!("vadd [r0+{dst}], [r0+{a}], [r0+{b}], {len}"),
                 NO_CHANNEL,
             ),
-            3 => (
-                InstrClass::Vector,
-                Resolved::VFill { dst, value: 1, len },
-                NO_CHANNEL,
-            ),
+            3 => (format!("vfill [r0+{dst}], 1, {len}"), NO_CHANNEL),
             4 => (
-                InstrClass::Vector,
-                Resolved::VCopy2d {
-                    dst,
-                    src: a,
-                    block_len: 2,
-                    blocks: 1 + rng.below(3) as u32,
-                    src_stride: 4,
-                    dst_stride: -4,
-                },
+                format!(
+                    "vcopy2d [r0+{dst}], [r0+{a}], block=2, blocks={}, sstride=4, dstride=-4",
+                    1 + rng.below(3)
+                ),
                 NO_CHANNEL,
             ),
             5 => (
-                InstrClass::Transfer,
-                Resolved::GLoad { dst, gaddr, len },
+                format!("gload [r0+{dst}], g[r0+{gaddr}], {len}"),
                 NO_CHANNEL,
             ),
-            6 => (
-                InstrClass::Transfer,
-                Resolved::GStore { gaddr, src: a, len },
-                NO_CHANNEL,
-            ),
+            6 => (format!("gstore g[r0+{gaddr}], [r0+{a}], {len}"), NO_CHANNEL),
             7 | 8 => (
-                InstrClass::Transfer,
-                Resolved::Send {
-                    peer,
-                    src: a,
-                    len,
-                    tag,
-                },
+                format!("send core{peer}, [r0+{a}], {len}, tag={tag}"),
                 (peer * 2 + tag) as u32,
             ),
             _ => (
-                InstrClass::Transfer,
-                Resolved::Recv {
-                    peer,
-                    dst,
-                    block_len: len,
-                    blocks: 1,
-                    dst_stride: len as i32,
-                    tag,
-                },
+                format!("recv core{peer}, [r0+{dst}], {len}, tag={tag}"),
                 4 + (peer * 2 + tag) as u32,
             ),
-        }
+        };
+        (entry(&text), chan)
     }
 
     /// Books or releases the unit of an entry the way `units.rs` does.
@@ -802,8 +736,8 @@ mod tests {
                 // Dispatch (a little more often than completion, so deep
                 // ROBs do fill).
                 0..=3 if !core.rob_is_full() => {
-                    let (class, res, chan) = random_instr(&mut rng);
-                    core.admit(0, class, res, chan, 0);
+                    let ((class, res, footprint), chan) = random_instr(&mut rng);
+                    core.admit(0, class, res, footprint, chan, 0);
                 }
                 // Out-of-order completion of a random executing entry.
                 4..=6 if !executing.is_empty() => {

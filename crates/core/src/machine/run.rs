@@ -46,7 +46,8 @@ impl<'a> Simulator<'a> {
     /// * [`SimError::InvalidProgram`] / [`SimError::Arch`] for malformed inputs,
     /// * [`SimError::Deadlock`] when transfers can never match,
     /// * [`SimError::Timeout`] at the `sim.max_cycles` horizon,
-    /// * [`SimError::TagMismatch`] for inconsistent payload lengths.
+    /// * [`SimError::TagMismatch`] for inconsistent payload lengths,
+    /// * [`SimError::MemoryFault`] for an operand outside its memory.
     pub fn run(&self, program: &Program) -> Result<SimReport, SimError> {
         self.arch.validate()?;
         program.validate(&self.arch.program_limits())?;
@@ -151,6 +152,7 @@ impl<'a> Simulator<'a> {
         let fabric = TransferFabric::for_cores(&mut cores, self.arch.noc.virtual_channels);
         Machine {
             cfg: self.arch,
+            limits: self.arch.program_limits(),
             model,
             noc: Noc::for_arch(self.arch),
             gmem,

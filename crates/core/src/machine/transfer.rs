@@ -512,30 +512,9 @@ impl Machine<'_> {
             });
             if let Some((dst, block_len, dst_stride)) = params {
                 if block_len > 0 {
-                    let capacity = self.cfg.resources.local_mem_elems() as i64;
+                    // Dispatch checked every block against local memory.
                     for (b, chunk) in msg.data.chunks(block_len as usize).enumerate() {
                         let d = dst as i64 + b as i64 * dst_stride as i64;
-                        // A destination below address 0 used to clamp to 0
-                        // and silently overwrite whatever lived there; one
-                        // past the configured scratchpad would grow the
-                        // functional memory without bound. Both are program
-                        // bugs and must fail.
-                        if d < 0 || d + chunk.len() as i64 > capacity {
-                            let detail = format!(
-                                "strided recv block {b} spans [{d}, {}) \
-                                 (dst {dst}, stride {dst_stride}), outside the \
-                                 {capacity}-element local memory",
-                                d + chunk.len() as i64
-                            );
-                            self.fail(
-                                SimError::MemoryFault {
-                                    core: c as u16,
-                                    detail,
-                                },
-                                ctx,
-                            );
-                            return;
-                        }
                         self.cores[c].mem.write(d as u32, chunk);
                     }
                 }

@@ -12,7 +12,7 @@
 //! analyzer uses.
 
 use pimsim_event::SimTime;
-use pimsim_isa::{Footprint, InstrClass, Resolved};
+use pimsim_isa::{InstrClass, Resolved};
 
 use super::rob::Issued;
 use super::{Ctx, Machine, MachineEvent};
@@ -76,7 +76,7 @@ impl Machine<'_> {
         }
         let now = ctx.now();
         self.finish_time = self.finish_time.max(now);
-        let (class, res, tag, span, pc, footprint) = {
+        let (class, res, tag, span, pc) = {
             let Some(e) = self.cores[c].mark_done(seq) else {
                 // A completion whose ROB entry vanished is an invariant
                 // break (entries leave the ROB only through in-order
@@ -89,12 +89,9 @@ impl Machine<'_> {
                 return;
             };
             let span = now.saturating_sub(e.issue_at);
-            (e.class, e.res, e.tag, span, e.pc, e.footprint)
+            (e.class, e.res, e.tag, span, e.pc)
         };
         self.telemetry.record_trace(now, c as u16, pc);
-        if self.functional && !self.payload_in_bounds(c, pc, &footprint, ctx) {
-            return;
-        }
         match class {
             InstrClass::Vector => {
                 self.cores[c].vector_busy = false;
@@ -143,37 +140,6 @@ impl Machine<'_> {
             self.try_issue(c, ctx);
         }
         self.try_advance(c, ctx);
-    }
-
-    /// Fails the run with a [`SimError::MemoryFault`] when a functional
-    /// payload would touch memory past the configured local or global
-    /// capacity; `true` when it stays inside. The functional memories grow
-    /// to whatever address they are handed, so an access two billion
-    /// elements out would allocate gigabytes instead of failing.
-    fn payload_in_bounds(&mut self, c: usize, pc: u32, fp: &Footprint, ctx: &mut Ctx) -> bool {
-        let r = &self.cfg.resources;
-        let (local, global) = (r.local_mem_elems() as u64, r.global_mem_elems());
-        let local = (fp.reads.iter().chain([&fp.write]))
-            .map(|range| (range.start as u64, range.end as u64, local, "local"));
-        let global = fp
-            .gmem
-            .map(|(start, end, _)| (start, end, global, "global"));
-        let past =
-            |&(start, end, capacity, _): &(u64, u64, u64, &str)| start < end && end > capacity;
-        let Some((start, end, capacity, space)) = local.chain(global).find(past) else {
-            return true;
-        };
-        let detail = format!(
-            "pc {pc} accesses [{start}, {end}), outside the {capacity}-element {space} memory"
-        );
-        self.fail(
-            SimError::MemoryFault {
-                core: c as u16,
-                detail,
-            },
-            ctx,
-        );
-        false
     }
 
     /// Runs a vector/matrix payload on the core's local memory with the

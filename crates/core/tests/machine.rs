@@ -4,7 +4,7 @@
 use pimsim_arch::ArchConfig;
 use pimsim_core::{SimError, Simulator};
 use pimsim_event::SimTime;
-use pimsim_isa::asm;
+use pimsim_isa::{asm, Instruction};
 
 #[path = "support/mixed_programs.rs"]
 mod mixed_programs;
@@ -83,20 +83,33 @@ fn oversized_pool_window_still_orders_against_its_input() {
     // range (and panicked on overflow in a debug build), so the load that
     // overwrites the pool's input finished long before the pool did.
     // Such a window is now refused before it runs: both are past their
-    // fields.
+    // fields, so the assembler refuses to write it and the simulator
+    // refuses a program file that holds it.
     let mut cfg = arch().with_functional(false);
     cfg.sim.trace = true;
-    let wide = asm::assemble(
-        ".core 0\nvpool.max [r0+100], [r0+0], ch=65536, win=65536x1, rstride=8\nhalt\n",
-    )
-    .expect("assembles");
+    let text = ".core 0\nvpool.max [r0+100], [r0+0], ch=65536, win=65536x1, rstride=8\nhalt\n";
+    let err = asm::assemble(text).expect_err("refused");
+    assert_eq!(
+        err.to_string(),
+        "parse error at line 2: channels value 65536 outside encodable range [0, 16383]"
+    );
+    let mut wide = asm::assemble(&text.replace("65536", "1")).expect("assembles");
+    let Instruction::VPool {
+        channels, win_w, ..
+    } = &mut wide.cores[0].instrs[0]
+    else {
+        panic!("core 0 starts with the pool")
+    };
+    (*channels, *win_w) = (65536, 65536);
     let err = Simulator::new(&cfg).run(&wide).expect_err("refused");
     assert!(
         err.to_string()
             .contains("channels value 65536 outside encodable range [0, 16383]"),
         "{err}"
     );
-    // The widest window the fields encode still orders against its input.
+    // The widest window the fields encode still orders against its input,
+    // on a local memory that holds its 1,032,129-element read.
+    cfg.resources.local_mem_kb = 4096;
     let report = run(
         &cfg,
         r#"

@@ -8,7 +8,7 @@ use std::error::Error;
 use pimsim_arch::ArchConfig;
 use pimsim_core::{SimError, Simulator};
 use pimsim_event::SimTime;
-use pimsim_isa::asm;
+use pimsim_isa::{asm, Instruction};
 
 fn run(arch: &ArchConfig, text: &str) -> Result<pimsim_core::SimReport, SimError> {
     let program = asm::assemble(text).expect("assembles");
@@ -171,11 +171,27 @@ fn recv2d_length_product_does_not_wrap_into_a_match() {
     // Regression: `block_len * blocks` was a `u32` product, so 65536 x
     // 65536 wrapped to 0 and "matched" an empty send; the run reported
     // success. Such a receive is now refused before it runs: both counts
-    // are past their 14-bit field.
+    // are past their 14-bit field, so the assembler refuses to write it
+    // and the simulator refuses a program file that holds it.
     let arch = ArchConfig::small_test();
-    let wide = ".core 0\nsend core1, [r0+0], 0, tag=1\nhalt\n.core 1\n\
+    let text = ".core 0\nsend core1, [r0+0], 0, tag=1\nhalt\n.core 1\n\
                 recv2d core0, [r0+0], block=65536, blocks=65536, dstride=0, tag=1\nhalt\n";
-    let err = run(&arch, wide).expect_err("a 2^32-element recv does not run");
+    let refused = asm::assemble(text).expect_err("past the fields");
+    assert_eq!(
+        refused.to_string(),
+        "parse error at line 5: block_len value 65536 outside encodable range [0, 16383]"
+    );
+    let mut wide = asm::assemble(&text.replace("65536", "1")).expect("assembles");
+    let Instruction::Recv2d {
+        block_len, blocks, ..
+    } = &mut wide.cores[1].instrs[0]
+    else {
+        panic!("core 1 starts with the recv2d")
+    };
+    (*block_len, *blocks) = (65536, 65536);
+    let err = Simulator::new(&arch)
+        .run(&wide)
+        .expect_err("a 2^32-element recv does not run");
     assert!(
         matches!(err, SimError::InvalidProgram(_))
             && err.to_string().contains(
@@ -230,7 +246,7 @@ fn negative_strided_recv_destination_is_a_memory_fault() {
     };
     assert_eq!(*core, 1);
     assert!(detail.contains("-8"), "names the bad address: {detail}");
-    assert!(detail.contains("stride -8"), "names the stride: {detail}");
+    assert!(detail.contains("dstride=-8"), "names the stride: {detail}");
     assert!(err.source().is_none(), "MemoryFault is a root cause");
     assert!(
         err.to_string().starts_with("memory fault on core1: "),
@@ -268,8 +284,8 @@ fn recv_past_the_scratchpad_capacity_is_a_memory_fault() {
 
 /// Runs `text` functionally on `small_test` (65,536 local and 4,194,304
 /// global elements), expecting a memory fault on core 0 that names
-/// `capacity`; the same program still runs timing-only, where no payload
-/// touches memory.
+/// `capacity`; the same program run timing-only fails with the same
+/// fault, raised by the same check at dispatch.
 fn assert_faults_past(text: &str, capacity: &str) {
     let arch = ArchConfig::small_test();
     let err = run(&arch, text).expect_err("an access past the configured memory must fail");
@@ -278,9 +294,11 @@ fn assert_faults_past(text: &str, capacity: &str) {
     };
     assert_eq!(*core, 0);
     assert!(detail.contains(capacity), "names the bound: {detail}");
-    if let Err(err) = run(&arch.with_functional(false), text) {
-        panic!("timing-only runs are unchanged, but this one failed: {err}");
-    }
+    let timing = run(&arch.with_functional(false), text).expect_err("timing runs fault too");
+    assert!(
+        matches!(timing, SimError::MemoryFault { .. }) && timing.to_string() == err.to_string(),
+        "timing-only runs raise the same fault: {timing} vs {err}"
+    );
 }
 
 #[test]

@@ -46,7 +46,7 @@ use crate::group::GroupConfig;
 use crate::instr::{
     Addr, BranchCond, CoreId, GroupId, Instruction, PoolOp, SBinOp, SImmOp, VBinOp, VImmOp, VUnOp,
 };
-use crate::program::{CoreProgram, Program, ProgramMeta};
+use crate::program::{fits_fields, CoreProgram, Program, ProgramMeta};
 use crate::reg::Reg;
 
 fn perr(line: usize, msg: impl Into<String>) -> IsaError {
@@ -238,10 +238,14 @@ fn parse_addr(tok: &str, global: bool) -> Option<Addr> {
 ///
 /// # Errors
 ///
-/// Returns [`IsaError::Parse`] describing the first problem found.
+/// Returns [`IsaError::Parse`] describing the first problem found, an
+/// operand past its field width ([`crate::limits`]) included.
 pub fn parse_instruction(text: &str) -> Result<Instruction, IsaError> {
     match parse_line(text, 0)? {
-        (instr, None) => Ok(instr),
+        (instr, None) => {
+            fits_fields(&instr).map_err(|msg| perr(0, msg))?;
+            Ok(instr)
+        }
         (_, Some(_)) => Err(perr(
             0,
             "label targets are only supported inside full programs",
@@ -392,7 +396,8 @@ fn parse_line(text: &str, line: usize) -> Result<(Instruction, Option<&str>), Is
 /// # Errors
 ///
 /// Returns [`IsaError::Parse`] with a 1-based line number on the first
-/// syntax problem, or an undefined-label error at the end of assembly.
+/// syntax problem or operand past its field width ([`crate::limits`]), or
+/// an undefined-label error at the end of assembly.
 pub fn assemble(text: &str) -> Result<Program, IsaError> {
     #[derive(Default)]
     struct CoreBuild<'a> {
@@ -502,6 +507,7 @@ pub fn assemble(text: &str) -> Result<Program, IsaError> {
         }
 
         let (instr, label) = parse_line(line, lineno)?;
+        fits_fields(&instr).map_err(|msg| perr(lineno, msg))?;
         if let Some(label) = label {
             core.fixups.push((core.instrs.len(), label, lineno));
         }
@@ -609,7 +615,7 @@ pub fn disassemble(program: &Program) -> String {
 
 #[cfg(test)]
 #[path = "../tests/support/instructions.rs"]
-mod instructions;
+pub(crate) mod instructions;
 
 /// The parser as it stood before each op mnemonic moved into its enum's
 /// `ALL` table: a `match` per op family, and boxed label builders beside
@@ -1105,6 +1111,23 @@ mod tests {
     fn bare_addr_defaults_offset_zero() {
         let i = parse_instruction("vcopy [r1], [r2], 4").unwrap();
         assert_eq!(i.to_string(), "vcopy [r1+0], [r2+0], 4");
+    }
+
+    #[test]
+    fn operands_past_their_field_width_are_parse_errors() {
+        // `run` refuses what the field cannot encode; the assembler must
+        // not write it in the first place.
+        let err = assemble(".core 0\ngload [r1+0], g[r2+0], 300000\nhalt\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at line 2: len value 300000 outside encodable range [0, 262143]"
+        );
+        let err = parse_instruction("vfill [r0+0], 8388608, 4").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error: value value 8388608 outside encodable range [-8388608, 8388607]"
+        );
+        assert!(parse_instruction("gload [r1+0], g[r2+0], 262143").is_ok());
     }
 
     #[test]

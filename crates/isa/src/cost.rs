@@ -66,7 +66,7 @@ mod tests {
     }
 
     #[test]
-    fn shapes_match_operand_counts() {
+    fn shapes_match_operand_counts() -> Result<(), crate::IsaError> {
         let cases = [
             ("vadd [r1+0], [r1+8], [r1+16], 64", (64, 2, 1)),
             ("vmuli [r1+0], [r1+8], 3, 32", (32, 1, 1)),
@@ -80,15 +80,27 @@ mod tests {
                 "vpool.max [r1+0], [r1+8], ch=4, win=2x3, rstride=12",
                 (24, 1, 1),
             ),
-            // The element count saturates instead of wrapping to zero.
-            (
-                "vpool.max [r1+0], [r1+8], ch=65536, win=65536x1, rstride=8",
-                (u32::MAX, 1, 1),
-            ),
         ];
         for (text, want) in cases {
             assert_eq!(shape_of(text), Some(want), "{text}");
         }
+        // The element count saturates instead of wrapping to zero, for a
+        // window past the fields the assembler refuses.
+        let wide = crate::Instruction::VPool {
+            op: crate::PoolOp::Max,
+            dst: crate::Addr::new(crate::Reg::R1, 0)?,
+            src: crate::Addr::new(crate::Reg::R1, 8)?,
+            channels: 65536,
+            win_w: 65536,
+            win_h: 1,
+            row_stride: 8,
+        };
+        let shape = resolve(&wide, &[0; 32]).and_then(|r| r.vector_shape());
+        assert_eq!(
+            shape.map(|s| (s.len, s.reads, s.writes)),
+            Some((u32::MAX, 1, 1))
+        );
+        Ok(())
     }
 
     #[test]

@@ -168,6 +168,13 @@ impl Addr {
     pub fn offset(self) -> i32 {
         self.offset
     }
+
+    /// The address under the register file `regs`: base register plus
+    /// offset, in `i64` so nothing wraps.
+    #[inline]
+    pub(crate) fn effective(self, regs: &[i32; 32]) -> i64 {
+        regs[self.base.index() as usize] as i64 + self.offset as i64
+    }
 }
 
 impl fmt::Display for Addr {
@@ -780,23 +787,16 @@ impl Instruction {
     /// branch operands plus the base register of every memory operand —
     /// as a bit set: bit `r` for register `r`.
     pub fn uses_regs(&self) -> u32 {
-        use Instruction::*;
-        let regs: &[Reg] = match self {
-            Mvm { dst, src, .. }
-            | VImm { dst, src, .. }
-            | VUn { dst, src, .. }
-            | VCopy2d { dst, src, .. }
-            | VPool { dst, src, .. } => &[dst.base(), src.base()],
-            VBin { dst, a, b, .. } => &[dst.base(), a.base(), b.base()],
-            VFill { dst, .. } | Recv { dst, .. } | Recv2d { dst, .. } => &[dst.base()],
-            Send { src, .. } => &[src.base()],
-            GLoad { dst, gaddr, .. } => &[dst.base(), gaddr.base()],
-            GStore { gaddr, src, .. } => &[gaddr.base(), src.base()],
-            SBin { rs1, rs2, .. } | Branch { rs1, rs2, .. } => &[*rs1, *rs2],
-            SImm { rs1, .. } => &[*rs1],
-            Jump { .. } | Halt | Nop => &[],
+        let alu: &[Reg] = match self {
+            Instruction::SBin { rs1, rs2, .. } | Instruction::Branch { rs1, rs2, .. } => {
+                &[*rs1, *rs2]
+            }
+            Instruction::SImm { rs1, .. } => &[*rs1],
+            _ => &[],
         };
-        regs.iter().fold(0, |set, r| set | 1 << r.index())
+        let mut set = alu.iter().fold(0, |set, r| set | 1 << r.index());
+        self.for_each_extent(&[], |e| set |= 1 << e.base.base().index());
+        set
     }
 
     /// The rendezvous channel `(sender, receiver, tag)` a `send`, `recv`

@@ -32,9 +32,10 @@
 //! simulator. It also holds the machine semantics the simulator and the
 //! static analyzer share, so each rule has one definition: scalar ALU and
 //! branch behaviour ([`SBinOp::apply`], [`BranchCond::holds`],
-//! [`Instruction::exec_scalar`]), operand resolution ([`resolve`]), the
-//! memory hazard rule ([`Footprint::conflicts`]) and the vector cost
-//! classification ([`Resolved::vector_shape`]).
+//! [`Instruction::exec_scalar`]), operand resolution ([`resolve`]), where
+//! each operand lands ([`Instruction::for_each_extent`]), the memory hazard rule
+//! ([`Footprint::conflicts`]) and the vector cost classification
+//! ([`Resolved::vector_shape`]).
 //!
 //! # Example
 //!
@@ -43,19 +44,20 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let instr = Instruction::Mvm {
-//!     group: 3.into(),
+//!     group: 0.into(),
 //!     dst: Addr::new(Reg::R2, 16)?,
 //!     src: Addr::new(Reg::R0, 128)?,
 //!     len: 128,
 //! };
 //! // Canonical assembly text, and back:
-//! assert_eq!(instr.to_string(), "mvm g3, [r2+16], [r0+128], 128");
+//! assert_eq!(instr.to_string(), "mvm g0, [r2+16], [r0+128], 128");
 //! assert_eq!(pimsim_isa::asm::parse_instruction(&instr.to_string())?, instr);
-//! // Operands resolved against a register file:
+//! // Where its operands land under a register file (group 0 outputs 64):
 //! let mut regs = [0; 32];
 //! regs[2] = 1000;
-//! let res = pimsim_isa::resolve(&instr, &regs).expect("memory-class");
-//! assert_eq!(res.footprint(64).write, pimsim_isa::Range::new(1016, 64));
+//! let groups = [pimsim_isa::GroupConfig::new(0.into(), 128, 64, vec![0])];
+//! let footprint = pimsim_isa::Footprint::of(&instr, &groups, &regs);
+//! assert_eq!(footprint.write, pimsim_isa::Range::span(1016, 1080));
 //! # Ok(())
 //! # }
 //! ```
@@ -63,6 +65,7 @@
 pub mod asm;
 mod cost;
 mod error;
+mod extent;
 mod group;
 mod instr;
 mod program;
@@ -72,6 +75,7 @@ mod resolve;
 
 pub use cost::VectorShape;
 pub use error::IsaError;
+pub use extent::{Extent, Space};
 pub use group::{GroupConfig, WeightMatrix};
 pub use instr::limits;
 pub use instr::{

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::error::IsaError;
+use crate::extent::Space;
 use crate::group::GroupConfig;
 use crate::instr::limits::{
     smax, smin, umax, ADDR_OFFSET_BITS, BLOCK_BITS, CHAN_BITS, CORE_BITS, GROUP_BITS, LEN_BITS,
@@ -28,6 +29,14 @@ pub struct ProgramLimits {
 }
 
 impl ProgramLimits {
+    /// The capacity of `space`, in elements.
+    pub fn capacity(&self, space: Space) -> u64 {
+        match space {
+            Space::Local => self.local_mem_elems as u64,
+            Space::Global => self.global_mem_elems,
+        }
+    }
+
     /// Generous limits for tests and tools that only need syntax checking.
     pub fn relaxed() -> ProgramLimits {
         ProgramLimits {
@@ -149,6 +158,25 @@ impl Program {
             line: 0,
             msg: e.to_string(),
         })
+    }
+
+    /// [`Program::validate`]'s field-width check alone, which needs no
+    /// chip: what the assembler enforces per line.
+    ///
+    /// # Errors
+    ///
+    /// The first operand past its width, located as `validate` reports it.
+    pub fn validate_fields(&self) -> Result<(), IsaError> {
+        for (core, cp) in self.cores.iter().enumerate() {
+            for (pc, instr) in cp.instrs.iter().enumerate() {
+                fits_fields(instr).map_err(|msg| IsaError::Validate {
+                    core: Some(core as u16),
+                    pc: Some(pc as u32),
+                    msg,
+                })?;
+            }
+        }
+        Ok(())
     }
 
     /// Structural validation: every operand within its field of the
@@ -345,8 +373,9 @@ impl Program {
 
 /// Checks that every operand of `instr` fits its field of the instruction
 /// format ([`crate::limits`]); the first that does not, worded like
-/// [`IsaError::FieldRange`].
-fn fits_fields(instr: &Instruction) -> Result<(), String> {
+/// [`IsaError::FieldRange`]. The one width table: [`Program::validate`],
+/// [`Program::validate_fields`] and the assembler all call it.
+pub(crate) fn fits_fields(instr: &Instruction) -> Result<(), String> {
     #[inline(always)]
     fn fits(field: &str, value: i64, min: i64, max: i64) -> Result<(), String> {
         if (min..=max).contains(&value) {

@@ -2,13 +2,13 @@
 //!
 //! The simulator's scoreboard and the static bound analyzer in
 //! `pimsim-analyze` both order instructions by the memory they read and
-//! write. Both call the interval type, the arithmetic that turns strided
-//! and windowed operands into one, and the [`Footprint::conflicts`] rule
-//! defined here: an edge the analyzer prices is an ordering the machine
-//! really enforces, and an overflow fixed here is fixed in both.
+//! write. Both build their footprints from the operands' extents
+//! ([`Footprint::of`]) and call the interval type and the
+//! [`Footprint::conflicts`] rule defined here: an edge the analyzer prices
+//! is an ordering the machine really enforces.
 
 /// A half-open local-memory interval `[start, end)` used for hazard checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Range {
     /// First element index.
     pub start: u32,
@@ -20,15 +20,6 @@ impl Range {
     /// The interval no access touches: it overlaps nothing.
     pub const EMPTY: Range = Range { start: 0, end: 0 };
 
-    /// `len` elements from `start`, saturating at the address-space edge.
-    #[inline]
-    pub fn new(start: u32, len: u32) -> Range {
-        Range {
-            start,
-            end: start.saturating_add(len),
-        }
-    }
-
     /// Do the two intervals share an element? Empty intervals intersect
     /// nothing.
     #[inline]
@@ -39,41 +30,22 @@ impl Range {
             && other.start < self.end
     }
 
-    /// Conservative span of a strided 2-D access.
-    ///
-    /// Intermediate math runs in `i64` and both bounds clamp into the
-    /// `u32` address space: a span reaching past `u32::MAX` saturates
-    /// (stays conservative) instead of wrapping into an inverted — hence
-    /// empty, hazard-invisible — interval.
+    /// The span `[start, end)`, each bound saturating into `u32`: exact
+    /// inside memory, and never wrapped into an inverted, hazard-invisible
+    /// interval outside it.
     #[inline]
-    pub fn strided(base: u32, block_len: u32, blocks: u32, stride: i32) -> Range {
-        if blocks == 0 || block_len == 0 {
-            return Range::new(base, 0);
+    pub fn span(start: i64, end: i64) -> Range {
+        let bound = |x: i64| x.clamp(0, u32::MAX as i64) as u32;
+        Range {
+            start: bound(start),
+            end: bound(end),
         }
-        let last = base as i64 + (blocks as i64 - 1) * stride as i64;
-        let lo = (base as i64).min(last).clamp(0, u32::MAX as i64) as u32;
-        let hi = ((base as i64).max(last) + block_len as i64).clamp(0, u32::MAX as i64) as u32;
-        Range { start: lo, end: hi }
-    }
-
-    /// Conservative span a `vpool` reads: `win_h` rows (at least one),
-    /// `row_stride` apart, of `win_w` pixels of `channels` elements each.
-    /// The row length saturates rather than wrapping `u32`, so an
-    /// oversized window stays a large footprint instead of an empty one.
-    #[inline]
-    pub fn pool_window(base: u32, channels: u32, win_w: u32, win_h: u32, row_stride: i32) -> Range {
-        Range::strided(
-            base,
-            win_w.saturating_mul(channels),
-            win_h.max(1),
-            row_stride,
-        )
     }
 }
 
 /// Everything a memory-class instruction touches, as far as ordering it
 /// against the other instructions of its core goes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Footprint {
     /// Local-memory ranges read. No instruction reads more than two;
     /// unused slots are [`Range::EMPTY`].
@@ -111,9 +83,25 @@ impl Footprint {
     }
 }
 
+/// `len` elements from `start`, saturating at the address-space edge: the
+/// constructor of the per-variant footprint the extents replaced.
+#[cfg(test)]
+impl Range {
+    pub(crate) fn new(start: u32, len: u32) -> Range {
+        Range {
+            start,
+            end: start.saturating_add(len),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asm::parse_instruction;
+    use crate::error::IsaError;
+    use crate::instr::{Addr, Instruction, PoolOp};
+    use crate::reg::Reg;
 
     #[test]
     fn range_overlap() {
@@ -126,41 +114,63 @@ mod tests {
         assert!(!Range::EMPTY.overlaps(&Range::EMPTY));
     }
 
-    #[test]
-    fn strided_range_spans_both_directions() {
-        let r = Range::strided(100, 4, 3, 10);
-        assert_eq!((r.start, r.end), (100, 124));
-        let r = Range::strided(100, 4, 3, -10);
-        assert_eq!((r.start, r.end), (80, 104));
+    /// The write footprint of a strided receive at element 100.
+    fn strided(block: u32, blocks: u32, stride: i32) -> Result<Range, IsaError> {
+        let text = format!(
+            "recv2d core1, [r0+100], block={block}, blocks={blocks}, dstride={stride}, tag=0"
+        );
+        let instr = parse_instruction(&text)?;
+        Ok(Footprint::of(&instr, &[], &[0; 32]).write)
     }
 
     #[test]
-    fn strided_range_saturates_at_the_address_space_edge() {
+    fn strided_range_spans_both_directions() -> Result<(), IsaError> {
+        assert_eq!(strided(4, 3, 10)?, Range::span(100, 124));
+        assert_eq!(strided(4, 3, -10)?, Range::span(80, 104));
+        assert_eq!(strided(4, 0, 10)?, Range::EMPTY, "no blocks");
+        Ok(())
+    }
+
+    #[test]
+    fn strided_range_saturates_at_the_address_space_edge() -> Result<(), IsaError> {
         // Regression: a span reaching past u32::MAX used to wrap into an
         // inverted (empty) interval that no hazard check could see.
-        let r = Range::strided(u32::MAX - 10, 8, 4, 16);
-        assert_eq!(r.start, u32::MAX - 10);
-        assert_eq!(r.end, u32::MAX, "end saturates instead of wrapping");
+        assert_eq!(Range::span(100, 124), Range::new(100, 24));
+        let r = Range::span(u32::MAX as i64 - 10, u32::MAX as i64 + 22);
+        assert_eq!((r.start, r.end), (u32::MAX - 10, u32::MAX), "no wrap");
         assert!(r.overlaps(&Range::new(u32::MAX - 1, 1)));
-        // Large negative strides clamp the low bound at zero.
-        let r = Range::strided(10, 4, u32::MAX, i32::MIN);
-        assert_eq!(r.start, 0);
+        // Large negative strides saturate the low bound at zero.
+        assert_eq!(strided(4, 16383, -131072)?.start, 0);
+        assert_eq!(Range::span(-8, 4), Range { start: 0, end: 4 });
+        Ok(())
     }
 
     #[test]
-    fn pool_window_row_length_saturates_instead_of_wrapping() {
+    fn pool_window_row_length_saturates_instead_of_wrapping() -> Result<(), IsaError> {
         // Regression: 65536 * 65536 wrapped to a 0-element row, i.e. an
         // empty footprint no hazard check could see (and an overflow
-        // panic in a debug build).
-        let r = Range::pool_window(0, 65536, 65536, 1, 8);
-        assert_eq!((r.start, r.end), (0, u32::MAX));
-        assert!(r.overlaps(&Range::new(0, 8)));
-        // In-range windows are the plain strided span.
+        // panic in a debug build). The assembler refuses such a window;
+        // its footprint still spans the whole address space.
+        let (dst, src) = (Addr::new(Reg::R0, 100)?, Addr::new(Reg::R0, 10)?);
+        let pool = |channels, win_w, win_h| Instruction::VPool {
+            op: PoolOp::Max,
+            dst,
+            src,
+            channels,
+            win_w,
+            win_h,
+            row_stride: 16,
+        };
+        let read = |instr: Instruction| Footprint::of(&instr, &[], &[0; 32]).reads[0];
         assert_eq!(
-            Range::pool_window(10, 4, 2, 3, 16),
-            Range::strided(10, 8, 3, 16)
+            read(pool(65536, 65536, 1)),
+            Range::span(10, u32::MAX as i64)
         );
-        assert_eq!(Range::pool_window(10, 4, 2, 0, 16), Range::new(10, 8));
+        assert!(read(pool(65536, 65536, 1)).overlaps(&Range::new(10, 8)));
+        // In-range windows are the plain strided span, one row at least.
+        assert_eq!(read(pool(4, 2, 3)), Range::span(10, 50));
+        assert_eq!(read(pool(4, 2, 0)), Range::new(10, 8));
+        Ok(())
     }
 
     fn local(reads: [Range; 2], write: Range) -> Footprint {

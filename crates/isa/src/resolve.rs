@@ -1,13 +1,13 @@
-//! Operand resolution: ISA instructions → absolute addresses + hazard
-//! footprints, using the dispatching core's register file.
+//! Operand resolution: ISA instructions → absolute addresses, using the
+//! dispatching core's register file.
 //!
 //! The simulator resolves every memory-class instruction here at
 //! dispatch; the static bound analyzer resolves the same instructions
-//! against the register file it interprets. Both get the same addresses
-//! and the same [`Footprint`] from the one definition.
+//! against the register file it interprets. Where the operands land, and
+//! so the hazard footprint and the bounds check, is the instruction's
+//! [`for_each_extent`](Instruction::for_each_extent).
 
 use crate::instr::{Addr, GroupId, Instruction, PoolOp, VBinOp, VImmOp, VUnOp};
-use crate::range::{Footprint, Range};
 
 /// A memory-class instruction with every operand resolved to an absolute
 /// element address at dispatch time. Fields mean what the same-named
@@ -91,94 +91,11 @@ pub enum Resolved {
     },
 }
 
-impl Resolved {
-    /// Everything this instruction touches, for hazard checks. For `MVM`
-    /// the output length is supplied by the caller (from the group table).
-    #[inline]
-    pub fn footprint(&self, mvm_out_len: u32) -> Footprint {
-        let gmem = match *self {
-            Resolved::GLoad { gaddr, len, .. } => Some((gaddr, gaddr + len as u64, false)),
-            Resolved::GStore { gaddr, len, .. } => Some((gaddr, gaddr + len as u64, true)),
-            _ => None,
-        };
-        Footprint {
-            reads: self.reads(),
-            write: self.write(mvm_out_len),
-            gmem,
-        }
-    }
-
-    /// Local-memory ranges read by this instruction. No instruction reads
-    /// more than two; unused slots are empty ranges, which overlap nothing.
-    #[inline]
-    fn reads(&self) -> [Range; 2] {
-        const NONE: Range = Range::EMPTY;
-        match self {
-            Resolved::VBin { a, b, len, .. } => [Range::new(*a, *len), Range::new(*b, *len)],
-            Resolved::Mvm { src, len, .. }
-            | Resolved::VImm { src, len, .. }
-            | Resolved::VUn { src, len, .. }
-            | Resolved::Send { src, len, .. }
-            | Resolved::GStore { src, len, .. } => [Range::new(*src, *len), NONE],
-            Resolved::VCopy2d {
-                src,
-                block_len,
-                blocks,
-                src_stride,
-                ..
-            } => [Range::strided(*src, *block_len, *blocks, *src_stride), NONE],
-            Resolved::VPool {
-                src,
-                channels,
-                win_w,
-                win_h,
-                row_stride,
-                ..
-            } => [
-                Range::pool_window(*src, *channels, *win_w, *win_h, *row_stride),
-                NONE,
-            ],
-            Resolved::VFill { .. } | Resolved::Recv { .. } | Resolved::GLoad { .. } => [NONE, NONE],
-        }
-    }
-
-    /// The local-memory range written by this instruction (empty for
-    /// `SEND`/`GSTORE`). For `MVM` the output length is supplied by the
-    /// caller (from the group table).
-    #[inline]
-    fn write(&self, mvm_out_len: u32) -> Range {
-        match self {
-            Resolved::Mvm { dst, .. } => Range::new(*dst, mvm_out_len),
-            Resolved::VBin { dst, len, .. }
-            | Resolved::VImm { dst, len, .. }
-            | Resolved::VUn { dst, len, .. }
-            | Resolved::VFill { dst, len, .. }
-            | Resolved::GLoad { dst, len, .. } => Range::new(*dst, *len),
-            Resolved::VCopy2d {
-                dst,
-                block_len,
-                blocks,
-                dst_stride,
-                ..
-            }
-            | Resolved::Recv {
-                dst,
-                block_len,
-                blocks,
-                dst_stride,
-                ..
-            } => Range::strided(*dst, *block_len, *blocks, *dst_stride),
-            Resolved::VPool { dst, channels, .. } => Range::new(*dst, *channels),
-            Resolved::Send { .. } | Resolved::GStore { .. } => Range::new(0, 0),
-        }
-    }
-}
-
-/// Resolves `addr` against a register file.
+/// Resolves `addr` against a register file. Dispatch refuses any
+/// non-empty operand outside memory, so the truncation is exact there.
 #[inline]
 fn abs(addr: Addr, regs: &[i32; 32]) -> u32 {
-    let base = regs[addr.base().index() as usize] as i64;
-    (base + addr.offset() as i64).max(0) as u32
+    addr.effective(regs) as u32
 }
 
 /// Resolves a memory-class instruction. Returns `None` for scalar-class
@@ -321,6 +238,7 @@ mod tests {
     use super::*;
     use crate::asm::parse_instruction;
     use crate::instr::SImmOp;
+    use crate::range::{Footprint, Range};
     use crate::reg::Reg;
 
     fn regs_with(r1: i32) -> [i32; 32] {
@@ -378,37 +296,27 @@ mod tests {
 
     #[test]
     fn hazard_ranges_cover_operands() {
-        let regs = [0i32; 32];
-        let i = parse_instruction(
-            "vcopy2d [r0+0], [r0+1000], block=4, blocks=3, sstride=16, dstride=8",
-        )
-        .unwrap();
-        let r = resolve(&i, &regs).unwrap();
-        let [read, unused] = r.reads();
-        assert_eq!(
-            read,
-            Range {
-                start: 1000,
-                end: 1036
-            }
-        );
-        assert!(!unused.overlaps(&read), "unused read slot is empty");
-        assert_eq!(r.write(0), Range { start: 0, end: 20 });
-        assert_eq!(r.footprint(0).gmem, None);
-
-        let regs = regs_with(40);
-        let footprint =
-            |text| resolve(&parse_instruction(text).unwrap(), &regs).map(|r| r.footprint(0));
-        let (Some(load), Some(store)) = (
-            footprint("gload [r0+0], g[r1+2], 6"),
-            footprint("gstore g[r1+0], [r0+8], 4"),
-        ) else {
-            panic!("global transfers are memory-class");
+        let regs = {
+            let mut regs = [0; 32];
+            regs[1] = 40;
+            regs
         };
+        let footprint = |text| {
+            let instr = parse_instruction(text).unwrap();
+            Footprint::of(&instr, &[], &regs)
+        };
+        let copy = footprint("vcopy2d [r0+0], [r0+1000], block=4, blocks=3, sstride=16, dstride=8");
+        assert_eq!(copy.reads, [Range::new(1000, 36), Range::EMPTY]);
+        assert_eq!(copy.write, Range::new(0, 20));
+        assert_eq!(copy.gmem, None);
+        let load = footprint("gload [r0+0], g[r1+2], 6");
         assert_eq!(load.gmem, Some((42, 48, false)));
         assert_eq!(load.write, Range::new(0, 6));
+        let store = footprint("gstore g[r1+0], [r0+8], 4");
         assert_eq!(store.gmem, Some((40, 44, true)));
         assert_eq!(store.reads[0], Range::new(8, 4));
         assert_eq!(store.write, Range::EMPTY);
+        let recv = footprint("recv2d core1, [r1+0], block=4, blocks=3, dstride=-8, tag=1");
+        assert_eq!(recv.write, Range { start: 24, end: 44 });
     }
 }

@@ -102,7 +102,7 @@ pub fn instruction_strategy() -> impl Strategy<Value = Instruction> {
             len_strategy()
         )
             .prop_map(|(op, dst, src, len)| Instruction::VUn { op, dst, src, len }),
-        (addr_strategy(), any::<i32>(), len_strategy())
+        (addr_strategy(), -8_388_608i32..=8_388_607, len_strategy())
             .prop_map(|(dst, value, len)| Instruction::VFill { dst, value, len }),
         (
             addr_strategy(),
