@@ -3,7 +3,7 @@
 //!
 //! The analyzer prices every node of the cross-core dependence DAG
 //! ([`crate::dag`]) with the cost tables the simulator uses ([`CostModel`],
-//! vector work classified by [`pimsim_isa::Resolved::vector_shape`]) and
+//! vector work classified by [`pimsim_isa::Instruction::vector_shape`]) and
 //! paces dispatch with the same [`CostModel::dispatch_interval`] and
 //! [`CostModel::decode_offset`] the machine's frontend calls. It computes
 //! a longest-path abstract schedule under only the constraints the

@@ -5,11 +5,11 @@
 //! ([`Cfg::linear_trace`](crate::Cfg::linear_trace)), the builder runs
 //! the scalar register file through the ISA's own semantics
 //! ([`Instruction::exec_scalar`], what the machine frontend calls at
-//! dispatch), resolves every memory-class operand with the runtime's
-//! resolver ([`resolve`]), and orders nodes by the hazard rule the ROB
-//! applies ([`Footprint::conflicts`]). Nodes are the ROB-class
-//! (matrix/vector/transfer) instructions; edges are constraints the real
-//! machine provably enforces:
+//! dispatch), places every memory-class operand where the machine does
+//! ([`Footprint::of`], built from the instruction's extents), and orders
+//! nodes by the hazard rule the ROB applies ([`Footprint::conflicts`]).
+//! Nodes are the ROB-class (matrix/vector/transfer) instructions; edges
+//! are constraints the real machine provably enforces:
 //!
 //! * **hazard edges** — a younger instruction whose ranges RAW/WAW/WAR
 //!   overlap an older one (or whose global-memory interval conflicts)
@@ -68,10 +68,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use pimsim_isa::{resolve, Footprint, Instruction, Program, Resolved, VectorShape};
+use pimsim_isa::{Footprint, InstrClass, Instruction, Program, VectorShape};
 
 /// What a node costs: the inputs its minimal unit-service time is priced
-/// on, with vector work classified by the ISA ([`Resolved::vector_shape`])
+/// on, with vector work classified by the ISA ([`Instruction::vector_shape`])
 /// exactly as the simulator's vector unit prices it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceKind {
@@ -502,9 +502,9 @@ impl HazardMap {
 }
 
 /// Builds one node from a memory-class instruction and the exact register
-/// state at its dispatch: the runtime's [`resolve`] and footprint (built
-/// from the instruction's extents) plus the node's pricing class. Returns
-/// `None` for scalars.
+/// state at its dispatch: the runtime's footprint (built from the
+/// instruction's extents) plus the node's pricing class. Returns `None`
+/// for scalars.
 fn node_of(
     program: &Program,
     core: u16,
@@ -513,10 +513,12 @@ fn node_of(
     instr: &Instruction,
     regs: &[i32; 32],
 ) -> Option<DagNode> {
-    let res = resolve(instr, regs)?;
+    if instr.class() == InstrClass::Scalar {
+        return None;
+    }
     let groups = &program.cores[core as usize].groups;
-    let service = match res {
-        Resolved::Mvm { group, .. } => {
+    let service = match *instr {
+        Instruction::Mvm { group, .. } => {
             let g = &groups[group.as_usize()];
             ServiceKind::Matrix {
                 input_len: g.input_len,
@@ -524,17 +526,17 @@ fn node_of(
                 xbar_count: g.xbar_ids.len() as u32,
             }
         }
-        Resolved::Send { peer, len, .. } => ServiceKind::Send {
-            to: peer,
+        Instruction::Send { peer, len, .. } => ServiceKind::Send {
+            to: peer.0,
             elems: len,
         },
-        Resolved::Recv { .. } => ServiceKind::Recv,
-        Resolved::GLoad { len, .. } | Resolved::GStore { len, .. } => {
+        Instruction::Recv { .. } | Instruction::Recv2d { .. } => ServiceKind::Recv,
+        Instruction::GLoad { len, .. } | Instruction::GStore { len, .. } => {
             ServiceKind::GlobalMem { elems: len }
         }
         _ => {
-            let Some(shape) = res.vector_shape() else {
-                unreachable!("every other memory-class op is a vector op: {res:?}")
+            let Some(shape) = instr.vector_shape() else {
+                unreachable!("every other memory-class op is a vector op: {instr}")
             };
             ServiceKind::Vector(shape)
         }

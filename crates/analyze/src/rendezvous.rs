@@ -70,28 +70,17 @@ struct Site {
     is_send: bool,
     /// Channel key `(sender, receiver, tag)`.
     key: (u16, u16, u16),
-    /// Payload elements: `len` for send/recv, `block_len * blocks` for
-    /// `recv2d` (the length the runtime's payload check compares) — in
-    /// `u64`, because that product can exceed `u32` (and a wrapped one
-    /// would "match" a send it cannot).
+    /// Payload elements ([`Instruction::payload_len`], the length the
+    /// runtime's payload check compares).
     elems: u64,
 }
 
 fn site_of(core: u16, pc: u32, instr: &Instruction) -> Option<Site> {
-    let key = instr.channel(core)?;
-    let (is_send, elems) = match *instr {
-        Instruction::Send { len, .. } => (true, len as u64),
-        Instruction::Recv { len, .. } => (false, len as u64),
-        Instruction::Recv2d {
-            block_len, blocks, ..
-        } => (false, block_len as u64 * blocks as u64),
-        _ => unreachable!("only transfers have a channel: {instr}"),
-    };
     Some(Site {
         pc,
-        is_send,
-        key,
-        elems,
+        is_send: matches!(instr, Instruction::Send { .. }),
+        key: instr.channel(core)?,
+        elems: instr.payload_len()?,
     })
 }
 

@@ -46,7 +46,7 @@ pub struct Resources {
     pub vector_lanes: u32,
     /// Local (per-core) scratchpad capacity in KiB. Sized generously: it
     /// abstracts a double-buffered streaming scratchpad, because this
-    /// reproduction keeps whole feature maps resident (see DESIGN.md).
+    /// reproduction keeps whole feature maps resident.
     pub local_mem_kb: u32,
     /// Global memory capacity in MiB.
     pub global_mem_mb: u32,

@@ -22,7 +22,7 @@ pub const FIG5_NETWORKS: &[&str] = &["vgg8", "vgg16", "resnet18"];
 /// Input resolution used by the harnesses. The paper's figures are
 /// normalized, so shape — not absolute scale — is what must hold; 64×64
 /// (32×32 for the CIFAR-scale Fig. 5 set) keeps a full sweep under a few
-/// minutes on a laptop. See EXPERIMENTS.md.
+/// minutes on a laptop.
 pub const FIG34_RESOLUTION: u32 = 64;
 /// Fig. 5 resolution (the MNSIM2.0 example networks are CIFAR-scale).
 pub const FIG5_RESOLUTION: u32 = 32;

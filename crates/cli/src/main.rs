@@ -649,6 +649,12 @@ fn cmd_bound(args: &Args) -> Result<(), String> {
             if pimsim_analyze::rejected(&report.diagnostics) {
                 return writeln!(w, "{label}: not analyzed because of the error(s) above");
             }
+            if report.bound_source == "unanalyzable" {
+                return writeln!(
+                    w,
+                    "{label}: no bound computed because of the error(s) above"
+                );
+            }
             writeln!(
                 w,
                 "{label}: latency lower bound {:.3} ns ({} ps), source: {}{}",

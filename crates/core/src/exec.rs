@@ -1,4 +1,4 @@
-//! Functional execution of resolved instructions.
+//! Functional execution of instructions on their dispatch-time addresses.
 //!
 //! Dispatch checked every operand against memory: no address here clamps.
 //!
@@ -6,7 +6,7 @@
 //! adds, i64 MVM accumulation clamped to i32, truncating average pooling,
 //! Q8.8 sigmoid/tanh) so compiled programs can be checked bit-exactly.
 
-use pimsim_isa::{GroupConfig, PoolOp, Resolved, VBinOp, VImmOp, VUnOp};
+use pimsim_isa::{GroupConfig, Instruction, PoolOp, VBinOp, VImmOp, VUnOp};
 use pimsim_nn::{fixed_sigmoid, fixed_tanh};
 
 /// A zero-initialized, lazily grown local memory of 32-bit elements.
@@ -66,23 +66,25 @@ fn sat(v: i64) -> i32 {
     v.clamp(i32::MIN as i64, i32::MAX as i64) as i32
 }
 
-/// Executes a vector/matrix instruction's data movement on `mem`.
-/// Transfers are handled by the machine (they touch two memories).
-pub fn execute_local(r: &Resolved, mem: &mut Memory, groups: &[GroupConfig]) {
-    match r {
-        Resolved::Mvm {
-            group, dst, src, ..
-        } => {
+/// Executes a vector/matrix instruction's data movement on `mem`, its
+/// operands at `at`: their addresses at dispatch, in
+/// [`Instruction::for_each_extent`] order (destination first). Transfers
+/// are handled by the machine (they touch two memories).
+pub fn execute_local(instr: &Instruction, at: [u32; 3], mem: &mut Memory, groups: &[GroupConfig]) {
+    // The destination, then the sources (`vbin`'s `a` and `b`).
+    let [dst, src, b] = at;
+    match *instr {
+        Instruction::Mvm { group, .. } => {
             let g = &groups[group.as_usize()];
             if let Some(w) = &g.weights {
-                let input = mem.read(*src, g.input_len);
+                let input = mem.read(src, g.input_len);
                 let out = w.mvm(&input);
-                mem.write(*dst, &out);
+                mem.write(dst, &out);
             }
         }
-        Resolved::VBin { op, dst, a, b, len } => {
-            let va = mem.read(*a, *len);
-            let vb = mem.read(*b, *len);
+        Instruction::VBin { op, len, .. } => {
+            let va = mem.read(src, len);
+            let vb = mem.read(b, len);
             let out: Vec<i32> = va
                 .iter()
                 .zip(&vb)
@@ -94,29 +96,23 @@ pub fn execute_local(r: &Resolved, mem: &mut Memory, groups: &[GroupConfig]) {
                     VBinOp::Min => x.min(y),
                 })
                 .collect();
-            mem.write(*dst, &out);
+            mem.write(dst, &out);
         }
-        Resolved::VImm {
-            op,
-            dst,
-            src,
-            imm,
-            len,
-        } => {
-            let v = mem.read(*src, *len);
+        Instruction::VImm { op, imm, len, .. } => {
+            let v = mem.read(src, len);
             let out: Vec<i32> = v
                 .iter()
                 .map(|&x| match op {
-                    VImmOp::Add => x.saturating_add(*imm),
-                    VImmOp::Mul => sat(x as i64 * *imm as i64),
+                    VImmOp::Add => x.saturating_add(imm),
+                    VImmOp::Mul => sat(x as i64 * imm as i64),
                     // Arithmetic shift, amount masked to 5 bits.
-                    VImmOp::Sra => x.wrapping_shr(*imm as u32),
+                    VImmOp::Sra => x.wrapping_shr(imm as u32),
                 })
                 .collect();
-            mem.write(*dst, &out);
+            mem.write(dst, &out);
         }
-        Resolved::VUn { op, dst, src, len } => {
-            let v = mem.read(*src, *len);
+        Instruction::VUn { op, len, .. } => {
+            let v = mem.read(src, len);
             let out: Vec<i32> = v
                 .iter()
                 .map(|&x| match op {
@@ -128,44 +124,42 @@ pub fn execute_local(r: &Resolved, mem: &mut Memory, groups: &[GroupConfig]) {
                     VUnOp::Abs => x.saturating_abs(),
                 })
                 .collect();
-            mem.write(*dst, &out);
+            mem.write(dst, &out);
         }
-        Resolved::VFill { dst, value, len } => {
-            mem.write(*dst, &vec![*value; *len as usize]);
+        Instruction::VFill { value, len, .. } => {
+            mem.write(dst, &vec![value; len as usize]);
         }
-        Resolved::VCopy2d {
-            dst,
-            src,
+        Instruction::VCopy2d {
             block_len,
             blocks,
             src_stride,
             dst_stride,
+            ..
         } => {
-            for b in 0..*blocks {
-                let s = *src as i64 + b as i64 * *src_stride as i64;
-                let d = *dst as i64 + b as i64 * *dst_stride as i64;
-                let block = mem.read(s as u32, *block_len);
+            for k in 0..blocks {
+                let s = src as i64 + k as i64 * src_stride as i64;
+                let d = dst as i64 + k as i64 * dst_stride as i64;
+                let block = mem.read(s as u32, block_len);
                 mem.write(d as u32, &block);
             }
         }
-        Resolved::VPool {
+        Instruction::VPool {
             op,
-            dst,
-            src,
             channels,
             win_w,
             win_h,
             row_stride,
+            ..
         } => {
-            let mut out = vec![0i32; *channels as usize];
+            let mut out = vec![0i32; channels as usize];
             for (c, o) in out.iter_mut().enumerate() {
                 let mut m = i32::MIN;
                 let mut sum = 0i64;
-                for wy in 0..*win_h {
-                    for wx in 0..*win_w {
-                        let a = *src as i64
-                            + wy as i64 * *row_stride as i64
-                            + wx as i64 * *channels as i64
+                for wy in 0..win_h {
+                    for wx in 0..win_w {
+                        let a = src as i64
+                            + wy as i64 * row_stride as i64
+                            + wx as i64 * channels as i64
                             + c as i64;
                         let v = mem.get(a as u64);
                         m = m.max(v);
@@ -174,24 +168,26 @@ pub fn execute_local(r: &Resolved, mem: &mut Memory, groups: &[GroupConfig]) {
                 }
                 *o = match op {
                     PoolOp::Max => m,
-                    PoolOp::Avg => sat(sum / (*win_w as i64 * *win_h as i64).max(1)),
+                    PoolOp::Avg => sat(sum / (win_w as i64 * win_h as i64).max(1)),
                 };
             }
-            mem.write(*dst, &out);
+            mem.write(dst, &out);
         }
-        Resolved::Send { .. }
-        | Resolved::Recv { .. }
-        | Resolved::GLoad { .. }
-        | Resolved::GStore { .. } => {
-            unreachable!("transfers are executed by the machine, not execute_local")
-        }
+        _ => unreachable!("only vector and matrix instructions execute locally: {instr}"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pimsim_isa::{GroupId, WeightMatrix};
+    use pimsim_isa::{asm, GroupId, WeightMatrix};
+
+    /// Runs `text` with its operands at `at`, whatever its own address
+    /// operands say.
+    fn exec(text: &str, at: [u32; 3], mem: &mut Memory, groups: &[GroupConfig]) {
+        let instr = asm::parse_instruction(text).expect("parses");
+        execute_local(&instr, at, mem, groups);
+    }
 
     #[test]
     fn memory_reads_unwritten_as_zero() {
@@ -225,29 +221,9 @@ mod tests {
         let mut mem = Memory::default();
         mem.write(0, &[i32::MAX, 5, -3]);
         mem.write(10, &[1, 7, -4]);
-        execute_local(
-            &Resolved::VBin {
-                op: VBinOp::Add,
-                dst: 20,
-                a: 0,
-                b: 10,
-                len: 3,
-            },
-            &mut mem,
-            &[],
-        );
+        exec("vadd [r0+0], [r0+0], [r0+0], 3", [20, 0, 10], &mut mem, &[]);
         assert_eq!(mem.read(20, 3), vec![i32::MAX, 12, -7]);
-        execute_local(
-            &Resolved::VBin {
-                op: VBinOp::Max,
-                dst: 30,
-                a: 0,
-                b: 10,
-                len: 3,
-            },
-            &mut mem,
-            &[],
-        );
+        exec("vmax [r0+0], [r0+0], [r0+0], 3", [30, 0, 10], &mut mem, &[]);
         assert_eq!(mem.read(30, 3), vec![i32::MAX, 7, -3]);
     }
 
@@ -258,16 +234,7 @@ mod tests {
         let g = GroupConfig::new(GroupId(0), 2, 2, vec![0])
             .with_weights(WeightMatrix::new(2, 2, vec![1, 3, 2, 4]).unwrap())
             .unwrap();
-        execute_local(
-            &Resolved::Mvm {
-                group: GroupId(0),
-                dst: 10,
-                src: 0,
-                len: 2,
-            },
-            &mut mem,
-            &[g],
-        );
+        exec("mvm g0, [r0+0], [r0+0], 2", [10, 0, 0], &mut mem, &[g]);
         assert_eq!(mem.read(10, 2), vec![17, 39]);
     }
 
@@ -277,19 +244,8 @@ mod tests {
         // 2x2 window, 1 channel, laid out rows of 2.
         mem.write(0, &[1, 2]);
         mem.write(2, &[2, 2]);
-        execute_local(
-            &Resolved::VPool {
-                op: PoolOp::Avg,
-                dst: 10,
-                src: 0,
-                channels: 1,
-                win_w: 2,
-                win_h: 2,
-                row_stride: 2,
-            },
-            &mut mem,
-            &[],
-        );
+        let text = "vpool.avg [r0+0], [r0+0], ch=1, win=2x2, rstride=2";
+        exec(text, [10, 0, 0], &mut mem, &[]);
         assert_eq!(mem.read(10, 1), vec![1]); // 7/4 -> 1
     }
 
@@ -297,18 +253,8 @@ mod tests {
     fn vcopy2d_strides() {
         let mut mem = Memory::default();
         mem.write(0, &[1, 2, 3, 4, 5, 6]);
-        execute_local(
-            &Resolved::VCopy2d {
-                dst: 100,
-                src: 0,
-                block_len: 2,
-                blocks: 3,
-                src_stride: 2,
-                dst_stride: 4,
-            },
-            &mut mem,
-            &[],
-        );
+        let text = "vcopy2d [r0+0], [r0+0], block=2, blocks=3, sstride=2, dstride=4";
+        exec(text, [100, 0, 0], &mut mem, &[]);
         assert_eq!(mem.read(100, 10), vec![1, 2, 0, 0, 3, 4, 0, 0, 5, 6]);
     }
 
@@ -316,16 +262,7 @@ mod tests {
     fn activations_match_golden_helpers() {
         let mut mem = Memory::default();
         mem.write(0, &[0, -100]);
-        execute_local(
-            &Resolved::VUn {
-                op: VUnOp::Sigmoid,
-                dst: 10,
-                src: 0,
-                len: 2,
-            },
-            &mut mem,
-            &[],
-        );
+        exec("vsigmoid [r0+0], [r0+0], 2", [10, 0, 0], &mut mem, &[]);
         assert_eq!(mem.read(10, 2), vec![fixed_sigmoid(0), fixed_sigmoid(-100)]);
     }
 }

@@ -5,13 +5,13 @@
 //! [`CostModel::dispatch_interval`](pimsim_arch::model::CostModel::dispatch_interval).
 //! Scalar instructions (ALU, branches, jumps) execute right here, with the
 //! ISA's own semantics ([`Instruction::exec_scalar`]) — loops and address
-//! arithmetic never enter the ROB. Memory-class instructions get their
-//! operands resolved against the register file ([`resolve`]) and
-//! bounds-checked ([`Instruction::for_each_extent`]), in timing and functional
-//! runs alike, and are handed to the ROB, after which the issue logic in
-//! [`super::units`] takes over.
+//! arithmetic never enter the ROB. Memory-class instructions have their
+//! operands ([`Instruction::for_each_extent`]) bounds-checked and their
+//! addresses taken against the register file, in timing and functional
+//! runs alike, and are handed to the ROB with those addresses, after
+//! which the issue logic in [`super::units`] takes over.
 
-use pimsim_isa::{resolve, Footprint, InstrClass, Instruction, ProgramLimits, Resolved};
+use pimsim_isa::{Footprint, InstrClass, Instruction, ProgramLimits};
 
 use super::error::SimError;
 use super::rob::Core;
@@ -84,61 +84,56 @@ impl Machine<'_> {
             self.telemetry.count_dispatch(tag);
             self.telemetry.energy.frontend += self.frontend_energy;
 
-            match resolve(&instr, &self.cores[c].regs) {
-                None => {
-                    // Scalar class: execute at dispatch.
-                    self.telemetry.class_counts[3] += 1;
-                    self.telemetry.energy.scalar += self.scalar_energy;
-                    scalar_pc = Some(pc as u32);
-                    let core = &mut self.cores[c];
-                    match instr.exec_scalar(&mut core.regs, core.pc) {
-                        Some(next) => core.pc = next,
-                        None => core.halted = true,
-                    }
+            if instr.class() == InstrClass::Scalar {
+                // Execute at dispatch.
+                self.telemetry.class_counts[3] += 1;
+                self.telemetry.energy.scalar += self.scalar_energy;
+                scalar_pc = Some(pc as u32);
+                let core = &mut self.cores[c];
+                match instr.exec_scalar(&mut core.regs, core.pc) {
+                    Some(next) => core.pc = next,
+                    None => core.halted = true,
                 }
-                Some(res) => {
-                    if let Err(fault) = self.enter_rob(c, tag, &instr, res) {
-                        self.fail(fault, ctx);
-                        break false;
-                    }
-                    if self.eager_issue() {
-                        self.try_issue(c, ctx);
-                    }
+            } else {
+                if let Err(fault) = self.enter_rob(c, tag, instr) {
+                    self.fail(fault, ctx);
+                    break false;
+                }
+                if self.eager_issue() {
+                    self.try_issue(c, ctx);
                 }
             }
         };
         Dispatched { paced, scalar_pc }
     }
 
-    /// Bounds-checks the operands' extents, then allocates the ROB entry
-    /// with their footprint and advances the program counter past it.
-    fn enter_rob(
-        &mut self,
-        c: usize,
-        tag: u16,
-        instr: &Instruction,
-        res: Resolved,
-    ) -> Result<(), SimError> {
+    /// Bounds-checks the operands' extents and takes their addresses,
+    /// then allocates the ROB entry with them and their footprint and
+    /// advances the program counter past it.
+    fn enter_rob(&mut self, c: usize, tag: u16, instr: Instruction) -> Result<(), SimError> {
         let (core, limits) = (&self.cores[c], &self.limits);
         let mut outside = false;
+        let (mut at, mut k) = ([0u32; 3], 0);
         instr.for_each_extent(core.groups, |e| {
             outside |= e.outside(&core.regs, limits.capacity(e.space)).is_some();
+            // Exact for every non-empty operand once the check passes.
+            at[k] = e.base.effective(&core.regs) as u32;
+            k += 1;
         });
         if outside {
-            return Err(memory_fault(c, core, instr, limits));
+            return Err(memory_fault(c, core, &instr, limits));
         }
-        let footprint = Footprint::of(instr, core.groups, &core.regs);
-        let class = instr.class();
-        let slot = match class {
+        let footprint = Footprint::of(&instr, core.groups, &core.regs);
+        let slot = match instr.class() {
             InstrClass::Matrix => 0,
             InstrClass::Vector => 1,
             InstrClass::Transfer => 2,
-            InstrClass::Scalar => unreachable!("resolved scalar"),
+            InstrClass::Scalar => unreachable!("scalar instructions never enter the ROB"),
         };
         self.telemetry.class_counts[slot] += 1;
         let core = &mut self.cores[c];
         let chan = core.chans[core.pc as usize];
-        core.admit(tag, class, res, footprint, chan, core.pc);
+        core.admit(tag, instr, at, footprint, chan, core.pc);
         core.pc += 1;
         Ok(())
     }

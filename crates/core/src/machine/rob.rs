@@ -47,7 +47,7 @@
 
 use pimsim_arch::model::{Cost, CostModel};
 use pimsim_event::SimTime;
-use pimsim_isa::{Footprint, GroupConfig, GroupId, InstrClass, Instruction, Resolved};
+use pimsim_isa::{Footprint, GroupConfig, GroupId, InstrClass, Instruction};
 
 use crate::exec::Memory;
 use crate::stats::CoreStats;
@@ -79,8 +79,11 @@ struct Edge {
 /// One instruction in flight between dispatch and retirement.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InFlight {
-    pub(crate) res: Resolved,
-    pub(crate) class: InstrClass,
+    pub(crate) instr: Instruction,
+    /// Its operands' addresses at dispatch, in
+    /// [`Instruction::for_each_extent`] order: what the payload reads
+    /// and writes, however the registers move on.
+    pub(crate) at: [u32; 3],
     pub(crate) tag: u16,
     pub(crate) state: State,
     pub(crate) issue_at: SimTime,
@@ -121,8 +124,7 @@ impl InFlight {
 /// What the issue logic needs to know about the entry it just started.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Issued {
-    pub(crate) class: InstrClass,
-    pub(crate) res: Resolved,
+    pub(crate) instr: Instruction,
     pub(crate) tag: u16,
     pub(crate) chan: u32,
 }
@@ -266,15 +268,15 @@ impl<'p> Core<'p> {
         Some(&mut self.rob[slot])
     }
 
-    /// Appends a freshly dispatched memory-class instruction to the ROB in
-    /// the `Waiting` state and resolves its hazards, by `footprint`,
-    /// against every older entry still in progress. Returns its sequence
-    /// number.
+    /// Appends a freshly dispatched memory-class instruction, its operands
+    /// at `at`, to the ROB in the `Waiting` state and finds its hazards,
+    /// by `footprint`, against every older entry still in progress.
+    /// Returns its sequence number.
     pub(crate) fn admit(
         &mut self,
         tag: u16,
-        class: InstrClass,
-        res: Resolved,
+        instr: Instruction,
+        at: [u32; 3],
         footprint: Footprint,
         chan: u32,
         pc: u32,
@@ -282,8 +284,8 @@ impl<'p> Core<'p> {
         let seq = self.seq_next;
         let mut entry = InFlight {
             footprint,
-            res,
-            class,
+            instr,
+            at,
             tag,
             state: State::Waiting,
             issue_at: SimTime::ZERO,
@@ -363,16 +365,16 @@ impl<'p> Core<'p> {
 
     /// Structural availability of `e`'s execution unit.
     fn unit_available(&self, e: &InFlight, structure_hazard: bool) -> bool {
-        match e.class {
+        match e.instr.class() {
             InstrClass::Vector => !self.vector_busy,
             // The transfer unit pipelines: waits cost time but do not
             // block unrelated channels.
             InstrClass::Transfer => true,
             // The paper's structure hazard: same crossbar ⇒ wait (an
             // ablation flag can disable the rule).
-            InstrClass::Matrix => match e.res {
-                Resolved::Mvm { group, .. } => !structure_hazard || self.xbars_free(group),
-                other => unreachable!("matrix class mismatch: {other:?}"),
+            InstrClass::Matrix => match e.instr {
+                Instruction::Mvm { group, .. } => !structure_hazard || self.xbars_free(group),
+                other => unreachable!("matrix class mismatch: {other}"),
             },
             InstrClass::Scalar => unreachable!("scalar instructions never enter the ROB"),
         }
@@ -387,8 +389,7 @@ impl<'p> Core<'p> {
         e.state = State::Executing;
         e.issue_at = now;
         let issued = Issued {
-            class: e.class,
-            res: e.res,
+            instr: e.instr,
             tag: e.tag,
             chan: e.chan,
         };
@@ -472,21 +473,17 @@ mod tests {
     use super::*;
     use crate::machine::test_rng::Rng;
     use pimsim_arch::ArchConfig;
-    use pimsim_isa::{asm, resolve};
+    use pimsim_isa::asm;
 
     impl Core<'_> {
         /// The pre-scoreboard issue logic, kept as the reference: rescan the
         /// whole ROB in age order and re-derive every pairwise hazard from
-        /// each entry's footprint and resolved operands alone (none of the
+        /// each entry's footprint and instruction alone (none of the
         /// scoreboard's edges, ancestors or ready set). `core_id` names
         /// this core in channel keys.
         fn scan_oracle(&self, core_id: u16, structure_hazard: bool) -> Option<u64> {
             let footprint = |e: &InFlight| e.footprint;
-            let channel = |e: &InFlight| match e.res {
-                Resolved::Send { peer, tag, .. } => Some((core_id, peer, tag)),
-                Resolved::Recv { peer, tag, .. } => Some((peer, core_id, tag)),
-                _ => None,
-            };
+            let channel = |e: &InFlight| e.instr.channel(core_id);
             'scan: for (i, e) in self.in_flight().enumerate() {
                 if e.state != State::Waiting {
                     continue;
@@ -510,19 +507,19 @@ mod tests {
         }
     }
 
-    /// `text` resolved under a zeroed register file: its class, operands
-    /// and footprint, as dispatch hands them to the ROB.
-    fn entry(text: &str) -> (InstrClass, Resolved, Footprint) {
+    /// `text` and its footprint under a zeroed register file, as dispatch
+    /// hands them to the ROB.
+    fn entry(text: &str) -> (Instruction, Footprint) {
         let instr = asm::parse_instruction(text).expect("parses");
-        let res = resolve(&instr, &[0; 32]).expect("memory-class");
         let footprint = Footprint::of(&instr, test_groups(), &[0; 32]);
-        (instr.class(), res, footprint)
+        (instr, footprint)
     }
 
-    /// Admits `text` on channel `chan`.
+    /// Admits `text` on channel `chan`. The ROB orders entries by their
+    /// footprints and never reads their addresses.
     fn admit(core: &mut Core<'_>, text: &str, chan: u32) {
-        let (class, res, footprint) = entry(text);
-        core.admit(0, class, res, footprint, chan, 0);
+        let (instr, footprint) = entry(text);
+        core.admit(0, instr, [0; 3], footprint, chan, 0);
     }
 
     #[test]
@@ -668,9 +665,9 @@ mod tests {
     const CORE_ID: u16 = 2;
 
     /// A random memory-class instruction over a deliberately tiny address
-    /// space (so all four hazard kinds are common), resolved, with the
-    /// dense channel index a fabric would have interned for it.
-    fn random_instr(rng: &mut Rng) -> ((InstrClass, Resolved, Footprint), u32) {
+    /// space (so all four hazard kinds are common), with its footprint and
+    /// the dense channel index a fabric would have interned for it.
+    fn random_instr(rng: &mut Rng) -> ((Instruction, Footprint), u32) {
         // Six 8-element slots, plus offsets that straddle two of them.
         let mut addr = || rng.below(6) * 8 + rng.below(2) * 4;
         let (a, b, dst) = (addr(), addr(), addr());
@@ -714,11 +711,11 @@ mod tests {
     }
 
     /// Books or releases the unit of an entry the way `units.rs` does.
-    fn set_unit(core: &mut Core<'_>, class: InstrClass, res: Resolved, busy: bool) {
-        match (class, res) {
+    fn set_unit(core: &mut Core<'_>, instr: Instruction, busy: bool) {
+        match (instr.class(), instr) {
             (InstrClass::Vector, _) => core.vector_busy = busy,
-            (InstrClass::Matrix, Resolved::Mvm { group, .. }) if busy => core.book_xbars(group),
-            (InstrClass::Matrix, Resolved::Mvm { group, .. }) => core.release_xbars(group),
+            (_, Instruction::Mvm { group, .. }) if busy => core.book_xbars(group),
+            (_, Instruction::Mvm { group, .. }) => core.release_xbars(group),
             _ => {}
         }
     }
@@ -736,8 +733,8 @@ mod tests {
                 // Dispatch (a little more often than completion, so deep
                 // ROBs do fill).
                 0..=3 if !core.rob_is_full() => {
-                    let ((class, res, footprint), chan) = random_instr(&mut rng);
-                    core.admit(0, class, res, footprint, chan, 0);
+                    let ((instr, footprint), chan) = random_instr(&mut rng);
+                    core.admit(0, instr, [0; 3], footprint, chan, 0);
                 }
                 // Out-of-order completion of a random executing entry.
                 4..=6 if !executing.is_empty() => {
@@ -745,8 +742,8 @@ mod tests {
                     let e = core
                         .mark_done(seq)
                         .expect("executing entries are in flight");
-                    let (class, res) = (e.class, e.res);
-                    set_unit(&mut core, class, res, false);
+                    let instr = e.instr;
+                    set_unit(&mut core, instr, false);
                     core.retire();
                 }
                 _ => {}
@@ -763,7 +760,7 @@ mod tests {
                 let started = core
                     .begin(seq, SimTime::ZERO)
                     .expect("the scoreboard picks ready entries");
-                set_unit(&mut core, started.class, started.res, true);
+                set_unit(&mut core, started.instr, true);
                 executing.push(seq);
                 issued += 1;
             }

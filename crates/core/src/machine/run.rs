@@ -182,7 +182,7 @@ impl<'a> Simulator<'a> {
             .map(|(i, core)| {
                 let rob: Vec<String> = core
                     .in_flight()
-                    .map(|e| format!("{:?}/{:?}/{:?}", e.class, e.state, e.res))
+                    .map(|e| format!("{:?}/{:?}/{}", e.instr.class(), e.state, e.instr))
                     .collect();
                 format!(
                     "core{i}: pc={} halted={} pending={} next_dispatch={} next_instr={:?} rob=[{}]",

@@ -31,7 +31,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use pimsim_event::SimTime;
-use pimsim_isa::Resolved;
+use pimsim_isa::Instruction;
 
 use super::error::SimError;
 use super::rob::{Core, Issued};
@@ -266,9 +266,9 @@ impl Machine<'_> {
         now: SimTime,
         ctx: &mut Ctx,
     ) {
-        let Issued { res, tag, chan, .. } = issued;
-        match res {
-            Resolved::Send { len, .. } => {
+        let Issued { instr, tag, chan } = issued;
+        match (instr.payload_len(), instr) {
+            (Some(len), Instruction::Send { .. }) => {
                 let credits = self.cfg.noc.channel_credits;
                 let channel = self.fabric.channel(chan);
                 // The VC assignment is fixed here, at issue time, by the
@@ -278,7 +278,7 @@ impl Machine<'_> {
                     core: c as u16,
                     seq,
                     tag,
-                    len: len as u64,
+                    len,
                     vc,
                 };
                 if channel.vc_used[vc as usize] >= credits {
@@ -287,21 +287,14 @@ impl Machine<'_> {
                     self.launch_send(chan, pending, now, ctx);
                 }
             }
-            Resolved::Recv {
-                peer,
-                block_len,
-                blocks,
-                tag: chan_tag,
-                ..
-            } => {
-                // In u64: a u32 product can wrap (65536 * 65536 = 0) and
-                // then "match" a send of the wrapped length.
-                let recv_len = block_len as u64 * blocks as u64;
+            // A `recv` or `recv2d`.
+            (Some(recv_len), _) => {
                 let channel = self.fabric.channel(chan);
                 if let Some(msg) = channel.arrived.pop_front() {
                     if msg.len as u64 != recv_len {
+                        let (from, _, chan_tag) = self.fabric.key(chan);
                         let detail = format!(
-                            "send core{peer} len {} vs recv core{c} len {recv_len} (tag {chan_tag})",
+                            "send core{from} len {} vs recv core{c} len {recv_len} (tag {chan_tag})",
                             msg.len
                         );
                         self.fail(SimError::TagMismatch { detail }, ctx);
@@ -338,14 +331,14 @@ impl Machine<'_> {
                     });
                 }
             }
-            Resolved::GLoad { len, .. } | Resolved::GStore { len, .. } => {
+            (None, Instruction::GLoad { len, .. } | Instruction::GStore { len, .. }) => {
                 let e_txn = self.model.memory_access_energy(c as u16, len);
                 let end = self.noc.memory_access(c as u16, len, now, &self.model);
                 self.telemetry.energy.transfer += e_txn;
                 self.telemetry.node(tag).energy += e_txn;
                 ctx.schedule_at(end, MachineEvent::complete(c, seq));
             }
-            other => unreachable!("transfer class mismatch: {other:?}"),
+            (_, other) => unreachable!("transfer class mismatch: {other}"),
         }
     }
 
@@ -374,10 +367,8 @@ impl Machine<'_> {
         // Capture the payload while the sender's buffer is still hazard-protected.
         let data = if self.functional {
             let src = match self.cores[send.core as usize].find(send.seq) {
-                Some(e) => match e.res {
-                    Resolved::Send { src, .. } => src,
-                    _ => unreachable!("send side mismatch"),
-                },
+                // A send's one operand: its source.
+                Some(e) => e.at[0],
                 // This used to be a silent `return`, leaving the channel's
                 // in_flight count and the sender's transfer unit stuck
                 // forever — a masked invariant break that surfaced later
@@ -501,14 +492,14 @@ impl Machine<'_> {
     /// Completes a `RECV`: writes the payload and retires the entry.
     fn finish_recv(&mut self, c: usize, seq: u64, msg: ArrivedMsg, ctx: &mut Ctx) {
         if self.functional {
-            let params = self.cores[c].find(seq).map(|e| match e.res {
-                Resolved::Recv {
-                    dst,
+            let params = self.cores[c].find(seq).map(|e| match e.instr {
+                Instruction::Recv2d {
                     block_len,
                     dst_stride,
                     ..
-                } => (dst, block_len, dst_stride),
-                _ => unreachable!("recv side mismatch"),
+                } => (e.at[0], block_len, dst_stride),
+                // One block: the whole message.
+                _ => (e.at[0], msg.len, 0),
             });
             if let Some((dst, block_len, dst_stride)) = params {
                 if block_len > 0 {

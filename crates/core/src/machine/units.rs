@@ -8,11 +8,11 @@
 //! crossbar sets, and transfers are handed to [`super::transfer`]. Costs
 //! come from the shared [`CostModel`](pimsim_arch::model::CostModel)
 //! tables, vector work classified by the ISA's
-//! [`Resolved::vector_shape`] — the same prices the static bound
+//! [`Instruction::vector_shape`] — the same prices the static bound
 //! analyzer uses.
 
 use pimsim_event::SimTime;
-use pimsim_isa::{InstrClass, Resolved};
+use pimsim_isa::{InstrClass, Instruction};
 
 use super::rob::Issued;
 use super::{Ctx, Machine, MachineEvent};
@@ -37,11 +37,11 @@ impl Machine<'_> {
             self.fail(SimError::Internal { detail }, ctx);
             return;
         };
-        let Issued { res, tag, .. } = issued;
-        match issued.class {
+        let Issued { instr, tag, .. } = issued;
+        match instr.class() {
             InstrClass::Vector => {
-                let Some(shape) = res.vector_shape() else {
-                    unreachable!("vector class mismatch: {res:?}")
+                let Some(shape) = instr.vector_shape() else {
+                    unreachable!("vector class mismatch: {instr}")
                 };
                 let cost = self.model.vector_cost(shape.len, shape.reads, shape.writes);
                 self.cores[c].vector_busy = true;
@@ -51,7 +51,7 @@ impl Machine<'_> {
                 ctx.schedule_at(end, MachineEvent::complete(c, seq));
             }
             InstrClass::Matrix => {
-                let Resolved::Mvm { group, .. } = res else {
+                let Instruction::Mvm { group, .. } = instr else {
                     unreachable!("matrix class mismatch")
                 };
                 let cost = self.cores[c].mvm_cost(group);
@@ -76,7 +76,7 @@ impl Machine<'_> {
         }
         let now = ctx.now();
         self.finish_time = self.finish_time.max(now);
-        let (class, res, tag, span, pc) = {
+        let (instr, at, tag, span, pc) = {
             let Some(e) = self.cores[c].mark_done(seq) else {
                 // A completion whose ROB entry vanished is an invariant
                 // break (entries leave the ROB only through in-order
@@ -89,27 +89,27 @@ impl Machine<'_> {
                 return;
             };
             let span = now.saturating_sub(e.issue_at);
-            (e.class, e.res, e.tag, span, e.pc)
+            (e.instr, e.at, e.tag, span, e.pc)
         };
         self.telemetry.record_trace(now, c as u16, pc);
-        match class {
+        match instr.class() {
             InstrClass::Vector => {
                 self.cores[c].vector_busy = false;
                 self.cores[c].stats.vector_busy += span;
                 self.telemetry.node(tag).vector_time += span;
                 if self.functional {
-                    self.execute_functional(c, &res);
+                    self.execute_functional(c, &instr, at);
                 }
             }
             InstrClass::Matrix => {
-                let Resolved::Mvm { group, .. } = res else {
+                let Instruction::Mvm { group, .. } = instr else {
                     unreachable!("matrix class mismatch")
                 };
                 self.cores[c].release_xbars(group);
                 self.cores[c].stats.matrix_busy += span;
                 self.telemetry.node(tag).matrix_time += span;
                 if self.functional {
-                    self.execute_functional(c, &res);
+                    self.execute_functional(c, &instr, at);
                 }
             }
             InstrClass::Transfer => {
@@ -117,16 +117,19 @@ impl Machine<'_> {
                 self.cores[c].stats.transfer_busy += span;
                 self.telemetry.node(tag).comm_time += span;
                 if self.functional {
-                    match &res {
-                        Resolved::GLoad { dst, gaddr, len } => {
-                            let data: Vec<i32> =
-                                (0..*len as u64).map(|i| self.gmem.get(gaddr + i)).collect();
-                            self.cores[c].mem.write(*dst, &data);
+                    match instr {
+                        Instruction::GLoad { len, .. } => {
+                            let [dst, gaddr, _] = at;
+                            let data: Vec<i32> = (0..len as u64)
+                                .map(|i| self.gmem.get(gaddr as u64 + i))
+                                .collect();
+                            self.cores[c].mem.write(dst, &data);
                         }
-                        Resolved::GStore { gaddr, src, len } => {
-                            let data = self.cores[c].mem.read(*src, *len);
+                        Instruction::GStore { len, .. } => {
+                            let [gaddr, src, _] = at;
+                            let data = self.cores[c].mem.read(src, len);
                             for (i, v) in data.into_iter().enumerate() {
-                                self.gmem.set(gaddr + i as u64, v);
+                                self.gmem.set(gaddr as u64 + i as u64, v);
                             }
                         }
                         _ => {}
@@ -144,9 +147,9 @@ impl Machine<'_> {
 
     /// Runs a vector/matrix payload on the core's local memory with the
     /// golden-model integer semantics.
-    fn execute_functional(&mut self, c: usize, res: &Resolved) {
+    fn execute_functional(&mut self, c: usize, instr: &Instruction, at: [u32; 3]) {
         let core = &mut self.cores[c];
-        execute_local(res, &mut core.mem, core.groups);
+        execute_local(instr, at, &mut core.mem, core.groups);
     }
 }
 

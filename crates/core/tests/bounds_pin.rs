@@ -16,7 +16,7 @@ use pimsim_arch::ArchConfig;
 use pimsim_core::Noc;
 use pimsim_event::SimTime;
 use pimsim_isa::asm::assemble;
-use pimsim_isa::{resolve, VectorShape};
+use pimsim_isa::VectorShape;
 
 /// Arch variants exercising the knobs the pricing depends on.
 fn arches() -> Vec<ArchConfig> {
@@ -77,7 +77,7 @@ fn memory_access_min_matches_idle_noc_access() {
 }
 
 /// The simulator and the bound analyzer both price vector work through
-/// the ISA's one classification, [`Resolved::vector_shape`]: the shape of
+/// the ISA's one classification, [`Instruction::vector_shape`]: the shape of
 /// every vector instruction kind is pinned here, and the DAG node the
 /// analyzer builds for it carries that same shape.
 #[test]
@@ -112,7 +112,7 @@ fn vector_shapes_price_identically_everywhere() {
     assert_eq!(dag.nodes.len(), cases.len());
     for ((text, (len, reads, writes)), node) in cases.iter().zip(&dag.nodes) {
         let instr = &program.cores[0].instrs[node.pc as usize];
-        let shape = resolve(instr, &[0; 32]).and_then(|r| r.vector_shape());
+        let shape = instr.vector_shape();
         let want = VectorShape {
             len: *len,
             reads: *reads,

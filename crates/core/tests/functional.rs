@@ -219,3 +219,81 @@ fn rows_past_the_length_field_are_chunked() {
         .count();
     assert!(base_loads > 0, "no base-register load was emitted");
 }
+
+#[test]
+fn addresses_are_fixed_at_dispatch() {
+    // Core 0's first `recv` waits for core 1, which sends only after a
+    // 60,000-element fill. Every loop instruction touches the `recv`'s
+    // buffer, so the whole loop dispatches (its `addi`s running at once)
+    // and waits in the ROB before any of it issues. Iteration `i`, step
+    // `k` owns the eight elements at 1000 + 64i + 8k of core 0 (global
+    // 64i + 40 for the store): each step must act where `r1` pointed when
+    // it dispatched, not where `r1` points when it issues.
+    let text = "\
+        .core 0
+        vfill [r0+0], 10, 64
+        vfill [r0+64], 11, 64
+        vfill [r0+128], 12, 64
+        vfill [r0+192], 13, 64
+        vfill [r0+256], 3, 8
+        recv core1, [r0+1000], 256, tag=9
+        li r2, 256
+        loop:
+        vfill [r1+1000], 7, 8
+        addi r1, r1, 8
+        vcopy2d [r1+1000], [r1-8], block=4, blocks=2, sstride=8, dstride=4
+        addi r1, r1, 8
+        vsub [r1+1000], [r1-16], [r0+256], 8
+        addi r1, r1, 8
+        send core2, [r1+984], 8, tag=1
+        addi r1, r1, 8
+        recv2d core2, [r1+1000], block=4, blocks=2, dstride=4, tag=2
+        addi r1, r1, 8
+        gstore g[r1+0], [r1+976], 8
+        addi r1, r1, 8
+        gload [r1+1000], g[r1-8], 8
+        addi r1, r1, 8
+        addi r1, r1, 8
+        blt r1, r2, loop
+        halt
+        .core 1
+        vfill [r0+0], 1, 60000
+        send core0, [r0+0], 256, tag=9
+        halt
+        .core 2
+        li r2, 32
+        echo:
+        recv core0, [r1+0], 8, tag=1
+        send core0, [r1+0], 8, tag=2
+        addi r1, r1, 8
+        blt r1, r2, echo
+        halt
+    ";
+    let program = pimsim_isa::asm::assemble(text).expect("assembles");
+    let arch = ArchConfig::small_test().with_rob(64);
+    let report = Simulator::new(&arch).run(&program).expect("runs");
+    for i in 0..4u32 {
+        let slot = |k: u32| report.read_local(0, 1000 + 64 * i + 8 * k, 8);
+        let (fill, copied, diff) = (vec![7; 8], vec![10 + i as i32; 8], vec![7 + i as i32; 8]);
+        assert_eq!(slot(0), fill, "iteration {i}: vfill");
+        assert_eq!(slot(1), copied, "iteration {i}: vcopy2d");
+        assert_eq!(slot(2), diff, "iteration {i}: vsub");
+        assert_eq!(
+            slot(3),
+            [1; 8],
+            "iteration {i}: the send's step keeps the recv's data"
+        );
+        assert_eq!(
+            report.read_local(2, 8 * i, 8),
+            copied,
+            "iteration {i}: send"
+        );
+        assert_eq!(slot(4), copied, "iteration {i}: recv2d");
+        assert_eq!(
+            report.read_global(64 * i as u64 + 40, 8),
+            diff,
+            "iteration {i}: gstore"
+        );
+        assert_eq!(slot(6), diff, "iteration {i}: gload");
+    }
+}

@@ -4,11 +4,11 @@
 //! static bound analyzer in `pimsim-analyze` both need to know how many
 //! elements the vector unit touches and how many local-memory reads and
 //! writes it performs — the `(len, reads, writes)` triple fed to
-//! `CostModel::vector_cost`. Both call [`Resolved::vector_shape`]: a new
-//! vector op classified there is priced the same way in the event-driven
-//! machine and in the analytic bound.
+//! `CostModel::vector_cost`. Both call [`Instruction::vector_shape`]: a
+//! new vector op classified there is priced the same way in the
+//! event-driven machine and in the analytic bound.
 
-use crate::resolve::Resolved;
+use crate::instr::Instruction;
 
 /// The operand shape `CostModel::vector_cost` is priced on: how many
 /// elements the vector unit processes and how many local-memory read and
@@ -23,7 +23,7 @@ pub struct VectorShape {
     pub writes: u32,
 }
 
-impl Resolved {
+impl Instruction {
     /// The [`VectorShape`] this instruction presents to the vector unit,
     /// or `None` for non-vector-class instructions: two reads for
     /// `vadd` and friends, none for a fill, and one read and one write
@@ -32,13 +32,13 @@ impl Resolved {
     #[inline]
     pub fn vector_shape(&self) -> Option<VectorShape> {
         let (len, reads) = match *self {
-            Resolved::VBin { len, .. } => (len, 2),
-            Resolved::VImm { len, .. } | Resolved::VUn { len, .. } => (len, 1),
-            Resolved::VFill { len, .. } => (len, 0),
-            Resolved::VCopy2d {
+            Instruction::VBin { len, .. } => (len, 2),
+            Instruction::VImm { len, .. } | Instruction::VUn { len, .. } => (len, 1),
+            Instruction::VFill { len, .. } => (len, 0),
+            Instruction::VCopy2d {
                 block_len, blocks, ..
             } => (block_len.saturating_mul(blocks), 1),
-            Resolved::VPool {
+            Instruction::VPool {
                 channels,
                 win_w,
                 win_h,
@@ -57,12 +57,10 @@ impl Resolved {
 #[cfg(test)]
 mod tests {
     use crate::asm::parse_instruction;
-    use crate::resolve::resolve;
 
     fn shape_of(text: &str) -> Option<(u32, u32, u32)> {
         let instr = parse_instruction(text).unwrap();
-        let res = resolve(&instr, &[0; 32])?;
-        res.vector_shape().map(|s| (s.len, s.reads, s.writes))
+        instr.vector_shape().map(|s| (s.len, s.reads, s.writes))
     }
 
     #[test]
@@ -95,9 +93,8 @@ mod tests {
             win_h: 1,
             row_stride: 8,
         };
-        let shape = resolve(&wide, &[0; 32]).and_then(|r| r.vector_shape());
         assert_eq!(
-            shape.map(|s| (s.len, s.reads, s.writes)),
+            wide.vector_shape().map(|s| (s.len, s.reads, s.writes)),
             Some((u32::MAX, 1, 1))
         );
         Ok(())

@@ -194,12 +194,13 @@ impl Footprint {
 }
 
 /// The footprint rule the extents replaced, kept as the reference: each
-/// variant's reads and write computed from the resolved operands, with
-/// the strided and windowed spans worked out per variant.
+/// variant's reads and write worked out from its operands' addresses
+/// under the register file, with the strided and windowed spans computed
+/// per variant.
 #[cfg(test)]
 mod oracle {
+    use crate::instr::{Addr, Instruction};
     use crate::range::{Footprint, Range};
-    use crate::resolve::Resolved;
 
     /// Conservative span of a strided 2-D access, saturating into the
     /// `u32` address space.
@@ -213,92 +214,79 @@ mod oracle {
         Range { start: lo, end: hi }
     }
 
-    /// The span a `vpool` reads: `win_h` rows (at least one) of
-    /// `win_w * channels` elements, the row length saturating.
-    fn pool_window(base: u32, channels: u32, win_w: u32, win_h: u32, row_stride: i32) -> Range {
-        strided(
-            base,
-            win_w.saturating_mul(channels),
-            win_h.max(1),
-            row_stride,
-        )
-    }
-
-    impl Resolved {
-        /// Everything this instruction touches; an `MVM` writes
-        /// `mvm_out_len` elements.
-        pub(crate) fn footprint(&self, mvm_out_len: u32) -> Footprint {
-            let gmem = match *self {
-                Resolved::GLoad { gaddr, len, .. } => Some((gaddr, gaddr + len as u64, false)),
-                Resolved::GStore { gaddr, len, .. } => Some((gaddr, gaddr + len as u64, true)),
-                _ => None,
-            };
-            Footprint {
-                reads: self.reads(),
-                write: self.write(mvm_out_len),
-                gmem,
+    /// Everything `instr` touches under `regs`, an `MVM` writing
+    /// `mvm_out_len` elements; `None` for a scalar instruction.
+    pub(crate) fn footprint(
+        instr: &Instruction,
+        mvm_out_len: u32,
+        regs: &[i32; 32],
+    ) -> Option<Footprint> {
+        use Instruction as I;
+        const NONE: Range = Range::EMPTY;
+        let at = |a: Addr| a.effective(regs) as u32;
+        let run = |a, len| Range::new(at(a), len);
+        let gmem = |g, len: u32, write| Some((at(g) as u64, at(g) as u64 + len as u64, write));
+        let (reads, write, gmem) = match *instr {
+            I::Mvm { dst, src, len, .. } => ([run(src, len), NONE], run(dst, mvm_out_len), None),
+            I::VBin { dst, a, b, len, .. } => ([run(a, len), run(b, len)], run(dst, len), None),
+            I::VImm { dst, src, len, .. } | I::VUn { dst, src, len, .. } => {
+                ([run(src, len), NONE], run(dst, len), None)
             }
-        }
-
-        fn reads(&self) -> [Range; 2] {
-            const NONE: Range = Range::EMPTY;
-            match self {
-                Resolved::VBin { a, b, len, .. } => [Range::new(*a, *len), Range::new(*b, *len)],
-                Resolved::Mvm { src, len, .. }
-                | Resolved::VImm { src, len, .. }
-                | Resolved::VUn { src, len, .. }
-                | Resolved::Send { src, len, .. }
-                | Resolved::GStore { src, len, .. } => [Range::new(*src, *len), NONE],
-                Resolved::VCopy2d {
-                    src,
-                    block_len,
-                    blocks,
-                    src_stride,
-                    ..
-                } => [strided(*src, *block_len, *blocks, *src_stride), NONE],
-                Resolved::VPool {
-                    src,
-                    channels,
-                    win_w,
-                    win_h,
-                    row_stride,
-                    ..
-                } => [
-                    pool_window(*src, *channels, *win_w, *win_h, *row_stride),
-                    NONE,
-                ],
-                Resolved::VFill { .. } | Resolved::Recv { .. } | Resolved::GLoad { .. } => {
-                    [NONE, NONE]
-                }
+            I::VFill { dst, len, .. } => ([NONE, NONE], run(dst, len), None),
+            I::VCopy2d {
+                dst,
+                src,
+                block_len,
+                blocks,
+                src_stride,
+                dst_stride,
+            } => (
+                [strided(at(src), block_len, blocks, src_stride), NONE],
+                strided(at(dst), block_len, blocks, dst_stride),
+                None,
+            ),
+            // `win_h` rows (at least one) of `win_w * channels` elements,
+            // the row length saturating.
+            I::VPool {
+                dst,
+                src,
+                channels,
+                win_w,
+                win_h,
+                row_stride,
+                ..
+            } => {
+                let row = win_w.saturating_mul(channels);
+                let window = strided(at(src), row, win_h.max(1), row_stride);
+                ([window, NONE], run(dst, channels), None)
             }
-        }
-
-        fn write(&self, mvm_out_len: u32) -> Range {
-            match self {
-                Resolved::Mvm { dst, .. } => Range::new(*dst, mvm_out_len),
-                Resolved::VBin { dst, len, .. }
-                | Resolved::VImm { dst, len, .. }
-                | Resolved::VUn { dst, len, .. }
-                | Resolved::VFill { dst, len, .. }
-                | Resolved::GLoad { dst, len, .. } => Range::new(*dst, *len),
-                Resolved::VCopy2d {
-                    dst,
-                    block_len,
-                    blocks,
-                    dst_stride,
-                    ..
-                }
-                | Resolved::Recv {
-                    dst,
-                    block_len,
-                    blocks,
-                    dst_stride,
-                    ..
-                } => strided(*dst, *block_len, *blocks, *dst_stride),
-                Resolved::VPool { dst, channels, .. } => Range::new(*dst, *channels),
-                Resolved::Send { .. } | Resolved::GStore { .. } => Range::new(0, 0),
-            }
-        }
+            I::Send { src, len, .. } => ([run(src, len), NONE], Range::new(0, 0), None),
+            I::Recv { dst, len, .. } => ([NONE, NONE], strided(at(dst), len, 1, 0), None),
+            I::Recv2d {
+                dst,
+                block_len,
+                blocks,
+                dst_stride,
+                ..
+            } => (
+                [NONE, NONE],
+                strided(at(dst), block_len, blocks, dst_stride),
+                None,
+            ),
+            I::GLoad { dst, gaddr, len } => ([NONE, NONE], run(dst, len), gmem(gaddr, len, false)),
+            I::GStore { gaddr, src, len } => (
+                [run(src, len), NONE],
+                Range::new(0, 0),
+                gmem(gaddr, len, true),
+            ),
+            I::SBin { .. }
+            | I::SImm { .. }
+            | I::Branch { .. }
+            | I::Jump { .. }
+            | I::Halt
+            | I::Nop => return None,
+        };
+        Some(Footprint { reads, write, gmem })
     }
 }
 
@@ -311,7 +299,6 @@ mod tests {
     use crate::asm::parse_instruction;
     use crate::instr::{CoreId, GroupId, PoolOp, VBinOp};
     use crate::reg::Reg;
-    use crate::resolve::resolve;
 
     /// Local and global capacities of the differential's small chip.
     const LOCAL: u64 = 4096;
@@ -521,24 +508,19 @@ mod tests {
         let groups = groups();
         let admitted = verdict(instr, regs, &groups);
         prop_assert_eq!(admitted, blockwise(instr, regs, &groups), "{}", instr);
-        let Some(res) = resolve(instr, regs) else {
+        let out = match *instr {
+            Instruction::Mvm { group, .. } => {
+                groups.get(group.as_usize()).map_or(0, |g| g.output_len)
+            }
+            _ => 0,
+        };
+        let Some(old) = oracle::footprint(instr, out, regs) else {
             prop_assert_eq!(extents(instr, &groups), []);
             return Ok(admitted);
         };
-        let footprint = Footprint::of(instr, &groups, regs);
         if admitted {
-            let out = match *instr {
-                Instruction::Mvm { group, .. } => {
-                    groups.get(group.as_usize()).map_or(0, |g| g.output_len)
-                }
-                _ => 0,
-            };
-            prop_assert_eq!(
-                canonical(footprint),
-                canonical(res.footprint(out)),
-                "{}",
-                instr
-            );
+            let footprint = Footprint::of(instr, &groups, regs);
+            prop_assert_eq!(canonical(footprint), canonical(old), "{}", instr);
         }
         Ok(admitted)
     }
@@ -580,6 +562,30 @@ mod tests {
             admitted > 1_000 && refused > 1_000,
             "{admitted} / {refused}"
         );
+    }
+
+    #[test]
+    fn hazard_ranges_cover_operands() -> Result<(), crate::IsaError> {
+        let mut regs = [0; 32];
+        regs[1] = 40;
+        let footprint = |text| -> Result<Footprint, crate::IsaError> {
+            Ok(Footprint::of(&parse_instruction(text)?, &[], &regs))
+        };
+        let copy =
+            footprint("vcopy2d [r0+0], [r0+1000], block=4, blocks=3, sstride=16, dstride=8")?;
+        assert_eq!(copy.reads, [Range::new(1000, 36), Range::EMPTY]);
+        assert_eq!(copy.write, Range::new(0, 20));
+        assert_eq!(copy.gmem, None);
+        let load = footprint("gload [r0+0], g[r1+2], 6")?;
+        assert_eq!(load.gmem, Some((42, 48, false)));
+        assert_eq!(load.write, Range::new(0, 6));
+        let store = footprint("gstore g[r1+0], [r0+8], 4")?;
+        assert_eq!(store.gmem, Some((40, 44, true)));
+        assert_eq!(store.reads[0], Range::new(8, 4));
+        assert_eq!(store.write, Range::EMPTY);
+        let recv = footprint("recv2d core1, [r1+0], block=4, blocks=3, dstride=-8, tag=1")?;
+        assert_eq!(recv.write, Range { start: 24, end: 44 });
+        Ok(())
     }
 
     #[test]

@@ -172,7 +172,7 @@ impl Addr {
     /// The address under the register file `regs`: base register plus
     /// offset, in `i64` so nothing wraps.
     #[inline]
-    pub(crate) fn effective(self, regs: &[i32; 32]) -> i64 {
+    pub fn effective(self, regs: &[i32; 32]) -> i64 {
         regs[self.base.index() as usize] as i64 + self.offset as i64
     }
 }
@@ -812,6 +812,20 @@ impl Instruction {
         }
     }
 
+    /// The payload elements a `send` carries or a `recv`/`recv2d`
+    /// expects: `len`, or `block_len * blocks` for `recv2d`, in `u64`
+    /// because that product can exceed `u32` (and a wrapped one would
+    /// match a send it cannot). `None` for every other instruction.
+    pub fn payload_len(&self) -> Option<u64> {
+        match *self {
+            Instruction::Send { len, .. } | Instruction::Recv { len, .. } => Some(len.into()),
+            Instruction::Recv2d {
+                block_len, blocks, ..
+            } => Some(block_len as u64 * blocks as u64),
+            _ => None,
+        }
+    }
+
     /// Executes this instruction's scalar effect at `pc` against `regs` —
     /// what the core frontend does at dispatch — and returns the next pc,
     /// or `None` once the core halts. Writes to `r0` are discarded.
@@ -1226,5 +1240,36 @@ mod tests {
         assert_eq!(send.channel(3), Some((3, 4, 9)));
         assert_eq!(recv2d.channel(3), Some((2, 3, 9)));
         assert_eq!(Instruction::Halt.channel(3), None);
+    }
+
+    #[test]
+    fn recv_variants_share_one_payload_rule() {
+        let recv = Instruction::Recv {
+            peer: CoreId(1),
+            dst: addr(Reg::R0, 64),
+            len: 32,
+            tag: 7,
+        };
+        let recv2d = |block_len, blocks| Instruction::Recv2d {
+            peer: CoreId(1),
+            dst: addr(Reg::R0, 64),
+            block_len,
+            blocks,
+            dst_stride: 40,
+            tag: 7,
+        };
+        assert_eq!(recv.payload_len(), Some(32));
+        assert_eq!(recv2d(8, 4).payload_len(), Some(32));
+        // The product does not wrap to a length a send could carry.
+        assert_eq!(recv2d(65536, 65536).payload_len(), Some(1 << 32));
+        let gload = Instruction::GLoad {
+            dst: addr(Reg::R0, 0),
+            gaddr: addr(Reg::R0, 0),
+            len: 8,
+        };
+        // Exactly the instructions with a channel carry a payload.
+        for instr in [recv, recv2d(1, 1), gload, Instruction::Halt] {
+            assert_eq!(instr.payload_len().is_some(), instr.channel(0).is_some());
+        }
     }
 }

@@ -32,10 +32,12 @@
 //! simulator. It also holds the machine semantics the simulator and the
 //! static analyzer share, so each rule has one definition: scalar ALU and
 //! branch behaviour ([`SBinOp::apply`], [`BranchCond::holds`],
-//! [`Instruction::exec_scalar`]), operand resolution ([`resolve`]), where
-//! each operand lands ([`Instruction::for_each_extent`]), the memory hazard rule
-//! ([`Footprint::conflicts`]) and the vector cost classification
-//! ([`Resolved::vector_shape`]).
+//! [`Instruction::exec_scalar`]), where each operand lands
+//! ([`Instruction::for_each_extent`]), the memory hazard rule
+//! ([`Footprint::conflicts`]), the vector cost classification
+//! ([`Instruction::vector_shape`]) and the rendezvous payload length
+//! ([`Instruction::payload_len`]), each read off the [`Instruction`]
+//! itself.
 //!
 //! # Example
 //!
@@ -71,7 +73,6 @@ mod instr;
 mod program;
 mod range;
 mod reg;
-mod resolve;
 
 pub use cost::VectorShape;
 pub use error::IsaError;
@@ -85,7 +86,6 @@ pub use instr::{
 pub use program::{CoreProgram, Program, ProgramLimits, ProgramMeta};
 pub use range::{Footprint, Range};
 pub use reg::Reg;
-pub use resolve::{resolve, Resolved};
 
 /// Result alias for fallible ISA operations.
 pub type Result<T> = std::result::Result<T, IsaError>;

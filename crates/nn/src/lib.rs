@@ -4,8 +4,8 @@
 //! functional model.
 //!
 //! The paper's compiler consumes an ONNX network description. This crate is
-//! the reproduction's stand-in (see DESIGN.md): a layer-graph IR with the
-//! operators the evaluation networks need (convolution, linear, pooling,
+//! the reproduction's stand-in: a layer-graph IR with the operators the
+//! evaluation networks need (convolution, linear, pooling,
 //! residual `add`, channel `concat`, activations), shape inference, a JSON
 //! on-disk format, deterministic synthetic int8 weights, and a **reference
 //! forward pass** ([`GoldenModel`]) whose integer semantics exactly match the

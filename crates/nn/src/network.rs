@@ -102,8 +102,8 @@ pub struct Node {
 /// topological order (enforced by construction: a node may only reference
 /// earlier nodes).
 ///
-/// The on-disk representation is JSON (this reproduction's stand-in for the
-/// paper's ONNX input; see DESIGN.md).
+/// The on-disk representation is JSON, this reproduction's stand-in for the
+/// paper's ONNX input (the crate docs list the operators it covers).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Network {
     /// Network name (used to seed synthetic weights).

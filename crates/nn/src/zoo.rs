@@ -6,8 +6,8 @@
 //!
 //! Every builder takes the input resolution so experiments can run at
 //! reduced scale (the paper's figures are *normalized*, so shape — not
-//! absolute size — is what matters; see EXPERIMENTS.md for the resolutions
-//! used). They return the graph unvalidated: a resolution it cannot take
+//! absolute size — is what matters; the figure harnesses in `pimsim-bench`
+//! run 64×64 inputs, 32×32 for the CIFAR-scale Fig. 5 set). They return the graph unvalidated: a resolution it cannot take
 //! (a window larger than its input, an element count past `u32`) is an
 //! error of [`Network::validate`], which `Compiler::compile` runs, not a
 //! panic. Layer graphs follow the standard architectures; LRN layers

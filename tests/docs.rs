@@ -1,7 +1,8 @@
 //! The docs/ book stays coherent: every chapter the summary lists
 //! exists, every chapter on disk is listed, relative links resolve, cited
-//! file paths exist, and the README points into the book. This is the CI `docs` job's
-//! link-check (there is no mdBook binary in the offline environment).
+//! file paths exist (in the book and in source comments), and the README
+//! points into the book. This is the CI `docs` job's link-check (there is
+//! no mdBook binary in the offline environment).
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -168,6 +169,84 @@ fn every_file_the_book_cites_exists() {
         }
     }
     assert!(cited >= 5, "the book cites files; found only {cited}");
+}
+
+/// Every `*.md` name in a `//` comment of `line`: a run of file-name
+/// characters ending in `.md` and not followed by another name character.
+fn cited_markdown(line: &str) -> Vec<&str> {
+    let Some((_, comment)) = line.split_once("//") else {
+        return Vec::new();
+    };
+    let name_char = |c: char| c.is_ascii_alphanumeric() || "/._-".contains(c);
+    let mut out = Vec::new();
+    for (at, _) in comment.match_indices(".md") {
+        let end = at + ".md".len();
+        if comment[end..].starts_with(name_char) {
+            continue;
+        }
+        let start = comment[..at]
+            .rfind(|c: char| !name_char(c))
+            .map_or(0, |i| i + 1);
+        if start < at {
+            out.push(&comment[start..end]);
+        }
+    }
+    out
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable directory") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn markdown_names_in_comments_are_recognised() {
+    let line = "/// see docs/cli.md, (DESIGN.md) and `x.mdx`.";
+    assert_eq!(cited_markdown(line), ["docs/cli.md", "DESIGN.md"]);
+    let code = "let p = \"a.md\"; // b.md";
+    assert_eq!(cited_markdown(code), ["b.md"]);
+}
+
+#[test]
+fn every_markdown_file_a_source_comment_cites_exists() {
+    // A comment that sends its reader to a chapter nobody wrote explains
+    // nothing; it is not a link, so the book's link check misses it.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        let src = krate.expect("dir entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    let mut cited = 0;
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("source is readable");
+        for (n, line) in text.lines().enumerate() {
+            for name in cited_markdown(line) {
+                cited += 1;
+                let found = if name.contains('/') {
+                    root.join(name).is_file()
+                } else {
+                    root.join(name).is_file() || docs_dir().join(name).is_file()
+                };
+                assert!(
+                    found,
+                    "{}:{}: a comment cites `{name}`, which does not exist",
+                    file.display(),
+                    n + 1
+                );
+            }
+        }
+    }
+    assert!(cited > 0, "no source comment cites a chapter");
 }
 
 #[test]

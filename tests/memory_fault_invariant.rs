@@ -13,9 +13,17 @@
 //! differentials generate, and compiled zoo networks. A clean program
 //! dispatches every instruction, and nothing before the mutated one
 //! changes, so a faulting mutant faults at that instruction.
+//!
+//! The same programs with one encoding field set one past its
+//! `instr::limits` width hold the `invalid-program` half: `check` reports
+//! `invalid-program` exactly when `run` fails with `InvalidProgram`,
+//! timing and functional alike, and at the largest value in the width
+//! neither names the width.
+
+use std::collections::BTreeSet;
 
 use pimsim::analyze::{Cfg, DiagKind};
-use pimsim::isa::{asm, Addr, InstrClass, Instruction};
+use pimsim::isa::{asm, limits, Addr, InstrClass, Instruction};
 use pimsim::nn::zoo;
 use pimsim::prelude::*;
 use pimsim::sim::SimError;
@@ -223,5 +231,241 @@ proptest! {
             return Ok(()); // a broken rendezvous, not a clean program
         }
         mutants(&program, &arch, (4, false), &mut Rng(seed | 1), &text);
+    }
+}
+
+/// An encoding field that `Program::validate` holds to its
+/// `instr::limits` width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Field {
+    Len,
+    Group,
+    Blocks,
+    Stride,
+    Win,
+    Imm,
+    Offset,
+    Target,
+}
+
+impl Field {
+    const ALL: [Field; 8] = [
+        Field::Len,
+        Field::Group,
+        Field::Blocks,
+        Field::Stride,
+        Field::Win,
+        Field::Imm,
+        Field::Offset,
+        Field::Target,
+    ];
+
+    /// The largest value the field encodes.
+    fn max(self) -> i64 {
+        use limits::{smax, umax};
+        match self {
+            Field::Len => umax(limits::LEN_BITS) as i64,
+            Field::Group => umax(limits::GROUP_BITS) as i64,
+            Field::Blocks => umax(limits::BLOCK_BITS) as i64,
+            Field::Stride => smax(limits::STRIDE_BITS),
+            Field::Win => umax(limits::WIN_BITS) as i64,
+            Field::Imm => smax(limits::VIMM_BITS),
+            Field::Offset => smax(limits::ADDR_OFFSET_BITS),
+            Field::Target => umax(limits::TARGET_BITS) as i64,
+        }
+    }
+
+    /// Sets this field of `instr` to `value` (for an offset, that of its
+    /// address operand `slot`, modulo their count); `false` when `instr`
+    /// has no such field. An `MVM`'s `len` is left out: it must equal its
+    /// group's input length whatever its width.
+    fn set(self, instr: &mut Instruction, slot: usize, value: i64) -> bool {
+        use Instruction as I;
+        let (u, s) = (value as u32, value as i32);
+        match (self, instr) {
+            (
+                Field::Len,
+                I::VBin { len, .. }
+                | I::VImm { len, .. }
+                | I::VUn { len, .. }
+                | I::VFill { len, .. }
+                | I::Send { len, .. }
+                | I::Recv { len, .. }
+                | I::GLoad { len, .. }
+                | I::GStore { len, .. },
+            ) => *len = u,
+            (Field::Group, I::Mvm { group, .. }) => group.0 = value as u16,
+            (Field::Blocks, I::VCopy2d { blocks, .. } | I::Recv2d { blocks, .. }) => *blocks = u,
+            (
+                Field::Stride,
+                I::VCopy2d {
+                    src_stride: stride, ..
+                }
+                | I::Recv2d {
+                    dst_stride: stride, ..
+                }
+                | I::VPool {
+                    row_stride: stride, ..
+                },
+            ) => *stride = s,
+            (Field::Win, I::VPool { win_w, .. }) => *win_w = u,
+            (Field::Imm, I::VImm { imm, .. } | I::VFill { value: imm, .. }) => *imm = s,
+            (Field::Offset, instr) => {
+                let mut operands = addrs(instr);
+                let n = operands.len();
+                if n == 0 {
+                    return false;
+                }
+                let addr = &mut operands[slot % n];
+                // `Addr::new` refuses such an offset; a program file can
+                // still hold one.
+                let json = format!(r#"{{"base": {}, "offset": {s}}}"#, addr.base().index());
+                **addr = serde_json::from_str(&json).expect("an address operand");
+            }
+            (Field::Target, I::Branch { target, .. } | I::Jump { target }) => *target = u,
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// Whether `check` reports `program` as an `invalid-program`, held equal
+/// to `run` failing with `InvalidProgram` in timing and functional mode;
+/// with every error text either gave.
+fn invalid(program: &Program, arch: &ArchConfig, what: &str) -> (bool, String) {
+    let mut text = String::new();
+    let mut check = false;
+    for d in analyze(program, arch).diagnostics {
+        if d.kind == DiagKind::InvalidProgram {
+            check = true;
+            text += &format!("{d}\n");
+        }
+    }
+    for functional in [false, true] {
+        let arch = arch.clone().with_functional(functional);
+        let run = Simulator::new(&arch).run(program).err();
+        let refused = matches!(run, Some(SimError::InvalidProgram(_)));
+        if let Some(e) = run {
+            text += &format!("{e}\n");
+        }
+        assert_eq!(
+            check, refused,
+            "{what}: check says invalid = {check}, functional = {functional}: {text}"
+        );
+    }
+    (check, text)
+}
+
+/// Sets each field of one random site of a clean `program` one past its
+/// width, then to its largest value. Returns the fields it found a site
+/// for.
+fn width_mutants(
+    program: &Program,
+    arch: &ArchConfig,
+    rng: &mut Rng,
+    what: &str,
+) -> BTreeSet<Field> {
+    let (analysis, _) = invalid(program, arch, what);
+    assert!(!analysis, "{what}: the clean program is invalid");
+    let mut tried = BTreeSet::new();
+    for field in Field::ALL {
+        let sites: Vec<(usize, usize)> = (program.cores.iter().enumerate())
+            .flat_map(|(c, cp)| (0..cp.instrs.len()).map(move |pc| (c, pc)))
+            .filter(|&(c, pc)| field.set(&mut program.cores[c].instrs[pc].clone(), 0, 0))
+            .collect();
+        if sites.is_empty() {
+            continue;
+        }
+        let (c, pc) = sites[rng.below(sites.len() as u64) as usize];
+        let slot = rng.below(3) as usize;
+        for value in [field.max() + 1, field.max()] {
+            let mut mutant = program.clone();
+            field.set(&mut mutant.cores[c].instrs[pc], slot, value);
+            let what = format!("{what}: {field:?} {value} at core{c} pc{pc}");
+            let (invalid, text) = invalid(&mutant, arch, &what);
+            if value > field.max() {
+                assert!(invalid, "{what}: {text}");
+            } else {
+                assert!(!text.contains("outside encodable range"), "{what}: {text}");
+                // Validation also holds a group to the program's group
+                // table and a target to its length, which no program
+                // here reaches at the widths' largest values.
+                if !matches!(field, Field::Group | Field::Target) {
+                    assert!(!invalid, "{what}: {text}");
+                }
+            }
+        }
+        tried.insert(field);
+    }
+    tried
+}
+
+#[test]
+fn mixed_programs_refuse_field_widths_where_check_does() {
+    let arch = chip();
+    let mut state = 0x0B0D_5EED_0000_0011;
+    let mut rng = Rng(0x5EED_0B0D_0000_0013);
+    let mut tried = BTreeSet::new();
+    for case in 0..30 {
+        let text = mixed_programs::random_program(&mut state);
+        let program = asm::assemble(&text).expect("generated assembly is well-formed");
+        if analyze(&program, &arch).has_errors() {
+            continue;
+        }
+        tried.extend(width_mutants(
+            &program,
+            &arch,
+            &mut rng,
+            &format!("mixed case {case}"),
+        ));
+    }
+    let want = [
+        Field::Len,
+        Field::Group,
+        Field::Imm,
+        Field::Offset,
+        Field::Target,
+    ];
+    assert!(want.iter().all(|f| tried.contains(f)), "{tried:?}");
+}
+
+#[test]
+fn zoo_programs_refuse_field_widths_where_check_does() {
+    let arch = chip();
+    let mut rng = Rng(0x200_5EED_0000_0015);
+    let mut tried = BTreeSet::new();
+    for net in [zoo::tiny_mlp(), zoo::tiny_cnn()] {
+        let compiled = Compiler::new(&arch).compile(&net).expect("compiles");
+        tried.extend(width_mutants(&compiled.program, &arch, &mut rng, &net.name));
+    }
+    let want = [
+        Field::Len,
+        Field::Group,
+        Field::Blocks,
+        Field::Stride,
+        Field::Win,
+    ];
+    assert!(want.iter().all(|f| tried.contains(f)), "{tried:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 24,
+        ..ProptestConfig::default()
+    })]
+
+    #[test]
+    fn transfer_programs_refuse_field_widths_where_check_does(
+        xfers in proptest::collection::vec(xfer_strategy(), 1..10),
+        tweaks in proptest::collection::vec(tweak_strategy(), 0..3),
+        seed in any::<u64>(),
+    ) {
+        let arch = chip();
+        let text = build_program(&xfers, &tweaks, None, false);
+        let program = asm::assemble(&text).expect("generated assembly is well-formed");
+        if analyze(&program, &arch).has_errors() {
+            return Ok(()); // a broken rendezvous, not a clean program
+        }
+        width_mutants(&program, &arch, &mut Rng(seed | 1), &text);
     }
 }
