@@ -1,5 +1,5 @@
-//! `sweep` evaluates one compile-and-simulate per grid point on the
-//! cycle-accurate simulator; open-loop serving is `pimsim serve`'s and the
+//! `sweep` evaluates one simulation per grid point on the cycle-accurate
+//! simulator; open-loop serving is `pimsim serve`'s and the
 //! behaviour-level baseline `pimsim run --baseline`'s. The serving and
 //! simulator flags `sweep` once took are refused by name (exit 1), not
 //! accepted and ignored. A serve point is a sweep point, so both commands

@@ -318,10 +318,13 @@ impl Program {
                 ));
             }
 
-            // Instruction stream.
+            // Instruction stream. Field widths first, so a field past its
+            // width is refused for its width (as `validate_fields` does)
+            // whatever else it points at.
             let n = cp.instrs.len() as u32;
             for (pc, instr) in cp.instrs.iter().enumerate() {
                 let pc32 = pc as u32;
+                fits_fields(instr).map_err(|msg| err(Some(pc32), msg))?;
                 match instr {
                     Instruction::Branch { target, .. } | Instruction::Jump { target }
                         if *target >= n =>
@@ -364,7 +367,6 @@ impl Program {
                     }
                     _ => {}
                 }
-                fits_fields(instr).map_err(|msg| err(Some(pc32), msg))?;
             }
         }
         Ok(())

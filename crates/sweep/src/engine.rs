@@ -1,15 +1,19 @@
 //! The worker pool that fans a campaign out across OS threads and the
 //! result rows it collects.
 
+use std::collections::HashMap;
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use serde::{Serialize, Sink};
 
-use pimsim_arch::Energy;
-use pimsim_compiler::Compiler;
+use pimsim_arch::{ArchConfig, Energy};
+use pimsim_compiler::{Compiled, Compiler};
 use pimsim_core::Simulator;
 use pimsim_event::{par_map_indexed, SimTime};
 
 use crate::grid::{zoo_network, Scenario, SweepGrid};
-use crate::SweepError;
+use crate::{SweepError, ARCH_KNOBS};
 
 /// One evaluated grid point: the scenario plus a summary of its
 /// simulation report.
@@ -84,10 +88,9 @@ impl Serialize for SweepRow {
 }
 
 impl Scenario {
-    /// Compiles and simulates this scenario, single-threaded.
-    ///
-    /// This is exactly what the worker pool runs per grid point, exposed
-    /// so a row can be cross-checked against a direct run.
+    /// Compiles and simulates this scenario, single-threaded: the
+    /// single-point path, and the oracle [`run_scenarios`]' shared
+    /// compiles are held to.
     ///
     /// # Errors
     ///
@@ -96,12 +99,23 @@ impl Scenario {
     /// resolution, or the compile or simulation fails.
     pub fn execute(&self, index: usize) -> Result<SweepRow, SweepError> {
         self.arch.validate()?;
+        self.simulate(index, &self.compile()?)
+    }
+
+    /// Builds the network and compiles it for this scenario's
+    /// architecture, which the caller has validated.
+    fn compile(&self) -> Result<Compiled, SweepError> {
         let net = zoo_network(&self.network, self.resolution)?;
-        let compiled = Compiler::new(&self.arch)
+        Compiler::new(&self.arch)
             .mapping(self.mapping)
             .batch(self.batch)
             .compile(&net)
-            .map_err(|e| SweepError::Compile(format!("{}: {e}", self.display_label())))?;
+            .map_err(|e| SweepError::Compile(format!("{}: {e}", self.display_label())))
+    }
+
+    /// Simulates `compiled` on this scenario's architecture, which the
+    /// caller has validated, and summarizes the report as row `index`.
+    fn simulate(&self, index: usize, compiled: &Compiled) -> Result<SweepRow, SweepError> {
         let report = Simulator::new(&self.arch)
             .run(&compiled.program)
             .map_err(|e| SweepError::Sim(format!("{}: {e}", self.display_label())))?;
@@ -118,7 +132,7 @@ impl Scenario {
             instructions: report.instructions,
             events: report.events,
             cores_used: compiled.placement.cores_used,
-            node_names: compiled.node_names,
+            node_names: compiled.node_names.clone(),
             comm_ratios,
         })
     }
@@ -147,6 +161,15 @@ pub fn run_grid(grid: &SweepGrid, threads: usize) -> Result<Vec<SweepRow>, Sweep
 /// ([`par_map_indexed`]): the returned rows are ordered by scenario index
 /// and the campaign output is independent of thread interleaving.
 ///
+/// Scenarios that compile to the same program — the same network,
+/// resolution, mapping and batch on architectures that differ only in
+/// [`ARCH_KNOBS`], none of which the compiler reads — form one group. A
+/// group runs on one worker, which compiles once and simulates each
+/// member in index order, so every row equals [`Scenario::execute`]'s.
+/// With fewer groups than threads, each group is split into
+/// `ceil(threads / groups)` runs of consecutive members, each compiled
+/// once, so that every thread has work.
+///
 /// # Errors
 ///
 /// Returns [`SweepError::EmptyGrid`] for an empty list; otherwise the
@@ -160,7 +183,103 @@ pub fn run_scenarios(
     if scenarios.is_empty() {
         return Err(SweepError::EmptyGrid);
     }
-    par_map_indexed(scenarios.len(), threads, |i| scenarios[i].execute(i))
+    // Cancellation goes by scenario index, not group index: a later group
+    // can hold a smaller index than an earlier group's failure.
+    let first_failed = AtomicUsize::new(usize::MAX);
+    let groups = program_groups(&scenarios);
+    let split = threads.max(1).div_ceil(groups.len());
+    let runs: Vec<&[usize]> = groups
+        .iter()
+        .flat_map(|members| members.chunks(members.len().div_ceil(split)))
+        .collect();
+    let Ok(outcomes) = par_map_indexed(runs.len(), threads, |r| {
+        Ok::<_, Infallible>(run_group(&scenarios, runs[r], &first_failed))
+    });
+    let mut rows = Vec::with_capacity(scenarios.len());
+    let mut failure: Option<(usize, SweepError)> = None;
+    for outcome in outcomes {
+        match outcome {
+            Ok(run) => rows.extend(run),
+            Err((index, e)) => {
+                if failure.as_ref().is_none_or(|&(first, _)| index < first) {
+                    failure = Some((index, e));
+                }
+            }
+        }
+    }
+    if let Some((_, e)) = failure {
+        return Err(e);
+    }
+    // With no failure every group ran every member, and every index is in
+    // one group: the rows hold each index once.
+    rows.sort_unstable_by_key(|row| row.index);
+    Ok(rows)
+}
+
+/// Partitions scenario indices into groups that compile to one program:
+/// equal network, resolution, mapping, batch and architecture once every
+/// [`ARCH_KNOBS`] row is reset to the paper chip's value. Groups come in
+/// order of first appearance, members in index order.
+fn program_groups(scenarios: &[Scenario]) -> Vec<Vec<usize>> {
+    let reference = ArchConfig::paper_default();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    // Per (network, resolution, mapping, batch): each group's key
+    // architecture and position.
+    let mut keyed: HashMap<_, Vec<(ArchConfig, usize)>> = HashMap::new();
+    for (index, s) in scenarios.iter().enumerate() {
+        let mut arch = s.arch.clone();
+        for knob in ARCH_KNOBS {
+            (knob.set)(&mut arch, (knob.get)(&reference));
+        }
+        let bucket = keyed
+            .entry((s.network.as_str(), s.resolution, s.mapping, s.batch))
+            .or_default();
+        match bucket.iter().find(|(key, _)| *key == arch) {
+            Some(&(_, g)) => groups[g].push(index),
+            None => {
+                bucket.push((arch, groups.len()));
+                groups.push(vec![index]);
+            }
+        }
+    }
+    groups
+}
+
+/// Runs members of one program group in index order: validates each
+/// member's architecture, compiles once (for the first member) and
+/// simulates every member on its own architecture. Stops at the first
+/// failure, returned with its scenario index, or at a member above a
+/// failure `first_failed` records elsewhere.
+fn run_group(
+    scenarios: &[Scenario],
+    members: &[usize],
+    first_failed: &AtomicUsize,
+) -> Result<Vec<SweepRow>, (usize, SweepError)> {
+    let mut compiled = None;
+    let mut rows = Vec::with_capacity(members.len());
+    for &index in members {
+        // Relaxed: an early-out hint, as in `par_map_indexed`; the rows
+        // are published by the pool's join.
+        if index > first_failed.load(Ordering::Relaxed) {
+            break;
+        }
+        let s = &scenarios[index];
+        let row = s.arch.validate().map_err(SweepError::from).and_then(|()| {
+            let program = match &compiled {
+                Some(program) => program,
+                None => compiled.insert(s.compile()?),
+            };
+            s.simulate(index, program)
+        });
+        match row {
+            Ok(row) => rows.push(row),
+            Err(e) => {
+                first_failed.fetch_min(index, Ordering::Relaxed);
+                return Err((index, e));
+            }
+        }
+    }
+    Ok(rows)
 }
 
 /// Renders campaign results as pretty JSON: `{"points": N, "rows": [...]}`.
@@ -247,6 +366,28 @@ mod tests {
         let bad = Scenario::cycle("tiny_mlp", 64, MappingPolicy::PerformanceFirst, 1, bad_arch);
         let err = run_scenarios(vec![good, bad.clone(), bad], 2).unwrap_err();
         assert!(matches!(err, SweepError::Arch(_)));
+    }
+
+    /// The benchmark's `dse-sweep` grid: 64 points, 16 programs, each
+    /// shared by the four ROB depths.
+    #[test]
+    fn dse_sweep_grid_forms_sixteen_program_groups() -> Result<(), SweepError> {
+        let grid = SweepGrid::from_json(
+            r#"{
+                "networks": ["alexnet", "squeezenet", "resnet18", "vgg8"],
+                "rob_sizes": [1, 4, 8, 16],
+                "mappings": ["performance-first", "utilization-first"],
+                "batches": [1, 2]
+            }"#,
+        )?;
+        let scenarios = grid.scenarios()?;
+        assert_eq!(scenarios.len(), 64);
+        let groups = program_groups(&scenarios);
+        assert_eq!(groups.len(), 16);
+        for (g, members) in groups.iter().enumerate() {
+            assert_eq!(*members, (4 * g..4 * g + 4).collect::<Vec<_>>());
+        }
+        Ok(())
     }
 
     #[test]

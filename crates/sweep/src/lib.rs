@@ -12,10 +12,13 @@
 //! cartesian product into [`Scenario`]s, fans them out across OS threads,
 //! and collects one [`SweepRow`] per point.
 //!
-//! Every grid point is one compile-and-simulate on the cycle-accurate
-//! simulator ([`Scenario::execute`]), and this crate holds the one copy of
-//! it: `pimsim_serve` warms its `(network, batch size)` service-time cache
-//! by executing one [`Scenario`] per key on the same pool. The
+//! Every grid point is one simulation on the cycle-accurate simulator.
+//! The compiler reads none of the [`ARCH_KNOBS`], so [`run_scenarios`]
+//! compiles once per distinct program and simulates every point that
+//! shares it; [`Scenario::execute`], one compile-and-simulate, is the
+//! single-point path and the oracle the shared compiles are held to.
+//! `pimsim_serve` warms its `(network, batch size)` service-time cache by
+//! executing one [`Scenario`] per key on the same pool. The
 //! behaviour-level baseline is `pimsim_baseline`'s, called directly, and
 //! open-loop serving is `pimsim_serve`'s, one `serve` call per offered
 //! rate.

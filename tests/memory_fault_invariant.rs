@@ -17,8 +17,9 @@
 //! The same programs with one encoding field set one past its
 //! `instr::limits` width hold the `invalid-program` half: `check` reports
 //! `invalid-program` exactly when `run` fails with `InvalidProgram`,
-//! timing and functional alike, and at the largest value in the width
-//! neither names the width.
+//! timing and functional alike; one past the width, `check`, `run` and
+//! `disasm` all name the width, and at the largest value in the width
+//! none does.
 
 use std::collections::BTreeSet;
 
@@ -331,14 +332,14 @@ impl Field {
 
 /// Whether `check` reports `program` as an `invalid-program`, held equal
 /// to `run` failing with `InvalidProgram` in timing and functional mode;
-/// with every error text either gave.
-fn invalid(program: &Program, arch: &ArchConfig, what: &str) -> (bool, String) {
-    let mut text = String::new();
+/// with each verdict's error text: `check`'s, then `run`'s in either mode.
+fn invalid(program: &Program, arch: &ArchConfig, what: &str) -> (bool, [String; 3]) {
+    let mut texts: [String; 3] = Default::default();
     let mut check = false;
     for d in analyze(program, arch).diagnostics {
         if d.kind == DiagKind::InvalidProgram {
             check = true;
-            text += &format!("{d}\n");
+            texts[0] += &format!("{d}\n");
         }
     }
     for functional in [false, true] {
@@ -346,14 +347,14 @@ fn invalid(program: &Program, arch: &ArchConfig, what: &str) -> (bool, String) {
         let run = Simulator::new(&arch).run(program).err();
         let refused = matches!(run, Some(SimError::InvalidProgram(_)));
         if let Some(e) = run {
-            text += &format!("{e}\n");
+            texts[1 + usize::from(functional)] = e.to_string();
         }
         assert_eq!(
             check, refused,
-            "{what}: check says invalid = {check}, functional = {functional}: {text}"
+            "{what}: check says invalid = {check}, functional = {functional}: {texts:?}"
         );
     }
-    (check, text)
+    (check, texts)
 }
 
 /// Sets each field of one random site of a clean `program` one past its
@@ -382,10 +383,20 @@ fn width_mutants(
             let mut mutant = program.clone();
             field.set(&mut mutant.cores[c].instrs[pc], slot, value);
             let what = format!("{what}: {field:?} {value} at core{c} pc{pc}");
-            let (invalid, text) = invalid(&mutant, arch, &what);
+            let (invalid, texts) = invalid(&mutant, arch, &what);
             if value > field.max() {
-                assert!(invalid, "{what}: {text}");
+                assert!(invalid, "{what}: {texts:?}");
+                // `check`, `run` and `disasm` (`validate_fields`) name the
+                // width, whatever else the field points at: a group past
+                // the group table, a target past the program.
+                let disasm = mutant.validate_fields().map_err(|e| e.to_string());
+                assert!(disasm.is_err(), "{what}: disasm accepts it");
+                let width = format!("value {value} outside encodable range");
+                for text in texts.iter().chain(disasm.as_ref().err()) {
+                    assert!(text.contains(&width), "{what}: {texts:?} {disasm:?}");
+                }
             } else {
+                let text = texts.concat();
                 assert!(!text.contains("outside encodable range"), "{what}: {text}");
                 // Validation also holds a group to the program's group
                 // table and a target to its length, which no program
