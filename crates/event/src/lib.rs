@@ -16,6 +16,8 @@
 //! * a [`Clock`] helper for cycle/time conversion,
 //! * [`par_map_indexed`], the thread-count-independent worker pool the
 //!   host-side fan-outs (sweep campaigns, serve warm-up) share, and
+//!   [`par_map_visiting`], the same pool taking indices in a given
+//!   order; and
 //! * kernel statistics for debugging and benchmarking.
 //!
 //! # Example
@@ -59,5 +61,5 @@ mod time;
 
 pub use clock::Clock;
 pub use kernel::{EventCtx, Kernel, KernelStats, RunResult, World};
-pub use par::par_map_indexed;
+pub use par::{par_map_indexed, par_map_visiting};
 pub use time::SimTime;

@@ -31,6 +31,34 @@ pub fn par_map_indexed<T: Send, E: Send>(
     threads: usize,
     f: impl Fn(usize) -> Result<T, E> + Sync,
 ) -> Result<Vec<T>, E> {
+    par_map_visiting(n, threads, |position| position, f)
+}
+
+/// [`par_map_indexed`] with the workers taking indices in the order
+/// `visit(0), visit(1), .., visit(n - 1)`, which must be a permutation of
+/// `0..n`. Results, the returned error and cancellation still go by
+/// index: only which index a free worker takes next changes, so callers
+/// can run calls that share state close together.
+///
+/// # Errors
+///
+/// As [`par_map_indexed`]: the error of the failing call with the
+/// smallest index; indices above a failure are skipped, in whatever
+/// position they come.
+///
+/// ```rust
+/// use pimsim_event::par_map_visiting;
+/// let backwards = par_map_visiting(4, 2, |p| 3 - p, |i| Ok::<_, ()>(i * i));
+/// assert_eq!(backwards, Ok(vec![0, 1, 4, 9]));
+/// let odd = par_map_visiting(9, 3, |p| 8 - p, |i| if i % 2 == 1 { Err(i) } else { Ok(i) });
+/// assert_eq!(odd, Err(1));
+/// ```
+pub fn par_map_visiting<T: Send, E: Send>(
+    n: usize,
+    threads: usize,
+    visit: impl Fn(usize) -> usize + Sync,
+    f: impl Fn(usize) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
     // Both atomics are Relaxed: the cursor is a ticket counter and
     // `first_failed` only an early-out hint; results are published by the
     // slot mutexes and the scope's join.
@@ -41,10 +69,11 @@ pub fn par_map_indexed<T: Send, E: Send>(
     std::thread::scope(|scope| {
         for _ in 0..threads.clamp(1, n.max(1)) {
             scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
+                let position = cursor.fetch_add(1, Ordering::Relaxed);
+                if position >= n {
                     break;
                 }
+                let i = visit(position);
                 if i > first_failed.load(Ordering::Relaxed) {
                     continue;
                 }
@@ -111,5 +140,35 @@ mod tests {
             }
         });
         assert_eq!(ran.load(Ordering::Relaxed), 0x3ff);
+    }
+
+    #[test]
+    fn a_visiting_order_changes_neither_results_nor_the_error() {
+        // Odd indices first, each half backwards.
+        let visit = |p: usize| {
+            if p < 32 {
+                63 - 2 * p
+            } else {
+                62 - 2 * (p - 32)
+            }
+        };
+        let expect: Vec<usize> = (0..64).map(|i| i * 7).collect();
+        for threads in [1, 2, 4, 16] {
+            let got = par_map_visiting(64, threads, visit, |i| Ok::<_, ()>(i * 7));
+            assert_eq!(got.as_ref(), Ok(&expect), "threads = {threads}");
+            // Index 9 is visited after 23 and 40, yet its error wins and
+            // everything below it runs.
+            let ran = AtomicU64::new(0);
+            let got = par_map_visiting(64, threads, visit, |i| {
+                ran.fetch_or(1 << i, Ordering::Relaxed);
+                if i == 9 || i == 23 || i == 40 {
+                    Err(i)
+                } else {
+                    Ok(i)
+                }
+            });
+            assert_eq!(got, Err(9), "threads = {threads}");
+            assert_eq!(ran.load(Ordering::Relaxed) & 0x3ff, 0x3ff);
+        }
     }
 }

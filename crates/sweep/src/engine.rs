@@ -2,15 +2,15 @@
 //! result rows it collects.
 
 use std::collections::HashMap;
-use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use serde::{Serialize, Sink};
 
 use pimsim_arch::{ArchConfig, Energy};
 use pimsim_compiler::{Compiled, Compiler};
 use pimsim_core::Simulator;
-use pimsim_event::{par_map_indexed, SimTime};
+use pimsim_event::{par_map_visiting, SimTime};
 
 use crate::grid::{zoo_network, Scenario, SweepGrid};
 use crate::{SweepError, ARCH_KNOBS};
@@ -99,18 +99,30 @@ impl Scenario {
     /// resolution, or the compile or simulation fails.
     pub fn execute(&self, index: usize) -> Result<SweepRow, SweepError> {
         self.arch.validate()?;
-        self.simulate(index, &self.compile()?)
+        let compiled = self.compile().map_err(|e| self.labelled(e))?;
+        self.simulate(index, &compiled)
     }
 
     /// Builds the network and compiles it for this scenario's
-    /// architecture, which the caller has validated.
+    /// architecture, which the caller has validated. A compiler error does
+    /// not name the scenario yet: scenarios sharing one compile each word
+    /// it with their own label ([`Scenario::labelled`]).
     fn compile(&self) -> Result<Compiled, SweepError> {
         let net = zoo_network(&self.network, self.resolution)?;
         Compiler::new(&self.arch)
             .mapping(self.mapping)
             .batch(self.batch)
             .compile(&net)
-            .map_err(|e| SweepError::Compile(format!("{}: {e}", self.display_label())))
+            .map_err(|e| SweepError::Compile(e.to_string()))
+    }
+
+    /// Words a [`Scenario::compile`] error for this scenario: a compiler
+    /// error gains its label, a network error is already complete.
+    fn labelled(&self, e: SweepError) -> SweepError {
+        match e {
+            SweepError::Compile(e) => SweepError::Compile(format!("{}: {e}", self.display_label())),
+            e => e,
+        }
     }
 
     /// Simulates `compiled` on this scenario's architecture, which the
@@ -158,17 +170,18 @@ pub fn run_grid(grid: &SweepGrid, threads: usize) -> Result<Vec<SweepRow>, Sweep
 }
 
 /// Runs an explicit scenario list on a pool of `threads` OS threads
-/// ([`par_map_indexed`]): the returned rows are ordered by scenario index
-/// and the campaign output is independent of thread interleaving.
+/// ([`par_map_visiting`], one point per call): the returned rows are
+/// ordered by scenario index and the campaign output is independent of
+/// thread interleaving.
 ///
 /// Scenarios that compile to the same program — the same network,
 /// resolution, mapping and batch on architectures that differ only in
-/// [`ARCH_KNOBS`], none of which the compiler reads — form one group. A
-/// group runs on one worker, which compiles once and simulates each
-/// member in index order, so every row equals [`Scenario::execute`]'s.
-/// With fewer groups than threads, each group is split into
-/// `ceil(threads / groups)` runs of consecutive members, each compiled
-/// once, so that every thread has work.
+/// [`ARCH_KNOBS`], none of which the compiler reads — form a group and
+/// share one compile: the first member to need it compiles, the others
+/// wait for it, and the last member to finish drops it. The pool visits
+/// the points group by group, so only the programs of the groups in
+/// flight are alive, whatever order the list comes in. Every row equals
+/// [`Scenario::execute`]'s.
 ///
 /// # Errors
 ///
@@ -183,37 +196,30 @@ pub fn run_scenarios(
     if scenarios.is_empty() {
         return Err(SweepError::EmptyGrid);
     }
-    // Cancellation goes by scenario index, not group index: a later group
-    // can hold a smaller index than an earlier group's failure.
-    let first_failed = AtomicUsize::new(usize::MAX);
     let groups = program_groups(&scenarios);
-    let split = threads.max(1).div_ceil(groups.len());
-    let runs: Vec<&[usize]> = groups
-        .iter()
-        .flat_map(|members| members.chunks(members.len().div_ceil(split)))
-        .collect();
-    let Ok(outcomes) = par_map_indexed(runs.len(), threads, |r| {
-        Ok::<_, Infallible>(run_group(&scenarios, runs[r], &first_failed))
-    });
-    let mut rows = Vec::with_capacity(scenarios.len());
-    let mut failure: Option<(usize, SweepError)> = None;
-    for outcome in outcomes {
-        match outcome {
-            Ok(run) => rows.extend(run),
-            Err((index, e)) => {
-                if failure.as_ref().is_none_or(|&(first, _)| index < first) {
-                    failure = Some((index, e));
-                }
-            }
+    let mut group_of = vec![0; scenarios.len()];
+    for (g, members) in groups.iter().enumerate() {
+        for &index in members {
+            group_of[index] = g;
         }
     }
-    if let Some((_, e)) = failure {
-        return Err(e);
-    }
-    // With no failure every group ran every member, and every index is in
-    // one group: the rows hold each index once.
-    rows.sort_unstable_by_key(|row| row.index);
-    Ok(rows)
+    let programs: Vec<SharedProgram> = groups.iter().map(|m| SharedProgram::new(m.len())).collect();
+    let order = groups.concat();
+    par_map_visiting(
+        scenarios.len(),
+        threads,
+        |p| order[p],
+        |index| {
+            let s = &scenarios[index];
+            let program = &programs[group_of[index]];
+            let row = s.arch.validate().map_err(SweepError::from).and_then(|()| {
+                let compiled = program.get_or_compile(s).map_err(|e| s.labelled(e))?;
+                s.simulate(index, &compiled)
+            });
+            program.finish();
+            row
+        },
+    )
 }
 
 /// Partitions scenario indices into groups that compile to one program:
@@ -245,41 +251,40 @@ fn program_groups(scenarios: &[Scenario]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// Runs members of one program group in index order: validates each
-/// member's architecture, compiles once (for the first member) and
-/// simulates every member on its own architecture. Stops at the first
-/// failure, returned with its scenario index, or at a member above a
-/// failure `first_failed` records elsewhere.
-fn run_group(
-    scenarios: &[Scenario],
-    members: &[usize],
-    first_failed: &AtomicUsize,
-) -> Result<Vec<SweepRow>, (usize, SweepError)> {
-    let mut compiled = None;
-    let mut rows = Vec::with_capacity(members.len());
-    for &index in members {
-        // Relaxed: an early-out hint, as in `par_map_indexed`; the rows
-        // are published by the pool's join.
-        if index > first_failed.load(Ordering::Relaxed) {
-            break;
-        }
-        let s = &scenarios[index];
-        let row = s.arch.validate().map_err(SweepError::from).and_then(|()| {
-            let program = match &compiled {
-                Some(program) => program,
-                None => compiled.insert(s.compile()?),
-            };
-            s.simulate(index, program)
-        });
-        match row {
-            Ok(row) => rows.push(row),
-            Err(e) => {
-                first_failed.fetch_min(index, Ordering::Relaxed);
-                return Err((index, e));
-            }
+/// One program group's compile, shared by its members: made by the first
+/// member that needs it and dropped when the last member finishes, so a
+/// campaign holds only the programs of the groups in flight.
+struct SharedProgram {
+    /// The compile's outcome, with a compiler error not yet worded with a
+    /// member's label; `None` before the first member and after the last.
+    slot: Mutex<Option<Result<Arc<Compiled>, SweepError>>>,
+    /// Members that have not finished.
+    pending: AtomicUsize,
+}
+
+impl SharedProgram {
+    fn new(members: usize) -> Self {
+        SharedProgram {
+            slot: Mutex::new(None),
+            pending: AtomicUsize::new(members),
         }
     }
-    Ok(rows)
+
+    /// The group's program, compiled for `s` if no member has compiled it
+    /// yet. The lock is held over the compile, so members that need the
+    /// program meanwhile wait for that one compile.
+    fn get_or_compile(&self, s: &Scenario) -> Result<Arc<Compiled>, SweepError> {
+        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.get_or_insert_with(|| s.compile().map(Arc::new))
+            .clone()
+    }
+
+    /// Records that one member has finished; the last drops the program.
+    fn finish(&self) {
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        }
+    }
 }
 
 /// Renders campaign results as pretty JSON: `{"points": N, "rows": [...]}`.
@@ -387,6 +392,45 @@ mod tests {
         for (g, members) in groups.iter().enumerate() {
             assert_eq!(*members, (4 * g..4 * g + 4).collect::<Vec<_>>());
         }
+        Ok(())
+    }
+
+    #[test]
+    fn a_shared_program_is_compiled_once_and_dropped_by_its_last_member() -> Result<(), SweepError>
+    {
+        let at = |rob, batch| {
+            Scenario::cycle(
+                "tiny_mlp",
+                64,
+                MappingPolicy::PerformanceFirst,
+                batch,
+                ArchConfig::small_test().with_rob(rob),
+            )
+        };
+        let shared = SharedProgram::new(2);
+        let first = shared.get_or_compile(&at(4, 1))?;
+        let second = shared.get_or_compile(&at(8, 1))?;
+        assert!(Arc::ptr_eq(&first, &second));
+        let alive = |shared: &SharedProgram| shared.slot.lock().is_ok_and(|s| s.is_some());
+        shared.finish();
+        assert!(alive(&shared));
+        shared.finish();
+        assert!(!alive(&shared));
+
+        // A batch too large for global memory: the member that compiled
+        // (rob=3) is not the one that reports (rob=1), whose label alone
+        // the error carries.
+        let failing = SharedProgram::new(2);
+        let _ = failing.get_or_compile(&at(3, 1_000_000));
+        let reporter = at(1, 1_000_000);
+        let Err(SweepError::Compile(text)) = failing
+            .get_or_compile(&reporter)
+            .map_err(|e| reporter.labelled(e))
+        else {
+            panic!("a batch of a million cannot fit the small test chip");
+        };
+        assert!(text.starts_with(&reporter.display_label()), "{text}");
+        assert!(!text.contains("rob=3"), "{text}");
         Ok(())
     }
 

@@ -15,7 +15,8 @@
 //! Every grid point is one simulation on the cycle-accurate simulator.
 //! The compiler reads none of the [`ARCH_KNOBS`], so [`run_scenarios`]
 //! compiles once per distinct program and simulates every point that
-//! shares it; [`Scenario::execute`], one compile-and-simulate, is the
+//! shares it, still handing the pool one point at a time, program by
+//! program; [`Scenario::execute`], one compile-and-simulate, is the
 //! single-point path and the oracle the shared compiles are held to.
 //! `pimsim_serve` warms its `(network, batch size)` service-time cache by
 //! executing one [`Scenario`] per key on the same pool. The

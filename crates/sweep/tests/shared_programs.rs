@@ -94,8 +94,8 @@ fn shared_grid() -> Vec<Scenario> {
         .collect()
 }
 
-/// One program shared by 8 points: at 2 and 4 threads the group is split
-/// into runs, one compile each.
+/// One program shared by 8 points: at 2 and 4 threads its members run on
+/// several workers at once, all waiting on one compile.
 fn one_program_grid() -> Vec<Scenario> {
     let mut grid = SweepGrid::over_networks(["tiny_cnn"]);
     grid.base = Some(ArchConfig::small_test());
@@ -139,9 +139,8 @@ fn an_invalid_member_of_a_shared_group_fails_as_it_would_alone() {
         scenarios[index].arch.resources.rob_size = 0;
         assert_same_error(&scenarios, |e| e.to_string().contains("resources.rob_size"));
     }
-    // A split group (runs of 2 at 4 threads, of 4 at 2): a later failure
-    // in another run, one in the same run at 2 threads, and one failure
-    // at a run's first member at 4 threads.
+    // One group on several workers: the smallest failure beside later
+    // ones, near and far, and a failure that no other point follows.
     for bad in [&[3, 5][..], &[5, 7], &[6]] {
         let mut scenarios = one_program_grid();
         scenarios[bad[0]].arch.resources.vector_lanes = 0;
