@@ -57,5 +57,5 @@ fn main() {
     }
     println!("\npaper: ours ~1.1x on the VGGs and 1.53x on resnet-18; conv2 communication");
     println!("ratio 18% under idealistic async comm vs 77% under synchronized transfers.");
-    println!("(see EXPERIMENTS.md for where and why this reproduction diverges on resnet)");
+    println!("(see docs/divergence.md for where and why this reproduction diverges)");
 }

@@ -561,15 +561,11 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
         eprintln!("wrote {path}");
     }
     if let Some(path) = args.get("asm") {
-        emit(Some(path), |w| {
-            w.write_all(asm::disassemble(&compiled.program).as_bytes())
-        })?;
+        emit(Some(path), |w| asm::write_disassembly(&compiled.program, w))?;
         eprintln!("wrote {path}");
     }
     if args.get("out").is_none() && args.get("asm").is_none() {
-        emit(None, |w| {
-            w.write_all(asm::disassemble(&compiled.program).as_bytes())
-        })?;
+        emit(None, |w| asm::write_disassembly(&compiled.program, w))?;
     }
     Ok(())
 }
@@ -761,7 +757,7 @@ fn cmd_disasm(args: &Args) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let program = Program::from_json(&text).map_err(|e| e.to_string())?;
     program.validate_fields().map_err(|e| e.to_string())?;
-    emit(None, |w| w.write_all(asm::disassemble(&program).as_bytes()))
+    emit(None, |w| asm::write_disassembly(&program, w))
 }
 
 /// The campaign `sweep` runs: the `--config` grid, with the axes given as

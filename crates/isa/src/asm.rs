@@ -10,11 +10,14 @@
 //!   in=N out=M xbars=0,1,2` (define a crossbar group), `.init START
 //!   v0,v1,...` (preload local memory).
 //!
-//! Each op mnemonic is written once, in `instr.rs`: an op enum's
-//! `mnemonic()` (what `Display` prints) beside its `ALL` table, which the
-//! parser searches (for example [`VBinOp::ALL`] for `vadd`). Operands are
-//! separated by commas, and an empty operand (`add r1,, r2` or a trailing
-//! comma) is an error naming the mnemonic and the operand's position.
+//! Each op mnemonic is printed from its op enum's `mnemonic()` in
+//! `instr.rs`; the parser dispatches on a mnemonic's bytes in one `match`,
+//! and a test holds that `match` to every entry of each enum's `ALL` table
+//! (for example [`VBinOp::ALL`] for `vadd`). Operands are separated by
+//! commas, and an empty operand (`add r1,, r2` or a trailing comma) is an
+//! error naming the mnemonic and the operand's position. Whitespace is
+//! what [`char::is_whitespace`] accepts, so a tab, a `\r` before the line
+//! feed, U+00A0 or U+3000 separate as a space does.
 //!
 //! ```rust
 //! use pimsim_isa::asm;
@@ -39,12 +42,14 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt;
+use std::io;
 
 use crate::error::IsaError;
 use crate::group::GroupConfig;
 use crate::instr::{
-    Addr, BranchCond, CoreId, GroupId, Instruction, PoolOp, SBinOp, SImmOp, VBinOp, VImmOp, VUnOp,
+    Addr, AsmLine, BranchCond, CoreId, GroupId, Instruction, PoolOp, SBinOp, SImmOp, VBinOp,
+    VImmOp, VUnOp,
 };
 use crate::program::{fits_fields, CoreProgram, Program, ProgramMeta};
 use crate::reg::Reg;
@@ -56,9 +61,181 @@ fn perr(line: usize, msg: impl Into<String>) -> IsaError {
     }
 }
 
-/// One instruction's comma-separated operands, taken in order.
+/// [`char::is_whitespace`] on an ASCII byte.
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// `s.trim()`: ASCII whitespace is stepped over byte by byte, and only a
+/// non-ASCII edge is left to the char decoder.
+fn trim(s: &str) -> &str {
+    let b = s.as_bytes();
+    let (mut lo, mut hi) = (0, b.len());
+    while lo < hi && is_space(b[lo]) {
+        lo += 1;
+    }
+    while hi > lo && is_space(b[hi - 1]) {
+        hi -= 1;
+    }
+    let s = &s[lo..hi];
+    match (s.as_bytes().first(), s.as_bytes().last()) {
+        (Some(&first), Some(&last)) if first >= 0x80 || last >= 0x80 => s.trim(),
+        _ => s,
+    }
+}
+
+/// `s.split_once(char::is_whitespace)`, decoding chars only from the first
+/// non-ASCII byte on.
+fn split_space(s: &str) -> Option<(&str, &str)> {
+    let b = s.as_bytes();
+    let at = b.iter().position(|&c| is_space(c) || c >= 0x80)?;
+    if b[at] < 0x80 {
+        return Some((&s[..at], &s[at + 1..]));
+    }
+    let (word, rest) = s[at..].split_once(char::is_whitespace)?;
+    Some((&s[..at + word.len()], rest))
+}
+
+/// An integer as `str::parse` reads it for a type of `radix`: a `+` (or,
+/// when `signed`, a `-`), then at least one digit; `None` past `i64`.
+fn digits(s: &[u8], radix: u32, signed: bool) -> Option<i64> {
+    let (negative, body) = match s {
+        [b'+', body @ ..] => (false, body),
+        [b'-', body @ ..] if signed => (true, body),
+        _ => (false, s),
+    };
+    if body.is_empty() {
+        return None;
+    }
+    body.iter().try_fold(0i64, |v, &c| {
+        let d = i64::from(char::from(c).to_digit(radix)?);
+        let v = v.checked_mul(i64::from(radix))?;
+        if negative {
+            v.checked_sub(d)
+        } else {
+            v.checked_add(d)
+        }
+    })
+}
+
+/// An unsigned decimal field as `str::parse::<T>` reads it.
+fn unsigned<T: TryFrom<i64>>(s: &str) -> Option<T> {
+    T::try_from(digits(s.as_bytes(), 10, false)?).ok()
+}
+
+/// A decimal, `0x`/`0X` or `-0x`/`-0X` integer, whitespace around it
+/// allowed.
+fn parse_int(s: &str) -> Option<i64> {
+    match trim(s).as_bytes() {
+        [b'0', b'x' | b'X', hex @ ..] => digits(hex, 16, true),
+        [b'-', b'0', b'x' | b'X', hex @ ..] => digits(hex, 16, true).map(i64::wrapping_neg),
+        dec => digits(dec, 10, true),
+    }
+}
+
+/// A register as `Reg`'s `FromStr` reads it: `zero`, or `r` and an index.
+fn parse_reg(s: &str) -> Option<Reg> {
+    match s.as_bytes() {
+        b"zero" => Some(Reg::R0),
+        [b'r', index @ ..] => Reg::new(u8::try_from(digits(index, 10, false)?).ok()?).ok(),
+        _ => None,
+    }
+}
+
+/// Parses `[rN+OFF]`, `[rN-OFF]`, `[rN]`; with `global`, requires `g` prefix.
+fn parse_addr(tok: &str, global: bool) -> Option<Addr> {
+    let tok = if global { tok.strip_prefix('g')? } else { tok };
+    let inner = tok.strip_prefix('[')?.strip_suffix(']')?;
+    let b = inner.as_bytes();
+    let (base, off) = match b.iter().position(|&c| c == b'+') {
+        Some(i) => (&inner[..i], parse_int(&inner[i + 1..])?),
+        None => match b.iter().rposition(|&c| c == b'-') {
+            Some(0) => return None,
+            Some(i) => (&inner[..i], parse_int(&inner[i + 1..])?.wrapping_neg()),
+            None => (inner, 0),
+        },
+    };
+    Addr::new(parse_reg(trim(base))?, i32::try_from(off).ok()?).ok()
+}
+
+/// A reader of one operand as `Display` writes it (decimal integers,
+/// `rN`, `[rN+off]`, `key=value`), in place over the operand bytes. It
+/// gives up on anything else (hex, a `+` sign, a bare `[rN]`, unicode
+/// whitespace), and [`Operands`] then cuts the operand out and parses the
+/// token.
+struct Canonical<'a> {
+    b: &'a [u8],
+    at: usize,
+}
+
+impl Canonical<'_> {
+    fn spaces(&mut self) {
+        while self.b.get(self.at).is_some_and(|&c| is_space(c)) {
+            self.at += 1;
+        }
+    }
+
+    fn byte(&mut self, c: u8) -> Option<()> {
+        (self.b.get(self.at) == Some(&c)).then(|| self.at += 1)
+    }
+
+    fn bytes(&mut self, s: &[u8]) -> Option<()> {
+        let end = self.at + s.len();
+        (self.b.get(self.at..end) == Some(s)).then(|| self.at = end)
+    }
+
+    /// One to 18 decimal digits.
+    fn digits(&mut self) -> Option<i64> {
+        let start = self.at;
+        let mut v: i64 = 0;
+        while let Some(d) = self.b.get(self.at).map(|c| c.wrapping_sub(b'0')) {
+            if d > 9 || self.at - start == 18 {
+                break;
+            }
+            v = v * 10 + i64::from(d);
+            self.at += 1;
+        }
+        (self.at > start).then_some(v)
+    }
+
+    fn int(&mut self) -> Option<i64> {
+        let negative = self.byte(b'-').is_some();
+        let v = self.digits()?;
+        Some(if negative { -v } else { v })
+    }
+
+    /// An unsigned field: a register, core, group or window index.
+    fn index<T: TryFrom<i64>>(&mut self) -> Option<T> {
+        T::try_from(self.digits()?).ok()
+    }
+
+    fn reg(&mut self) -> Option<Reg> {
+        self.byte(b'r')?;
+        Reg::new(self.index()?).ok()
+    }
+
+    fn addr(&mut self) -> Option<Addr> {
+        self.byte(b'[')?;
+        let base = self.reg()?;
+        let negative = match self.b.get(self.at) {
+            Some(b'+') => false,
+            Some(b'-') => true,
+            _ => return None,
+        };
+        self.at += 1;
+        let off = self.digits()?;
+        self.byte(b']')?;
+        let off = if negative { -off } else { off };
+        Addr::new(base, i32::try_from(off).ok()?).ok()
+    }
+}
+
+/// One instruction's comma-separated operands, each cut at its comma and
+/// trimmed as it is taken.
 struct Operands<'a> {
-    items: std::str::Split<'a, char>,
+    rest: &'a str,
+    /// Where the next operand starts; past `rest`'s end, none is left.
+    next: usize,
     taken: usize,
     line: usize,
     mnemonic: &'a str,
@@ -67,94 +244,186 @@ struct Operands<'a> {
 }
 
 impl<'a> Operands<'a> {
-    /// Splits `rest` on commas (no nesting in this syntax); an empty
-    /// operand is an error.
-    fn new(mnemonic: &'a str, rest: &'a str, line: usize) -> Result<Self, IsaError> {
-        let mut items = rest.split(',');
-        if rest.is_empty() {
-            items.next(); // no operands at all
-        }
-        if let Some(i) = items.clone().position(|s| s.trim().is_empty()) {
-            let msg = format!("`{mnemonic}` operand {} is empty", i + 1);
-            return Err(perr(line, msg));
-        }
-        Ok(Operands {
-            items,
+    fn new(mnemonic: &'a str, rest: &'a str, line: usize) -> Self {
+        Operands {
+            rest,
+            // No operands at all when nothing follows the mnemonic.
+            next: usize::from(rest.is_empty()),
             taken: 0,
             line,
             mnemonic,
             label: None,
-        })
+        }
+    }
+
+    /// The operand from `from` to the next comma (no nesting in this
+    /// syntax), trimmed, and where the one after it starts.
+    fn cut(&self, from: usize) -> (&'a str, usize) {
+        let b = self.rest.as_bytes();
+        let mut to = from;
+        while to < b.len() && b[to] != b',' {
+            to += 1;
+        }
+        (trim(&self.rest[from..to]), to + 1)
+    }
+
+    fn empty(&self, position: usize) -> IsaError {
+        let msg = format!("`{}` operand {position} is empty", self.mnemonic);
+        perr(self.line, msg)
+    }
+
+    /// The error naming the first empty operand, if one is: it stands
+    /// before any other error on the line.
+    fn first_empty(&self) -> Option<IsaError> {
+        let mut from = usize::from(self.rest.is_empty());
+        let mut position = 1;
+        while from <= self.rest.len() {
+            let (item, next) = self.cut(from);
+            if item.is_empty() {
+                return Some(self.empty(position));
+            }
+            (from, position) = (next, position + 1);
+        }
+        None
     }
 
     fn take(&mut self) -> Result<&'a str, IsaError> {
-        let item = self.items.next().ok_or_else(|| {
-            perr(
+        if self.next > self.rest.len() {
+            return Err(perr(
                 self.line,
                 format!("`{}` is missing operand {}", self.mnemonic, self.taken + 1),
-            )
-        })?;
-        self.taken += 1;
-        Ok(item.trim())
+            ));
+        }
+        let (item, next) = self.cut(self.next);
+        (self.next, self.taken) = (next, self.taken + 1);
+        if item.is_empty() {
+            return Err(self.empty(self.taken));
+        }
+        Ok(item)
     }
 
     /// Checks that every operand was taken; returns the label a branch
     /// target named, if any.
     fn finish(self) -> Result<Option<&'a str>, IsaError> {
-        match self.items.count() {
-            0 => Ok(self.label),
-            extra => Err(perr(
-                self.line,
-                format!("`{}` has {extra} extra operand(s)", self.mnemonic),
-            )),
+        if self.next > self.rest.len() {
+            return Ok(self.label);
         }
+        if let Some(empty) = self.first_empty() {
+            return Err(empty);
+        }
+        let extra = 1 + self.rest.as_bytes()[self.next..]
+            .iter()
+            .filter(|&&c| c == b',')
+            .count();
+        Err(perr(
+            self.line,
+            format!("`{}` has {extra} extra operand(s)", self.mnemonic),
+        ))
     }
 
-    /// Takes the next operand and parses it with `parse`, or reports
-    /// "expected {expected}, got `{token}`".
+    /// The next operand, when it is spelled as `Display` writes it: `read`
+    /// takes it in place, between ASCII spaces and up to its comma. `None`
+    /// leaves the operand for [`Operands::take`] and the token parsers,
+    /// which read every spelling.
+    fn canonical<T>(&mut self, read: impl FnOnce(&mut Canonical<'a>) -> Option<T>) -> Option<T> {
+        let b = self.rest.as_bytes();
+        if self.next > b.len() {
+            return None;
+        }
+        let mut c = Canonical { b, at: self.next };
+        c.spaces();
+        let value = read(&mut c)?;
+        c.spaces();
+        self.next = match b.get(c.at) {
+            None => b.len() + 1,
+            Some(b',') => c.at + 1,
+            Some(_) => return None,
+        };
+        self.taken += 1;
+        Some(value)
+    }
+
+    /// Reads the next operand, in place when it is canonical, else with
+    /// `parse` on its token, or reports "expected {expected}, got
+    /// `{token}`".
     fn parsed<T>(
         &mut self,
+        read: impl FnOnce(&mut Canonical<'a>) -> Option<T>,
         parse: impl FnOnce(&str) -> Option<T>,
         expected: &str,
     ) -> Result<T, IsaError> {
+        if let Some(value) = self.canonical(read) {
+            return Ok(value);
+        }
         let tok = self.take()?;
         parse(tok).ok_or_else(|| perr(self.line, format!("expected {expected}, got `{tok}`")))
     }
 
     fn reg(&mut self) -> Result<Reg, IsaError> {
-        self.parsed(|t| t.parse().ok(), "register")
+        self.parsed(Canonical::reg, parse_reg, "register")
+    }
+
+    fn int(&mut self) -> Result<i64, IsaError> {
+        self.parsed(Canonical::int, parse_int, "integer")
     }
 
     fn u32(&mut self) -> Result<u32, IsaError> {
-        let v = self.parsed(parse_int, "integer")?;
+        let v = self.int()?;
         u32::try_from(v).map_err(|_| perr(self.line, format!("expected unsigned value, got {v}")))
     }
 
     fn i32(&mut self) -> Result<i32, IsaError> {
-        let v = self.parsed(parse_int, "integer")?;
+        let v = self.int()?;
         i32::try_from(v).map_err(|_| perr(self.line, format!("immediate {v} does not fit 32 bits")))
     }
 
     fn addr(&mut self) -> Result<Addr, IsaError> {
-        self.parsed(|t| parse_addr(t, false), "address like [r1+8]")
+        self.parsed(
+            Canonical::addr,
+            |t| parse_addr(t, false),
+            "address like [r1+8]",
+        )
     }
 
     fn gaddr(&mut self) -> Result<Addr, IsaError> {
-        self.parsed(|t| parse_addr(t, true), "global address like g[r1+8]")
+        self.parsed(
+            |c| {
+                c.byte(b'g')?;
+                c.addr()
+            },
+            |t| parse_addr(t, true),
+            "global address like g[r1+8]",
+        )
     }
 
     fn core(&mut self) -> Result<CoreId, IsaError> {
-        let id = |t: &str| t.strip_prefix("core").unwrap_or(t).parse().ok();
-        Ok(CoreId(self.parsed(id, "core id")?))
+        let read = |c: &mut Canonical| {
+            c.bytes(b"core")?;
+            c.index()
+        };
+        let id = |t: &str| unsigned(t.strip_prefix("core").unwrap_or(t));
+        Ok(CoreId(self.parsed(read, id, "core id")?))
     }
 
     fn group(&mut self) -> Result<GroupId, IsaError> {
-        let id = |t: &str| t.strip_prefix('g')?.parse().ok();
-        Ok(GroupId(self.parsed(id, "group like g3")?))
+        let read = |c: &mut Canonical| {
+            c.byte(b'g')?;
+            c.index()
+        };
+        let id = |t: &str| unsigned(t.strip_prefix('g')?);
+        Ok(GroupId(self.parsed(read, id, "group like g3")?))
     }
 
     /// Parses `key=value` returning the integer value.
     fn kv_int(&mut self, key: &str) -> Result<i64, IsaError> {
+        let read = |c: &mut Canonical| {
+            c.bytes(key.as_bytes())?;
+            c.byte(b'=')?;
+            c.int()
+        };
+        if let Some(v) = self.canonical(read) {
+            return Ok(v);
+        }
         let tok = self.take()?;
         let val = tok
             .strip_prefix(key)
@@ -180,57 +449,110 @@ impl<'a> Operands<'a> {
 
     /// Parses `win=WxH`.
     fn kv_window(&mut self) -> Result<(u32, u32), IsaError> {
+        let read = |c: &mut Canonical| {
+            c.bytes(b"win=")?;
+            let w = c.index()?;
+            c.byte(b'x')?;
+            Some((w, c.index()?))
+        };
+        if let Some(window) = self.canonical(read) {
+            return Ok(window);
+        }
         let tok = self.take()?;
         let (w, h) = tok
             .strip_prefix("win=")
             .and_then(|v| v.split_once('x'))
             .ok_or_else(|| perr(self.line, format!("expected `win=WxH`, got `{tok}`")))?;
         let bad = || perr(self.line, format!("bad window `{tok}`"));
-        Ok((w.parse().map_err(|_| bad())?, h.parse().map_err(|_| bad())?))
+        Ok((unsigned(w).ok_or_else(bad)?, unsigned(h).ok_or_else(bad)?))
     }
 
     /// Parses a branch target: a number, or a label name that reads as
     /// target 0 until [`assemble`] patches it.
     fn target(&mut self) -> Result<u32, IsaError> {
-        let tok = self.take()?;
-        match parse_int(tok) {
-            Some(v) => u32::try_from(v)
-                .map_err(|_| perr(self.line, format!("branch target {v} out of range"))),
+        let v = match self.canonical(Canonical::int) {
+            Some(v) => v,
             None => {
-                self.label = Some(tok);
-                Ok(0)
+                let tok = self.take()?;
+                let Some(v) = parse_int(tok) else {
+                    self.label = Some(tok);
+                    return Ok(0);
+                };
+                v
             }
-        }
+        };
+        u32::try_from(v).map_err(|_| perr(self.line, format!("branch target {v} out of range")))
     }
-}
 
-fn parse_int(s: &str) -> Option<i64> {
-    let s = s.trim();
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        i64::from_str_radix(hex, 16).ok()
-    } else if let Some(hex) = s.strip_prefix("-0x") {
-        i64::from_str_radix(hex, 16).ok().map(|v| -v)
-    } else {
-        s.parse().ok()
+    fn branch(&mut self, cond: BranchCond) -> Result<Instruction, IsaError> {
+        Ok(Instruction::Branch {
+            cond,
+            rs1: self.reg()?,
+            rs2: self.reg()?,
+            target: self.target()?,
+        })
     }
-}
 
-/// Parses `[rN+OFF]`, `[rN-OFF]`, `[rN]`; with `global`, requires `g` prefix.
-fn parse_addr(tok: &str, global: bool) -> Option<Addr> {
-    let tok = if global { tok.strip_prefix('g')? } else { tok };
-    let inner = tok.strip_prefix('[')?.strip_suffix(']')?;
-    let (reg_part, off) = if let Some(i) = inner.find('+') {
-        (&inner[..i], parse_int(&inner[i + 1..])?)
-    } else if let Some(i) = inner.rfind('-') {
-        if i == 0 {
-            return None;
-        }
-        (&inner[..i], -parse_int(&inner[i + 1..])?)
-    } else {
-        (inner, 0)
-    };
-    let base: Reg = reg_part.trim().parse().ok()?;
-    Addr::new(base, i32::try_from(off).ok()?).ok()
+    fn sbin(&mut self, op: SBinOp) -> Result<Instruction, IsaError> {
+        Ok(Instruction::SBin {
+            op,
+            rd: self.reg()?,
+            rs1: self.reg()?,
+            rs2: self.reg()?,
+        })
+    }
+
+    fn simm(&mut self, op: SImmOp) -> Result<Instruction, IsaError> {
+        Ok(Instruction::SImm {
+            op,
+            rd: self.reg()?,
+            rs1: self.reg()?,
+            imm: self.i32()?,
+        })
+    }
+
+    fn vbin(&mut self, op: VBinOp) -> Result<Instruction, IsaError> {
+        Ok(Instruction::VBin {
+            op,
+            dst: self.addr()?,
+            a: self.addr()?,
+            b: self.addr()?,
+            len: self.u32()?,
+        })
+    }
+
+    fn vimm(&mut self, op: VImmOp) -> Result<Instruction, IsaError> {
+        Ok(Instruction::VImm {
+            op,
+            dst: self.addr()?,
+            src: self.addr()?,
+            imm: self.i32()?,
+            len: self.u32()?,
+        })
+    }
+
+    fn vun(&mut self, op: VUnOp) -> Result<Instruction, IsaError> {
+        Ok(Instruction::VUn {
+            op,
+            dst: self.addr()?,
+            src: self.addr()?,
+            len: self.u32()?,
+        })
+    }
+
+    fn pool(&mut self, op: PoolOp) -> Result<Instruction, IsaError> {
+        let (dst, src, channels) = (self.addr()?, self.addr()?, self.kv_u32("ch")?);
+        let (win_w, win_h) = self.kv_window()?;
+        Ok(Instruction::VPool {
+            op,
+            dst,
+            src,
+            channels,
+            win_w,
+            win_h,
+            row_stride: self.kv_i32("rstride")?,
+        })
+    }
 }
 
 /// Parses one instruction in canonical syntax. Branch/jump targets must be
@@ -253,42 +575,80 @@ pub fn parse_instruction(text: &str) -> Result<Instruction, IsaError> {
     }
 }
 
-/// The op of `mnemonic` in an op enum's `ALL` table.
-fn lookup<T: Copy>(all: &[T], name: fn(T) -> &'static str, mnemonic: &str) -> Option<T> {
-    all.iter().copied().find(|&op| name(op) == mnemonic)
-}
-
 /// Parses one instruction, returning beside it the label its branch
 /// target names (the target then reads 0).
 fn parse_line(text: &str, line: usize) -> Result<(Instruction, Option<&str>), IsaError> {
-    let text = text.trim();
-    let (mnemonic, rest) = text.split_once(char::is_whitespace).unwrap_or((text, ""));
-    let mut ops = Operands::new(mnemonic, rest, line)?;
+    let text = trim(text);
+    let (mnemonic, rest) = split_space(text).unwrap_or((text, ""));
+    let mut ops = Operands::new(mnemonic, rest, line);
+    match decode(mnemonic, &mut ops) {
+        Ok(instr) => Ok((instr, ops.finish()?)),
+        Err(e) => Err(ops.first_empty().unwrap_or(e)),
+    }
+}
+
+/// The instruction `mnemonic` names, its operands taken from `ops`.
+fn decode(mnemonic: &str, ops: &mut Operands) -> Result<Instruction, IsaError> {
+    let line = ops.line;
     use Instruction::*;
-    let instr = match mnemonic {
-        "nop" => Nop,
-        "halt" => Halt,
-        "jmp" => Jump {
+    Ok(match mnemonic.as_bytes() {
+        b"nop" => Nop,
+        b"halt" => Halt,
+        b"jmp" => Jump {
             target: ops.target()?,
         },
-        "li" => SImm {
+        b"beq" => ops.branch(BranchCond::Eq)?,
+        b"bne" => ops.branch(BranchCond::Ne)?,
+        b"blt" => ops.branch(BranchCond::Lt)?,
+        b"bge" => ops.branch(BranchCond::Ge)?,
+        b"add" => ops.sbin(SBinOp::Add)?,
+        b"sub" => ops.sbin(SBinOp::Sub)?,
+        b"mul" => ops.sbin(SBinOp::Mul)?,
+        b"and" => ops.sbin(SBinOp::And)?,
+        b"or" => ops.sbin(SBinOp::Or)?,
+        b"xor" => ops.sbin(SBinOp::Xor)?,
+        b"slt" => ops.sbin(SBinOp::Slt)?,
+        b"sll" => ops.sbin(SBinOp::Sll)?,
+        b"srl" => ops.sbin(SBinOp::Srl)?,
+        b"addi" => ops.simm(SImmOp::Add)?,
+        b"muli" => ops.simm(SImmOp::Mul)?,
+        b"slli" => ops.simm(SImmOp::Sll)?,
+        b"srli" => ops.simm(SImmOp::Srl)?,
+        b"andi" => ops.simm(SImmOp::And)?,
+        b"ori" => ops.simm(SImmOp::Or)?,
+        b"slti" => ops.simm(SImmOp::Slt)?,
+        b"li" => SImm {
             op: SImmOp::Add,
             rd: ops.reg()?,
             rs1: Reg::R0,
             imm: ops.i32()?,
         },
-        "mvm" => Mvm {
+        b"mvm" => Mvm {
             group: ops.group()?,
             dst: ops.addr()?,
             src: ops.addr()?,
             len: ops.u32()?,
         },
-        "vfill" => VFill {
+        b"vadd" => ops.vbin(VBinOp::Add)?,
+        b"vsub" => ops.vbin(VBinOp::Sub)?,
+        b"vmul" => ops.vbin(VBinOp::Mul)?,
+        b"vmax" => ops.vbin(VBinOp::Max)?,
+        b"vmin" => ops.vbin(VBinOp::Min)?,
+        b"vaddi" => ops.vimm(VImmOp::Add)?,
+        b"vmuli" => ops.vimm(VImmOp::Mul)?,
+        b"vsrai" => ops.vimm(VImmOp::Sra)?,
+        b"vrelu" => ops.vun(VUnOp::Relu)?,
+        b"vsigmoid" => ops.vun(VUnOp::Sigmoid)?,
+        b"vtanh" => ops.vun(VUnOp::Tanh)?,
+        b"vcopy" => ops.vun(VUnOp::Copy)?,
+        b"vneg" => ops.vun(VUnOp::Neg)?,
+        b"vabs" => ops.vun(VUnOp::Abs)?,
+        b"vfill" => VFill {
             dst: ops.addr()?,
             value: ops.i32()?,
             len: ops.u32()?,
         },
-        "vcopy2d" => VCopy2d {
+        b"vcopy2d" => VCopy2d {
             dst: ops.addr()?,
             src: ops.addr()?,
             block_len: ops.kv_u32("block")?,
@@ -296,19 +656,21 @@ fn parse_line(text: &str, line: usize) -> Result<(Instruction, Option<&str>), Is
             src_stride: ops.kv_i32("sstride")?,
             dst_stride: ops.kv_i32("dstride")?,
         },
-        "send" => Send {
+        b"vpool.max" => ops.pool(PoolOp::Max)?,
+        b"vpool.avg" => ops.pool(PoolOp::Avg)?,
+        b"send" => Send {
             peer: ops.core()?,
             src: ops.addr()?,
             len: ops.u32()?,
             tag: ops.kv_u16("tag")?,
         },
-        "recv" => Recv {
+        b"recv" => Recv {
             peer: ops.core()?,
             dst: ops.addr()?,
             len: ops.u32()?,
             tag: ops.kv_u16("tag")?,
         },
-        "recv2d" => Recv2d {
+        b"recv2d" => Recv2d {
             peer: ops.core()?,
             dst: ops.addr()?,
             block_len: ops.kv_u32("block")?,
@@ -316,79 +678,46 @@ fn parse_line(text: &str, line: usize) -> Result<(Instruction, Option<&str>), Is
             dst_stride: ops.kv_i32("dstride")?,
             tag: ops.kv_u16("tag")?,
         },
-        "gload" => GLoad {
+        b"gload" => GLoad {
             dst: ops.addr()?,
             gaddr: ops.gaddr()?,
             len: ops.u32()?,
         },
-        "gstore" => GStore {
+        b"gstore" => GStore {
             gaddr: ops.gaddr()?,
             src: ops.addr()?,
             len: ops.u32()?,
         },
-        m => {
-            if let Some(cond) = lookup(&BranchCond::ALL, BranchCond::mnemonic, m) {
-                Branch {
-                    cond,
-                    rs1: ops.reg()?,
-                    rs2: ops.reg()?,
-                    target: ops.target()?,
-                }
-            } else if let Some(op) = lookup(&SBinOp::ALL, SBinOp::mnemonic, m) {
-                SBin {
-                    op,
-                    rd: ops.reg()?,
-                    rs1: ops.reg()?,
-                    rs2: ops.reg()?,
-                }
-            } else if let Some(op) = lookup(&SImmOp::ALL, SImmOp::mnemonic, m) {
-                SImm {
-                    op,
-                    rd: ops.reg()?,
-                    rs1: ops.reg()?,
-                    imm: ops.i32()?,
-                }
-            } else if let Some(op) = lookup(&VBinOp::ALL, VBinOp::mnemonic, m) {
-                VBin {
-                    op,
-                    dst: ops.addr()?,
-                    a: ops.addr()?,
-                    b: ops.addr()?,
-                    len: ops.u32()?,
-                }
-            } else if let Some(op) = lookup(&VImmOp::ALL, VImmOp::mnemonic, m) {
-                VImm {
-                    op,
-                    dst: ops.addr()?,
-                    src: ops.addr()?,
-                    imm: ops.i32()?,
-                    len: ops.u32()?,
-                }
-            } else if let Some(op) = lookup(&VUnOp::ALL, VUnOp::mnemonic, m) {
-                VUn {
-                    op,
-                    dst: ops.addr()?,
-                    src: ops.addr()?,
-                    len: ops.u32()?,
-                }
-            } else if let Some(op) = lookup(&PoolOp::ALL, PoolOp::mnemonic, m) {
-                let (dst, src, channels) = (ops.addr()?, ops.addr()?, ops.kv_u32("ch")?);
-                let (win_w, win_h) = ops.kv_window()?;
-                VPool {
-                    op,
-                    dst,
-                    src,
-                    channels,
-                    win_w,
-                    win_h,
-                    row_stride: ops.kv_i32("rstride")?,
-                }
-            } else {
-                return Err(perr(line, format!("unknown mnemonic `{m}`")));
-            }
-        }
+        _ => return Err(perr(line, format!("unknown mnemonic `{mnemonic}`"))),
+    })
+}
+
+/// The first `\n`, `;` or `#` in `b` from `from` on, or `b.len()`: eight
+/// bytes per step, each word tested for the three bytes at once.
+fn line_stop(b: &[u8], from: usize) -> usize {
+    const ONES: u64 = u64::from_ne_bytes([1; 8]);
+    const HIGH: u64 = ONES << 7;
+    // The high bit of each byte of `word` that equals `c`; the lowest one
+    // set is always a true match.
+    let matches = |word: u64, c: u8| {
+        let x = word ^ (ONES * u64::from(c));
+        x.wrapping_sub(ONES) & !x & HIGH
     };
-    Ok((instr, ops.finish()?))
+    let mut at = from;
+    while let Some(chunk) = b.get(at..at + 8) {
+        let mut bytes = [0u8; 8];
+        bytes.copy_from_slice(chunk);
+        let word = u64::from_le_bytes(bytes);
+        let hit = matches(word, b'\n') | matches(word, b';') | matches(word, b'#');
+        if hit != 0 {
+            return at + (hit.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    b[at..]
+        .iter()
+        .position(|&c| matches!(c, b'\n' | b';' | b'#'))
+        .map_or(b.len(), |i| at + i)
 }
 
 /// Assembles a full multi-core program.
@@ -409,94 +738,106 @@ pub fn assemble(text: &str) -> Result<Program, IsaError> {
         fixups: Vec<(usize, &'a str, usize)>,
     }
 
-    let mut cores: BTreeMap<u16, CoreBuild> = BTreeMap::new();
-    let mut current: u16 = 0;
+    /// The slot of core `id`'s build, opened on first use.
+    fn open(slots: &mut BTreeMap<u16, usize>, builds: &mut Vec<CoreBuild>, id: u16) -> usize {
+        *slots.entry(id).or_insert_with(|| {
+            builds.push(CoreBuild::default());
+            builds.len() - 1
+        })
+    }
 
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        // Strip comments.
-        let mut line = raw;
-        for marker in [';', '#'] {
-            if let Some(i) = line.find(marker) {
-                line = &line[..i];
-            }
-        }
-        let line = line.trim();
+    let mut slots: BTreeMap<u16, usize> = BTreeMap::new();
+    let mut builds: Vec<CoreBuild> = Vec::new();
+    let mut current: u16 = 0;
+    // The slot of `current`, once a line has used it.
+    let mut slot: Option<usize> = None;
+
+    let bytes = text.as_bytes();
+    let (mut next, mut lineno) = (0, 0);
+    while next < bytes.len() {
+        lineno += 1;
+        // One pass to the line feed: the code ends at a comment marker.
+        let start = next;
+        let code_end = line_stop(bytes, start);
+        next = match bytes.get(code_end) {
+            Some(b'\n') | None => code_end + 1,
+            Some(_) => bytes[code_end..]
+                .iter()
+                .position(|&c| c == b'\n')
+                .map_or(bytes.len(), |i| code_end + i + 1),
+        };
+        let line = trim(&text[start..code_end]);
         if line.is_empty() {
             continue;
         }
 
-        if let Some(rest) = line.strip_prefix(".core") {
-            current = rest
-                .trim()
-                .parse()
-                .map_err(|_| perr(lineno, format!("bad `.core` directive `{line}`")))?;
-            cores.entry(current).or_default();
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix(".group") {
-            // .group ID in=N out=M xbars=a,b,c
-            let core = cores.entry(current).or_default();
-            let mut parts = rest.split_whitespace();
-            let id: u16 = parts
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| perr(lineno, "`.group` needs a numeric id"))?;
-            let mut input_len = None;
-            let mut output_len = None;
-            let mut xbars = None;
-            for p in parts {
-                if let Some(v) = p.strip_prefix("in=") {
-                    input_len = v.parse::<u32>().ok();
-                } else if let Some(v) = p.strip_prefix("out=") {
-                    output_len = v.parse::<u32>().ok();
-                } else if let Some(v) = p.strip_prefix("xbars=") {
-                    let ids: Option<Vec<u32>> = v.split(',').map(|x| x.parse().ok()).collect();
-                    xbars = ids;
-                } else {
-                    return Err(perr(lineno, format!("unknown `.group` field `{p}`")));
+        if line.as_bytes()[0] == b'.' {
+            if let Some(rest) = line.strip_prefix(".core") {
+                current = unsigned(trim(rest))
+                    .ok_or_else(|| perr(lineno, format!("bad `.core` directive `{line}`")))?;
+                slot = Some(open(&mut slots, &mut builds, current));
+                continue;
+            }
+            let at = *slot.get_or_insert_with(|| open(&mut slots, &mut builds, current));
+            let core = &mut builds[at];
+            if let Some(rest) = line.strip_prefix(".group") {
+                // .group ID in=N out=M xbars=a,b,c
+                let mut parts = rest.split_whitespace();
+                let id: u16 = parts
+                    .next()
+                    .and_then(unsigned)
+                    .ok_or_else(|| perr(lineno, "`.group` needs a numeric id"))?;
+                let mut input_len = None;
+                let mut output_len = None;
+                let mut xbars = None;
+                for p in parts {
+                    if let Some(v) = p.strip_prefix("in=") {
+                        input_len = unsigned::<u32>(v);
+                    } else if let Some(v) = p.strip_prefix("out=") {
+                        output_len = unsigned::<u32>(v);
+                    } else if let Some(v) = p.strip_prefix("xbars=") {
+                        xbars = v.split(',').map(unsigned::<u32>).collect();
+                    } else {
+                        return Err(perr(lineno, format!("unknown `.group` field `{p}`")));
+                    }
                 }
+                let (Some(i), Some(o), Some(x)) = (input_len, output_len, xbars) else {
+                    return Err(perr(lineno, "`.group` needs in=, out= and xbars="));
+                };
+                if core.groups.len() != id as usize {
+                    return Err(perr(
+                        lineno,
+                        format!(
+                            "group ids must be dense and in order; expected {}, got {id}",
+                            core.groups.len()
+                        ),
+                    ));
+                }
+                core.groups.push(GroupConfig::new(GroupId(id), i, o, x));
+                continue;
             }
-            let (Some(i), Some(o), Some(x)) = (input_len, output_len, xbars) else {
-                return Err(perr(lineno, "`.group` needs in=, out= and xbars="));
-            };
-            if core.groups.len() != id as usize {
-                return Err(perr(
-                    lineno,
-                    format!(
-                        "group ids must be dense and in order; expected {}, got {id}",
-                        core.groups.len()
-                    ),
-                ));
+            if let Some(rest) = line.strip_prefix(".init") {
+                let (start, values) = split_space(trim(rest))
+                    .ok_or_else(|| perr(lineno, "`.init` needs a start and values"))?;
+                let start: u32 = parse_int(start)
+                    .and_then(|v| u32::try_from(v).ok())
+                    .ok_or_else(|| perr(lineno, "bad `.init` start address"))?;
+                let values: Option<Vec<i32>> = values
+                    .split(',')
+                    .map(|v| parse_int(v).and_then(|x| i32::try_from(x).ok()))
+                    .collect();
+                let values = values.ok_or_else(|| perr(lineno, "bad `.init` value list"))?;
+                core.local_init.push((start, values));
+                continue;
             }
-            core.groups.push(GroupConfig::new(GroupId(id), i, o, x));
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix(".init") {
-            let core = cores.entry(current).or_default();
-            let (start, values) = rest
-                .trim()
-                .split_once(char::is_whitespace)
-                .ok_or_else(|| perr(lineno, "`.init` needs a start and values"))?;
-            let start: u32 = parse_int(start)
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| perr(lineno, "bad `.init` start address"))?;
-            let values: Option<Vec<i32>> = values
-                .split(',')
-                .map(|v| parse_int(v).and_then(|x| i32::try_from(x).ok()))
-                .collect();
-            let values = values.ok_or_else(|| perr(lineno, "bad `.init` value list"))?;
-            core.local_init.push((start, values));
-            continue;
-        }
-        if line.starts_with('.') {
             return Err(perr(lineno, format!("unknown directive `{line}`")));
         }
 
-        let core = cores.entry(current).or_default();
+        let at = *slot.get_or_insert_with(|| open(&mut slots, &mut builds, current));
+        let core = &mut builds[at];
         if let Some(label) = line.strip_suffix(':') {
-            let label = label.trim();
-            if label.is_empty() || label.chars().any(|c| c.is_whitespace()) {
+            let label = trim(label);
+            if label.is_empty() || label.chars().any(char::is_whitespace) {
                 return Err(perr(lineno, format!("bad label `{line}`")));
             }
             let pc = core.instrs.len() as u32;
@@ -515,7 +856,7 @@ pub fn assemble(text: &str) -> Result<Program, IsaError> {
     }
 
     // Patch label targets and build the program.
-    let max_core = cores
+    let max_core = slots
         .keys()
         .next_back()
         .map(|&c| c as usize + 1)
@@ -526,14 +867,14 @@ pub fn assemble(text: &str) -> Result<Program, IsaError> {
         mapping: String::new(),
         notes: String::new(),
     };
-    for (cid, build) in cores {
+    for (cid, at) in slots {
         let CoreBuild {
             mut instrs,
             groups,
             local_init,
             labels,
             fixups,
-        } = build;
+        } = std::mem::take(&mut builds[at]);
         for (at, label, lineno) in fixups {
             let pc = *labels
                 .get(label)
@@ -555,80 +896,207 @@ pub fn assemble(text: &str) -> Result<Program, IsaError> {
     Ok(program)
 }
 
-/// Disassembles a program back to assembly text. Group weight matrices are
-/// not representable in assembly and are noted in a comment; everything else
-/// (including labels) re-assembles to an identical program.
+/// Disassembles a program back to assembly text, which [`assemble`] reads
+/// back to the same instructions, crossbar groups (ids, vector lengths and
+/// crossbar ids), local memory preloads and labels of every core.
+///
+/// The text form does not carry the rest of a [`Program`]: the program's
+/// `meta` (name and mapping are printed as comments, and `assemble` names
+/// every program `assembled`), each core's `instr_tags`, the chip's
+/// `global_init` segments, and group weight matrices (a `.group` line
+/// notes `; weights elided`). Idle cores are not printed, so idle cores
+/// after the last one with instructions, groups or preloads are not in
+/// the re-assembled program's core count.
 pub fn disassemble(program: &Program) -> String {
     let mut out = String::new();
-    if !program.meta.name.is_empty() {
-        let _ = writeln!(out, "; program: {}", program.meta.name);
+    // Writing into a `String` cannot fail.
+    let _ = write_program(&mut out, program);
+    out
+}
+
+/// Streams [`disassemble`]'s text into `writer` a line at a time, without
+/// holding the whole text.
+///
+/// # Errors
+///
+/// Returns the writer's first error; nothing is written after it.
+pub fn write_disassembly(program: &Program, writer: impl io::Write) -> io::Result<()> {
+    let mut text = IoText {
+        writer,
+        error: None,
+    };
+    write_program(&mut text, program)
+        .map_err(|fmt::Error| text.error.unwrap_or_else(|| io::Error::other(fmt::Error)))
+}
+
+/// An `io::Write` taken as a `fmt::Write`, keeping the error the writer
+/// returned.
+struct IoText<W> {
+    writer: W,
+    error: Option<io::Error>,
+}
+
+impl<W: io::Write> fmt::Write for IoText<W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.writer.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            fmt::Error
+        })
     }
-    if !program.meta.mapping.is_empty() {
-        let _ = writeln!(out, "; mapping: {}", program.meta.mapping);
+}
+
+/// [`disassemble`]'s text, written to `out` a line (or, for long
+/// `.group`/`.init` lists, a line's piece) at a time.
+fn write_program(out: &mut impl fmt::Write, program: &Program) -> fmt::Result {
+    for (comment, value) in [
+        ("; program: ", &program.meta.name),
+        ("; mapping: ", &program.meta.mapping),
+    ] {
+        if !value.is_empty() {
+            out.write_str(comment)?;
+            out.write_str(value)?;
+            out.write_char('\n')?;
+        }
     }
+    let mut line = AsmLine::new();
+    // One core's labels by pc; the names at one pc stay in name order.
+    let mut labels: Vec<(usize, &str)> = Vec::new();
     for (cid, core) in program.cores.iter().enumerate() {
         if core.is_empty() && core.groups.is_empty() && core.local_init.is_empty() {
             continue;
         }
-        let _ = writeln!(out, "\n.core {cid}");
+        line.put("\n.core ");
+        line.uint(cid as u64);
+        line.byte(b'\n');
         for g in &core.groups {
-            let xbars: Vec<String> = g.xbar_ids.iter().map(|x| x.to_string()).collect();
-            let _ = writeln!(
-                out,
-                ".group {} in={} out={} xbars={}{}",
-                g.id.0,
-                g.input_len,
-                g.output_len,
-                xbars.join(","),
-                if g.weights.is_some() {
-                    " ; weights elided"
-                } else {
-                    ""
-                }
-            );
+            line.put(".group ");
+            line.uint(g.id.0.into());
+            line.put(" in=");
+            line.uint(g.input_len.into());
+            line.put(" out=");
+            line.uint(g.output_len.into());
+            line.put(" xbars=");
+            write_list(out, &mut line, g.xbar_ids.iter().map(|&x| i64::from(x)))?;
+            if g.weights.is_some() {
+                line.put(" ; weights elided");
+            }
+            line.byte(b'\n');
+            flush(out, &mut line)?;
         }
         for (start, values) in &core.local_init {
-            let vals: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-            let _ = writeln!(out, ".init {start} {}", vals.join(","));
+            line.put(".init ");
+            line.uint((*start).into());
+            line.byte(b' ');
+            write_list(out, &mut line, values.iter().map(|&v| i64::from(v)))?;
+            line.byte(b'\n');
+            flush(out, &mut line)?;
         }
-        // Invert labels: pc -> names.
-        let mut by_pc: BTreeMap<u32, Vec<&str>> = BTreeMap::new();
-        for (name, &pc) in &core.labels {
-            by_pc.entry(pc).or_default().push(name);
-        }
-        for (pc, instr) in core.instrs.iter().enumerate() {
-            if let Some(names) = by_pc.get(&(pc as u32)) {
-                for n in names {
-                    let _ = writeln!(out, "{n}:");
-                }
+        flush(out, &mut line)?;
+        labels.clear();
+        labels.extend(
+            core.labels
+                .iter()
+                .map(|(name, &pc)| (pc as usize, name.as_str())),
+        );
+        labels.sort_by_key(|&(pc, _)| pc);
+        let mut labels = labels.iter().peekable();
+        for pc in 0..=core.instrs.len() {
+            while let Some((_, name)) = labels.next_if(|&&(at, _)| at == pc) {
+                out.write_str(name)?;
+                out.write_str(":\n")?;
             }
-            let _ = writeln!(out, "    {instr}");
-        }
-        if let Some(names) = by_pc.get(&(core.instrs.len() as u32)) {
-            for n in names {
-                let _ = writeln!(out, "{n}:");
+            if let Some(instr) = core.instrs.get(pc) {
+                line.put("    ");
+                instr.write_asm(&mut line);
+                line.byte(b'\n');
+                flush(out, &mut line)?;
             }
         }
     }
-    out
+    Ok(())
+}
+
+/// Moves `line`'s text to `out`.
+fn flush(out: &mut impl fmt::Write, line: &mut AsmLine) -> fmt::Result {
+    out.write_str(line.as_str()?)?;
+    line.clear();
+    Ok(())
+}
+
+/// `values` in decimal, comma-separated, through `line`; what fills it is
+/// moved to `out` first.
+fn write_list(
+    out: &mut impl fmt::Write,
+    line: &mut AsmLine,
+    values: impl Iterator<Item = i64>,
+) -> fmt::Result {
+    for (i, v) in values.enumerate() {
+        if line.len() > AsmLine::CAPACITY / 2 {
+            flush(out, line)?;
+        }
+        if i > 0 {
+            line.byte(b',');
+        }
+        line.int(v);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 #[path = "../tests/support/instructions.rs"]
 pub(crate) mod instructions;
 
-/// The parser as it stood before each op mnemonic moved into its enum's
-/// `ALL` table: a `match` per op family, and boxed label builders beside
-/// the numeric path. The differential tests hold [`parse_line`] to it.
+#[cfg(test)]
+#[path = "../tests/support/disasm_oracle.rs"]
+mod disasm_oracle;
+
+/// The parser as it stood before the byte scanner: `str` splits, trims
+/// and `str::parse` per operand, a `match` per op family, boxed label
+/// builders beside the numeric path, and `assemble`'s line loop over
+/// `str::lines`. The differential tests hold [`parse_line`] and
+/// [`assemble`] to it.
 #[cfg(test)]
 mod oracle {
-    use super::{parse_addr, parse_int, perr};
+    use std::collections::BTreeMap;
+
+    use super::perr;
     use crate::error::IsaError;
+    use crate::group::GroupConfig;
     use crate::instr::{
         Addr, BranchCond, CoreId, GroupId, Instruction, PoolOp, SBinOp, SImmOp, VBinOp, VImmOp,
         VUnOp,
     };
+    use crate::program::{fits_fields, CoreProgram, Program, ProgramMeta};
     use crate::reg::Reg;
+
+    pub(super) fn parse_int(s: &str) -> Option<i64> {
+        let s = s.trim();
+        if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+            i64::from_str_radix(hex, 16).ok()
+        } else if let Some(hex) = s.strip_prefix("-0x").or_else(|| s.strip_prefix("-0X")) {
+            i64::from_str_radix(hex, 16).ok().map(|v| -v)
+        } else {
+            s.parse().ok()
+        }
+    }
+
+    /// Parses `[rN+OFF]`, `[rN-OFF]`, `[rN]`; with `global`, requires `g` prefix.
+    pub(super) fn parse_addr(tok: &str, global: bool) -> Option<Addr> {
+        let tok = if global { tok.strip_prefix('g')? } else { tok };
+        let inner = tok.strip_prefix('[')?.strip_suffix(']')?;
+        let (reg_part, off) = if let Some(i) = inner.find('+') {
+            (&inner[..i], parse_int(&inner[i + 1..])?)
+        } else if let Some(i) = inner.rfind('-') {
+            if i == 0 {
+                return None;
+            }
+            (&inner[..i], -parse_int(&inner[i + 1..])?)
+        } else {
+            (inner, 0)
+        };
+        let base: Reg = reg_part.trim().parse().ok()?;
+        Addr::new(base, i32::try_from(off).ok()?).ok()
+    }
 
     /// A branch/jump target that may still be symbolic.
     #[derive(Debug, Clone)]
@@ -1050,6 +1518,160 @@ mod oracle {
             Parsed::NeedsLabel(build, label) => (build(0), Some(label)),
         })
     }
+
+    /// A full program through the old line loop and [`parse`].
+    pub(super) fn assemble(text: &str) -> Result<Program, IsaError> {
+        #[derive(Default)]
+        struct CoreBuild {
+            instrs: Vec<Instruction>,
+            groups: Vec<GroupConfig>,
+            local_init: Vec<(u32, Vec<i32>)>,
+            labels: BTreeMap<String, u32>,
+            fixups: Vec<(usize, String, usize)>,
+        }
+
+        let mut cores: BTreeMap<u16, CoreBuild> = BTreeMap::new();
+        let mut current: u16 = 0;
+
+        for (idx, raw) in text.lines().enumerate() {
+            let lineno = idx + 1;
+            let mut line = raw;
+            for marker in [';', '#'] {
+                if let Some(i) = line.find(marker) {
+                    line = &line[..i];
+                }
+            }
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+
+            if let Some(rest) = line.strip_prefix(".core") {
+                current = rest
+                    .trim()
+                    .parse()
+                    .map_err(|_| perr(lineno, format!("bad `.core` directive `{line}`")))?;
+                cores.entry(current).or_default();
+                continue;
+            }
+            if let Some(rest) = line.strip_prefix(".group") {
+                let core = cores.entry(current).or_default();
+                let mut parts = rest.split_whitespace();
+                let id: u16 = parts
+                    .next()
+                    .and_then(|t| t.parse().ok())
+                    .ok_or_else(|| perr(lineno, "`.group` needs a numeric id"))?;
+                let mut input_len = None;
+                let mut output_len = None;
+                let mut xbars = None;
+                for p in parts {
+                    if let Some(v) = p.strip_prefix("in=") {
+                        input_len = v.parse::<u32>().ok();
+                    } else if let Some(v) = p.strip_prefix("out=") {
+                        output_len = v.parse::<u32>().ok();
+                    } else if let Some(v) = p.strip_prefix("xbars=") {
+                        let ids: Option<Vec<u32>> = v.split(',').map(|x| x.parse().ok()).collect();
+                        xbars = ids;
+                    } else {
+                        return Err(perr(lineno, format!("unknown `.group` field `{p}`")));
+                    }
+                }
+                let (Some(i), Some(o), Some(x)) = (input_len, output_len, xbars) else {
+                    return Err(perr(lineno, "`.group` needs in=, out= and xbars="));
+                };
+                if core.groups.len() != id as usize {
+                    return Err(perr(
+                        lineno,
+                        format!(
+                            "group ids must be dense and in order; expected {}, got {id}",
+                            core.groups.len()
+                        ),
+                    ));
+                }
+                core.groups.push(GroupConfig::new(GroupId(id), i, o, x));
+                continue;
+            }
+            if let Some(rest) = line.strip_prefix(".init") {
+                let core = cores.entry(current).or_default();
+                let (start, values) = rest
+                    .trim()
+                    .split_once(char::is_whitespace)
+                    .ok_or_else(|| perr(lineno, "`.init` needs a start and values"))?;
+                let start: u32 = parse_int(start)
+                    .and_then(|v| u32::try_from(v).ok())
+                    .ok_or_else(|| perr(lineno, "bad `.init` start address"))?;
+                let values: Option<Vec<i32>> = values
+                    .split(',')
+                    .map(|v| parse_int(v).and_then(|x| i32::try_from(x).ok()))
+                    .collect();
+                let values = values.ok_or_else(|| perr(lineno, "bad `.init` value list"))?;
+                core.local_init.push((start, values));
+                continue;
+            }
+            if line.starts_with('.') {
+                return Err(perr(lineno, format!("unknown directive `{line}`")));
+            }
+
+            let core = cores.entry(current).or_default();
+            if let Some(label) = line.strip_suffix(':') {
+                let label = label.trim();
+                if label.is_empty() || label.chars().any(|c| c.is_whitespace()) {
+                    return Err(perr(lineno, format!("bad label `{line}`")));
+                }
+                let pc = core.instrs.len() as u32;
+                if core.labels.insert(label.to_string(), pc).is_some() {
+                    return Err(perr(lineno, format!("duplicate label `{label}`")));
+                }
+                continue;
+            }
+
+            let (instr, label) = parse(line, lineno)?;
+            fits_fields(&instr).map_err(|msg| perr(lineno, msg))?;
+            if let Some(label) = label {
+                core.fixups.push((core.instrs.len(), label, lineno));
+            }
+            core.instrs.push(instr);
+        }
+
+        let max_core = cores
+            .keys()
+            .next_back()
+            .map(|&c| c as usize + 1)
+            .unwrap_or(0);
+        let mut program = Program::with_cores(max_core);
+        program.meta = ProgramMeta {
+            name: "assembled".into(),
+            mapping: String::new(),
+            notes: String::new(),
+        };
+        for (cid, build) in cores {
+            let CoreBuild {
+                mut instrs,
+                groups,
+                local_init,
+                labels,
+                fixups,
+            } = build;
+            for (at, label, lineno) in fixups {
+                let pc = *labels
+                    .get(&label)
+                    .ok_or_else(|| perr(lineno, format!("undefined label `{label}`")))?;
+                if let Instruction::Jump { target } | Instruction::Branch { target, .. } =
+                    &mut instrs[at]
+                {
+                    *target = pc;
+                }
+            }
+            program.cores[cid as usize] = CoreProgram {
+                instrs,
+                groups,
+                local_init,
+                labels,
+                instr_tags: Vec::new(),
+            };
+        }
+        Ok(program)
+    }
 }
 
 #[cfg(test)]
@@ -1274,7 +1896,7 @@ mod tests {
 
     /// Operand tokens that are wrong somewhere, right elsewhere, or label
     /// names.
-    const TOKENS: [&str; 30] = [
+    const TOKENS: [&str; 31] = [
         "r0",
         "r31",
         "r32",
@@ -1296,6 +1918,7 @@ mod tests {
         "-1",
         "0x1f",
         "-0x10",
+        "-0X10",
         "0x",
         "2147483648",
         "-2147483649",
@@ -1388,6 +2011,275 @@ mod tests {
         (format!("{mnemonic}{gap}{}", ops.join(sep)), empty)
     }
 
+    #[test]
+    fn hex_reads_in_every_spelling() -> Result<(), IsaError> {
+        for (text, value) in [("0x10", 16), ("0X10", 16), ("-0x10", -16), ("-0X10", -16)] {
+            assert_eq!(parse_int(text), Some(value), "{text}");
+            assert_eq!(oracle::parse_int(text), Some(value), "{text}");
+            let line = format!("addi r3, r0, {text}");
+            let want = Instruction::SImm {
+                op: SImmOp::Add,
+                rd: Reg::R3,
+                rs1: Reg::R0,
+                imm: value as i32,
+            };
+            assert_eq!(parse_instruction(&line)?, want, "{line}");
+            let p = assemble(&format!(".init 0X10 {text},1\n{line}\nhalt"))?;
+            assert_eq!(p.cores[0].local_init, vec![(16, vec![value as i32, 1])]);
+        }
+        Ok(())
+    }
+
+    /// Every entry of every op enum's `ALL` table: the parser's `match`
+    /// reads the mnemonic `mnemonic()` prints back as that op, and the
+    /// line prints as the `write!` formatter did.
+    #[test]
+    fn every_mnemonic_reads_back_as_its_op() -> Result<(), IsaError> {
+        let a = Addr::new(Reg::R2, -8)?;
+        let mut all: Vec<Instruction> = vec![
+            Instruction::Nop,
+            Instruction::Halt,
+            Instruction::Jump { target: 9 },
+        ];
+        all.extend(BranchCond::ALL.map(|cond| Instruction::Branch {
+            cond,
+            rs1: Reg::R1,
+            rs2: Reg::R2,
+            target: 3,
+        }));
+        all.extend(SBinOp::ALL.map(|op| Instruction::SBin {
+            op,
+            rd: Reg::R1,
+            rs1: Reg::R2,
+            rs2: Reg::R3,
+        }));
+        all.extend(SImmOp::ALL.map(|op| Instruction::SImm {
+            op,
+            rd: Reg::R1,
+            rs1: Reg::R2,
+            imm: -5,
+        }));
+        all.extend(VBinOp::ALL.map(|op| Instruction::VBin {
+            op,
+            dst: a,
+            a,
+            b: a,
+            len: 4,
+        }));
+        all.extend(VImmOp::ALL.map(|op| Instruction::VImm {
+            op,
+            dst: a,
+            src: a,
+            imm: 3,
+            len: 4,
+        }));
+        all.extend(VUnOp::ALL.map(|op| Instruction::VUn {
+            op,
+            dst: a,
+            src: a,
+            len: 4,
+        }));
+        all.extend(PoolOp::ALL.map(|op| Instruction::VPool {
+            op,
+            dst: a,
+            src: a,
+            channels: 8,
+            win_w: 2,
+            win_h: 3,
+            row_stride: -16,
+        }));
+        assert_eq!(all.len(), 3 + 36);
+        for instr in all {
+            let text = instr.to_string();
+            assert_eq!(text, disasm_oracle::display(&instr));
+            let (new, old) = both(&text);
+            assert_eq!(new, Ok((instr, None)), "{text}");
+            assert_eq!(new, old, "{text}");
+            assert_eq!(parse_instruction(&text)?, instr, "{text}");
+        }
+        Ok(())
+    }
+
+    /// The longest text an instruction can print (a program file may hold
+    /// any `i32` offset and field) fits one line of the writer.
+    #[test]
+    fn the_widest_instruction_fits_a_line() -> Result<(), serde_json::Error> {
+        let addr: Addr = serde_json::from_str(r#"{"base": 31, "offset": -2147483648}"#)?;
+        let widest = [
+            Instruction::VCopy2d {
+                dst: addr,
+                src: addr,
+                block_len: u32::MAX,
+                blocks: u32::MAX,
+                src_stride: i32::MIN,
+                dst_stride: i32::MIN,
+            },
+            Instruction::Recv2d {
+                peer: CoreId(u16::MAX),
+                dst: addr,
+                block_len: u32::MAX,
+                blocks: u32::MAX,
+                dst_stride: i32::MIN,
+                tag: u16::MAX,
+            },
+            Instruction::VPool {
+                op: PoolOp::Max,
+                dst: addr,
+                src: addr,
+                channels: u32::MAX,
+                win_w: u32::MAX,
+                win_h: u32::MAX,
+                row_stride: i32::MIN,
+            },
+        ];
+        let mut program = Program::with_cores(1);
+        program.cores[0].instrs = widest.to_vec();
+        for instr in &widest {
+            assert_eq!(instr.to_string(), disasm_oracle::display(instr));
+        }
+        assert_eq!(
+            widest[0].to_string().len() + "    \n".len(),
+            AsmLine::CAPACITY - 2
+        );
+        assert_eq!(disassemble(&program), disasm_oracle::disassemble(&program));
+        Ok(())
+    }
+
+    /// `.group` and `.init` lists longer than a line, negative values and
+    /// labels at every pc, the end included.
+    #[test]
+    fn directives_and_labels_disassemble_as_the_oracle_did() -> Result<(), IsaError> {
+        let mut program = assemble(
+            ".core 2\n.group 0 in=4 out=4 xbars=0,1\nb:\na:\nnop\nc:\nhalt\nend:\n.core 5\n.init 7 -1",
+        )?;
+        let core = &mut program.cores[2];
+        core.groups[0].xbar_ids = (0..500).collect();
+        core.local_init
+            .push((u32::MAX, (-300..300).map(|v| v * 7_000_001).collect()));
+        core.labels.insert("past".into(), 99);
+        program.meta.mapping = "hand".into();
+        let text = disassemble(&program);
+        assert_eq!(text, disasm_oracle::disassemble(&program));
+        assert!(
+            text.contains("\nb:\n    nop\nc:\n    halt\nend:\n"),
+            "{text}"
+        );
+        Ok(())
+    }
+
+    /// A writer that takes `room` bytes, then fails.
+    struct Full {
+        room: usize,
+        taken: Vec<u8>,
+    }
+
+    impl std::io::Write for Full {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(std::io::ErrorKind::StorageFull.into());
+            }
+            let n = buf.len().min(self.room);
+            self.taken.extend_from_slice(&buf[..n]);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn streaming_stops_at_the_writers_first_error() -> Result<(), IsaError> {
+        let program = assemble(".core 1\n.init 0 1,2,3\nli r1, 3\nloop:\nbne r1, r0, loop\nhalt")?;
+        let text = disassemble(&program);
+        for room in [0, 5, 40, text.len() - 1] {
+            let mut full = Full {
+                room,
+                taken: Vec::new(),
+            };
+            let err = write_disassembly(&program, &mut full).expect_err("the writer fills up");
+            assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
+            assert_eq!(full.taken, text.as_bytes()[..room]);
+        }
+        Ok(())
+    }
+
+    /// Lines of `instrs` as `write!` printed them, each with whitespace
+    /// and comments placed by `seed`: tabs, `\r\n`, U+00A0 and U+3000
+    /// around operands, non-ASCII bytes in comments and label names.
+    fn whitespace_mutated(instrs: &[Instruction], seed: u64) -> String {
+        const GAPS: [&str; 8] = [
+            " ",
+            "\t",
+            "\u{a0}",
+            "\u{3000}",
+            " \u{a0}\t",
+            "\u{2003}",
+            "\u{b}",
+            "\u{c} ",
+        ];
+        const SEPS: [&str; 7] = [
+            ", ",
+            ",",
+            ",\t",
+            " ,\u{a0}",
+            "\u{3000},",
+            ",\u{a0}\u{3000} ",
+            "\t,\r",
+        ];
+        const ENDS: [&str; 5] = [
+            "\n",
+            "\r\n",
+            " \r\n",
+            "\u{a0}\n",
+            "\t; ünïcödé ; # 注释\r\n",
+        ];
+        let mut state = seed | 1;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut text = String::from("; programme à l'essai\r\n.core 0\r\n");
+        for (pc, instr) in instrs.iter().enumerate() {
+            if next(4) == 0 {
+                let label = ["ループ", "schleife_ü", "ü_ω", "naïve"][next(4)];
+                let (gap, end) = (GAPS[next(2)], ENDS[next(ENDS.len())]);
+                text.push_str(&format!("{label}{pc}{gap}:{end}"));
+            }
+            let line = disasm_oracle::display(instr);
+            let (mnemonic, rest) = line.split_once(' ').unwrap_or((&line, ""));
+            text.push_str(GAPS[next(GAPS.len())]);
+            text.push_str(mnemonic);
+            if !rest.is_empty() {
+                text.push_str(GAPS[next(GAPS.len())]);
+                let ops: Vec<&str> = rest.split(", ").collect();
+                for (i, op) in ops.iter().enumerate() {
+                    if i > 0 {
+                        text.push_str(SEPS[next(SEPS.len())]);
+                    }
+                    text.push_str(op);
+                }
+            }
+            text.push_str(ENDS[next(ENDS.len())]);
+            if pc % 7 == 3 {
+                text.push_str("\u{3000}# 코멘트 ; ü\n\r\n");
+            }
+        }
+        text
+    }
+
+    /// `assemble` and the oracle's line loop: the same program, or the same
+    /// error text.
+    fn assemble_both(text: &str) -> (Result<Program, String>, Result<Program, String>) {
+        (
+            assemble(text).map_err(|e| e.to_string()),
+            oracle::assemble(text).map_err(|e| e.to_string()),
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -1418,6 +2310,47 @@ mod tests {
             } else {
                 prop_assert_eq!(new, old, "{}", line);
             }
+        }
+
+        /// Whole files under whitespace mutations: both read the same
+        /// program, and a program that breaks one line, an unknown
+        /// mnemonic, a bad register or a label name with a space in it,
+        /// draws the same error text.
+        #[test]
+        fn scanner_matches_the_oracle_under_whitespace_mutations(
+            instrs in proptest::collection::vec(instruction_strategy(), 1..24),
+            seed in any::<u64>(),
+            damage in 0usize..5,
+        ) {
+            let mut text = whitespace_mutated(&instrs, seed);
+            let (new, old) = assemble_both(&text);
+            prop_assert!(new.is_ok(), "{}: {:?}", text, new);
+            prop_assert_eq!(new, old, "{}", text);
+            // A line of its own, after the first line feed past the middle.
+            let half = text.len() / 2;
+            let at = text.as_bytes()[half..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(text.len(), |i| half + i + 1);
+            let broken = ["\nfrob\u{a0}r1\n", "\nadd r1,\u{3000}r2, r32\n", "\nl\u{a0}x:\n", "\n.data\u{a0}4\n", "\njmp\tnowhere\u{a0}\n"];
+            text.insert_str(at, broken[damage]);
+            let (new, old) = assemble_both(&text);
+            prop_assert!(new.is_err(), "{}", text);
+            prop_assert_eq!(new, old, "{}", text);
+        }
+
+        /// Every instruction prints as the `write!` formatter printed it,
+        /// through `Display` and through `disassemble`.
+        #[test]
+        fn writer_matches_the_write_oracle(
+            instrs in proptest::collection::vec(instruction_strategy(), 1..32),
+        ) {
+            for instr in &instrs {
+                prop_assert_eq!(instr.to_string(), disasm_oracle::display(instr));
+            }
+            let mut program = Program::with_cores(2);
+            program.cores[1].instrs = instrs;
+            prop_assert_eq!(disassemble(&program), disasm_oracle::disassemble(&program));
         }
     }
 }

@@ -853,32 +853,197 @@ impl Instruction {
     }
 }
 
-impl fmt::Display for Instruction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// One operand as the canonical syntax prints it.
+#[derive(Clone, Copy)]
+enum Operand {
+    Reg(Reg),
+    Addr(Addr),
+    /// A global memory address, `g[rN+off]`.
+    GAddr(Addr),
+    Core(CoreId),
+    Group(GroupId),
+    Int(i64),
+    /// `key=value`; the key includes its `=`.
+    Key(&'static str, i64),
+    /// `win=WxH`.
+    Win(u32, u32),
+}
+
+/// One line of assembly text, built in place: the writer behind
+/// `Instruction`'s `Display` and [`crate::asm::disassemble`]. Integers are
+/// written digit by digit, straight into the line.
+pub(crate) struct AsmLine {
+    bytes: [u8; AsmLine::CAPACITY],
+    len: usize,
+}
+
+impl AsmLine {
+    /// Bytes a line holds: the longest instruction text (a `vcopy2d` with
+    /// every field at its widest, 121 bytes) plus `disassemble`'s
+    /// indentation and line feed.
+    pub(crate) const CAPACITY: usize = 128;
+
+    pub(crate) fn new() -> AsmLine {
+        AsmLine {
+            bytes: [0; AsmLine::CAPACITY],
+            len: 0,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// The text so far; it is made of `&str` pieces and ASCII digits.
+    pub(crate) fn as_str(&self) -> Result<&str, fmt::Error> {
+        std::str::from_utf8(&self.bytes[..self.len]).map_err(|_| fmt::Error)
+    }
+
+    #[inline(always)]
+    pub(crate) fn put(&mut self, text: &str) {
+        let end = self.len + text.len();
+        self.bytes[self.len..end].copy_from_slice(text.as_bytes());
+        self.len = end;
+    }
+
+    #[inline(always)]
+    pub(crate) fn byte(&mut self, b: u8) {
+        self.bytes[self.len] = b;
+        self.len += 1;
+    }
+
+    /// `v` in decimal, two digits per division.
+    #[inline(always)]
+    pub(crate) fn uint(&mut self, mut v: u64) {
+        const PAIRS: &[u8; 200] = b"\
+            0001020304050607080910111213141516171819\
+            2021222324252627282930313233343536373839\
+            4041424344454647484950515253545556575859\
+            6061626364656667686970717273747576777879\
+            8081828384858687888990919293949596979899";
+        let digits = v.checked_ilog10().map_or(1, |log| log as usize + 1);
+        self.len += digits;
+        let mut at = self.len;
+        while v >= 10 {
+            let pair = 2 * (v % 100) as usize;
+            v /= 100;
+            at -= 2;
+            self.bytes[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        }
+        if at > self.len - digits {
+            self.bytes[at - 1] = b'0' + v as u8;
+        }
+    }
+
+    /// `v` in decimal.
+    #[inline(always)]
+    pub(crate) fn int(&mut self, v: i64) {
+        if v < 0 {
+            self.byte(b'-');
+        }
+        self.uint(v.unsigned_abs());
+    }
+
+    #[inline(always)]
+    fn addr(&mut self, addr: Addr) {
+        self.put("[r");
+        self.uint(addr.base.index().into());
+        if addr.offset >= 0 {
+            self.byte(b'+');
+        }
+        self.int(addr.offset.into());
+        self.byte(b']');
+    }
+
+    #[inline(always)]
+    fn operand(&mut self, op: Operand) {
+        match op {
+            Operand::Reg(r) => {
+                self.byte(b'r');
+                self.uint(r.index().into());
+            }
+            Operand::Addr(a) => self.addr(a),
+            Operand::GAddr(a) => {
+                self.byte(b'g');
+                self.addr(a);
+            }
+            Operand::Core(c) => {
+                self.put("core");
+                self.uint(c.0.into());
+            }
+            Operand::Group(g) => {
+                self.byte(b'g');
+                self.uint(g.0.into());
+            }
+            Operand::Int(v) => self.int(v),
+            Operand::Key(key, v) => {
+                self.put(key);
+                self.int(v);
+            }
+            Operand::Win(w, h) => {
+                self.put("win=");
+                self.uint(w.into());
+                self.byte(b'x');
+                self.uint(h.into());
+            }
+        }
+    }
+
+    /// `mnemonic`, a space and `operands` separated by `, `.
+    #[inline(always)]
+    fn instruction(&mut self, mnemonic: &str, operands: &[Operand]) {
+        self.put(mnemonic);
+        for (i, &op) in operands.iter().enumerate() {
+            if i > 0 {
+                self.byte(b',');
+            }
+            self.byte(b' ');
+            self.operand(op);
+        }
+    }
+}
+
+impl Instruction {
+    /// Appends the canonical assembly text of `self` (what `Display`
+    /// prints and [`crate::asm::disassemble`] writes) to `line`.
+    pub(crate) fn write_asm(&self, line: &mut AsmLine) {
         use Instruction::*;
-        match self {
+        use Operand::{Core, GAddr, Group, Int, Key, Win};
+        let (a, r) = (Operand::Addr, Operand::Reg);
+        match *self {
             Mvm {
                 group,
                 dst,
                 src,
                 len,
-            } => write!(f, "mvm {group}, {dst}, {src}, {len}"),
+            } => line.instruction("mvm", &[Group(group), a(dst), a(src), Int(len.into())]),
             VBin {
                 op,
                 dst,
-                a,
-                b,
+                a: x,
+                b: y,
                 len,
-            } => write!(f, "{} {dst}, {a}, {b}, {len}", op.mnemonic()),
+            } => line.instruction(op.mnemonic(), &[a(dst), a(x), a(y), Int(len.into())]),
             VImm {
                 op,
                 dst,
                 src,
                 imm,
                 len,
-            } => write!(f, "{} {dst}, {src}, {imm}, {len}", op.mnemonic()),
-            VUn { op, dst, src, len } => write!(f, "{} {dst}, {src}, {len}", op.mnemonic()),
-            VFill { dst, value, len } => write!(f, "vfill {dst}, {value}, {len}"),
+            } => line.instruction(
+                op.mnemonic(),
+                &[a(dst), a(src), Int(imm.into()), Int(len.into())],
+            ),
+            VUn { op, dst, src, len } => {
+                line.instruction(op.mnemonic(), &[a(dst), a(src), Int(len.into())])
+            }
+            VFill { dst, value, len } => {
+                line.instruction("vfill", &[a(dst), Int(value.into()), Int(len.into())])
+            }
             VCopy2d {
                 dst,
                 src,
@@ -886,9 +1051,16 @@ impl fmt::Display for Instruction {
                 blocks,
                 src_stride,
                 dst_stride,
-            } => write!(
-                f,
-                "vcopy2d {dst}, {src}, block={block_len}, blocks={blocks}, sstride={src_stride}, dstride={dst_stride}"
+            } => line.instruction(
+                "vcopy2d",
+                &[
+                    a(dst),
+                    a(src),
+                    Key("block=", block_len.into()),
+                    Key("blocks=", blocks.into()),
+                    Key("sstride=", src_stride.into()),
+                    Key("dstride=", dst_stride.into()),
+                ],
             ),
             VPool {
                 op,
@@ -898,23 +1070,34 @@ impl fmt::Display for Instruction {
                 win_w,
                 win_h,
                 row_stride,
-            } => write!(
-                f,
-                "{} {dst}, {src}, ch={channels}, win={win_w}x{win_h}, rstride={row_stride}",
-                op.mnemonic()
+            } => line.instruction(
+                op.mnemonic(),
+                &[
+                    a(dst),
+                    a(src),
+                    Key("ch=", channels.into()),
+                    Win(win_w, win_h),
+                    Key("rstride=", row_stride.into()),
+                ],
             ),
             Send {
                 peer,
                 src,
                 len,
                 tag,
-            } => write!(f, "send {peer}, {src}, {len}, tag={tag}"),
+            } => line.instruction(
+                "send",
+                &[Core(peer), a(src), Int(len.into()), Key("tag=", tag.into())],
+            ),
             Recv {
                 peer,
                 dst,
                 len,
                 tag,
-            } => write!(f, "recv {peer}, {dst}, {len}, tag={tag}"),
+            } => line.instruction(
+                "recv",
+                &[Core(peer), a(dst), Int(len.into()), Key("tag=", tag.into())],
+            ),
             Recv2d {
                 peer,
                 dst,
@@ -922,24 +1105,45 @@ impl fmt::Display for Instruction {
                 blocks,
                 dst_stride,
                 tag,
-            } => write!(
-                f,
-                "recv2d {peer}, {dst}, block={block_len}, blocks={blocks}, dstride={dst_stride}, tag={tag}"
+            } => line.instruction(
+                "recv2d",
+                &[
+                    Core(peer),
+                    a(dst),
+                    Key("block=", block_len.into()),
+                    Key("blocks=", blocks.into()),
+                    Key("dstride=", dst_stride.into()),
+                    Key("tag=", tag.into()),
+                ],
             ),
-            GLoad { dst, gaddr, len } => write!(f, "gload {dst}, g{gaddr}, {len}"),
-            GStore { gaddr, src, len } => write!(f, "gstore g{gaddr}, {src}, {len}"),
-            SBin { op, rd, rs1, rs2 } => write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic()),
-            SImm { op, rd, rs1, imm } => write!(f, "{} {rd}, {rs1}, {imm}", op.mnemonic()),
+            GLoad { dst, gaddr, len } => {
+                line.instruction("gload", &[a(dst), GAddr(gaddr), Int(len.into())])
+            }
+            GStore { gaddr, src, len } => {
+                line.instruction("gstore", &[GAddr(gaddr), a(src), Int(len.into())])
+            }
+            SBin { op, rd, rs1, rs2 } => line.instruction(op.mnemonic(), &[r(rd), r(rs1), r(rs2)]),
+            SImm { op, rd, rs1, imm } => {
+                line.instruction(op.mnemonic(), &[r(rd), r(rs1), Int(imm.into())])
+            }
             Branch {
                 cond,
                 rs1,
                 rs2,
                 target,
-            } => write!(f, "{} {rs1}, {rs2}, {target}", cond.mnemonic()),
-            Jump { target } => write!(f, "jmp {target}"),
-            Halt => write!(f, "halt"),
-            Nop => write!(f, "nop"),
+            } => line.instruction(cond.mnemonic(), &[r(rs1), r(rs2), Int(target.into())]),
+            Jump { target } => line.instruction("jmp", &[Int(target.into())]),
+            Halt => line.instruction("halt", &[]),
+            Nop => line.instruction("nop", &[]),
         }
+    }
+}
+
+impl fmt::Display for Instruction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut line = AsmLine::new();
+        self.write_asm(&mut line);
+        f.write_str(line.as_str()?)
     }
 }
 
