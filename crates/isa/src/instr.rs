@@ -934,6 +934,7 @@ impl AsmLine {
             at -= 2;
             self.bytes[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
         }
+        // An odd digit count leaves the leading digit.
         if at > self.len - digits {
             self.bytes[at - 1] = b'0' + v as u8;
         }
