@@ -738,19 +738,8 @@ pub fn assemble(text: &str) -> Result<Program, IsaError> {
         fixups: Vec<(usize, &'a str, usize)>,
     }
 
-    /// The slot of core `id`'s build, opened on first use.
-    fn open(slots: &mut BTreeMap<u16, usize>, builds: &mut Vec<CoreBuild>, id: u16) -> usize {
-        *slots.entry(id).or_insert_with(|| {
-            builds.push(CoreBuild::default());
-            builds.len() - 1
-        })
-    }
-
-    let mut slots: BTreeMap<u16, usize> = BTreeMap::new();
-    let mut builds: Vec<CoreBuild> = Vec::new();
+    let mut cores: BTreeMap<u16, CoreBuild> = BTreeMap::new();
     let mut current: u16 = 0;
-    // The slot of `current`, once a line has used it.
-    let mut slot: Option<usize> = None;
 
     let bytes = text.as_bytes();
     let (mut next, mut lineno) = (0, 0);
@@ -775,11 +764,10 @@ pub fn assemble(text: &str) -> Result<Program, IsaError> {
             if let Some(rest) = line.strip_prefix(".core") {
                 current = unsigned(trim(rest))
                     .ok_or_else(|| perr(lineno, format!("bad `.core` directive `{line}`")))?;
-                slot = Some(open(&mut slots, &mut builds, current));
+                cores.entry(current).or_default();
                 continue;
             }
-            let at = *slot.get_or_insert_with(|| open(&mut slots, &mut builds, current));
-            let core = &mut builds[at];
+            let core = cores.entry(current).or_default();
             if let Some(rest) = line.strip_prefix(".group") {
                 // .group ID in=N out=M xbars=a,b,c
                 let mut parts = rest.split_whitespace();
@@ -833,8 +821,7 @@ pub fn assemble(text: &str) -> Result<Program, IsaError> {
             return Err(perr(lineno, format!("unknown directive `{line}`")));
         }
 
-        let at = *slot.get_or_insert_with(|| open(&mut slots, &mut builds, current));
-        let core = &mut builds[at];
+        let core = cores.entry(current).or_default();
         if let Some(label) = line.strip_suffix(':') {
             let label = trim(label);
             if label.is_empty() || label.chars().any(char::is_whitespace) {
@@ -856,7 +843,7 @@ pub fn assemble(text: &str) -> Result<Program, IsaError> {
     }
 
     // Patch label targets and build the program.
-    let max_core = slots
+    let max_core = cores
         .keys()
         .next_back()
         .map(|&c| c as usize + 1)
@@ -867,14 +854,14 @@ pub fn assemble(text: &str) -> Result<Program, IsaError> {
         mapping: String::new(),
         notes: String::new(),
     };
-    for (cid, at) in slots {
+    for (cid, build) in cores {
         let CoreBuild {
             mut instrs,
             groups,
             local_init,
             labels,
             fixups,
-        } = std::mem::take(&mut builds[at]);
+        } = build;
         for (at, label, lineno) in fixups {
             let pc = *labels
                 .get(label)
