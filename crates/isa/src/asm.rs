@@ -96,142 +96,219 @@ fn split_space(s: &str) -> Option<(&str, &str)> {
     Some((&s[..at + word.len()], rest))
 }
 
-/// An integer as `str::parse` reads it for a type of `radix`: a `+` (or,
-/// when `signed`, a `-`), then at least one digit; `None` past `i64`.
-fn digits(s: &[u8], radix: u32, signed: bool) -> Option<i64> {
-    let (negative, body) = match s {
-        [b'+', body @ ..] => (false, body),
-        [b'-', body @ ..] if signed => (true, body),
-        _ => (false, s),
-    };
-    if body.is_empty() {
-        return None;
-    }
-    body.iter().try_fold(0i64, |v, &c| {
-        let d = i64::from(char::from(c).to_digit(radix)?);
-        let v = v.checked_mul(i64::from(radix))?;
-        if negative {
-            v.checked_sub(d)
-        } else {
-            v.checked_add(d)
-        }
-    })
-}
-
-/// An unsigned decimal field as `str::parse::<T>` reads it.
-fn unsigned<T: TryFrom<i64>>(s: &str) -> Option<T> {
-    T::try_from(digits(s.as_bytes(), 10, false)?).ok()
-}
-
-/// A decimal, `0x`/`0X` or `-0x`/`-0X` integer, whitespace around it
-/// allowed.
-fn parse_int(s: &str) -> Option<i64> {
-    match trim(s).as_bytes() {
-        [b'0', b'x' | b'X', hex @ ..] => digits(hex, 16, true),
-        [b'-', b'0', b'x' | b'X', hex @ ..] => digits(hex, 16, true).map(i64::wrapping_neg),
-        dec => digits(dec, 10, true),
+/// The length of the non-ASCII whitespace char at `at` in `s`, or 0.
+#[cold]
+fn wide_space(s: &str, at: usize) -> usize {
+    match s[at..].chars().next() {
+        Some(ch) if ch.is_whitespace() => ch.len_utf8(),
+        _ => 0,
     }
 }
 
-/// A register as `Reg`'s `FromStr` reads it: `zero`, or `r` and an index.
-fn parse_reg(s: &str) -> Option<Reg> {
-    match s.as_bytes() {
-        b"zero" => Some(Reg::R0),
-        [b'r', index @ ..] => Reg::new(u8::try_from(digits(index, 10, false)?).ok()?).ok(),
-        _ => None,
-    }
-}
-
-/// Parses `[rN+OFF]`, `[rN-OFF]`, `[rN]`; with `global`, requires `g` prefix.
-fn parse_addr(tok: &str, global: bool) -> Option<Addr> {
-    let tok = if global { tok.strip_prefix('g')? } else { tok };
-    let inner = tok.strip_prefix('[')?.strip_suffix(']')?;
-    let b = inner.as_bytes();
-    let (base, off) = match b.iter().position(|&c| c == b'+') {
-        Some(i) => (&inner[..i], parse_int(&inner[i + 1..])?),
-        None => match b.iter().rposition(|&c| c == b'-') {
-            Some(0) => return None,
-            Some(i) => (&inner[..i], parse_int(&inner[i + 1..])?.wrapping_neg()),
-            None => (inner, 0),
-        },
-    };
-    Addr::new(parse_reg(trim(base))?, i32::try_from(off).ok()?).ok()
-}
-
-/// A reader of one operand as `Display` writes it (decimal integers,
-/// `rN`, `[rN+off]`, `key=value`), in place over the operand bytes. It
-/// gives up on anything else (hex, a `+` sign, a bare `[rN]`, unicode
-/// whitespace), and [`Operands`] then cuts the operand out and parses the
-/// token.
-struct Canonical<'a> {
-    b: &'a [u8],
+/// A forward reader over operand text: each method reads one item at the
+/// cursor and returns `None`, the cursor then anywhere, when the text there
+/// is not that item. Its grammar is that of the `str`-token parser it
+/// replaced (the test `oracle`): an operand is cut at its comma and
+/// trimmed, then read by `str::parse`, `from_str_radix` and the address
+/// split at the first `+` or else the last `-`.
+struct Reader<'a> {
+    s: &'a str,
     at: usize,
 }
 
-impl Canonical<'_> {
+impl<'a> Reader<'a> {
+    fn new(s: &'a str, at: usize) -> Self {
+        Reader { s, at }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.at).copied()
+    }
+
+    fn at_end(&self) -> bool {
+        self.at == self.s.len()
+    }
+
+    /// Steps over whitespace as `str::trim` strips it.
     fn spaces(&mut self) {
-        while self.b.get(self.at).is_some_and(|&c| is_space(c)) {
-            self.at += 1;
+        while let Some(c) = self.peek() {
+            if is_space(c) {
+                self.at += 1;
+            } else if c < 0x80 {
+                return;
+            } else {
+                match wide_space(self.s, self.at) {
+                    0 => return,
+                    n => self.at += n,
+                }
+            }
         }
     }
 
     fn byte(&mut self, c: u8) -> Option<()> {
-        (self.b.get(self.at) == Some(&c)).then(|| self.at += 1)
+        (self.peek() == Some(c)).then(|| self.at += 1)
     }
 
     fn bytes(&mut self, s: &[u8]) -> Option<()> {
         let end = self.at + s.len();
-        (self.b.get(self.at..end) == Some(s)).then(|| self.at = end)
+        (self.s.as_bytes().get(self.at..end) == Some(s)).then(|| self.at = end)
     }
 
-    /// One to 18 decimal digits.
-    fn digits(&mut self) -> Option<i64> {
+    /// At least one digit of `radix`, accumulated towards the sign's side
+    /// so that `i64::MIN` reads; `None` past `i64`.
+    fn digits(&mut self, radix: u32, negative: bool) -> Option<i64> {
         let start = self.at;
         let mut v: i64 = 0;
-        while let Some(d) = self.b.get(self.at).map(|c| c.wrapping_sub(b'0')) {
-            if d > 9 || self.at - start == 18 {
+        while let Some(c) = self.peek() {
+            let d = match radix {
+                10 => u32::from(c.wrapping_sub(b'0')),
+                _ => char::from(c).to_digit(radix).unwrap_or(radix),
+            };
+            if d >= radix {
                 break;
             }
-            v = v * 10 + i64::from(d);
+            v = v.checked_mul(i64::from(radix))?;
+            v = if negative {
+                v.checked_sub(i64::from(d))?
+            } else {
+                v.checked_add(i64::from(d))?
+            };
             self.at += 1;
         }
         (self.at > start).then_some(v)
     }
 
-    fn int(&mut self) -> Option<i64> {
-        let negative = self.byte(b'-').is_some();
-        let v = self.digits()?;
-        Some(if negative { -v } else { v })
-    }
-
-    /// An unsigned field: a register, core, group or window index.
-    fn index<T: TryFrom<i64>>(&mut self) -> Option<T> {
-        T::try_from(self.digits()?).ok()
-    }
-
-    fn reg(&mut self) -> Option<Reg> {
-        self.byte(b'r')?;
-        Reg::new(self.index()?).ok()
-    }
-
-    fn addr(&mut self) -> Option<Addr> {
-        self.byte(b'[')?;
-        let base = self.reg()?;
-        let negative = match self.b.get(self.at) {
+    /// An `i64` as `str::parse` or `from_str_radix` reads it: a `+` or `-`,
+    /// then digits.
+    fn signed(&mut self, radix: u32) -> Option<i64> {
+        let negative = match self.peek() {
             Some(b'+') => false,
             Some(b'-') => true,
-            _ => return None,
+            _ => return self.digits(radix, false),
         };
         self.at += 1;
-        let off = self.digits()?;
+        self.digits(radix, negative)
+    }
+
+    /// A decimal, `0x`/`0X` or `-0x`/`-0X` integer.
+    fn int(&mut self) -> Option<i64> {
+        let negative = match self.peek() {
+            Some(b'-') => true,
+            Some(b'+') => {
+                self.at += 1;
+                return self.digits(10, false);
+            }
+            _ => false,
+        };
+        self.at += usize::from(negative);
+        if self.hex_prefix() {
+            let v = self.signed(16)?;
+            return Some(if negative { v.wrapping_neg() } else { v });
+        }
+        self.digits(10, negative)
+    }
+
+    /// Steps over a `0x` or `0X`, if one is at the cursor.
+    fn hex_prefix(&mut self) -> bool {
+        let prefix = matches!(
+            self.s.as_bytes().get(self.at..self.at + 2),
+            Some([b'0', b'x' | b'X'])
+        );
+        self.at += 2 * usize::from(prefix);
+        prefix
+    }
+
+    /// An unsigned field as `str::parse::<T>` reads it: a `+`, then digits.
+    fn unsigned<T: TryFrom<i64>>(&mut self) -> Option<T> {
+        let _ = self.byte(b'+');
+        T::try_from(self.digits(10, false)?).ok()
+    }
+
+    /// A register as `Reg`'s `FromStr` reads it: `zero`, or `r` and an
+    /// index (after a `+` only when `plus`).
+    fn reg(&mut self, plus: bool) -> Option<Reg> {
+        if self.byte(b'r').is_none() {
+            return self.bytes(b"zero").map(|()| Reg::R0);
+        }
+        let index = if plus {
+            self.unsigned()?
+        } else {
+            u8::try_from(self.digits(10, false)?).ok()?
+        };
+        Reg::new(index).ok()
+    }
+
+    /// `[rN+OFF]`, `[rN-OFF]` or `[rN]`, with a `g` before it when
+    /// `global`, and whitespace around the register and the offset. The
+    /// old split took the base before the first `+`, or else before the
+    /// last `-`: so the base has no sign, and an offset after `-` has none
+    /// either.
+    fn addr(&mut self, global: bool) -> Option<Addr> {
+        // Most addresses have no whitespace inside: read them without
+        // looking for any first.
+        let start = self.at;
+        self.addr_spaced::<false>(global).or_else(|| {
+            self.at = start;
+            self.addr_spaced::<true>(global)
+        })
+    }
+
+    /// [`Reader::addr`], stepping over inner whitespace when `SPACED`.
+    fn addr_spaced<const SPACED: bool>(&mut self, global: bool) -> Option<Addr> {
+        let spaces = |r: &mut Self| {
+            if SPACED {
+                r.spaces();
+            }
+        };
+        if global {
+            self.byte(b'g')?;
+        }
+        self.byte(b'[')?;
+        spaces(self);
+        let base = self.reg(false)?;
+        spaces(self);
+        let off = match self.peek()? {
+            b']' => 0,
+            sign @ (b'+' | b'-') => {
+                self.at += 1;
+                spaces(self);
+                let off = if sign == b'+' {
+                    self.int()?
+                } else {
+                    let radix = if self.hex_prefix() { 16 } else { 10 };
+                    self.digits(radix, false)?.wrapping_neg()
+                };
+                spaces(self);
+                off
+            }
+            _ => return None,
+        };
         self.byte(b']')?;
-        let off = if negative { -off } else { off };
         Addr::new(base, i32::try_from(off).ok()?).ok()
     }
 }
 
-/// One instruction's comma-separated operands, each cut at its comma and
-/// trimmed as it is taken.
+/// All of `s` read by `read`.
+fn whole<'a, T>(s: &'a str, read: impl FnOnce(&mut Reader<'a>) -> Option<T>) -> Option<T> {
+    let mut r = Reader::new(s, 0);
+    let v = read(&mut r)?;
+    r.at_end().then_some(v)
+}
+
+/// An unsigned decimal field as `str::parse::<T>` reads it.
+fn unsigned<T: TryFrom<i64>>(s: &str) -> Option<T> {
+    whole(s, Reader::unsigned)
+}
+
+/// A decimal, `0x`/`0X` or `-0x`/`-0X` integer, whitespace around it
+/// allowed.
+fn parse_int(s: &str) -> Option<i64> {
+    whole(trim(s), Reader::int)
+}
+
+/// One instruction's comma-separated operands, each read in place up to
+/// its comma; an operand that does not read is cut out and trimmed for
+/// the error.
 struct Operands<'a> {
     rest: &'a str,
     /// Where the next operand starts; past `rest`'s end, none is left.
@@ -321,50 +398,46 @@ impl<'a> Operands<'a> {
         ))
     }
 
-    /// The next operand, when it is spelled as `Display` writes it: `read`
-    /// takes it in place, between ASCII spaces and up to its comma. `None`
-    /// leaves the operand for [`Operands::take`] and the token parsers,
-    /// which read every spelling.
-    fn canonical<T>(&mut self, read: impl FnOnce(&mut Canonical<'a>) -> Option<T>) -> Option<T> {
-        let b = self.rest.as_bytes();
-        if self.next > b.len() {
+    /// The next operand read in place by `read`, when it reads and only
+    /// whitespace follows it up to its comma. `None` leaves the operand
+    /// for [`Operands::take`], which cuts its text for the error.
+    fn read<T>(&mut self, read: impl FnOnce(&mut Reader<'a>) -> Option<T>) -> Option<T> {
+        if self.next > self.rest.len() {
             return None;
         }
-        let mut c = Canonical { b, at: self.next };
-        c.spaces();
-        let value = read(&mut c)?;
-        c.spaces();
-        self.next = match b.get(c.at) {
-            None => b.len() + 1,
-            Some(b',') => c.at + 1,
+        let mut r = Reader::new(self.rest, self.next);
+        r.spaces();
+        let value = read(&mut r)?;
+        r.spaces();
+        self.next = match r.peek() {
+            None => self.rest.len() + 1,
+            Some(b',') => r.at + 1,
             Some(_) => return None,
         };
         self.taken += 1;
         Some(value)
     }
 
-    /// Reads the next operand, in place when it is canonical, else with
-    /// `parse` on its token, or reports "expected {expected}, got
+    /// Reads the next operand, or reports "expected {expected}, got
     /// `{token}`".
     fn parsed<T>(
         &mut self,
-        read: impl FnOnce(&mut Canonical<'a>) -> Option<T>,
-        parse: impl FnOnce(&str) -> Option<T>,
+        read: impl FnOnce(&mut Reader<'a>) -> Option<T>,
         expected: &str,
     ) -> Result<T, IsaError> {
-        if let Some(value) = self.canonical(read) {
+        if let Some(value) = self.read(read) {
             return Ok(value);
         }
         let tok = self.take()?;
-        parse(tok).ok_or_else(|| perr(self.line, format!("expected {expected}, got `{tok}`")))
+        Err(perr(self.line, format!("expected {expected}, got `{tok}`")))
     }
 
     fn reg(&mut self) -> Result<Reg, IsaError> {
-        self.parsed(Canonical::reg, parse_reg, "register")
+        self.parsed(|r| r.reg(true), "register")
     }
 
     fn int(&mut self) -> Result<i64, IsaError> {
-        self.parsed(Canonical::int, parse_int, "integer")
+        self.parsed(Reader::int, "integer")
     }
 
     fn u32(&mut self) -> Result<u32, IsaError> {
@@ -378,58 +451,47 @@ impl<'a> Operands<'a> {
     }
 
     fn addr(&mut self) -> Result<Addr, IsaError> {
-        self.parsed(
-            Canonical::addr,
-            |t| parse_addr(t, false),
-            "address like [r1+8]",
-        )
+        self.parsed(|r| r.addr(false), "address like [r1+8]")
     }
 
     fn gaddr(&mut self) -> Result<Addr, IsaError> {
-        self.parsed(
-            |c| {
-                c.byte(b'g')?;
-                c.addr()
-            },
-            |t| parse_addr(t, true),
-            "global address like g[r1+8]",
-        )
+        self.parsed(|r| r.addr(true), "global address like g[r1+8]")
     }
 
     fn core(&mut self) -> Result<CoreId, IsaError> {
-        let read = |c: &mut Canonical| {
-            c.bytes(b"core")?;
-            c.index()
+        let read = |r: &mut Reader| {
+            let _ = r.bytes(b"core");
+            r.unsigned()
         };
-        let id = |t: &str| unsigned(t.strip_prefix("core").unwrap_or(t));
-        Ok(CoreId(self.parsed(read, id, "core id")?))
+        Ok(CoreId(self.parsed(read, "core id")?))
     }
 
     fn group(&mut self) -> Result<GroupId, IsaError> {
-        let read = |c: &mut Canonical| {
-            c.byte(b'g')?;
-            c.index()
+        let read = |r: &mut Reader| {
+            r.byte(b'g')?;
+            r.unsigned()
         };
-        let id = |t: &str| unsigned(t.strip_prefix('g')?);
-        Ok(GroupId(self.parsed(read, id, "group like g3")?))
+        Ok(GroupId(self.parsed(read, "group like g3")?))
     }
 
     /// Parses `key=value` returning the integer value.
     fn kv_int(&mut self, key: &str) -> Result<i64, IsaError> {
-        let read = |c: &mut Canonical| {
-            c.bytes(key.as_bytes())?;
-            c.byte(b'=')?;
-            c.int()
+        let read = |r: &mut Reader| {
+            r.bytes(key.as_bytes())?;
+            r.byte(b'=')?;
+            r.spaces();
+            r.int()
         };
-        if let Some(v) = self.canonical(read) {
+        if let Some(v) = self.read(read) {
             return Ok(v);
         }
         let tok = self.take()?;
-        let val = tok
-            .strip_prefix(key)
-            .and_then(|r| r.strip_prefix('='))
-            .ok_or_else(|| perr(self.line, format!("expected `{key}=<value>`, got `{tok}`")))?;
-        parse_int(val).ok_or_else(|| perr(self.line, format!("bad integer in `{tok}`")))
+        let msg = if tok.strip_prefix(key).is_some_and(|v| v.starts_with('=')) {
+            format!("bad integer in `{tok}`")
+        } else {
+            format!("expected `{key}=<value>`, got `{tok}`")
+        };
+        Err(perr(self.line, msg))
     }
 
     fn kv_u32(&mut self, key: &str) -> Result<u32, IsaError> {
@@ -449,37 +511,30 @@ impl<'a> Operands<'a> {
 
     /// Parses `win=WxH`.
     fn kv_window(&mut self) -> Result<(u32, u32), IsaError> {
-        let read = |c: &mut Canonical| {
-            c.bytes(b"win=")?;
-            let w = c.index()?;
-            c.byte(b'x')?;
-            Some((w, c.index()?))
+        let read = |r: &mut Reader| {
+            r.bytes(b"win=")?;
+            let w = r.unsigned()?;
+            r.byte(b'x')?;
+            Some((w, r.unsigned()?))
         };
-        if let Some(window) = self.canonical(read) {
+        if let Some(window) = self.read(read) {
             return Ok(window);
         }
         let tok = self.take()?;
-        let (w, h) = tok
-            .strip_prefix("win=")
-            .and_then(|v| v.split_once('x'))
-            .ok_or_else(|| perr(self.line, format!("expected `win=WxH`, got `{tok}`")))?;
-        let bad = || perr(self.line, format!("bad window `{tok}`"));
-        Ok((unsigned(w).ok_or_else(bad)?, unsigned(h).ok_or_else(bad)?))
+        let msg = if tok.strip_prefix("win=").is_some_and(|v| v.contains('x')) {
+            format!("bad window `{tok}`")
+        } else {
+            format!("expected `win=WxH`, got `{tok}`")
+        };
+        Err(perr(self.line, msg))
     }
 
     /// Parses a branch target: a number, or a label name that reads as
     /// target 0 until [`assemble`] patches it.
     fn target(&mut self) -> Result<u32, IsaError> {
-        let v = match self.canonical(Canonical::int) {
-            Some(v) => v,
-            None => {
-                let tok = self.take()?;
-                let Some(v) = parse_int(tok) else {
-                    self.label = Some(tok);
-                    return Ok(0);
-                };
-                v
-            }
+        let Some(v) = self.read(Reader::int) else {
+            self.label = Some(self.take()?);
+            return Ok(0);
         };
         u32::try_from(v).map_err(|_| perr(self.line, format!("branch target {v} out of range")))
     }
@@ -745,7 +800,6 @@ pub fn assemble(text: &str) -> Result<Program, IsaError> {
     let (mut next, mut lineno) = (0, 0);
     while next < bytes.len() {
         lineno += 1;
-        // One pass to the line feed: the code ends at a comment marker.
         let start = next;
         let code_end = line_stop(bytes, start);
         next = match bytes.get(code_end) {
@@ -1996,6 +2050,120 @@ mod tests {
         let sep = [", ", ",", " , ", ",\t"][a % 4];
         let gap = [" ", "\t", "   "][b % 3];
         (format!("{mnemonic}{gap}{}", ops.join(sep)), empty)
+    }
+
+    /// Spellings that the old token split read one way or refused: signs,
+    /// hex and whitespace inside addresses, signs on fields, values at the
+    /// edges of `i64`, and near misses of each operand kind.
+    const ODD: [&str; 66] = [
+        "[r1--5]",
+        "[r1-+5]",
+        "[r+5+8]",
+        "[ r1 + 0x8 ]",
+        "[r1+-0x-5]",
+        "[r1 - 0X1f ]",
+        "[r1-0x+5]",
+        "[r1-0x]",
+        "[r1+5]]",
+        "[[r1+5]",
+        "[zero+4]",
+        "[zero]",
+        "[r1+ -5]",
+        "[r1 -5 -3]",
+        "[r1-3+5]",
+        "[r1+5+3]",
+        "[r1\u{a0}+\u{3000}4]",
+        "[\u{2003}r1]",
+        "[r1-]",
+        "[r1 ]",
+        "[ r1]",
+        "[r 1+0]",
+        "[r32+0]",
+        "[r1+2147483648]",
+        "g[ r2 - 8 ]",
+        "g [r2+8]",
+        "g[r2+0x-8]",
+        "r+5",
+        "r+",
+        "zero",
+        "zeros",
+        "r01",
+        "r 1",
+        "r1\u{b7}",
+        "+7",
+        "+-7",
+        "-+7",
+        "0x+5",
+        "0x-5",
+        "-0x-5",
+        "+0x5",
+        "-0",
+        "- 5",
+        "0X1F",
+        "0xfg",
+        "9223372036854775807",
+        "-9223372036854775808",
+        "9223372036854775808",
+        "-0x8000000000000000",
+        "0x7fffffffffffffff",
+        "core+3",
+        "corecore3",
+        "core 3",
+        "g+2",
+        "g 2",
+        "tag= 5",
+        "tag=\u{a0}5",
+        "tag =5",
+        "tag=+5",
+        "tag=0x-1",
+        "win=+3x3",
+        "win=3 x3",
+        "win=3x+3",
+        "win=3xx3",
+        "win=x3",
+        "blocks= 2",
+    ];
+
+    /// Every operand of one line of each operand shape, replaced by each
+    /// odd spelling: the in-place reader and the oracle give the same
+    /// instruction, label or error text.
+    #[test]
+    fn reader_matches_the_oracle_on_odd_spellings() {
+        let lines = [
+            "addi r1, r2, 3",
+            "beq r1, r2, 5",
+            "vadd [r1+0], [r2+0], [r3+0], 4",
+            "mvm g0, [r1+0], [r2+0], 4",
+            "send core1, [r1+0], 4, tag=3",
+            "recv2d core1, [r1+0], block=2, blocks=3, dstride=4, tag=5",
+            "gload [r1+0], g[r2+8], 4",
+            "vpool.max [r1+0], [r2+0], ch=1, win=3x3, rstride=2",
+            "vcopy2d [r1+0], [r2+0], block=2, blocks=3, sstride=4, dstride=5",
+        ];
+        for line in lines {
+            let (mnemonic, rest) = line.split_once(' ').expect("operands");
+            let ops: Vec<&str> = rest.split(", ").collect();
+            for at in 0..ops.len() {
+                for odd in ODD {
+                    let mut edited = ops.clone();
+                    edited[at] = odd;
+                    let text = format!("{mnemonic} {}", edited.join(", "));
+                    let (new, old) = both(&text);
+                    assert_eq!(new, old, "{text}");
+                }
+            }
+        }
+        // The directives read their numbers with the same reader.
+        for text in [
+            ".core +1\n.group 0 in=+4 out=4 xbars=+0,1\n.init 0x10 +1, -0x2,\u{a0}3, 0x-4\nhalt",
+            ".init 0X10 1,,2\nhalt",
+            ".init +0x10 1\nhalt",
+            ".group 0 in=4 out= xbars=0\nhalt",
+            ".core 1 2\nhalt",
+        ] {
+            let (new, old) = assemble_both(text);
+            assert_eq!(new, old, "{text}");
+        }
     }
 
     #[test]
