@@ -11,7 +11,7 @@
 //! pimsim bound    <prog.json|prog.s> | --network resnet18 [--mapping ...]
 //!                 [--format text|json]
 //! pimsim asm      <file.s> [--out prog.json]
-//! pimsim disasm   <prog.json>
+//! pimsim disasm   <prog.json|prog.s>
 //! pimsim sweep    [--config grid.json] [--networks a,b] [--robs 1,4,8] ...
 //!                 [--threads N] [--out results.json] [--json]
 //! pimsim serve    --networks resnet18,vgg8 [--rate 50000] [--arrivals poisson]
@@ -51,7 +51,7 @@ const USAGE: &str =
             check): a sound latency lower bound with its critical path,
             per-core utilization bounds, and per-channel credit occupancy
   asm       assemble a .s file into a program JSON
-  disasm    print the assembly of a program JSON
+  disasm    print the assembly of a program (a .json or .s file)
   sweep     run a design-space campaign (cartesian scenario grid) in
             parallel and collect one result row per point
   serve     simulate the chip under open-loop inference traffic (request
@@ -377,6 +377,23 @@ fn compile_network(args: &Args, arch: &ArchConfig) -> Result<Compiled, String> {
         .map_err(|e| e.to_string())
 }
 
+/// The text of the file at `path`; an error names the path.
+fn read_text(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
+}
+
+/// The program in the file at `path`: assembly text when the name ends in
+/// `.s`, a program JSON file otherwise.
+fn read_program(path: &str) -> Result<Program, String> {
+    let text = read_text(path)?;
+    if path.ends_with(".s") {
+        asm::assemble(&text)
+    } else {
+        Program::from_json(&text)
+    }
+    .map_err(|e| e.to_string())
+}
+
 /// The program `run`, `check` and `bound` work on.
 enum ProgramSource {
     /// `--network`, compiled on the spot.
@@ -403,13 +420,7 @@ impl ProgramSource {
                         "--{name} applies to --network, not to a program file"
                     ));
                 }
-                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                let program = if path.ends_with(".s") {
-                    asm::assemble(&text).map_err(|e| e.to_string())?
-                } else {
-                    Program::from_json(&text).map_err(|e| e.to_string())?
-                };
-                Ok(ProgramSource::File(program, path.clone()))
+                Ok(ProgramSource::File(read_program(path)?, path.clone()))
             }
             (None, Some(_)) => compile_network(args, arch).map(ProgramSource::Network),
             (None, None) => Err(format!(
@@ -740,8 +751,7 @@ fn cmd_asm(args: &Args) -> Result<(), String> {
         .positional
         .first()
         .ok_or("usage: pimsim asm <file.s> [--out prog.json]")?;
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let program = asm::assemble(&text).map_err(|e| e.to_string())?;
+    let program = asm::assemble(&read_text(path)?).map_err(|e| e.to_string())?;
     emit(args.get("out"), |w| program.write_json(w))?;
     if let Some(out) = args.get("out") {
         eprintln!("wrote {out}");
@@ -753,10 +763,10 @@ fn cmd_disasm(args: &Args) -> Result<(), String> {
     let path = args
         .positional
         .first()
-        .ok_or("usage: pimsim disasm <prog.json>")?;
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let program = Program::from_json(&text).map_err(|e| e.to_string())?;
-    program.validate_fields().map_err(|e| e.to_string())?;
+        .ok_or("usage: pimsim disasm <prog.json|prog.s>")?;
+    // Both readers refuse an operand past its field, so every program
+    // read here prints.
+    let program = read_program(path)?;
     emit(None, |w| asm::write_disassembly(&program, w))
 }
 
@@ -1170,11 +1180,12 @@ mod tests {
     fn program_file_errors_name_line_and_column() {
         let dir = std::env::temp_dir().join("pimsim-cli-json-error-test");
         std::fs::create_dir_all(&dir).unwrap();
-        // Ten lines; the string where `offset` wants a number is on line 6.
-        let text = "{\n  \"cores\": [{\n    \"instrs\": [\n      {\"VFill\": {\n        \
-                    \"dst\": {\"base\": 0,\n                \"offset\": \"sixteen\"},\n        \
-                    \"value\": 3, \"len\": 16}}],\n    \
-                    \"groups\": [], \"local_init\": [], \"labels\": {}}],\n  \
+        // Ten lines; the string where an init value wants a number is on
+        // line 7, the second instruction on line 6.
+        let text = "{\n  \"format\": 2,\n  \"cores\": [{\n    \"instrs\": [\n      \
+                    \"vfill [r0+0], 3, 16\",\n      \"halt\"],\n    \
+                    \"groups\": [], \"local_init\": [[0, [\"sixteen\"]]],\n    \
+                    \"labels\": {}}],\n  \
                     \"meta\": {\"name\": \"t\", \"mapping\": \"m\", \"notes\": \"\"}\n}\n";
         assert_eq!(text.lines().count(), 10);
         let bad = dir.join("bad.json");
@@ -1182,15 +1193,15 @@ mod tests {
         let err = dispatch(&argv(&["check", bad.to_str().unwrap()])).unwrap_err();
         assert_eq!(
             err,
-            "parse error: expected i32, found string at line 6 column 27"
+            "parse error: expected i32, found string at line 7 column 39"
         );
         // The location is printed once, not once per layer.
         let unknown = dir.join("unknown.json");
-        std::fs::write(&unknown, text.replace("\"VFill\"", "\"Frob\"")).unwrap();
+        std::fs::write(&unknown, text.replace("\"halt\"", "\"frob r1\"")).unwrap();
         let err = dispatch(&argv(&["check", unknown.to_str().unwrap()])).unwrap_err();
         assert_eq!(
             err,
-            "parse error: unknown variant `Frob` of Instruction at line 4 column 8"
+            "parse error: core 0 pc 1: unknown mnemonic `frob` in `frob r1` at line 6 column 7"
         );
         // With the number in place the same file loads and checks.
         let good = dir.join("good.json");
@@ -1201,6 +1212,18 @@ mod tests {
         std::fs::write(&deep, "[".repeat(200_000)).unwrap();
         let err = dispatch(&argv(&["check", deep.to_str().unwrap()])).unwrap_err();
         assert!(err.contains("at line 1 column 1"), "{err}");
+    }
+
+    /// One loader for every command that reads a program file: a file
+    /// that cannot be read is named in the error.
+    #[test]
+    fn read_errors_name_the_file() {
+        let missing = std::env::temp_dir().join("pimsim-cli-no-such-dir/prog.json");
+        let missing = missing.display().to_string();
+        for cmd in ["run", "check", "bound", "asm", "disasm"] {
+            let err = dispatch(&argv(&[cmd, &missing])).unwrap_err();
+            assert!(err.starts_with(&format!("{missing}: ")), "{cmd}: {err}");
+        }
     }
 
     #[test]

@@ -107,7 +107,8 @@ fn asm_and_disasm_refuse_operands_past_their_fields() {
         "{stderr}"
     );
 
-    // A program file holding the same load, as `run` and `disasm` see it.
+    // A program file holding the same load: `run` and `disasm` refuse its
+    // line as the assembler refuses it, at the line's place in the file.
     let mut program = asm::assemble(&text.replace("300000", "4")).expect("assembles");
     let Instruction::GLoad { len, .. } = &mut program.cores[0].instrs[0] else {
         panic!("core 0 starts with the load")
@@ -117,8 +118,9 @@ fn asm_and_disasm_refuse_operands_past_their_fields() {
     program.write_json(&mut json).expect("write");
     let file = scratch("wide.json", &String::from_utf8(json).expect("UTF-8"));
     let file = file.to_str().expect("UTF-8 path");
-    let located = "invalid program for core 0 at pc 0: \
-                   len value 300000 outside encodable range [0, 262143]";
+    let located = "parse error: core 0 pc 0: \
+                   len value 300000 outside encodable range [0, 262143] \
+                   in `gload [r1+0], g[r2+0], 300000` at line 6 column 9";
     for cmd in ["run", "disasm"] {
         let out = pimsim(&[cmd, file]);
         let stderr = String::from_utf8_lossy(&out.stderr);

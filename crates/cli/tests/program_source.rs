@@ -1,6 +1,7 @@
 //! `pimsim run` simulates a program file as it simulates the network the
 //! file was compiled from, and its JSON report stays valid JSON whatever
-//! the file calls itself.
+//! the file calls itself; `disasm` prints a program file, JSON or
+//! assembly, as `compile --asm` prints the program.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -76,4 +77,28 @@ fn a_quoted_program_name_stays_valid_json() {
     assert_eq!(report["network"].as_str(), Some(name));
     assert_eq!(report["mapping"].as_str(), Some("hand\ttuned"));
     assert_eq!(report["batch"].as_u64(), Some(1));
+}
+
+#[test]
+fn disasm_prints_a_program_file_as_compile_asm_does() {
+    for network in ["tiny_mlp", "tiny_cnn", "lenet"] {
+        for mapping in ["performance-first", "utilization-first"] {
+            let json = scratch(&format!("{network}-{mapping}.p.json"));
+            let asm = scratch(&format!("{network}-{mapping}.p.s"));
+            let (json, asm) = (json.to_str().expect("UTF-8"), asm.to_str().expect("UTF-8"));
+            let args = ["compile", "--network", network, "--mapping", mapping];
+            pimsim(&[&args[..], &["--out", json, "--asm", asm]].concat());
+            let text = std::fs::read_to_string(asm).expect("assembly written");
+            assert_eq!(pimsim(&["disasm", json]), text, "{network} {mapping}");
+            // An assembly file reads as the program JSON `asm` makes of it.
+            let reassembled = scratch(&format!("{network}-{mapping}.q.json"));
+            let reassembled = reassembled.to_str().expect("UTF-8");
+            pimsim(&["asm", asm, "--out", reassembled]);
+            assert_eq!(
+                pimsim(&["disasm", asm]),
+                pimsim(&["disasm", reassembled]),
+                "{network} {mapping}"
+            );
+        }
+    }
 }

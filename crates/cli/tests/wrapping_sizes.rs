@@ -63,7 +63,7 @@ fn wrapping_global_init_segment_is_rejected() -> std::io::Result<()> {
     let program = dir.join("wrap.json");
     std::fs::write(
         &program,
-        r#"{"cores": [{"instrs": ["Halt"], "groups": [], "local_init": [],
+        r#"{"format": 2, "cores": [{"instrs": ["halt"], "groups": [], "local_init": [],
   "labels": {}, "instr_tags": []}],
  "global_init": [[18446744073709551615, [1]]],
  "meta": {"name": "wrap", "mapping": "", "notes": ""}}"#,
@@ -94,10 +94,10 @@ fn wrapping_global_init_segment_is_rejected() -> std::io::Result<()> {
     Ok(())
 }
 
-/// A program file can hold operands past their field of the instruction
-/// format, since reading it does not go through `Addr::new`; `run`,
-/// `check` and `bound` refuse them at the instruction, instead of timing
-/// a footprint the ISA cannot encode.
+/// A program file can spell operands past their field of the instruction
+/// format; `run`, `check` and `bound` refuse them at the instruction's
+/// line, as the assembler does, instead of timing a footprint the ISA
+/// cannot encode.
 #[test]
 fn operands_past_their_field_width_are_rejected() -> std::io::Result<()> {
     let dir = std::env::temp_dir().join("pimsim-cli-field-widths");
@@ -114,12 +114,12 @@ fn operands_past_their_field_width_are_rejected() -> std::io::Result<()> {
     let cases = [
         (
             "offset",
-            ("\"offset\": 21600", "\"offset\": 5000000"),
-            "dst offset value 5000000 outside encodable range [-2097152, 2097151]",
+            ("gload [r0+21600]", "gload [r0+5000000]"),
+            "expected address like [r1+8], got `[r0+5000000]`",
         ),
         (
             "len",
-            ("\"len\": 64", "\"len\": 2147483648"),
+            ("g[r0+0], 64", "g[r0+0], 2147483648"),
             "len value 2147483648 outside encodable range [0, 262143]",
         ),
     ];
@@ -134,10 +134,7 @@ fn operands_past_their_field_width_are_rejected() -> std::io::Result<()> {
             let stderr = String::from_utf8_lossy(&out.stderr);
             let stdout = String::from_utf8_lossy(&out.stdout);
             assert_eq!(out.status.code(), Some(1), "`{cmd}` on {name}: {stderr}");
-            let located = match cmd {
-                "run" => format!("invalid program for core 0 at pc 0: {msg}"),
-                _ => "error[invalid-program] core0 pc=0 ".to_string(),
-            };
+            let located = format!("parse error: core 0 pc 0: {msg} in `gload ");
             assert!(
                 stderr.contains(&located) || stdout.contains(&located),
                 "`{cmd}` on {name}: {stdout}{stderr}"

@@ -2255,11 +2255,11 @@ mod tests {
         Ok(())
     }
 
-    /// The longest text an instruction can print (a program file may hold
-    /// any `i32` offset and field) fits one line of the writer.
+    /// The longest text an instruction can print (a program in memory may
+    /// hold any `u32`/`i32` field) fits one line of the writer.
     #[test]
-    fn the_widest_instruction_fits_a_line() -> Result<(), serde_json::Error> {
-        let addr: Addr = serde_json::from_str(r#"{"base": 31, "offset": -2147483648}"#)?;
+    fn the_widest_instruction_fits_a_line() -> Result<(), IsaError> {
+        let addr = Addr::unchecked(Reg::new(31)?, i32::MIN);
         let widest = [
             Instruction::VCopy2d {
                 dst: addr,

@@ -50,10 +50,7 @@ pub mod limits {
 }
 
 /// Identifies a core on the chip (row-major index into the mesh).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CoreId(pub u16);
 
 impl CoreId {
@@ -115,7 +112,7 @@ impl fmt::Display for GroupId {
 /// assert_eq!(a.to_string(), "[r3-8]");
 /// # Ok::<(), pimsim_isa::IsaError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Addr {
     base: Reg,
     offset: i32,
@@ -175,6 +172,13 @@ impl Addr {
     pub fn effective(self, regs: &[i32; 32]) -> i64 {
         regs[self.base.index() as usize] as i64 + self.offset as i64
     }
+
+    /// An address whose offset may be past its field, which no public
+    /// constructor builds: for tests of the width checks.
+    #[cfg(test)]
+    pub(crate) fn unchecked(base: Reg, offset: i32) -> Addr {
+        Addr { base, offset }
+    }
 }
 
 impl fmt::Display for Addr {
@@ -188,7 +192,7 @@ impl fmt::Display for Addr {
 }
 
 /// Two-operand vector arithmetic operations (element-wise, on local memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VBinOp {
     /// Element-wise addition (used for partial-sum reduction and residual add).
     Add,
@@ -225,7 +229,7 @@ impl VBinOp {
 }
 
 /// Vector-immediate operations: `dst[i] = src[i] op imm`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VImmOp {
     /// Add a scalar immediate to every element.
     Add,
@@ -250,7 +254,7 @@ impl VImmOp {
 }
 
 /// One-operand vector operations: `dst[i] = f(src[i])`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VUnOp {
     /// Rectified linear unit.
     Relu,
@@ -291,7 +295,7 @@ impl VUnOp {
 }
 
 /// Pooling reduction kind for the fused [`Instruction::VPool`] macro-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolOp {
     /// Max pooling.
     Max,
@@ -313,7 +317,7 @@ impl PoolOp {
 }
 
 /// Three-register scalar ALU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SBinOp {
     /// Addition.
     Add,
@@ -383,7 +387,7 @@ impl SBinOp {
 }
 
 /// Register-immediate scalar operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SImmOp {
     /// `rd = rs1 + imm` (with `rs1 = r0` this is `li`).
     Add,
@@ -444,7 +448,7 @@ impl SImmOp {
 }
 
 /// Branch comparison conditions (signed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchCond {
     /// Branch if equal.
     Eq,
@@ -489,7 +493,7 @@ impl BranchCond {
 
 /// The four instruction classes of the ISA (paper §II). Each class is served
 /// by a dedicated execution unit inside the core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstrClass {
     /// Crossbar matrix-vector multiplication.
     Matrix,
@@ -517,8 +521,9 @@ impl fmt::Display for InstrClass {
 ///
 /// The `Display` impl renders the canonical assembly syntax accepted by
 /// [`crate::asm::parse_instruction`]; `Display` → parse is a lossless
-/// round-trip (property-tested).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// round-trip (property-tested), and that line is the instruction's form
+/// in a program file ([`crate::Program::to_json`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instruction {
     // ------------------------------------------------------ matrix class --
     /// Run crossbar group `group`: read `len` input elements from local

@@ -2,8 +2,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::__private::field;
+use serde::{DeError, Deserialize, Kind, Names, Serialize, Sink, Source};
 
+use crate::asm::parse_instruction;
 use crate::error::IsaError;
 use crate::extent::Space;
 use crate::group::GroupConfig;
@@ -11,7 +13,7 @@ use crate::instr::limits::{
     smax, smin, umax, ADDR_OFFSET_BITS, BLOCK_BITS, CHAN_BITS, CORE_BITS, GROUP_BITS, LEN_BITS,
     STRIDE_BITS, TAG_BITS, TARGET_BITS, VIMM_BITS, WIN_BITS,
 };
-use crate::instr::{Addr, InstrClass, Instruction};
+use crate::instr::{Addr, AsmLine, InstrClass, Instruction};
 
 /// Structural limits used by [`Program::validate`]: the core count,
 /// crossbars per core and memory capacities of a chip. `pimsim-arch`'s
@@ -61,7 +63,7 @@ pub struct ProgramMeta {
 
 /// One core's compiled artifact: instruction stream, crossbar group
 /// configuration, and local-memory preload image.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoreProgram {
     /// The instruction stream; `pc` indexes into this.
     pub instrs: Vec<Instruction>,
@@ -74,7 +76,6 @@ pub struct CoreProgram {
     /// Optional per-instruction tags (parallel to `instrs`) attributing each
     /// instruction to a network node, used for per-layer statistics such as
     /// the paper's communication-latency ratio. Empty = untagged.
-    #[serde(default)]
     pub instr_tags: Vec<u16>,
 }
 
@@ -103,14 +104,14 @@ impl CoreProgram {
 /// A complete compiled program: one [`CoreProgram`] per core plus metadata.
 ///
 /// Produced by the compiler (or the assembler), validated, then executed by
-/// the cycle-accurate simulator.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// the cycle-accurate simulator. Its file form is described at
+/// [`Program::to_json`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     /// Per-core programs, indexed by core id.
     pub cores: Vec<CoreProgram>,
     /// Global-memory preload segments: `(start element, values)`. Used to
     /// stage network inputs for functional simulation.
-    #[serde(default)]
     pub global_init: Vec<(u64, Vec<i32>)>,
     /// Provenance metadata.
     pub meta: ProgramMeta,
@@ -131,7 +132,11 @@ impl Program {
         self.cores.iter().map(|c| c.instrs.len()).sum()
     }
 
-    /// Serializes to pretty JSON.
+    /// Serializes to pretty JSON, the program file format: `"format": 2`,
+    /// then `cores`, `global_init` and `meta`. Each core's `instrs` is an
+    /// array of strings, one per instruction, each its canonical assembly
+    /// line ([`Instruction`]'s `Display`); `groups`, `local_init`,
+    /// `labels` and `instr_tags` are JSON of their own.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("program serialization cannot fail")
     }
@@ -146,37 +151,24 @@ impl Program {
         serde_json::to_writer_pretty(writer, self)
     }
 
-    /// Deserializes from JSON.
+    /// Deserializes from JSON in the format [`Program::to_json`] writes.
+    /// Each instruction line is read by
+    /// [`parse_instruction`](crate::asm::parse_instruction), so an operand
+    /// past its field is refused here.
     ///
     /// # Errors
     ///
-    /// Returns [`IsaError::Parse`] on malformed JSON. Its message ends in
-    /// the error's line and column, so `line` stays 0 and the location is
-    /// printed once.
+    /// Returns [`IsaError::Parse`] on malformed JSON, on a malformed
+    /// instruction line (naming its core and pc, the assembler's message
+    /// and the line), and on a file of another format: one without
+    /// `"format": 2`, or whose instructions are JSON objects (format 1).
+    /// Its message ends in the error's line and column, so `line` stays 0
+    /// and the location is printed once.
     pub fn from_json(text: &str) -> Result<Program, IsaError> {
         serde_json::from_str(text).map_err(|e| IsaError::Parse {
             line: 0,
             msg: e.to_string(),
         })
-    }
-
-    /// [`Program::validate`]'s field-width check alone, which needs no
-    /// chip: what the assembler enforces per line.
-    ///
-    /// # Errors
-    ///
-    /// The first operand past its width, located as `validate` reports it.
-    pub fn validate_fields(&self) -> Result<(), IsaError> {
-        for (core, cp) in self.cores.iter().enumerate() {
-            for (pc, instr) in cp.instrs.iter().enumerate() {
-                fits_fields(instr).map_err(|msg| IsaError::Validate {
-                    core: Some(core as u16),
-                    pc: Some(pc as u32),
-                    msg,
-                })?;
-            }
-        }
-        Ok(())
     }
 
     /// Structural validation: every operand within its field of the
@@ -319,8 +311,8 @@ impl Program {
             }
 
             // Instruction stream. Field widths first, so a field past its
-            // width is refused for its width (as `validate_fields` does)
-            // whatever else it points at.
+            // width is refused for its width (as a program file's reader
+            // does) whatever else it points at.
             let n = cp.instrs.len() as u32;
             for (pc, instr) in cp.instrs.iter().enumerate() {
                 let pc32 = pc as u32;
@@ -373,10 +365,194 @@ impl Program {
     }
 }
 
+/// The `format` of the program files [`Program::to_json`] writes and
+/// [`Program::from_json`] reads.
+const FORMAT: u64 = 2;
+
+/// How to get a file of this format from what produced an older one.
+const REWRITE: &str = "rewrite the file with `pimsim compile --network NAME --out FILE` \
+                       or `pimsim asm FILE.s --out FILE`";
+
+impl Serialize for Program {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.begin_map();
+        sink.derived_key("format", "\"format\": ");
+        sink.u64(FORMAT);
+        sink.derived_key("cores", "\"cores\": ");
+        self.cores.serialize(sink);
+        sink.derived_key("global_init", "\"global_init\": ");
+        self.global_init.serialize(sink);
+        sink.derived_key("meta", "\"meta\": ");
+        self.meta.serialize(sink);
+        sink.end_map();
+    }
+}
+
+impl Serialize for CoreProgram {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.begin_map();
+        sink.derived_key("instrs", "\"instrs\": ");
+        sink.begin_seq();
+        // Each line is written on the stack and copied into the output:
+        // nothing is allocated per instruction.
+        let mut line = AsmLine::new();
+        for instr in &self.instrs {
+            line.clear();
+            instr.write_asm(&mut line);
+            // The line is ASCII, so it is always a `str`.
+            sink.str(line.as_str().unwrap_or_default());
+        }
+        sink.end_seq();
+        sink.derived_key("groups", "\"groups\": ");
+        self.groups.serialize(sink);
+        sink.derived_key("local_init", "\"local_init\": ");
+        self.local_init.serialize(sink);
+        sink.derived_key("labels", "\"labels\": ");
+        self.labels.serialize(sink);
+        sink.derived_key("instr_tags", "\"instr_tags\": ");
+        self.instr_tags.serialize(sink);
+        sink.end_map();
+    }
+}
+
+impl Deserialize for Program {
+    fn deserialize<S: Source>(src: &mut S) -> Result<Program, DeError> {
+        const ALL: [&str; 4] = ["format", "cores", "global_init", "meta"];
+        fn index(name: &str) -> Option<usize> {
+            ALL.iter().position(|&n| n == name)
+        }
+        const FIELDS: Names = Names { all: &ALL, index };
+        src.begin_map("object")?;
+        let (mut format, mut cores, mut global_init, mut meta) = (None, None, None, None);
+        while let Some(i) = src.next_field(&FIELDS, "Program", false)? {
+            match i {
+                0 => {
+                    field::<u64, S>(&mut format, src, "format")?;
+                    if format != Some(FORMAT) {
+                        let found = format.unwrap_or_default();
+                        return Err(src.error(format_args!(
+                            "unknown program format {found}; this build reads format {FORMAT}"
+                        )));
+                    }
+                }
+                1 => {
+                    if cores.is_some() {
+                        return Err(src.error(format_args!("duplicate field `cores`")));
+                    }
+                    cores = Some(read_cores(src)?);
+                }
+                2 => field(&mut global_init, src, "global_init")?,
+                _ => field(&mut meta, src, "meta")?,
+            }
+        }
+        if format.is_none() {
+            return Err(src.error(format_args!(
+                "program file has no `format` field, as in format 1; this build \
+                 reads format {FORMAT}: {REWRITE}"
+            )));
+        }
+        let missing =
+            |src: &mut S, name: &str| src.error(format_args!("missing field `{name}` in Program"));
+        Ok(Program {
+            cores: cores.ok_or_else(|| missing(src, "cores"))?,
+            global_init: global_init.unwrap_or_default(),
+            meta: meta.ok_or_else(|| missing(src, "meta"))?,
+        })
+    }
+}
+
+/// Reads the `cores` array, each core knowing its index for its errors.
+fn read_cores<S: Source>(src: &mut S) -> Result<Vec<CoreProgram>, DeError> {
+    const ALL: [&str; 5] = ["instrs", "groups", "local_init", "labels", "instr_tags"];
+    fn index(name: &str) -> Option<usize> {
+        ALL.iter().position(|&n| n == name)
+    }
+    const FIELDS: Names = Names { all: &ALL, index };
+    src.begin_seq("array")?;
+    let mut cores = Vec::new();
+    while src.next_element()? {
+        let core = cores.len();
+        src.begin_map("object")?;
+        let (mut instrs, mut groups, mut local_init) = (None, None, None);
+        let (mut labels, mut instr_tags) = (None, None);
+        while let Some(i) = src.next_field(&FIELDS, "CoreProgram", false)? {
+            match i {
+                0 => {
+                    if instrs.is_some() {
+                        return Err(src.error(format_args!("duplicate field `instrs`")));
+                    }
+                    instrs = Some(read_instrs(src, core)?);
+                }
+                1 => field(&mut groups, src, "groups")?,
+                2 => field(&mut local_init, src, "local_init")?,
+                3 => field(&mut labels, src, "labels")?,
+                _ => field(&mut instr_tags, src, "instr_tags")?,
+            }
+        }
+        let missing = |src: &mut S, name: &str| {
+            src.error(format_args!("missing field `{name}` in CoreProgram"))
+        };
+        cores.push(CoreProgram {
+            instrs: instrs.ok_or_else(|| missing(src, "instrs"))?,
+            groups: groups.ok_or_else(|| missing(src, "groups"))?,
+            local_init: local_init.ok_or_else(|| missing(src, "local_init"))?,
+            labels: labels.ok_or_else(|| missing(src, "labels"))?,
+            instr_tags: instr_tags.unwrap_or_default(),
+        });
+    }
+    Ok(cores)
+}
+
+/// Reads core `core`'s `instrs`: one assembly line per instruction, read
+/// in place by the assembler.
+fn read_instrs<S: Source>(src: &mut S, core: usize) -> Result<Vec<Instruction>, DeError> {
+    src.begin_seq("array")?;
+    let mut instrs = Vec::new();
+    while src.next_element()? {
+        let text = match src.str("assembly line") {
+            Ok(text) => text,
+            Err(e) => {
+                return Err(if src.peek() == Ok(Kind::Object) {
+                    format1(src)
+                } else {
+                    e
+                })
+            }
+        };
+        match parse_instruction(&text) {
+            Ok(instr) => instrs.push(instr),
+            Err(e) => {
+                let text = text.into_owned();
+                // Format 1 spelled the operand-free instructions as strings
+                // too.
+                if matches!(text.as_str(), "Halt" | "Nop") {
+                    return Err(format1(src));
+                }
+                let msg = match e {
+                    IsaError::Parse { msg, .. } => msg,
+                    other => other.to_string(),
+                };
+                let pc = instrs.len();
+                return Err(src.error(format_args!("core {core} pc {pc}: {msg} in `{text}`")));
+            }
+        }
+    }
+    Ok(instrs)
+}
+
+/// The error for an instruction spelled as format 1 did, at it.
+#[cold]
+fn format1<S: Source>(src: &S) -> DeError {
+    src.error(format_args!(
+        "instruction in program format 1 (a JSON object per instruction); this \
+         build reads format {FORMAT} (one assembly line per instruction): {REWRITE}"
+    ))
+}
+
 /// Checks that every operand of `instr` fits its field of the instruction
 /// format ([`crate::limits`]); the first that does not, worded like
-/// [`IsaError::FieldRange`]. The one width table: [`Program::validate`],
-/// [`Program::validate_fields`] and the assembler all call it.
+/// [`IsaError::FieldRange`]. The one width table: [`Program::validate`]
+/// and the assembler (so also [`Program::from_json`]) call it.
 pub(crate) fn fits_fields(instr: &Instruction) -> Result<(), String> {
     #[inline(always)]
     fn fits(field: &str, value: i64, min: i64, max: i64) -> Result<(), String> {
@@ -664,10 +840,9 @@ mod tests {
         assert!(p.validate(&limits()).is_ok());
     }
 
-    /// An address whose offset may be past the field, as a program file
-    /// can hold: deserialization does not go through [`Addr::new`].
+    /// An address whose offset may be past the field, or `None` past `i32`.
     fn raw_addr(offset: i64) -> Option<Addr> {
-        serde_json::from_str(&format!(r#"{{"base": 1, "offset": {offset}}}"#)).ok()
+        Some(Addr::unchecked(Reg::R1, offset.try_into().ok()?))
     }
 
     /// `make(v)` is an instruction whose operand `field` holds `v`, or
@@ -877,6 +1052,89 @@ mod tests {
         let text = p.to_json();
         let back = Program::from_json(&text).unwrap();
         assert_eq!(back, p);
+    }
+
+    /// A one-core program file: `format` (a member and its comma, or
+    /// nothing) on line 2 and the instruction array `instrs` on line 4.
+    fn file(format: &str, instrs: &str) -> String {
+        format!(
+            "{{\n  {format}\n  \"cores\": [{{\n    \"instrs\": [{instrs}],\n    \
+             \"groups\": [], \"local_init\": [], \"labels\": {{}}}}],\n  \
+             \"meta\": {{\"name\": \"t\", \"mapping\": \"\", \"notes\": \"\"}}\n}}\n"
+        )
+    }
+
+    fn read_error(text: &str) -> String {
+        match Program::from_json(text) {
+            Ok(p) => panic!("read {p:?} from {text}"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn program_file_reads_its_lines() {
+        let p = Program::from_json(&file("\"format\": 2,", "\"li r1, 0x10\", \"halt\""));
+        let instrs = p.map(|p| p.cores[0].instrs.clone());
+        assert_eq!(
+            instrs,
+            Ok(vec![
+                Instruction::SImm {
+                    op: crate::instr::SImmOp::Add,
+                    rd: Reg::R1,
+                    rs1: Reg::R0,
+                    imm: 16,
+                },
+                Instruction::Halt
+            ])
+        );
+    }
+
+    #[test]
+    fn malformed_instruction_is_located_with_the_assemblers_message() {
+        let text = file("\"format\": 2,", "\"nop\", \"vadd [r0+0], x, [r0+1], 4\"");
+        assert_eq!(
+            read_error(&text),
+            "parse error: core 0 pc 1: expected address like [r1+8], got `x` \
+             in `vadd [r0+0], x, [r0+1], 4` at line 4 column 23"
+        );
+        // An operand past its field is refused as the assembler refuses it.
+        let text = file("\"format\": 2,", "\"gload [r0+0], g[r0+0], 300000\"");
+        assert_eq!(
+            read_error(&text),
+            "parse error: core 0 pc 0: len value 300000 outside encodable range \
+             [0, 262143] in `gload [r0+0], g[r0+0], 300000` at line 4 column 16"
+        );
+    }
+
+    #[test]
+    fn format_1_instructions_are_refused_with_the_way_to_rewrite_them() {
+        let want = |column| {
+            format!(
+                "parse error: instruction in program format 1 (a JSON object per \
+                 instruction); this build reads format 2 (one assembly line per \
+                 instruction): {REWRITE} at line 4 column {column}"
+            )
+        };
+        let object = r#""nop", {"Jump": {"target": 0}}"#;
+        assert_eq!(read_error(&file("\"format\": 2,", object)), want(23));
+        // Format 1 spelled `halt` and `nop` as bare strings.
+        assert_eq!(read_error(&file("", "\"Halt\"")), want(16));
+    }
+
+    #[test]
+    fn a_missing_or_unknown_format_is_located() {
+        assert_eq!(
+            read_error(&file("", "\"halt\"")),
+            format!(
+                "parse error: program file has no `format` field, as in format 1; \
+                 this build reads format 2: {REWRITE} at line 7 column 1"
+            )
+        );
+        assert_eq!(
+            read_error(&file("\"format\": 3,", "\"halt\"")),
+            "parse error: unknown program format 3; this build reads format 2 \
+             at line 2 column 13"
+        );
     }
 
     #[test]

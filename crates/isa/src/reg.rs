@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::IsaError;
 
 /// One of the 32 scalar registers, `r0`–`r31`.
@@ -19,8 +17,7 @@ use crate::error::IsaError;
 /// assert_eq!(r.to_string(), "r17");
 /// # Ok::<(), pimsim_isa::IsaError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(try_from = "u8", into = "u8")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(u8);
 
 /// Number of architectural scalar registers.
@@ -72,19 +69,6 @@ impl Reg {
     /// Iterates over all 32 registers in index order.
     pub fn all() -> impl Iterator<Item = Reg> {
         (0..NUM_REGS as u8).map(Reg)
-    }
-}
-
-impl TryFrom<u8> for Reg {
-    type Error = IsaError;
-    fn try_from(v: u8) -> Result<Reg, IsaError> {
-        Reg::new(v)
-    }
-}
-
-impl From<Reg> for u8 {
-    fn from(r: Reg) -> u8 {
-        r.0
     }
 }
 

@@ -28,6 +28,22 @@ fn assert_matches_value_path<T: serde::Serialize>(what: &str, value: &T, text: &
     );
 }
 
+/// Each instruction of `program` is its `Display` line in the file's tree.
+fn assert_lines_are_instructions(what: &str, program: &Program, text: &str) {
+    let tree: Value = serde_json::from_str(text).unwrap();
+    assert_eq!(tree["format"].as_u64(), Some(2), "{what}");
+    for (c, core) in program.cores.iter().enumerate() {
+        let lines = tree["cores"][c]["instrs"].as_array().unwrap();
+        assert_eq!(lines.len(), core.instrs.len(), "{what}: core {c}");
+        for (pc, (line, instr)) in lines.iter().zip(&core.instrs).enumerate() {
+            assert!(
+                line.as_str() == Some(instr.to_string().as_str()),
+                "{what}: core {c} pc {pc}: {line:?}"
+            );
+        }
+    }
+}
+
 fn compile(name: &str, policy: MappingPolicy, functional: bool) -> Program {
     let net = zoo::by_name(name, default_resolution(name)).unwrap();
     Compiler::new(&ArchConfig::paper_default())
@@ -49,6 +65,7 @@ fn every_zoo_program_renders_and_parses_like_the_value_path() {
             let what = format!("{name}/{policy}");
             let text = program.to_json();
             assert_matches_value_path(&what, &program, &text);
+            assert_lines_are_instructions(&what, &program, &text);
             let back = Program::from_json(&text).unwrap();
             assert!(back == program, "{what}: from_json(to_json(p)) != p");
             let mut streamed = Vec::new();
@@ -67,8 +84,10 @@ fn weights_and_init_segments_round_trip() {
         .cores
         .iter()
         .any(|c| c.groups.iter().any(|g| g.weights.is_some())));
+    assert!(!program.global_init.is_empty());
     let text = program.to_json();
     assert_matches_value_path("tiny_cnn functional", &program, &text);
+    assert_lines_are_instructions("tiny_cnn functional", &program, &text);
     assert_eq!(Program::from_json(&text).unwrap(), program);
 }
 

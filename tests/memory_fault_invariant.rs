@@ -18,8 +18,8 @@
 //! `instr::limits` width hold the `invalid-program` half: `check` reports
 //! `invalid-program` exactly when `run` fails with `InvalidProgram`,
 //! timing and functional alike; one past the width, `check`, `run` and
-//! `disasm` all name the width, and at the largest value in the width
-//! none does.
+//! the program file's reader all name the width, and at the largest value
+//! in the width none does.
 
 use std::collections::BTreeSet;
 
@@ -236,7 +236,9 @@ proptest! {
 }
 
 /// An encoding field that `Program::validate` holds to its
-/// `instr::limits` width.
+/// `instr::limits` width. An address offset is not one: `Addr::new`, its
+/// one constructor, refuses an offset past the width, and a program file
+/// is read through it, so no program holds one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Field {
     Len,
@@ -245,19 +247,17 @@ enum Field {
     Stride,
     Win,
     Imm,
-    Offset,
     Target,
 }
 
 impl Field {
-    const ALL: [Field; 8] = [
+    const ALL: [Field; 7] = [
         Field::Len,
         Field::Group,
         Field::Blocks,
         Field::Stride,
         Field::Win,
         Field::Imm,
-        Field::Offset,
         Field::Target,
     ];
 
@@ -271,16 +271,14 @@ impl Field {
             Field::Stride => smax(limits::STRIDE_BITS),
             Field::Win => umax(limits::WIN_BITS) as i64,
             Field::Imm => smax(limits::VIMM_BITS),
-            Field::Offset => smax(limits::ADDR_OFFSET_BITS),
             Field::Target => umax(limits::TARGET_BITS) as i64,
         }
     }
 
-    /// Sets this field of `instr` to `value` (for an offset, that of its
-    /// address operand `slot`, modulo their count); `false` when `instr`
-    /// has no such field. An `MVM`'s `len` is left out: it must equal its
+    /// Sets this field of `instr` to `value`; `false` when `instr` has no
+    /// such field. An `MVM`'s `len` is left out: it must equal its
     /// group's input length whatever its width.
-    fn set(self, instr: &mut Instruction, slot: usize, value: i64) -> bool {
+    fn set(self, instr: &mut Instruction, value: i64) -> bool {
         use Instruction as I;
         let (u, s) = (value as u32, value as i32);
         match (self, instr) {
@@ -311,18 +309,6 @@ impl Field {
             ) => *stride = s,
             (Field::Win, I::VPool { win_w, .. }) => *win_w = u,
             (Field::Imm, I::VImm { imm, .. } | I::VFill { value: imm, .. }) => *imm = s,
-            (Field::Offset, instr) => {
-                let mut operands = addrs(instr);
-                let n = operands.len();
-                if n == 0 {
-                    return false;
-                }
-                let addr = &mut operands[slot % n];
-                // `Addr::new` refuses such an offset; a program file can
-                // still hold one.
-                let json = format!(r#"{{"base": {}, "offset": {s}}}"#, addr.base().index());
-                **addr = serde_json::from_str(&json).expect("an address operand");
-            }
             (Field::Target, I::Branch { target, .. } | I::Jump { target }) => *target = u,
             _ => return false,
         }
@@ -372,28 +358,28 @@ fn width_mutants(
     for field in Field::ALL {
         let sites: Vec<(usize, usize)> = (program.cores.iter().enumerate())
             .flat_map(|(c, cp)| (0..cp.instrs.len()).map(move |pc| (c, pc)))
-            .filter(|&(c, pc)| field.set(&mut program.cores[c].instrs[pc].clone(), 0, 0))
+            .filter(|&(c, pc)| field.set(&mut program.cores[c].instrs[pc].clone(), 0))
             .collect();
         if sites.is_empty() {
             continue;
         }
         let (c, pc) = sites[rng.below(sites.len() as u64) as usize];
-        let slot = rng.below(3) as usize;
         for value in [field.max() + 1, field.max()] {
             let mut mutant = program.clone();
-            field.set(&mut mutant.cores[c].instrs[pc], slot, value);
+            field.set(&mut mutant.cores[c].instrs[pc], value);
             let what = format!("{what}: {field:?} {value} at core{c} pc{pc}");
             let (invalid, texts) = invalid(&mutant, arch, &what);
             if value > field.max() {
                 assert!(invalid, "{what}: {texts:?}");
-                // `check`, `run` and `disasm` (`validate_fields`) name the
-                // width, whatever else the field points at: a group past
-                // the group table, a target past the program.
-                let disasm = mutant.validate_fields().map_err(|e| e.to_string());
-                assert!(disasm.is_err(), "{what}: disasm accepts it");
+                // `check`, `run` and the program file's reader (which
+                // `disasm` and the other commands read files through) name
+                // the width, whatever else the field points at: a group
+                // past the group table, a target past the program.
+                let file = Program::from_json(&mutant.to_json()).map_err(|e| e.to_string());
+                assert!(file.is_err(), "{what}: its program file reads");
                 let width = format!("value {value} outside encodable range");
-                for text in texts.iter().chain(disasm.as_ref().err()) {
-                    assert!(text.contains(&width), "{what}: {texts:?} {disasm:?}");
+                for text in texts.iter().chain(file.as_ref().err()) {
+                    assert!(text.contains(&width), "{what}: {texts:?} {file:?}");
                 }
             } else {
                 let text = texts.concat();
@@ -430,13 +416,7 @@ fn mixed_programs_refuse_field_widths_where_check_does() {
             &format!("mixed case {case}"),
         ));
     }
-    let want = [
-        Field::Len,
-        Field::Group,
-        Field::Imm,
-        Field::Offset,
-        Field::Target,
-    ];
+    let want = [Field::Len, Field::Group, Field::Imm, Field::Target];
     assert!(want.iter().all(|f| tried.contains(f)), "{tried:?}");
 }
 
