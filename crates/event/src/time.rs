@@ -60,7 +60,15 @@ impl SimTime {
         if !ns.is_finite() || ns <= 0.0 {
             return SimTime::ZERO;
         }
-        SimTime((ns * 1_000.0).round() as u64)
+        // `f64::round` without its libcall: below 2^52 the fraction
+        // `ps - trunc(ps)` is exact, so half rounds up as `round` does;
+        // from 2^52 up every f64 is whole, and `as` saturates past u64.
+        let ps = ns * 1_000.0;
+        if ps >= (1u64 << 52) as f64 {
+            return SimTime(ps as u64);
+        }
+        let whole = ps as u64;
+        SimTime(whole + u64::from(ps - whole as f64 >= 0.5))
     }
 
     /// This time in picoseconds.
@@ -216,6 +224,65 @@ mod tests {
         assert_eq!(SimTime::from_ns_f64(-3.0), SimTime::ZERO);
         assert_eq!(SimTime::from_ns_f64(f64::NAN), SimTime::ZERO);
         assert_eq!(SimTime::from_ns_f64(f64::NEG_INFINITY), SimTime::ZERO);
+    }
+
+    /// The rounding `from_ns_f64` replaced: `f64::round`, half away from
+    /// zero, then a saturating cast.
+    fn from_ns_f64_oracle(ns: f64) -> SimTime {
+        if !ns.is_finite() || ns <= 0.0 {
+            return SimTime::ZERO;
+        }
+        SimTime((ns * 1_000.0).round() as u64)
+    }
+
+    #[test]
+    fn from_ns_f64_matches_round_on_the_edges() {
+        let two52 = (1u64 << 52) as f64;
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            0.5f64.next_down(),
+            0.5,
+            0.5f64.next_up(),
+            two52.next_down(),
+            two52,
+            two52.next_up(),
+            2.0 * two52,
+            2.0 * two52 + 1.0,
+            18_446_744_073_709_551_616.0, // 2^64
+            18_446_744_073_709_551_616.0f64.next_down(),
+            18_446_744_073_709_551_616.0f64.next_up(),
+            f64::MAX,
+        ];
+        for k in [0u64, 1, 2, 7, 1 << 20, (1 << 51) - 1, 1 << 51] {
+            let half = k as f64 + 0.5;
+            edges.extend([half, half.next_down(), half.next_up()]);
+        }
+        // Scale each edge so it lands on `ps` itself, not on `ns`.
+        for ps in edges {
+            for ns in [ps / 1_000.0, ps] {
+                assert_eq!(
+                    SimTime::from_ns_f64(ns),
+                    from_ns_f64_oracle(ns),
+                    "{ns:e} ns"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn from_ns_f64_matches_round(bits in proptest::prelude::any::<u64>(), scaled in 0.0f64..1e13) {
+            for ns in [f64::from_bits(bits), scaled, scaled.trunc() + 0.0005] {
+                proptest::prop_assert_eq!(SimTime::from_ns_f64(ns), from_ns_f64_oracle(ns));
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! The queueing/batching front-end and dispatcher.
 //!
-//! A single-threaded virtual-time replay that holds only what is
-//! *pending*: the next request is peeked off the lazy [`ArrivalStream`],
-//! and batch-timeout wake-ups and instance completions wait in a small
-//! heap ordered by `(time, push order)` — at most one `Free` per instance
-//! plus the `Flush`es of one timeout window. Each step takes the earlier
-//! of the two; on a time tie the arrival goes first, which is the order a
-//! single heap holding every arrival up front would pop them in. The
-//! outcome is a pure function of the request stream and the service model
-//! — no wall-clock, no threads, no nondeterminism.
+//! A virtual-time replay that holds only what is *pending*: the next
+//! request is peeked off the lazy arrival stream (inline, or from the
+//! producer thread's handoff buffers; see [`Arrivals`]), and batch-timeout
+//! wake-ups and instance completions wait in a small heap ordered by
+//! `(time, push order)` — at most one `Free` per instance plus the
+//! `Flush`es of one timeout window. Each step takes the earlier of the
+//! two; on a time tie the arrival goes first, which is the order a single
+//! heap holding every arrival up front would pop them in. The outcome is
+//! a pure function of the request stream and the service model — no
+//! wall-clock and no nondeterminism, whichever source the arrivals come
+//! from.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -18,7 +20,7 @@ use pimsim_event::SimTime;
 use crate::config::ServeConfig;
 use crate::service::ServiceModel;
 use crate::trace::DepthTrace;
-use crate::workload::ArrivalStream;
+use crate::workload::Arrivals;
 use crate::ServeError;
 
 /// What the queueing simulation hands to the report builder.
@@ -52,40 +54,51 @@ pub(crate) struct SimOutcome {
     pub pending_peak: usize,
 }
 
-/// A pending wake-up. Neither kind carries a payload: ripeness is
-/// recomputed from queue state after every event, so a stale `Flush` is
-/// harmless.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// A pending wake-up's kind, its key's lowest bit. Neither kind carries a
+/// payload: ripeness is recomputed from queue state after every event, so
+/// a stale `Flush` is harmless.
+#[derive(Debug)]
 enum Wake {
     /// A batch-timeout wake-up for a queue head; stale once that head
     /// has been dispatched.
-    Flush,
+    Flush = 0,
     /// An instance finishes its batch and becomes free.
-    Free,
+    Free = 1,
 }
 
-/// Plays `stream` through the bounded queueing front-end and the batching
-/// dispatcher, using `model` for per-batch service times.
+/// A pending wake-up as one heap key, `time << 64 | seq << 1 | kind`:
+/// ordered by time, then push order (`seq` is unique per wake-up, so the
+/// kinds are never compared).
+fn wake_key(time: SimTime, seq: u64, wake: Wake) -> u128 {
+    u128::from(time.as_ps()) << 64 | u128::from(seq) << 1 | wake as u128
+}
+
+/// The time of a [`wake_key`].
+fn wake_time(key: u128) -> SimTime {
+    SimTime::from_ps((key >> 64) as u64)
+}
+
+/// Plays `arrivals` through the bounded queueing front-end and the
+/// batching dispatcher, using `model` for per-batch service times (and
+/// warming each batch size the first time it forms).
 ///
 /// # Errors
 ///
-/// Passes on the stream's step-budget error, and reports a completion time
-/// past the end of simulated time.
+/// Passes on the stream's step-budget error and a batch size that fails to
+/// build, and reports a completion time past the end of simulated time.
 pub(crate) fn simulate(
     config: &ServeConfig,
-    stream: &mut ArrivalStream,
-    model: &ServiceModel,
+    arrivals: &mut impl Arrivals,
+    model: &mut ServiceModel,
 ) -> Result<SimOutcome, ServeError> {
     let nets = config.networks.len();
     let timeout = config.batch.timeout;
     let batch_max = config.batch.max_size;
 
-    // `seq` is unique per wake-up, so ordering is total, equal times pop
-    // in push order, and the `Wake`s themselves are never compared.
-    let mut pending: BinaryHeap<Reverse<(SimTime, u64, Wake)>> = BinaryHeap::new();
+    let mut pending: BinaryHeap<Reverse<u128>> = BinaryHeap::new();
     let mut seq = 0u64;
     let mut push = |pending: &mut BinaryHeap<_>, time: SimTime, wake: Wake| {
-        pending.push(Reverse((time, seq, wake)));
+        pending.push(Reverse(wake_key(time, seq, wake)));
         seq += 1;
     };
 
@@ -110,10 +123,10 @@ pub(crate) fn simulate(
     };
 
     loop {
-        let wake_at = pending.peek().map(|Reverse((time, ..))| *time);
-        let now = match (stream.peek(), wake_at) {
-            (Some((arrival, net)), wake_at) if wake_at.is_none_or(|t| arrival <= t) => {
-                stream.next().expect("peeked")?;
+        let next_wake = pending.peek().map(|&Reverse(key)| key);
+        let now = match (arrivals.peek(), next_wake) {
+            (Some((arrival, net)), wake) if wake.is_none_or(|key| arrival <= wake_time(key)) => {
+                arrivals.take()?;
                 out.generated[net] += 1;
                 if queued_total >= config.queue_cap {
                     out.dropped[net] += 1;
@@ -128,20 +141,22 @@ pub(crate) fn simulate(
                 }
                 arrival
             }
-            (None, None) => break,
-            _ => {
-                let Reverse((time, _, wake)) = pending.pop().expect("peeked");
-                if wake == Wake::Free {
+            (_, Some(key)) => {
+                pending.pop();
+                if key & 1 == Wake::Free as u128 {
                     free += 1;
                 }
-                time
+                wake_time(key)
             }
+            // An arrival with no wake-up pending takes the first arm, so
+            // this is `(None, None)`: nothing is left to replay.
+            (_, None) => break,
         };
 
         // Dispatch as long as instances are free and some queue is ripe.
         // In drain mode every non-empty queue is ripe once arrivals end;
         // without drain, dispatching stops at the horizon.
-        let drain_active = config.drain && stream.peek().is_none();
+        let drain_active = config.drain && arrivals.peek().is_none();
         let horizon_closed = !config.drain && now >= config.duration;
         while free > 0 && !horizon_closed {
             let mut best: Option<(SimTime, usize)> = None;
@@ -158,7 +173,7 @@ pub(crate) fn simulate(
             }
             let Some((_, net)) = best else { break };
             let k = (queues[net].len() as u32).min(batch_max);
-            let point = model.get(net, k);
+            let point = model.point(net, k)?;
             let completion = now.checked_add(point.latency).ok_or_else(|| {
                 ServeError::Sim(format!(
                     "a batch dispatched at {now} completes past SimTime::MAX"
@@ -201,6 +216,7 @@ mod tests {
     use super::*;
     use crate::config::ArrivalProcess;
     use crate::config::BatchPolicy;
+    use crate::workload::ArrivalStream;
     use pimsim_arch::ArchConfig;
 
     fn tiny_config() -> ServeConfig {
@@ -219,8 +235,8 @@ mod tests {
     }
 
     fn run(c: &ServeConfig) -> SimOutcome {
-        let model = ServiceModel::warm(c, 2).unwrap();
-        simulate(c, &mut ArrivalStream::new(c).unwrap(), &model).unwrap()
+        let mut model = ServiceModel::warm(c, 2).unwrap();
+        simulate(c, &mut ArrivalStream::new(c).unwrap(), &mut model).unwrap()
     }
 
     fn totals(outcome: &SimOutcome) -> (u64, u64, u64, u64) {

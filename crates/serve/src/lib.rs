@@ -14,8 +14,9 @@
 //!   size/timeout policy.
 //! - A **dispatcher** over one or more simulated accelerator instances,
 //!   using the cycle-level simulator as the service-time model via a
-//!   per-`(network, batch)` latency/energy cache ([`ServiceModel`]), warmed
-//!   by one [`pimsim_sweep`] campaign — repeated requests never re-simulate.
+//!   per-`(network, batch)` latency/energy cache ([`ServiceModel`]) of
+//!   [`pimsim_sweep`] scenarios, each warmed once — repeated requests never
+//!   re-simulate.
 //!
 //! The result is a [`ServeReport`]: throughput, p50/p95/p99 tail latency,
 //! drop counts per network, and queue depth over time. Reports honor the
@@ -103,21 +104,31 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Runs one full serving simulation: warms the service model on `threads`
-/// worker threads, plays the lazily generated request stream through the
-/// queueing front-end, and assembles the report.
+/// Runs one full serving simulation: warms batch size 1 of every network
+/// on `threads` worker threads, plays the lazily generated request stream
+/// through the queueing front-end (warming each other batch size the first
+/// time it forms), and assembles the report.
 ///
-/// `threads` only controls how the per-`(network, batch)` service cache is
-/// warmed; the report is byte-identical whatever value is passed.
+/// With `threads >= 2` the request stream runs on a second thread and
+/// hands its arrivals to the replay in batches; with 1 it runs inline.
+/// Either way the replay sees the same arrivals and the same errors at the
+/// same points, so the report is byte-identical whatever value is passed.
 ///
 /// # Errors
 ///
-/// Returns a [`ServeError`] when the configuration is degenerate or any
-/// service-time point fails to compile or simulate.
+/// Returns a [`ServeError`] when the configuration is degenerate, the
+/// stream exceeds its step budget, or a service-time point the run needs
+/// fails to compile or simulate.
 pub fn serve(config: &ServeConfig, threads: usize) -> Result<ServeReport, ServeError> {
     config.validate()?;
-    let model = ServiceModel::warm(config, threads)?;
+    let mut model = ServiceModel::warm(config, threads)?;
     let mut stream = workload::ArrivalStream::new(config)?;
-    let outcome = engine::simulate(config, &mut stream, &model)?;
+    let outcome = if threads >= 2 {
+        workload::piped(stream, |arrivals| {
+            engine::simulate(config, arrivals, &mut model)
+        })
+    } else {
+        engine::simulate(config, &mut stream, &mut model)
+    }?;
     Ok(ServeReport::assemble(config, &model, outcome))
 }

@@ -17,7 +17,8 @@ use crate::config::{ArrivalProcess, BatchPolicy, ServeConfig};
 use crate::engine::{simulate, SimOutcome};
 use crate::service::ServiceModel;
 use crate::trace::DepthTrace;
-use crate::workload::{generate_requests, ArrivalStream, Request};
+use crate::workload::{generate_requests, ArrivalStream, Arrivals, Request};
+use crate::ServeError;
 
 fn exponential(rng: &mut StdRng, rate: f64) -> SimTime {
     let u: f64 = rng.gen_range(0.0..1.0);
@@ -233,19 +234,23 @@ fn workload(nets: usize) -> ServeConfig {
     c
 }
 
-/// Service models for the three workloads, warmed once at the largest
-/// batch size: a smaller `batch.max_size` only ever looks up a prefix.
+/// Service models for the three workloads, every batch size up to the
+/// largest warmed once: a smaller `batch.max_size` only ever looks up a
+/// prefix, and the heap replay reads points without warming them.
 fn model(nets: usize) -> &'static ServiceModel {
     static MODELS: OnceLock<Vec<ServiceModel>> = OnceLock::new();
-    let models = MODELS.get_or_init(|| {
-        (1..=3)
-            .map(|nets| {
-                let mut c = workload(nets);
-                c.batch.max_size = BATCH_MAX;
-                ServiceModel::warm(&c, 2).unwrap()
-            })
-            .collect()
-    });
+    let warm = |nets: usize| {
+        let mut c = workload(nets);
+        c.batch.max_size = BATCH_MAX;
+        let mut model = ServiceModel::warm(&c, 2)?;
+        for net in 0..nets {
+            for k in 2..=BATCH_MAX {
+                model.point(net, k)?;
+            }
+        }
+        Ok::<_, ServeError>(model)
+    };
+    let models = MODELS.get_or_init(|| (1..=3).map(|nets| warm(nets).unwrap()).collect());
     &models[nets - 1]
 }
 
@@ -256,8 +261,8 @@ fn both(c: &ServeConfig) -> SimOutcome {
     assert_eq!(generate_requests(c).unwrap(), requests);
     let (old, old_samples) = heap_simulate(c, &requests, model);
     let mut stream = ArrivalStream::new(c).unwrap();
-    let new = simulate(c, &mut stream, model).unwrap();
-    assert!(stream.next().is_none(), "the replay consumes the stream");
+    let new = simulate(c, &mut stream, &mut model.clone()).unwrap();
+    assert!(stream.peek().is_none(), "the replay consumes the stream");
     assert!(new.depth_samples.iter().eq(old_samples));
     assert_eq!(
         SimOutcome {

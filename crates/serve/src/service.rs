@@ -3,12 +3,13 @@
 //! Every accelerator instance is identical, and serving the same network
 //! at the same batch size always costs the same (the cycle-level simulator
 //! is deterministic), so the queueing engine never re-simulates: it looks
-//! service times up in a cache keyed by `(network, batch size)`. Warming
-//! that cache runs one sweep [`Scenario`] per key over the served
-//! networks × the batch sizes the queue can form, on the sweep's pool
-//! ([`par_map_indexed`]), and is the only parallel part of a serving run:
-//! each key's point lands in its own slot, so the model (and everything
-//! derived from it) is independent of the worker-thread count.
+//! service times up in a cache keyed by `(network, batch size)`. Each key
+//! is one sweep [`Scenario`]. Batch size 1 of every network is warmed up
+//! front on the sweep's pool ([`par_map_indexed`]), because the report
+//! reads it; every other size is warmed the first time the replay
+//! dispatches it. A key's point is the same whenever and on whichever
+//! thread it is computed, so the model (and everything derived from it)
+//! is independent of the worker-thread count.
 
 use pimsim_event::{par_map_indexed, SimTime};
 use pimsim_sweep::Scenario;
@@ -26,27 +27,28 @@ pub struct ServicePoint {
     pub energy_pj: f64,
 }
 
-/// The warmed `(network, batch size)` → [`ServicePoint`] cache.
-#[derive(Debug)]
+/// The `(network, batch size)` → [`ServicePoint`] cache.
+#[derive(Debug, Clone)]
 pub struct ServiceModel {
-    /// Row-major: `points[net * batch_max + (k - 1)]`.
-    points: Vec<ServicePoint>,
+    /// Per network: `points[net][k - 1]`, grown to the largest size warmed
+    /// so far; `None` for a size no batch has had yet.
+    points: Vec<Vec<Option<ServicePoint>>>,
+    /// Per network: its key at batch size 1, the template of every other.
+    scenarios: Vec<Scenario>,
     batch_max: u32,
 }
 
 impl ServiceModel {
-    /// Compiles and simulates every `(network, batch size)` pair the
-    /// queue can form on a pool of `threads` worker threads and returns
-    /// the cache.
+    /// Compiles and simulates batch size 1 of every network on a pool of
+    /// `threads` worker threads and returns the cache; the replay warms
+    /// every other batch size when it first forms it.
     ///
     /// A dispatched batch never holds more than `batch.max_size` requests
     /// nor more than the `queue_cap` the front-end admits, so the batch
-    /// sizes are `1..=max(1, min(batch.max_size, queue_cap))`; batch size
-    /// 1 is always warmed, because the report reads it. Each key is one
-    /// [`Scenario`], run by [`Scenario::execute`] (what a sweep runs per
-    /// grid point) on the sweep's pool: the model is identical whatever
-    /// `threads` is, and on failure the error of the smallest-indexed key
-    /// is returned.
+    /// sizes are `1..=max(1, min(batch.max_size, queue_cap))`. Each key is
+    /// one [`Scenario`], run by [`Scenario::execute`] (what a sweep runs
+    /// per grid point): the model is identical whatever `threads` is, and
+    /// on failure the error of the first network that fails is returned.
     ///
     /// # Errors
     ///
@@ -58,43 +60,86 @@ impl ServiceModel {
         let batch_max = u64::from(config.batch.max_size)
             .min(config.queue_cap)
             .max(1) as u32;
-        let mut scenarios = Vec::new();
-        for (name, resolution) in &config.networks {
-            for k in 1..=batch_max {
-                let arch = config.arch.clone();
-                scenarios.push(Scenario::cycle(name, *resolution, config.mapping, k, arch));
-            }
-        }
+        let scenarios: Vec<Scenario> = config
+            .networks
+            .iter()
+            .map(|(name, resolution)| {
+                Scenario::cycle(name, *resolution, config.mapping, 1, config.arch.clone())
+            })
+            .collect();
         // Reduce each row to its point on the worker that made it: rows
         // carried back to this thread pin memory in the workers' glibc
         // malloc arenas, which raised a serving run's peak RSS by up to
         // 1.5x at 2 threads.
-        let points = par_map_indexed(scenarios.len(), threads, |i| {
-            let row = scenarios[i].execute(i)?;
-            Ok(ServicePoint {
-                latency: row.latency(),
-                energy_pj: row.energy_pj,
-            })
+        let points = par_map_indexed(scenarios.len(), threads, |net| {
+            point(&scenarios[net], net * batch_max as usize)
         })
         .map_err(ServeError::Service)?;
-        Ok(ServiceModel { points, batch_max })
+        Ok(ServiceModel {
+            points: points.into_iter().map(|p| vec![Some(p)]).collect(),
+            scenarios,
+            batch_max,
+        })
     }
 
     /// The cost of serving network `net` (an index into
-    /// [`ServeConfig::networks`]) at batch size `k`.
+    /// [`ServeConfig::networks`]) at batch size `k`, warmed already.
     ///
     /// # Panics
     ///
-    /// Panics when `net` or `k` is outside the warmed range.
+    /// Panics when `net` is out of range or `k` has not been warmed.
     pub fn get(&self, net: usize, k: u32) -> &ServicePoint {
-        assert!(k >= 1 && k <= self.batch_max, "batch size {k} not warmed");
-        &self.points[net * self.batch_max as usize + (k as usize - 1)]
+        let slot = self.points[net].get((k as usize).wrapping_sub(1));
+        match slot {
+            Some(Some(point)) => point,
+            _ => panic!("batch size {k} not warmed"),
+        }
     }
 
-    /// The largest warmed batch size.
+    /// The cost of serving network `net` at batch size `k`, warming it on
+    /// this thread the first time it is asked for.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::Service`] when the key fails to compile or
+    /// simulate.
+    pub(crate) fn point(&mut self, net: usize, k: u32) -> Result<ServicePoint, ServeError> {
+        let at = k as usize - 1;
+        if let Some(Some(point)) = self.points[net].get(at) {
+            return Ok(*point);
+        }
+        assert!(
+            k <= self.batch_max,
+            "batch size {k} past {}",
+            self.batch_max
+        );
+        let key = Scenario {
+            batch: k,
+            ..self.scenarios[net].clone()
+        };
+        let point = point(&key, net * self.batch_max as usize + at).map_err(ServeError::Service)?;
+        let slots = &mut self.points[net];
+        if slots.len() <= at {
+            slots.resize(at + 1, None);
+        }
+        slots[at] = Some(point);
+        Ok(point)
+    }
+
+    /// The largest batch size the queue can form: no key past it is ever
+    /// warmed.
     pub fn batch_max(&self) -> u32 {
         self.batch_max
     }
+}
+
+/// Runs `key` as sweep row `index` and keeps its latency and energy.
+fn point(key: &Scenario, index: usize) -> Result<ServicePoint, pimsim_sweep::SweepError> {
+    let row = key.execute(index)?;
+    Ok(ServicePoint {
+        latency: row.latency(),
+        energy_pj: row.energy_pj,
+    })
 }
 
 #[cfg(test)]
@@ -113,37 +158,66 @@ mod tests {
         c
     }
 
-    /// At any thread count, every key's slot holds what the sweep's
+    /// At any thread count, and whether it was warmed up front or by a
+    /// later lookup, every key's point is what the sweep's
     /// `Scenario::execute` gives for that `(network, batch size)`.
     #[test]
-    fn model_is_thread_count_independent() {
+    fn model_is_thread_count_independent() -> Result<(), ServeError> {
         let mut c = tiny_config();
         c.batch.max_size = 3;
         for threads in [1, 4] {
-            let model = ServiceModel::warm(&c, threads).unwrap();
+            let mut model = ServiceModel::warm(&c, threads)?;
             assert_eq!(model.batch_max(), 3);
             for (net, (name, resolution)) in c.networks.iter().enumerate() {
-                for k in 1..=3 {
+                for k in (1..=3).rev() {
                     let row = Scenario::cycle(name, *resolution, c.mapping, k, c.arch.clone())
                         .execute(0)
-                        .unwrap();
-                    let point = model.get(net, k);
+                        .map_err(ServeError::Service)?;
+                    let point = model.point(net, k)?;
+                    assert_eq!(point, *model.get(net, k));
                     assert_eq!(point.latency, row.latency(), "{name} x{k} t{threads}");
                     assert_eq!(point.energy_pj.to_bits(), row.energy_pj.to_bits());
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Only batch size 1 is warmed up front; a lookup warms its size alone.
+    #[test]
+    fn other_batch_sizes_are_warmed_on_first_use() -> Result<(), ServeError> {
+        let mut c = tiny_config();
+        c.batch.max_size = 100_000;
+        c.queue_cap = 1_000_000;
+        let mut model = ServiceModel::warm(&c, 2)?;
+        assert_eq!(model.batch_max(), 100_000);
+        assert!(model.points.iter().all(|slots| slots.len() == 1));
+        let point = model.point(1, 5)?;
+        assert_eq!(model.points[0].len(), 1);
+        assert_eq!(model.points[1][1..4], [None; 3]);
+        assert_eq!(model.points[1][4], Some(point));
+        assert!(point.latency >= model.get(1, 1).latency);
+        Ok(())
     }
 
     #[test]
-    fn bigger_batches_cost_no_less_time() {
+    #[should_panic(expected = "batch size 2 not warmed")]
+    fn get_refuses_a_size_not_warmed() {
+        if let Ok(model) = ServiceModel::warm(&tiny_config(), 1) {
+            model.get(0, 2);
+        }
+    }
+
+    #[test]
+    fn bigger_batches_cost_no_less_time() -> Result<(), ServeError> {
         let c = tiny_config();
-        let model = ServiceModel::warm(&c, 2).unwrap();
+        let mut model = ServiceModel::warm(&c, 2)?;
         for net in 0..2 {
-            assert!(model.get(net, 2).latency >= model.get(net, 1).latency);
+            assert!(model.point(net, 2)?.latency >= model.get(net, 1).latency);
             assert!(model.get(net, 1).latency > SimTime::ZERO);
         }
         assert_eq!(model.batch_max(), 2);
+        Ok(())
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   depth of 2^32 or more, or a time before the previous sample) is
 //!   written as [`ESCAPE`] followed by its absolute time and its depth.
 //! - **Chunks.** Words go into chunks of [`CHUNK_WORDS`], each allocated
-//!   once at full size: no doubling slack and no copy on growth.
+//!   once at full size: no doubling slack and no copy on growth. The chunk
+//!   being filled is held by value, so a push is one length check and
+//!   one store.
 //! - **Newest sample.** The newest sample stays unencoded until the next
 //!   instant, so "a later sample at the same time replaces the earlier
 //!   one" is one compare and one store.
@@ -31,8 +33,10 @@ const ESCAPE: u64 = u64::MAX;
 /// Every queue-depth sample of a replay, in time order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct DepthTrace {
-    /// Encoded samples; every chunk but the last holds [`CHUNK_WORDS`].
+    /// Full chunks of encoded samples, [`CHUNK_WORDS`] each.
     chunks: Vec<Vec<u64>>,
+    /// The chunk being filled (no allocation before the first word).
+    open: Vec<u64>,
     /// The time of the last encoded sample (zero before the first).
     encoded_until: SimTime,
     /// The newest sample, not yet encoded.
@@ -68,7 +72,8 @@ impl DepthTrace {
 
     /// Every sample in the order recorded, decoded in one pass.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (SimTime, u64)> + '_ {
-        let mut words = self.chunks.iter().flatten().copied();
+        let chunks = self.chunks.iter().chain([&self.open]);
+        let mut words = chunks.flatten().copied();
         let mut at = 0u64;
         std::iter::from_fn(move || {
             let word = words.next()?;
@@ -100,14 +105,13 @@ impl DepthTrace {
     }
 
     fn push(&mut self, word: u64) {
-        match self.chunks.last_mut() {
-            Some(chunk) if chunk.len() < CHUNK_WORDS => chunk.push(word),
-            _ => {
-                let mut chunk = Vec::with_capacity(CHUNK_WORDS);
-                chunk.push(word);
-                self.chunks.push(chunk);
+        if self.open.len() == self.open.capacity() {
+            let full = std::mem::replace(&mut self.open, Vec::with_capacity(CHUNK_WORDS));
+            if !full.is_empty() {
+                self.chunks.push(full);
             }
         }
+        self.open.push(word);
     }
 }
 
@@ -200,10 +204,13 @@ pub(crate) mod tests {
             let trace = trace(&samples);
             assert_eq!(trace.len(), n);
             // The newest sample is never encoded.
-            let words: usize = trace.chunks.iter().map(Vec::len).sum();
+            let words = trace.chunks.len() * CHUNK_WORDS + trace.open.len();
             assert_eq!(words, n.saturating_sub(1));
-            assert_eq!(trace.chunks.len(), words.div_ceil(CHUNK_WORDS));
+            assert_eq!(trace.chunks.len(), words.saturating_sub(1) / CHUNK_WORDS);
+            assert!(trace.chunks.iter().all(|c| c.len() == CHUNK_WORDS));
             assert!(trace.chunks.iter().all(|c| c.capacity() == CHUNK_WORDS));
+            let open = if words == 0 { 0 } else { CHUNK_WORDS };
+            assert_eq!(trace.open.capacity(), open);
             assert!(trace.iter().eq(samples));
         }
     }
@@ -220,7 +227,8 @@ pub(crate) mod tests {
             (SimTime::MAX, 0),
         ];
         let trace = trace(&samples);
-        let words: Vec<u64> = trace.chunks.concat();
+        assert!(trace.chunks.is_empty());
+        let words = &trace.open;
         assert_eq!(words.len(), 1 + 3 + 3 + 3 + 3);
         assert_eq!(words[0], 5 << 32 | 1);
         assert!(trace.iter().eq(samples));
