@@ -66,8 +66,8 @@
 //! survives as the test oracle of `HazardMap`.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
-use pimsim_event::MulHash;
 use pimsim_isa::{Footprint, InstrClass, Instruction, Program, VectorShape};
 
 /// What a node costs: the inputs its minimal unit-service time is priced
@@ -281,6 +281,28 @@ impl BitTree {
     }
 }
 
+/// The hasher of [`HazardMap`]'s boundary table: one multiply, its high
+/// half folded onto the low one (the table picks a bucket by low bits).
+#[derive(Default)]
+struct BoundaryHasher(u64);
+
+impl Hasher for BoundaryHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The history of one run, kept at the interval that starts it.
 #[derive(Clone, Copy)]
 struct Run {
@@ -339,7 +361,7 @@ struct HazardMap {
     /// head, so the halves of a split run share their tail.
     cells: Vec<(u32, u32)>,
     /// `reset`'s scratch: each distinct boundary's first-seen index.
-    first_seen: HashMap<u64, u32, MulHash>,
+    first_seen: HashMap<u64, u32, BuildHasherDefault<BoundaryHasher>>,
     /// `reset`'s scratch: first-seen index to interval index.
     rank: Vec<u32>,
 }

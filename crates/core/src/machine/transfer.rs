@@ -30,7 +30,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use pimsim_event::{MulHash, SimTime};
+use pimsim_event::SimTime;
 use pimsim_isa::Instruction;
 
 use super::error::SimError;
@@ -114,12 +114,7 @@ impl Channel {
     /// Assigns the next send's virtual channel (round-robin at issue time).
     fn assign_vc(&mut self) -> u32 {
         let vc = self.next_vc;
-        let next = vc + 1;
-        self.next_vc = if next as usize == self.vc_used.len() {
-            0
-        } else {
-            next
-        };
+        self.next_vc = (vc + 1) % self.vc_used.len() as u32;
         vc
     }
 }
@@ -146,17 +141,13 @@ impl TransferFabric {
         // and `ArchConfig::validate` rejects zero virtual channels.
         debug_assert!(vcs > 0, "validated: at least one virtual channel");
         let mut channels = Vec::new();
-        // Keyed by the `(sender, receiver, tag)` packed into one `u64`,
-        // which `MulHash` hashes in one multiply.
-        let mut index: HashMap<u64, u32, MulHash> = HashMap::default();
+        let mut index: HashMap<ChannelKey, u32> = HashMap::new();
         for (c, core) in cores.iter_mut().enumerate() {
             for (instr, chan) in core.instrs.iter().zip(&mut core.chans) {
                 let Some(key) = instr.channel(c as u16) else {
                     continue;
                 };
-                let (s, d, t) = key;
-                let packed = u64::from(s) << 32 | u64::from(d) << 16 | u64::from(t);
-                *chan = *index.entry(packed).or_insert_with(|| {
+                *chan = *index.entry(key).or_insert_with(|| {
                     channels.push(Channel::new(key, vcs));
                     (channels.len() - 1) as u32
                 });

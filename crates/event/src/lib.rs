@@ -17,9 +17,7 @@
 //! * [`par_map_indexed`], the thread-count-independent worker pool the
 //!   host-side fan-outs (sweep campaigns, serve warm-up) share, and
 //!   [`par_map_visiting`], the same pool taking indices in a given
-//!   order;
-//! * [`MulHash`], a multiply-shift hasher for host-side tables keyed by
-//!   one `u64`; and
+//!   order; and
 //! * kernel statistics for debugging and benchmarking.
 //!
 //! # Example
@@ -57,13 +55,11 @@
 //! ```
 
 mod clock;
-mod hash;
 mod kernel;
 mod par;
 mod time;
 
 pub use clock::Clock;
-pub use hash::{MulHash, MulHasher};
 pub use kernel::{EventCtx, Kernel, KernelStats, RunResult, World};
 pub use par::{par_map_indexed, par_map_visiting};
 pub use time::SimTime;

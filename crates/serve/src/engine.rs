@@ -80,7 +80,7 @@ fn wake_time(key: u128) -> SimTime {
 
 /// Plays `arrivals` through the bounded queueing front-end and the
 /// batching dispatcher, using `model` for per-batch service times (and
-/// warming each batch size the first time it forms).
+/// warming a batch size past the up-front ones the first time it forms).
 ///
 /// # Errors
 ///

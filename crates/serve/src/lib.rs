@@ -104,10 +104,10 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Runs one full serving simulation: warms batch size 1 of every network
-/// on `threads` worker threads, plays the lazily generated request stream
-/// through the queueing front-end (warming each other batch size the first
-/// time it forms), and assembles the report.
+/// Runs one full serving simulation: warms batch sizes up to 64 of every
+/// network on `threads` worker threads, plays the lazily generated request
+/// stream through the queueing front-end (warming each larger batch size
+/// the first time it forms), and assembles the report.
 ///
 /// With `threads >= 2` the request stream runs on a second thread and
 /// hands its arrivals to the replay in batches; with 1 it runs inline.

@@ -4,12 +4,12 @@
 //! at the same batch size always costs the same (the cycle-level simulator
 //! is deterministic), so the queueing engine never re-simulates: it looks
 //! service times up in a cache keyed by `(network, batch size)`. Each key
-//! is one sweep [`Scenario`]. Batch size 1 of every network is warmed up
-//! front on the sweep's pool ([`par_map_indexed`]), because the report
-//! reads it; every other size is warmed the first time the replay
-//! dispatches it. A key's point is the same whenever and on whichever
-//! thread it is computed, so the model (and everything derived from it)
-//! is independent of the worker-thread count.
+//! is one sweep [`Scenario`]. Batch sizes up to [`EAGER_BATCH_MAX`] (64)
+//! of every network are warmed up front on the sweep's pool
+//! ([`par_map_indexed`]); a larger size is warmed the first time the
+//! replay dispatches it. A key's point is the same whenever and on
+//! whichever thread it is computed, so the model (and everything derived
+//! from it) is independent of the worker-thread count.
 
 use pimsim_event::{par_map_indexed, SimTime};
 use pimsim_sweep::Scenario;
@@ -27,6 +27,15 @@ pub struct ServicePoint {
     pub energy_pj: f64,
 }
 
+/// The largest batch size warmed up front.
+///
+/// A run whose batch cap is at most this usually forms most of its sizes,
+/// and warming them all in parallel beats warming the ones it forms one at
+/// a time on the replay thread. Past it, a size costs more to simulate
+/// than the one before, so a huge cap under a huge queue must not warm
+/// the sizes no batch reaches: those are warmed when first formed.
+const EAGER_BATCH_MAX: u32 = 64;
+
 /// The `(network, batch size)` → [`ServicePoint`] cache.
 #[derive(Debug, Clone)]
 pub struct ServiceModel {
@@ -39,16 +48,18 @@ pub struct ServiceModel {
 }
 
 impl ServiceModel {
-    /// Compiles and simulates batch size 1 of every network on a pool of
-    /// `threads` worker threads and returns the cache; the replay warms
-    /// every other batch size when it first forms it.
+    /// Compiles and simulates batch sizes `1..=min(batch_max, 64)` of every
+    /// network on a pool of `threads` worker threads and returns the cache;
+    /// the replay warms every larger size when it first forms it.
     ///
     /// A dispatched batch never holds more than `batch.max_size` requests
     /// nor more than the `queue_cap` the front-end admits, so the batch
-    /// sizes are `1..=max(1, min(batch.max_size, queue_cap))`. Each key is
-    /// one [`Scenario`], run by [`Scenario::execute`] (what a sweep runs
-    /// per grid point): the model is identical whatever `threads` is, and
-    /// on failure the error of the first network that fails is returned.
+    /// sizes are `1..=batch_max`, `batch_max = max(1, min(batch.max_size,
+    /// queue_cap))`; batch size 1 is always warmed, because the report
+    /// reads it. Each key is one [`Scenario`], run by
+    /// [`Scenario::execute`] (what a sweep runs per grid point): the model
+    /// is identical whatever `threads` is, and on failure the error of the
+    /// first failing key (by network, then batch size) is returned.
     ///
     /// # Errors
     ///
@@ -67,16 +78,25 @@ impl ServiceModel {
                 Scenario::cycle(name, *resolution, config.mapping, 1, config.arch.clone())
             })
             .collect();
+        let eager = batch_max.min(EAGER_BATCH_MAX) as usize;
         // Reduce each row to its point on the worker that made it: rows
         // carried back to this thread pin memory in the workers' glibc
         // malloc arenas, which raised a serving run's peak RSS by up to
         // 1.5x at 2 threads.
-        let points = par_map_indexed(scenarios.len(), threads, |net| {
-            point(&scenarios[net], net * batch_max as usize)
+        let points = par_map_indexed(scenarios.len() * eager, threads, |i| {
+            let (net, at) = (i / eager, i % eager);
+            let key = Scenario {
+                batch: at as u32 + 1,
+                ..scenarios[net].clone()
+            };
+            point(&key, net * batch_max as usize + at)
         })
         .map_err(ServeError::Service)?;
         Ok(ServiceModel {
-            points: points.into_iter().map(|p| vec![Some(p)]).collect(),
+            points: points
+                .chunks(eager)
+                .map(|row| row.iter().copied().map(Some).collect())
+                .collect(),
             scenarios,
             batch_max,
         })
@@ -88,7 +108,7 @@ impl ServiceModel {
     /// # Panics
     ///
     /// Panics when `net` is out of range or `k` has not been warmed.
-    pub fn get(&self, net: usize, k: u32) -> &ServicePoint {
+    pub(crate) fn get(&self, net: usize, k: u32) -> &ServicePoint {
         let slot = self.points[net].get((k as usize).wrapping_sub(1));
         match slot {
             Some(Some(point)) => point,
@@ -183,28 +203,41 @@ mod tests {
         Ok(())
     }
 
-    /// Only batch size 1 is warmed up front; a lookup warms its size alone.
+    /// Every size of a batch cap up to 64 is warmed up front.
     #[test]
-    fn other_batch_sizes_are_warmed_on_first_use() -> Result<(), ServeError> {
+    fn small_batch_caps_are_warmed_whole() -> Result<(), ServeError> {
+        let mut c = tiny_config();
+        c.batch.max_size = 5;
+        let model = ServiceModel::warm(&c, 2)?;
+        assert!(model.points.iter().all(|slots| slots.len() == 5));
+        assert!(model.points.iter().flatten().all(Option::is_some));
+        Ok(())
+    }
+
+    /// Past 64, a lookup warms its size alone.
+    #[test]
+    fn larger_batch_sizes_are_warmed_on_first_use() -> Result<(), ServeError> {
         let mut c = tiny_config();
         c.batch.max_size = 100_000;
         c.queue_cap = 1_000_000;
         let mut model = ServiceModel::warm(&c, 2)?;
         assert_eq!(model.batch_max(), 100_000);
-        assert!(model.points.iter().all(|slots| slots.len() == 1));
-        let point = model.point(1, 5)?;
-        assert_eq!(model.points[0].len(), 1);
-        assert_eq!(model.points[1][1..4], [None; 3]);
-        assert_eq!(model.points[1][4], Some(point));
-        assert!(point.latency >= model.get(1, 1).latency);
+        assert!(model.points.iter().all(|slots| slots.len() == 64));
+        let point = model.point(1, 70)?;
+        assert_eq!(model.points[0].len(), 64);
+        assert_eq!(model.points[1][64..69], [None; 5]);
+        assert_eq!(model.points[1][69], Some(point));
+        assert!(point.latency >= model.get(1, 64).latency);
         Ok(())
     }
 
     #[test]
-    #[should_panic(expected = "batch size 2 not warmed")]
+    #[should_panic(expected = "batch size 65 not warmed")]
     fn get_refuses_a_size_not_warmed() {
-        if let Ok(model) = ServiceModel::warm(&tiny_config(), 1) {
-            model.get(0, 2);
+        let mut c = tiny_config();
+        c.batch.max_size = 65;
+        if let Ok(model) = ServiceModel::warm(&c, 1) {
+            model.get(0, 65);
         }
     }
 
