@@ -121,9 +121,11 @@ impl<'a> CostModel<'a> {
     /// Worst per-crossbar active physical columns for a group with
     /// `output_len` logical outputs over `xbar_count` crossbars.
     fn worst_cols(&self, output_len: u32, xbar_count: u32) -> u32 {
-        let phys = output_len * self.cfg.resources.cells_per_weight();
-        phys.div_ceil(xbar_count.max(1))
-            .min(self.cfg.resources.xbar_cols)
+        let r = &self.cfg.resources;
+        // In `u64`: the product passes `u32` on a wide enough chip.
+        let phys = u64::from(output_len) * u64::from(r.cells_per_weight());
+        let per_xbar = phys.div_ceil(xbar_count.max(1).into());
+        u32::try_from(per_xbar).map_or(r.xbar_cols, |cols| cols.min(r.xbar_cols))
     }
 
     /// Cost of one `MVM` on a group with `input_len` inputs, `output_len`
@@ -137,7 +139,7 @@ impl<'a> CostModel<'a> {
         let adc_serial = worst.div_ceil(r.adcs_per_xbar) as f64 * t.adc_sample_ns;
         let time_ns = phases * (t.xbar_read_ns + adc_serial);
 
-        let phys_cols = (output_len * r.cells_per_weight()) as f64;
+        let phys_cols = f64::from(output_len) * f64::from(r.cells_per_weight());
         let active_cells = input_len as f64 * phys_cols;
         let dac_drives = input_len as f64 * xbar_count as f64;
         let conversions = phys_cols;
@@ -314,6 +316,26 @@ mod tests {
         cfg.resources.adcs_per_xbar = 4;
         let fast = model(&cfg).mvm_cost(128, 128, 4).time;
         assert!(fast < slow);
+    }
+
+    /// 2^26 outputs of 64 cells each are 2^32 physical columns, one past
+    /// `u32`: the cost must not fall back to that of none.
+    #[test]
+    fn mvm_cost_does_not_wrap_past_u32_columns() {
+        let mut cfg = ArchConfig::paper_default();
+        cfg.resources.weight_bits = 64;
+        cfg.resources.cell_bits = 1;
+        cfg.resources.xbar_cols = 64;
+        let m = model(&cfg);
+        let below = m.mvm_cost(4, (1 << 26) - 1, 1);
+        let at = m.mvm_cost(4, 1 << 26, 1);
+        assert!(at.time >= below.time, "{:?} < {:?}", at.time, below.time);
+        assert!(
+            at.energy >= below.energy,
+            "{:?} < {:?}",
+            at.energy,
+            below.energy
+        );
     }
 
     #[test]

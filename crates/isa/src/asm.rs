@@ -10,14 +10,15 @@
 //!   in=N out=M xbars=0,1,2` (define a crossbar group), `.init START
 //!   v0,v1,...` (preload local memory).
 //!
-//! Each op mnemonic is printed from its op enum's `mnemonic()` in
-//! `instr.rs`; the parser dispatches on a mnemonic's bytes in one `match`,
-//! and a test holds that `match` to every entry of each enum's `ALL` table
-//! (for example [`VBinOp::ALL`] for `vadd`). Operands are separated by
-//! commas, and an empty operand (`add r1,, r2` or a trailing comma) is an
-//! error naming the mnemonic and the operand's position. Whitespace is
-//! what [`char::is_whitespace`] accepts, so a tab, a `\r` before the line
-//! feed, U+00A0 or U+3000 separate as a space does.
+//! Each mnemonic and its operands are one row of the opcode table
+//! (`opcode.rs`). The parser dispatches on a mnemonic's bytes in one
+//! `match` generated from the rows, and reads each operand with the
+//! `Operands` method of its kind; the writer behind `Display` prints
+//! from the same rows. Operands are separated by commas, and an empty
+//! operand (`add r1,, r2` or a trailing comma) is an error naming the
+//! mnemonic and the operand's position. Whitespace is what
+//! [`char::is_whitespace`] accepts, so a tab, a `\r` before the line feed,
+//! U+00A0 or U+3000 separate as a space does.
 //!
 //! ```rust
 //! use pimsim_isa::asm;
@@ -47,11 +48,9 @@ use std::io;
 
 use crate::error::IsaError;
 use crate::group::GroupConfig;
-use crate::instr::{
-    Addr, AsmLine, BranchCond, CoreId, GroupId, Instruction, PoolOp, SBinOp, SImmOp, VBinOp,
-    VImmOp, VUnOp,
-};
-use crate::program::{fits_fields, CoreProgram, Program, ProgramMeta};
+use crate::instr::{Addr, AsmLine, CoreId, GroupId, Instruction};
+use crate::opcode::{decode, IntField};
+use crate::program::{CoreProgram, Program, ProgramMeta};
 use crate::reg::Reg;
 
 fn perr(line: usize, msg: impl Into<String>) -> IsaError {
@@ -308,8 +307,9 @@ fn parse_int(s: &str) -> Option<i64> {
 
 /// One instruction's comma-separated operands, each read in place up to
 /// its comma; an operand that does not read is cut out and trimmed for
-/// the error.
-struct Operands<'a> {
+/// the error. The opcode table's `decode` reads them, one method per
+/// operand kind.
+pub(crate) struct Operands<'a> {
     rest: &'a str,
     /// Where the next operand starts; past `rest`'s end, none is left.
     next: usize,
@@ -432,33 +432,25 @@ impl<'a> Operands<'a> {
         Err(perr(self.line, format!("expected {expected}, got `{tok}`")))
     }
 
-    fn reg(&mut self) -> Result<Reg, IsaError> {
+    pub(crate) fn reg(&mut self) -> Result<Reg, IsaError> {
         self.parsed(|r| r.reg(true), "register")
     }
 
-    fn int(&mut self) -> Result<i64, IsaError> {
-        self.parsed(Reader::int, "integer")
+    /// An integer operand, refused when `T` cannot hold it.
+    pub(crate) fn int<T: IntField>(&mut self) -> Result<T, IsaError> {
+        let v = self.parsed(Reader::int, "integer")?;
+        T::try_from(v).map_err(|_| perr(self.line, T::unfit(v)))
     }
 
-    fn u32(&mut self) -> Result<u32, IsaError> {
-        let v = self.int()?;
-        u32::try_from(v).map_err(|_| perr(self.line, format!("expected unsigned value, got {v}")))
-    }
-
-    fn i32(&mut self) -> Result<i32, IsaError> {
-        let v = self.int()?;
-        i32::try_from(v).map_err(|_| perr(self.line, format!("immediate {v} does not fit 32 bits")))
-    }
-
-    fn addr(&mut self) -> Result<Addr, IsaError> {
+    pub(crate) fn addr(&mut self) -> Result<Addr, IsaError> {
         self.parsed(|r| r.addr(false), "address like [r1+8]")
     }
 
-    fn gaddr(&mut self) -> Result<Addr, IsaError> {
+    pub(crate) fn gaddr(&mut self) -> Result<Addr, IsaError> {
         self.parsed(|r| r.addr(true), "global address like g[r1+8]")
     }
 
-    fn core(&mut self) -> Result<CoreId, IsaError> {
+    pub(crate) fn core(&mut self) -> Result<CoreId, IsaError> {
         let read = |r: &mut Reader| {
             let _ = r.bytes(b"core");
             r.unsigned()
@@ -466,7 +458,7 @@ impl<'a> Operands<'a> {
         Ok(CoreId(self.parsed(read, "core id")?))
     }
 
-    fn group(&mut self) -> Result<GroupId, IsaError> {
+    pub(crate) fn group(&mut self) -> Result<GroupId, IsaError> {
         let read = |r: &mut Reader| {
             r.byte(b'g')?;
             r.unsigned()
@@ -474,43 +466,28 @@ impl<'a> Operands<'a> {
         Ok(GroupId(self.parsed(read, "group like g3")?))
     }
 
-    /// Parses `key=value` returning the integer value.
-    fn kv_int(&mut self, key: &str) -> Result<i64, IsaError> {
+    /// Parses `key=value`, refused when `T` cannot hold the value.
+    pub(crate) fn key<T: IntField>(&mut self, key: &str) -> Result<T, IsaError> {
         let read = |r: &mut Reader| {
             r.bytes(key.as_bytes())?;
             r.byte(b'=')?;
             r.spaces();
             r.int()
         };
-        if let Some(v) = self.read(read) {
-            return Ok(v);
-        }
-        let tok = self.take()?;
-        let msg = if tok.strip_prefix(key).is_some_and(|v| v.starts_with('=')) {
-            format!("bad integer in `{tok}`")
-        } else {
-            format!("expected `{key}=<value>`, got `{tok}`")
+        let Some(v) = self.read(read) else {
+            let tok = self.take()?;
+            let msg = if tok.strip_prefix(key).is_some_and(|v| v.starts_with('=')) {
+                format!("bad integer in `{tok}`")
+            } else {
+                format!("expected `{key}=<value>`, got `{tok}`")
+            };
+            return Err(perr(self.line, msg));
         };
-        Err(perr(self.line, msg))
-    }
-
-    fn kv_u32(&mut self, key: &str) -> Result<u32, IsaError> {
-        let v = self.kv_int(key)?;
-        u32::try_from(v).map_err(|_| perr(self.line, format!("`{key}` must be unsigned, got {v}")))
-    }
-
-    fn kv_i32(&mut self, key: &str) -> Result<i32, IsaError> {
-        let v = self.kv_int(key)?;
-        i32::try_from(v).map_err(|_| perr(self.line, format!("`{key}` value {v} does not fit")))
-    }
-
-    fn kv_u16(&mut self, key: &str) -> Result<u16, IsaError> {
-        let v = self.kv_int(key)?;
-        u16::try_from(v).map_err(|_| perr(self.line, format!("`{key}` value {v} does not fit u16")))
+        T::try_from(v).map_err(|_| perr(self.line, T::unfit_key(key, v)))
     }
 
     /// Parses `win=WxH`.
-    fn kv_window(&mut self) -> Result<(u32, u32), IsaError> {
+    pub(crate) fn win(&mut self) -> Result<(u32, u32), IsaError> {
         let read = |r: &mut Reader| {
             r.bytes(b"win=")?;
             let w = r.unsigned()?;
@@ -531,7 +508,7 @@ impl<'a> Operands<'a> {
 
     /// Parses a branch target: a number, or a label name that reads as
     /// target 0 until [`assemble`] patches it.
-    fn target(&mut self) -> Result<u32, IsaError> {
+    pub(crate) fn target(&mut self) -> Result<u32, IsaError> {
         let Some(v) = self.read(Reader::int) else {
             self.label = Some(self.take()?);
             return Ok(0);
@@ -539,74 +516,9 @@ impl<'a> Operands<'a> {
         u32::try_from(v).map_err(|_| perr(self.line, format!("branch target {v} out of range")))
     }
 
-    fn branch(&mut self, cond: BranchCond) -> Result<Instruction, IsaError> {
-        Ok(Instruction::Branch {
-            cond,
-            rs1: self.reg()?,
-            rs2: self.reg()?,
-            target: self.target()?,
-        })
-    }
-
-    fn sbin(&mut self, op: SBinOp) -> Result<Instruction, IsaError> {
-        Ok(Instruction::SBin {
-            op,
-            rd: self.reg()?,
-            rs1: self.reg()?,
-            rs2: self.reg()?,
-        })
-    }
-
-    fn simm(&mut self, op: SImmOp) -> Result<Instruction, IsaError> {
-        Ok(Instruction::SImm {
-            op,
-            rd: self.reg()?,
-            rs1: self.reg()?,
-            imm: self.i32()?,
-        })
-    }
-
-    fn vbin(&mut self, op: VBinOp) -> Result<Instruction, IsaError> {
-        Ok(Instruction::VBin {
-            op,
-            dst: self.addr()?,
-            a: self.addr()?,
-            b: self.addr()?,
-            len: self.u32()?,
-        })
-    }
-
-    fn vimm(&mut self, op: VImmOp) -> Result<Instruction, IsaError> {
-        Ok(Instruction::VImm {
-            op,
-            dst: self.addr()?,
-            src: self.addr()?,
-            imm: self.i32()?,
-            len: self.u32()?,
-        })
-    }
-
-    fn vun(&mut self, op: VUnOp) -> Result<Instruction, IsaError> {
-        Ok(Instruction::VUn {
-            op,
-            dst: self.addr()?,
-            src: self.addr()?,
-            len: self.u32()?,
-        })
-    }
-
-    fn pool(&mut self, op: PoolOp) -> Result<Instruction, IsaError> {
-        let (dst, src, channels) = (self.addr()?, self.addr()?, self.kv_u32("ch")?);
-        let (win_w, win_h) = self.kv_window()?;
-        Ok(Instruction::VPool {
-            op,
-            dst,
-            src,
-            channels,
-            win_w,
-            win_h,
-            row_stride: self.kv_i32("rstride")?,
-        })
+    /// The error for a mnemonic no row of the opcode table spells.
+    pub(crate) fn unknown(&self) -> IsaError {
+        perr(self.line, format!("unknown mnemonic `{}`", self.mnemonic))
     }
 }
 
@@ -620,7 +532,7 @@ impl<'a> Operands<'a> {
 pub fn parse_instruction(text: &str) -> Result<Instruction, IsaError> {
     match parse_line(text, 0)? {
         (instr, None) => {
-            fits_fields(&instr).map_err(|msg| perr(0, msg))?;
+            instr.fits_fields().map_err(|msg| perr(0, msg))?;
             Ok(instr)
         }
         (_, Some(_)) => Err(perr(
@@ -640,111 +552,6 @@ fn parse_line(text: &str, line: usize) -> Result<(Instruction, Option<&str>), Is
         Ok(instr) => Ok((instr, ops.finish()?)),
         Err(e) => Err(ops.first_empty().unwrap_or(e)),
     }
-}
-
-/// The instruction `mnemonic` names, its operands taken from `ops`.
-fn decode(mnemonic: &str, ops: &mut Operands) -> Result<Instruction, IsaError> {
-    let line = ops.line;
-    use Instruction::*;
-    Ok(match mnemonic.as_bytes() {
-        b"nop" => Nop,
-        b"halt" => Halt,
-        b"jmp" => Jump {
-            target: ops.target()?,
-        },
-        b"beq" => ops.branch(BranchCond::Eq)?,
-        b"bne" => ops.branch(BranchCond::Ne)?,
-        b"blt" => ops.branch(BranchCond::Lt)?,
-        b"bge" => ops.branch(BranchCond::Ge)?,
-        b"add" => ops.sbin(SBinOp::Add)?,
-        b"sub" => ops.sbin(SBinOp::Sub)?,
-        b"mul" => ops.sbin(SBinOp::Mul)?,
-        b"and" => ops.sbin(SBinOp::And)?,
-        b"or" => ops.sbin(SBinOp::Or)?,
-        b"xor" => ops.sbin(SBinOp::Xor)?,
-        b"slt" => ops.sbin(SBinOp::Slt)?,
-        b"sll" => ops.sbin(SBinOp::Sll)?,
-        b"srl" => ops.sbin(SBinOp::Srl)?,
-        b"addi" => ops.simm(SImmOp::Add)?,
-        b"muli" => ops.simm(SImmOp::Mul)?,
-        b"slli" => ops.simm(SImmOp::Sll)?,
-        b"srli" => ops.simm(SImmOp::Srl)?,
-        b"andi" => ops.simm(SImmOp::And)?,
-        b"ori" => ops.simm(SImmOp::Or)?,
-        b"slti" => ops.simm(SImmOp::Slt)?,
-        b"li" => SImm {
-            op: SImmOp::Add,
-            rd: ops.reg()?,
-            rs1: Reg::R0,
-            imm: ops.i32()?,
-        },
-        b"mvm" => Mvm {
-            group: ops.group()?,
-            dst: ops.addr()?,
-            src: ops.addr()?,
-            len: ops.u32()?,
-        },
-        b"vadd" => ops.vbin(VBinOp::Add)?,
-        b"vsub" => ops.vbin(VBinOp::Sub)?,
-        b"vmul" => ops.vbin(VBinOp::Mul)?,
-        b"vmax" => ops.vbin(VBinOp::Max)?,
-        b"vmin" => ops.vbin(VBinOp::Min)?,
-        b"vaddi" => ops.vimm(VImmOp::Add)?,
-        b"vmuli" => ops.vimm(VImmOp::Mul)?,
-        b"vsrai" => ops.vimm(VImmOp::Sra)?,
-        b"vrelu" => ops.vun(VUnOp::Relu)?,
-        b"vsigmoid" => ops.vun(VUnOp::Sigmoid)?,
-        b"vtanh" => ops.vun(VUnOp::Tanh)?,
-        b"vcopy" => ops.vun(VUnOp::Copy)?,
-        b"vneg" => ops.vun(VUnOp::Neg)?,
-        b"vabs" => ops.vun(VUnOp::Abs)?,
-        b"vfill" => VFill {
-            dst: ops.addr()?,
-            value: ops.i32()?,
-            len: ops.u32()?,
-        },
-        b"vcopy2d" => VCopy2d {
-            dst: ops.addr()?,
-            src: ops.addr()?,
-            block_len: ops.kv_u32("block")?,
-            blocks: ops.kv_u32("blocks")?,
-            src_stride: ops.kv_i32("sstride")?,
-            dst_stride: ops.kv_i32("dstride")?,
-        },
-        b"vpool.max" => ops.pool(PoolOp::Max)?,
-        b"vpool.avg" => ops.pool(PoolOp::Avg)?,
-        b"send" => Send {
-            peer: ops.core()?,
-            src: ops.addr()?,
-            len: ops.u32()?,
-            tag: ops.kv_u16("tag")?,
-        },
-        b"recv" => Recv {
-            peer: ops.core()?,
-            dst: ops.addr()?,
-            len: ops.u32()?,
-            tag: ops.kv_u16("tag")?,
-        },
-        b"recv2d" => Recv2d {
-            peer: ops.core()?,
-            dst: ops.addr()?,
-            block_len: ops.kv_u32("block")?,
-            blocks: ops.kv_u32("blocks")?,
-            dst_stride: ops.kv_i32("dstride")?,
-            tag: ops.kv_u16("tag")?,
-        },
-        b"gload" => GLoad {
-            dst: ops.addr()?,
-            gaddr: ops.gaddr()?,
-            len: ops.u32()?,
-        },
-        b"gstore" => GStore {
-            gaddr: ops.gaddr()?,
-            src: ops.addr()?,
-            len: ops.u32()?,
-        },
-        _ => return Err(perr(line, format!("unknown mnemonic `{mnemonic}`"))),
-    })
 }
 
 /// The first `\n`, `;` or `#` in `b` from `from` on, or `b.len()`: eight
@@ -881,7 +688,8 @@ pub fn assemble(text: &str) -> Result<Program, IsaError> {
             if label.is_empty() || label.chars().any(char::is_whitespace) {
                 return Err(perr(lineno, format!("bad label `{line}`")));
             }
-            let pc = core.instrs.len() as u32;
+            let pc = u32::try_from(core.instrs.len())
+                .map_err(|_| perr(lineno, format!("label `{label}` past the last pc")))?;
             if core.labels.insert(label.to_string(), pc).is_some() {
                 return Err(perr(lineno, format!("duplicate label `{label}`")));
             }
@@ -889,7 +697,7 @@ pub fn assemble(text: &str) -> Result<Program, IsaError> {
         }
 
         let (instr, label) = parse_line(line, lineno)?;
-        fits_fields(&instr).map_err(|msg| perr(lineno, msg))?;
+        instr.fits_fields().map_err(|msg| perr(lineno, msg))?;
         if let Some(label) = label {
             core.fixups.push((core.instrs.len(), label, lineno));
         }
@@ -1103,12 +911,12 @@ mod oracle {
     use super::perr;
     use crate::error::IsaError;
     use crate::group::GroupConfig;
-    use crate::instr::{
+    use crate::program::{fits_fields, CoreProgram, Program, ProgramMeta};
+    use crate::reg::Reg;
+    use crate::{
         Addr, BranchCond, CoreId, GroupId, Instruction, PoolOp, SBinOp, SImmOp, VBinOp, VImmOp,
         VUnOp,
     };
-    use crate::program::{fits_fields, CoreProgram, Program, ProgramMeta};
-    use crate::reg::Reg;
 
     pub(super) fn parse_int(s: &str) -> Option<i64> {
         let s = s.trim();
@@ -1721,6 +1529,7 @@ mod tests {
 
     use super::instructions::instruction_strategy;
     use super::*;
+    use crate::{BranchCond, PoolOp, SBinOp, SImmOp, VBinOp, VImmOp, VUnOp};
 
     #[test]
     fn parse_single_instructions() {

@@ -75,7 +75,8 @@ impl Extent {
     #[inline]
     pub fn outside(&self, regs: &[i32; 32], capacity: u64) -> Option<(i64, i64)> {
         let (start, end) = self.span(regs);
-        (start < end && (start < 0 || end as u64 > capacity)).then_some((start, end))
+        let past = |end| u64::try_from(end).map_or(true, |end| end > capacity);
+        (start < end && (start < 0 || past(end))).then_some((start, end))
     }
 }
 
@@ -297,7 +298,8 @@ mod tests {
     use super::*;
     use crate::asm::instructions::instruction_strategy;
     use crate::asm::parse_instruction;
-    use crate::instr::{CoreId, GroupId, PoolOp, VBinOp};
+    use crate::instr::{CoreId, GroupId};
+    use crate::opcode::{PoolOp, VBinOp};
     use crate::reg::Reg;
 
     /// Local and global capacities of the differential's small chip.

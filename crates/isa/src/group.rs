@@ -117,7 +117,7 @@ impl WeightMatrix {
             }
         }
         acc.into_iter()
-            .map(|v| v.clamp(i32::MIN as i64, i32::MAX as i64) as i32)
+            .map(|v| i32::try_from(v).unwrap_or(if v < 0 { i32::MIN } else { i32::MAX }))
             .collect()
     }
 }

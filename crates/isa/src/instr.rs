@@ -5,6 +5,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::error::IsaError;
+use crate::opcode::{BranchCond, PoolOp, SBinOp, SImmOp, VBinOp, VImmOp, VUnOp};
 use crate::reg::Reg;
 
 /// Operand field-width limits of the ISA's instruction format.
@@ -191,183 +192,7 @@ impl fmt::Display for Addr {
     }
 }
 
-/// Two-operand vector arithmetic operations (element-wise, on local memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VBinOp {
-    /// Element-wise addition (used for partial-sum reduction and residual add).
-    Add,
-    /// Element-wise subtraction.
-    Sub,
-    /// Element-wise multiplication (Hadamard; used for scale/batch-norm folding).
-    Mul,
-    /// Element-wise maximum (building block of max pooling).
-    Max,
-    /// Element-wise minimum.
-    Min,
-}
-
-impl VBinOp {
-    /// Every operation; the assembler looks each mnemonic up here.
-    pub const ALL: [VBinOp; 5] = [
-        VBinOp::Add,
-        VBinOp::Sub,
-        VBinOp::Mul,
-        VBinOp::Max,
-        VBinOp::Min,
-    ];
-
-    /// Canonical mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            VBinOp::Add => "vadd",
-            VBinOp::Sub => "vsub",
-            VBinOp::Mul => "vmul",
-            VBinOp::Max => "vmax",
-            VBinOp::Min => "vmin",
-        }
-    }
-}
-
-/// Vector-immediate operations: `dst[i] = src[i] op imm`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VImmOp {
-    /// Add a scalar immediate to every element.
-    Add,
-    /// Multiply every element by a scalar immediate.
-    Mul,
-    /// Arithmetic shift right by `imm` bits (fixed-point requantization).
-    Sra,
-}
-
-impl VImmOp {
-    /// Every operation; the assembler looks each mnemonic up here.
-    pub const ALL: [VImmOp; 3] = [VImmOp::Add, VImmOp::Mul, VImmOp::Sra];
-
-    /// Canonical mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            VImmOp::Add => "vaddi",
-            VImmOp::Mul => "vmuli",
-            VImmOp::Sra => "vsrai",
-        }
-    }
-}
-
-/// One-operand vector operations: `dst[i] = f(src[i])`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VUnOp {
-    /// Rectified linear unit.
-    Relu,
-    /// Sigmoid via lookup table (functional model uses a fixed-point LUT).
-    Sigmoid,
-    /// Hyperbolic tangent via lookup table.
-    Tanh,
-    /// Plain element copy.
-    Copy,
-    /// Negation.
-    Neg,
-    /// Absolute value.
-    Abs,
-}
-
-impl VUnOp {
-    /// Every operation; the assembler looks each mnemonic up here.
-    pub const ALL: [VUnOp; 6] = [
-        VUnOp::Relu,
-        VUnOp::Sigmoid,
-        VUnOp::Tanh,
-        VUnOp::Copy,
-        VUnOp::Neg,
-        VUnOp::Abs,
-    ];
-
-    /// Canonical mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            VUnOp::Relu => "vrelu",
-            VUnOp::Sigmoid => "vsigmoid",
-            VUnOp::Tanh => "vtanh",
-            VUnOp::Copy => "vcopy",
-            VUnOp::Neg => "vneg",
-            VUnOp::Abs => "vabs",
-        }
-    }
-}
-
-/// Pooling reduction kind for the fused [`Instruction::VPool`] macro-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PoolOp {
-    /// Max pooling.
-    Max,
-    /// Average pooling (integer mean, rounded toward zero).
-    Avg,
-}
-
-impl PoolOp {
-    /// Every operation; the assembler looks each mnemonic up here.
-    pub const ALL: [PoolOp; 2] = [PoolOp::Max, PoolOp::Avg];
-
-    /// Canonical mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            PoolOp::Max => "vpool.max",
-            PoolOp::Avg => "vpool.avg",
-        }
-    }
-}
-
-/// Three-register scalar ALU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SBinOp {
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication (low 32 bits).
-    Mul,
-    /// Bitwise AND.
-    And,
-    /// Bitwise OR.
-    Or,
-    /// Bitwise XOR.
-    Xor,
-    /// Set-if-less-than (signed): `rd = (rs1 < rs2) as i32`.
-    Slt,
-    /// Logical shift left by `rs2 & 31`.
-    Sll,
-    /// Logical shift right by `rs2 & 31`.
-    Srl,
-}
-
 impl SBinOp {
-    /// Every operation; the assembler looks each mnemonic up here.
-    pub const ALL: [SBinOp; 9] = [
-        SBinOp::Add,
-        SBinOp::Sub,
-        SBinOp::Mul,
-        SBinOp::And,
-        SBinOp::Or,
-        SBinOp::Xor,
-        SBinOp::Slt,
-        SBinOp::Sll,
-        SBinOp::Srl,
-    ];
-
-    /// Canonical mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            SBinOp::Add => "add",
-            SBinOp::Sub => "sub",
-            SBinOp::Mul => "mul",
-            SBinOp::And => "and",
-            SBinOp::Or => "or",
-            SBinOp::Xor => "xor",
-            SBinOp::Slt => "slt",
-            SBinOp::Sll => "sll",
-            SBinOp::Srl => "srl",
-        }
-    }
-
     /// `a op b` with the machine's semantics: wrapping arithmetic, signed
     /// `slt`, shift amounts masked to 5 bits, logical `srl`.
     #[inline]
@@ -379,57 +204,17 @@ impl SBinOp {
             SBinOp::And => a & b,
             SBinOp::Or => a | b,
             SBinOp::Xor => a ^ b,
-            SBinOp::Slt => (a < b) as i32,
-            SBinOp::Sll => a.wrapping_shl(b as u32),
-            SBinOp::Srl => (a as u32).wrapping_shr(b as u32) as i32,
+            SBinOp::Slt => (a < b).into(),
+            SBinOp::Sll => a.wrapping_shl(b.cast_unsigned()),
+            SBinOp::Srl => a
+                .cast_unsigned()
+                .wrapping_shr(b.cast_unsigned())
+                .cast_signed(),
         }
     }
-}
-
-/// Register-immediate scalar operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SImmOp {
-    /// `rd = rs1 + imm` (with `rs1 = r0` this is `li`).
-    Add,
-    /// `rd = rs1 * imm`.
-    Mul,
-    /// `rd = rs1 << imm`.
-    Sll,
-    /// `rd = rs1 >> imm` (logical).
-    Srl,
-    /// `rd = rs1 & imm`.
-    And,
-    /// `rd = rs1 | imm`.
-    Or,
-    /// `rd = (rs1 < imm) as i32` (signed).
-    Slt,
 }
 
 impl SImmOp {
-    /// Every operation; the assembler looks each mnemonic up here.
-    pub const ALL: [SImmOp; 7] = [
-        SImmOp::Add,
-        SImmOp::Mul,
-        SImmOp::Sll,
-        SImmOp::Srl,
-        SImmOp::And,
-        SImmOp::Or,
-        SImmOp::Slt,
-    ];
-
-    /// Canonical mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            SImmOp::Add => "addi",
-            SImmOp::Mul => "muli",
-            SImmOp::Sll => "slli",
-            SImmOp::Srl => "srli",
-            SImmOp::And => "andi",
-            SImmOp::Or => "ori",
-            SImmOp::Slt => "slti",
-        }
-    }
-
     /// `a op imm`: the register-register operation of the same name
     /// ([`SBinOp::apply`]) with `imm` as its second operand.
     #[inline]
@@ -447,38 +232,7 @@ impl SImmOp {
     }
 }
 
-/// Branch comparison conditions (signed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BranchCond {
-    /// Branch if equal.
-    Eq,
-    /// Branch if not equal.
-    Ne,
-    /// Branch if less than (signed).
-    Lt,
-    /// Branch if greater or equal (signed).
-    Ge,
-}
-
 impl BranchCond {
-    /// Every condition; the assembler looks each mnemonic up here.
-    pub const ALL: [BranchCond; 4] = [
-        BranchCond::Eq,
-        BranchCond::Ne,
-        BranchCond::Lt,
-        BranchCond::Ge,
-    ];
-
-    /// Canonical mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            BranchCond::Eq => "beq",
-            BranchCond::Ne => "bne",
-            BranchCond::Lt => "blt",
-            BranchCond::Ge => "bge",
-        }
-    }
-
     /// Is the branch taken for operands `a` and `b` (signed compare)?
     #[inline]
     pub fn holds(self, a: i32, b: i32) -> bool {
@@ -734,39 +488,14 @@ pub enum Instruction {
 }
 
 impl Instruction {
-    /// The instruction's class, which selects the execution unit.
-    pub fn class(&self) -> InstrClass {
-        use Instruction::*;
-        match self {
-            Mvm { .. } => InstrClass::Matrix,
-            VBin { .. }
-            | VImm { .. }
-            | VUn { .. }
-            | VFill { .. }
-            | VCopy2d { .. }
-            | VPool { .. } => InstrClass::Vector,
-            Send { .. } | Recv { .. } | Recv2d { .. } | GLoad { .. } | GStore { .. } => {
-                InstrClass::Transfer
-            }
-            SBin { .. } | SImm { .. } | Branch { .. } | Jump { .. } | Halt | Nop => {
-                InstrClass::Scalar
-            }
-        }
-    }
-
-    /// `true` for instructions that may redirect control flow.
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Branch { .. } | Instruction::Jump { .. } | Instruction::Halt
-        )
-    }
-
     /// `true` for instructions that end a basic block: conditional
     /// branches, unconditional jumps, and `halt`. This is the block-cut
     /// classification used by control-flow-graph construction.
     pub fn is_terminator(&self) -> bool {
-        self.is_control()
+        matches!(
+            self,
+            Instruction::Branch { .. } | Instruction::Jump { .. } | Instruction::Halt
+        )
     }
 
     /// The static control-flow target (an absolute instruction index),
@@ -860,7 +589,7 @@ impl Instruction {
 
 /// One operand as the canonical syntax prints it.
 #[derive(Clone, Copy)]
-enum Operand {
+pub(crate) enum Operand {
     Reg(Reg),
     Addr(Addr),
     /// A global memory address, `g[rN+off]`.
@@ -941,7 +670,10 @@ impl AsmLine {
         }
         // An odd digit count leaves the leading digit.
         if at > self.len - digits {
-            self.bytes[at - 1] = b'0' + v as u8;
+            // The loop ends with `v < 10`.
+            #[allow(clippy::cast_possible_truncation)]
+            let digit = v as u8;
+            self.bytes[at - 1] = b'0' + digit;
         }
     }
 
@@ -1001,7 +733,7 @@ impl AsmLine {
 
     /// `mnemonic`, a space and `operands` separated by `, `.
     #[inline(always)]
-    fn instruction(&mut self, mnemonic: &str, operands: &[Operand]) {
+    pub(crate) fn instruction(&mut self, mnemonic: &str, operands: &[Operand]) {
         self.put(mnemonic);
         for (i, &op) in operands.iter().enumerate() {
             if i > 0 {
@@ -1009,138 +741,6 @@ impl AsmLine {
             }
             self.byte(b' ');
             self.operand(op);
-        }
-    }
-}
-
-impl Instruction {
-    /// Appends the canonical assembly text of `self` (what `Display`
-    /// prints and [`crate::asm::disassemble`] writes) to `line`.
-    pub(crate) fn write_asm(&self, line: &mut AsmLine) {
-        use Instruction::*;
-        use Operand::{Core, GAddr, Group, Int, Key, Win};
-        let (a, r) = (Operand::Addr, Operand::Reg);
-        match *self {
-            Mvm {
-                group,
-                dst,
-                src,
-                len,
-            } => line.instruction("mvm", &[Group(group), a(dst), a(src), Int(len.into())]),
-            VBin {
-                op,
-                dst,
-                a: x,
-                b: y,
-                len,
-            } => line.instruction(op.mnemonic(), &[a(dst), a(x), a(y), Int(len.into())]),
-            VImm {
-                op,
-                dst,
-                src,
-                imm,
-                len,
-            } => line.instruction(
-                op.mnemonic(),
-                &[a(dst), a(src), Int(imm.into()), Int(len.into())],
-            ),
-            VUn { op, dst, src, len } => {
-                line.instruction(op.mnemonic(), &[a(dst), a(src), Int(len.into())])
-            }
-            VFill { dst, value, len } => {
-                line.instruction("vfill", &[a(dst), Int(value.into()), Int(len.into())])
-            }
-            VCopy2d {
-                dst,
-                src,
-                block_len,
-                blocks,
-                src_stride,
-                dst_stride,
-            } => line.instruction(
-                "vcopy2d",
-                &[
-                    a(dst),
-                    a(src),
-                    Key("block=", block_len.into()),
-                    Key("blocks=", blocks.into()),
-                    Key("sstride=", src_stride.into()),
-                    Key("dstride=", dst_stride.into()),
-                ],
-            ),
-            VPool {
-                op,
-                dst,
-                src,
-                channels,
-                win_w,
-                win_h,
-                row_stride,
-            } => line.instruction(
-                op.mnemonic(),
-                &[
-                    a(dst),
-                    a(src),
-                    Key("ch=", channels.into()),
-                    Win(win_w, win_h),
-                    Key("rstride=", row_stride.into()),
-                ],
-            ),
-            Send {
-                peer,
-                src,
-                len,
-                tag,
-            } => line.instruction(
-                "send",
-                &[Core(peer), a(src), Int(len.into()), Key("tag=", tag.into())],
-            ),
-            Recv {
-                peer,
-                dst,
-                len,
-                tag,
-            } => line.instruction(
-                "recv",
-                &[Core(peer), a(dst), Int(len.into()), Key("tag=", tag.into())],
-            ),
-            Recv2d {
-                peer,
-                dst,
-                block_len,
-                blocks,
-                dst_stride,
-                tag,
-            } => line.instruction(
-                "recv2d",
-                &[
-                    Core(peer),
-                    a(dst),
-                    Key("block=", block_len.into()),
-                    Key("blocks=", blocks.into()),
-                    Key("dstride=", dst_stride.into()),
-                    Key("tag=", tag.into()),
-                ],
-            ),
-            GLoad { dst, gaddr, len } => {
-                line.instruction("gload", &[a(dst), GAddr(gaddr), Int(len.into())])
-            }
-            GStore { gaddr, src, len } => {
-                line.instruction("gstore", &[GAddr(gaddr), a(src), Int(len.into())])
-            }
-            SBin { op, rd, rs1, rs2 } => line.instruction(op.mnemonic(), &[r(rd), r(rs1), r(rs2)]),
-            SImm { op, rd, rs1, imm } => {
-                line.instruction(op.mnemonic(), &[r(rd), r(rs1), Int(imm.into())])
-            }
-            Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => line.instruction(cond.mnemonic(), &[r(rs1), r(rs2), Int(target.into())]),
-            Jump { target } => line.instruction("jmp", &[Int(target.into())]),
-            Halt => line.instruction("halt", &[]),
-            Nop => line.instruction("nop", &[]),
         }
     }
 }
@@ -1233,8 +833,8 @@ mod tests {
             InstrClass::Transfer
         );
         assert_eq!(Instruction::Halt.class(), InstrClass::Scalar);
-        assert!(Instruction::Halt.is_control());
-        assert!(!Instruction::Nop.is_control());
+        assert!(Instruction::Halt.is_terminator());
+        assert!(!Instruction::Nop.is_terminator());
     }
 
     #[test]

@@ -1,4 +1,7 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), deny(clippy::cast_sign_loss))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_wrap))]
 
 //! The PIMSIM-NN instruction set architecture.
 //!
@@ -39,6 +42,18 @@
 //! ([`Instruction::payload_len`]), each read off the [`Instruction`]
 //! itself.
 //!
+//! # Adding an instruction
+//!
+//! Declare its variant in [`Instruction`], whose docs are the ISA
+//! reference, and give it one row in the opcode table (`opcode.rs`): its
+//! class, its mnemonic (or its op enum with one mnemonic per value) and
+//! its operands in text order, each with its kind and field width. The row
+//! gives the assembler, the line writer, the width check and
+//! [`Instruction::class`]. Its semantics are written by hand: the memory
+//! operands in [`Instruction::for_each_extent`] (`extent.rs`), a vector
+//! op's [`Instruction::vector_shape`] (`cost.rs`), and its execution in
+//! `pimsim-core`'s `exec.rs`.
+//!
 //! # Example
 //!
 //! ```rust
@@ -70,6 +85,7 @@ mod error;
 mod extent;
 mod group;
 mod instr;
+mod opcode;
 mod program;
 mod range;
 mod reg;
@@ -79,10 +95,8 @@ pub use error::IsaError;
 pub use extent::{Extent, Space};
 pub use group::{GroupConfig, WeightMatrix};
 pub use instr::limits;
-pub use instr::{
-    Addr, BranchCond, CoreId, GroupId, InstrClass, Instruction, PoolOp, SBinOp, SImmOp, VBinOp,
-    VImmOp, VUnOp,
-};
+pub use instr::{Addr, CoreId, GroupId, InstrClass, Instruction};
+pub use opcode::{BranchCond, PoolOp, SBinOp, SImmOp, VBinOp, VImmOp, VUnOp};
 pub use program::{CoreProgram, Program, ProgramLimits, ProgramMeta};
 pub use range::{Footprint, Range};
 pub use reg::Reg;

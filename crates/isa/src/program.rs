@@ -9,11 +9,7 @@ use crate::asm::parse_instruction;
 use crate::error::IsaError;
 use crate::extent::Space;
 use crate::group::GroupConfig;
-use crate::instr::limits::{
-    smax, smin, umax, ADDR_OFFSET_BITS, BLOCK_BITS, CHAN_BITS, CORE_BITS, GROUP_BITS, LEN_BITS,
-    STRIDE_BITS, TAG_BITS, TARGET_BITS, VIMM_BITS, WIN_BITS,
-};
-use crate::instr::{Addr, AsmLine, InstrClass, Instruction};
+use crate::instr::{AsmLine, InstrClass, Instruction};
 
 /// Structural limits used by [`Program::validate`]: the core count,
 /// crossbars per core and memory capacities of a chip. `pimsim-arch`'s
@@ -215,19 +211,20 @@ impl Program {
                 });
             }
         }
-        for (cid, cp) in self.cores.iter().enumerate() {
-            let cid16 = cid as u16;
+        // At most `u16::MAX` cores, as checked above.
+        for (cid, cp) in (0..=u16::MAX).zip(&self.cores) {
             let err = |pc: Option<u32>, msg: String| IsaError::Validate {
-                core: Some(cid16),
+                core: Some(cid),
                 pc,
                 msg,
             };
 
             // Group table coherence. Crossbars at or past the limit fail
             // before they reach the bitset, so it needs no more bits.
-            let xbar_bound = (cp.groups.iter().flat_map(|g| &g.xbar_ids).max())
-                .map_or(0, |&x| (x as u64 + 1).min(limits.xbars_per_core as u64));
-            let mut used_xbars = vec![0u64; xbar_bound.div_ceil(64) as usize];
+            let xbar_bound = (cp.groups.iter().flat_map(|g| &g.xbar_ids).max()).map_or(0, |&x| {
+                x.saturating_add(1).min(limits.xbars_per_core) as usize
+            });
+            let mut used_xbars = vec![0u64; xbar_bound.div_ceil(64)];
             for (gi, g) in cp.groups.iter().enumerate() {
                 if g.id.as_usize() != gi {
                     return Err(err(
@@ -313,10 +310,12 @@ impl Program {
             // Instruction stream. Field widths first, so a field past its
             // width is refused for its width (as a program file's reader
             // does) whatever else it points at.
-            let n = cp.instrs.len() as u32;
-            for (pc, instr) in cp.instrs.iter().enumerate() {
-                let pc32 = pc as u32;
-                fits_fields(instr).map_err(|msg| err(Some(pc32), msg))?;
+            let Ok(n) = u32::try_from(cp.instrs.len()) else {
+                let n = cp.instrs.len();
+                return Err(err(None, format!("{n} instructions, past a 32-bit pc")));
+            };
+            for (pc32, instr) in (0..n).zip(&cp.instrs) {
+                instr.fits_fields().map_err(|msg| err(Some(pc32), msg))?;
                 match instr {
                     Instruction::Branch { target, .. } | Instruction::Jump { target }
                         if *target >= n =>
@@ -353,7 +352,7 @@ impl Program {
                                 format!("transfer peer {peer} out of range"),
                             ));
                         }
-                        if peer.as_usize() == cid {
+                        if peer.0 == cid {
                             return Err(err(Some(pc32), "transfer peer is self".into()));
                         }
                     }
@@ -549,11 +548,17 @@ fn format1<S: Source>(src: &S) -> DeError {
     ))
 }
 
-/// Checks that every operand of `instr` fits its field of the instruction
-/// format ([`crate::limits`]); the first that does not, worded like
-/// [`IsaError::FieldRange`]. The one width table: [`Program::validate`]
-/// and the assembler (so also [`Program::from_json`]) call it.
+/// The width check as it was written by hand, variant by variant, before
+/// the opcode table generated [`Instruction::fits_fields`]:
+/// `width_check_matches_the_oracle_at_every_edge` holds the generated one
+/// to it, and the assembler oracle in `asm.rs` calls it.
+#[cfg(test)]
 pub(crate) fn fits_fields(instr: &Instruction) -> Result<(), String> {
+    use crate::instr::limits::{
+        smax, smin, umax, ADDR_OFFSET_BITS, BLOCK_BITS, CHAN_BITS, CORE_BITS, GROUP_BITS, LEN_BITS,
+        STRIDE_BITS, TAG_BITS, TARGET_BITS, VIMM_BITS, WIN_BITS,
+    };
+    use crate::instr::Addr;
     #[inline(always)]
     fn fits(field: &str, value: i64, min: i64, max: i64) -> Result<(), String> {
         if (min..=max).contains(&value) {
@@ -696,7 +701,8 @@ mod tests {
     use super::*;
     use crate::group::{GroupConfig, WeightMatrix};
     use crate::instr::limits;
-    use crate::instr::{Addr, BranchCond, CoreId, GroupId, PoolOp, VImmOp};
+    use crate::instr::{Addr, CoreId, GroupId};
+    use crate::opcode::{BranchCond, PoolOp, SBinOp, SImmOp, VBinOp, VImmOp, VUnOp};
     use crate::reg::Reg;
 
     fn limits() -> ProgramLimits {
@@ -860,13 +866,13 @@ mod tests {
             (0, limits::umax(bits) as i64)
         };
         for ok in [min, max] {
-            let fits = make(ok).map(|instr| fits_fields(&instr));
+            let fits = make(ok).map(|instr| instr.fits_fields());
             assert_eq!(fits, Some(Ok(())), "{field} = {ok}");
         }
         for bad in [min - 1, max + 1] {
             if let Some(instr) = make(bad) {
                 assert_eq!(
-                    fits_fields(&instr),
+                    instr.fits_fields(),
                     Err(format!(
                         "{field} value {bad} outside encodable range [{min}, {max}]"
                     ))
@@ -1014,6 +1020,142 @@ mod tests {
         });
     }
 
+    /// A field's value from an `i64`, `None` past its type; an address
+    /// offset may pass its field.
+    trait Edge: Sized {
+        fn edge(v: i64) -> Option<Self>;
+    }
+
+    impl Edge for u32 {
+        fn edge(v: i64) -> Option<u32> {
+            v.try_into().ok()
+        }
+    }
+
+    impl Edge for i32 {
+        fn edge(v: i64) -> Option<i32> {
+            v.try_into().ok()
+        }
+    }
+
+    impl Edge for u16 {
+        fn edge(v: i64) -> Option<u16> {
+            v.try_into().ok()
+        }
+    }
+
+    impl Edge for Addr {
+        fn edge(v: i64) -> Option<Addr> {
+            raw_addr(v)
+        }
+    }
+
+    impl Edge for GroupId {
+        fn edge(v: i64) -> Option<GroupId> {
+            u16::edge(v).map(GroupId)
+        }
+    }
+
+    impl Edge for CoreId {
+        fn edge(v: i64) -> Option<CoreId> {
+            u16::edge(v).map(CoreId)
+        }
+    }
+
+    /// Sets one integer field of an instruction to a value, or `None` when
+    /// its type cannot hold it.
+    type Setter = fn(&mut Instruction, i64) -> Option<()>;
+
+    /// Each variant's instruction with every field valid, and a setter per
+    /// integer field named.
+    macro_rules! variants {
+        ($($variant:ident $base:tt [$($field:ident)*];)*) => {
+            [$((Instruction::$variant $base, vec![$((|instr: &mut Instruction, v: i64| {
+                if let Instruction::$variant { $field, .. } = instr {
+                    *$field = Edge::edge(v)?;
+                }
+                Some(())
+            }) as Setter),*])),*]
+        };
+    }
+
+    /// The generated width check gives the hand-written one's verdict,
+    /// error text included, on every variant: with each integer field at
+    /// both edges of every width in `limits` and one past each, and with
+    /// all of a variant's fields there at once (the first error in text
+    /// order).
+    #[test]
+    fn width_check_matches_the_oracle_at_every_edge() {
+        let (a, r) = (addr(0), Reg::R1);
+        let all = variants! {
+            Mvm {group: GroupId(0), dst: a, src: a, len: 1} [group dst src len];
+            VBin {op: VBinOp::Add, dst: a, a, b: a, len: 1} [dst a b len];
+            VImm {op: VImmOp::Add, dst: a, src: a, imm: 1, len: 1} [dst src imm len];
+            VUn {op: VUnOp::Relu, dst: a, src: a, len: 1} [dst src len];
+            VFill {dst: a, value: 1, len: 1} [dst value len];
+            VCopy2d {
+                dst: a, src: a, block_len: 1, blocks: 1, src_stride: 1, dst_stride: 1
+            } [dst src block_len blocks src_stride dst_stride];
+            VPool {
+                op: PoolOp::Max, dst: a, src: a, channels: 1, win_w: 1, win_h: 1, row_stride: 1
+            } [dst src channels win_w win_h row_stride];
+            Send {peer: CoreId(1), src: a, len: 1, tag: 1} [peer src len tag];
+            Recv {peer: CoreId(1), dst: a, len: 1, tag: 1} [peer dst len tag];
+            Recv2d {
+                peer: CoreId(1), dst: a, block_len: 1, blocks: 1, dst_stride: 1, tag: 1
+            } [peer dst block_len blocks dst_stride tag];
+            GLoad {dst: a, gaddr: a, len: 1} [dst gaddr len];
+            GStore {gaddr: a, src: a, len: 1} [gaddr src len];
+            SBin {op: SBinOp::Add, rd: r, rs1: r, rs2: r} [];
+            SImm {op: SImmOp::Add, rd: r, rs1: r, imm: 1} [imm];
+            Branch {cond: BranchCond::Eq, rs1: r, rs2: r, target: 1} [target];
+            Jump {target: 1} [target];
+            Halt {} [];
+            Nop {} [];
+        };
+        let mut values = vec![i32::MIN.into(), i32::MAX.into(), u32::MAX.into()];
+        for bits in [
+            limits::ADDR_OFFSET_BITS,
+            limits::LEN_BITS,
+            limits::GROUP_BITS,
+            limits::CORE_BITS,
+            limits::TAG_BITS,
+            limits::BLOCK_BITS,
+            limits::STRIDE_BITS,
+            limits::VIMM_BITS,
+            limits::TARGET_BITS,
+            limits::WIN_BITS,
+            limits::CHAN_BITS,
+        ] {
+            let (smin, smax) = (limits::smin(bits), limits::smax(bits));
+            let umax = limits::umax(bits) as i64;
+            values.extend([smin - 1, smin, smax, smax + 1, -1, 0, umax, umax + 1]);
+        }
+        let mut variants = std::collections::HashSet::new();
+        let mut rejected = std::collections::HashSet::new();
+        for (base, setters) in &all {
+            variants.insert(std::mem::discriminant(base));
+            for &v in &values {
+                let mut every = *base;
+                for (field, set) in setters.iter().enumerate() {
+                    let mut one = *base;
+                    if set(&mut one, v).is_some() {
+                        assert_eq!(one.fits_fields(), fits_fields(&one), "{one:?}");
+                        if one.fits_fields().is_err() {
+                            rejected.insert((std::mem::discriminant(base), field));
+                        }
+                    }
+                    let _ = set(&mut every, v);
+                }
+                assert_eq!(every.fits_fields(), fits_fields(&every), "{every:?}");
+            }
+        }
+        assert_eq!(variants.len(), 18, "every variant");
+        // Every field reached past its width, but the scalar `imm` and the
+        // three `u16` tags, which their types bound.
+        assert_eq!(rejected.len(), 49);
+    }
+
     /// What `validate` makes of a field past its width: an error at the
     /// instruction's core and pc.
     #[test]
@@ -1079,7 +1221,7 @@ mod tests {
             instrs,
             Ok(vec![
                 Instruction::SImm {
-                    op: crate::instr::SImmOp::Add,
+                    op: crate::SImmOp::Add,
                     rd: Reg::R1,
                     rs1: Reg::R0,
                     imm: 16,

@@ -35,7 +35,7 @@ impl Range {
     /// interval outside it.
     #[inline]
     pub fn span(start: i64, end: i64) -> Range {
-        let bound = |x: i64| x.clamp(0, u32::MAX as i64) as u32;
+        let bound = |x: i64| u32::try_from(x.max(0)).unwrap_or(u32::MAX);
         Range {
             start: bound(start),
             end: bound(end),
@@ -100,7 +100,8 @@ mod tests {
     use super::*;
     use crate::asm::parse_instruction;
     use crate::error::IsaError;
-    use crate::instr::{Addr, Instruction, PoolOp};
+    use crate::instr::{Addr, Instruction};
+    use crate::opcode::PoolOp;
     use crate::reg::Reg;
 
     #[test]

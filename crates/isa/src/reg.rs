@@ -68,7 +68,7 @@ impl Reg {
 
     /// Iterates over all 32 registers in index order.
     pub fn all() -> impl Iterator<Item = Reg> {
-        (0..NUM_REGS as u8).map(Reg)
+        (0..).take(NUM_REGS).map(Reg)
     }
 }
 
