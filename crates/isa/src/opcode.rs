@@ -41,7 +41,7 @@ use crate::reg::Reg;
 
 /// The Rust type of an integer field: its sign, for the width check, and
 /// how the assembler words a value the type cannot hold.
-pub(crate) trait IntField: Copy + Into<i64> + TryFrom<i64> {
+pub(crate) trait IntField: Into<i64> + TryFrom<i64> {
     /// `true` when the field is signed.
     const SIGNED: bool;
 
